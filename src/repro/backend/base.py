@@ -20,14 +20,15 @@ The contract has three parts:
    its native library (NumPy, CuPy, ...).
 2. **Derived helpers** — implemented once here in terms of the primitives and
    the array protocol (``as_rows``, ``compare``, ``hash_columns``,
-   ``run_lengths_from_starts``), so every backend hashes, coerces and compares
-   identically.
+   ``run_lengths_from_starts``, ``pack_sort_keys``/``unpack_sort_keys``), so
+   every backend hashes, coerces, compares and packs sort keys identically.
 3. **The array protocol** — backend arrays must support the NumPy-style
    operator surface the datapath uses in place: ``shape``/``size``/``nbytes``/
    ``dtype``, basic and fancy indexing (read and scatter-write), boolean
    masking, slicing, elementwise comparison/arithmetic/bitwise operators,
-   ``astype``/``view``/``reshape``/``copy``, and reductions (``sum``, ``any``,
-   ``all``).  NumPy and CuPy both satisfy this natively.
+   ``astype``/``view``/``reshape``/``copy``, in-place value ``sort``, and
+   reductions (``sum``, ``min``, ``max``, ``any``, ``all``).  NumPy and CuPy
+   both satisfy this natively.
 
 :data:`ARRAY_BACKEND_CONTRACT` is the frozen name set of parts 1 and 2 plus
 the dtype attributes; :class:`~repro.backend.guard.GuardBackend` enforces it
@@ -63,6 +64,15 @@ EMPTY_KEY = np.uint64(0xFFFFFFFFFFFFFFFF)
 """Sentinel stored in unoccupied hash-table slots."""
 
 _EMPTY_KEY_REMAP = np.uint64(0x123456789ABCDEF)
+
+#: Layout of a packed sort key (:meth:`ArrayBackend.pack_sort_keys`): one
+#: ``(minimum, bit width)`` pair per column, most-significant column first.
+SortKeyLayout = tuple[tuple[int, int], ...]
+
+
+def _u64(value: int) -> np.uint64:
+    """``value`` as a uint64 scalar, modulo 2**64 (two's complement of negatives)."""
+    return np.uint64(value % (1 << 64))
 
 
 class ArrayBackend(ABC):
@@ -241,6 +251,70 @@ class ArrayBackend(ABC):
         bounds = self.concatenate([starts[1:], self.asarray([n_rows], dtype=INDEX_DTYPE)])
         return (bounds - starts).astype(INDEX_DTYPE)
 
+    def pack_sort_keys(self, *batches: Sequence[Array]) -> "tuple[Array, SortKeyLayout] | None":
+        """Pack tuple columns into one uint64 sort key per row, if they fit.
+
+        Each batch is a sequence of per-column ``int64`` arrays; the keys cover
+        the batches' rows concatenated in order (one batch is the usual call).
+        Every column is offset by its observed minimum and given the bit width
+        of its observed range; the fields are concatenated most-significant
+        column first, so unsigned order of the keys equals signed
+        lexicographic order of the tuples and equal keys mean equal tuples.
+        Returns ``(keys, layout)``, or ``None`` when there are no columns or
+        the widths sum to more than 64 bits — the caller then sorts column by
+        column.  The layout is data dependent: keys of different packings are
+        *not* mutually comparable (that is what ``pack_lex_keys`` is for).
+        """
+        arity = len(batches[0])
+        if arity == 0:
+            return None
+        batches = [
+            [self.asarray(column, dtype=TUPLE_DTYPE) for column in columns]
+            for columns in batches
+            if int(columns[0].shape[0])
+        ]
+        if not batches:
+            return self.empty(0, dtype=self.uint64), ((0, 0),) * arity
+        # Python ints: an int64 column holding both extremes has a 64-bit range.
+        lows = [min(int(columns[j].min()) for columns in batches) for j in range(arity)]
+        highs = [max(int(columns[j].max()) for columns in batches) for j in range(arity)]
+        layout = tuple((low, (high - low).bit_length()) for low, high in zip(lows, highs))
+        if sum(width for _, width in layout) > 64:
+            return None
+        lengths = [int(columns[0].shape[0]) for columns in batches]
+        keys = self.empty(sum(lengths), dtype=self.uint64)
+        offset = 0
+        for columns, length in zip(batches, lengths):
+            # Horner form, in place in the key buffer: uint64 arithmetic wraps,
+            # so ``column - minimum`` is exact even where int64 would overflow.
+            part = keys[offset : offset + length]
+            offset += length
+            for position, (column, (minimum, width)) in enumerate(zip(columns, layout)):
+                if position == 0:
+                    part[...] = column.view(self.uint64)
+                else:
+                    if 0 < width < 64:  # width 64 means every earlier field is 0 wide
+                        part <<= np.uint64(width)
+                    part += column.view(self.uint64)
+                part -= _u64(minimum)
+        return keys, layout
+
+    def unpack_sort_keys(self, keys: Array, layout: SortKeyLayout) -> list[Array]:
+        """Invert :meth:`pack_sort_keys`: the per-column ``int64`` arrays of ``keys``."""
+        columns: list[Array] = []
+        shift = sum(width for _, width in layout)
+        for minimum, width in layout:
+            shift -= width
+            if width == 0:
+                columns.append(self.full(int(keys.shape[0]), minimum, dtype=TUPLE_DTYPE))
+                continue
+            field = keys >> np.uint64(shift)
+            if width < 64:
+                field &= np.uint64((1 << width) - 1)
+            field += _u64(minimum)
+            columns.append(field.view(TUPLE_DTYPE))
+        return columns
+
     def _splitmix64(self, values: Array) -> Array:
         z = values + _GAMMA
         z = (z ^ (z >> np.uint64(30))) * _MIX1
@@ -328,5 +402,7 @@ ARRAY_BACKEND_CONTRACT = frozenset(
         "run_lengths_from_starts",
         "hash_columns",
         "hash_rows",
+        "pack_sort_keys",
+        "unpack_sort_keys",
     }
 )

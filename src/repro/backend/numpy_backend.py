@@ -85,10 +85,10 @@ class NumpyBackend(ArrayBackend):
         if n == 0:
             return np.empty(0, dtype=INDEX_DTYPE)
         # np.lexsort sorts by the last key first, so pass columns reversed.
-        return np.lexsort(tuple(reversed(list(columns)))).astype(INDEX_DTYPE)
+        return np.lexsort(tuple(reversed(list(columns)))).astype(INDEX_DTYPE, copy=False)
 
     def searchsorted(self, haystack: Array, needles: Array, side: str = "left") -> Array:
-        return np.searchsorted(haystack, needles, side=side).astype(INDEX_DTYPE)
+        return np.searchsorted(haystack, needles, side=side).astype(INDEX_DTYPE, copy=False)
 
     def pack_lex_keys(self, columns: Sequence[Array]) -> Array:
         """Pack columns into big-endian void keys preserving signed lex order.
@@ -129,7 +129,7 @@ class NumpyBackend(ArrayBackend):
         return np.cumsum(values)
 
     def nonzero_indices(self, mask: Array) -> Array:
-        return np.flatnonzero(mask).astype(INDEX_DTYPE)
+        return np.flatnonzero(mask).astype(INDEX_DTYPE, copy=False)
 
     def count_nonzero(self, mask: Array) -> int:
         return int(np.count_nonzero(mask))

@@ -26,6 +26,7 @@ and device implementations can never diverge.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -37,7 +38,9 @@ from ..backend import (
     TUPLE_DTYPE,
     TUPLE_ITEMSIZE,
     Array,
+    ArrayBackend,
 )
+from ..backend.base import SortKeyLayout
 from .cost import LINK_INTERCONNECT, KernelCost
 from .profiler import PHASE_SHARD_EXCHANGE, PHASE_TRANSFER
 
@@ -46,6 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
 
 __all__ = [
     "DeviceKernels",
+    "PackedColumns",
     "INDEX_DTYPE",
     "INDEX_ITEMSIZE",
     "TUPLE_DTYPE",
@@ -77,10 +81,10 @@ def host_lexsort_columns(
 ) -> np.ndarray:
     """Stable lexicographic argsort over per-column arrays (column 0 primary).
 
-    Host-side delegate of :meth:`ArrayBackend.lexsort`, kept so the row-array
-    entry points, tests and uncharged oracles share one sort implementation.
+    The host-side "sort tuple rows" (snapshot canonicalisation, tests): the
+    same packed-key argsort the device kernels run, on the reference backend.
     """
-    return HOST_BACKEND.lexsort(columns, n_rows=n_rows)
+    return _lexsort(HOST_BACKEND, columns, n_rows)
 
 
 def host_adjacent_unique_mask(
@@ -93,6 +97,37 @@ def host_adjacent_unique_mask(
 def rows_nbytes(n_rows: int, arity: int) -> int:
     """Bytes occupied by ``n_rows`` tuples of the given arity."""
     return int(n_rows) * int(arity) * TUPLE_ITEMSIZE
+
+
+@dataclass(frozen=True)
+class PackedColumns:
+    """The columns of one tuple batch held as a single packed sort-key column.
+
+    What :meth:`DeviceKernels.concatenate_packed` hands to
+    :meth:`DeviceKernels.unique_columns` in place of ``arity`` concatenated
+    columns (see :meth:`ArrayBackend.pack_sort_keys` for the key layout).
+    ``len()`` and ``nbytes`` describe the logical batch — rows, and the bytes
+    its unpacked columns would occupy — like a ``ColumnBatch``.
+    """
+
+    backend: ArrayBackend
+    keys: Array
+    layout: SortKeyLayout
+
+    @property
+    def arity(self) -> int:
+        return len(self.layout)
+
+    def __len__(self) -> int:
+        return int(self.keys.shape[0])
+
+    @property
+    def nbytes(self) -> int:
+        return rows_nbytes(len(self), self.arity)
+
+    def unpack(self) -> list[Array]:
+        """The batch's per-column ``int64`` arrays, in the keys' current row order."""
+        return self.backend.unpack_sort_keys(self.keys, self.layout)
 
 
 class DeviceKernels:
@@ -365,20 +400,22 @@ class DeviceKernels:
         base = backend.asarray(base)
         indices = backend.asarray(indices, dtype=INDEX_DTYPE)
         out = backend.take(base, indices)
-        itemsize = base.dtype.itemsize
-        value_bytes = float(indices.size) * itemsize
         if coalesced is None:
             coalesced = backend.is_monotone(indices)
+        self._charge_gather_column(int(indices.size), base.dtype.itemsize, coalesced, label)
+        return out
+
+    def _charge_gather_column(self, n: int, itemsize: int, coalesced: bool, label: str) -> None:
+        value_bytes = float(n) * itemsize
         self._device.charge(
             KernelCost(
                 kernel=label,
                 random_bytes=0.0 if coalesced else value_bytes,
-                sequential_bytes=float(indices.size) * (itemsize + INDEX_ITEMSIZE)
+                sequential_bytes=float(n) * (itemsize + INDEX_ITEMSIZE)
                 + (value_bytes if coalesced else 0.0),
-                ops=float(indices.size),
+                ops=float(n),
             )
         )
-        return out
 
     def compose_selection(
         self,
@@ -431,20 +468,49 @@ class DeviceKernels:
         )
         return out
 
+    def concatenate_packed(
+        self, parts: list[list[Array]], label: str = "concatenate_columns"
+    ) -> "PackedColumns | None":
+        """:meth:`concatenate_columns` straight into one packed sort-key column.
+
+        For a concatenation whose only consumer is :meth:`unique_columns`:
+        each part is packed into its slice of one preallocated key buffer, so
+        the ``arity`` concatenated columns are never written.  Charged exactly
+        as :meth:`concatenate_columns`; ``None`` (nothing charged) when the
+        observed column ranges do not fit one 64-bit key.
+        """
+        packed = self._pack(*parts)
+        if packed is not None:
+            self._device.charge(
+                KernelCost(
+                    kernel=label,
+                    sequential_bytes=2.0 * packed.nbytes,
+                    ops=float(len(packed)) * packed.arity,
+                )
+            )
+        return packed
+
+    def _pack(self, *batches: list[Array]) -> "PackedColumns | None":
+        packed = self._backend.pack_sort_keys(*batches)
+        return None if packed is None else PackedColumns(self._backend, *packed)
+
     def adjacent_unique_mask_columns(
         self, sorted_columns: list[Array], n_rows: int, label: str = "adjacent_unique"
     ) -> Array:
         """Columnar adjacent-compare deduplication mask (one pass per column)."""
         mask = self._backend.adjacent_unique_mask(sorted_columns, n_rows=n_rows)
         column_bytes = sum(float(column.nbytes) for column in sorted_columns)
+        self._charge_adjacent_unique(n_rows, column_bytes, len(sorted_columns), label)
+        return mask
+
+    def _charge_adjacent_unique(self, n_rows: int, column_bytes: float, arity: int, label: str) -> None:
         self._device.charge(
             KernelCost(
                 kernel=label,
                 sequential_bytes=2.0 * column_bytes + float(n_rows),
-                ops=float(n_rows) * max(1, len(sorted_columns)),
+                ops=float(n_rows) * max(1, arity),
             )
         )
-        return mask
 
     def compact_columns(
         self, columns: list[Array], mask: Array, label: str = "compact_columns"
@@ -459,23 +525,41 @@ class DeviceKernels:
         out = [column[mask] for column in columns]
         in_bytes = sum(float(column.nbytes) for column in columns)
         out_bytes = sum(float(column.nbytes) for column in out)
+        self._charge_compact_columns(in_bytes, out_bytes, int(mask.size), len(columns), label)
+        return out
+
+    def _charge_compact_columns(
+        self, in_bytes: float, out_bytes: float, n_rows: int, arity: int, label: str
+    ) -> None:
         self._device.charge(
             KernelCost(
                 kernel=label,
-                sequential_bytes=in_bytes + out_bytes + float(mask.size),
-                ops=float(mask.size) * max(1, len(columns)),
+                sequential_bytes=in_bytes + out_bytes + float(n_rows),
+                ops=float(n_rows) * max(1, arity),
             )
         )
-        return out
 
-    def unique_columns(self, columns: list[Array], label: str = "unique_columns") -> list[Array]:
-        """Columnar deduplication: per-column lexsort + adjacent-compare + compact.
+    def unique_columns(
+        self, columns: "list[Array] | PackedColumns", label: str = "unique_columns"
+    ) -> list[Array]:
+        """Columnar deduplication: sort + adjacent-compare + compact.
 
-        The columnar replacement for :meth:`unique_rows` — no packed row keys
-        are ever built; every pass streams contiguous single columns.
+        When the columns' observed ranges fit one 64-bit key (or the caller
+        already holds them as :class:`PackedColumns`, which this consumes) the
+        batch is packed, the single key column is *value*-sorted in place,
+        adjacent keys are compared, and only the survivors are unpacked — no
+        sort permutation, no per-column gather.  Wider batches take the
+        per-column lexsort.  Both routes charge the same kernels with the same
+        costs, in the same order: the route is a host matter, the simulated
+        device runs radix passes over the key either way.
         """
+        if isinstance(columns, PackedColumns):
+            return self._unique_packed(columns, label)
         if not columns or columns[0].shape[0] == 0:
             return list(columns)
+        packed = self._pack(columns)
+        if packed is not None:
+            return self._unique_packed(packed, label)
         order = self.lexsort_columns(columns, label=f"{label}.sort")
         # The sort permutation is shared by every column: test coalescing once.
         order_coalesced = self._backend.is_monotone(order)
@@ -485,6 +569,30 @@ class DeviceKernels:
         ]
         mask = self.adjacent_unique_mask_columns(sorted_columns, order.size, label=f"{label}.mask")
         return self.compact_columns(sorted_columns, mask, label=f"{label}.compact")
+
+    def _unique_packed(self, packed: PackedColumns, label: str) -> list[Array]:
+        """The packed route of :meth:`unique_columns`; sorts ``packed.keys`` in place."""
+        backend = self._backend
+        keys, n, arity = packed.keys, len(packed), packed.arity
+        # A stable sort permutation is monotone exactly when the input is
+        # already sorted, which for one key column is a single ``>=`` pass.
+        coalesced = backend.is_monotone(keys)
+        if not coalesced:
+            keys.sort()
+        self._charge_lexsort(n, arity, f"{label}.sort")
+        for _ in range(arity):
+            self._charge_gather_column(n, TUPLE_ITEMSIZE, coalesced, f"{label}.gather")
+        mask = backend.adjacent_unique_mask([keys], n_rows=n)
+        self._charge_adjacent_unique(n, float(packed.nbytes), arity, f"{label}.mask")
+        survivors = keys[mask]
+        self._charge_compact_columns(
+            float(packed.nbytes),
+            float(rows_nbytes(int(survivors.shape[0]), arity)),
+            n,
+            arity,
+            f"{label}.compact",
+        )
+        return backend.unpack_sort_keys(survivors, packed.layout)
 
     # ------------------------------------------------------------------
     # Transform / map
@@ -517,14 +625,15 @@ class DeviceKernels:
     def lexsort_rows(self, rows: Array, label: str = "stable_sort") -> Array:
         """Stable lexicographic argsort of tuple rows.
 
-        Mirrors Algorithm 1: one stable sort pass per column from least to
-        most significant.  Each pass streams the permutation indices and the
-        key column through memory.
+        Charged as Algorithm 1: one stable sort pass per column from least to
+        most significant, each streaming the permutation indices and the key
+        column through memory.  The host runs one argsort of the packed key
+        when the columns fit 64 bits (:func:`_lexsort`).
         """
         backend = self._backend
         rows = backend.as_rows(rows)
         n, arity = rows.shape
-        order = backend.lexsort([rows[:, col] for col in range(arity)], n_rows=n)
+        order = _lexsort(backend, [rows[:, col] for col in range(arity)], n)
         self._charge_lexsort(n, arity, label)
         return order
 
@@ -539,7 +648,7 @@ class DeviceKernels:
         (identity permutation).
         """
         n = int(columns[0].shape[0]) if columns else int(n_rows or 0)
-        order = self._backend.lexsort(columns, n_rows=n)
+        order = _lexsort(self._backend, columns, n)
         self._charge_lexsort(n, len(columns), label)
         return order
 
@@ -584,8 +693,8 @@ class DeviceKernels:
             if left.shape[1] != right.shape[1]:
                 raise ValueError("cannot merge tuple arrays with different arity")
             merged = backend.concatenate([left, right], axis=0)
-            order = backend.lexsort(
-                [merged[:, col] for col in range(merged.shape[1])], n_rows=merged.shape[0]
+            order = _lexsort(
+                backend, [merged[:, col] for col in range(merged.shape[1])], merged.shape[0]
             )
             merged = backend.take(merged, order)
         total_bytes = float(left.nbytes + right.nbytes + merged.nbytes)
@@ -763,6 +872,19 @@ def pack_rows(rows: np.ndarray) -> np.ndarray:
     if rows.shape[0] == 0:
         return np.empty(0, dtype=np.dtype((np.void, max(1, rows.shape[1]) * TUPLE_ITEMSIZE)))
     return np.ascontiguousarray(rows).view(np.dtype((np.void, rows.shape[1] * TUPLE_ITEMSIZE))).ravel()
+
+
+def _lexsort(backend, columns: "list[Array] | tuple[Array, ...]", n_rows: int | None = None) -> Array:
+    """Stable lexicographic argsort of tuple columns (column 0 primary).
+
+    One stable argsort of the packed key when the columns' observed ranges
+    fit 64 bits (equal keys are equal tuples, so stability carries over);
+    the backend's multi-key lexsort otherwise.
+    """
+    packed = backend.pack_sort_keys(columns) if len(columns) > 1 else None
+    if packed is not None:
+        columns = [packed[0]]
+    return backend.lexsort(columns, n_rows=n_rows)
 
 
 def _lex_less_equal(backend, prev: Array, curr: Array) -> Array:

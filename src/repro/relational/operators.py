@@ -32,6 +32,7 @@ from typing import Sequence, Union
 from ..backend import Array, ArrayBackend, HOST_BACKEND, INDEX_ITEMSIZE, TUPLE_ITEMSIZE
 from ..device.cost import KernelCost
 from ..device.device import Device
+from ..device.kernels import PackedColumns
 from ..device.simt import warp_divergence_factor
 from ..errors import SchemaError
 from .columnbatch import ColumnBatch
@@ -506,47 +507,42 @@ def project(
     return backend.ascontiguousarray(result)
 
 
-def deduplicate(device: Device, rows: RowsLike, *, label: str = "deduplicate", charge: bool = True) -> RowsLike:
+def deduplicate(
+    device: Device, rows: "RowsLike | PackedColumns", *, label: str = "deduplicate"
+) -> RowsLike:
     """Sort + adjacent-compare + compact deduplication [R4].
 
-    Columnar batches are deduplicated with a per-column lexsort — no packed
-    row keys are built.  Both layouts (and the uncharged oracle) share the
-    backend lexsort / adjacent-compare primitives, so the result order is
-    identical everywhere: natural lexicographic.
+    Columnar batches go through :meth:`DeviceKernels.unique_columns`, which
+    packs the columns into one 64-bit sort key when their observed ranges
+    allow and sorts column by column otherwise; a batch that already is one
+    packed key column (:class:`PackedColumns`, the gathered *new* version)
+    is consumed as it is.  Row arrays take :meth:`DeviceKernels.unique_rows`.
+    Every route leaves the result in natural lexicographic order.
     """
     backend = device.backend
+    if isinstance(rows, PackedColumns):
+        if len(rows) <= 1:
+            return ColumnBatch.from_columns(device, rows.unpack())
+        with device.fused(f"{label}.dedup_fused", launches=3):
+            deduped = device.kernels.unique_columns(rows, label=label)
+        return ColumnBatch.from_columns(device, deduped)
     if isinstance(rows, ColumnBatch):
         if len(rows) <= 1:
             return rows
         if rows.arity == 0:
             # All zero-arity tuples are equal: one survivor.
             return ColumnBatch.from_columns(device, [], length=1, names=rows.names)
-        if charge:
-            # Column gather, sort epilogue, adjacent-compare and compaction
-            # fuse around the multi-pass sort core: two radix passes plus one
-            # fused gather/mask/compact kernel.
-            with device.fused(f"{label}.dedup_fused", launches=3):
-                columns = rows.columns(charge=charge, label=f"{label}.gather")
-                deduped = device.kernels.unique_columns(columns, label=label)
-        else:
-            columns = rows.columns(charge=charge, label=f"{label}.gather")
-            order = backend.lexsort(columns, n_rows=len(rows))
-            sorted_columns = [column[order] for column in columns]
-            keep = backend.adjacent_unique_mask(sorted_columns, n_rows=len(rows))
-            deduped = [column[keep] for column in sorted_columns]
+        # Column gather, sort epilogue, adjacent-compare and compaction
+        # fuse around the multi-pass sort core: two radix passes plus one
+        # fused gather/mask/compact kernel.
+        with device.fused(f"{label}.dedup_fused", launches=3):
+            columns = rows.columns(label=f"{label}.gather")
+            deduped = device.kernels.unique_columns(columns, label=label)
         return ColumnBatch.from_columns(device, deduped, names=rows.names)
     rows = backend.as_rows(rows)
     if rows.shape[0] <= 1:
         return rows
-    if charge:
-        return device.kernels.unique_rows(rows, label=label)
-    column_views = [rows[:, column] for column in range(rows.shape[1])]
-    packed_order = backend.lexsort(column_views, n_rows=rows.shape[0])
-    sorted_rows = rows[packed_order]
-    keep = backend.adjacent_unique_mask(
-        [sorted_rows[:, column] for column in range(rows.shape[1])], n_rows=rows.shape[0]
-    )
-    return sorted_rows[keep]
+    return device.kernels.unique_rows(rows, label=label)
 
 
 def difference(

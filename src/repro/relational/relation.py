@@ -32,6 +32,7 @@ import numpy as np
 
 from ..backend import Array
 from ..device.device import Device
+from ..device.kernels import PackedColumns
 from ..device.memory import Buffer
 from ..device.profiler import (
     PHASE_CHECKPOINT,
@@ -265,10 +266,7 @@ class Relation:
 
         with profiler.phase(PHASE_DEDUPLICATION):
             if self._new_parts:
-                new_rows = union(
-                    self.device, self._new_parts, arity=self.arity, label=f"{self.name}.gather_new"
-                )
-                new_rows = self._deduplicate_new(new_rows)
+                new_rows = self._deduplicate_new(self._gather_new())
             else:
                 new_rows = self.backend.empty((0, self.arity), dtype=self.backend.int64)
         new_count = len(new_rows)
@@ -340,7 +338,25 @@ class Relation:
         self.history.append(stats)
         return stats
 
-    def _deduplicate_new(self, rows: RowsLike) -> RowsLike:
+    def _gather_new(self) -> "RowsLike | PackedColumns":
+        """Concatenate the accumulated *new* parts for deduplication.
+
+        Columnar parts whose observed column ranges fit one 64-bit sort key
+        are packed straight into a single key buffer — dedup is the only
+        consumer, and it sorts exactly that key — so the ``arity``
+        concatenated columns are never written.  Anything else is a plain
+        :func:`union`.  Same kernel, same charge either way.
+        """
+        label = f"{self.name}.gather_new"
+        if all(isinstance(part, ColumnBatch) for part in self._new_parts):
+            packed = self.device.kernels.concatenate_packed(
+                [part.columns(label=label) for part in self._new_parts], label=label
+            )
+            if packed is not None:
+                return packed
+        return union(self.device, self._new_parts, arity=self.arity, label=label)
+
+    def _deduplicate_new(self, rows: "RowsLike | PackedColumns") -> RowsLike:
         """Deduplicate the gathered new rows with an accounted sort scratch.
 
         The radix sort inside deduplication needs O(n) transient device
@@ -360,6 +376,8 @@ class Relation:
             if n <= OOM_DEDUP_FLOOR_ROWS:
                 raise
             self.oom_degradations += 1
+            if isinstance(rows, PackedColumns):
+                rows = ColumnBatch.from_columns(self.device, rows.unpack())
             if isinstance(rows, ColumnBatch):
                 rows = rows.as_rows(label=f"{self.name}.dedup_degrade_materialize")
             mid = n // 2

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..device.kernels import host_lexsort_columns
+
 __all__ = ["RelationSnapshot", "SnapshotTable"]
 
 
@@ -32,8 +34,7 @@ def canonical_rows(rows: np.ndarray, arity: int) -> np.ndarray:
     """
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, arity)
     if rows.shape[0] > 1:
-        order = np.lexsort(tuple(rows[:, column] for column in reversed(range(arity))))
-        rows = rows[order]
+        rows = rows[host_lexsort_columns([rows[:, column] for column in range(arity)])]
     rows = np.ascontiguousarray(rows)
     rows.setflags(write=False)
     return rows

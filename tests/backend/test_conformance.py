@@ -24,6 +24,8 @@ from repro.backend import (
 )
 from repro.errors import BackendContractError, BackendUnavailableError
 
+from tests.helpers import reference_unique
+
 BACKEND_PARAMS = [
     pytest.param("numpy", id="numpy"),
     pytest.param("guard", id="guard"),
@@ -185,6 +187,78 @@ def test_pack_lex_keys_preserves_tuple_order(rows):
     order_by_key = sorted(range(len(rows)), key=lambda i: (keys[i].tobytes(), i))
     order_by_tuple = sorted(range(len(rows)), key=lambda i: (rows[i], i))
     assert order_by_key == order_by_tuple
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+# Per-column value domains of a sort-key batch: duplicate-heavy, negatives,
+# symbol ids past 2**40, and the int64 extremes (a 64-bit range on their own).
+sort_key_domains = st.sampled_from(
+    [
+        st.integers(-3, 3),
+        st.integers(-(2**20), 2**20),
+        st.integers(2**40, 2**40 + 1000),
+        st.sampled_from([INT64_MIN, INT64_MAX, 0, -1]),
+        st.just(7),
+    ]
+)
+
+
+@st.composite
+def sort_key_batches(draw):
+    arity = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 40))
+    domains = [draw(sort_key_domains) for _ in range(arity)]
+    return [draw(st.lists(domain, min_size=n, max_size=n)) for domain in domains]
+
+
+@settings(max_examples=120, deadline=None)
+@given(batch=sort_key_batches(), split=st.integers(0, 40))
+def test_pack_sort_keys_dedup_matches_reference(batch, split):
+    """pack -> value sort -> adjacent != -> compact -> unpack == lexsort dedup."""
+    for spec in ("numpy", "guard"):
+        backend = get_backend(spec)
+        columns = [backend.from_host(column, dtype=backend.int64) for column in batch]
+        spans = [max(column) - min(column) if column else 0 for column in batch]
+        packed = backend.pack_sort_keys(columns)
+        if sum(span.bit_length() for span in spans) > 64:
+            assert packed is None
+            continue
+        keys, layout = packed
+        assert keys.dtype == backend.uint64 and keys.shape[0] == len(batch[0])
+        # Several batches pack as their concatenation, under one layout.
+        split = min(split, len(batch[0]))
+        keys_split, layout_split = backend.pack_sort_keys(
+            [column[:split] for column in columns], [column[split:] for column in columns]
+        )
+        assert layout_split == layout and to_host_list(backend, keys_split) == to_host_list(backend, keys)
+        # Unsorted keys unpack to the input, row for row.
+        assert [to_host_list(backend, c) for c in backend.unpack_sort_keys(keys, layout)] == batch
+        keys.sort()
+        survivors = keys[backend.adjacent_unique_mask([keys])]
+        unique = backend.unpack_sort_keys(survivors, layout)
+        assert all(column.dtype == backend.int64 for column in unique)
+        expected = reference_unique([np.asarray(column, dtype=np.int64) for column in batch])
+        assert [to_host_list(backend, c) for c in unique] == [c.tolist() for c in expected]
+
+
+def test_pack_sort_keys_edges(backend):
+    def pack(*columns):
+        return backend.pack_sort_keys([backend.from_host(c, dtype=backend.int64) for c in columns])
+
+    assert backend.pack_sort_keys([]) is None  # zero arity: nothing to key on
+    keys, layout = pack([], [])
+    assert keys.shape[0] == 0 and [c.shape[0] for c in backend.unpack_sort_keys(keys, layout)] == [0, 0]
+    keys, layout = pack([-5], [2**41])  # a single row needs no bits at all
+    assert layout == ((-5, 0), (2**41, 0)) and to_host_list(backend, keys) == [0]
+    # The full int64 range is exactly 64 bits: packable alone (the range is
+    # taken in Python ints, so max - min does not overflow) ...
+    keys, layout = pack([INT64_MAX, INT64_MIN, 0])
+    assert layout == ((INT64_MIN, 64),) and to_host_list(backend, keys) == [2**64 - 1, 0, 2**63]
+    assert to_host_list(backend, backend.unpack_sort_keys(keys, layout)[0]) == [INT64_MAX, INT64_MIN, 0]
+    # ... and with constant neighbours, but not next to one more varying bit.
+    assert pack([3, 3], [INT64_MIN, INT64_MAX], [9, 9]) is not None
+    assert pack([3, 4], [INT64_MIN, INT64_MAX]) is None
+    assert pack([0, 2**40], [0, 2**24]) is None  # 41 + 25 bits
 
 
 def test_pack_lex_keys_orders_and_distinguishes(backend):

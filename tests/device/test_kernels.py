@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.device import Device
-from repro.device.kernels import lex_rank_keys, pack_rows, row_search_bounds
+from repro.device.kernels import PackedColumns, lex_rank_keys, pack_rows, row_search_bounds
+
+from tests.helpers import reference_unique
 
 
 rows_strategy = st.lists(
@@ -120,3 +122,59 @@ def test_pack_rows_distinguishes_rows():
     packed = pack_rows(rows)
     assert packed[0] == packed[2]
     assert packed[0] != packed[1]
+
+
+def _events(device):
+    return [(event.phase, event.cost) for event in device.profiler.events]
+
+
+@pytest.mark.parametrize("presorted", [False, True], ids=["unsorted", "presorted"])
+@given(rows=rows_strategy)
+@settings(max_examples=40, deadline=None)
+def test_unique_columns_packed_and_lexsort_routes_agree(presorted, rows):
+    """Same batch down both routes: identical output and KernelCost sequence.
+
+    The lexsort route is forced by blinding ``pack_sort_keys`` on one device's
+    backend; ``presorted`` exercises the coalesced-gather charge.
+    """
+    if presorted and rows.shape[0]:
+        rows = rows[np.lexsort(tuple(rows[:, c] for c in reversed(range(3))))]
+    packed_device = Device("h100", oom_enabled=False)
+    lexsort_device = Device("h100", oom_enabled=False)
+    lexsort_device.backend.pack_sort_keys = lambda *batches: None
+    outputs = []
+    for device in (packed_device, lexsort_device):
+        columns = [np.ascontiguousarray(rows[:, c]) for c in range(3)]
+        with device.fused("dedup_fused", launches=3):  # as operators.deduplicate runs it
+            outputs.append(device.kernels.unique_columns(columns, label="t"))
+        device.kernels.unique_columns(columns, label="unfused")
+        device.kernels.lexsort_columns(columns, label="sort")
+        device.kernels.unique_rows(rows, label="rows")
+    assert [c.tolist() for c in outputs[0]] == [c.tolist() for c in outputs[1]]
+    assert [c.tolist() for c in outputs[0]] == [c.tolist() for c in reference_unique(list(rows.T))]
+    assert _events(packed_device) == _events(lexsort_device)
+    assert packed_device.elapsed_seconds == lexsort_device.elapsed_seconds
+
+
+def test_concatenate_packed_charges_like_concatenate_columns(device):
+    parts = [
+        [np.array([5, 1, 5], dtype=np.int64), np.array([-2, 9, -2], dtype=np.int64)],
+        [np.array([1, 7], dtype=np.int64), np.array([9, 0], dtype=np.int64)],
+    ]
+    other = Device("h100", oom_enabled=False)
+    packed = device.kernels.concatenate_packed(parts, label="gather")
+    columns = other.kernels.concatenate_columns(parts, label="gather")
+    assert isinstance(packed, PackedColumns)
+    assert (len(packed), packed.arity, packed.nbytes) == (5, 2, 5 * 2 * 8)
+    assert [c.tolist() for c in packed.unpack()] == [c.tolist() for c in columns]
+    assert _events(device) == _events(other)
+    # unique_columns consumes the packed batch (sorting its keys in place).
+    unique = device.kernels.unique_columns(packed, label="dedup")
+    expected = other.kernels.unique_columns(columns, label="dedup")
+    assert [c.tolist() for c in unique] == [c.tolist() for c in expected] == [[1, 5, 7], [9, -2, 0]]
+    assert _events(device) == _events(other)
+    # Ranges past 64 bits: no packed form, nothing charged.
+    wide = [[np.array([0, 2**62], dtype=np.int64), np.array([0, 2**62], dtype=np.int64)]]
+    before = len(device.profiler.events)
+    assert device.kernels.concatenate_packed(wide) is None
+    assert len(device.profiler.events) == before

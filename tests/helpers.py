@@ -49,3 +49,19 @@ def same_generation(edges: np.ndarray) -> set[tuple[int, int]]:
         if not new:
             return sg
         sg |= new
+
+
+def reference_unique(columns: list[np.ndarray]) -> list[np.ndarray]:
+    """Sorted, duplicate-free tuples of per-column arrays, by plain ``np.lexsort``.
+
+    The independent oracle for the packed-key dedup: multi-key sort, gather,
+    compare every column with its predecessor, compact.  No packed keys.
+    """
+    columns = [np.asarray(column, dtype=np.int64) for column in columns]
+    if not columns or columns[0].shape[0] == 0:
+        return columns
+    order = np.lexsort(tuple(reversed(columns)))
+    columns = [column[order] for column in columns]
+    keep = np.ones(order.shape[0], dtype=bool)
+    keep[1:] = np.logical_or.reduce([column[1:] != column[:-1] for column in columns])
+    return [column[keep] for column in columns]

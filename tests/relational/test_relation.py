@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.device import Device, FaultPlan
+from repro.device.kernels import PackedColumns
 from repro.errors import SchemaError
-from repro.relational import Relation
+from repro.relational import ColumnBatch, Relation
 
 
 def test_initialize_sets_full_and_delta(device, paper_edges):
@@ -97,3 +99,25 @@ def test_as_set_and_memory_bytes(device, paper_edges):
     relation.initialize(paper_edges)
     assert relation.as_set() == {tuple(r) for r in paper_edges.tolist()}
     assert relation.memory_bytes() > 0
+
+
+def test_oom_halved_dedup_equals_one_shot_on_packed_new(monkeypatch):
+    """The scratch-OOM degradation (unpack, halve, merge) matches the packed one-shot dedup."""
+    monkeypatch.setattr("repro.relational.relation.OOM_DEDUP_FLOOR_ROWS", 4)
+    rng = np.random.default_rng(5)
+    parts = [rng.integers(-40, 40, size=(n, 2), dtype=np.int64) for n in (90, 1, 60)]
+    deltas = {}
+    for fault_plan in ("none", "alloc:*.dedup_scratch:at=1"):
+        device = Device("h100", oom_enabled=False, fault_plan=FaultPlan.parse(fault_plan))
+        relation = Relation(device, "r", 2)
+        relation.initialize(parts[0][:10])
+        for part in parts:
+            relation.add_new(ColumnBatch.from_rows(device, part))
+        assert isinstance(relation._gather_new(), PackedColumns)  # this input takes the packed route
+        stats = relation.end_iteration()
+        deltas[fault_plan] = (stats.new_count, relation.delta_rows.tolist(), relation.as_set())
+        assert relation.oom_degradations == (0 if fault_plan == "none" else 1)
+    one_shot, degraded = deltas.values()
+    assert one_shot == degraded
+    everything = {tuple(row) for part in parts for row in part.tolist()}
+    assert one_shot[0] == len(everything) and one_shot[2] == everything
