@@ -2,8 +2,8 @@
 
 Run with ``pytest benchmarks/ --benchmark-only``.  Each benchmark prints the
 regenerated table (visible with ``-s``) and asserts the directional claims the
-paper makes about it; EXPERIMENTS.md records a full paper-vs-measured
-comparison.
+paper makes about it; docs/benchmarks.md describes how the tables are
+projected to paper scale.
 """
 
 from __future__ import annotations

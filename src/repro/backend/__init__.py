@@ -82,6 +82,26 @@ except ImportError:  # pragma: no cover - cupy_backend itself always imports
 HOST_BACKEND = NumpyBackend()
 
 
+def host_rows_to_tuples(rows, translate=None) -> list[tuple]:
+    """Rows of an ``(n, arity)`` host integer array as tuples of Python ints.
+
+    The one array-to-Python-objects conversion on the egress side of the
+    transfer boundary: one ``tolist()`` per column and one ``zip``, so the
+    interpreter does no work per value.  ``translate(column, values)`` may
+    return a replacement for a column's value list (the symbol table decodes
+    interned identifiers through it); row order is preserved.
+    """
+    count, arity = rows.shape
+    if arity == 0:
+        return [()] * count
+    columns = []
+    for index in range(arity):
+        column = rows[:, index]
+        values = column.tolist()
+        columns.append(values if translate is None else translate(column, values))
+    return list(zip(*columns))
+
+
 def get_backend(spec: BackendLike = None) -> ArrayBackend:
     """Resolve a backend instance from a name, instance, or the environment.
 
@@ -124,5 +144,6 @@ __all__ = [
     "TUPLE_ITEMSIZE",
     "available_backends",
     "get_backend",
+    "host_rows_to_tuples",
     "register_backend",
 ]

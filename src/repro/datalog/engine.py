@@ -20,13 +20,15 @@ from __future__ import annotations
 
 import os
 from collections import defaultdict
+from collections.abc import Mapping
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from itertools import islice
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from ..backend import ArrayBackend, get_backend
+from ..backend import ArrayBackend, get_backend, host_rows_to_tuples
 from ..device.device import Device
 from ..device.faults import FaultPlan, resolve_fault_plan
 from ..device.profiler import (
@@ -130,6 +132,26 @@ class SymbolTable:
     def decode(self, identifier: int) -> FactValue:
         return self._by_id.get(int(identifier), int(identifier))
 
+    def decode_rows(self, rows: np.ndarray) -> list[tuple[FactValue, ...]]:
+        """Decode an ``(n, arity)`` int64 host array into a list of tuples.
+
+        Equal to ``[tuple(decode(v) for v in row) for row in rows.tolist()]``
+        — same row order, Python ``int``/``str`` elements, un-interned ids at
+        or above :attr:`BASE` stay ints — without per-value calls: a column
+        takes a dictionary pass only when symbols exist and its maximum
+        reaches ``BASE``.
+        """
+        if not self._by_id:
+            return host_rows_to_tuples(rows)
+        lookup = self._by_id.get
+
+        def translate(column: np.ndarray, values: list[int]) -> list[FactValue]:
+            if not values or column.max() < self.BASE:
+                return values
+            return [lookup(value, value) for value in values]
+
+        return host_rows_to_tuples(rows, translate)
+
     def __len__(self) -> int:
         return len(self._by_symbol)
 
@@ -146,7 +168,7 @@ class SymbolTable:
 
     def entries_from(self, start: int) -> list[tuple[str, int]]:
         """The entries interned at position ``start`` onward (a delta)."""
-        return list(self._by_symbol.items())[start:]
+        return list(islice(self._by_symbol.items(), start, None))
 
     def restore_entries(self, entries) -> None:
         """Re-intern persisted ``(symbol, identifier)`` pairs verbatim.
@@ -193,13 +215,49 @@ def intern_program(program: Program, symbols: SymbolTable) -> Program:
     return Program(tuple(rules), name=program.name)
 
 
+class DecodedRelations(Mapping):
+    """Read-only ``name -> list of decoded tuples`` view over downloaded rows.
+
+    The run hands over each relation's host array as downloaded (interned
+    int64 ids, frozen read-only); a relation's tuples are built by
+    :meth:`SymbolTable.decode_rows` on the first lookup and memoised, so a
+    relation nobody reads never becomes Python objects.
+    """
+
+    def __init__(self, rows: dict[str, np.ndarray], symbols: SymbolTable) -> None:
+        for array in rows.values():
+            array.setflags(write=False)
+        self._rows = rows
+        self._symbols = symbols
+        self._tuples: dict[str, list[tuple[FactValue, ...]]] = {}
+
+    def __getitem__(self, name: str) -> list[tuple[FactValue, ...]]:
+        tuples = self._tuples.get(name)
+        if tuples is None:
+            tuples = self._tuples[name] = self._symbols.decode_rows(self._rows[name])
+        return tuples
+
+    def __contains__(self, name: object) -> bool:  # the Mapping default would decode
+        return name in self._rows
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def rows(self, name: str) -> np.ndarray:
+        return self._rows[name]
+
+
 @dataclass
 class EvaluationResult:
     """Everything an experiment needs to know about one engine run."""
 
     program_name: str
     device_name: str
-    relations: dict[str, list[tuple[FactValue, ...]]]
+    #: decoded tuples per relation, built lazily (see :class:`DecodedRelations`)
+    relations: DecodedRelations
     relation_counts: dict[str, int]
     elapsed_seconds: float
     fixed_seconds: float
@@ -269,6 +327,12 @@ class EvaluationResult:
 
     def relation_set(self, name: str) -> set[tuple[FactValue, ...]]:
         return set(self.relations.get(name, []))
+
+    def rows(self, name: str) -> np.ndarray:
+        """The downloaded ``(n, arity)`` int64 rows of ``name``: read-only,
+        interned ids left as they are — for consumers that want numbers, not
+        Python tuples.  Raises ``KeyError`` for an unknown relation."""
+        return self.relations.rows(name)
 
     def count(self, name: str) -> int:
         return self.relation_counts.get(name, 0)
@@ -502,7 +566,19 @@ class GPULogEngine:
             # versions execute as their decomposed expand/check steps through
             # the exchange machinery); adaptive replanning is single-device.
             return self._run_sharded(program, analysis, plan, arities)
+        return self._run_single(program, analysis, plan, arities, catalog, staged_rows)
 
+    def _run_single(
+        self,
+        program: Program,
+        analysis,
+        plan: ProgramPlan,
+        arities: dict[str, int],
+        catalog: StatsCatalog | None,
+        staged_rows: dict[str, np.ndarray],
+        resume_from: EvaluationCheckpoint | None = None,
+    ) -> EvaluationResult:
+        """Single-device evaluation: from facts, or from ``resume_from``."""
         # Build relation storage and register the indexes the plan needs.
         self.relations = {}
         for relation_name, arity in arities.items():
@@ -519,19 +595,7 @@ class GPULogEngine:
         for relation_name, columns in plan.required_indexes():
             self.relations[relation_name].require_index(columns)
 
-        # Load EDB facts; keep IDB facts staged for their stratum.
-        idb_facts: dict[str, np.ndarray] = {}
-        with self.device.profiler.phase(PHASE_LOAD):
-            for relation_name, relation in self.relations.items():
-                if relation_name in staged_rows:
-                    rows = staged_rows[relation_name]
-                else:
-                    rows = self._fact_rows(relation_name, relation.arity, program)
-                if relation_name in analysis.idb_relations:
-                    if rows.shape[0]:
-                        idb_facts[relation_name] = rows
-                else:
-                    relation.initialize(rows)
+        idb_facts = self._load_facts(program, analysis, staged_rows) if resume_from is None else {}
 
         evaluator = SemiNaiveEvaluator(
             self.device,
@@ -550,7 +614,7 @@ class GPULogEngine:
             replanner=self._make_replanner(analysis, catalog) if catalog is not None else None,
         )
         try:
-            stats = evaluator.evaluate(idb_facts)
+            stats = evaluator.evaluate(idb_facts, resume_from=resume_from)
         finally:
             self.last_checkpoint = evaluator.last_checkpoint
         return self._build_result(program, stats, evaluator, plan=plan)
@@ -597,74 +661,8 @@ class GPULogEngine:
                 )
 
         if self.num_shards > 1:
-            shard_columns = shard_columns_for_plan(plan, arities)
-            self.relations = {}
-            for relation_name, arity in arities.items():
-                self.relations[relation_name] = ShardedRelation(
-                    self.devices,
-                    relation_name,
-                    arity,
-                    shard_column=shard_columns.get(relation_name, 0),
-                    load_factor=self.load_factor,
-                    eager_buffers=self.eager_buffers,
-                    buffer_growth_factor=self.buffer_growth_factor,
-                    incremental_merge=self.incremental_merge,
-                )
-            for relation_name, columns in plan.required_indexes():
-                self.relations[relation_name].require_index(columns)
-            evaluator = ShardedSemiNaiveEvaluator(
-                self.devices,
-                plan,
-                self.relations,
-                max_iterations=self.max_iterations,
-                checkpoint_every=self.checkpoint_every,
-                checkpoint_store=self.checkpoint_store,
-                max_retries=self.max_retries,
-                retry_backoff_seconds=self.retry_backoff_seconds,
-                program_name=program.name,
-                program_source=str(program),
-                semijoin_filter=self.semijoin_filter,
-                overlap=self.overlap,
-                replicate_max_bytes=self.replicate_max_bytes,
-            )
-            try:
-                stats = evaluator.evaluate({}, resume_from=checkpoint)
-            finally:
-                self._sync_devices(evaluator)
-            return self._build_sharded_result(program, stats, evaluator, plan=plan)
-
-        self.relations = {}
-        for relation_name, arity in arities.items():
-            self.relations[relation_name] = Relation(
-                self.device,
-                relation_name,
-                arity,
-                load_factor=self.load_factor,
-                eager_buffers=self.eager_buffers,
-                buffer_growth_factor=self.buffer_growth_factor,
-                incremental_merge=self.incremental_merge,
-            )
-        for relation_name, columns in plan.required_indexes():
-            self.relations[relation_name].require_index(columns)
-        evaluator = SemiNaiveEvaluator(
-            self.device,
-            plan,
-            self.relations,
-            materialize_nway=self.materialize_nway,
-            columnar=self.columnar,
-            max_iterations=self.max_iterations,
-            checkpoint_every=self.checkpoint_every,
-            checkpoint_store=self.checkpoint_store,
-            max_retries=self.max_retries,
-            retry_backoff_seconds=self.retry_backoff_seconds,
-            program_name=program.name,
-            program_source=str(program),
-        )
-        try:
-            stats = evaluator.evaluate({}, resume_from=checkpoint)
-        finally:
-            self.last_checkpoint = evaluator.last_checkpoint
-        return self._build_result(program, stats, evaluator, plan=plan)
+            return self._run_sharded(program, analysis, plan, arities, resume_from=checkpoint)
+        return self._run_single(program, analysis, plan, arities, catalog=None, staged_rows={}, resume_from=checkpoint)
 
     def close(self) -> None:
         """Release all simulated device memory held by the engine's relations.
@@ -691,7 +689,14 @@ class GPULogEngine:
     # ------------------------------------------------------------------
     # Sharded evaluation (num_shards > 1)
     # ------------------------------------------------------------------
-    def _run_sharded(self, program: Program, analysis, plan: ProgramPlan, arities) -> EvaluationResult:
+    def _run_sharded(
+        self,
+        program: Program,
+        analysis,
+        plan: ProgramPlan,
+        arities: dict[str, int],
+        resume_from: EvaluationCheckpoint | None = None,
+    ) -> EvaluationResult:
         """Partitioned evaluation across the engine's shard devices.
 
         Relations are hash-partitioned by their canonical shard column; the
@@ -722,17 +727,7 @@ class GPULogEngine:
         for relation_name, columns in plan.required_indexes():
             self.relations[relation_name].require_index(columns)
 
-        idb_facts: dict[str, np.ndarray] = {}
-        with ExitStack() as stack:
-            for device in self.devices:
-                stack.enter_context(device.profiler.phase(PHASE_LOAD))
-            for relation_name, relation in self.relations.items():
-                rows = self._fact_rows(relation_name, relation.arity, program)
-                if relation_name in analysis.idb_relations:
-                    if rows.shape[0]:
-                        idb_facts[relation_name] = rows
-                else:
-                    relation.initialize(rows)
+        idb_facts = self._load_facts(program, analysis, {}) if resume_from is None else {}
 
         evaluator = ShardedSemiNaiveEvaluator(
             self.devices,
@@ -750,7 +745,7 @@ class GPULogEngine:
             replicate_max_bytes=self.replicate_max_bytes,
         )
         try:
-            stats = evaluator.evaluate(idb_facts)
+            stats = evaluator.evaluate(idb_facts, resume_from=resume_from)
         finally:
             # Crash recovery may have swapped in replacement shard devices.
             self._sync_devices(evaluator)
@@ -768,18 +763,7 @@ class GPULogEngine:
         evaluator: ShardedSemiNaiveEvaluator,
         plan: ProgramPlan | None = None,
     ) -> EvaluationResult:
-        relations: dict[str, list[tuple[FactValue, ...]]] = {}
-        counts: dict[str, int] = {}
-        history: dict[str, list[IterationStats]] = {}
-        decode = self.symbols.decode
-        for relation_name, relation in self.relations.items():
-            counts[relation_name] = relation.full_count
-            if self.collect_relations:
-                rows = relation.full_rows_host()
-                relations[relation_name] = [tuple(decode(value) for value in row) for row in rows.tolist()]
-            else:
-                relations[relation_name] = []
-            history[relation_name] = list(relation.history)
+        fields = self._collected_fields(program, stats)  # downloads, before the clocks are read
 
         # Shards run concurrently: elapsed time is the slowest shard; phase
         # seconds aggregate *device-seconds* across the whole cluster.
@@ -806,20 +790,14 @@ class GPULogEngine:
         exchange_seconds = float(phase_seconds.get(PHASE_SHARD_EXCHANGE, 0.0))
         overlap_efficiency = hidden_seconds / exchange_seconds if exchange_seconds > 0 else 0.0
         result = EvaluationResult(
-            program_name=program.name,
+            **fields,
             device_name=f"{self.device.spec.name} x{self.num_shards}",
-            relations=relations,
-            relation_counts=counts,
             elapsed_seconds=max(shard_elapsed),
             fixed_seconds=self.devices[slowest].profiler.fixed_seconds,
             variable_seconds=self.devices[slowest].profiler.variable_seconds,
             peak_memory_bytes=max(device.peak_memory_bytes for device in self.devices),
-            total_iterations=stats.total_iterations,
-            stratum_iterations={result.index: result.iterations for result in stats.strata},
             phase_seconds=dict(phase_seconds),
             phase_fractions=fractions,
-            iteration_history=history,
-            stats=stats,
             shard_count=self.num_shards,
             shard_elapsed_seconds=shard_elapsed,
             shard_peak_memory_bytes=tuple(device.peak_memory_bytes for device in self.devices),
@@ -844,7 +822,6 @@ class GPULogEngine:
             replicated_joins=evaluator.replicated_joins,
             aligned_joins=evaluator.aligned_joins,
             broadcast_joins=evaluator.broadcast_joins,
-            planner=self.planner,
             # Sharded runs execute the compiled plan statically; the report
             # carries the planning-time estimates without observations.
             plan_report=self._plan_report(plan, None),
@@ -871,6 +848,25 @@ class GPULogEngine:
                     f"relation {relation_name!r} has arity {known} in the program but facts of arity {arity}"
                 )
         return arities
+
+    def _load_facts(self, program: Program, analysis, staged_rows) -> dict[str, np.ndarray]:
+        """Upload EDB facts (the load phase); IDB facts stay staged for their
+        stratum and are returned.  A resumed run skips this: the checkpoint
+        restores every relation."""
+        idb_facts: dict[str, np.ndarray] = {}
+        with ExitStack() as stack:
+            for device in self.devices:
+                stack.enter_context(device.profiler.phase(PHASE_LOAD))
+            for relation_name, relation in self.relations.items():
+                rows = staged_rows.get(relation_name)
+                if rows is None:
+                    rows = self._fact_rows(relation_name, relation.arity, program)
+                if relation_name in analysis.idb_relations:
+                    if rows.shape[0]:
+                        idb_facts[relation_name] = rows
+                else:
+                    relation.initialize(rows)
+        return idb_facts
 
     def _fact_rows(self, relation_name: str, arity: int, program: Program) -> np.ndarray:
         parts: list[np.ndarray] = []
@@ -964,6 +960,30 @@ class GPULogEngine:
             )
         return "\n".join(lines)
 
+    def _collected_fields(self, program: Program, stats: EvaluationStats) -> dict:
+        """The :class:`EvaluationResult` fields both evaluators fill alike:
+        counts, iteration history and the downloaded rows of every relation.
+
+        Result extraction is the charged D2H edge of the transfer boundary:
+        with ``collect_relations`` tuples leave the device exactly once, here,
+        as one host array per relation; decoding them waits for the reader.
+        """
+        download = self.collect_relations
+        rows = {
+            name: relation.full_rows_host() if download else np.empty((0, relation.arity), dtype=np.int64)
+            for name, relation in self.relations.items()
+        }
+        return dict(
+            program_name=program.name,
+            relations=DecodedRelations(rows, self.symbols),
+            relation_counts={name: relation.full_count for name, relation in self.relations.items()},
+            total_iterations=stats.total_iterations,
+            stratum_iterations={stratum.index: stratum.iterations for stratum in stats.strata},
+            iteration_history={name: list(relation.history) for name, relation in self.relations.items()},
+            stats=stats,
+            planner=self.planner,
+        )
+
     def _build_result(
         self,
         program: Program,
@@ -971,37 +991,17 @@ class GPULogEngine:
         evaluator: SemiNaiveEvaluator | None = None,
         plan: ProgramPlan | None = None,
     ) -> EvaluationResult:
-        relations: dict[str, list[tuple[FactValue, ...]]] = {}
-        counts: dict[str, int] = {}
-        history: dict[str, list[IterationStats]] = {}
-        decode = self.symbols.decode
-        for relation_name, relation in self.relations.items():
-            counts[relation_name] = relation.full_count
-            if self.collect_relations:
-                # Result extraction is the charged D2H edge of the transfer
-                # boundary: tuples leave the device exactly once, here.
-                rows = relation.full_rows_host()
-                relations[relation_name] = [tuple(decode(value) for value in row) for row in rows.tolist()]
-            else:
-                relations[relation_name] = []
-            history[relation_name] = list(relation.history)
-
+        fields = self._collected_fields(program, stats)  # downloads, before the clocks are read
         profiler = self.device.profiler
         result = EvaluationResult(
-            program_name=program.name,
+            **fields,
             device_name=self.device.spec.name,
-            relations=relations,
-            relation_counts=counts,
             elapsed_seconds=self.device.elapsed_seconds,
             fixed_seconds=profiler.fixed_seconds,
             variable_seconds=profiler.variable_seconds,
             peak_memory_bytes=self.device.peak_memory_bytes,
-            total_iterations=stats.total_iterations,
-            stratum_iterations={result.index: result.iterations for result in stats.strata},
             phase_seconds=profiler.phase_seconds(),
             phase_fractions=profiler.phase_fractions(FIGURE6_PHASES),
-            iteration_history=history,
-            stats=stats,
             transient_retries=evaluator.transient_retries if evaluator else 0,
             checkpoints_taken=evaluator.checkpoints_taken if evaluator else 0,
             checkpoint_restores=evaluator.checkpoint_restores if evaluator else 0,
@@ -1009,7 +1009,6 @@ class GPULogEngine:
             oom_degraded_dedups=sum(
                 relation.oom_degradations for relation in self.relations.values()
             ),
-            planner=self.planner,
             plan_report=self._plan_report(plan, evaluator),
             replans=evaluator.replans if evaluator else 0,
         )

@@ -12,7 +12,7 @@ Each entry also records the output sizes the paper reports for that dataset
 (transitive-closure size, SG size, CSPA relation sizes).  The experiment
 drivers divide the paper size by the measured synthetic size to obtain the
 *scale factor* used when projecting simulated runtimes back to paper scale
-(see EXPERIMENTS.md for the methodology).
+(see docs/benchmarks.md for the methodology).
 """
 
 from __future__ import annotations

@@ -57,7 +57,7 @@ class EngineRunResult:
         data-independent overheads (kernel launches, allocation latency,
         per-iteration scheduling) stay fixed.  This is how the experiment
         harness compares scaled synthetic datasets against the paper's
-        full-size numbers; see EXPERIMENTS.md for the methodology.
+        full-size numbers; see docs/benchmarks.md for the methodology.
         """
         if self.fixed_seconds == 0.0 and self.variable_seconds == 0.0:
             return self.seconds * scale

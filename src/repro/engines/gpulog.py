@@ -128,7 +128,7 @@ class GPULogAdapter(BaselineEngine):
         self.last_result = result
         relations = None
         if collect_relations:
-            relations = {name: set(map(tuple, rows)) for name, rows in result.relations.items()}
+            relations = {name: result.relation_set(name) for name in result.relations}
         return EngineRunResult(
             engine=self.name,
             device=self.spec.name,

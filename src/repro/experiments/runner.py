@@ -6,7 +6,7 @@ Provides:
   can share the expensive evaluations of the same (program, dataset) pairs;
 * the *scale factor* computation used to project simulated runs of the scaled
   synthetic datasets back to the paper's full-size workloads (the paper output
-  size divided by the measured synthetic output size — see EXPERIMENTS.md);
+  size divided by the measured synthetic output size — see docs/benchmarks.md);
 * event re-pricing: replaying the kernel costs recorded by one GPUlog run
   under a different :class:`~repro.device.spec.DeviceSpec` (used by Table 3's
   HIP column and Table 5's hardware sweep — the algorithm and data are

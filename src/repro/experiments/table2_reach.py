@@ -75,6 +75,6 @@ def run_table2(datasets=TABLE2_DATASETS, profile: str = "bench") -> ResultTable:
         )
     table.add_note(
         "Projected to paper scale via (paper reach size / synthetic reach size); "
-        "paper reference values are recorded in PAPER_TABLE2 and EXPERIMENTS.md."
+        "paper reference values are recorded in PAPER_TABLE2 (projection method: docs/benchmarks.md)."
     )
     return table

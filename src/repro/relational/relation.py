@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..backend import Array
+from ..backend import Array, host_rows_to_tuples
 from ..device.device import Device
 from ..device.kernels import PackedColumns
 from ..device.memory import Buffer
@@ -619,7 +619,7 @@ class Relation:
 
     def as_set(self) -> set[tuple[int, ...]]:
         """The full version as a Python set of tuples (for tests; uncharged)."""
-        return {tuple(int(v) for v in row) for row in self.full_rows_host(charge=False)}
+        return set(host_rows_to_tuples(self.full_rows_host(charge=False)))
 
     def memory_bytes(self) -> int:
         """Simulated device bytes currently attributable to this relation."""

@@ -29,7 +29,7 @@ from contextlib import ExitStack, contextmanager
 
 import numpy as np
 
-from ..backend import Array
+from ..backend import Array, host_rows_to_tuples
 from ..device.cost import KernelCost
 from ..device.device import Device
 from ..errors import SchemaError
@@ -395,10 +395,7 @@ class ShardedRelation:
         return HOST_BACKEND.concatenate(non_empty, axis=0)
 
     def as_set(self) -> set[tuple[int, ...]]:
-        result: set[tuple[int, ...]] = set()
-        for shard in self.shards:
-            result |= shard.as_set()
-        return result
+        return set(host_rows_to_tuples(self.full_rows_host(charge=False)))
 
     def memory_bytes(self) -> int:
         return sum(shard.memory_bytes() for shard in self.shards)

@@ -602,8 +602,7 @@ class ServingEngine:
         snapshot = self._materialize(relation_name)
         if not decode:
             return snapshot
-        decode_value = self.symbols.decode
-        return [tuple(decode_value(value) for value in row) for row in snapshot.rows.tolist()]
+        return self.symbols.decode_rows(snapshot.rows)
 
     def query_many(self, relation_names: list[str]) -> dict[str, RelationSnapshot]:
         """One consistent cut across several relations (single epoch boundary)."""

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..backend import host_rows_to_tuples
 from ..device.kernels import host_lexsort_columns
 
 __all__ = ["RelationSnapshot", "SnapshotTable"]
@@ -58,7 +59,7 @@ class RelationSnapshot:
         return int(self.rows.shape[0])
 
     def as_set(self) -> set[tuple[int, ...]]:
-        return {tuple(int(value) for value in row) for row in self.rows}
+        return set(host_rows_to_tuples(self.rows))
 
 
 class SnapshotTable:
