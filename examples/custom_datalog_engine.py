@@ -41,7 +41,7 @@ def relational_layer_demo() -> None:
         label="employee_salary",
     )
     print("department/salary pairs:")
-    print(joined)
+    print(joined.as_rows())  # the join result is a lazy batch; rows gather here
     print(f"simulated join time on {spec.name}: {device.elapsed_seconds * 1e6:.2f} us")
     print("kernels executed:", sorted(device.profiler.kernel_seconds()))
     print()

@@ -71,8 +71,8 @@ def main() -> None:
     print(f"  same answer as single device: {sharded.count('sg') == result.count('sg')}")
     print(
         "  (this mesh is tiny and launch-latency-bound, so sharding cannot pay off;\n"
-        "   benchmarks/BENCH_sharded.json records the bandwidth-bound 5.4M-tuple SG\n"
-        "   curve where 4 shards reach ~2x max-over-shards speedup)"
+        "   it pays once bandwidth dominates: on the depth-7 SG tree, |sg| = 5.4M,\n"
+        "   4 shards reach ~2x max-over-shards speedup)"
     )
     print()
 

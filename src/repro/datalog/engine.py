@@ -47,6 +47,7 @@ from ..relational.stats import StatsCatalog
 from .analysis import analyze_program
 from .ast import Atom, Comparison, Constant, Program, Rule
 from .planner import (
+    BINARY,
     GREEDY,
     PLANNERS,
     Planner,
@@ -364,10 +365,8 @@ class GPULogEngine:
         oom_enabled: bool = True,
         eager_buffers: bool = True,
         buffer_growth_factor: float = 8.0,
-        incremental_merge: bool = True,
         load_factor: float = DEFAULT_LOAD_FACTOR,
         materialize_nway: bool = True,
-        columnar: bool = True,
         max_iterations: int = 1_000_000,
         collect_relations: bool = True,
         backend: "ArrayBackend | str | None" = None,
@@ -443,12 +442,8 @@ class GPULogEngine:
         self.collect_relations = bool(collect_relations)
         self.eager_buffers = bool(eager_buffers)
         self.buffer_growth_factor = float(buffer_growth_factor)
-        self.incremental_merge = bool(incremental_merge)
         self.load_factor = float(load_factor)
         self.materialize_nway = bool(materialize_nway)
-        #: SoA late-materialization pipeline (default); ``False`` restores the
-        #: legacy row-array pipeline as the ablation baseline.
-        self.columnar = bool(columnar)
         self.max_iterations = int(max_iterations)
         #: checkpoint every N fixpoint iterations (0 disables checkpointing)
         self.checkpoint_every = int(checkpoint_every)
@@ -589,7 +584,6 @@ class GPULogEngine:
                 load_factor=self.load_factor,
                 eager_buffers=self.eager_buffers,
                 buffer_growth_factor=self.buffer_growth_factor,
-                incremental_merge=self.incremental_merge,
                 stats=catalog,
             )
         for relation_name, columns in plan.required_indexes():
@@ -602,7 +596,6 @@ class GPULogEngine:
             plan,
             self.relations,
             materialize_nway=self.materialize_nway,
-            columnar=self.columnar,
             max_iterations=self.max_iterations,
             checkpoint_every=self.checkpoint_every,
             checkpoint_store=self.checkpoint_store,
@@ -708,8 +701,7 @@ class GPULogEngine:
         are replicated instead of broadcast against, and a double-buffered
         schedule hides exchange time under the previous iteration's compute
         (see :mod:`repro.datalog.sharded`; ablations: ``semijoin_filter``,
-        ``overlap``).  The ``columnar`` flag does not alter sharded execution
-        — the sharded datapath is always columnar end to end.
+        ``overlap``).
         """
         shard_columns = shard_columns_for_plan(plan, arities)
         self.relations = {}
@@ -722,7 +714,6 @@ class GPULogEngine:
                 load_factor=self.load_factor,
                 eager_buffers=self.eager_buffers,
                 buffer_growth_factor=self.buffer_growth_factor,
-                incremental_merge=self.incremental_merge,
             )
         for relation_name, columns in plan.required_indexes():
             self.relations[relation_name].require_index(columns)
@@ -912,7 +903,11 @@ class GPULogEngine:
     ) -> tuple:
         if plan is None:
             return ()
-        observations = getattr(evaluator, "version_observations", {}) if evaluator else {}
+        # The sharded driver (``evaluator is None``) records no per-version
+        # observations and runs every version — WCOJ ones included — as its
+        # binary steps through the exchange machinery.
+        observed = evaluator is not None
+        observations = evaluator.version_observations if observed else {}
         report = []
         for rule, rule_plan in plan.rule_plans.items():
             for version in rule_plan.versions:
@@ -924,12 +919,13 @@ class GPULogEngine:
                         "head": current.head_relation,
                         "delta_atom": current.delta_atom_index,
                         "planner": current.planner,
-                        "algorithm": current.algorithm,
+                        "algorithm": current.algorithm if observed else BINARY,
+                        "planned_algorithm": current.algorithm,
                         "atom_order": list(current.atom_order),
                         "estimated_rows": current.estimated_rows,
                         "estimated_cost": current.estimated_cost,
-                        "observed_rows": float(entry["rows"]) if entry else 0.0,
-                        "executions": int(entry["executions"]) if entry else 0,
+                        "observed_rows": (float(entry["rows"]) if entry else 0.0) if observed else None,
+                        "executions": (int(entry["executions"]) if entry else 0) if observed else None,
                     }
                 )
         return tuple(report)
@@ -937,10 +933,12 @@ class GPULogEngine:
     def explain(self) -> str:
         """Human-readable plan dump for the most recent run.
 
-        One line per rule version: algorithm, body-atom join order, and
-        estimated vs. observed output cardinalities (observed is summed over
-        every execution of the version — 0 executions means the version
-        never ran, e.g. its stratum converged immediately).
+        One line per rule version: the algorithm that executed (with a note
+        when the plan chose another), body-atom join order, and estimated vs.
+        observed output cardinalities (observed is summed over every
+        execution of the version — 0 executions means the version never ran,
+        e.g. its stratum converged immediately; ``n/a`` means the driver
+        records no observations, which is the case for ``num_shards > 1``).
         """
         result = self.last_result
         if result is None:
@@ -949,14 +947,20 @@ class GPULogEngine:
         for entry in result.plan_report:
             estimated = entry["estimated_rows"]
             estimated_text = f"{estimated:.1f}" if estimated is not None else "n/a"
+            algorithm = entry["algorithm"]
+            if entry["planned_algorithm"] != algorithm:
+                algorithm += f" planned={entry['planned_algorithm']} (generic join is single-device)"
+            observed = entry["observed_rows"]
+            observed_text = f"{observed:.0f}" if observed is not None else "n/a"
+            executions = entry["executions"]
             lines.append(
                 f"  {entry['rule']}"
                 f"\n    version[delta_atom={entry['delta_atom']}]"
-                f" algorithm={entry['algorithm']}"
+                f" algorithm={algorithm}"
                 f" order={entry['atom_order']}"
                 f" est_rows={estimated_text}"
-                f" observed_rows={entry['observed_rows']:.0f}"
-                f" executions={entry['executions']}"
+                f" observed_rows={observed_text}"
+                f" executions={executions if executions is not None else 'n/a'}"
             )
         return "\n".join(lines)
 

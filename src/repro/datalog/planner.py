@@ -38,12 +38,11 @@ Three planning modes choose the pipeline:
 
 A WCOJ version is *decomposed* into ordinary :class:`JoinStep`s — one
 expanding join per level plus full-arity membership-check joins for the other
-atoms of the level — so every existing executor (row pipeline, fused kernels,
-the sharded loop with its exchange barriers and semi-join filters, column
-liveness, fault replay) runs it unchanged; the columnar single-device
-executor recognizes ``algorithm == "wcoj"`` and instead runs the per-row
-min-intersection operator, which computes the same set with worst-case-
-optimal work.
+atoms of the level — so every existing executor (fused kernels, the sharded
+loop with its exchange barriers and semi-join filters, column liveness, fault
+replay) runs it unchanged; the single-device executor recognizes
+``algorithm == "wcoj"`` and instead runs the per-row min-intersection
+operator, which computes the same set with worst-case-optimal work.
 """
 
 from __future__ import annotations
@@ -51,6 +50,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..errors import PlanningError
 from ..relational.operators import ColumnComparison, JoinOutput
@@ -156,7 +156,7 @@ class RuleVersion:
     final_filters: tuple[ColumnComparison, ...]
     head: tuple[HeadColumn, ...]
     #: BINARY (hash-join pipeline) or WCOJ (generic join; ``joins`` then holds
-    #: the decomposed expand/check steps every non-columnar executor runs).
+    #: the decomposed expand/check steps the sharded executor runs).
     algorithm: str = BINARY
     #: Which planner produced this version (ablation bookkeeping).
     planner: str = GREEDY
@@ -174,6 +174,14 @@ class RuleVersion:
     @property
     def is_recursive(self) -> bool:
         return self.delta_atom_index is not None
+
+    @cached_property
+    def head_entries(self) -> tuple[tuple[str, int], ...]:
+        """The head projection as :meth:`ColumnBatch.assemble` entries."""
+        return tuple(
+            ("column", column.position) if column.kind == "var" else ("constant", int(column.value))
+            for column in self.head
+        )
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from ..errors import (
 )
 from ..relational.checkpoint import CheckpointStore, EvaluationCheckpoint, RelationState
 from ..relational.columnbatch import ColumnBatch
-from ..relational.operators import RowsLike, fused_nway_join, hash_join, project, select
+from ..relational.operators import fused_nway_join, hash_join, select
 from ..relational.relation import Relation
 from ..relational.wcoj import generic_join
 from .planner import DELTA, WCOJ, ProgramPlan, RuleVersion
@@ -87,7 +87,6 @@ class SemiNaiveEvaluator:
         relations: dict[str, Relation],
         *,
         materialize_nway: bool = True,
-        columnar: bool = True,
         max_iterations: int = 1_000_000,
         checkpoint_every: int = 0,
         checkpoint_store: CheckpointStore | None = None,
@@ -102,9 +101,6 @@ class SemiNaiveEvaluator:
         self.plan = plan
         self.relations = relations
         self.materialize_nway = bool(materialize_nway)
-        #: columnar (SoA) late-materialization pipeline; ``False`` runs the
-        #: legacy row-array pipeline (the ablation baseline).
-        self.columnar = bool(columnar)
         self.max_iterations = int(max_iterations)
         #: snapshot (full, delta) of every relation each N iterations (0 = off)
         self.checkpoint_every = int(checkpoint_every)
@@ -193,18 +189,14 @@ class SemiNaiveEvaluator:
                         )
                 for version in non_recursive:
                     def stage(result, version=version):
-                        if isinstance(result, ColumnBatch):
-                            # Stratum initialization is a materialization edge:
-                            # the rows feed fact loading, which indexes them
-                            # all.  Charged as join output (the row pipeline
-                            # writes the equivalent tuples inside the join
-                            # phase); the rows stay device-resident — no PCIe
-                            # crossing here.
-                            with self.device.profiler.phase(PHASE_JOIN):
-                                result = result.as_rows(
-                                    label=f"{version.head_relation}.materialize_init"
-                                )
-                        initial_rows[version.head_relation].append(result)
+                        # Stratum initialization is a materialization edge:
+                        # the rows feed fact loading, which indexes them all.
+                        # Charged as join output; the rows stay
+                        # device-resident — no PCIe crossing here.
+                        with self.device.profiler.phase(PHASE_JOIN):
+                            initial_rows[version.head_relation].append(
+                                result.as_rows(label=f"{version.head_relation}.materialize_init")
+                            )
 
                     self._execute_with_recovery(version, stage)
                 for name in idb_in_stratum:
@@ -313,12 +305,10 @@ class SemiNaiveEvaluator:
                             continue
 
                         def append_new(result, version=version):
-                            # add_new materializes a columnar result's head
-                            # columns; that is the join's output write, so it
-                            # is attributed to the join phase like the row
-                            # pipeline's in-kernel head projection.  Join
-                            # outputs are device-resident in both pipelines —
-                            # no PCIe crossing at this edge.
+                            # add_new materializes the result's head columns;
+                            # that is the join's output write, so it is
+                            # attributed to the join phase.  Join outputs are
+                            # device-resident — no PCIe crossing at this edge.
                             with self.device.profiler.phase(PHASE_JOIN):
                                 self.relations[version.head_relation].add_new(
                                     result, device_resident=True
@@ -518,20 +508,17 @@ class SemiNaiveEvaluator:
     # ------------------------------------------------------------------
     # Rule-version execution
     # ------------------------------------------------------------------
-    def _execute_version(self, version: RuleVersion, *, part: tuple[int, int] = (0, 1)) -> RowsLike:
-        backend = self.device.backend
+    def _execute_version(self, version: RuleVersion, *, part: tuple[int, int] = (0, 1)) -> ColumnBatch:
         with self.device.profiler.phase(PHASE_JOIN):
             rows = self._initial_rows(version, part=part)
             if len(rows) == 0:
-                return backend.empty((0, len(version.head)), dtype=backend.int64)
-            if version.algorithm == WCOJ and self.columnar:
+                return ColumnBatch.empty(self.device, len(version.head))
+            if version.algorithm == WCOJ:
                 # Generic join: per-row min-side intersection over the
-                # level candidates.  The row pipeline (columnar=False) runs
-                # the decomposed expand/check steps below instead — same
-                # result set, worst-case-suboptimal work.
+                # level candidates.
                 rows = generic_join(
                     self.device,
-                    ColumnBatch.wrap(self.device, rows),
+                    rows,
                     version.wcoj_levels,
                     self._index_for,
                     label=f"{version.head_relation}.wcoj",
@@ -544,48 +531,42 @@ class SemiNaiveEvaluator:
                 rows = select(self.device, rows, version.final_filters, label=f"{version.head_relation}.filter")
             return self._project_head(version, rows)
 
-    def _initial_rows(self, version: RuleVersion, part: tuple[int, int] = (0, 1)) -> RowsLike:
+    def _initial_rows(self, version: RuleVersion, part: tuple[int, int] = (0, 1)) -> ColumnBatch:
         initial = version.initial
         relation = self.relations[initial.relation]
+        # Zero-copy columnar scan over the relation's stored columns.
+        rows = relation.delta_batch if initial.version == DELTA else relation.full_batch()
+        arity = rows.arity
         if part != (0, 1):
-            # Degraded (OOM) re-execution: one row-range chunk of the input
-            # scan, through the row pipeline so the slice is a plain view.
-            rows = relation.delta_rows if initial.version == DELTA else relation.full_rows()
-            n = rows.shape[0]
+            # Degraded (OOM) re-execution: one contiguous row range of the
+            # scan, as views of the same stored columns.
+            n = len(rows)
             index, parts = part
-            rows = rows[(n * index) // parts : (n * (index + 1)) // parts]
-            arity = rows.shape[1]
-        elif self.columnar:
-            # Zero-copy columnar scan over the relation's stored columns.
-            rows: RowsLike = (
-                relation.delta_batch if initial.version == DELTA else relation.full_batch()
+            start, stop = (n * index) // parts, (n * (index + 1)) // parts
+            rows = ColumnBatch.from_columns(
+                self.device,
+                [column[start:stop] for column in rows.columns(charge=False)],
+                length=stop - start,
             )
-            arity = rows.arity
-        else:
-            rows = relation.delta_rows if initial.version == DELTA else relation.full_rows()
-            arity = rows.shape[1]
         if len(rows) == 0:
-            backend = self.device.backend
-            return backend.empty((0, len(initial.schema)), dtype=backend.int64)
+            return ColumnBatch.empty(self.device, len(initial.schema))
         if initial.filters:
             rows = select(self.device, rows, initial.filters, label=f"{initial.relation}.scan_filter")
         identity = tuple(initial.projection) == tuple(range(arity))
         if not identity:
-            rows = project(self.device, rows, initial.projection, label=f"{initial.relation}.scan_project")
+            rows = rows.project(initial.projection)
         return rows
 
-    def _execute_materialized(self, version: RuleVersion, rows: RowsLike) -> RowsLike:
+    def _execute_materialized(self, version: RuleVersion, rows: ColumnBatch) -> ColumnBatch:
         """Temporarily-materialized join chain (Section 5.2): one kernel per step.
 
-        In columnar mode each step's "materialization" is a lazy batch —
-        balanced per-thread workloads are preserved (one binary join per
-        kernel), but only the columns the next step or the head actually
-        reads are ever gathered.
+        Each step's "materialization" is a lazy batch — balanced per-thread
+        workloads are preserved (one binary join per kernel), but only the
+        columns the next step or the head actually reads are ever gathered.
         """
         for step in version.joins:
             if len(rows) == 0:
-                backend = self.device.backend
-                return backend.empty((0, len(step.schema)), dtype=backend.int64)
+                break
             inner = self.relations[step.relation].index_for(step.join_columns)
             rows = hash_join(
                 self.device,
@@ -597,23 +578,30 @@ class SemiNaiveEvaluator:
                 label=f"{version.head_relation}<-{step.relation}",
             )
             if step.post_projection is not None and len(rows):
-                rows = project(self.device, rows, step.post_projection, label=f"{version.head_relation}.trim")
+                rows = rows.project(step.post_projection)
         return rows
 
-    def _execute_fused(self, version: RuleVersion, rows: RowsLike) -> np.ndarray:
-        """Non-materialized nested n-way join (ablation baseline of Section 5.2)."""
+    def _execute_fused(self, version: RuleVersion, rows: ColumnBatch) -> ColumnBatch:
+        """Non-materialized nested n-way join (ablation baseline of Section 5.2).
+
+        The fused kernel is row-at-a-time; its output rejoins the pipeline as
+        column views of the rows it wrote.
+        """
         stages = []
         comparisons = []
         for step in version.joins:
             inner = self.relations[step.relation].index_for(step.join_columns)
             stages.append((step.outer_key_positions, inner, step.output))
         comparisons.extend(version.joins[-1].filters)
-        return fused_nway_join(
+        return ColumnBatch.from_rows(
             self.device,
-            rows,
-            stages,
-            comparisons=comparisons,
-            label=f"{version.head_relation}.fused",
+            fused_nway_join(
+                self.device,
+                rows,
+                stages,
+                comparisons=comparisons,
+                label=f"{version.head_relation}.fused",
+            ),
         )
 
     def _index_for(self, relation: str, columns: tuple[int, ...]):
@@ -626,31 +614,9 @@ class SemiNaiveEvaluator:
                 return False
         return version.joins[-1].post_projection is None
 
-    def _project_head(self, version: RuleVersion, rows: RowsLike) -> RowsLike:
-        backend = self.device.backend
+    def _project_head(self, version: RuleVersion, rows: ColumnBatch) -> ColumnBatch:
         if len(rows) == 0:
-            return backend.empty((0, len(version.head)), dtype=backend.int64)
-        if isinstance(rows, ColumnBatch):
-            # Head variables are routed lazily (no copy); only constant
-            # columns are written here.
-            entries = [
-                ("column", head_column.position)
-                if head_column.kind == "var"
-                else ("constant", int(head_column.value))
-                for head_column in version.head
-            ]
-            return rows.assemble(entries, label=f"{version.head_relation}.project_head")
-        columns = []
-        for head_column in version.head:
-            if head_column.kind == "var":
-                columns.append(rows[:, head_column.position])
-            else:
-                columns.append(backend.full(rows.shape[0], int(head_column.value), dtype=backend.int64))
-        result = backend.column_stack(columns).astype(backend.int64)
-        self.device.kernels.transform(
-            rows.shape[0],
-            bytes_per_item=8.0 * len(version.head),
-            ops_per_item=len(version.head),
-            label=f"{version.head_relation}.project_head",
-        )
-        return result
+            return ColumnBatch.empty(self.device, len(version.head))
+        # Head variables are routed lazily (no copy); only constant columns
+        # are written here.
+        return rows.assemble(version.head_entries, label=f"{version.head_relation}.project_head")

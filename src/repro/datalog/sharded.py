@@ -61,7 +61,7 @@ from ..errors import (
 )
 from ..relational.checkpoint import CheckpointStore, EvaluationCheckpoint
 from ..relational.columnbatch import ColumnBatch
-from ..relational.operators import hash_join, project, select
+from ..relational.operators import hash_join, select
 from ..relational.relation import Relation
 from ..relational.semijoin import ExchangeFilterBank
 from ..relational.sharded import ShardedRelation, partition_rows_host, shard_owners
@@ -817,12 +817,10 @@ class ShardedSemiNaiveEvaluator:
                         label=f"{version.head_relation}<-{step.relation}",
                     )
                     if step.post_projection is not None and len(out):
-                        out = project(
-                            device, out, step.post_projection, label=f"{version.head_relation}.trim"
-                        )
+                        out = out.project(step.post_projection)
                 if len(out) == 0:
                     out = ColumnBatch.empty(device, len(step.schema))
-                next_batches.append(ColumnBatch.wrap(device, out))
+                next_batches.append(out)
             batches = next_batches
 
         head_parts = []
@@ -868,24 +866,16 @@ class ShardedSemiNaiveEvaluator:
                     )
                 identity = tuple(initial.projection) == tuple(range(arity))
                 if not identity and len(batch):
-                    batch = project(
-                        device, batch, initial.projection, label=f"{initial.relation}.scan_project"
-                    )
+                    batch = batch.project(initial.projection)
             if len(batch) == 0:
                 batch = ColumnBatch.empty(device, len(initial.schema))
-            out.append(ColumnBatch.wrap(device, batch))
+            out.append(batch)
         return out
 
     def _project_head(self, version: RuleVersion, batch: ColumnBatch, device: Device) -> ColumnBatch:
         if len(batch) == 0:
             return ColumnBatch.empty(device, len(version.head))
-        entries = [
-            ("column", head_column.position)
-            if head_column.kind == "var"
-            else ("constant", head_column.value)
-            for head_column in version.head
-        ]
-        return batch.assemble(entries, label=f"{version.head_relation}.project_head")
+        return batch.assemble(version.head_entries, label=f"{version.head_relation}.project_head")
 
     # ------------------------------------------------------------------
     # Exchange barriers

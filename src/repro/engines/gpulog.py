@@ -36,7 +36,6 @@ class GPULogAdapter(BaselineEngine):
         buffer_growth_factor: float = 8.0,
         load_factor: float = 0.8,
         materialize_nway: bool = True,
-        columnar: bool = True,
         backend: str | None = None,
         num_shards: int | None = None,
         planner: str | None = None,
@@ -47,7 +46,6 @@ class GPULogAdapter(BaselineEngine):
         self.buffer_growth_factor = buffer_growth_factor
         self.load_factor = load_factor
         self.materialize_nway = materialize_nway
-        self.columnar = columnar
         #: array-backend name/instance for every run (None = REPRO_BACKEND/numpy)
         self.backend = backend
         #: shard devices per run (None = $REPRO_SHARDS and then 1)
@@ -77,7 +75,6 @@ class GPULogAdapter(BaselineEngine):
         kwargs.setdefault("eager_buffers", self.eager_buffers)
         kwargs.setdefault("buffer_growth_factor", self.buffer_growth_factor)
         kwargs.setdefault("load_factor", self.load_factor)
-        kwargs.setdefault("columnar", self.columnar)
         kwargs.setdefault("backend", self.backend)
         kwargs.setdefault("num_shards", self.num_shards)
         kwargs.setdefault("planner", self.planner)
@@ -98,7 +95,6 @@ class GPULogAdapter(BaselineEngine):
             buffer_growth_factor=self.buffer_growth_factor,
             load_factor=self.load_factor,
             materialize_nway=self.materialize_nway,
-            columnar=self.columnar,
             collect_relations=collect_relations,
             num_shards=self.num_shards,
             planner=self.planner,

@@ -3,11 +3,11 @@
 A serving tier keeps the fixpoint resident and maintains it differentially;
 the alternative — what a stateless batch deployment pays — is a full
 re-fixpoint over the whole EDB on every mutation batch.  This driver runs
-both against the same trickle workloads as ``benchmarks/record_baseline.py
---serving-only`` (SG tree leaves and dense-digraph TC, |Δ|/|EDB| <= 1% per
-epoch) and reports insert/retract epoch latency percentiles in simulated
-seconds next to the re-fixpoint cost, so the O(Δ) vs O(|EDB|) gap is a
-table rather than a single gate ratio.
+both against two trickle workloads (SG tree leaves and dense-digraph TC,
+|Δ|/|EDB| <= 1% per epoch) and reports insert/retract epoch latency
+percentiles in simulated seconds next to the re-fixpoint cost, so the O(Δ)
+vs O(|EDB|) gap is a table; ``tests/ci/test_simulated_floors.py`` floors the
+median insert epoch of the same script at 5x.
 """
 
 from __future__ import annotations
@@ -193,12 +193,12 @@ def run_serving_workload(
     )
     table.add_note(
         "retract epochs run DRed (over-delete + re-derive) and may legitimately "
-        "cost more than insert epochs; only insert epochs are CI-gated"
+        "cost more than insert epochs; only insert epochs are floored (>= 5x)"
     )
     if len(protected_arms) > 1:
         table.add_note(
             "[protected] rows run the epoch-transactional configuration: disk "
             "WAL with fsync-on-commit plus a durable checkpoint every epoch "
-            "(CI caps the epoch-latency overhead at 1.15x the unprotected run)"
+            "(WAL fsyncs are host work the simulated clock does not charge)"
         )
     return table

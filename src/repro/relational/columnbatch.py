@@ -1,10 +1,11 @@
 """Columnar (SoA) tuple batches with late materialization.
 
-The seed pipeline moved row-major ``(n, arity)`` tuple arrays between every
-operator, so each join / project / dedup step re-materialized full tuples even
-when downstream steps only needed a subset of columns.  :class:`ColumnBatch`
-is the column-oriented replacement: a set of named per-column ``int64`` arrays
-plus an optional *lazy gather* — each column is either
+Moving row-major ``(n, arity)`` tuple arrays between operators would make
+each join / project / dedup step re-materialize full tuples even when
+downstream steps only need a subset of columns.  :class:`ColumnBatch` is the
+column-oriented currency of the join pipeline instead: a set of named
+per-column ``int64`` arrays plus an optional *lazy gather* — each column is
+either
 
 * **materialized** — a 1-D array of length ``num_rows``, or
 * **lazy** — a pair ``(base, selection chain)`` where ``base`` is a (usually
@@ -38,8 +39,8 @@ The late-materialization contract
    bookkeeping until it is materialized.
 
 Row arrays remain the interop format at the edges (:meth:`from_rows` /
-:meth:`as_rows`), which is what keeps the legacy row pipeline available as an
-ablation baseline behind ``columnar=False``.  Note :meth:`as_rows` stays
+:meth:`as_rows`): fact load, host seed rows, stratum initialization,
+retraction and the fused n-way ablation kernel.  Note :meth:`as_rows` stays
 device-resident — crossing to host NumPy goes through the charged
 ``Device.kernels.to_host`` transfer edge.
 """

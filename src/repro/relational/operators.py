@@ -11,13 +11,14 @@ These are the compute kernels the fixpoint loop of Figure 3 executes:
 * :func:`select`, :func:`project`, :func:`deduplicate`, :func:`difference` —
   the remaining operators of the evaluation pipeline.
 
-Every operator is *polymorphic over the pipeline layout*: given a row-major
-tuple array it runs the legacy row pipeline and returns a row array (the
-ablation baseline, unchanged); given a :class:`ColumnBatch` it runs the
-columnar late-materialization pipeline and returns a batch whose columns are
-gathered only when a downstream consumer touches them.  ``hash_join`` in
-columnar mode returns the match-index pairs wrapped as a lazy batch instead
-of materializing output tuples.
+The join pipeline has one layout: :func:`hash_join`, :func:`select` and
+:func:`project` run on a :class:`ColumnBatch` and return one, whose columns are
+gathered only when a downstream consumer touches them (``hash_join`` returns
+the match-index pairs wrapped as a lazy batch instead of materializing output
+tuples).  A row-major tuple array is accepted at these entry points and wrapped
+as column views first.  :func:`deduplicate`, :func:`difference` and
+:func:`union` also take the row arrays the edges of the engine hand them —
+fact load, host seed rows, retraction, the OOM-degraded dedup merge.
 
 Every array is owned by the device's
 :class:`~repro.backend.base.ArrayBackend`; no operator calls an array library
@@ -41,7 +42,7 @@ from .hisa import HISA
 OUTER = "outer"
 INNER = "inner"
 
-#: Operators accept either layout; the output layout follows the input.
+#: What the operators accept: a row-major tuple array or a columnar batch.
 RowsLike = Union[Array, ColumnBatch]
 
 
@@ -69,7 +70,7 @@ class ColumnComparison:
 
     Evaluation routes through the backend's ``compare`` kernel (the one
     comparison implementation every backend shares), so a backend overriding
-    it for device-side evaluation is honoured by both pipelines.
+    it for device-side evaluation is honoured on rows and batches alike.
     """
 
     op: str
@@ -124,125 +125,20 @@ def hash_join(
     comparisons: Sequence[ColumnComparison] = (),
     label: str = "join",
     charge: bool = True,
-) -> RowsLike:
-    """Join an outer tuple array (or columnar batch) against an inner HISA.
+) -> ColumnBatch:
+    """Join an outer columnar batch (or tuple array) against an inner HISA.
 
     ``outer_join_columns[j]`` is the outer column matched against the inner's
     ``join_columns[j]``.  ``output`` lists the columns of the result tuple;
     ``comparisons`` (evaluated on the result layout) filter the output, which
     is how guards such as ``x != y`` in SG are applied inside the join kernel.
 
-    Given a :class:`ColumnBatch` outer, the join runs the columnar
-    late-materialization pipeline: only the outer key columns are gathered to
-    probe, and the result is a lazy batch of (match index, stored column)
-    pairs — no output tuple is materialized until someone reads it.
+    Only the outer key columns are gathered to probe, and the result is a
+    lazy batch of (match index, stored column) pairs — no output tuple is
+    materialized until someone reads it.
     """
-    if isinstance(outer_rows, ColumnBatch):
-        return _hash_join_columnar(
-            device,
-            outer_rows,
-            outer_join_columns,
-            inner,
-            output,
-            comparisons=comparisons,
-            label=label,
-            charge=charge,
-        )
     backend = device.backend
-    outer_rows = backend.as_rows(outer_rows)
-    outer_join_columns = [int(c) for c in outer_join_columns]
-    if len(outer_join_columns) != inner.n_join:
-        raise SchemaError(
-            f"outer join columns {outer_join_columns} do not match inner key width {inner.n_join}"
-        )
-    out_arity = len(output)
-    if outer_rows.shape[0] == 0 or inner.tuple_count == 0:
-        if charge and outer_rows.shape[0]:
-            device.charge(KernelCost(kernel=f"{label}.scan_outer", sequential_bytes=float(outer_rows.nbytes)))
-        return backend.empty((0, out_arity), dtype=backend.int64)
-
-    # 1. Stride over the outer relation's data array (coalesced reads).
-    if charge:
-        device.charge(
-            KernelCost(
-                kernel=f"{label}.scan_outer",
-                sequential_bytes=float(outer_rows.nbytes),
-                ops=float(outer_rows.shape[0]),
-            )
-        )
-
-    # 2. Hash the outer join columns and probe the inner hash table.
-    keys = outer_rows[:, outer_join_columns]
-    starts, lengths = inner.lookup(keys, charge=charge)
-
-    # 3. Scan the matched runs of the sorted index array.
-    total_matches = int(lengths.sum())
-    divergence = _divergence(device, lengths)
-    inner_row_bytes = max(1, inner.natural_arity) * TUPLE_ITEMSIZE
-    if charge:
-        device.charge(
-            KernelCost(
-                kernel=f"{label}.scan_inner",
-                random_bytes=float(total_matches) * (inner_row_bytes + 8.0),
-                ops=float(total_matches) * max(1, inner.natural_arity),
-                divergence=divergence,
-            )
-        )
-    if total_matches == 0:
-        return backend.empty((0, out_arity), dtype=backend.int64)
-
-    probe_idx, data_positions = inner.expand_matches(starts, lengths)
-
-    # 4. Materialise the output columns (gathered from the SoA storage —
-    #    no full row array is assembled for the probed index).
-    columns = []
-    for spec in output:
-        if spec.source == OUTER:
-            if spec.column >= outer_rows.shape[1]:
-                raise SchemaError(f"outer column {spec.column} out of range")
-            columns.append(outer_rows[probe_idx, spec.column])
-        else:
-            if spec.column >= inner.natural_arity:
-                raise SchemaError(f"inner column {spec.column} out of range")
-            stored_col = inner.column_order.index(spec.column)
-            columns.append(inner.stored_column(stored_col)[data_positions])
-    if columns:
-        result = backend.column_stack(columns).astype(backend.int64)
-    else:
-        result = backend.empty((total_matches, 0), dtype=backend.int64)
-
-    # 5. Apply in-kernel comparison guards.
-    if comparisons:
-        mask = backend.ones(result.shape[0], dtype=backend.bool_)
-        for comparison in comparisons:
-            mask &= comparison.evaluate(result, backend)
-        result = result[mask]
-
-    if charge:
-        device.charge(
-            KernelCost(
-                kernel=f"{label}.write_output",
-                sequential_bytes=float(result.nbytes),
-                ops=float(result.shape[0]) * max(1, out_arity),
-                divergence=divergence,
-            )
-        )
-    return result
-
-
-def _hash_join_columnar(
-    device: Device,
-    outer: ColumnBatch,
-    outer_join_columns: Sequence[int],
-    inner: HISA,
-    output: Sequence[JoinOutput],
-    *,
-    comparisons: Sequence[ColumnComparison] = (),
-    label: str = "join",
-    charge: bool = True,
-) -> ColumnBatch:
-    """Columnar hash join: probe with key columns, emit a lazy index batch."""
-    backend = device.backend
+    outer = ColumnBatch.wrap(device, outer_rows)
     outer_join_columns = [int(c) for c in outer_join_columns]
     if len(outer_join_columns) != inner.n_join:
         raise SchemaError(
@@ -443,68 +339,27 @@ def select(
     *,
     label: str = "select",
     charge: bool = True,
-) -> RowsLike:
+) -> ColumnBatch:
     """Filter ``rows`` by conjunction of comparison predicates.
 
-    Columnar batches materialize only the columns the predicates read; the
-    surviving rows stay lazy (one selection compose per source).
+    Only the columns the predicates read are materialized; the surviving
+    rows stay lazy (one selection compose per source).
     """
-    backend = device.backend
-    if isinstance(rows, ColumnBatch):
-        if len(rows) == 0 or not comparisons:
-            return rows
-        mask = backend.ones(len(rows), dtype=backend.bool_)
-        for comparison in comparisons:
-            mask &= comparison.evaluate_batch(rows, charge=charge, label=label)
-        return rows.filter(mask, charge=charge, label=f"{label}.compact")
-    rows = backend.as_rows(rows)
-    if rows.shape[0] == 0 or not comparisons:
-        return rows
-    mask = backend.ones(rows.shape[0], dtype=backend.bool_)
+    batch = ColumnBatch.wrap(device, rows)
+    if len(batch) == 0 or not comparisons:
+        return batch
+    mask = device.backend.ones(len(batch), dtype=device.backend.bool_)
     for comparison in comparisons:
-        mask &= comparison.evaluate(rows, backend)
-    result = rows[mask]
-    if charge:
-        device.charge(
-            KernelCost(
-                kernel=label,
-                sequential_bytes=float(rows.nbytes) + float(result.nbytes),
-                ops=float(rows.shape[0]) * len(comparisons),
-            )
-        )
-    return result
+        mask &= comparison.evaluate_batch(batch, charge=charge, label=label)
+    return batch.filter(mask, charge=charge, label=f"{label}.compact")
 
 
-def project(
-    device: Device,
-    rows: RowsLike,
-    columns: Sequence[int],
-    *,
-    label: str = "project",
-    charge: bool = True,
-) -> RowsLike:
+def project(device: Device, rows: RowsLike, columns: Sequence[int]) -> ColumnBatch:
     """Project ``rows`` onto the given natural column indices (with reorder/repeat).
 
-    On a columnar batch this is pure metadata — no bytes move, which is the
-    core late-materialization saving over the row pipeline's copy.
+    Pure metadata — no bytes move and nothing is charged.
     """
-    if isinstance(rows, ColumnBatch):
-        return rows.project(columns)
-    backend = device.backend
-    rows = backend.as_rows(rows)
-    columns = [int(c) for c in columns]
-    if rows.shape[0] == 0:
-        return backend.empty((0, len(columns)), dtype=backend.int64)
-    result = rows[:, columns]
-    if charge:
-        device.charge(
-            KernelCost(
-                kernel=label,
-                sequential_bytes=float(rows.nbytes) + float(result.nbytes),
-                ops=float(rows.shape[0]) * max(1, len(columns)),
-            )
-        )
-    return backend.ascontiguousarray(result)
+    return ColumnBatch.wrap(device, rows).project(columns)
 
 
 def deduplicate(

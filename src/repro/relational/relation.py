@@ -83,7 +83,6 @@ class Relation:
         load_factor: float = DEFAULT_LOAD_FACTOR,
         eager_buffers: bool = True,
         buffer_growth_factor: float = 8.0,
-        incremental_merge: bool = True,
         identity_index: bool = True,
         stats: "object | None" = None,
     ) -> None:
@@ -99,7 +98,6 @@ class Relation:
         self.load_factor = float(load_factor)
         self.eager_buffers = bool(eager_buffers)
         self.buffer_growth_factor = float(buffer_growth_factor)
-        self.incremental_merge = bool(incremental_merge)
 
         self._all_columns = tuple(range(self.arity))
         # The canonical all-column index backs full_rows()/full_count and the
@@ -318,9 +316,7 @@ class Relation:
             with profiler.phase(PHASE_MERGE):
                 for columns in sorted(self._index_column_sets):
                     manager = self._buffer_managers[columns]
-                    merged = self.full_indexes[columns].merge(
-                        delta_indexes[columns], manager, incremental=self.incremental_merge
-                    )
+                    merged = self.full_indexes[columns].merge(delta_indexes[columns], manager)
                     self.full_indexes[columns] = merged
                     if merged.last_merge_in_place:
                         in_place_merges += 1

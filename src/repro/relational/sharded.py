@@ -175,7 +175,6 @@ class ShardedRelation:
         load_factor: float = DEFAULT_LOAD_FACTOR,
         eager_buffers: bool = True,
         buffer_growth_factor: float = 8.0,
-        incremental_merge: bool = True,
     ) -> None:
         if not devices:
             raise SchemaError(f"sharded relation {name!r} needs at least one device")
@@ -193,7 +192,6 @@ class ShardedRelation:
             load_factor=load_factor,
             eager_buffers=eager_buffers,
             buffer_growth_factor=buffer_growth_factor,
-            incremental_merge=incremental_merge,
         )
         self.shards = [
             Relation(device, name, arity, **self._relation_config) for device in self.devices

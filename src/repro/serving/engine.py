@@ -103,7 +103,6 @@ from ..relational.checkpoint import (
     EvaluationCheckpoint,
     RelationState,
 )
-from ..relational.columnbatch import ColumnBatch
 from ..relational.relation import Relation
 from ..relational.sharded import ShardedRelation
 from .cache import DEFAULT_PROGRAM_CACHE, CompiledProgram, ProgramCache
@@ -205,11 +204,9 @@ class ServingEngine:
         num_shards: int | None = None,
         planner: str | None = None,
         backend: "str | None" = None,
-        columnar: bool = True,
         load_factor: float = 0.8,
         eager_buffers: bool = True,
         buffer_growth_factor: float = 8.0,
-        incremental_merge: bool = True,
         max_iterations: int = 1_000_000,
         semijoin_filter: bool | None = None,
         overlap: bool | None = None,
@@ -250,7 +247,6 @@ class ServingEngine:
             raise SchemaError(f"max_pending must be >= 1, got {max_pending}")
         self.num_shards = int(resolved_shards)
         self.planner = resolved_planner
-        self.columnar = bool(columnar)
         self.background = bool(background)
         self.cache = cache if cache is not None else DEFAULT_PROGRAM_CACHE
         self.symbols = SymbolTable()
@@ -339,7 +335,6 @@ class ServingEngine:
             load_factor=float(load_factor),
             eager_buffers=bool(eager_buffers),
             buffer_growth_factor=float(buffer_growth_factor),
-            incremental_merge=bool(incremental_merge),
         )
         self.relations: dict[str, Relation | ShardedRelation] = {}
         if self.num_shards > 1:
@@ -408,7 +403,6 @@ class ServingEngine:
                 self.device,
                 self.compiled.plan,
                 self.relations,
-                columnar=self.columnar,
                 max_iterations=int(max_iterations),
                 program_name=self.program.name,
                 program_source=str(self.program),
@@ -1262,9 +1256,8 @@ class ServingEngine:
         result = self._evaluator._execute_version(version)
         if len(result) == 0:
             return np.empty((0, arity), dtype=np.int64)
-        if isinstance(result, ColumnBatch):
-            result = result.as_rows(label=f"{version.head_relation}.dred_materialize")
-        return self.device.kernels.to_host(result, label=label)
+        rows = result.as_rows(label=f"{version.head_relation}.dred_materialize")
+        return self.device.kernels.to_host(rows, label=label)
 
     # ------------------------------------------------------------------
     # Snapshots / encoding helpers

@@ -1,0 +1,116 @@
+"""Performance floors on the simulated clock, as plain assertions.
+
+The cost model is deterministic, so a ratio of two simulated times is a fact
+about the code, not about the machine: each lever the engine ships (generic
+join, cost planner, checkpoints, the filtered exchange, incremental serving
+epochs, the incremental merge) must keep paying — or keep costing no more —
+than the thresholds below.  Fault injection is pinned off; host wall-clock is
+``bench/run.py``'s job (see ``docs/benchmarks.md``).
+"""
+
+import numpy as np
+import pytest
+
+from repro import GPULogEngine
+from repro.datasets import load_dataset
+from repro.experiments.planner_bench import TRIANGLE_PROGRAM, hub_graph, wedge_count
+from repro.experiments.serving_workload import dense_digraph_edges, sg_tree_edges, trickle_epochs
+from repro.queries import CSPA_SOURCE, REACH_SOURCE, SG_SOURCE
+from repro.relational import InMemoryCheckpointStore
+
+#: Floor for the generic join over the greedy binary plan on the hub triangle.
+MIN_WCOJ_SPEEDUP = 1.5
+#: The binary plan's wedge intermediate must dwarf the output by this much,
+#: or the triangle instance is not binary-hostile enough to mean anything.
+MIN_INTERMEDIATE_BLOWUP = 10.0
+#: Ceiling for the cost planner over the greedy order on the paper's workloads.
+MAX_COST_REGRESSION = 1.05
+#: Ceiling for ``checkpoint_every=50`` over the checkpoint-free fixpoint.
+MAX_CHECKPOINT_OVERHEAD = 1.10
+#: Ceiling for semi-join-filtered over unfiltered exchange bytes.
+MAX_FILTERED_EXCHANGE_RATIO = 0.7
+#: Floor for a full re-fixpoint over the median trickle insert epoch.
+MIN_SERVING_SPEEDUP = 5.0
+
+
+def sg_d5():
+    return {"edge": sg_tree_edges(5, 3)}
+
+
+def run(source, facts, **options):
+    engine = GPULogEngine(
+        device="h100", oom_enabled=False, collect_relations=False, fault_plan="none", **options
+    )
+    try:
+        for name, rows in facts.items():
+            engine.add_fact_array(name, np.asarray(rows, dtype=np.int64))
+        return engine.run(source)
+    finally:
+        engine.close()
+
+
+def test_generic_join_beats_binary_plan_on_hub_triangle():
+    edges = hub_graph(2500)
+    greedy = run(TRIANGLE_PROGRAM, {"edge": edges}, planner="greedy")
+    wcoj = run(TRIANGLE_PROGRAM, {"edge": edges}, planner="cost+wcoj")
+    assert wcoj.count("triangle") == greedy.count("triangle") > 0
+    assert wedge_count(edges) >= MIN_INTERMEDIATE_BLOWUP * greedy.count("triangle")
+    assert greedy.elapsed_seconds >= MIN_WCOJ_SPEEDUP * wcoj.elapsed_seconds
+
+
+@pytest.mark.parametrize(
+    "source,make_facts,head",
+    [
+        (SG_SOURCE, sg_d5, "sg"),
+        (REACH_SOURCE, lambda: load_dataset("Gnutella31", profile="test").facts(), "reach"),
+        (CSPA_SOURCE, lambda: load_dataset("httpd", profile="test").facts(), "valueflow"),
+    ],
+    ids=["sg", "tc", "cspa"],
+)
+def test_cost_planner_never_loses_to_greedy(source, make_facts, head):
+    facts = make_facts()
+    greedy = run(source, facts, planner="greedy")
+    cost = run(source, facts, planner="cost")
+    assert cost.count(head) == greedy.count(head) > 0
+    assert cost.elapsed_seconds <= MAX_COST_REGRESSION * greedy.elapsed_seconds
+
+
+def test_checkpoint_premium_stays_small():
+    plain = run(SG_SOURCE, sg_d5())
+    insured = run(SG_SOURCE, sg_d5(), checkpoint_every=50, checkpoint_store=InMemoryCheckpointStore())
+    assert insured.checkpoints_taken > 0
+    assert insured.relation_counts == plain.relation_counts
+    assert insured.elapsed_seconds <= MAX_CHECKPOINT_OVERHEAD * plain.elapsed_seconds
+
+
+def test_filtered_exchange_prunes_and_overlaps():
+    single = run(SG_SOURCE, sg_d5(), num_shards=1)
+    filtered = run(SG_SOURCE, sg_d5(), num_shards=4)
+    unfiltered = run(SG_SOURCE, sg_d5(), num_shards=4, semijoin_filter=False)
+    assert filtered.count("sg") == unfiltered.count("sg") == single.count("sg")
+    assert 0 < filtered.exchange_bytes <= MAX_FILTERED_EXCHANGE_RATIO * unfiltered.exchange_bytes
+    assert filtered.exchange_overlap_efficiency > 0
+
+
+@pytest.mark.parametrize(
+    "source,make_edges,head,batch,epochs",
+    [
+        (SG_SOURCE, lambda: sg_tree_edges(6, 3), "sg", 8, 8),
+        (REACH_SOURCE, lambda: dense_digraph_edges(400, 3200), "reach", 16, 6),
+    ],
+    ids=["sg-tree-d6", "tc-dense-n400"],
+)
+def test_insert_epoch_beats_refixpoint(source, make_edges, head, batch, epochs):
+    # trickle_epochs itself raises if the resident answer and the re-fixpoint
+    # over the same final EDB disagree on |head|.
+    info = trickle_epochs(source, make_edges(), head, batch=batch, epochs=epochs, retract_epochs=0)
+    assert info["count"] > 0
+    assert info["full"] >= MIN_SERVING_SPEEDUP * float(np.median(info["inserts"]))
+
+
+def test_fixpoint_merges_stay_incremental():
+    chain = np.array([[i, i + 1] for i in range(120)], dtype=np.int64)
+    result = run(REACH_SOURCE, {"edge": chain})
+    assert result.count("reach") == 120 * 121 // 2
+    assert result.stats.rebuild_merges == 0
+    assert result.stats.in_place_merges > 0

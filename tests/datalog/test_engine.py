@@ -44,6 +44,25 @@ def test_sg_matches_reference(paper_edges):
     engine.close()
 
 
+def test_sg_on_random_dag(random_dag_edges):
+    engine = GPULogEngine(device="h100")
+    engine.add_fact_array("edge", random_dag_edges)
+    result = engine.run(SG_SOURCE)
+    assert result.relation_set("sg") == same_generation(random_dag_edges)
+    engine.close()
+
+
+@pytest.mark.parametrize(
+    "source,fact,output", [(REACH_SOURCE, "edge", "reach"), (SG_SOURCE, "edge", "sg")], ids=["reach", "sg"]
+)
+def test_engine_handles_empty_edb(source, fact, output):
+    engine = GPULogEngine(device="h100", oom_enabled=False)
+    engine.add_fact_array(fact, np.empty((0, 2), dtype=np.int64))
+    result = engine.run(source)
+    assert result.count(output) == 0
+    engine.close()
+
+
 def test_sg_fused_plan_same_answer(paper_edges):
     engine = GPULogEngine(device="h100", materialize_nway=False)
     engine.add_fact_array("edge", paper_edges)

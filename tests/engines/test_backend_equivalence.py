@@ -3,8 +3,7 @@
 Running the full TC/SG/CSPA fixpoints under ``GuardBackend(NumpyBackend)``
 proves two things at once: the results are identical to the default backend
 (the indirection changes nothing), and the entire execution stack touches
-*only* the ArrayBackend contract (the guard raises on anything else).  Both
-pipelines (columnar and the row ablation) are covered.
+*only* the ArrayBackend contract (the guard raises on anything else).
 """
 
 import numpy as np
@@ -16,8 +15,8 @@ from repro.errors import SchemaError
 from repro.queries import CSPA_SOURCE, REACH_SOURCE, SG_SOURCE
 
 
-def run_with_backend(source, facts, outputs, *, backend, columnar=True):
-    engine = GPULogEngine(device="h100", oom_enabled=False, columnar=columnar, backend=backend)
+def run_with_backend(source, facts, outputs, *, backend):
+    engine = GPULogEngine(device="h100", oom_enabled=False, backend=backend)
     for name, rows in facts.items():
         engine.add_fact_array(name, rows)
     result = engine.run(source)
@@ -26,22 +25,16 @@ def run_with_backend(source, facts, outputs, *, backend, columnar=True):
     return relations, result
 
 
-@pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "row"])
-def test_tc_guard_backend_equivalence(paper_edges, columnar):
-    default, _ = run_with_backend(REACH_SOURCE, {"edge": paper_edges}, ["reach"], backend=None, columnar=columnar)
-    guarded, _ = run_with_backend(
-        REACH_SOURCE, {"edge": paper_edges}, ["reach"], backend="guard", columnar=columnar
-    )
+def test_tc_guard_backend_equivalence(paper_edges):
+    default, _ = run_with_backend(REACH_SOURCE, {"edge": paper_edges}, ["reach"], backend=None)
+    guarded, _ = run_with_backend(REACH_SOURCE, {"edge": paper_edges}, ["reach"], backend="guard")
     assert guarded["reach"] == default["reach"]
     assert guarded["reach"]
 
 
-@pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "row"])
-def test_sg_guard_backend_equivalence(random_dag_edges, columnar):
-    default, _ = run_with_backend(SG_SOURCE, {"edge": random_dag_edges}, ["sg"], backend=None, columnar=columnar)
-    guarded, _ = run_with_backend(
-        SG_SOURCE, {"edge": random_dag_edges}, ["sg"], backend="guard", columnar=columnar
-    )
+def test_sg_guard_backend_equivalence(random_dag_edges):
+    default, _ = run_with_backend(SG_SOURCE, {"edge": random_dag_edges}, ["sg"], backend=None)
+    guarded, _ = run_with_backend(SG_SOURCE, {"edge": random_dag_edges}, ["sg"], backend="guard")
     assert guarded["sg"] == default["sg"]
     assert guarded["sg"]
 

@@ -1,6 +1,8 @@
-"""Benchmarks regenerating Figure 1, Figure 6 and the two design ablations."""
+"""Regenerates Figure 1, Figure 6 and the two design ablations (slow)."""
 
 from __future__ import annotations
+
+import pytest
 
 from repro.device.profiler import PHASE_JOIN, PHASE_MERGE
 from repro.experiments import (
@@ -12,17 +14,19 @@ from repro.experiments import (
     run_materialization_ablation,
 )
 
+pytestmark = pytest.mark.slow
 
-def test_figure1_sg_example_trace(once):
-    table, sg = once(run_figure1)
+
+def test_figure1_sg_example_trace():
+    table, sg = run_figure1()
     print("\n" + table.format())
     assert sg == FIGURE1_SG
     # Three iterations: seed, one round of new tuples, empty delta.
     assert len(table.rows) >= 2
 
 
-def test_figure6_cspa_phase_breakdown(once):
-    table = once(run_figure6)
+def test_figure6_cspa_phase_breakdown():
+    table = run_figure6()
     print("\n" + table.format())
     for dataset in ("httpd", "linux", "postgresql"):
         fractions = phase_fractions(dataset)
@@ -36,8 +40,8 @@ def test_figure6_cspa_phase_breakdown(once):
         assert fractions[PHASE_MERGE] > 0.01, f"merge phase invisible on {dataset}: {fractions}"
 
 
-def test_ablation_temporary_materialization(once):
-    table = once(run_materialization_ablation)
+def test_ablation_temporary_materialization():
+    table = run_materialization_ablation()
     print("\n" + table.format())
     materialized_variable = float(table.rows[0][2])
     fused_variable = float(table.rows[1][2])
@@ -49,8 +53,8 @@ def test_ablation_temporary_materialization(once):
     assert materialized_variable <= fused_variable * 1.05
 
 
-def test_ablation_load_factor(once):
-    table = once(run_load_factor_ablation)
+def test_ablation_load_factor():
+    table = run_load_factor_ablation()
     print("\n" + table.format())
     sizes = [float(row[2]) for row in table.rows]
     probes = [float(row[3]) for row in table.rows]

@@ -1,13 +1,14 @@
-"""Benchmarks regenerating Tables 1-6 of the paper.
+"""Regenerates Tables 1-6 of the paper at the ``bench`` profile (slow).
 
-Run with ``pytest benchmarks/ --benchmark-only``.  Each benchmark prints the
-regenerated table (visible with ``-s``) and asserts the directional claims the
-paper makes about it; docs/benchmarks.md describes how the tables are
-projected to paper scale.
+Each test prints the regenerated table (visible with ``-s``) and asserts the
+directional claims the paper makes about it; docs/benchmarks.md describes how
+the tables are projected to paper scale.  Run with
+``python -m pytest -m slow tests/experiments``.
 """
 
 from __future__ import annotations
 
+import pytest
 
 from repro.experiments import (
     run_table1,
@@ -18,6 +19,8 @@ from repro.experiments import (
     run_table6,
 )
 
+pytestmark = pytest.mark.slow
+
 
 def _parse_seconds(cell: str) -> float:
     if cell in ("OOM", "n/a"):
@@ -25,8 +28,8 @@ def _parse_seconds(cell: str) -> float:
     return float(cell)
 
 
-def test_table1_eager_buffer_management(once):
-    table = once(run_table1)
+def test_table1_eager_buffer_management():
+    table = run_table1()
     print("\n" + table.format())
     for row in table.rows:
         normal_seconds, eager_seconds = float(row[3]), float(row[4])
@@ -35,8 +38,8 @@ def test_table1_eager_buffer_management(once):
         assert memory_ratio >= 1.0
 
 
-def test_table2_reach_engine_comparison(once):
-    table = once(run_table2)
+def test_table2_reach_engine_comparison():
+    table = run_table2()
     print("\n" + table.format())
     oom_cells = 0
     for row in table.rows:
@@ -52,8 +55,8 @@ def test_table2_reach_engine_comparison(once):
     assert oom_cells >= 3, "expected several OOM cells as in the paper's Table 2"
 
 
-def test_table3_sg_engine_comparison(once):
-    table = once(run_table3)
+def test_table3_sg_engine_comparison():
+    table = run_table3()
     print("\n" + table.format())
     for row in table.rows:
         gpulog = _parse_seconds(row[2])
@@ -64,8 +67,8 @@ def test_table3_sg_engine_comparison(once):
         assert gpulog < cudf
 
 
-def test_table4_cspa_speedup(once):
-    table = once(run_table4)
+def test_table4_cspa_speedup():
+    table = run_table4()
     print("\n" + table.format())
     for row in table.rows:
         gpulog = _parse_seconds(row[6])
@@ -74,16 +77,16 @@ def test_table4_cspa_speedup(once):
         assert speedup > 10, f"CSPA speedup {speedup:.1f}x too small on {row[0]}"
 
 
-def test_table5_hardware_sweep(once):
-    table = once(run_table5)
+def test_table5_hardware_sweep():
+    table = run_table5()
     print("\n" + table.format())
     for row in table.rows:
         h100, a100, mi250, mi50 = (float(cell) for cell in row[2:6])
         assert h100 <= a100 <= mi250 <= mi50, f"device ordering violated on {row[1]}"
 
 
-def test_table6_microbenchmarks(once):
-    table = once(run_table6)
+def test_table6_microbenchmarks():
+    table = run_table6()
     print("\n" + table.format())
     for row in table.rows:
         tuples = int(row[0].replace(",", ""))

@@ -21,6 +21,11 @@ from repro.relational import (
 )
 
 
+def as_sorted_tuples(data):
+    rows = data.as_rows(charge=False) if isinstance(data, ColumnBatch) else data
+    return sorted(map(tuple, np.asarray(rows).tolist()))
+
+
 def brute_force_join(outer, inner, outer_cols, inner_cols, output):
     result = []
     for orow in map(tuple, outer.tolist()):
@@ -38,7 +43,7 @@ def test_join_matches_bruteforce_on_example(device, paper_edges):
     output = [JoinOutput("outer", 1), JoinOutput("inner", 1)]
     result = hash_join(device, paper_edges, [1], inner, output)
     expected = brute_force_join(paper_edges, paper_edges, [1], [0], [("outer", 1), ("inner", 1)])
-    assert sorted(map(tuple, result.tolist())) == sorted(expected)
+    assert as_sorted_tuples(result) == sorted(expected)
 
 
 def test_join_with_comparison_filter(device, paper_edges):
@@ -48,15 +53,18 @@ def test_join_with_comparison_filter(device, paper_edges):
         device, paper_edges, [0], inner, output,
         comparisons=[ColumnComparison("!=", 0, right_column=1)],
     )
-    assert all(a != b for a, b in result.tolist())
+    assert len(result)
+    assert all(a != b for a, b in as_sorted_tuples(result))
 
 
 def test_join_empty_inputs(device, paper_edges):
     inner = HISA(device, paper_edges, join_columns=(0,))
     empty = np.empty((0, 2), dtype=np.int64)
-    assert hash_join(device, empty, [0], inner, [JoinOutput("outer", 0)]).shape == (0, 1)
+    out = hash_join(device, empty, [0], inner, [JoinOutput("outer", 0)])
+    assert len(out) == 0 and out.arity == 1
     empty_inner = HISA(device, empty, join_columns=(0,))
-    assert hash_join(device, paper_edges, [0], empty_inner, [JoinOutput("outer", 0)]).shape == (0, 1)
+    out = hash_join(device, paper_edges, [0], empty_inner, [JoinOutput("outer", 0)])
+    assert len(out) == 0 and out.arity == 1
 
 
 def test_join_key_width_mismatch_rejected(device, paper_edges):
@@ -84,11 +92,11 @@ def test_column_comparison_validation():
 def test_select_and_project(device):
     rows = np.array([[1, 2, 3], [4, 4, 6], [7, 8, 7]], dtype=np.int64)
     selected = select(device, rows, [ColumnComparison("==", 0, right_column=1)])
-    assert selected.tolist() == [[4, 4, 6]]
+    assert selected.as_rows().tolist() == [[4, 4, 6]]
     lt = select(device, rows, [ColumnComparison("<", 0, constant=5)])
     assert len(lt) == 2
     projected = project(device, rows, [2, 0])
-    assert projected.tolist() == [[3, 1], [6, 4], [7, 7]]
+    assert projected.as_rows().tolist() == [[3, 1], [6, 4], [7, 7]]
 
 
 def test_deduplicate_and_union(device):
@@ -134,7 +142,8 @@ def test_fused_join_equals_materialized(device, paper_edges):
         ],
         comparisons=[ColumnComparison("!=", 0, right_column=1)],
     )
-    assert sorted(map(tuple, fused.tolist())) == sorted(map(tuple, materialized.tolist()))
+    assert len(materialized)
+    assert as_sorted_tuples(fused) == as_sorted_tuples(materialized)
 
 
 def test_fused_join_charges_more_divergence_on_skewed_data(device):
@@ -169,17 +178,12 @@ def test_hash_join_matches_bruteforce_property(outer, inner):
     output = [JoinOutput("outer", 0), JoinOutput("outer", 1), JoinOutput("inner", 1)]
     result = hash_join(device, outer, [1], inner_hisa, output)
     expected = brute_force_join(outer, inner, [1], [0], [("outer", 0), ("outer", 1), ("inner", 1)])
-    assert sorted(map(tuple, result.tolist())) == sorted(expected)
+    assert as_sorted_tuples(result) == sorted(expected)
 
 
 # ----------------------------------------------------------------------
-# Columnar pipeline vs row-oriented reference (property-based)
+# Varying arity, duplicate-heavy inputs, empty relations (property-based)
 # ----------------------------------------------------------------------
-
-def as_sorted_tuples(data):
-    rows = data.as_rows(charge=False) if isinstance(data, ColumnBatch) else data
-    return sorted(map(tuple, np.asarray(rows).tolist()))
-
 
 # Duplicate-heavy by construction: tiny value domain.  Arity varies 1..3 and
 # empty relations are generated explicitly below.
@@ -193,7 +197,7 @@ def rows_of_arity(arity, min_size=0, max_size=50):
 
 @given(arity=st.integers(1, 3), data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_columnar_join_equals_row_join_property(arity, data):
+def test_guarded_join_matches_bruteforce_property(arity, data):
     outer = data.draw(rows_of_arity(arity))
     inner = data.draw(rows_of_arity(arity, min_size=1))
     device = Device("h100", oom_enabled=False)
@@ -202,11 +206,13 @@ def test_columnar_join_equals_row_join_property(arity, data):
     comparisons = (
         [ColumnComparison("!=", 0, right_column=arity)] if arity > 1 else []
     )
-    row_result = hash_join(device, outer, [arity - 1], inner_hisa, output, comparisons=comparisons)
-    batch = ColumnBatch.from_rows(device, outer)
-    col_result = hash_join(device, batch, [arity - 1], inner_hisa, output, comparisons=comparisons)
-    assert isinstance(col_result, ColumnBatch)
-    assert as_sorted_tuples(col_result) == as_sorted_tuples(row_result)
+    result = hash_join(device, outer, [arity - 1], inner_hisa, output, comparisons=comparisons)
+    expected = brute_force_join(
+        outer, inner, [arity - 1], [0], [("outer", c) for c in range(arity)] + [("inner", arity - 1)]
+    )
+    if comparisons:
+        expected = [row for row in expected if row[0] != row[arity]]
+    assert as_sorted_tuples(result) == sorted(expected)
 
 
 @given(arity=st.integers(1, 3), data=st.data())
@@ -229,9 +235,7 @@ def test_columnar_dedup_difference_project_equal_row_reference(arity, data):
     assert as_sorted_tuples(col_diff) == as_sorted_tuples(row_diff)
 
     projection = [arity - 1, 0]
-    row_proj = project(device, rows, projection)
-    col_proj = project(device, ColumnBatch.from_rows(device, rows), projection)
-    assert as_sorted_tuples(col_proj) == as_sorted_tuples(row_proj)
+    assert as_sorted_tuples(project(device, rows, projection)) == as_sorted_tuples(rows[:, projection])
 
 
 @given(arity=st.integers(1, 3), data=st.data())
@@ -241,9 +245,7 @@ def test_columnar_select_union_equal_row_reference(arity, data):
     second = data.draw(rows_of_arity(arity))
     device = Device("h100", oom_enabled=False)
     comparisons = [ColumnComparison("<=", 0, constant=2)]
-    row_sel = select(device, first, comparisons)
-    col_sel = select(device, ColumnBatch.from_rows(device, first), comparisons)
-    assert as_sorted_tuples(col_sel) == as_sorted_tuples(row_sel)
+    assert as_sorted_tuples(select(device, first, comparisons)) == as_sorted_tuples(first[first[:, 0] <= 2])
 
     row_union = union(device, [first, second], arity=arity)
     col_union = union(
