@@ -3,8 +3,9 @@
 The compilation pipeline runs parser → AST → static analysis (dependency
 graph, SCC stratification, required-index discovery) → planner (rule
 versions: the semi-naïve delta rewrite, cost-based join ordering, WCOJ
-selection for cyclic rules) → the semi-naïve evaluator — single-device in
-:mod:`.seminaive`, multi-device with charged exchanges in :mod:`.sharded`.
+selection for cyclic rules) → the fixpoint driver in :mod:`.seminaive`, one
+for every shard count, which owns the exchange layer in :mod:`.sharded` (the
+charged cross-shard movement; a no-op on one shard).
 :class:`~repro.datalog.engine.GPULogEngine` is the one-shot facade over all
 of it; the resident, incrementally-maintained counterpart lives in
 :mod:`repro.serving`.  See ``docs/architecture.md`` for the layer guide.
@@ -35,7 +36,7 @@ from .planner import (
     plan_program,
 )
 from .seminaive import EvaluationStats, SemiNaiveEvaluator, StratumResult
-from .sharded import ShardedSemiNaiveEvaluator, shard_columns_for_plan
+from .sharded import ShardedSemiNaiveEvaluator, ShardExchange, shard_columns_for_plan
 
 __all__ = [
     "Atom",
@@ -56,6 +57,7 @@ __all__ = [
     "RuleVersion",
     "SHARDS_ENV_VAR",
     "SemiNaiveEvaluator",
+    "ShardExchange",
     "ShardedSemiNaiveEvaluator",
     "StratumResult",
     "Stratum",

@@ -41,7 +41,7 @@ from ..device.spec import DeviceSpec
 from ..errors import CheckpointError, DatalogError, DeviceBufferError, SchemaError
 from ..relational.checkpoint import CheckpointStore, EvaluationCheckpoint
 from ..relational.hashtable import DEFAULT_LOAD_FACTOR
-from ..relational.relation import IterationStats, Relation
+from ..relational.relation import IterationStats
 from ..relational.sharded import ShardedRelation
 from ..relational.stats import StatsCatalog
 from .analysis import analyze_program
@@ -50,13 +50,14 @@ from .planner import (
     BINARY,
     GREEDY,
     PLANNERS,
+    WCOJ,
     Planner,
     ProgramPlan,
     plan_program,
     version_required_indexes,
 )
 from .seminaive import EvaluationStats, SemiNaiveEvaluator
-from .sharded import DEFAULT_REPLICATE_MAX_BYTES, ShardedSemiNaiveEvaluator, shard_columns_for_plan
+from .sharded import DEFAULT_REPLICATE_MAX_BYTES, shard_columns_for_plan
 
 FactValue = Union[int, str]
 FactTuple = Sequence[FactValue]
@@ -270,9 +271,9 @@ class EvaluationResult:
     phase_fractions: dict[str, float]
     iteration_history: dict[str, list[IterationStats]]
     stats: EvaluationStats
-    #: number of shard devices the run used (1 = single-device path)
+    #: number of shard devices the run used
     shard_count: int = 1
-    #: per-shard simulated seconds (empty on the single-device path)
+    #: per-shard simulated seconds
     shard_elapsed_seconds: tuple[float, ...] = field(default_factory=tuple)
     #: per-shard peak device memory in bytes
     shard_peak_memory_bytes: tuple[int, ...] = field(default_factory=tuple)
@@ -386,13 +387,13 @@ class GPULogEngine:
         if resolved_shards < 1:
             raise SchemaError(f"num_shards must be >= 1, got {resolved_shards}")
         if resolved_shards > 1 and not materialize_nway:
-            # The sharded evaluator joins step-by-step with an exchange
-            # barrier between steps; a fused n-way kernel cannot cross that
-            # barrier, so honouring the ablation flag is impossible —
-            # failing beats silently reporting materialized-pipeline numbers.
+            # With more than one shard the driver joins step by step with an
+            # exchange barrier between steps; a fused n-way kernel cannot
+            # cross that barrier, so honouring the ablation flag is impossible
+            # — failing beats silently reporting materialized-pipeline numbers.
             raise SchemaError("materialize_nway=False (fused n-way join) is not supported with num_shards > 1")
-        #: shard devices used by the sharded evaluator; 1 = the unchanged
-        #: single-device path (byte-identical to a run without sharding)
+        #: shard devices every relation is hash-partitioned over (1 = one
+        #: device holding everything, nothing ever exchanged)
         self.num_shards = int(resolved_shards)
         if isinstance(device, Device):
             # A pre-built device already owns its backend; a conflicting
@@ -482,7 +483,7 @@ class GPULogEngine:
         self.symbols = SymbolTable()
         self._facts: dict[str, list[tuple[int, ...]]] = {}
         self._fact_arities: dict[str, int] = {}
-        self.relations: dict[str, Relation | ShardedRelation] = {}
+        self.relations: dict[str, ShardedRelation] = {}
 
     # ------------------------------------------------------------------
     # Fact loading
@@ -556,14 +557,9 @@ class GPULogEngine:
                     catalog.ensure(relation_name, arity)
         plan = plan_program(analysis, planner=self.planner, stats=catalog)
 
-        if self.num_shards > 1:
-            # The sharded evaluator runs the compiled plan statically (WCOJ
-            # versions execute as their decomposed expand/check steps through
-            # the exchange machinery); adaptive replanning is single-device.
-            return self._run_sharded(program, analysis, plan, arities)
-        return self._run_single(program, analysis, plan, arities, catalog, staged_rows)
+        return self._run(program, analysis, plan, arities, catalog, staged_rows)
 
-    def _run_single(
+    def _run(
         self,
         program: Program,
         analysis,
@@ -573,18 +569,30 @@ class GPULogEngine:
         staged_rows: dict[str, np.ndarray],
         resume_from: EvaluationCheckpoint | None = None,
     ) -> EvaluationResult:
-        """Single-device evaluation: from facts, or from ``resume_from``."""
-        # Build relation storage and register the indexes the plan needs.
+        """Evaluate the compiled plan: from facts, or from ``resume_from``.
+
+        Relations are hash-partitioned over the engine's shard devices by
+        their canonical shard column; the driver exchanges foreign-keyed
+        tuples through the charged interconnect edge each iteration (see
+        :mod:`repro.datalog.sharded`; ablations: ``semijoin_filter``,
+        ``overlap``).  One shard is the same path with nothing to exchange.
+        """
+        # Merge-maintained statistics, and the adaptive replanner that reads
+        # them, exist on one shard only: a shard's merge reports the counts
+        # of its partition, which would overwrite the relation's.
+        adaptive = catalog is not None and self.num_shards == 1
+        shard_columns = shard_columns_for_plan(plan, arities)
         self.relations = {}
         for relation_name, arity in arities.items():
-            self.relations[relation_name] = Relation(
-                self.device,
+            self.relations[relation_name] = ShardedRelation(
+                self.devices,
                 relation_name,
                 arity,
+                shard_column=shard_columns.get(relation_name, 0),
                 load_factor=self.load_factor,
                 eager_buffers=self.eager_buffers,
                 buffer_growth_factor=self.buffer_growth_factor,
-                stats=catalog,
+                stats=catalog if adaptive else None,
             )
         for relation_name, columns in plan.required_indexes():
             self.relations[relation_name].require_index(columns)
@@ -592,7 +600,7 @@ class GPULogEngine:
         idb_facts = self._load_facts(program, analysis, staged_rows) if resume_from is None else {}
 
         evaluator = SemiNaiveEvaluator(
-            self.device,
+            self.devices,
             plan,
             self.relations,
             materialize_nway=self.materialize_nway,
@@ -603,14 +611,20 @@ class GPULogEngine:
             retry_backoff_seconds=self.retry_backoff_seconds,
             program_name=program.name,
             program_source=str(program),
-            replan_every=self.replan_every if catalog is not None else 0,
-            replanner=self._make_replanner(analysis, catalog) if catalog is not None else None,
+            replan_every=self.replan_every if adaptive else 0,
+            replanner=self._make_replanner(analysis, catalog) if adaptive else None,
+            semijoin_filter=self.semijoin_filter,
+            overlap=self.overlap,
+            replicate_max_bytes=self.replicate_max_bytes,
         )
         try:
             stats = evaluator.evaluate(idb_facts, resume_from=resume_from)
         finally:
             self.last_checkpoint = evaluator.last_checkpoint
-        return self._build_result(program, stats, evaluator, plan=plan)
+            # Crash recovery may have swapped in replacement shard devices.
+            self.devices = list(evaluator.devices)
+            self.device = self.devices[0]
+        return self._build_result(program, stats, evaluator, plan)
 
     def resume(
         self,
@@ -653,9 +667,7 @@ class GPULogEngine:
                     f"the program expects {known}"
                 )
 
-        if self.num_shards > 1:
-            return self._run_sharded(program, analysis, plan, arities, resume_from=checkpoint)
-        return self._run_single(program, analysis, plan, arities, catalog=None, staged_rows={}, resume_from=checkpoint)
+        return self._run(program, analysis, plan, arities, catalog=None, staged_rows={}, resume_from=checkpoint)
 
     def close(self) -> None:
         """Release all simulated device memory held by the engine's relations.
@@ -678,148 +690,6 @@ class GPULogEngine:
                 relation.free()
             except DeviceBufferError:
                 continue
-
-    # ------------------------------------------------------------------
-    # Sharded evaluation (num_shards > 1)
-    # ------------------------------------------------------------------
-    def _run_sharded(
-        self,
-        program: Program,
-        analysis,
-        plan: ProgramPlan,
-        arities: dict[str, int],
-        resume_from: EvaluationCheckpoint | None = None,
-    ) -> EvaluationResult:
-        """Partitioned evaluation across the engine's shard devices.
-
-        Relations are hash-partitioned by their canonical shard column; the
-        sharded evaluator exchanges foreign-keyed tuples through the charged
-        interconnect edge each iteration.  The exchange layer is pipelined
-        and volume-minimizing: semi-join filters drop rows that cannot match
-        on the receiving shard, shipments carry only the columns downstream
-        plan steps read (cross-shard lazy batches), small static EDB inners
-        are replicated instead of broadcast against, and a double-buffered
-        schedule hides exchange time under the previous iteration's compute
-        (see :mod:`repro.datalog.sharded`; ablations: ``semijoin_filter``,
-        ``overlap``).
-        """
-        shard_columns = shard_columns_for_plan(plan, arities)
-        self.relations = {}
-        for relation_name, arity in arities.items():
-            self.relations[relation_name] = ShardedRelation(
-                self.devices,
-                relation_name,
-                arity,
-                shard_column=shard_columns.get(relation_name, 0),
-                load_factor=self.load_factor,
-                eager_buffers=self.eager_buffers,
-                buffer_growth_factor=self.buffer_growth_factor,
-            )
-        for relation_name, columns in plan.required_indexes():
-            self.relations[relation_name].require_index(columns)
-
-        idb_facts = self._load_facts(program, analysis, {}) if resume_from is None else {}
-
-        evaluator = ShardedSemiNaiveEvaluator(
-            self.devices,
-            plan,
-            self.relations,
-            max_iterations=self.max_iterations,
-            checkpoint_every=self.checkpoint_every,
-            checkpoint_store=self.checkpoint_store,
-            max_retries=self.max_retries,
-            retry_backoff_seconds=self.retry_backoff_seconds,
-            program_name=program.name,
-            program_source=str(program),
-            semijoin_filter=self.semijoin_filter,
-            overlap=self.overlap,
-            replicate_max_bytes=self.replicate_max_bytes,
-        )
-        try:
-            stats = evaluator.evaluate(idb_facts, resume_from=resume_from)
-        finally:
-            # Crash recovery may have swapped in replacement shard devices.
-            self._sync_devices(evaluator)
-        return self._build_sharded_result(program, stats, evaluator, plan=plan)
-
-    def _sync_devices(self, evaluator: ShardedSemiNaiveEvaluator) -> None:
-        self.last_checkpoint = evaluator.last_checkpoint
-        self.devices = list(evaluator.devices)
-        self.device = self.devices[0]
-
-    def _build_sharded_result(
-        self,
-        program: Program,
-        stats: EvaluationStats,
-        evaluator: ShardedSemiNaiveEvaluator,
-        plan: ProgramPlan | None = None,
-    ) -> EvaluationResult:
-        fields = self._collected_fields(program, stats)  # downloads, before the clocks are read
-
-        # Shards run concurrently: elapsed time is the slowest shard; phase
-        # seconds aggregate *device-seconds* across the whole cluster.
-        phase_seconds: dict[str, float] = defaultdict(float)
-        for device in self.devices:
-            for phase, seconds in device.profiler.phase_seconds().items():
-                phase_seconds[phase] += seconds
-        fractions = phase_fractions_from_seconds(dict(phase_seconds), FIGURE6_PHASES)
-
-        shard_elapsed = tuple(device.elapsed_seconds for device in self.devices)
-        slowest = max(range(self.num_shards), key=lambda index: shard_elapsed[index])
-
-        # Exchange volume, both directions.  Senders charge transfer_bytes,
-        # receivers charge recv_bytes for the same payloads, so the totals
-        # agree; the per-shard splits expose routing skew.
-        send_per_shard = tuple(device.profiler.interconnect_bytes for device in self.devices)
-        recv_per_shard = tuple(device.profiler.interconnect_recv_bytes for device in self.devices)
-        traffic = [sent + received for sent, received in zip(send_per_shard, recv_per_shard)]
-        total_traffic = sum(traffic)
-        skew = (max(traffic) * self.num_shards / total_traffic) if total_traffic > 0 else 0.0
-        # Overlap efficiency: the share of exchange time the double-buffered
-        # schedule hid under the previous iteration's compute.
-        hidden_seconds = sum(device.profiler.overlap_hidden_seconds for device in self.devices)
-        exchange_seconds = float(phase_seconds.get(PHASE_SHARD_EXCHANGE, 0.0))
-        overlap_efficiency = hidden_seconds / exchange_seconds if exchange_seconds > 0 else 0.0
-        result = EvaluationResult(
-            **fields,
-            device_name=f"{self.device.spec.name} x{self.num_shards}",
-            elapsed_seconds=max(shard_elapsed),
-            fixed_seconds=self.devices[slowest].profiler.fixed_seconds,
-            variable_seconds=self.devices[slowest].profiler.variable_seconds,
-            peak_memory_bytes=max(device.peak_memory_bytes for device in self.devices),
-            phase_seconds=dict(phase_seconds),
-            phase_fractions=fractions,
-            shard_count=self.num_shards,
-            shard_elapsed_seconds=shard_elapsed,
-            shard_peak_memory_bytes=tuple(device.peak_memory_bytes for device in self.devices),
-            exchange_bytes=evaluator.exchange_bytes,
-            exchange_tuples=evaluator.exchange_tuples,
-            transient_retries=evaluator.transient_retries,
-            checkpoints_taken=evaluator.checkpoints_taken,
-            checkpoint_restores=evaluator.checkpoint_restores,
-            shard_rebuilds=evaluator.shard_rebuilds,
-            oom_degraded_dedups=sum(
-                shard.oom_degradations
-                for relation in self.relations.values()
-                for shard in relation.shards
-            ),
-            exchange_recv_bytes=float(sum(recv_per_shard)),
-            exchange_send_bytes_per_shard=send_per_shard,
-            exchange_recv_bytes_per_shard=recv_per_shard,
-            exchange_skew=skew,
-            exchange_overlap_hidden_seconds=hidden_seconds,
-            exchange_overlap_efficiency=overlap_efficiency,
-            semijoin_rows_dropped=evaluator.semijoin_rows_dropped,
-            replicated_joins=evaluator.replicated_joins,
-            aligned_joins=evaluator.aligned_joins,
-            broadcast_joins=evaluator.broadcast_joins,
-            # Sharded runs execute the compiled plan statically; the report
-            # carries the planning-time estimates without observations.
-            plan_report=self._plan_report(plan, None),
-            replans=0,
-        )
-        self.last_result = result
-        return result
 
     # ------------------------------------------------------------------
     # Internal helpers
@@ -898,20 +768,11 @@ class GPULogEngine:
 
         return replan
 
-    def _plan_report(
-        self, plan: ProgramPlan | None, evaluator: SemiNaiveEvaluator | None
-    ) -> tuple:
-        if plan is None:
-            return ()
-        # The sharded driver (``evaluator is None``) records no per-version
-        # observations and runs every version — WCOJ ones included — as its
-        # binary steps through the exchange machinery.
-        observed = evaluator is not None
-        observations = evaluator.version_observations if observed else {}
+    def _plan_report(self, plan: ProgramPlan, evaluator: SemiNaiveEvaluator) -> tuple:
         report = []
         for rule, rule_plan in plan.rule_plans.items():
             for version in rule_plan.versions:
-                entry = observations.get((id(rule), version.delta_atom_index))
+                entry = evaluator.version_observations.get((id(rule), version.delta_atom_index))
                 current = entry["version"] if entry else version
                 report.append(
                     {
@@ -919,13 +780,13 @@ class GPULogEngine:
                         "head": current.head_relation,
                         "delta_atom": current.delta_atom_index,
                         "planner": current.planner,
-                        "algorithm": current.algorithm if observed else BINARY,
+                        "algorithm": WCOJ if evaluator.runs_generic_join(current) else BINARY,
                         "planned_algorithm": current.algorithm,
                         "atom_order": list(current.atom_order),
                         "estimated_rows": current.estimated_rows,
                         "estimated_cost": current.estimated_cost,
-                        "observed_rows": (float(entry["rows"]) if entry else 0.0) if observed else None,
-                        "executions": (int(entry["executions"]) if entry else 0) if observed else None,
+                        "observed_rows": float(entry["rows"]) if entry else 0.0,
+                        "executions": int(entry["executions"]) if entry else 0,
                     }
                 )
         return tuple(report)
@@ -936,9 +797,8 @@ class GPULogEngine:
         One line per rule version: the algorithm that executed (with a note
         when the plan chose another), body-atom join order, and estimated vs.
         observed output cardinalities (observed is summed over every
-        execution of the version — 0 executions means the version never ran,
-        e.g. its stratum converged immediately; ``n/a`` means the driver
-        records no observations, which is the case for ``num_shards > 1``).
+        execution of the version and over every shard — 0 executions means
+        the version never ran, e.g. its stratum converged immediately).
         """
         result = self.last_result
         if result is None:
@@ -950,71 +810,101 @@ class GPULogEngine:
             algorithm = entry["algorithm"]
             if entry["planned_algorithm"] != algorithm:
                 algorithm += f" planned={entry['planned_algorithm']} (generic join is single-device)"
-            observed = entry["observed_rows"]
-            observed_text = f"{observed:.0f}" if observed is not None else "n/a"
-            executions = entry["executions"]
             lines.append(
                 f"  {entry['rule']}"
                 f"\n    version[delta_atom={entry['delta_atom']}]"
                 f" algorithm={algorithm}"
                 f" order={entry['atom_order']}"
                 f" est_rows={estimated_text}"
-                f" observed_rows={observed_text}"
-                f" executions={executions if executions is not None else 'n/a'}"
+                f" observed_rows={entry['observed_rows']:.0f}"
+                f" executions={entry['executions']}"
             )
         return "\n".join(lines)
 
-    def _collected_fields(self, program: Program, stats: EvaluationStats) -> dict:
-        """The :class:`EvaluationResult` fields both evaluators fill alike:
-        counts, iteration history and the downloaded rows of every relation.
+    def _build_result(
+        self,
+        program: Program,
+        stats: EvaluationStats,
+        evaluator: SemiNaiveEvaluator,
+        plan: ProgramPlan,
+    ) -> EvaluationResult:
+        """Collect the run's outputs and read the clocks.
 
         Result extraction is the charged D2H edge of the transfer boundary:
         with ``collect_relations`` tuples leave the device exactly once, here,
-        as one host array per relation; decoding them waits for the reader.
+        as one host array per relation (before the clocks are read); decoding
+        them waits for the reader.
         """
         download = self.collect_relations
         rows = {
             name: relation.full_rows_host() if download else np.empty((0, relation.arity), dtype=np.int64)
             for name, relation in self.relations.items()
         }
-        return dict(
+
+        # Shards run concurrently: elapsed time is the slowest shard; phase
+        # seconds aggregate *device-seconds* across the whole cluster.
+        phase_seconds: dict[str, float] = defaultdict(float)
+        for device in self.devices:
+            for phase, seconds in device.profiler.phase_seconds().items():
+                phase_seconds[phase] += seconds
+        shard_elapsed = tuple(device.elapsed_seconds for device in self.devices)
+        slowest = self.devices[max(range(self.num_shards), key=lambda index: shard_elapsed[index])]
+
+        # Exchange volume, both directions.  Senders charge transfer_bytes,
+        # receivers charge recv_bytes for the same payloads, so the totals
+        # agree; the per-shard splits expose routing skew.
+        send_per_shard = tuple(device.profiler.interconnect_bytes for device in self.devices)
+        recv_per_shard = tuple(device.profiler.interconnect_recv_bytes for device in self.devices)
+        traffic = [sent + received for sent, received in zip(send_per_shard, recv_per_shard)]
+        total_traffic = sum(traffic)
+        # Overlap efficiency: the share of exchange time the double-buffered
+        # schedule hid under the previous iteration's compute.
+        hidden_seconds = sum(device.profiler.overlap_hidden_seconds for device in self.devices)
+        exchange_seconds = float(phase_seconds.get(PHASE_SHARD_EXCHANGE, 0.0))
+        exchange = evaluator.exchange
+        result = EvaluationResult(
             program_name=program.name,
+            device_name=self.device.spec.name + (f" x{self.num_shards}" if self.num_shards > 1 else ""),
             relations=DecodedRelations(rows, self.symbols),
             relation_counts={name: relation.full_count for name, relation in self.relations.items()},
+            elapsed_seconds=max(shard_elapsed),
+            fixed_seconds=slowest.profiler.fixed_seconds,
+            variable_seconds=slowest.profiler.variable_seconds,
+            peak_memory_bytes=max(device.peak_memory_bytes for device in self.devices),
             total_iterations=stats.total_iterations,
             stratum_iterations={stratum.index: stratum.iterations for stratum in stats.strata},
+            phase_seconds=dict(phase_seconds),
+            phase_fractions=phase_fractions_from_seconds(dict(phase_seconds), FIGURE6_PHASES),
             iteration_history={name: list(relation.history) for name, relation in self.relations.items()},
             stats=stats,
-            planner=self.planner,
-        )
-
-    def _build_result(
-        self,
-        program: Program,
-        stats: EvaluationStats,
-        evaluator: SemiNaiveEvaluator | None = None,
-        plan: ProgramPlan | None = None,
-    ) -> EvaluationResult:
-        fields = self._collected_fields(program, stats)  # downloads, before the clocks are read
-        profiler = self.device.profiler
-        result = EvaluationResult(
-            **fields,
-            device_name=self.device.spec.name,
-            elapsed_seconds=self.device.elapsed_seconds,
-            fixed_seconds=profiler.fixed_seconds,
-            variable_seconds=profiler.variable_seconds,
-            peak_memory_bytes=self.device.peak_memory_bytes,
-            phase_seconds=profiler.phase_seconds(),
-            phase_fractions=profiler.phase_fractions(FIGURE6_PHASES),
-            transient_retries=evaluator.transient_retries if evaluator else 0,
-            checkpoints_taken=evaluator.checkpoints_taken if evaluator else 0,
-            checkpoint_restores=evaluator.checkpoint_restores if evaluator else 0,
-            oom_chunked_joins=evaluator.oom_chunked_joins if evaluator else 0,
+            shard_count=self.num_shards,
+            shard_elapsed_seconds=shard_elapsed,
+            shard_peak_memory_bytes=tuple(device.peak_memory_bytes for device in self.devices),
+            exchange_bytes=float(sum(send_per_shard)),
+            exchange_tuples=exchange.exchange_tuples,
+            transient_retries=evaluator.transient_retries,
+            checkpoints_taken=evaluator.checkpoints_taken,
+            checkpoint_restores=evaluator.checkpoint_restores,
+            shard_rebuilds=evaluator.shard_rebuilds,
+            oom_chunked_joins=evaluator.oom_chunked_joins,
             oom_degraded_dedups=sum(
-                relation.oom_degradations for relation in self.relations.values()
+                shard.oom_degradations
+                for relation in self.relations.values()
+                for shard in relation.shards
             ),
+            exchange_recv_bytes=float(sum(recv_per_shard)),
+            exchange_send_bytes_per_shard=send_per_shard,
+            exchange_recv_bytes_per_shard=recv_per_shard,
+            exchange_skew=(max(traffic) * self.num_shards / total_traffic) if total_traffic > 0 else 0.0,
+            exchange_overlap_hidden_seconds=hidden_seconds,
+            exchange_overlap_efficiency=hidden_seconds / exchange_seconds if exchange_seconds > 0 else 0.0,
+            semijoin_rows_dropped=exchange.semijoin_rows_dropped,
+            replicated_joins=exchange.replicated_joins,
+            aligned_joins=exchange.aligned_joins,
+            broadcast_joins=exchange.broadcast_joins,
+            planner=self.planner,
             plan_report=self._plan_report(plan, evaluator),
-            replans=evaluator.replans if evaluator else 0,
+            replans=evaluator.replans,
         )
         self.last_result = result
         return result

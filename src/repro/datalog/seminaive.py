@@ -1,22 +1,38 @@
-"""Semi-naïve fixpoint evaluation (Figure 3 of the paper).
+"""Semi-naïve fixpoint evaluation (Figure 3 of the paper): the one driver.
 
-The evaluator executes a compiled :class:`~repro.datalog.planner.ProgramPlan`
-stratum by stratum.  Within a recursive stratum it repeats:
+:class:`SemiNaiveEvaluator` executes a compiled
+:class:`~repro.datalog.planner.ProgramPlan` stratum by stratum over relations
+hash-partitioned across ``N >= 1`` shard devices.  Within a recursive stratum
+it repeats:
 
 1. **Join phase** — every recursive rule version joins the *delta* version of
-   its chosen atom against the *full* indexes of the other atoms and appends
-   the results to the head relation's *new* version.
+   its chosen atom against the *full* indexes of the other atoms, shard by
+   shard, and appends the results to the head relation's *new* version on
+   their owner shards.  Between join steps the exchange layer
+   (:class:`~repro.datalog.sharded.ShardExchange`) puts the flowing batches
+   where the next probe finds its matches; with one shard that is a no-op.
 2. **Populate delta / index delta / merge / clear new** — handled per relation
-   by :class:`~repro.relational.relation.Relation.end_iteration`.
+   by :class:`~repro.relational.sharded.ShardedRelation.end_iteration`.
 
 The loop terminates when every relation of the stratum produced an empty
-delta.  All kernels are charged to the engine's device, tagged with the
-fixpoint iteration and phase so that Table 1 and Figure 6 can be regenerated.
+*global* delta.  All kernels are charged to the shard device they run on,
+tagged with the fixpoint iteration and phase so that Table 1 and Figure 6 can
+be regenerated.  Each shard's iteration runs inside a double-buffered
+**overlap window**: the exchange for iteration i+1 is modeled as in flight
+while iteration i's join computes, so the per-window cost is
+``max(compute, transfer)`` instead of their sum (``overlap=False`` restores
+the bulk-synchronous cost model; a window with no exchange earns no credit).
+
+The recovery ladder (retry, OOM chunks, shard rebuild, checkpoint rollback) is
+the same for every shard count.  What does depend on ``num_shards`` is listed,
+with reasons, in ``docs/architecture.md``: the generic join and the fused
+ablation kernel need one shard, and the pre-init snapshot needs more than one.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+import functools
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,15 +43,17 @@ from ..device.profiler import PHASE_JOIN, PHASE_RECOVERY
 from ..errors import (
     DeviceOutOfMemoryError,
     EvaluationError,
+    ExchangeError,
     FixpointInterrupted,
     TransientDeviceError,
 )
-from ..relational.checkpoint import CheckpointStore, EvaluationCheckpoint, RelationState
+from ..relational.checkpoint import CheckpointStore, EvaluationCheckpoint
 from ..relational.columnbatch import ColumnBatch
 from ..relational.operators import fused_nway_join, hash_join, select
-from ..relational.relation import Relation
+from ..relational.sharded import ShardedRelation, partition_rows_host
 from ..relational.wcoj import generic_join
 from .planner import DELTA, WCOJ, ProgramPlan, RuleVersion
+from .sharded import DEFAULT_REPLICATE_MAX_BYTES, ShardExchange
 
 #: Deepest recursive halving of a rule version's input scan under OOM; at
 #: depth 12 a chunk is 1/4096 of the scan and further splitting cannot help.
@@ -78,13 +96,13 @@ class EvaluationStats:
 
 
 class SemiNaiveEvaluator:
-    """Executes a compiled program plan over a set of relations."""
+    """Executes a compiled program plan over hash-partitioned relations."""
 
     def __init__(
         self,
-        device: Device,
+        devices: list[Device],
         plan: ProgramPlan,
-        relations: dict[str, Relation],
+        relations: dict[str, ShardedRelation],
         *,
         materialize_nway: bool = True,
         max_iterations: int = 1_000_000,
@@ -96,13 +114,17 @@ class SemiNaiveEvaluator:
         program_source: str = "",
         replan_every: int = 0,
         replanner=None,
+        semijoin_filter: bool = True,
+        overlap: bool = True,
+        replicate_max_bytes: int = DEFAULT_REPLICATE_MAX_BYTES,
     ) -> None:
-        self.device = device
+        self.devices = list(devices)
+        self.num_shards = len(self.devices)
         self.plan = plan
         self.relations = relations
         self.materialize_nway = bool(materialize_nway)
         self.max_iterations = int(max_iterations)
-        #: snapshot (full, delta) of every relation each N iterations (0 = off)
+        #: snapshot (full, delta) of every shard each N iterations (0 = off)
         self.checkpoint_every = int(checkpoint_every)
         self.checkpoint_store = checkpoint_store
         #: transient-fault retries per rule version, and global restores
@@ -119,11 +141,22 @@ class SemiNaiveEvaluator:
         #: for one rule version against *current* statistics (and building
         #: whatever new indexes the fresh plan probes)
         self.replanner = replanner
+        #: double-buffered exchange/compute overlap lever
+        self.overlap = bool(overlap)
+        #: the exchange layer; shares this driver's device list and relations
+        self.exchange = ShardExchange(
+            self.devices,
+            plan,
+            relations,
+            semijoin_filter=semijoin_filter,
+            replicate_max_bytes=replicate_max_bytes,
+        )
         self.last_checkpoint: EvaluationCheckpoint | None = None
         # Recovery counters (surfaced by the engine result).
         self.transient_retries = 0
         self.checkpoints_taken = 0
         self.checkpoint_restores = 0
+        self.shard_rebuilds = 0
         self.oom_chunked_joins = 0
         #: recursive versions whose pipeline actually changed on a replan
         self.replans = 0
@@ -139,7 +172,7 @@ class SemiNaiveEvaluator:
         *,
         resume_from: EvaluationCheckpoint | None = None,
     ) -> EvaluationStats:
-        """Run every stratum to its fixpoint.
+        """Run every stratum to its global fixpoint (all shards' deltas empty).
 
         ``idb_facts`` optionally supplies ground facts for IDB relations
         (loaded together with the non-recursive rule results when the
@@ -148,89 +181,141 @@ class SemiNaiveEvaluator:
         snapshot, and continues the checkpointed stratum at the recorded
         iteration boundary.
         """
-        idb_facts = dict(idb_facts or {})
+        try:
+            return self._evaluate(dict(idb_facts or {}), resume_from)
+        finally:
+            # Replicas hold real pool buffers and filters hold key arrays;
+            # both are run-scoped caches, not results — release them so
+            # ``close()`` finds every shard device empty.
+            self.exchange.invalidate()
+
+    def _evaluate(self, idb_facts: dict, resume_from: EvaluationCheckpoint | None) -> EvaluationStats:
         stats = EvaluationStats()
         analysis = self.plan.analysis
-
         for stratum in analysis.strata:
             non_recursive, recursive = self.plan.versions_for_stratum(stratum.index)
             idb_in_stratum = sorted(stratum.relations & set(analysis.idb_relations))
-            start_iteration = 0
-
+            result = StratumResult(
+                index=stratum.index,
+                relations=tuple(idb_in_stratum),
+                recursive=stratum.recursive,
+                iterations=0,
+            )
+            stats.strata.append(result)
             if resume_from is not None and stratum.index < resume_from.stratum_index:
-                # Completed before the checkpoint; its state is inside it.
-                stats.strata.append(
-                    StratumResult(
-                        index=stratum.index,
-                        relations=tuple(idb_in_stratum),
-                        recursive=stratum.recursive,
-                        iterations=0,
-                    )
-                )
-                continue
-            if resume_from is not None and stratum.index == resume_from.stratum_index:
+                continue  # completed before the checkpoint; its state is inside it
+            start_iteration = 0
+            if (
+                resume_from is not None
+                and stratum.index == resume_from.stratum_index
+                and not resume_from.metadata.get("pre_init")
+            ):
                 self.restore_checkpoint(resume_from)
                 start_iteration = resume_from.iteration
                 resume_from = None
             else:
-                # ------------------------------------------------------
-                # Initialise the stratum: facts + non-recursive results.
-                # ------------------------------------------------------
-                backend = self.device.backend
-                initial_rows: dict[str, list] = defaultdict(list)
-                for name in idb_in_stratum:
-                    if name in idb_facts:
-                        # Ground IDB facts are host payloads: the stratum-init
-                        # edge uploads them through the charged H2D transfer.
-                        initial_rows[name].append(
-                            self.device.kernels.from_host(
-                                idb_facts.pop(name), dtype=backend.int64, label=f"{name}.h2d_facts"
-                            )
+                stratum_facts = {
+                    name: idb_facts.pop(name) for name in idb_in_stratum if name in idb_facts
+                }
+                if resume_from is not None:
+                    # A pre-init snapshot: restore the pre-stratum state and
+                    # replay initialization (its staged ground facts travel
+                    # in the checkpoint metadata).
+                    self.restore_checkpoint(resume_from)
+                    for name, rows in resume_from.metadata.get("idb_facts", {}).items():
+                        relation = self.relations[name]
+                        stratum_facts[name] = np.asarray(rows, dtype=np.int64).reshape(
+                            -1, relation.arity
                         )
-                for version in non_recursive:
-                    def stage(result, version=version):
-                        # Stratum initialization is a materialization edge:
-                        # the rows feed fact loading, which indexes them all.
-                        # Charged as join output; the rows stay
-                        # device-resident — no PCIe crossing here.
-                        with self.device.profiler.phase(PHASE_JOIN):
-                            initial_rows[version.head_relation].append(
-                                result.as_rows(label=f"{version.head_relation}.materialize_init")
-                            )
+                    resume_from = None
+                elif self.checkpoint_every and self.last_checkpoint is None and self.num_shards > 1:
+                    # First stratum: snapshot the pre-init state (EDB facts,
+                    # empty IDB) so a shard crash while initial parts are
+                    # routed has a boundary to roll back to.  One shard
+                    # routes nothing, so it has no such crash to insure.
+                    self.save_checkpoint(
+                        stratum.index, 0, pre_init=True, stratum_facts=stratum_facts
+                    )
+                self._initialize_stratum(
+                    stratum.index, idb_in_stratum, non_recursive, stratum_facts
+                )
 
-                    self._execute_with_recovery(version, stage)
-                for name in idb_in_stratum:
-                    relation = self.relations[name]
-                    parts = initial_rows.get(name, [])
-                    if parts:
-                        rows = backend.concatenate(parts, axis=0)
-                    else:
-                        rows = backend.empty((0, relation.arity), dtype=backend.int64)
-                    relation.initialize(rows, device_resident=True)
-
-            iterations = 0
-            in_place_merges = 0
-            rebuild_merges = 0
             if recursive:
-                iterations, in_place_merges, rebuild_merges = self._run_fixpoint(
+                result.iterations, result.in_place_merges, result.rebuild_merges = self._run_fixpoint(
                     stratum.index, idb_in_stratum, recursive, start_iteration=start_iteration
                 )
             else:
                 # Nothing recursive: clear deltas so later strata see stable fulls.
                 for name in idb_in_stratum:
                     self.relations[name].clear_delta()
-
-            stats.strata.append(
-                StratumResult(
-                    index=stratum.index,
-                    relations=tuple(idb_in_stratum),
-                    recursive=stratum.recursive,
-                    iterations=iterations,
-                    in_place_merges=in_place_merges,
-                    rebuild_merges=rebuild_merges,
-                )
-            )
         return stats
+
+    def _initialize_stratum(
+        self,
+        stratum_index: int,
+        idb_in_stratum: list[str],
+        non_recursive: list[RuleVersion],
+        stratum_facts: dict,
+    ) -> None:
+        """Initialise the stratum: facts + non-recursive rule results, every
+        part already routed to its owner shard.
+
+        Exchange faults (a shard dying while initial parts are routed) are
+        recovered here: initialization is a pure function of the stratum's
+        ground facts plus the state earlier strata left behind, so the
+        crashed device is rebuilt, every shard rolls back to the last
+        checkpoint (the first stratum's pre-init snapshot or the previous
+        stratum's final one), and the block replays from scratch —
+        ``initialize_shard`` replaces state wholesale, so a partial first
+        attempt leaves no residue.
+        """
+        attempts = 0
+        while True:
+            try:
+                initial_parts: dict[str, list[list]] = {
+                    name: [[] for _ in range(self.num_shards)] for name in idb_in_stratum
+                }
+                for name, rows in stratum_facts.items():
+                    self._stage_ground_facts(name, rows, initial_parts[name])
+                for version in non_recursive:
+                    def stage(shard, batch, name=version.head_relation):
+                        # Stratum initialization is a materialization edge:
+                        # the rows feed fact loading, which indexes them all.
+                        # The rows stay device-resident — no PCIe crossing.
+                        initial_parts[name][shard].append(
+                            batch.as_rows(label=f"{name}.materialize_init")
+                        )
+
+                    self._execute_with_recovery(version, stage)
+                for name in idb_in_stratum:
+                    relation = self.relations[name]
+                    for shard, parts in enumerate(initial_parts[name]):
+                        backend = self.devices[shard].backend
+                        if not parts:
+                            rows = backend.empty((0, relation.arity), dtype=backend.int64)
+                        elif len(parts) == 1:
+                            rows = parts[0]
+                        else:
+                            rows = backend.concatenate(parts, axis=0)
+                        relation.initialize_shard(shard, rows, device_resident=True)
+                return
+            except ExchangeError as error:
+                # The boundary must still hold the rebuilt shard's pre-stratum
+                # partitions (EDB facts, earlier strata): the first stratum's
+                # pre-init snapshot or the previous stratum's final one.
+                attempts += 1
+                self._roll_back(error, attempts, f"stratum {stratum_index} initialization")
+
+    def _stage_ground_facts(self, name: str, rows, buckets: list[list]) -> None:
+        """Partition host ground facts by owner and upload each part (charged H2D)."""
+        relation = self.relations[name]
+        parts = partition_rows_host(rows, relation.shard_column, self.num_shards)
+        for shard, part in enumerate(parts):
+            if part.shape[0]:
+                device = self.devices[shard]
+                buckets[shard].append(
+                    device.kernels.from_host(part, dtype=device.backend.int64, label=f"{name}.h2d_facts")
+                )
 
     # ------------------------------------------------------------------
     def delta_fixpoint(
@@ -243,36 +328,52 @@ class SemiNaiveEvaluator:
         """Run one delta-seeded semi-naïve fixpoint (a serving epoch).
 
         ``seeds`` maps relation names to *host* row arrays to inject; each is
-        appended through the charged ``add_new`` H2D edge and distilled into
-        a delta by ``end_iteration`` (rows already present are filtered by
-        populate-delta, so re-inserting a known fact is a no-op).  The loop
-        then runs exactly the recursive machinery of :meth:`_run_fixpoint`
-        over ``versions`` — the caller supplies delta versions for *every*
-        body atom of every rule (EDB atoms included), which is the complete
-        incremental-maintenance version set for positive programs: any new
-        derivation must use at least one delta tuple in some body position,
-        and joint (delta × delta) derivations are covered because every delta
-        is merged into its full version at the previous iteration boundary.
+        routed to its owner shards through the charged ``add_new`` H2D edge
+        and distilled into a delta by ``end_iteration`` (rows already present
+        are filtered by populate-delta, so re-inserting a known fact is a
+        no-op).  The loop then runs exactly the recursive machinery of
+        :meth:`_run_fixpoint` over ``versions`` — the caller supplies delta
+        versions for *every* body atom of every rule (EDB atoms included),
+        which is the complete incremental-maintenance version set for
+        positive programs: any new derivation must use at least one delta
+        tuple in some body position, and joint (delta × delta) derivations
+        are covered because every delta is merged into its full version at
+        the previous iteration boundary.
 
         Preconditions (the serving engine maintains them as invariants):
         every relation's delta is empty on entry, and every index any of
         ``versions`` probes was registered before the relation initialized.
         Returns ``(iterations, in_place_merges, rebuild_merges)``; zero
         iterations means every seed was already present.
+
+        Exchange caches are invalidated on entry *and* exit: replicated EDB
+        inners and semi-join filters were built against pre-epoch fulls, and
+        a mutation (especially a retraction applied between epochs) makes
+        them stale — replicas would serve deleted tuples, which is a
+        correctness bug, not just a pruning inefficiency.  They are rebuilt,
+        charged, on first use inside the epoch.
         """
         names = sorted(relation_names if relation_names is not None else self.relations)
-        total_delta = 0
-        for name in sorted(seeds):
-            rows = seeds[name]
-            if len(rows):
-                self.relations[name].add_new(rows)
-            total_delta += self.relations[name].end_iteration().delta_count
-        if total_delta == 0:
-            return 0, 0, 0
-        # Stratum -1: the epoch fixpoint is joint across strata (sound for
-        # the positive programs this engine evaluates — monotonicity makes
-        # stratum order a scheduling choice, not a semantic one).
-        return self._run_fixpoint(-1, names, list(versions))
+        self.exchange.invalidate()
+        try:
+            total_delta = 0
+            for name in sorted(seeds):
+                rows = seeds[name]
+                relation = self.relations[name]
+                if len(rows):
+                    relation.add_new(rows)
+                result = relation.end_iteration()
+                total_delta += result.delta_count
+                if result.delta_count:
+                    self.exchange.refresh_filters(name)
+            if total_delta == 0:
+                return 0, 0, 0
+            # Stratum -1: the epoch fixpoint is joint across strata (sound for
+            # the positive programs this engine evaluates — monotonicity makes
+            # stratum order a scheduling choice, not a semantic one).
+            return self._run_fixpoint(-1, names, list(versions))
+        finally:
+            self.exchange.invalidate()
 
     # ------------------------------------------------------------------
     def _run_fixpoint(
@@ -291,6 +392,7 @@ class SemiNaiveEvaluator:
             # Baseline snapshot right after stratum init, so even an
             # iteration-1 fault has a boundary to roll back to.
             self.save_checkpoint(stratum_index, iteration)
+        self._restart_overlap()
         while True:
             iteration += 1
             if iteration > self.max_iterations:
@@ -298,50 +400,56 @@ class SemiNaiveEvaluator:
                     f"stratum {stratum_index} exceeded {self.max_iterations} iterations without reaching a fixpoint"
                 )
             try:
-                with self.device.profiler.iteration(iteration):
+                with ExitStack() as stack:
+                    for device in self.devices:
+                        stack.enter_context(device.profiler.iteration(iteration))
+                    if self.overlap:
+                        # One overlap window per shard per iteration: this
+                        # window's exchange hides under the previous window's
+                        # compute (double buffering); the credit is granted
+                        # when the window closes at the iteration boundary.
+                        for device in self.devices:
+                            stack.enter_context(device.profiler.overlap_window())
                     for version in recursive:
-                        delta_relation = self.relations[version.initial.relation]
-                        if delta_relation.delta_count == 0:
+                        # Skip on the *global* delta: a shard with an empty
+                        # local delta still receives foreign-keyed rows via
+                        # exchange.
+                        if self.relations[version.initial.relation].delta_count == 0:
                             continue
 
-                        def append_new(result, version=version):
-                            # add_new materializes the result's head columns;
-                            # that is the join's output write, so it is
-                            # attributed to the join phase.  Join outputs are
-                            # device-resident — no PCIe crossing at this edge.
-                            with self.device.profiler.phase(PHASE_JOIN):
-                                self.relations[version.head_relation].add_new(
-                                    result, device_resident=True
-                                )
-
-                        self._execute_with_recovery(version, append_new)
+                        # add_new materializes the batch's head columns: the
+                        # join's output write.  Join outputs are
+                        # device-resident — no PCIe crossing at this edge.
+                        self._execute_with_recovery(
+                            version,
+                            functools.partial(
+                                self.relations[version.head_relation].add_new_shard, device_resident=True
+                            ),
+                        )
                     total_delta = 0
                     for name in idb_in_stratum:
                         result = self.relations[name].end_iteration()
                         total_delta += result.delta_count
                         in_place_merges += result.in_place_merges
                         rebuild_merges += result.rebuild_merges
-            except TransientDeviceError as error:
-                # Per-version retries are exhausted, or the fault hit a
-                # non-idempotent step (merge).  Roll every relation back to
-                # the last iteration boundary and replay from there; without
-                # a checkpoint the fixpoint cannot be replayed safely.
+                        if result.delta_count:
+                            self.exchange.refresh_filters(name)
+            except (ExchangeError, TransientDeviceError) as error:
+                # A shard died mid-exchange (possibly mid-overlap: the
+                # in-flight window is simply dropped — its credits were only
+                # granted at window close), or per-version retries are
+                # exhausted, or the fault hit a non-idempotent step (merge).
                 restores += 1
-                if self.last_checkpoint is None or restores > self.max_retries:
-                    raise FixpointInterrupted(
-                        f"stratum {stratum_index} iteration {iteration}: {error}",
-                        checkpoint=self.last_checkpoint,
-                        cause=error,
-                    ) from error
-                self.restore_checkpoint(self.last_checkpoint)
-                self._charge_backoff(restores, label="fixpoint_restore")
+                self._roll_back(error, restores, f"stratum {stratum_index} iteration {iteration}")
+                self._restart_overlap()
                 iteration = self.last_checkpoint.iteration
                 continue
             if self.checkpoint_every and (
                 iteration % self.checkpoint_every == 0 or total_delta == 0
             ):
-                # The fixpoint itself is always snapshotted, mirroring the
-                # sharded evaluator's stratum-final boundary.
+                # The fixpoint itself is always snapshotted: the next
+                # stratum's initialization rolls back to it if a shard
+                # crashes while initial parts are routed.
                 self.save_checkpoint(stratum_index, iteration)
             if total_delta == 0:
                 break
@@ -352,6 +460,13 @@ class SemiNaiveEvaluator:
             ):
                 recursive[:] = [self._maybe_replan(version) for version in recursive]
         return iteration, in_place_merges, rebuild_merges
+
+    def _restart_overlap(self) -> None:
+        """Fill (or, after a rollback, refill) the exchange pipeline: the next
+        window has no in-flight predecessor to hide behind."""
+        if self.overlap:
+            for device in self.devices:
+                device.profiler.begin_overlap_schedule()
 
     # ------------------------------------------------------------------
     # Adaptive replanning
@@ -406,20 +521,37 @@ class SemiNaiveEvaluator:
     # ------------------------------------------------------------------
     # Fault recovery
     # ------------------------------------------------------------------
-    def save_checkpoint(self, stratum_index: int, iteration: int) -> EvaluationCheckpoint:
-        """Snapshot every relation's (full, delta) at an iteration boundary."""
+    def save_checkpoint(
+        self,
+        stratum_index: int,
+        iteration: int,
+        *,
+        pre_init: bool = False,
+        stratum_facts: dict | None = None,
+    ) -> EvaluationCheckpoint:
+        """Snapshot every relation across every shard at an iteration boundary.
+
+        A ``pre_init`` snapshot captures the state *before* the stratum's
+        initialization ran; resuming from one replays initialization, so any
+        staged IDB ground facts ride along in the metadata.
+        """
+        metadata: dict = {}
+        if pre_init:
+            metadata["pre_init"] = True
+            metadata["idb_facts"] = {
+                name: np.asarray(rows, dtype=np.int64).tolist()
+                for name, rows in (stratum_facts or {}).items()
+            }
         checkpoint = EvaluationCheckpoint(
             program_name=self.program_name,
             stratum_index=stratum_index,
             iteration=iteration,
-            num_shards=1,
+            num_shards=self.num_shards,
             relations={
-                name: RelationState(
-                    name=name, arity=relation.arity, partitions=[relation.checkpoint_state()]
-                )
-                for name, relation in self.relations.items()
+                name: relation.checkpoint_state() for name, relation in self.relations.items()
             },
             program_source=self.program_source,
+            metadata=metadata,
         )
         if self.checkpoint_store is not None:
             self.checkpoint_store.save(checkpoint)
@@ -428,13 +560,63 @@ class SemiNaiveEvaluator:
         return checkpoint
 
     def restore_checkpoint(self, checkpoint: EvaluationCheckpoint) -> None:
-        """Roll every relation back to the checkpoint's iteration boundary."""
+        """Roll every shard of every relation back to the checkpoint boundary."""
         for name, state in checkpoint.relations.items():
             relation = self.relations.get(name)
             if relation is not None:
-                relation.restore(state.partitions[0])
+                relation.restore(state)
         self.last_checkpoint = checkpoint
         self.checkpoint_restores += 1
+        # Filters were built from the pre-rollback fulls and replicas may
+        # live on a device that no longer exists: drop both, they are
+        # rebuilt (and re-charged) on demand from the restored state.
+        self.exchange.invalidate()
+
+    def _roll_back(self, error: Exception, attempt: int, where: str) -> None:
+        """Global recovery: every relation returns to the last checkpoint.
+
+        After an :class:`ExchangeError` the receiving shard's partitions are
+        gone and the surviving shards may have advanced past the snapshot
+        boundary, so the dead device is rebuilt first and then *every* shard
+        rolls back.  Without a checkpoint (or with the budget of
+        ``max_retries`` rollbacks spent) the fixpoint cannot be replayed
+        safely and is interrupted instead.
+        """
+        if self.last_checkpoint is None or attempt > self.max_retries:
+            raise FixpointInterrupted(
+                f"{where}: {error}", checkpoint=self.last_checkpoint, cause=error
+            ) from error
+        crashed = isinstance(error, ExchangeError)
+        if crashed:
+            self._rebuild_crashed_shard(error)
+        self.restore_checkpoint(self.last_checkpoint)
+        self._charge_backoff(attempt, label="shard_rebuild" if crashed else "fixpoint_restore")
+
+    def _rebuild_crashed_shard(self, error: ExchangeError) -> None:
+        """Replace the device that died mid-exchange with a fresh clone.
+
+        The replacement keeps the crashed device's profiler (the cluster
+        time it burned is real) and the shared fault plan (occurrence
+        counters are cluster-global), but starts with an empty memory pool —
+        the old buffers died with the device.  Every relation swaps in an
+        empty shard on the clone; :meth:`restore_checkpoint` then reloads
+        its partitions.
+        """
+        crashed = error.device if error.device in self.devices else self.devices[0]
+        index = self.devices.index(crashed)
+        replacement = Device(
+            crashed.spec,
+            memory_capacity_bytes=crashed.pool.capacity_bytes,
+            oom_enabled=crashed.pool.oom_enabled,
+            backend=crashed.backend,
+            profiler=crashed.profiler,
+            fault_plan=crashed.fault_plan,
+        )
+        self.devices[index] = replacement
+        for relation in self.relations.values():
+            relation.rebuild_shard(index, replacement)
+        self.shard_rebuilds += 1
+        self.exchange.invalidate()
 
     def _execute_with_recovery(
         self,
@@ -444,25 +626,30 @@ class SemiNaiveEvaluator:
         part: tuple[int, int] = (0, 1),
         depth: int = 0,
     ) -> None:
-        """Execute one rule version and hand its output to ``consume``.
+        """Execute one rule version; ``consume(shard, batch)`` takes its output.
 
         Transient kernel faults retry the whole (idempotent) version with
         exponential backoff; re-executed appends at worst duplicate tuples
         that deduplication removes.  An out-of-memory failure degrades
         gracefully instead: the version re-executes over halved row ranges
-        of its input scan (recursively, down to single rows), each chunk
-        consumed independently — every extra pass is charged through the
-        cost model, so degradation is visible in the profile.
+        of its input scan (recursively, down to single rows; every shard
+        halves its own partition of the scan), each chunk consumed
+        independently — every extra pass is charged through the cost model,
+        so degradation is visible in the profile.
         """
         label = f"{version.head_relation}<-{version.initial.relation}"
         try:
             retries = 0
             while True:
                 try:
-                    result = self._execute_version(version, part=part)
-                    self._observe_version(version, len(result))
-                    if len(result):
-                        consume(result)
+                    batches = self._execute_version(version, part=part)
+                    self._observe_version(version, sum(len(batch) for batch in batches))
+                    for shard, batch in enumerate(batches):
+                        if len(batch):
+                            # Consuming writes the join's output, so it is
+                            # attributed to the join phase.
+                            with self.devices[shard].profiler.phase(PHASE_JOIN):
+                                consume(shard, batch)
                     return
                 except TransientDeviceError:
                     retries += 1
@@ -472,11 +659,10 @@ class SemiNaiveEvaluator:
                     self._charge_backoff(retries, label=label)
         except DeviceOutOfMemoryError:
             index, parts = part
-            span = self._part_span(version, part)
-            if span <= 1 or depth >= OOM_CHUNK_MAX_DEPTH:
+            if self._part_span(version, part) <= 1 or depth >= OOM_CHUNK_MAX_DEPTH:
                 raise
             self.oom_chunked_joins += 1
-            self.device.profiler.record(
+            self.devices[0].profiler.record(
                 KernelCost(kernel=f"oom_degrade[{label}]", launches=0),
                 0.0,
                 phase=PHASE_RECOVERY,
@@ -485,20 +671,23 @@ class SemiNaiveEvaluator:
             self._execute_with_recovery(version, consume, part=(2 * index + 1, 2 * parts), depth=depth + 1)
 
     def _part_span(self, version: RuleVersion, part: tuple[int, int]) -> int:
-        """Rows of the version's input scan covered by chunk ``part``."""
-        relation = self.relations[version.initial.relation]
-        count = relation.delta_count if version.initial.version == DELTA else relation.full_count
+        """Most rows of the version's input scan chunk ``part`` covers on any shard."""
         index, parts = part
-        return (count * (index + 1)) // parts - (count * index) // parts
+        spans = []
+        for shard in self.relations[version.initial.relation].shards:
+            count = shard.delta_count if version.initial.version == DELTA else shard.full_count
+            spans.append((count * (index + 1)) // parts - (count * index) // parts)
+        return max(spans)
 
     def _charge_backoff(self, attempt: int, *, label: str) -> None:
         """Record the simulated exponential backoff before retry ``attempt``.
 
-        Deterministic: the wait is charged straight into the profiler under
-        the recovery phase — the simulation never sleeps.
+        Deterministic: the wait is charged straight into shard 0's (the
+        coordinator's) profiler under the recovery phase — the simulation
+        never sleeps.
         """
         seconds = self.retry_backoff_seconds * (2 ** (attempt - 1))
-        self.device.profiler.record(
+        self.devices[0].profiler.record(
             KernelCost(kernel=f"retry_backoff[{label}]", launches=0),
             seconds,
             phase=PHASE_RECOVERY,
@@ -506,80 +695,113 @@ class SemiNaiveEvaluator:
         )
 
     # ------------------------------------------------------------------
-    # Rule-version execution
+    # Rule-version execution (per shard, with exchange barriers)
     # ------------------------------------------------------------------
-    def _execute_version(self, version: RuleVersion, *, part: tuple[int, int] = (0, 1)) -> ColumnBatch:
-        with self.device.profiler.phase(PHASE_JOIN):
-            rows = self._initial_rows(version, part=part)
-            if len(rows) == 0:
-                return ColumnBatch.empty(self.device, len(version.head))
-            if version.algorithm == WCOJ:
-                # Generic join: per-row min-side intersection over the
-                # level candidates.
-                rows = generic_join(
-                    self.device,
-                    rows,
-                    version.wcoj_levels,
-                    self._index_for,
-                    label=f"{version.head_relation}.wcoj",
-                )
-            elif self.materialize_nway or len(version.joins) <= 1 or not self._fusable(version):
-                rows = self._execute_materialized(version, rows)
-            else:
-                rows = self._execute_fused(version, rows)
-            if len(rows) and version.final_filters:
-                rows = select(self.device, rows, version.final_filters, label=f"{version.head_relation}.filter")
-            return self._project_head(version, rows)
+    def _execute_version(
+        self, version: RuleVersion, *, part: tuple[int, int] = (0, 1)
+    ) -> list[ColumnBatch]:
+        """Execute one rule version; returns per-shard head batches, already
+        routed to the head relation's owner shards."""
+        batches = self._initial_rows(version, part=part)
+        if self.runs_generic_join(version):
+            # Per-row min-side intersection over the level candidates.
+            if len(batches[0]):
+                with self.devices[0].profiler.phase(PHASE_JOIN):
+                    batches = [
+                        generic_join(
+                            self.devices[0],
+                            batches[0],
+                            version.wcoj_levels,
+                            self._index_for,
+                            label=f"{version.head_relation}.wcoj",
+                        )
+                    ]
+        elif (
+            self.num_shards == 1
+            and not self.materialize_nway
+            and len(version.joins) > 1
+            and self._fusable(version)
+        ):
+            if len(batches[0]):
+                with self.devices[0].profiler.phase(PHASE_JOIN):
+                    batches = [self._execute_fused(version, batches[0])]
+        else:
+            # Temporarily-materialized join chain (Section 5.2): one kernel
+            # per step per shard.  Each step's "materialization" is a lazy
+            # batch — balanced per-thread workloads are preserved (one binary
+            # join per kernel), but only the columns the next step or the
+            # head actually reads are ever gathered.  A shard's empty batch
+            # passes through untouched: nothing downstream reads its width.
+            for index, step in enumerate(version.joins):
+                if not any(len(batch) for batch in batches):
+                    break
+                batches, inners = self.exchange.place(version, index, batches)
+                joined = []
+                for device, batch, inner in zip(self.devices, batches, inners):
+                    if len(batch):
+                        with device.profiler.phase(PHASE_JOIN):
+                            batch = hash_join(
+                                device,
+                                batch,
+                                step.outer_key_positions,
+                                inner.index_for(step.join_columns),
+                                step.output,
+                                comparisons=step.filters,
+                                label=f"{version.head_relation}<-{step.relation}",
+                            )
+                            if step.post_projection is not None and len(batch):
+                                batch = batch.project(step.post_projection)
+                    joined.append(batch)
+                batches = joined
 
-    def _initial_rows(self, version: RuleVersion, part: tuple[int, int] = (0, 1)) -> ColumnBatch:
-        initial = version.initial
-        relation = self.relations[initial.relation]
-        # Zero-copy columnar scan over the relation's stored columns.
-        rows = relation.delta_batch if initial.version == DELTA else relation.full_batch()
-        arity = rows.arity
-        if part != (0, 1):
-            # Degraded (OOM) re-execution: one contiguous row range of the
-            # scan, as views of the same stored columns.
-            n = len(rows)
-            index, parts = part
-            start, stop = (n * index) // parts, (n * (index + 1)) // parts
-            rows = ColumnBatch.from_columns(
-                self.device,
-                [column[start:stop] for column in rows.columns(charge=False)],
-                length=stop - start,
-            )
-        if len(rows) == 0:
-            return ColumnBatch.empty(self.device, len(initial.schema))
-        if initial.filters:
-            rows = select(self.device, rows, initial.filters, label=f"{initial.relation}.scan_filter")
-        identity = tuple(initial.projection) == tuple(range(arity))
-        if not identity:
-            rows = rows.project(initial.projection)
-        return rows
+        head_parts = []
+        for device, batch in zip(self.devices, batches):
+            with device.profiler.phase(PHASE_JOIN):
+                if len(batch) and version.final_filters:
+                    batch = select(
+                        device, batch, version.final_filters, label=f"{version.head_relation}.filter"
+                    )
+                head_parts.append(self._project_head(version, batch, device))
+        return self.exchange.route_head(version, head_parts)
 
-    def _execute_materialized(self, version: RuleVersion, rows: ColumnBatch) -> ColumnBatch:
-        """Temporarily-materialized join chain (Section 5.2): one kernel per step.
+    def runs_generic_join(self, version: RuleVersion) -> bool:
+        """True if ``version`` executes as a generic (worst-case-optimal) join.
 
-        Each step's "materialization" is a lazy batch — balanced per-thread
-        workloads are preserved (one binary join per kernel), but only the
-        columns the next step or the head actually reads are ever gathered.
+        The generic join probes every atom's index from one flowing row, which
+        no exchange barrier can sit inside: with more than one shard a WCOJ
+        version runs as its decomposed binary steps instead.
         """
-        for step in version.joins:
-            if len(rows) == 0:
-                break
-            inner = self.relations[step.relation].index_for(step.join_columns)
-            rows = hash_join(
-                self.device,
-                rows,
-                step.outer_key_positions,
-                inner,
-                step.output,
-                comparisons=step.filters,
-                label=f"{version.head_relation}<-{step.relation}",
-            )
-            if step.post_projection is not None and len(rows):
-                rows = rows.project(step.post_projection)
-        return rows
+        return version.algorithm == WCOJ and self.num_shards == 1
+
+    def _initial_rows(self, version: RuleVersion, part: tuple[int, int] = (0, 1)) -> list[ColumnBatch]:
+        """Each shard's scan of the version's first atom, filtered and projected."""
+        initial = version.initial
+        out = []
+        for device, local in zip(self.devices, self.relations[initial.relation].shards):
+            # Zero-copy columnar scan over the shard's stored columns.
+            batch = local.delta_batch if initial.version == DELTA else local.full_batch()
+            arity = batch.arity
+            if part != (0, 1):
+                # Degraded (OOM) re-execution: one contiguous row range of the
+                # scan, as views of the same stored columns.
+                n = len(batch)
+                index, parts = part
+                start, stop = (n * index) // parts, (n * (index + 1)) // parts
+                batch = ColumnBatch.from_columns(
+                    device,
+                    [column[start:stop] for column in batch.columns(charge=False)],
+                    length=stop - start,
+                )
+            if len(batch):
+                with device.profiler.phase(PHASE_JOIN):
+                    if initial.filters:
+                        batch = select(
+                            device, batch, initial.filters, label=f"{initial.relation}.scan_filter"
+                        )
+                    if tuple(initial.projection) != tuple(range(arity)):
+                        batch = batch.project(initial.projection)
+            out.append(batch)
+        return out
 
     def _execute_fused(self, version: RuleVersion, rows: ColumnBatch) -> ColumnBatch:
         """Non-materialized nested n-way join (ablation baseline of Section 5.2).
@@ -588,24 +810,23 @@ class SemiNaiveEvaluator:
         column views of the rows it wrote.
         """
         stages = []
-        comparisons = []
         for step in version.joins:
-            inner = self.relations[step.relation].index_for(step.join_columns)
+            inner = self._index_for(step.relation, step.join_columns)
             stages.append((step.outer_key_positions, inner, step.output))
-        comparisons.extend(version.joins[-1].filters)
         return ColumnBatch.from_rows(
-            self.device,
+            self.devices[0],
             fused_nway_join(
-                self.device,
+                self.devices[0],
                 rows,
                 stages,
-                comparisons=comparisons,
+                comparisons=list(version.joins[-1].filters),
                 label=f"{version.head_relation}.fused",
             ),
         )
 
     def _index_for(self, relation: str, columns: tuple[int, ...]):
-        return self.relations[relation].index_for(columns)
+        """One-shard index lookup (the generic join and the fused kernel)."""
+        return self.relations[relation].shards[0].index_for(columns)
 
     def _fusable(self, version: RuleVersion) -> bool:
         """A version can run fused only if intermediate steps carry no filters."""
@@ -614,9 +835,9 @@ class SemiNaiveEvaluator:
                 return False
         return version.joins[-1].post_projection is None
 
-    def _project_head(self, version: RuleVersion, rows: ColumnBatch) -> ColumnBatch:
-        if len(rows) == 0:
-            return ColumnBatch.empty(self.device, len(version.head))
+    def _project_head(self, version: RuleVersion, batch: ColumnBatch, device: Device) -> ColumnBatch:
+        if len(batch) == 0:
+            return ColumnBatch.empty(device, len(version.head))
         # Head variables are routed lazily (no copy); only constant columns
         # are written here.
-        return rows.assemble(version.head_entries, label=f"{version.head_relation}.project_head")
+        return batch.assemble(version.head_entries, label=f"{version.head_relation}.project_head")

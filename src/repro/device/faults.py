@@ -17,7 +17,7 @@ Fault sites
   changes (an injected allocation failure).
 * ``exchange`` — a ``device_to_device`` / ``broadcast_to`` transfer whose
   label matches; raises :class:`~repro.errors.ExchangeError` carrying the
-  receiving peer (the sharded evaluator's shard-crash signal).
+  receiving peer (the fixpoint driver's shard-crash signal).
 
 Plans install per device (``Device(fault_plan=...)``) or process-wide via the
 ``REPRO_FAULT_PLAN`` environment variable.  Sharing one plan instance across

@@ -53,8 +53,8 @@ def phase_fractions_from_seconds(
 ) -> dict[str, float]:
     """Fractions of total time per phase, unlisted phases folded into "other".
 
-    Shared by :meth:`Profiler.phase_fractions` and the sharded-run result
-    builder (which aggregates seconds across several profilers first), so
+    Shared by :meth:`Profiler.phase_fractions` and the engine's result
+    builder (which aggregates seconds across the shard profilers first), so
     both report the same convention.
     """
     total = sum(seconds.values())
@@ -172,7 +172,7 @@ class Profiler:
         """Start (or restart) a double-buffered exchange schedule.
 
         The first window after this call earns no credit — the pipeline has
-        no in-flight predecessor to hide behind.  The sharded evaluator calls
+        no in-flight predecessor to hide behind.  The fixpoint driver calls
         this at fixpoint entry and again after every fault rollback, since a
         restore drains whatever transfer was in flight.
         """

@@ -48,7 +48,7 @@ class TransientDeviceError(DeviceError):
     ``cudaErrorLaunchFailure`` that a driver-level retry would clear).
 
     Raised only by an installed :class:`~repro.device.faults.FaultPlan`; the
-    evaluators retry the failed operator with exponential backoff.
+    evaluator retries the failed operator with exponential backoff.
     """
 
     def __init__(self, message: str, *, kernel: str = ""):
@@ -59,7 +59,7 @@ class TransientDeviceError(DeviceError):
 class ExchangeError(DeviceError):
     """A device<->device interconnect transfer failed mid-exchange.
 
-    The sharded evaluator treats this as the crash of the *receiving* shard:
+    The fixpoint driver treats this as the crash of the *receiving* shard:
     with checkpointing enabled it rebuilds that shard's device and restores
     every partition from the last iteration-boundary checkpoint.  ``device``
     is the peer whose receive failed (``None`` for a broadcast source fault).

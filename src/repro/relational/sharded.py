@@ -1,4 +1,4 @@
-"""Hash-partitioned relation storage for multi-device (sharded) evaluation.
+"""Hash-partitioned relation storage: what the fixpoint driver evaluates over.
 
 The successors of GDlog scale past one device's memory and bandwidth by
 partitioning relations across GPUs and exchanging delta tuples each iteration
@@ -17,6 +17,8 @@ storage half of that design for the simulated cluster:
   partition; because every tuple has exactly one owner shard, per-shard
   deduplication and ``populate_delta`` compose into their global
   counterparts, and the union of the shard fulls is the single-device full.
+  The engines build one per relation for every shard count; with one shard
+  it is a thin pass-through to its only :class:`Relation`.
 
 Cross-shard movement is *not* done here: the evaluator routes foreign-owned
 tuples through the charged ``device_to_device`` kernel before they reach a
@@ -175,6 +177,7 @@ class ShardedRelation:
         load_factor: float = DEFAULT_LOAD_FACTOR,
         eager_buffers: bool = True,
         buffer_growth_factor: float = 8.0,
+        stats: "object | None" = None,
     ) -> None:
         if not devices:
             raise SchemaError(f"sharded relation {name!r} needs at least one device")
@@ -193,9 +196,16 @@ class ShardedRelation:
             eager_buffers=eager_buffers,
             buffer_growth_factor=buffer_growth_factor,
         )
+        #: Optional StatsCatalog for the planner.  A shard's merges report
+        #: the counts of its partition, so only a caller with one shard may
+        #: pass one (the engine does exactly that); rebuilt shards and
+        #: replicas never report.
         self.shards = [
-            Relation(device, name, arity, **self._relation_config) for device in self.devices
+            Relation(device, name, arity, stats=stats, **self._relation_config)
+            for device in self.devices
         ]
+        #: per-iteration global stats, one entry per :meth:`end_iteration`
+        self.history: list[IterationStats] = []
 
     # ------------------------------------------------------------------
     # Index registration (forwarded to every shard)
@@ -203,6 +213,12 @@ class ShardedRelation:
     def require_index(self, join_columns: tuple[int, ...]) -> None:
         for shard in self.shards:
             shard.require_index(join_columns)
+
+    def build_index(self, join_columns: tuple[int, ...]) -> None:
+        """Ensure every shard has an index on ``join_columns``, backfilling it
+        on an already-initialized relation (the adaptive replanner's path)."""
+        for shard in self.shards:
+            shard.build_index(join_columns)
 
     @property
     def index_column_sets(self) -> set[tuple[int, ...]]:
@@ -303,8 +319,9 @@ class ShardedRelation:
         Returns the global view: counts summed across shards (valid because
         each tuple is owned by exactly one shard).
         """
-        shard_stats = [shard.end_iteration() for shard in self.shards]
-        return _sum_iteration_stats(shard_stats)
+        stats = _sum_iteration_stats([shard.end_iteration() for shard in self.shards])
+        self.history.append(stats)
+        return stats
 
     def clear_delta(self) -> None:
         for shard in self.shards:
@@ -335,6 +352,9 @@ class ShardedRelation:
             )
         for shard, partition in zip(self.shards, state.partitions):
             shard.restore(partition)
+        # Every shard ends an iteration together, so one partition's counter
+        # bounds the global history the way it bounds its shard's.
+        del self.history[int(state.partitions[0].iteration) :]
 
     def rebuild_shard(self, index: int, device: Device) -> None:
         """Replace shard ``index`` with a fresh relation on a replacement device.
@@ -371,18 +391,12 @@ class ShardedRelation:
     def new_count(self) -> int:
         return sum(shard.new_count for shard in self.shards)
 
-    @property
-    def history(self) -> list[IterationStats]:
-        """Per-iteration global stats (shard histories summed position-wise)."""
-        histories = [shard.history for shard in self.shards]
-        length = min((len(h) for h in histories), default=0)
-        return [_sum_iteration_stats([h[i] for h in histories]) for i in range(length)]
-
     def full_rows_host(self, *, charge: bool = True):
         """Download every shard's full partition to host rows (charged D2H).
 
         Shard order concatenation — a permutation of the single-device
-        result (callers compare as sets).
+        result (callers compare as sets); a lone non-empty partition is
+        handed over as downloaded, not copied.
         """
         from ..backend import HOST_BACKEND
 
@@ -390,6 +404,8 @@ class ShardedRelation:
         non_empty = [part for part in parts if part.shape[0]]
         if not non_empty:
             return HOST_BACKEND.empty((0, self.arity), dtype=HOST_BACKEND.int64)
+        if len(non_empty) == 1:
+            return non_empty[0]
         return HOST_BACKEND.concatenate(non_empty, axis=0)
 
     def as_set(self) -> set[tuple[int, ...]]:

@@ -23,8 +23,8 @@ the classic generic-join recipe, vectorised over the whole frontier batch:
 
 Everything is charged to the simulated device with deterministic kernel
 names (level index + candidate atom index), so fault plans targeting WCOJ
-kernels replay exactly like binary-join plans.  The sharded evaluator never
-calls this operator — a WCOJ version's decomposed expand/check
+kernels replay exactly like binary-join plans.  With more than one shard the
+driver never calls this operator — a WCOJ version's decomposed expand/check
 :class:`~repro.datalog.planner.JoinStep`\\ s run through the ordinary
 exchange machinery instead — so this file is the single-device columnar
 fast path.

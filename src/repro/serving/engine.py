@@ -37,7 +37,7 @@ Epochs are **transactions** (``transactional=True``, the default): the
 engine keeps a host copy of every relation's state as of the last committed
 epoch, and a fault inside an epoch — kernel fault, injected OOM, exchange
 error, shard crash, all scriptable via :class:`~repro.device.faults.
-FaultPlan` — first rides the evaluators' own retry/backoff ladder and then,
+FaultPlan` — first rides the evaluator's own retry/backoff ladder and then,
 at the serving layer, triggers whole-epoch rollback-and-replay.  When the
 epoch retry budget is also exhausted the epoch **aborts**: state and
 snapshot versions roll back to the last commit, only that epoch's tickets
@@ -79,11 +79,7 @@ from ..datalog.engine import (
 )
 from ..datalog.planner import PLANNERS, RuleVersion
 from ..datalog.seminaive import SemiNaiveEvaluator
-from ..datalog.sharded import (
-    DEFAULT_REPLICATE_MAX_BYTES,
-    ShardedSemiNaiveEvaluator,
-    shard_columns_for_plan,
-)
+from ..datalog.sharded import DEFAULT_REPLICATE_MAX_BYTES, shard_columns_for_plan
 from ..device.device import Device
 from ..device.profiler import PHASE_CHECKPOINT, PHASE_LOAD
 from ..device.spec import DeviceSpec, device_preset
@@ -103,7 +99,6 @@ from ..relational.checkpoint import (
     EvaluationCheckpoint,
     RelationState,
 )
-from ..relational.relation import Relation
 from ..relational.sharded import ShardedRelation
 from .cache import DEFAULT_PROGRAM_CACHE, CompiledProgram, ProgramCache
 from .snapshot import RelationSnapshot, SnapshotTable, canonical_rows
@@ -336,22 +331,17 @@ class ServingEngine:
             eager_buffers=bool(eager_buffers),
             buffer_growth_factor=float(buffer_growth_factor),
         )
-        self.relations: dict[str, Relation | ShardedRelation] = {}
-        if self.num_shards > 1:
-            shard_columns = shard_columns_for_plan(self.compiled.plan, self._arities)
-            for relation_name, arity in self._arities.items():
-                self.relations[relation_name] = ShardedRelation(
-                    self.devices,
-                    relation_name,
-                    arity,
-                    shard_column=shard_columns.get(relation_name, 0),
-                    **relation_config,
-                )
-        else:
-            for relation_name, arity in self._arities.items():
-                self.relations[relation_name] = Relation(
-                    self.device, relation_name, arity, **relation_config
-                )
+        shard_columns = shard_columns_for_plan(self.compiled.plan, self._arities)
+        self.relations: dict[str, ShardedRelation] = {
+            relation_name: ShardedRelation(
+                self.devices,
+                relation_name,
+                arity,
+                shard_column=shard_columns.get(relation_name, 0),
+                **relation_config,
+            )
+            for relation_name, arity in self._arities.items()
+        }
         for relation_name, columns in self.compiled.required_indexes:
             relation = self.relations.get(relation_name)
             if relation is not None:
@@ -380,33 +370,19 @@ class ServingEngine:
                 else:
                     relation.initialize(rows)
 
-        if self.num_shards > 1:
-            self._evaluator: SemiNaiveEvaluator | ShardedSemiNaiveEvaluator = (
-                ShardedSemiNaiveEvaluator(
-                    self.devices,
-                    self.compiled.plan,
-                    self.relations,
-                    max_iterations=int(max_iterations),
-                    program_name=self.program.name,
-                    program_source=str(self.program),
-                    semijoin_filter=(
-                        _env_flag(SEMIJOIN_ENV_VAR, True)
-                        if semijoin_filter is None
-                        else bool(semijoin_filter)
-                    ),
-                    overlap=_env_flag(OVERLAP_ENV_VAR, True) if overlap is None else bool(overlap),
-                    replicate_max_bytes=int(replicate_max_bytes),
-                )
-            )
-        else:
-            self._evaluator = SemiNaiveEvaluator(
-                self.device,
-                self.compiled.plan,
-                self.relations,
-                max_iterations=int(max_iterations),
-                program_name=self.program.name,
-                program_source=str(self.program),
-            )
+        self._evaluator = SemiNaiveEvaluator(
+            self.devices,
+            self.compiled.plan,
+            self.relations,
+            max_iterations=int(max_iterations),
+            program_name=self.program.name,
+            program_source=str(self.program),
+            semijoin_filter=(
+                _env_flag(SEMIJOIN_ENV_VAR, True) if semijoin_filter is None else bool(semijoin_filter)
+            ),
+            overlap=_env_flag(OVERLAP_ENV_VAR, True) if overlap is None else bool(overlap),
+            replicate_max_bytes=int(replicate_max_bytes),
+        )
         self.last_epoch: EpochResult | None = None
         self.snapshots = SnapshotTable()
         if _restore is None:
@@ -437,12 +413,8 @@ class ServingEngine:
                         f"checkpoint {_restore.checkpoint_id!r} is missing "
                         f"relation {relation_name!r}"
                     )
-                if isinstance(relation, ShardedRelation):
-                    relation.restore(state)
-                else:
-                    relation.restore(state.partitions[0])
-            if isinstance(self._evaluator, ShardedSemiNaiveEvaluator):
-                self._evaluator._invalidate_exchange_state()
+                relation.restore(state)
+            self._evaluator.exchange.invalidate()
             assert serving_meta is not None
             self.epoch = int(serving_meta.get("epoch", 0))
             self._versions = {
@@ -830,9 +802,9 @@ class ServingEngine:
     def _run_epoch(self, batch: list[_Mutation]) -> EpochResult:
         """Run one epoch, transactionally when enabled.
 
-        The serving rung of the fault ladder: the evaluators already retry
-        transient kernels per version, chunk around OOM, and (with their own
-        checkpoints) rebuild crashed shards; whatever still escapes —
+        The serving rung of the fault ladder: the evaluator already retries
+        transient kernels per version, chunks around OOM, and (with its own
+        checkpoints) rebuilds crashed shards; whatever still escapes —
         :class:`FixpointInterrupted` from an exhausted evaluator budget, or a
         raw device fault from the DRed machinery that runs outside the
         fixpoint — triggers whole-epoch rollback and replay here.  When the
@@ -915,34 +887,25 @@ class ServingEngine:
                 device.fault_plan = plan
 
     def _rollback_unprotected(self, error: BaseException) -> None:
-        if isinstance(self._evaluator, ShardedSemiNaiveEvaluator):
-            exchange: ExchangeError | None = None
-            seen: set[int] = set()
-            cursor: BaseException | None = error
-            while cursor is not None and id(cursor) not in seen:
-                seen.add(id(cursor))
-                if isinstance(cursor, ExchangeError):
-                    exchange = cursor
-                    break
-                cursor = (
-                    getattr(cursor, "cause", None)
-                    or cursor.__cause__
-                    or cursor.__context__
-                )
-            if exchange is not None:
-                self._evaluator._rebuild_crashed_shard(exchange)
+        seen: set[int] = set()
+        cursor: BaseException | None = error
+        while cursor is not None and id(cursor) not in seen:
+            seen.add(id(cursor))
+            if isinstance(cursor, ExchangeError):
+                self._evaluator._rebuild_crashed_shard(cursor)
                 self.devices = list(self._evaluator.devices)
                 self.device = self.devices[0]
+                break
+            cursor = (
+                getattr(cursor, "cause", None)
+                or cursor.__cause__
+                or cursor.__context__
+            )
         for relation_name, relation in self.relations.items():
             state = self._epoch_states.get(relation_name)
-            if state is None:
-                continue
-            if isinstance(relation, ShardedRelation):
+            if state is not None:
                 relation.restore(state)
-            else:
-                relation.restore(state.partitions[0])
-        if isinstance(self._evaluator, ShardedSemiNaiveEvaluator):
-            self._evaluator._invalidate_exchange_state()
+        self._evaluator.exchange.invalidate()
         self.snapshots.discard_newer(self._versions)
 
     def _capture(self, relation_name: str) -> RelationState:
@@ -956,11 +919,7 @@ class ServingEngine:
         (:meth:`_save_serving_checkpoint` charges the D2H then), mirroring
         the batch engine's checkpoint phase.
         """
-        relation = self.relations[relation_name]
-        state = relation.checkpoint_state(charge=False)
-        if isinstance(state, RelationState):
-            return state
-        return RelationState(name=relation_name, arity=relation.arity, partitions=[state])
+        return self.relations[relation_name].checkpoint_state(charge=False)
 
     def _charge_checkpoint_io(self) -> None:
         """Charge the D2H traffic of persisting :attr:`_epoch_states` durably.
@@ -1029,7 +988,7 @@ class ServingEngine:
     def _run_epoch_attempt(self, batch: list[_Mutation], *, attempt: int) -> EpochResult:
         with self._engine_lock:
             host_start = time.perf_counter()
-            sim_start = [device.elapsed_seconds for device in self._device_list()]
+            sim_start = [device.elapsed_seconds for device in self.devices]
 
             net_inserts, net_retracts = self._coalesce(batch)
 
@@ -1047,8 +1006,7 @@ class ServingEngine:
                 # The over-delete probes lazily built exchange state (semi-
                 # join filters, replicated inners) from the *pre-deletion*
                 # fulls; the re-derive must see post-deletion state only.
-                if isinstance(self._evaluator, ShardedSemiNaiveEvaluator):
-                    self._evaluator._invalidate_exchange_state()
+                self._evaluator.exchange.invalidate()
                 survivors = self._rederive(deleted)
                 rederived_counts = {
                     relation_name: len(rows) for relation_name, rows in survivors.items() if rows
@@ -1114,7 +1072,7 @@ class ServingEngine:
             else:
                 self._health = HEALTH_HEALTHY
 
-            sim_end = [device.elapsed_seconds for device in self._device_list()]
+            sim_end = [device.elapsed_seconds for device in self.devices]
             result = EpochResult(
                 epoch=self.epoch,
                 coalesced=len(batch),
@@ -1242,22 +1200,14 @@ class ServingEngine:
 
     def _collect_version_rows(self, version: RuleVersion) -> np.ndarray:
         """Execute one rule version and download its head rows (charged D2H)."""
-        arity = len(version.head)
-        label = f"{version.head_relation}.d2h_dred"
-        if isinstance(self._evaluator, ShardedSemiNaiveEvaluator):
-            parts = []
-            for shard, batch in enumerate(self._evaluator._execute_version(version)):
-                if len(batch):
-                    rows = batch.as_rows(label=f"{version.head_relation}.dred_materialize")
-                    parts.append(self._evaluator.devices[shard].kernels.to_host(rows, label=label))
-            if not parts:
-                return np.empty((0, arity), dtype=np.int64)
-            return np.concatenate(parts, axis=0)
-        result = self._evaluator._execute_version(version)
-        if len(result) == 0:
-            return np.empty((0, arity), dtype=np.int64)
-        rows = result.as_rows(label=f"{version.head_relation}.dred_materialize")
-        return self.device.kernels.to_host(rows, label=label)
+        parts = []
+        for device, batch in zip(self.devices, self._evaluator._execute_version(version)):
+            if len(batch):
+                rows = batch.as_rows(label=f"{version.head_relation}.dred_materialize")
+                parts.append(device.kernels.to_host(rows, label=f"{version.head_relation}.d2h_dred"))
+        if not parts:
+            return np.empty((0, len(version.head)), dtype=np.int64)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
 
     # ------------------------------------------------------------------
     # Snapshots / encoding helpers
@@ -1294,11 +1244,6 @@ class ServingEngine:
             )
             self.snapshots.publish({relation_name: snapshot})
             return snapshot
-
-    def _device_list(self) -> list[Device]:
-        if isinstance(self._evaluator, ShardedSemiNaiveEvaluator):
-            return list(self._evaluator.devices)
-        return [self.device]
 
     def _encode_rows(
         self, relation_name: str, rows: FactRows, *, register: bool = False

@@ -1,0 +1,149 @@
+"""The simulated clock, pinned to literals, for N in {1, 2, 4} shards.
+
+The cost model is deterministic: a fault-free run of a fixed program over
+fixed facts charges the same kernels on every machine.  Until PR 17 the
+single-device evaluator was the reference the sharded one was compared with;
+with one driver for every shard count there is no second implementation left
+to compare against, so the numbers themselves are the reference.
+
+Every value below was **recorded at the parent commit of PR 17** (two
+drivers) and must not move under a refactor.  A PR that *means* to move the
+simulated clock — a cost-model fix, a new kernel, a different plan — re-pins
+the affected rows (``PYTHONPATH=src python -m tests.ci.test_simulated_pins``
+prints the current table) and says why in ``CHANGES.md``.
+"""
+
+import numpy as np
+import pytest
+
+from repro import GPULogEngine
+from repro.experiments.planner_bench import TRIANGLE_PROGRAM, hub_graph
+from repro.queries import CSPA_SOURCE, REACH_SOURCE, SG_SOURCE
+from tests.helpers import paper_edges, random_dag_edges
+
+SHARD_COUNTS = (1, 2, 4)
+
+
+def cspa_facts():
+    rng = np.random.default_rng(42)
+    return {
+        "assign": rng.integers(0, 24, size=(60, 2), dtype=np.int64),
+        "dereference": rng.integers(0, 24, size=(40, 2), dtype=np.int64),
+    }
+
+
+#: name -> (program, facts, planner)
+WORKLOADS = {
+    "tc": (REACH_SOURCE, lambda: {"edge": paper_edges()}, "greedy"),
+    "sg": (SG_SOURCE, lambda: {"edge": random_dag_edges()}, "greedy"),
+    "cspa": (CSPA_SOURCE, cspa_facts, "greedy"),
+    "triangle": (TRIANGLE_PROGRAM, lambda: {"edge": hub_graph(600)}, "cost+wcoj"),
+}
+
+
+def measure(workload: str, num_shards: int) -> dict:
+    source, make_facts, planner = WORKLOADS[workload]
+    engine = GPULogEngine(
+        device="h100", oom_enabled=False, fault_plan="none", planner=planner, num_shards=num_shards
+    )
+    try:
+        for name, rows in make_facts().items():
+            engine.add_fact_array(name, rows)
+        result = engine.run(source)
+        launches = sum(
+            summary.launches
+            for device in engine.devices
+            for summary in device.profiler.phase_summaries().values()
+        )
+    finally:
+        engine.close()
+    return {
+        "elapsed_seconds": result.elapsed_seconds,
+        "kernel_launches": launches,
+        "total_iterations": result.total_iterations,
+        "relation_counts": dict(sorted(result.relation_counts.items())),
+        "exchange_bytes": result.exchange_bytes,
+    }
+
+
+#: recorded at the parent commit of PR 17 (see the module docstring)
+PINS = {
+    ("cspa", 1): {
+        "elapsed_seconds": 0.004957887375723638, "kernel_launches": 378, "total_iterations": 5,
+        "relation_counts": {"assign": 57, "dereference": 40, "memalias": 400, "valuealias": 529, "valueflow": 507},
+        "exchange_bytes": 0.0,
+    },
+    ("cspa", 2): {
+        "elapsed_seconds": 0.0059149947495662205, "kernel_launches": 1860, "total_iterations": 5,
+        "relation_counts": {"assign": 57, "dereference": 40, "memalias": 400, "valuealias": 529, "valueflow": 507},
+        "exchange_bytes": 2788472.0,
+    },
+    ("cspa", 4): {
+        "elapsed_seconds": 0.005953598659584414, "kernel_launches": 3875, "total_iterations": 5,
+        "relation_counts": {"assign": 57, "dereference": 40, "memalias": 400, "valuealias": 529, "valueflow": 507},
+        "exchange_bytes": 4076808.0,
+    },
+    ("sg", 1): {
+        "elapsed_seconds": 0.0009408484240191676, "kernel_launches": 68, "total_iterations": 3,
+        "relation_counts": {"edge": 85, "sg": 502},
+        "exchange_bytes": 0.0,
+    },
+    ("sg", 2): {
+        "elapsed_seconds": 0.0011905115196197088, "kernel_launches": 217, "total_iterations": 3,
+        "relation_counts": {"edge": 85, "sg": 502},
+        "exchange_bytes": 6992.0,
+    },
+    ("sg", 4): {
+        "elapsed_seconds": 0.0012002802914447973, "kernel_launches": 423, "total_iterations": 3,
+        "relation_counts": {"edge": 85, "sg": 502},
+        "exchange_bytes": 13104.0,
+    },
+    ("tc", 1): {
+        "elapsed_seconds": 0.0008850300567669703, "kernel_launches": 57, "total_iterations": 3,
+        "relation_counts": {"edge": 10, "reach": 21},
+        "exchange_bytes": 0.0,
+    },
+    ("tc", 2): {
+        "elapsed_seconds": 0.0011250181152906754, "kernel_launches": 158, "total_iterations": 3,
+        "relation_counts": {"edge": 10, "reach": 21},
+        "exchange_bytes": 464.0,
+    },
+    ("tc", 4): {
+        "elapsed_seconds": 0.0011050140653149668, "kernel_launches": 294, "total_iterations": 3,
+        "relation_counts": {"edge": 10, "reach": 21},
+        "exchange_bytes": 816.0,
+    },
+    ("triangle", 1): {
+        "elapsed_seconds": 0.0006719242597977146, "kernel_launches": 37, "total_iterations": 0,
+        "relation_counts": {"edge": 2396, "triangle": 3603},
+        "exchange_bytes": 0.0,
+    },
+    ("triangle", 2): {
+        "elapsed_seconds": 0.001064431622758005, "kernel_launches": 122, "total_iterations": 0,
+        "relation_counts": {"edge": 2396, "triangle": 3603},
+        "exchange_bytes": 38336.0,
+    },
+    ("triangle", 4): {
+        "elapsed_seconds": 0.001055720101278224, "kernel_launches": 252, "total_iterations": 0,
+        "relation_counts": {"edge": 2396, "triangle": 3603},
+        "exchange_bytes": 115008.0,
+    },
+}
+
+
+@pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_simulated_clock_and_counters_are_pinned(workload, num_shards):
+    measured = measure(workload, num_shards)
+    pinned = PINS[workload, num_shards]
+    assert measured["elapsed_seconds"] == pytest.approx(pinned["elapsed_seconds"], rel=1e-12)
+    for key in ("kernel_launches", "total_iterations", "relation_counts", "exchange_bytes"):
+        assert measured[key] == pinned[key], key
+
+
+if __name__ == "__main__":  # prints the table to paste into PINS
+    print("PINS = {")
+    for name in sorted(WORKLOADS):
+        for shards in SHARD_COUNTS:
+            print(f"    ({name!r}, {shards}): {measure(name, shards)!r},")
+    print("}")

@@ -12,6 +12,7 @@ import pytest
 
 from repro.device import Device
 
+from tests import helpers
 from tests.helpers import same_generation, transitive_closure  # noqa: F401
 
 
@@ -28,16 +29,9 @@ def cpu_device() -> Device:
 
 @pytest.fixture
 def paper_edges() -> np.ndarray:
-    """The 9-node example graph of Figures 1 and 2 of the paper."""
-    return np.array(
-        [(0, 1), (0, 2), (1, 3), (1, 4), (2, 4), (2, 5), (3, 6), (4, 7), (4, 8), (5, 8)],
-        dtype=np.int64,
-    )
+    return helpers.paper_edges()
 
 
 @pytest.fixture
 def random_dag_edges() -> np.ndarray:
-    rng = np.random.default_rng(1234)
-    upper = np.triu(rng.random((40, 40)) < 0.12, k=1)
-    src, dst = np.nonzero(upper)
-    return np.column_stack([src, dst]).astype(np.int64)
+    return helpers.random_dag_edges()

@@ -64,7 +64,9 @@ def test_engine_handles_empty_edb(source, fact, output):
 
 
 def test_sg_fused_plan_same_answer(paper_edges):
-    engine = GPULogEngine(device="h100", materialize_nway=False)
+    # The fused kernel cannot cross an exchange barrier: the ablation is one
+    # shard by construction, whatever REPRO_SHARDS says.
+    engine = GPULogEngine(device="h100", materialize_nway=False, num_shards=1)
     engine.add_fact_array("edge", paper_edges)
     result = engine.run(SG_SOURCE)
     assert result.relation_set("sg") == same_generation(paper_edges)

@@ -113,7 +113,7 @@ def test_download_is_eager_and_charged_and_collect_relations_false_skips_it():
         engine.add_facts("edge", [(1, 2), (2, 3)])
         result = engine.run(REACH_SOURCE)
         engine.close()
-        return result, engine.device.profiler.transfer_bytes
+        return result, sum(device.profiler.transfer_bytes for device in engine.devices)
 
     collected, with_download = run(True)  # nothing is read from it: the charge is run()'s
     bare, without_download = run(False)

@@ -193,9 +193,9 @@ def test_explain_dumps_orders_and_cardinalities():
 
 @pytest.mark.parametrize("num_shards", [1, 2])
 def test_explain_reports_the_algorithm_that_executed(num_shards):
-    """The generic join is single-device: a sharded run executes a WCOJ
-    version as binary exchange steps and records no observations, and the
-    report must say so instead of ``algorithm=wcoj observed_rows=0``."""
+    """The generic join is single-device: with more than one shard a WCOJ
+    version executes as binary exchange steps, and the report must say so —
+    with the same observations (summed over shards) either way."""
     engine = GPULogEngine(
         device="h100", oom_enabled=False, planner="cost+wcoj", num_shards=num_shards
     )
@@ -206,15 +206,14 @@ def test_explain_reports_the_algorithm_that_executed(num_shards):
     (entry,) = [e for e in result.plan_report if e["head"] == "triangle"]
     assert result.count("triangle") > 0
     assert entry["planned_algorithm"] == "wcoj"
+    assert entry["observed_rows"] == result.count("triangle") and entry["executions"] == 1
+    assert f"observed_rows={result.count('triangle')} executions=1" in dump and "n/a" not in dump
     if num_shards == 1:
         assert entry["algorithm"] == "wcoj"
-        assert entry["observed_rows"] == result.count("triangle")
-        assert "planned=" not in dump and "n/a" not in dump
+        assert "planned=" not in dump
     else:
         assert entry["algorithm"] == "binary"
-        assert entry["observed_rows"] is None and entry["executions"] is None
         assert "algorithm=binary planned=wcoj (generic join is single-device)" in dump
-        assert "observed_rows=n/a executions=n/a" in dump
 
 
 # ----------------------------------------------------------------------

@@ -134,6 +134,15 @@ def test_sharded_run_reports_exchange_volume(paper_edges):
     assert result.elapsed_seconds == pytest.approx(max(result.shard_elapsed_seconds))
 
 
+@pytest.mark.parametrize("num_shards", [1, 2, 4])
+def test_every_charge_of_a_fault_free_run_lands_in_a_named_phase(random_dag_edges, num_shards):
+    # SG's first rule is non-recursive: stratum init materializes its output,
+    # which is join output on every shard count — not unattributed "other".
+    result, _ = run_engine(SG_SOURCE, {"edge": random_dag_edges}, ["sg"], num_shards)
+    assert result.phase_seconds.get("other", 0.0) == 0.0
+    assert result.phase_seconds["join"] > 0.0
+
+
 def test_single_device_run_reports_no_exchange(paper_edges):
     result, _ = run_engine(REACH_SOURCE, {"edge": paper_edges}, ["reach"], 1)
     assert result.shard_count == 1
@@ -181,7 +190,7 @@ def test_invalid_num_shards_rejected():
 
 
 def test_fused_nway_ablation_rejected_under_sharding():
-    # The sharded evaluator cannot run a fused n-way join across exchange
+    # The driver cannot run a fused n-way join across exchange
     # barriers; silently reporting materialized-pipeline numbers would
     # corrupt the Section 5.2 ablation, so construction must fail loudly.
     from repro.errors import SchemaError

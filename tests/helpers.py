@@ -13,6 +13,21 @@ import networkx as nx
 import numpy as np
 
 
+def paper_edges() -> np.ndarray:
+    """The 9-node example graph of Figures 1 and 2 of the paper."""
+    return np.array(
+        [(0, 1), (0, 2), (1, 3), (1, 4), (2, 4), (2, 5), (3, 6), (4, 7), (4, 8), (5, 8)],
+        dtype=np.int64,
+    )
+
+
+def random_dag_edges() -> np.ndarray:
+    rng = np.random.default_rng(1234)
+    upper = np.triu(rng.random((40, 40)) < 0.12, k=1)
+    src, dst = np.nonzero(upper)
+    return np.column_stack([src, dst]).astype(np.int64)
+
+
 def transitive_closure(edges: np.ndarray) -> set[tuple[int, int]]:
     """Reference transitive closure (paths of length >= 1, cycles included)."""
     graph = nx.DiGraph([tuple(map(int, edge)) for edge in edges])

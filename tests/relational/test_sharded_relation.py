@@ -162,6 +162,43 @@ def test_sharded_relation_end_iteration_aggregates_counts():
     assert len(sharded.history) == 1
 
 
+def test_history_survives_a_shard_rebuild_and_restore_truncates_it():
+    devices = make_devices(2)
+    sharded = ShardedRelation(devices, "r", 2, shard_column=0)
+    sharded.initialize(np.array([[0, 1], [1, 2]], dtype=np.int64))
+    for step in range(3):
+        sharded.add_new(np.array([[10 + step, step], [20 + step, step]], dtype=np.int64))
+        sharded.end_iteration()
+        if step == 1:
+            state = sharded.checkpoint_state(charge=False)
+    assert sharded.history is sharded.history  # a plain list, not rebuilt per read
+    assert [(s.iteration, s.delta_count, s.full_count) for s in sharded.history] == [
+        (1, 2, 4), (2, 2, 6), (3, 2, 8)
+    ]
+    # A rebuilt shard starts with no history of its own; the relation's
+    # history must not be re-derived from (and truncated to) it.
+    sharded.rebuild_shard(1, Device("h100", oom_enabled=False))
+    sharded.restore(state)
+    assert [(s.iteration, s.delta_count, s.full_count) for s in sharded.history] == [(1, 2, 4), (2, 2, 6)]
+    sharded.add_new(np.array([[12, 2], [22, 2]], dtype=np.int64))
+    assert sharded.end_iteration().iteration == 3
+    assert [(s.iteration, s.full_count) for s in sharded.history] == [(1, 4), (2, 6), (3, 8)]
+
+
+def test_full_rows_host_hands_over_a_lone_partition_without_copying(monkeypatch):
+    sharded = ShardedRelation(make_devices(1), "r", 2)
+    sharded.initialize(np.array([[0, 1], [1, 2]], dtype=np.int64))
+    downloaded = []
+    original = Relation.full_rows_host
+
+    def spy(self, **kwargs):
+        downloaded.append(original(self, **kwargs))
+        return downloaded[-1]
+
+    monkeypatch.setattr(Relation, "full_rows_host", spy)
+    assert sharded.full_rows_host(charge=False) is downloaded[0]
+
+
 def test_sharded_relation_free_releases_all_devices():
     devices = make_devices(3)
     sharded = ShardedRelation(devices, "r", 2, shard_column=0)

@@ -115,6 +115,25 @@ def test_faulted_run_matches_fault_free(request, monkeypatch, query, num_shards,
         assert relations[name], f"relation {name!r} unexpectedly empty"
 
 
+def test_shard_rebuild_leaves_the_iteration_history_of_a_fault_free_run(random_dag_edges):
+    # A rebuilt shard restarts with an empty history of its own; the
+    # relation's history (Table 1's Tail, the serving engine's ``changed``)
+    # must still read as if nothing had happened.
+    def history(fault_plan):
+        result, _ = run_engine(
+            REACH_SOURCE, {"edge": random_dag_edges}, ["reach"], 2,
+            fault_plan=fault_plan, checkpoint_every=2,
+        )
+        steps = [(s.iteration, s.new_count, s.delta_count, s.full_count) for s in result.iteration_history["reach"]]
+        return result, steps
+
+    clean, expected = history("none")
+    faulted, steps = history("exchange:*:at=9")
+    assert faulted.shard_rebuilds == 1
+    assert steps == expected and len(steps) == clean.total_iterations
+    assert faulted.tail_iterations("reach") == clean.tail_iterations("reach")
+
+
 @pytest.mark.parametrize("seed", [7, 2025])
 @pytest.mark.parametrize("num_shards", [1, 2])
 def test_seeded_fault_plans_preserve_results(request, seed, num_shards):
@@ -243,12 +262,13 @@ def test_resume_rejects_mismatched_shard_count(request):
 # ----------------------------------------------------------------------
 def test_injected_join_oom_degrades_to_chunks(request):
     source, facts, outputs = query_facts("tc", request)
-    _, expected = run_engine(source, facts, outputs, 1)
-    plan = FaultPlan.parse("alloc:reach.new:at=2")
-    result, relations = run_engine(source, facts, outputs, 1, fault_plan=plan)
-    assert plan.fault_count >= 1
-    assert result.oom_chunked_joins >= 1
-    assert relations["reach"] == expected["reach"]
+    for num_shards in (1, 2):  # one recovery ladder for every shard count
+        _, expected = run_engine(source, facts, outputs, num_shards)
+        plan = FaultPlan.parse("alloc:reach.new:at=2")
+        result, relations = run_engine(source, facts, outputs, num_shards, fault_plan=plan)
+        assert plan.fault_count >= 1
+        assert result.oom_chunked_joins >= 1
+        assert relations["reach"] == expected["reach"]
 
 
 @pytest.mark.parametrize("num_shards,occurrence", [(1, 16), (2, 34)])
