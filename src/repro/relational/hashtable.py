@@ -1,6 +1,6 @@
-"""Open-addressing hash table over join-key hashes (HISA tier 3).
+"""Open-addressing hash tables over join-key hashes (HISA tier 3).
 
-The table maps the 64-bit hash of a join key to the position, within the
+A table maps the 64-bit hash of a join key to the position, within the
 sorted index array, of the *first* tuple carrying that key (Algorithm 2).  We
 additionally keep the run length next to each entry: the paper discovers the
 run length by scanning the sorted index array until the join columns change,
@@ -15,24 +15,21 @@ slot per round (the "CAS winner"), everyone else retries in the next round.
 The number of rounds therefore equals the longest probe sequence, exactly as
 it would on the GPU.
 
-Incremental maintenance (Section 5.1, semi-naïve merge).  A persistent
-``full`` index gains only the *delta*'s new join keys every fixpoint
-iteration, so rebuilding the whole table each merge is O(|full|) wasted work.
-The table therefore supports
+A slab of tables, stacked (Section 5.1, semi-naïve merge).  The owning HISA
+keeps its index as a stack of sorted runs and needs one table per run: built
+once when the run is written, probed until a merge absorbs the run, never
+updated in between — a run's positions are absolute and nothing older moves.
+One :class:`OpenAddressingHashTable` is therefore a *slab* of slots holding a
+stack of tables end to end, each a power-of-two slot range:
 
-* :meth:`insert_batch` — insert a batch of previously-absent keys with the
-  same CAS-race emulation, growing the backing arrays *geometrically* (the
-  capacity at least doubles on overflow) so the amortised per-key rehash cost
-  is O(1) over a fixpoint;
-* :meth:`find_slots` — resolve keys to their physical slot index (used by the
-  owning HISA to remember where each run's entry lives after a growth rehash);
-* :meth:`update_slots` — bulk-refresh the (value, run length) payload of
-  existing entries in place.  Merging a delta shifts every run's start
-  position, so the owning HISA scatters the new positions into the already
-  known slots — a streaming pass, not a rebuild.
+* :meth:`insert_batch` pushes a table holding exactly the given keys on top of
+  the stack (the same CAS-race emulation), reusing the slots a popped table
+  left behind; the slab grows geometrically (to twice what the stack needs)
+  when the stack outgrows it, and only then is an allocation charged;
+* :meth:`truncate` pops the newest tables (their runs were merged away);
+* :meth:`probe` looks a batch of hashes up in one table of the stack.
 
-Existing keys keep their slot until a growth rehash, which is what makes the
-slot-handle scheme sound.  All arrays are owned by the device's
+All arrays are owned by the device's
 :class:`~repro.backend.base.ArrayBackend`.
 """
 
@@ -52,7 +49,7 @@ DEFAULT_LOAD_FACTOR = 0.8
 
 @dataclass(frozen=True)
 class HashTableStats:
-    """Construction statistics (used by the load-factor ablation)."""
+    """Construction statistics of the newest table (used by the load-factor ablation)."""
 
     capacity: int
     n_keys: int
@@ -68,8 +65,15 @@ class HashTableStats:
         return self.total_probes / self.n_keys if self.n_keys else 0.0
 
 
+def grown(backend, array: Array, live: int, capacity: int) -> Array:
+    """A ``capacity``-element copy of a capacity-backed array's first ``live`` elements."""
+    larger = backend.empty(capacity, dtype=array.dtype)
+    larger[:live] = array[:live]
+    return larger
+
+
 class OpenAddressingHashTable:
-    """GPU-style open-addressing table keyed by uint64 join-key hashes."""
+    """A slab holding a stack of GPU-style open-addressing tables keyed by uint64 hashes."""
 
     def __init__(
         self,
@@ -85,94 +89,19 @@ class OpenAddressingHashTable:
         if not 0 < load_factor <= 1.0:
             raise ValueError("load_factor must be in (0, 1]")
         backend = device.backend
-        key_hashes = backend.asarray(key_hashes, dtype=backend.uint64)
-        values = backend.asarray(values, dtype=backend.int64)
-        if key_hashes.shape != values.shape:
-            raise ValueError("key_hashes and values must have the same length")
-        if run_lengths is None:
-            run_lengths = backend.ones(values.shape, dtype=backend.int64)
-        run_lengths = backend.asarray(run_lengths, dtype=backend.int64)
-
         self.device = device
         self.backend = backend
         self.load_factor = float(load_factor)
         self.label = label
-        self.n_keys = int(key_hashes.size)
-        self.capacity = next_power_of_two(int(math.ceil(max(1, self.n_keys) / self.load_factor)))
-        self._mask = self._hash_scalar(self.capacity - 1)
-
-        self._keys = backend.full(self.capacity, EMPTY_KEY, dtype=backend.uint64)
-        self._values = backend.full(self.capacity, -1, dtype=backend.int64)
-        self._lengths = backend.zeros(self.capacity, dtype=backend.int64)
-
-        rounds, probes, slots = self._build(key_hashes, values, run_lengths)
-        #: physical slot claimed by each constructor key, in input order
-        #: (valid until the first growth rehash) — saves callers a probe pass.
-        self.built_slots = slots
-        self.stats = HashTableStats(
-            capacity=self.capacity,
-            n_keys=self.n_keys,
-            build_rounds=rounds,
-            total_probes=probes,
-        )
-        if charge:
-            self.device.charge(
-                KernelCost(
-                    kernel=f"{label}.build",
-                    random_bytes=float(probes) * _SLOT_BYTES,
-                    sequential_bytes=float(self.n_keys) * 24.0,
-                    ops=float(probes) * 4.0,
-                    alloc_bytes=float(self.nbytes),
-                    allocations=1,
-                )
-            )
-
-    def _hash_scalar(self, value: int):
-        """A uint64 scalar in the backend's hash dtype (for masking/offsets)."""
-        return self.backend.asarray(value, dtype=self.backend.uint64)[()]
+        self._keys = backend.empty(0, dtype=backend.uint64)
+        self._values = backend.empty(0, dtype=backend.int64)
+        self._lengths = backend.empty(0, dtype=backend.int64)
+        #: ``(first slot, slot count, key count)`` of every table, oldest first
+        self._tables: list[tuple[int, int, int]] = []
+        self.insert_batch(key_hashes, values, run_lengths, charge=charge, label=f"{label}.build")
 
     # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def _build(
-        self, key_hashes: Array, values: Array, lengths: Array
-    ) -> tuple[int, int, Array]:
-        """CAS-race insertion rounds; returns (rounds, probes, winning slots)."""
-        backend = self.backend
-        pending = backend.arange(key_hashes.size, dtype=backend.int64)
-        slot_of = backend.full(key_hashes.size, -1, dtype=backend.int64)
-        offset = 0
-        rounds = 0
-        probes = 0
-        while pending.size:
-            rounds += 1
-            probes += int(pending.size)
-            slots = ((key_hashes[pending] + self._hash_scalar(offset)) & self._mask).astype(backend.int64)
-            empty = self._keys[slots] == EMPTY_KEY
-            candidates = pending[empty]
-            candidate_slots = slots[empty]
-            if candidates.size:
-                # Emulate the CAS race: every candidate writes its key to its
-                # slot; with duplicate targets the scatter keeps one write per
-                # slot (exactly one CAS wins).  Reading the slot back tells
-                # each candidate whether it was the winner.
-                backend.scatter(self._keys, candidate_slots, key_hashes[candidates])
-                won = self._keys[candidate_slots] == key_hashes[candidates]
-                winners = candidates[won]
-                winner_slots = candidate_slots[won]
-                backend.scatter(self._values, winner_slots, values[winners])
-                backend.scatter(self._lengths, winner_slots, lengths[winners])
-                backend.scatter(slot_of, winners, winner_slots)
-                inserted = backend.zeros(key_hashes.size, dtype=backend.bool_)
-                backend.scatter(inserted, winners, True)
-                pending = pending[~inserted[pending]]
-            offset += 1
-            if offset > self.capacity:
-                raise RuntimeError("hash table build did not converge; table is over-full")
-        return rounds, probes, slot_of
-
-    # ------------------------------------------------------------------
-    # Incremental maintenance
+    # The stack of tables
     # ------------------------------------------------------------------
     def insert_batch(
         self,
@@ -183,14 +112,15 @@ class OpenAddressingHashTable:
         charge: bool = True,
         label: str | None = None,
     ) -> tuple[Array, bool]:
-        """Insert previously-absent keys; returns ``(slots, grew)``.
+        """Push a table holding exactly these (distinct) keys; returns ``(slots, grew)``.
 
-        ``slots[i]`` is the physical slot claimed by ``key_hashes[i]``; the
-        slot stays valid until the next growth rehash (signalled by ``grew``).
-        Growth is geometric — the capacity at least doubles — so a fixpoint
-        inserting many small deltas pays amortised O(1) rehash work per key.
-        Only the *new* keys' probe work (plus the occasional rehash) is
-        charged, which is the whole point of the incremental merge path.
+        ``slots[i]`` is the slab slot claimed by ``key_hashes[i]``.  The table
+        takes the power-of-two slot range after the current top of the stack;
+        ``grew`` says the slab had to be reallocated for it (geometrically, so
+        a fixpoint pushing many small tables pays amortised O(1) allocations).
+        Charged: the keys' probe work, the streamed clear of a reused slot
+        range, and — only when the slab grew — the allocation and the copy of
+        the tables below.
         """
         backend = self.backend
         key_hashes = backend.asarray(key_hashes, dtype=backend.uint64)
@@ -202,90 +132,78 @@ class OpenAddressingHashTable:
         run_lengths = backend.asarray(run_lengths, dtype=backend.int64)
         m = int(key_hashes.size)
 
-        grew = False
-        rebuild_probes = 0
-        if self.n_keys + m > self.load_factor * self.capacity:
-            # Fixpoint deltas tend to grow geometrically, so a 2x growth
-            # stride pays allocation latency on almost every merge; a 4x
-            # stride amortizes it to every other merge for at most one
-            # doubling of slack.
-            target = self.capacity * 4
-            while self.n_keys + m > self.load_factor * target:
-                target *= 2
-            rebuild_probes = self._grow(next_power_of_two(target))
-            grew = True
-
-        if m:
-            rounds, probes, slots = self._build(key_hashes, values, run_lengths)
-        else:
-            rounds, probes, slots = 0, 0, backend.empty(0, dtype=backend.int64)
-        self.n_keys += m
-        self.stats = HashTableStats(
-            capacity=self.capacity,
-            n_keys=self.n_keys,
-            build_rounds=self.stats.build_rounds + rounds,
-            total_probes=self.stats.total_probes + probes + rebuild_probes,
-        )
+        first = sum(slots for _, slots, _ in self._tables)
+        slots = next_power_of_two(int(math.ceil(max(1, m) / self.load_factor)))
+        grew = first + slots > self.capacity
+        if grew:
+            # A table built once (an index nothing is merged into) reserves
+            # exactly its slots.  A slab that has to grow reserves twice what
+            # the stack needs now: the runs a merge stacks on a base run are
+            # each less than half the one below, so their tables fit in as
+            # many slots again, and an allocation is not paid per merge.
+            capacity = (2 if self.capacity else 1) * (first + slots)
+            self._keys, self._values, self._lengths = (
+                grown(backend, array, first, capacity) for array in (self._keys, self._values, self._lengths)
+            )
+        self._keys[first : first + slots] = EMPTY_KEY
+        self._tables.append((first, slots, m))
+        rounds, probes, claimed = self._build(first, slots, key_hashes, values, run_lengths)
+        self.stats = HashTableStats(capacity=slots, n_keys=m, build_rounds=rounds, total_probes=probes)
         if charge:
+            # A fresh slab is initialised by its allocation (first touch); a
+            # reused range is cleared by streaming its key slots.
+            streamed = 2.0 * first * (_SLOT_BYTES + 8) if grew else 8.0 * slots
             self.device.charge(
                 KernelCost(
                     kernel=label or f"{self.label}.insert_batch",
-                    random_bytes=float(probes + rebuild_probes) * _SLOT_BYTES,
-                    sequential_bytes=float(m) * 24.0,
-                    ops=float(probes + rebuild_probes) * 4.0,
+                    random_bytes=float(probes) * _SLOT_BYTES,
+                    sequential_bytes=float(m) * 24.0 + streamed,
+                    ops=float(probes) * 4.0,
                     alloc_bytes=float(self.nbytes) if grew else 0.0,
                     allocations=1 if grew else 0,
                 )
             )
-        return slots, grew
+        return claimed, grew
 
-    def _grow(self, new_capacity: int) -> int:
-        """Rehash every live entry into a larger table; returns probe count."""
+    def truncate(self, n_tables: int) -> None:
+        """Pop every table above the oldest ``n_tables``; their slots are reused by the next push."""
+        del self._tables[n_tables:]
+
+    def _build(
+        self, first: int, slots: int, key_hashes: Array, values: Array, lengths: Array
+    ) -> tuple[int, int, Array]:
+        """CAS-race insertion rounds into one slot range; returns (rounds, probes, winning slots)."""
         backend = self.backend
-        live = self._keys != EMPTY_KEY
-        old_keys = self._keys[live]
-        old_values = self._values[live]
-        old_lengths = self._lengths[live]
-
-        self.capacity = int(new_capacity)
-        self._mask = self._hash_scalar(self.capacity - 1)
-        self._keys = backend.full(self.capacity, EMPTY_KEY, dtype=backend.uint64)
-        self._values = backend.full(self.capacity, -1, dtype=backend.int64)
-        self._lengths = backend.zeros(self.capacity, dtype=backend.int64)
-        _rounds, probes, _slots = self._build(old_keys, old_values, old_lengths)
-        return probes
-
-    def find_slots(self, query_hashes: Array, *, charge: bool = False, label: str | None = None) -> Array:
-        """Resolve keys to their physical slot index (misses yield ``-1``)."""
-        backend = self.backend
-        query = backend.asarray(query_hashes, dtype=backend.uint64)
-        n = query.size
-        slots_out = backend.full(n, -1, dtype=backend.int64)
-        if n == 0 or self.n_keys == 0:
-            return slots_out
-        unresolved = backend.arange(n, dtype=backend.int64)
-        offset = 0
+        keys = self._keys[first : first + slots]
+        wrap = slots - 1
+        pending = backend.arange(key_hashes.size, dtype=backend.int64)
+        at = (key_hashes & self._hash_scalar(wrap)).astype(backend.int64)
+        claimed = backend.empty(key_hashes.size, dtype=backend.int64)
+        rounds = 0
         probes = 0
-        while unresolved.size:
-            probes += int(unresolved.size)
-            slots = ((query[unresolved] + self._hash_scalar(offset)) & self._mask).astype(backend.int64)
-            slot_keys = self._keys[slots]
-            hit = slot_keys == query[unresolved]
-            miss = slot_keys == EMPTY_KEY
-            backend.scatter(slots_out, unresolved[hit], slots[hit])
-            unresolved = unresolved[~(hit | miss)]
-            offset += 1
-            if offset > self.capacity:
-                break
-        if charge:
-            self.device.charge(
-                KernelCost(
-                    kernel=label or f"{self.label}.find_slots",
-                    random_bytes=float(probes) * _SLOT_BYTES,
-                    ops=float(probes) * 2.0,
-                )
-            )
-        return slots_out
+        while pending.size:
+            if rounds > slots:
+                raise RuntimeError("hash table build did not converge; table is over-full")
+            rounds += 1
+            probes += int(pending.size)
+            # Emulate the CAS race: every key facing an empty slot writes its
+            # hash there; with duplicate targets the scatter keeps one write
+            # per slot (exactly one CAS wins).  Reading the slot back tells
+            # each candidate whether it was the winner.
+            candidates = backend.nonzero_indices(keys[at] == EMPTY_KEY)
+            candidate_slots = at[candidates]
+            candidate_hashes = key_hashes[candidates]
+            backend.scatter(keys, candidate_slots, candidate_hashes)
+            won = candidates[keys[candidate_slots] == candidate_hashes]
+            winners, winner_slots = pending[won], at[won] + first
+            backend.scatter(self._values, winner_slots, values[winners])
+            backend.scatter(self._lengths, winner_slots, lengths[winners])
+            backend.scatter(claimed, winners, winner_slots)
+            retry = backend.ones(pending.size, dtype=backend.bool_)
+            backend.scatter(retry, won, False)
+            pending, key_hashes = pending[retry], key_hashes[retry]
+            at = (at[retry] + 1) & wrap
+        return rounds, probes, claimed
 
     def update_slots(
         self,
@@ -298,9 +216,10 @@ class OpenAddressingHashTable:
     ) -> None:
         """Overwrite the payload of existing entries (one streaming pass).
 
-        The keys in the given slots are untouched — this refreshes the run
-        start/length of entries whose sorted-index positions shifted during a
-        merge.  Charged as a bandwidth-bound scatter, not per-key probing.
+        Nothing in ``src/`` calls this any more — a run's table is immutable
+        between its build and its pop.  It stays because ``bench/trace.py``
+        resolves it by name and only a ``benchmark`` PR may edit ``bench/``;
+        it goes with that TARGETS row.
         """
         backend = self.backend
         slots = backend.asarray(slots, dtype=backend.int64)
@@ -318,43 +237,56 @@ class OpenAddressingHashTable:
     # ------------------------------------------------------------------
     # Probing
     # ------------------------------------------------------------------
-    def probe(self, query_hashes: Array, *, charge: bool = True, label: str | None = None) -> tuple[Array, Array]:
-        """Look up a batch of join-key hashes.
+    def probe(
+        self,
+        query_hashes: Array,
+        table: int = 0,
+        *,
+        charge: bool = True,
+        label: str | None = None,
+        out: tuple[Array, Array] | None = None,
+    ) -> tuple[Array, Array]:
+        """Look a batch of join-key hashes up in one table of the stack.
 
         Returns ``(positions, lengths)``: the sorted-index position of the
         first tuple of each matched run and the run length; misses yield
-        ``(-1, 0)``.
+        ``(-1, 0)``.  ``out`` supplies the two result arrays to fill.
         """
         backend = self.backend
         query = backend.asarray(query_hashes, dtype=backend.uint64)
-        n = query.size
-        positions = backend.full(n, -1, dtype=backend.int64)
-        lengths = backend.zeros(n, dtype=backend.int64)
-        if n == 0 or self.n_keys == 0:
+        n = int(query.size)
+        if out is None:
+            out = backend.empty(n, dtype=backend.int64), backend.empty(n, dtype=backend.int64)
+        positions, lengths = out
+        positions[...] = -1
+        lengths[...] = 0
+        first, slots, n_keys = self._tables[table]
+        if n == 0 or n_keys == 0:
             if charge and n:
                 self.device.charge(
                     KernelCost(kernel=label or f"{self.label}.probe", random_bytes=float(n) * _SLOT_BYTES, ops=float(n))
                 )
             return positions, lengths
 
+        keys = self._keys[first : first + slots]
+        wrap = slots - 1
         unresolved = backend.arange(n, dtype=backend.int64)
-        offset = 0
+        at = (query & self._hash_scalar(wrap)).astype(backend.int64)
         probes = 0
-        while unresolved.size:
+        for _ in range(slots):
             probes += int(unresolved.size)
-            slots = ((query[unresolved] + self._hash_scalar(offset)) & self._mask).astype(backend.int64)
-            slot_keys = self._keys[slots]
-            hit = slot_keys == query[unresolved]
-            miss = slot_keys == EMPTY_KEY
-            if hit.any():
-                hit_idx = unresolved[hit]
-                hit_slots = slots[hit]
-                backend.scatter(positions, hit_idx, self._values[hit_slots])
-                backend.scatter(lengths, hit_idx, self._lengths[hit_slots])
-            unresolved = unresolved[~(hit | miss)]
-            offset += 1
-            if offset > self.capacity:
+            slot_keys = keys[at]
+            hit = slot_keys == query
+            hit_rows = unresolved[hit]
+            if hit_rows.size:
+                hit_slots = at[hit] + first
+                backend.scatter(positions, hit_rows, self._values[hit_slots])
+                backend.scatter(lengths, hit_rows, self._lengths[hit_slots])
+            walk_on = ~(hit | (slot_keys == EMPTY_KEY))
+            unresolved = unresolved[walk_on]
+            if not unresolved.size:
                 break
+            query, at = query[walk_on], (at[walk_on] + 1) & wrap
         if charge:
             self.device.charge(
                 KernelCost(
@@ -365,12 +297,25 @@ class OpenAddressingHashTable:
             )
         return positions, lengths
 
+    def _hash_scalar(self, value: int):
+        """A uint64 scalar in the backend's hash dtype (for masking)."""
+        return self.backend.asarray(value, dtype=self.backend.uint64)[()]
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
+    def capacity(self) -> int:
+        """Slots in the slab (reserved, whether or not a table occupies them)."""
+        return int(self._keys.shape[0])
+
+    @property
+    def n_keys(self) -> int:
+        return sum(keys for _, _, keys in self._tables)
+
+    @property
     def nbytes(self) -> int:
-        """Device bytes occupied by the table (keys, values, run lengths)."""
+        """Device bytes reserved by the slab (keys, values, run lengths)."""
         return self.capacity * (_SLOT_BYTES + 8)
 
     def occupancy(self) -> float:

@@ -10,40 +10,52 @@ A HISA stores one relation (or one index of a relation) in three tiers:
    in place instead of copying the whole relation.
 2. **sorted index array** — the positions of the tuples, ordered
    lexicographically (join columns first).  Sorting groups equal join keys
-   into contiguous runs, enabling range queries [R1] and adjacent-compare
-   deduplication [R4].
+   into contiguous *key runs*, enabling range queries [R1] and
+   adjacent-compare deduplication [R4].
 3. **open-addressing hash table** — maps the 64-bit hash of a join key to the
    first sorted-index position of that key's run [R1, R3]
    (:class:`~repro.relational.hashtable.OpenAddressingHashTable`).
 
-Incremental maintenance across fixpoint iterations
---------------------------------------------------
+Incremental maintenance: the index tier is a stack of sorted runs
+-----------------------------------------------------------------
 
 The semi-naïve loop merges a (small) ``delta`` into the persistent ``full``
-index every iteration.  A scratch rebuild — re-sorting, re-packing sort keys,
-re-hashing and re-inserting every key — costs O(|full|) per iteration and
-O(n²) over a long fixpoint.  :meth:`HISA.merge` is therefore *incremental*:
+index every iteration.  Keeping tier 2 as *one* sorted array makes that
+O(|full|) per iteration however small the delta is: every element behind an
+insertion point moves, and every hash entry holding an absolute position has
+to be refreshed.  The paper amortises the growth of the data tier (eager
+buffers: grow geometrically, never rebuild); the index tier gets the same
+treatment here, the way differential arrangements (FlowLog, PAPERS.md) hold an
+index as a few geometrically sized sorted batches:
 
-* the packed lexicographic sort keys of the sorted tuples are **cached** on
-  the HISA (``_sorted_keys`` for all columns, ``_sorted_join_keys`` for the
-  join-column prefix) and path-merged with the delta's cached keys via one
-  O(|Δ| log |full|) binary-search batch plus streaming scatter passes —
-  nothing is re-derived from the data array;
+* the sorted index, the cached packed sort keys of the sorted tuples and (for
+  an index on fewer than all columns) the cached packed join keys live in
+  **capacity-backed arrays holding a stack of sorted runs end to end**,
+  oldest and largest first; the hash table is a slab holding one table per
+  run the same way;
+* :meth:`HISA.merge` **pushes** the delta — already sorted, its keys already
+  packed — as the newest run: O(|Δ|), nothing older moves, so the absolute
+  positions in the older runs' tables stay valid;
+* it then **absorbs** the suffix of runs that are no more than
+  :data:`ABSORB_RATIO` times the newer side: the suffix is decided first,
+  path-merged pairwise from the small end (binary-search the smaller side
+  into the larger), and the result gets one key-run scan and one table.
+  Every surviving run is therefore more than twice its newer neighbour: at
+  most ⌈log₂(|full|/|Δ|)⌉ + 1 runs, amortised O(|Δ| log(|full|/|Δ|)) work per
+  merge, and a delta comparable to ``full`` absorbs everything — one run,
+  exactly the dense merge;
+* readers see one logical index: :meth:`HISA.lookup_columns` hashes the probe
+  keys once and probes every run's table, :meth:`HISA.expand_matches` emits
+  the matches probe-major (what one GPU thread per probe key walking its runs
+  produces), and sorted-order readers go through :meth:`HISA.compact`;
 * the data array grows by an **in-place append** of the delta whenever the
   backing device buffer has headroom (the eager buffer manager's
   over-allocation), falling back to an amortised copy into a larger buffer
-  otherwise;
-* the hash table is maintained **persistently**: each distinct join key owns
-  a stable *ordinal*; the table entry of an existing key stays in its slot
-  and only its (run start, run length) payload is refreshed with a streaming
-  scatter, while the delta's genuinely new keys are inserted via
-  :meth:`~repro.relational.hashtable.OpenAddressingHashTable.insert_batch`
-  with geometric growth.
+  otherwise.
 
 ``merge(delta)`` mutates ``self`` (the full index) and returns it; ``delta``
-is consumed.  Passing ``incremental=False`` forces the legacy scratch
-rebuild, which exists as the cost baseline for the merge ablation and the
-equivalence tests (the incremental result is tuple-identical to it).
+is consumed.  A from-scratch ``HISA(device, all_rows, join_columns)`` is the
+oracle ``tests/relational/test_incremental.py`` holds every merge schedule to.
 
 All algorithms run for real on the device's
 :class:`~repro.backend.base.ArrayBackend` arrays (host NumPy by default, CuPy
@@ -58,19 +70,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..backend import INDEX_ITEMSIZE, TUPLE_DTYPE, TUPLE_ITEMSIZE, Array, ArrayBackend
+from ..backend import TUPLE_DTYPE, TUPLE_ITEMSIZE, Array, ArrayBackend
 from ..device.cost import KernelCost
 from ..device.device import Device
 from ..device.memory import Buffer
 from ..errors import HisaStateError, SchemaError
 from .buffers import MergeBufferManager, SimpleBufferManager
 from .columnbatch import ColumnBatch
-from .hashtable import DEFAULT_LOAD_FACTOR, OpenAddressingHashTable
+from .hashtable import DEFAULT_LOAD_FACTOR, OpenAddressingHashTable, grown
+
+#: A merge absorbs an older run while ``ABSORB_RATIO x (newer side) >= older``.
+#: Measured with ``bench/run.py --workload reach-road`` (295 merges of ~1,500
+#: rows into an index growing to 450k; median ``run_wall_s`` of 4-8 runs each,
+#: seeds 0-3, parent commit 3.5 s): 2 -> 1.5 s, 4 -> 1.6 s, 8 -> 1.9 s — within
+#: this machine's +-0.3 s run-to-run spread of each other — and **1 -> 11.9 s
+#: and 18.9 s**: shrinking or equal deltas then never merge and every lookup
+#: walks hundreds of runs (the cliff ``tests/ci/test_simulated_floors.py``
+#: pins).  2 rewrites the least on the flat part of the curve.
+ABSORB_RATIO = 2
 
 
 @dataclass(frozen=True)
 class HisaMemoryBreakdown:
-    """Bytes used by each HISA tier (for the memory columns of Tables 1-3)."""
+    """Bytes reserved by each HISA tier (for the memory columns of Tables 1-3)."""
 
     data_bytes: int
     index_bytes: int
@@ -79,6 +101,22 @@ class HisaMemoryBreakdown:
     @property
     def total_bytes(self) -> int:
         return self.data_bytes + self.index_bytes + self.table_bytes
+
+
+@dataclass(frozen=True)
+class MatchedRuns:
+    """Where a batch of probe keys matched: one key run per sorted run per key.
+
+    ``starts[r, i]`` / ``lengths[r, i]`` locate probe key ``i``'s matches in
+    sorted run ``r`` (``-1`` / ``0`` for a miss).  Opaque to callers, who pass
+    it back to :meth:`HISA.expand_matches`; indexing selects probe keys.
+    """
+
+    starts: Array
+    lengths: Array
+
+    def __getitem__(self, keys) -> "MatchedRuns":
+        return MatchedRuns(self.starts[:, keys], self.lengths[:, keys])
 
 
 class HISA:
@@ -92,7 +130,6 @@ class HISA:
         *,
         load_factor: float = DEFAULT_LOAD_FACTOR,
         label: str = "relation",
-        charge_build: bool = True,
         build_hash_index: bool = True,
         assume_sorted: bool = False,
     ) -> None:
@@ -103,7 +140,7 @@ class HISA:
         if isinstance(rows, ColumnBatch):
             n = len(rows)
             arity = rows.arity
-            natural_columns = rows.columns(charge=charge_build, label=f"{label}.ingest")
+            natural_columns = rows.columns(label=f"{label}.ingest")
         else:
             rows = backend.as_rows(rows)
             n = int(rows.shape[0])
@@ -116,21 +153,20 @@ class HISA:
         self.natural_arity = arity
         self._freed = False
         self.last_merge_in_place = False
-        self.last_merge_incremental = False
         # Optional statistics hook: called after every merge with the delta
-        # and post-merge tuple/distinct-key counts (already maintained by the
-        # run structure, so observation is free).  Wired by Relation when the
-        # engine runs with a StatsCatalog; see relational/stats.py.
+        # and post-merge tuple/distinct-key counts (maintained exactly, in
+        # O(Δ), by :meth:`merge`).  Wired by Relation when the engine runs
+        # with a StatsCatalog; see relational/stats.py.
         self.stats_observer = None
 
         join_columns = tuple(int(c) for c in join_columns)
-        if arity and any(c < 0 or c >= arity for c in join_columns):
+        if any(c < 0 or c >= arity for c in join_columns):
             raise SchemaError(
                 f"join columns {join_columns} out of range for arity {arity}"
             )
         if len(set(join_columns)) != len(join_columns):
             raise SchemaError(f"join columns must be distinct, got {join_columns}")
-        if not join_columns and arity:
+        if not join_columns:
             raise SchemaError("at least one join column is required")
         self.join_columns = join_columns
         self.n_join = len(join_columns)
@@ -147,7 +183,7 @@ class HISA:
         ]
         self._live = n
         self._rows_cache: Array | None = None
-        if charge_build and n:
+        if n:
             self.device.kernels.transform(
                 n,
                 bytes_per_item=2.0 * arity * TUPLE_ITEMSIZE,
@@ -163,29 +199,35 @@ class HISA:
         # this index's sort, so the per-iteration delta is sorted once and
         # shared instead of re-sorted per index (callers guarantee the
         # precondition; it is not re-checked tuple by tuple).
-        if assume_sorted and self.column_order == tuple(range(self.natural_arity)):
-            self.sorted_index = backend.arange(n, dtype=backend.int64)
-            if charge_build and n:
+        if assume_sorted and self.column_order == tuple(range(arity)):
+            sorted_index = backend.arange(n, dtype=backend.int64)
+            if n:
                 self.device.kernels.transform(
                     n,
-                    bytes_per_item=float(self.natural_arity) * TUPLE_ITEMSIZE,
-                    ops_per_item=self.natural_arity,
+                    bytes_per_item=float(arity) * TUPLE_ITEMSIZE,
+                    ops_per_item=arity,
                     label=f"{label}.adopt_sorted",
                 )
-        elif charge_build:
-            self.sorted_index = self.device.kernels.lexsort_columns(
+        else:
+            sorted_index = self.device.kernels.lexsort_columns(
                 self.stored_columns(), label=f"{label}.sort_index", n_rows=n
             )
-        else:
-            self.sorted_index = backend.lexsort(self.stored_columns(), n_rows=n)
 
-        # --- Cached packed sort keys + join-key runs ---------------------------
+        # --- Cached packed sort keys + key runs --------------------------------
+        # The index tier: the sorted index, the packed sort keys of the sorted
+        # tuples and, unless the join key is the whole tuple (then the tuple
+        # keys double as join keys: the last store is always the join keys),
+        # the packed join keys.  Each is a capacity-backed array holding the
+        # sorted runs ``[_bounds[r], _bounds[r + 1])`` end to end.
+        sorted_columns = [column[sorted_index] for column in self.stored_columns()]
+        self._stores: list[Array] = [sorted_index, backend.pack_lex_keys(sorted_columns)]
+        if self.n_join < arity:
+            self._stores.append(backend.pack_lex_keys(sorted_columns[: self.n_join]))
+        self._bounds = [0, n]
+        run_starts, run_lengths = self._key_runs = _runs_from_keys(backend, self._stores[-1])
+        self._distinct_keys = int(run_starts.size)
+        self._max_run_length = int(run_lengths.max()) if self._distinct_keys else 0
         if n:
-            sorted_columns = [column[self.sorted_index] for column in self.stored_columns()]
-        else:
-            sorted_columns = self.stored_columns()
-        key_rows = self._recompute_sorted_state(sorted_columns)
-        if charge_build and n and self.n_join:
             self.device.kernels.transform(
                 n,
                 bytes_per_item=2.0 * self.n_join * TUPLE_ITEMSIZE,
@@ -193,51 +235,27 @@ class HISA:
                 label=f"{label}.find_runs",
             )
 
-        # --- Tier 3: open-addressing hash table --------------------------------
+        # --- Tier 3: open-addressing hash tables, one per sorted run -----------
         self.table: OpenAddressingHashTable | None = None
-        self._hash_by_ordinal = backend.empty(0, dtype=backend.uint64)
-        self._slot_by_ordinal = backend.empty(0, dtype=backend.int64)
-        if build_hash_index and self.n_join:
-            if key_rows.size:
-                hashes = backend.hash_rows(key_rows)
-            else:
-                hashes = backend.empty(0, dtype=backend.uint64)
-            if charge_build and key_rows.size:
-                self.device.kernels.transform(
-                    key_rows.shape[0],
-                    bytes_per_item=self.n_join * TUPLE_ITEMSIZE,
-                    ops_per_item=4.0 * self.n_join,
-                    label=f"{label}.hash_keys",
-                )
+        if build_hash_index:
             self.table = OpenAddressingHashTable(
                 device,
-                hashes,
-                self.run_starts,
-                self.run_lengths,
+                self._hash_keys([column[run_starts] for column in sorted_columns[: self.n_join]]),
+                run_starts,
+                run_lengths,
                 load_factor=self.load_factor,
                 label=f"{label}.table",
-                charge=charge_build,
             )
-            self._hash_by_ordinal = hashes
-            self._slot_by_ordinal = self.table.built_slots
 
         # --- Device memory accounting ------------------------------------------
-        # The index tier covers both the sorted index array and the cached
-        # packed sort keys (which persist across merges in the incremental
-        # design and are as large as the data array).
+        # Every tier accounts the capacity it has reserved.  The index tier
+        # covers the sorted index array and the cached packed sort keys (which
+        # are as large as the data array).
         self._data_buffer: Buffer | None = device.allocate(
             self._storage_nbytes(), label=f"{label}.data", charge_cost=False
         )
-        self._index_buffer: Buffer | None = device.allocate(
-            max(0, self.sorted_index.nbytes + self._cached_keys_nbytes()),
-            label=f"{label}.index",
-            charge_cost=False,
-        )
-        self._table_buffer: Buffer | None = None
-        if self.table is not None:
-            self._table_buffer = device.allocate(
-                self.table.nbytes, label=f"{label}.table", charge_cost=False
-            )
+        self._buffers: dict[str, Buffer] = {}
+        self._account_index_tiers()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -255,33 +273,31 @@ class HISA:
 
     @property
     def distinct_key_count(self) -> int:
-        return int(self.run_starts.size)
+        return self._distinct_keys
+
+    @property
+    def max_run_length(self) -> int:
+        """Longest join-key run — the worst-case matches one probe key returns."""
+        return self._max_run_length
+
+    @property
+    def run_sizes(self) -> list[int]:
+        """Tuples in each sorted run of the index tier, oldest first."""
+        return [end - start for start, end in zip(self._bounds, self._bounds[1:])]
 
     @property
     def capacity_rows(self) -> int:
         """Rows the backing storage can hold without reallocating."""
-        if not self._column_storage:
-            return self._live
         return int(self._column_storage[0].shape[0])
 
     def _storage_nbytes(self) -> int:
         return sum(int(column.nbytes) for column in self._column_storage)
 
     def memory_breakdown(self) -> HisaMemoryBreakdown:
-        data_bytes = (
-            self._data_buffer.nbytes
-            if self._data_buffer is not None
-            else self._live * self.natural_arity * TUPLE_ITEMSIZE
-        )
-        index_bytes = (
-            self._index_buffer.nbytes
-            if self._index_buffer is not None
-            else int(self.sorted_index.nbytes) + self._cached_keys_nbytes()
-        )
         return HisaMemoryBreakdown(
-            data_bytes=int(data_bytes),
-            index_bytes=int(index_bytes),
-            table_bytes=int(self.table.nbytes) if self.table is not None else 0,
+            data_bytes=self._data_buffer.nbytes if self._data_buffer is not None else self._storage_nbytes(),
+            index_bytes=sum(int(store.nbytes) for store in self._stores),
+            table_bytes=self.table.nbytes if self.table is not None else 0,
         )
 
     @property
@@ -313,8 +329,8 @@ class HISA:
     def data(self) -> Array:
         """Materialized ``(n, arity)`` row view in stored column order.
 
-        Kept for interop (tests, the legacy rebuild merge); the cache is
-        invalidated whenever a merge mutates the column storage.
+        Kept for interop (tests); the cache is invalidated whenever a merge
+        mutates the column storage.
         """
         cache = self._rows_cache
         if cache is None:
@@ -332,28 +348,43 @@ class HISA:
             out[:, column] = self.natural_column(column)
         return out
 
-    def sorted_natural_rows(self) -> Array:
-        """All tuples in schema order, sorted by (join columns, rest)."""
-        self._check_live()
-        out = self.backend.empty((self._live, self.natural_arity), dtype=TUPLE_DTYPE)
-        for column in range(self.natural_arity):
-            out[:, column] = self.natural_column(column)[self.sorted_index]
-        return out
-
     def stored_rows(self) -> Array:
         """All tuples in index column order (join columns first), insertion order."""
         self._check_live()
         return self.data
 
+    # -- sorted-order readers: one logical sorted array, via compact() -------
+    @property
+    def sorted_index(self) -> Array:
+        """Data positions of all tuples in sorted order (compacts the runs first)."""
+        self.compact()
+        return self._stores[0][: self._live]
+
+    @property
+    def run_starts(self) -> Array:
+        """Sorted-index position of each distinct join key's first tuple (compacts first)."""
+        return self._compacted_key_runs()[0]
+
+    @property
+    def run_lengths(self) -> Array:
+        """Tuples per distinct join key, in key order (compacts first)."""
+        return self._compacted_key_runs()[1]
+
+    def _compacted_key_runs(self) -> tuple[Array, Array]:
+        self.compact()
+        if self._key_runs is None:
+            self._key_runs = _runs_from_keys(self.backend, self._stores[-1][: self._live])
+        return self._key_runs
+
+    def sorted_natural_rows(self) -> Array:
+        """All tuples in schema order, sorted by (join columns, rest)."""
+        return self.rows_at_sorted_positions(self.backend.arange(self._live, dtype=self.backend.int64))
+
     def rows_at_sorted_positions(self, positions: Array) -> Array:
         """Tuples (schema order) at the given positions of the sorted index array."""
-        self._check_live()
         backend = self.backend
-        positions = backend.asarray(positions, dtype=backend.int64)
-        if positions.size == 0:
-            return backend.empty((0, self.natural_arity), dtype=backend.int64)
-        data_positions = self.sorted_index[positions]
-        out = backend.empty((positions.size, self.natural_arity), dtype=TUPLE_DTYPE)
+        data_positions = self.sorted_index[backend.asarray(positions, dtype=backend.int64)]
+        out = backend.empty((data_positions.size, self.natural_arity), dtype=TUPLE_DTYPE)
         for column in range(self.natural_arity):
             out[:, column] = self.natural_column(column)[data_positions]
         return out
@@ -361,12 +392,12 @@ class HISA:
     # ------------------------------------------------------------------
     # Range queries (Algorithm 3 support)
     # ------------------------------------------------------------------
-    def lookup(self, keys: Array, *, charge: bool = True, verify: bool = True) -> tuple[Array, Array]:
+    def lookup(self, keys: Array, *, charge: bool = True, verify: bool = True) -> tuple[MatchedRuns, Array]:
         """Range-query a batch of join keys.
 
         ``keys`` has shape ``(m, n_join)`` and column ``j`` holds the value of
-        ``join_columns[j]``.  Returns ``(starts, lengths)`` in sorted-index
-        space; misses are ``(-1, 0)``.
+        ``join_columns[j]``.  Returns ``(runs, lengths)``: the matched key runs
+        (for :meth:`expand_matches`) and each key's total match count.
         """
         keys = self.backend.as_rows(keys)
         if keys.shape[0] and keys.shape[1] != self.n_join:
@@ -385,70 +416,97 @@ class HISA:
         charge: bool = True,
         verify: bool = True,
         n_keys: int | None = None,
-    ) -> tuple[Array, Array]:
+    ) -> tuple[MatchedRuns, Array]:
         """Columnar :meth:`lookup`: ``key_columns[j]`` holds ``join_columns[j]``.
 
-        The SoA fast path — keys are hashed by folding the columns directly
-        and verified against single stored columns, so no row tuples are ever
-        assembled.
+        The SoA fast path — keys are hashed once by folding the columns
+        directly, probed in every sorted run's table and verified against
+        single stored columns, so no row tuples are ever assembled.
         """
         self._check_live()
         backend = self.backend
         m = int(key_columns[0].shape[0]) if key_columns else int(n_keys or 0)
-        if m == 0:
-            return backend.empty(0, dtype=backend.int64), backend.empty(0, dtype=backend.int64)
-        if len(key_columns) != self.n_join:
+        if m and len(key_columns) != self.n_join:
             raise SchemaError(f"expected keys of width {self.n_join}, got {len(key_columns)}")
-        if self.table is None:
-            raise HisaStateError("this HISA was built without a hash index")
-        if charge:
+        n_runs = len(self._bounds) - 1
+        starts = backend.empty((n_runs, m), dtype=backend.int64)
+        lengths = backend.empty((n_runs, m), dtype=backend.int64)
+        if m:
+            hashes = self._hash_keys(key_columns, charge=charge)
+            for run in range(n_runs):
+                self._probe_run(
+                    run, hashes, key_columns, charge=charge, verify=verify, out=(starts[run], lengths[run])
+                )
+        return MatchedRuns(starts, lengths), lengths.sum(axis=0)
+
+    def _hash_keys(self, key_columns: Sequence[Array], *, charge: bool = True) -> Array:
+        """Fold join-key columns into the 64-bit hashes the tables are keyed by."""
+        n_keys = int(key_columns[0].shape[0])
+        if charge and n_keys:
             self.device.kernels.transform(
-                m,
+                n_keys,
                 bytes_per_item=self.n_join * TUPLE_ITEMSIZE,
                 ops_per_item=4.0 * self.n_join,
                 label=f"{self.label}.hash_keys",
             )
-        hashes = backend.hash_columns(key_columns)
-        starts, lengths = self.table.probe(hashes, charge=charge, label=f"{self.label}.probe")
-        if verify and starts.size:
-            hits = starts >= 0
-            if hits.any():
-                first_positions = self.sorted_index[starts[hits]]
-                matches = backend.ones(first_positions.size, dtype=backend.bool_)
-                for position, key_column in enumerate(key_columns):
-                    matches &= self.stored_column(position)[first_positions] == key_column[hits]
-                if charge:
-                    self.device.kernels.random_access(
-                        int(hits.sum()),
-                        bytes_per_access=self.n_join * TUPLE_ITEMSIZE,
-                        label=f"{self.label}.verify_key",
-                    )
-                bad = backend.nonzero_indices(hits)[~matches]
-                backend.scatter(starts, bad, -1)
-                backend.scatter(lengths, bad, 0)
+        return self.backend.hash_columns(key_columns)
+
+    def _probe_run(
+        self,
+        run: int,
+        hashes: Array,
+        key_columns: Sequence[Array],
+        *,
+        charge: bool,
+        verify: bool = True,
+        out: tuple[Array, Array] | None = None,
+    ) -> tuple[Array, Array]:
+        """Probe one sorted run's table; hash hits on a different key become misses."""
+        if self.table is None:
+            raise HisaStateError("this HISA was built without a hash index")
+        backend = self.backend
+        starts, lengths = self.table.probe(hashes, run, charge=charge, label=f"{self.label}.probe", out=out)
+        if not verify:
+            return starts, lengths
+        hits = backend.nonzero_indices(starts >= 0)
+        if hits.size:
+            first_rows = self._stores[0][starts[hits]]
+            same = backend.ones(hits.size, dtype=backend.bool_)
+            for position, key_column in enumerate(key_columns):
+                same &= self._column_storage[position][first_rows] == key_column[hits]
+            if charge:
+                self.device.kernels.random_access(
+                    int(hits.size),
+                    bytes_per_access=self.n_join * TUPLE_ITEMSIZE,
+                    label=f"{self.label}.verify_key",
+                )
+            collided = hits[~same]
+            backend.scatter(starts, collided, -1)
+            backend.scatter(lengths, collided, 0)
         return starts, lengths
 
-    def expand_matches(self, starts: Array, lengths: Array) -> tuple[Array, Array]:
-        """Expand ``(starts, lengths)`` into flat (probe index, data position) pairs.
+    def expand_matches(self, runs: MatchedRuns, lengths: Array) -> tuple[Array, Array]:
+        """Expand :meth:`lookup` results into flat (probe index, data position) pairs.
 
         Returns ``(probe_indices, data_positions)`` where ``data_positions``
         index directly into the data array (already translated through the
-        sorted index array).
+        sorted index array).  Pairs come probe-major — all of key 0's matches,
+        oldest sorted run first, then key 1's — so ``probe_indices`` is
+        monotone and gathers routed through it stay coalesced.
         """
         self._check_live()
         backend = self.backend
-        starts = backend.asarray(starts, dtype=backend.int64)
-        lengths = backend.asarray(lengths, dtype=backend.int64)
         total = int(lengths.sum())
         if total == 0:
             return backend.empty(0, dtype=backend.int64), backend.empty(0, dtype=backend.int64)
-        probe_indices = backend.repeat(backend.arange(starts.size, dtype=backend.int64), lengths)
-        cumulative = backend.cumsum(lengths)
-        offsets = backend.repeat(cumulative - lengths, lengths)
-        within_run = backend.arange(total, dtype=backend.int64) - offsets
-        sorted_positions = backend.repeat(starts, lengths) + within_run
-        data_positions = self.sorted_index[sorted_positions]
-        return probe_indices, data_positions
+        probe_indices = backend.repeat(backend.arange(lengths.size, dtype=backend.int64), lengths)
+        run_starts, run_lengths = runs.starts.T.ravel(), runs.lengths.T.ravel()
+        # An output element's sorted position is its key run's start plus its
+        # offset within the run: repeat (start - outputs before the run) per
+        # run, then add the output ordinal.
+        before = backend.cumsum(run_lengths) - run_lengths
+        sorted_positions = backend.repeat(run_starts - before, run_lengths) + backend.arange(total, dtype=backend.int64)
+        return probe_indices, self._stores[0][sorted_positions]
 
     def contains(self, rows: Array, *, charge: bool = True) -> Array:
         """Exact membership test for whole tuples (schema column order).
@@ -465,15 +523,29 @@ class HISA:
         )
 
     def contains_columns(self, columns: Sequence[Array], *, charge: bool = True) -> Array:
-        """Columnar :meth:`contains`: ``columns`` are in schema order."""
+        """Columnar :meth:`contains`: ``columns`` are in schema order.
+
+        The sorted runs of an all-column index are disjoint, so a tuple found
+        in one run is settled: only still-unresolved tuples probe the next.
+        """
         self._check_live()
+        backend = self.backend
         if self.n_join != self.natural_arity:
             raise HisaStateError("contains() requires an all-column index")
         if not columns or columns[0].shape[0] == 0:
-            return self.backend.empty(0, dtype=self.backend.bool_)
+            return backend.empty(0, dtype=backend.bool_)
         key_columns = [columns[column] for column in self.column_order]
-        starts, _lengths = self.lookup_columns(key_columns, charge=charge, verify=True)
-        return starts >= 0
+        hashes = self._hash_keys(key_columns, charge=charge)
+        present = self._probe_run(0, hashes, key_columns, charge=charge)[0] >= 0
+        for run in range(1, len(self._bounds) - 1):
+            pending = backend.nonzero_indices(~present)
+            if not pending.size:
+                break
+            starts, _ = self._probe_run(
+                run, hashes[pending], [column[pending] for column in key_columns], charge=charge
+            )
+            backend.scatter(present, pending[starts >= 0], True)
+        return present
 
     # ------------------------------------------------------------------
     # Merge (full <- full U delta), Section 4.2 / 5.1
@@ -484,18 +556,17 @@ class HISA:
         buffer_manager: MergeBufferManager | None = None,
         *,
         charge: bool = True,
-        incremental: bool = True,
     ) -> "HISA":
         """Absorb ``delta``'s tuples into this HISA and return ``self``.
 
         ``delta`` must already be disjoint from ``self`` (the populate-delta
         phase guarantees it), so no deduplication is performed.  ``delta`` is
         consumed: its device buffers are freed and it must not be used
-        afterwards.  The default incremental path does O(|Δ| log |full|)
-        key-merge work plus streaming scatter passes and never re-derives the
-        sort keys, runs, or hash entries of the pre-existing tuples;
-        ``incremental=False`` forces the legacy scratch rebuild (the cost
-        baseline the ablation and the equivalence tests compare against).
+        afterwards.  The delta's rows are appended to the data array and its
+        sorted index pushed as the newest sorted run, which then absorbs the
+        older runs it is at least half as large as (module docstring):
+        amortised O(|Δ| log(|full|/|Δ|)), and nothing about the runs that stay
+        — keys, key runs, hash entries — is touched.
         """
         self._check_live()
         delta._check_live()
@@ -503,44 +574,71 @@ class HISA:
             raise SchemaError("cannot merge HISAs with different arity")
         if delta.join_columns != self.join_columns:
             raise SchemaError("cannot merge HISAs indexed on different join columns")
+        if self.table is None:
+            raise HisaStateError("cannot merge into a HISA built without a hash index")
         manager = buffer_manager if buffer_manager is not None else SimpleBufferManager(self.device, label=f"{self.label}.merge")
 
-        if delta.tuple_count == 0:
-            delta._consume()
+        delta.compact(charge=charge)
+        n, d = self._live, delta.tuple_count
+        if d == 0:
+            delta.free()
             self.last_merge_in_place = True
-            self.last_merge_incremental = True
             self._notify_stats(0, 0)
             return self
 
-        # Capture the delta's counts before either merge path consumes it.
-        delta_rows = delta.tuple_count
-        delta_distinct = delta.distinct_key_count
-        use_incremental = (
-            incremental
-            and self.n_join > 0
-            and self.natural_arity > 0
-            and self._sorted_keys is not None
-            and delta._sorted_keys is not None
-            and not (self.table is None and delta.table is not None)
-        )
-        if use_incremental:
-            merged = self._merge_incremental(delta, manager, charge=charge)
-        else:
-            merged = self._merge_rebuild(delta, manager, charge=charge)
-        self._notify_stats(delta_rows, delta_distinct)
-        return merged
+        self._append_data(delta, manager, charge=charge)
+        first = self._first_absorbed(d)
+        # Statistics, push, path merges, key-run scan, key hashing and table
+        # build stream the touched runs once each: one fused epilogue, plus a
+        # search and a scatter launch per path merge beyond the first's scatter.
+        with self.device.fused(f"{self.label}.merge_finalize", launches=max(1, 2 * (len(self._bounds) - 1 - first))):
+            self._count_keys(delta, charge=charge)
+            parts = [store[:d] for store in delta._stores]
+            parts[0] = parts[0] + n
+            self._seal(first, parts, charge=charge)
+        delta.free()
+        self._notify_stats(d, delta.distinct_key_count)
+        return self
 
-    @property
-    def max_run_length(self) -> int:
-        """Longest join-key run — the worst-case matches one probe key returns.
+    def compact(self, *, charge: bool = True) -> "HISA":
+        """Merge every sorted run into one, so the index tier is one sorted array again."""
+        self._check_live()
+        absorbed = len(self._bounds) - 2
+        if absorbed:
+            with self.device.fused(f"{self.label}.compact", launches=2 * absorbed):
+                newest = [store[self._bounds[-2] : self._live] for store in self._stores]
+                del self._bounds[-1]
+                self._seal(0, newest, charge=charge)
+        return self
 
-        Uncharged host introspection over the incrementally maintained run
-        structure (same precedent as the divergence inspection in the join
-        operators): the planner's skew signal, not a datapath kernel.
+    def _first_absorbed(self, newer: int) -> int:
+        """The oldest sorted run a new run of ``newer`` tuples absorbs (the run count if none)."""
+        sizes = self.run_sizes
+        first = len(sizes)
+        while first and ABSORB_RATIO * newer >= sizes[first - 1]:
+            first -= 1
+            newer += sizes[first]
+        return first
+
+    def _count_keys(self, delta: "HISA", *, charge: bool) -> None:
+        """Keep ``distinct_key_count`` / ``max_run_length`` exact across a merge, in O(Δ).
+
+        A join key can sit in several sorted runs, so neither is a sum or a
+        maximum over them: the delta's distinct keys are looked up in the
+        runs already here (the multi-run probe a join does, charged like
+        one).  The delta of an all-column index is disjoint from ``self`` by
+        construction and needs no lookup.
         """
-        if not int(self.run_lengths.size):
-            return 0
-        return int(self.backend.to_host(self.run_lengths).max())
+        if self.n_join == self.natural_arity:
+            self._distinct_keys += delta._distinct_keys
+            self._max_run_length = max(self._max_run_length, delta._max_run_length)
+            return
+        run_starts, run_lengths = delta._compacted_key_runs()
+        first_rows = delta._stores[0][run_starts]
+        key_columns = [delta.stored_column(position)[first_rows] for position in range(self.n_join)]
+        _, already = self.lookup_columns(key_columns, charge=charge)
+        self._distinct_keys += self.backend.count_nonzero(already == 0)
+        self._max_run_length = max(self._max_run_length, int((already + run_lengths).max()))
 
     def _notify_stats(self, delta_rows: int, delta_distinct: int) -> None:
         if self.stats_observer is not None:
@@ -553,27 +651,22 @@ class HISA:
             )
 
     # -- data-tier helper ------------------------------------------------
-    def _append_data(
-        self, delta: "HISA", manager: MergeBufferManager, *, charge: bool, allow_in_place: bool = True
-    ) -> bool:
-        """Append ``delta``'s rows to the data array; returns True if in place.
+    def _append_data(self, delta: "HISA", manager: MergeBufferManager, *, charge: bool) -> None:
+        """Append ``delta``'s rows to the data array, in place when possible.
 
         In place requires the backing device buffer (and host storage) to have
         enough reserved headroom — exactly what the eager buffer manager's
         over-allocation provides.  Otherwise a destination buffer is acquired
         from the manager and the whole relation is copied (amortised by the
-        manager's growth policy).  ``allow_in_place=False`` forces the copy
-        branch (the legacy rebuild always pays it).
+        manager's growth policy).
         """
         backend = self.backend
         n, d = self.tuple_count, delta.tuple_count
-        arity = self.natural_arity
-        row_bytes = arity * TUPLE_ITEMSIZE
+        row_bytes = self.natural_arity * TUPLE_ITEMSIZE
         required = (n + d) * row_bytes
 
         in_place = (
-            allow_in_place
-            and self._data_buffer is not None
+            self._data_buffer is not None
             and self._data_buffer.nbytes >= required
             and self.capacity_rows >= n + d
         )
@@ -594,13 +687,10 @@ class HISA:
             manager.note_in_place(d * row_bytes)
         else:
             dest = manager.acquire(required, d * row_bytes)
-            capacity = max(n + d, dest.nbytes // row_bytes if row_bytes else n + d)
-            storage: list[Array] = []
-            for position, column in enumerate(self._column_storage):
-                grown = backend.empty(capacity, dtype=TUPLE_DTYPE)
-                grown[:n] = column[:n]
-                grown[n : n + d] = delta.stored_column(position)
-                storage.append(grown)
+            capacity = max(n + d, dest.nbytes // row_bytes)
+            storage = [grown(backend, column, n, capacity) for column in self._column_storage]
+            for position, column in enumerate(storage):
+                column[n : n + d] = delta.stored_column(position)
             if charge:
                 self.device.charge(
                     KernelCost(
@@ -617,304 +707,128 @@ class HISA:
         self._live = n + d
         self._rows_cache = None
         self.last_merge_in_place = in_place
-        return in_place
 
-    def _cached_keys_nbytes(self) -> int:
-        """Bytes held by the persistent packed-key caches."""
-        total = 0
-        if self._sorted_keys is not None:
-            total += int(self._sorted_keys.nbytes)
-        if self._sorted_join_keys is not None and self._sorted_join_keys is not self._sorted_keys:
-            total += int(self._sorted_join_keys.nbytes)
-        return total
+    # -- index-tier helpers ------------------------------------------------
+    def _seal(self, first: int, parts: list[Array], *, charge: bool) -> None:
+        """Make ``parts`` plus the sorted runs from ``first`` on the newest sorted run.
 
-    def _recompute_sorted_state(self, sorted_columns: list[Array]) -> Array:
-        """(Re)derive the cached keys, runs, and ordinals from sorted columns.
-
-        Shared by the constructor and the legacy rebuild merge so the two
-        stay byte-identical (the rebuild path is the equivalence oracle).
-        Returns the distinct join-key rows for hashing.
+        ``parts`` is a sorted run outside the stack, one array per store.  It
+        is path-merged with the stack's runs newest to oldest down to
+        ``first`` (none for a plain push), written where run ``first`` began,
+        scanned for key runs once and given one hash table.
         """
         backend = self.backend
-        if self.natural_arity:
-            self._sorted_keys = backend.pack_lex_keys(sorted_columns)
-        else:
-            self._sorted_keys = None
-        if self.n_join:
-            if self.n_join == self.natural_arity:
-                # Join key == whole tuple: alias the full-key array instead of
-                # packing the same bytes a second time.
-                self._sorted_join_keys = self._sorted_keys
-            else:
-                self._sorted_join_keys = backend.pack_lex_keys(sorted_columns[: self.n_join])
-            self.run_starts, self.run_lengths = _runs_from_keys(backend, self._sorted_join_keys)
-            key_rows = backend.column_stack(
-                [sorted_columns[position][self.run_starts] for position in range(self.n_join)]
+        bounds = self._bounds
+        for run in range(len(bounds) - 2, first - 1, -1):
+            parts = self._path_merge(
+                [store[bounds[run] : bounds[run + 1]] for store in self._stores], parts, charge=charge
             )
+        del bounds[first + 1 :]
+        start, size = bounds[first], int(parts[0].shape[0])
+        end = start + size
+        bounds.append(end)
+        self._key_runs = None
+        capacity = int(self._stores[0].shape[0])
+        if start == 0 and end > capacity:
+            # Everything was absorbed and has outgrown the stores: the merged
+            # arrays *are* the new index tier, as in a dense merge.
+            self._stores = parts
         else:
-            self._sorted_join_keys = None
-            self.run_starts = backend.empty(0, dtype=backend.int64)
-            self.run_lengths = backend.empty(0, dtype=backend.int64)
-            key_rows = backend.empty((0, max(1, self.n_join)), dtype=backend.int64)
-        self._run_ordinals = backend.arange(self.run_starts.size, dtype=backend.int64)
-        return key_rows
+            row_bytes = sum(store.dtype.itemsize for store in self._stores)
+            if end > capacity:
+                # Geometric growth, like the data tier's eager buffers; only
+                # the runs that stay are carried over.
+                self._stores = [grown(backend, store, start, max(2 * capacity, end)) for store in self._stores]
+                if charge:
+                    self.device.charge(
+                        KernelCost(kernel=f"{self.label}.index_grow", sequential_bytes=2.0 * start * row_bytes)
+                    )
+            for store, part in zip(self._stores, parts):
+                store[start:end] = part
+            if charge:
+                self.device.charge(
+                    KernelCost(kernel=f"{self.label}.run_push", sequential_bytes=2.0 * size * row_bytes, ops=float(size))
+                )
 
-    def _replace_index_buffer(self) -> None:
-        if self._index_buffer is not None:
-            self.device.free(self._index_buffer, charge_cost=False)
-        self._index_buffer = self.device.allocate(
-            self.sorted_index.nbytes + self._cached_keys_nbytes(),
-            label=f"{self.label}.index",
-            charge_cost=False,
+        index = self._stores[0][start:end]
+        if self._distinct_keys == self._live:
+            # Every key run is a single tuple (an all-column index over
+            # duplicate-free tuples always): the key runs are positional.
+            run_starts, run_lengths, first_rows = backend.arange(size, dtype=backend.int64), None, index
+        else:
+            run_starts, run_lengths = _runs_from_keys(backend, self._stores[-1][start:end])
+            first_rows = index[run_starts]
+        if charge and run_lengths is not None:
+            # The key-run scan reads every cached join key of the run once.
+            self.device.charge(
+                KernelCost(
+                    kernel=f"{self.label}.run_scan",
+                    sequential_bytes=float(size) * self._stores[-1].dtype.itemsize,
+                    ops=float(size),
+                )
+            )
+        hashes = self._hash_keys(
+            [self._column_storage[position][first_rows] for position in range(self.n_join)], charge=charge
         )
-
-    def _sync_table_buffer(self) -> None:
-        if self.table is None:
-            return
-        if self._table_buffer is not None and self._table_buffer.nbytes == self.table.nbytes:
-            return
-        if self._table_buffer is not None:
-            self.device.free(self._table_buffer, charge_cost=False)
-        self._table_buffer = self.device.allocate(
-            self.table.nbytes, label=f"{self.label}.table", charge_cost=False
+        self.table.truncate(first)
+        self.table.insert_batch(
+            hashes, run_starts + start, run_lengths, charge=charge, label=f"{self.label}.table_insert"
         )
+        self._account_index_tiers()
 
-    # -- incremental path -------------------------------------------------
-    def _merge_incremental(self, delta: "HISA", manager: MergeBufferManager, *, charge: bool) -> "HISA":
+    def _path_merge(self, left: list[Array], right: list[Array], *, charge: bool) -> list[Array]:
+        """Merge two sorted runs (one array per store) into fresh arrays.
+
+        The smaller side's cached tuple keys are binary-searched into the
+        larger's, O(small log large); both sides then scatter into place.
+        Tuple keys are distinct across runs, so ties cannot arise.
+        """
         backend = self.backend
-        n, d = self.tuple_count, delta.tuple_count
-        m = n + d
-
-        # 1. Data tier: in-place append into reserved headroom when possible.
-        self._append_data(delta, manager, charge=charge)
-
-        # 2. Sorted index + cached keys: binary-search the delta's cached keys
-        #    into the full's cached keys (O(d log n)), then scatter both runs
-        #    of keys/indices into the merged arrays (streaming passes).
-        insert_at = backend.searchsorted(self._sorted_keys, delta._sorted_keys, side="left")
-        delta_pos = insert_at + backend.arange(d, dtype=backend.int64)
-        old_pos_mask = backend.ones(m, dtype=backend.bool_)
-        backend.scatter(old_pos_mask, delta_pos, False)
-
-        merged_index = backend.empty(m, dtype=backend.int64)
-        backend.scatter(merged_index, delta_pos, delta.sorted_index + n)
-        merged_index[old_pos_mask] = self.sorted_index
-
-        merged_keys = backend.empty(m, dtype=self._sorted_keys.dtype)
-        backend.scatter(merged_keys, delta_pos, delta._sorted_keys)
-        merged_keys[old_pos_mask] = self._sorted_keys
-
-        join_keys_aliased = self._sorted_join_keys is self._sorted_keys
-        if join_keys_aliased:
-            merged_join_keys = merged_keys
-        else:
-            merged_join_keys = backend.empty(m, dtype=self._sorted_join_keys.dtype)
-            backend.scatter(merged_join_keys, delta_pos, delta._sorted_join_keys)
-            merged_join_keys[old_pos_mask] = self._sorted_join_keys
-
-        # 3. Runs.  Fast path: an all-column index over duplicate-free inputs
-        #    has singleton runs by construction (delta is disjoint from full),
-        #    so the run structure is positional and needs no key comparisons.
-        unique_runs = (
-            join_keys_aliased
-            and self.run_starts.size == n
-            and delta.run_starts.size == d
-        )
-        if unique_runs:
-            run_starts = backend.arange(m, dtype=backend.int64)
-            run_lengths = backend.ones(m, dtype=backend.int64)
-            is_new_run = ~old_pos_mask
-        else:
-            # Adjacent-compare over the cached join keys (no gather); a run is
-            # pre-existing iff it contains at least one pre-existing element.
-            run_starts, run_lengths = _runs_from_keys(backend, merged_join_keys)
-            old_counts = backend.reduceat_sum(old_pos_mask.astype(backend.int64), run_starts)
-            is_new_run = old_counts == 0
-        n_new = int(is_new_run.sum())
-        merged_ordinals = backend.empty(run_starts.size, dtype=backend.int64)
-        # Pre-existing runs never split or reorder (equal join keys stay
-        # contiguous under the lexicographic sort), so their ordinals carry
-        # over positionally; new keys get fresh append-order ordinals.
-        merged_ordinals[~is_new_run] = self._run_ordinals
-        ordinal_base = int(self._hash_by_ordinal.size) if self.table is not None else int(self._run_ordinals.size)
-        merged_ordinals[is_new_run] = ordinal_base + backend.arange(n_new, dtype=backend.int64)
+        small, large = (left, right) if left[0].shape[0] < right[0].shape[0] else (right, left)
+        n_small, n_large = int(small[0].shape[0]), int(large[0].shape[0])
+        total = n_small + n_large
+        small_at = backend.searchsorted(large[1], small[1], side="left") + backend.arange(n_small, dtype=backend.int64)
+        from_large = backend.ones(total, dtype=backend.bool_)
+        backend.scatter(from_large, small_at, False)
+        merged = []
+        for small_part, large_part in zip(small, large):
+            out = backend.empty(total, dtype=large_part.dtype)
+            backend.scatter(out, small_at, small_part)
+            out[from_large] = large_part
+            merged.append(out)
         if charge:
             self.device.kernels.binary_search_keys(
-                d,
-                haystack_size=n,
+                n_small,
+                haystack_size=n_large,
                 key_bytes=self.natural_arity * TUPLE_ITEMSIZE,
                 label=f"{self.label}.merge_path",
             )
-            # The index-merge epilogue — key/index scatter, run detection,
-            # delta run finding and new-key hashing — streams the merged
-            # arrays once, so it is charged as one fused finalize kernel.
-            # Each stage below still describes its own bytes/ops (the honest
-            # O(m) residual of dense sorted arrays); only the launches fold.
-            with self.device.fused(f"{self.label}.merge_finalize"):
-                scatter_bytes = 2.0 * m * INDEX_ITEMSIZE + 2.0 * m * self._sorted_keys.dtype.itemsize
-                if not join_keys_aliased:
-                    scatter_bytes += 2.0 * m * self._sorted_join_keys.dtype.itemsize
-                self.device.charge(
-                    KernelCost(
-                        kernel=f"{self.label}.merge_scatter",
-                        sequential_bytes=scatter_bytes,
-                        ops=float(m),
-                    )
-                )
-                if not unique_runs:
-                    # The run scan reads every cached join key once plus the
-                    # origin bitmap — another bandwidth-bound O(m) pass.
-                    self.device.charge(
-                        KernelCost(
-                            kernel=f"{self.label}.run_scan",
-                            sequential_bytes=float(m) * (merged_join_keys.dtype.itemsize + 1.0),
-                            ops=float(m),
-                        )
-                    )
-                self.device.kernels.transform(
-                    d,
-                    bytes_per_item=2.0 * self.n_join * TUPLE_ITEMSIZE,
-                    ops_per_item=self.n_join,
-                    label=f"{self.label}.find_runs_delta",
-                )
-                if self.table is not None and n_new:
-                    self.device.kernels.transform(
-                        n_new,
-                        bytes_per_item=self.n_join * TUPLE_ITEMSIZE,
-                        ops_per_item=4.0 * self.n_join,
-                        label=f"{self.label}.hash_keys",
-                    )
-
-        # 4. Hash table: insert only the delta's new keys; refresh the shifted
-        #    run starts of existing keys through their remembered slots.
-        if self.table is not None:
-            new_starts = run_starts[is_new_run]
-            new_lengths = run_lengths[is_new_run]
-            if n_new:
-                new_key_positions = merged_index[new_starts]
-                new_hashes = backend.hash_columns(
-                    [
-                        self.stored_column(position)[new_key_positions]
-                        for position in range(self.n_join)
-                    ]
-                )
-            else:
-                new_hashes = backend.empty(0, dtype=backend.uint64)
-            new_slots, grew = self.table.insert_batch(
-                new_hashes, new_starts, new_lengths, charge=charge, label=f"{self.label}.table_insert"
-            )
-            self._hash_by_ordinal = backend.concatenate([self._hash_by_ordinal, new_hashes])
-            if grew:
-                self._slot_by_ordinal = self.table.find_slots(self._hash_by_ordinal)
-            else:
-                self._slot_by_ordinal = backend.concatenate([self._slot_by_ordinal, new_slots])
-            existing = ~is_new_run
-            self.table.update_slots(
-                self._slot_by_ordinal[self._run_ordinals],
-                run_starts[existing],
-                run_lengths[existing],
-                charge=charge,
-                label=f"{self.label}.table_refresh",
-            )
-            self._sync_table_buffer()
-
-        # 5. Adopt the merged state and consume the delta.
-        self.sorted_index = merged_index
-        self._sorted_keys = merged_keys
-        self._sorted_join_keys = merged_join_keys
-        self.run_starts = run_starts
-        self.run_lengths = run_lengths
-        self._run_ordinals = merged_ordinals
-        self._replace_index_buffer()
-        delta._consume()
-        self.last_merge_incremental = True
-        return self
-
-    # -- legacy scratch rebuild -------------------------------------------
-    def _merge_rebuild(self, delta: "HISA", manager: MergeBufferManager, *, charge: bool) -> "HISA":
-        """Rebuild-from-scratch merge: O(|full|) per call, the pre-incremental
-        behaviour kept as the ablation baseline and equivalence oracle."""
-        backend = self.backend
-        n, d = self.tuple_count, delta.tuple_count
-        old_columns = self.stored_columns()
-        old_index = self.sorted_index
-        old_key_count = self.run_starts.size
-
-        self._append_data(delta, manager, charge=charge, allow_in_place=False)
-        merged_index = _merge_sorted_indices(
-            backend, old_columns, old_index, delta.stored_columns(), delta.sorted_index
-        )
-        if charge:
             self.device.charge(
                 KernelCost(
-                    kernel=f"{self.label}.merge_path",
-                    sequential_bytes=float((n + d) * self.natural_arity * TUPLE_ITEMSIZE)
-                    + 2.0 * float(merged_index.nbytes),
-                    ops=float(merged_index.size) * max(1, self.natural_arity),
+                    kernel=f"{self.label}.merge_scatter",
+                    sequential_bytes=2.0 * total * sum(part.dtype.itemsize for part in merged),
+                    ops=float(total),
                 )
             )
-        self.sorted_index = merged_index
+        return merged
 
-        # Re-derive every cached structure from scratch (the whole point of
-        # the incremental path is to avoid this O(|full|) block).
-        if n + d:
-            sorted_columns = [column[self.sorted_index] for column in self.stored_columns()]
-        else:
-            sorted_columns = self.stored_columns()
-        key_rows = self._recompute_sorted_state(sorted_columns)
-        if charge and self.n_join:
-            self.device.kernels.transform(
-                n + d,
-                bytes_per_item=2.0 * self.n_join * TUPLE_ITEMSIZE,
-                ops_per_item=self.n_join,
-                label=f"{self.label}.find_runs",
-            )
+    def _account_index_tiers(self) -> None:
+        """Hold the index and table tiers' reserved capacity in the device pool.
 
-        rebuild_table = self.table is not None or delta.table is not None
-        old_capacity = self.table.capacity if self.table is not None else 0
-        self.table = None
-        self._hash_by_ordinal = backend.empty(0, dtype=backend.uint64)
-        self._slot_by_ordinal = backend.empty(0, dtype=backend.int64)
-        if rebuild_table and self.n_join:
-            if key_rows.size:
-                hashes = backend.hash_rows(key_rows)
-            else:
-                hashes = backend.empty(0, dtype=backend.uint64)
-            self.table = OpenAddressingHashTable(
-                self.device,
-                hashes,
-                self.run_starts,
-                self.run_lengths,
-                load_factor=self.load_factor,
-                label=f"{self.label}.table",
-                charge=False,
-            )
-            self._hash_by_ordinal = hashes
-            self._slot_by_ordinal = self.table.built_slots
-            if charge:
-                needs_rebuild = self.table.capacity != old_capacity
-                if needs_rebuild:
-                    rehash_keys = self.run_starts.size
-                    alloc_bytes = float(self.table.nbytes)
-                    allocations = 1
-                else:
-                    rehash_keys = max(0, self.run_starts.size - old_key_count)
-                    alloc_bytes = 0.0
-                    allocations = 0
-                self.device.charge(
-                    KernelCost(
-                        kernel=f"{self.label}.table_merge",
-                        random_bytes=float(rehash_keys) * 16.0 * 2.0,
-                        ops=float(rehash_keys) * 4.0,
-                        alloc_bytes=alloc_bytes,
-                        allocations=allocations,
-                    )
-                )
-        self._sync_table_buffer()
-        self._replace_index_buffer()
-        delta._consume()
-        self.last_merge_incremental = False
-        return self
+        The allocator is touched only when a reservation changed — a
+        geometric growth of the stores or of the table slab.
+        """
+        breakdown = self.memory_breakdown()
+        reserved = {"index": breakdown.index_bytes}
+        if self.table is not None:
+            reserved["table"] = breakdown.table_bytes
+        for tier, nbytes in reserved.items():
+            buffer = self._buffers.get(tier)
+            if buffer is not None and buffer.nbytes == nbytes:
+                continue
+            if buffer is not None:
+                self.device.free(self._buffers.pop(tier), charge_cost=False)
+            self._buffers[tier] = self.device.allocate(nbytes, label=f"{self.label}.{tier}", charge_cost=False)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -923,38 +837,19 @@ class HISA:
         """Release all simulated device memory held by this HISA."""
         if self._freed:
             return
-        self._release_buffers(retire_data_to=None)
         self._freed = True
+        buffers = [*self._buffers.values(), self._data_buffer]
+        self._buffers, self._data_buffer = {}, None
+        for buffer in buffers:
+            self.device.free(buffer, charge_cost=False)
 
     @property
     def is_freed(self) -> bool:
         return self._freed
 
-    # ------------------------------------------------------------------
-    # Internal helpers
-    # ------------------------------------------------------------------
     def _check_live(self) -> None:
         if self._freed:
             raise HisaStateError(f"HISA {self.label!r} has been freed")
-
-    def _consume(self) -> None:
-        """Free buffers and mark this HISA as merged away."""
-        self._release_buffers(retire_data_to=None)
-        self._freed = True
-
-    def _release_buffers(self, retire_data_to: MergeBufferManager | None) -> None:
-        if self._data_buffer is not None:
-            if retire_data_to is not None:
-                retire_data_to.retire(self._data_buffer)
-            else:
-                self.device.free(self._data_buffer, charge_cost=False)
-            self._data_buffer = None
-        if self._index_buffer is not None:
-            self.device.free(self._index_buffer, charge_cost=False)
-            self._index_buffer = None
-        if self._table_buffer is not None:
-            self.device.free(self._table_buffer, charge_cost=False)
-            self._table_buffer = None
 
 
 # ----------------------------------------------------------------------
@@ -969,7 +864,7 @@ def _invert_permutation(order: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _runs_from_keys(backend: ArrayBackend, sorted_join_keys: Array) -> tuple[Array, Array]:
-    """Run starts/lengths from packed join keys in sorted order."""
+    """Key-run starts/lengths from packed join keys in sorted order."""
     n = int(sorted_join_keys.shape[0])
     if n == 0:
         empty = backend.empty(0, dtype=backend.int64)
@@ -978,37 +873,3 @@ def _runs_from_keys(backend: ArrayBackend, sorted_join_keys: Array) -> tuple[Arr
     run_starts = backend.nonzero_indices(new_run)
     run_lengths = backend.run_lengths_from_starts(run_starts, n)
     return run_starts, run_lengths
-
-
-def _merge_sorted_indices(
-    backend: ArrayBackend,
-    left_columns: list[Array],
-    left_index: Array,
-    right_columns: list[Array],
-    right_index: Array,
-) -> Array:
-    """Merge two sorted index arrays into one over the concatenated columns.
-
-    The result indexes into the per-column concatenation of ``left_columns``
-    and ``right_columns``.  This is the legacy scratch-merge helper: it
-    re-packs both sides' sort keys from the data columns (O(left + right)
-    work), which the incremental merge path avoids by caching the packed
-    keys.  The simulated cost is charged by the caller; here we only compute
-    the exact answer.
-    """
-    n_left = int(left_columns[0].shape[0]) if left_columns else 0
-    n_right = int(right_columns[0].shape[0]) if right_columns else 0
-    if n_left == 0:
-        return (right_index + n_left).astype(backend.int64)
-    if n_right == 0:
-        return left_index.astype(backend.int64)
-    left_sorted_keys = backend.pack_lex_keys([column[left_index] for column in left_columns])
-    right_sorted_keys = backend.pack_lex_keys([column[right_index] for column in right_columns])
-    right_before_left = backend.searchsorted(right_sorted_keys, left_sorted_keys, side="left")
-    left_before_right = backend.searchsorted(left_sorted_keys, right_sorted_keys, side="right")
-    merged = backend.empty(n_left + n_right, dtype=backend.int64)
-    left_positions = backend.arange(n_left, dtype=backend.int64) + right_before_left
-    right_positions = backend.arange(n_right, dtype=backend.int64) + left_before_right
-    backend.scatter(merged, left_positions, left_index)
-    backend.scatter(merged, right_positions, right_index + n_left)
-    return merged

@@ -184,7 +184,7 @@ def hash_join(
         ]
 
         # 2. Hash the key columns and probe the inner hash table.
-        starts, lengths = inner.lookup_columns(key_columns, charge=charge)
+        runs, lengths = inner.lookup_columns(key_columns, charge=charge)
 
         # 3. Expand the matched runs into (probe index, data position) pairs.
         #    Only the two index vectors are written — tuple values stay put.
@@ -202,7 +202,7 @@ def hash_join(
             )
         if total_matches == 0:
             return ColumnBatch.empty(device, out_arity)
-        probe_idx, data_positions = inner.expand_matches(starts, lengths)
+        probe_idx, data_positions = inner.expand_matches(runs, lengths)
 
         # 4. Wire the output columns as lazy gathers: outer columns route
         #    through the probe indices, inner columns reference the HISA's
@@ -281,7 +281,7 @@ def fused_nway_join(
             origin = backend.empty(0, dtype=backend.int64)
             break
         keys = current[:, [int(c) for c in join_cols]]
-        starts, lengths = inner.lookup(keys, charge=False)
+        runs, lengths = inner.lookup(keys, charge=False)
         backend.add_at(per_origin_work, origin, lengths)
         inner_row_bytes = max(1, inner.natural_arity) * TUPLE_ITEMSIZE
         total_matches = int(lengths.sum())
@@ -289,7 +289,7 @@ def fused_nway_join(
         total_random_bytes += float(current.shape[0]) * 16.0  # hash-table probes
         total_ops += float(total_matches) * max(1, inner.natural_arity) + float(current.shape[0]) * 4.0
 
-        probe_idx, data_positions = inner.expand_matches(starts, lengths)
+        probe_idx, data_positions = inner.expand_matches(runs, lengths)
         columns = []
         for spec in output:
             if spec.source == OUTER:

@@ -67,7 +67,9 @@ class IterationStats:
     full_count: int
     #: per-index merges absorbed in place (delta fit the data buffer headroom)
     in_place_merges: int = 0
-    #: per-index merges that fell back to the legacy scratch rebuild
+    #: always 0: there is one merge path and it never rebuilds.  Read by
+    #: ``bench/drivers.py`` (``count.rebuild_merges``); goes with that metric
+    #: in the next ``benchmark`` PR.
     rebuild_merges: int = 0
 
 
@@ -287,7 +289,6 @@ class Relation:
             self._delta_buffer = self.device.allocate(delta.nbytes, label=f"{self.name}.delta", charge_cost=False)
 
         in_place_merges = 0
-        rebuild_merges = 0
         if delta_count:
             delta_indexes: dict[tuple[int, ...], HISA] = {}
             with profiler.phase(PHASE_INDEX_DELTA):
@@ -320,8 +321,6 @@ class Relation:
                     self.full_indexes[columns] = merged
                     if merged.last_merge_in_place:
                         in_place_merges += 1
-                    if not merged.last_merge_incremental:
-                        rebuild_merges += 1
 
         stats = IterationStats(
             iteration=self._iteration,
@@ -329,7 +328,6 @@ class Relation:
             delta_count=delta_count,
             full_count=self.full_count,
             in_place_merges=in_place_merges,
-            rebuild_merges=rebuild_merges,
         )
         self.history.append(stats)
         return stats

@@ -98,8 +98,8 @@ def _extend_level(
                 batch.column(position, charge=charge, label=f"{label}.gather_keys")
                 for position in candidate.outer_key_positions
             ]
-            starts, lengths = index.lookup_columns(keys, charge=charge)
-            probes.append((candidate, index, starts, lengths))
+            runs, lengths = index.lookup_columns(keys, charge=charge)
+            probes.append((candidate, index, runs, lengths))
 
         # 2. Deterministic per-row argmin of the match counts: strict `<`
         #    keeps the earlier (lowest candidate position) side on ties.
@@ -125,9 +125,9 @@ def _extend_level(
         # 3-4. Expand each candidate's chosen rows, then semi-join the
         #      expansion against every other candidate's full-arity index.
         parts: list[ColumnBatch] = []
-        for position, (candidate, index, starts, lengths) in enumerate(probes):
+        for position, (candidate, index, runs, lengths) in enumerate(probes):
             if len(probes) == 1:
-                part, starts_sel, lengths_sel = batch, starts, lengths
+                part, runs_sel, lengths_sel = batch, runs, lengths
             else:
                 mask = backend.compare("==", choice, position)
                 row_indices = backend.nonzero_indices(mask)
@@ -139,7 +139,7 @@ def _extend_level(
                 if int(row_indices.shape[0]) == 0:
                     continue
                 part = batch.take(row_indices, label=f"{label}.route_min")
-                starts_sel = starts[row_indices]
+                runs_sel = runs[row_indices]
                 lengths_sel = lengths[row_indices]
 
             total = int(lengths_sel.sum())
@@ -156,7 +156,7 @@ def _extend_level(
                 )
             if total == 0:
                 continue
-            probe_idx, data_positions = index.expand_matches(starts_sel, lengths_sel)
+            probe_idx, data_positions = index.expand_matches(runs_sel, lengths_sel)
             expanded = part.take(probe_idx, label=f"{label}.route_expand")
             value_base = index.stored_column(index.column_order.index(candidate.value_column))
             expanded = expanded.append_lazy([(value_base, data_positions)])

@@ -3,20 +3,24 @@
 The cost model is deterministic, so a ratio of two simulated times is a fact
 about the code, not about the machine: each lever the engine ships (generic
 join, cost planner, checkpoints, the filtered exchange, incremental serving
-epochs, the incremental merge) must keep paying — or keep costing no more —
+epochs, the run-stack index merge) must keep paying — or keep costing no more —
 than the thresholds below.  Fault injection is pinned off; host wall-clock is
 ``bench/run.py``'s job (see ``docs/benchmarks.md``).
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from repro import GPULogEngine
 from repro.datasets import load_dataset
+from repro.device import Device
+from repro.device.profiler import PHASE_MERGE
 from repro.experiments.planner_bench import TRIANGLE_PROGRAM, hub_graph, wedge_count
 from repro.experiments.serving_workload import dense_digraph_edges, sg_tree_edges, trickle_epochs
 from repro.queries import CSPA_SOURCE, REACH_SOURCE, SG_SOURCE
-from repro.relational import InMemoryCheckpointStore
+from repro.relational import HISA, InMemoryCheckpointStore
 
 #: Floor for the generic join over the greedy binary plan on the hub triangle.
 MIN_WCOJ_SPEEDUP = 1.5
@@ -31,6 +35,12 @@ MAX_CHECKPOINT_OVERHEAD = 1.10
 MAX_FILTERED_EXCHANGE_RATIO = 0.7
 #: Floor for a full re-fixpoint over the median trickle insert epoch.
 MIN_SERVING_SPEEDUP = 5.0
+#: Ceiling for the index elements path merges rewrite over a whole fixpoint,
+#: per output tuple.  The 300-chain: 200x with one dense sorted array (the
+#: parent of PR 18), 6.95x with the run stack at ratio 2.  At ratio 1 nothing
+#: is rewritten at all — the near-equal deltas never merge — and the run-count
+#: bound beside it is what fails, with 300 runs.
+MAX_REWRITES_PER_TUPLE = 12.0
 
 
 def sg_d5():
@@ -114,3 +124,44 @@ def test_fixpoint_merges_stay_incremental():
     assert result.count("reach") == 120 * 121 // 2
     assert result.stats.rebuild_merges == 0
     assert result.stats.in_place_merges > 0
+
+
+def test_chain_fixpoint_index_maintenance_is_amortised(monkeypatch):
+    """300 deltas shrinking by one row each — neighbours are near-equal, the
+    schedule that almost never merges under a ratio of 1: the run stack stays
+    logarithmic, rewrites O(log) per tuple, and allocates only to grow."""
+    n = 300
+    reach = n * (n + 1) // 2
+    run_counts, rewritten = [], []
+    merge, charge = HISA.merge, Device.charge
+
+    def counting_merge(self, *args, **kwargs):
+        merged = merge(self, *args, **kwargs)
+        run_counts.append(len(merged.run_sizes))
+        return merged
+
+    def counting_charge(self, cost, phase=None):
+        if cost.kernel.endswith(".merge_scatter"):
+            rewritten.append(cost.ops)
+        return charge(self, cost, phase)
+
+    monkeypatch.setattr(HISA, "merge", counting_merge)
+    monkeypatch.setattr(Device, "charge", counting_charge)
+    engine = GPULogEngine(device="h100", oom_enabled=False, collect_relations=False, fault_plan="none")
+    try:
+        engine.add_fact_array("edge", np.array([[i, i + 1] for i in range(n)], dtype=np.int64))
+        result = engine.run(REACH_SOURCE)
+        merge_events = [event for event in engine.devices[0].profiler.events if event.phase == PHASE_MERGE]
+    finally:
+        engine.close()
+    assert result.count("reach") == reach
+    assert result.stats.in_place_merges > 0
+    assert len(run_counts) == n - 1 and max(run_counts) <= math.ceil(math.log2(n)) + 1
+    assert 0 < sum(rewritten) <= MAX_REWRITES_PER_TUPLE * reach
+    # Nothing allocates per merge: the table slab doubles (7 growths here),
+    # and the data buffer grows by the eager manager's policy — headroom for
+    # eight deltas per ``device_malloc`` (37 of them) — as it did before.
+    data_allocations = sum(e.cost.allocations for e in merge_events if e.cost.kernel == "device_malloc")
+    index_allocations = sum(e.cost.allocations for e in merge_events) - data_allocations
+    assert index_allocations <= math.log2(reach)
+    assert data_allocations <= (n - 1) / 8 + 1

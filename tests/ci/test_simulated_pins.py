@@ -6,11 +6,15 @@ single-device evaluator was the reference the sharded one was compared with;
 with one driver for every shard count there is no second implementation left
 to compare against, so the numbers themselves are the reference.
 
-Every value below was **recorded at the parent commit of PR 17** (two
-drivers) and must not move under a refactor.  A PR that *means* to move the
-simulated clock — a cost-model fix, a new kernel, a different plan — re-pins
-the affected rows (``PYTHONPATH=src python -m tests.ci.test_simulated_pins``
-prints the current table) and says why in ``CHANGES.md``.
+The ``triangle`` rows were **recorded at the parent commit of PR 17** (two
+drivers); the ``tc`` / ``sg`` / ``cspa`` rows were re-pinned by PR 18, which
+replaced the dense index merge with the run stack (fewer launches per merge,
+a table build per sorted run instead of a slot refresh per key; ``triangle``
+runs no merge and did not move).  None may move under a refactor.  A PR that
+*means* to move the simulated clock — a cost-model fix, a new kernel, a
+different plan — re-pins the affected rows (``PYTHONPATH=src python -m
+tests.ci.test_simulated_pins`` prints the current table) and says why in
+``CHANGES.md``.
 """
 
 import numpy as np
@@ -66,50 +70,50 @@ def measure(workload: str, num_shards: int) -> dict:
     }
 
 
-#: recorded at the parent commit of PR 17 (see the module docstring)
+#: recorded at the parent commit of PR 17, tc / sg / cspa re-pinned by PR 18 (see the module docstring)
 PINS = {
     ("cspa", 1): {
-        "elapsed_seconds": 0.004957887375723638, "kernel_launches": 378, "total_iterations": 5,
+        "elapsed_seconds": 0.005153110696910758, "kernel_launches": 321, "total_iterations": 5,
         "relation_counts": {"assign": 57, "dereference": 40, "memalias": 400, "valuealias": 529, "valueflow": 507},
         "exchange_bytes": 0.0,
     },
     ("cspa", 2): {
-        "elapsed_seconds": 0.0059149947495662205, "kernel_launches": 1860, "total_iterations": 5,
+        "elapsed_seconds": 0.0057740494372669265, "kernel_launches": 1755, "total_iterations": 5,
         "relation_counts": {"assign": 57, "dereference": 40, "memalias": 400, "valuealias": 529, "valueflow": 507},
         "exchange_bytes": 2788472.0,
     },
     ("cspa", 4): {
-        "elapsed_seconds": 0.005953598659584414, "kernel_launches": 3875, "total_iterations": 5,
+        "elapsed_seconds": 0.005825211577307605, "kernel_launches": 3674, "total_iterations": 5,
         "relation_counts": {"assign": 57, "dereference": 40, "memalias": 400, "valuealias": 529, "valueflow": 507},
         "exchange_bytes": 4076808.0,
     },
     ("sg", 1): {
-        "elapsed_seconds": 0.0009408484240191676, "kernel_launches": 68, "total_iterations": 3,
+        "elapsed_seconds": 0.0009158285802389868, "kernel_launches": 63, "total_iterations": 3,
         "relation_counts": {"edge": 85, "sg": 502},
         "exchange_bytes": 0.0,
     },
     ("sg", 2): {
-        "elapsed_seconds": 0.0011905115196197088, "kernel_launches": 217, "total_iterations": 3,
+        "elapsed_seconds": 0.0011655043232605905, "kernel_launches": 207, "total_iterations": 3,
         "relation_counts": {"edge": 85, "sg": 502},
         "exchange_bytes": 6992.0,
     },
     ("sg", 4): {
-        "elapsed_seconds": 0.0012002802914447973, "kernel_launches": 423, "total_iterations": 3,
+        "elapsed_seconds": 0.001175272928373839, "kernel_launches": 403, "total_iterations": 3,
         "relation_counts": {"edge": 85, "sg": 502},
         "exchange_bytes": 13104.0,
     },
     ("tc", 1): {
-        "elapsed_seconds": 0.0008850300567669703, "kernel_launches": 57, "total_iterations": 3,
+        "elapsed_seconds": 0.0008600303219192528, "kernel_launches": 52, "total_iterations": 3,
         "relation_counts": {"edge": 10, "reach": 21},
         "exchange_bytes": 0.0,
     },
     ("tc", 2): {
-        "elapsed_seconds": 0.0011250181152906754, "kernel_launches": 158, "total_iterations": 3,
+        "elapsed_seconds": 0.0011000176219678165, "kernel_launches": 151, "total_iterations": 3,
         "relation_counts": {"edge": 10, "reach": 21},
         "exchange_bytes": 464.0,
     },
     ("tc", 4): {
-        "elapsed_seconds": 0.0011050140653149668, "kernel_launches": 294, "total_iterations": 3,
+        "elapsed_seconds": 0.0010850142819260435, "kernel_launches": 286, "total_iterations": 3,
         "relation_counts": {"edge": 10, "reach": 21},
         "exchange_bytes": 816.0,
     },

@@ -39,10 +39,11 @@ def test_sorted_index_orders_join_columns_first(device):
 
 
 def test_lookup_returns_runs(edge_hisa):
-    starts, lengths = edge_hisa.lookup(np.array([[0], [4], [9]], dtype=np.int64))
+    runs, lengths = edge_hisa.lookup(np.array([[0], [4], [9]], dtype=np.int64))
     assert lengths.tolist() == [2, 2, 0]
-    assert starts[2] == -1
-    rows = edge_hisa.rows_at_sorted_positions(np.arange(starts[1], starts[1] + lengths[1]))
+    assert runs.starts[:, 2].tolist() == [-1]  # one sorted run, and key 9 misses it
+    start = int(runs.starts[0, 1])
+    rows = edge_hisa.rows_at_sorted_positions(np.arange(start, start + 2))
     assert {tuple(r) for r in rows.tolist()} == {(4, 7), (4, 8)}
 
 
@@ -52,8 +53,8 @@ def test_lookup_wrong_key_width_rejected(edge_hisa):
 
 
 def test_expand_matches(edge_hisa):
-    starts, lengths = edge_hisa.lookup(np.array([[1], [4]], dtype=np.int64))
-    probe_idx, data_positions = edge_hisa.expand_matches(starts, lengths)
+    runs, lengths = edge_hisa.lookup(np.array([[1], [4]], dtype=np.int64))
+    probe_idx, data_positions = edge_hisa.expand_matches(runs, lengths)
     assert probe_idx.tolist() == [0, 0, 1, 1]
     matched = edge_hisa.stored_rows()[data_positions]
     assert {tuple(r) for r in matched.tolist()} == {(1, 3), (1, 4), (4, 7), (4, 8)}
@@ -115,12 +116,12 @@ def test_lookup_matches_bruteforce(rows, join_col):
     device = Device("h100", oom_enabled=False)
     hisa = HISA(device, rows, join_columns=(join_col,))
     keys = np.unique(rows[:, join_col])
-    starts, lengths = hisa.lookup(keys.reshape(-1, 1), charge=False)
-    for key, start, length in zip(keys.tolist(), starts.tolist(), lengths.tolist()):
-        expected = int((rows[:, join_col] == key).sum())
-        assert length == expected
-        found = hisa.rows_at_sorted_positions(np.arange(start, start + length))
-        assert all(row[join_col] == key for row in found.tolist())
+    runs, lengths = hisa.lookup(keys.reshape(-1, 1), charge=False)
+    probe_idx, data_positions = hisa.expand_matches(runs, lengths)
+    found = hisa.natural_rows()[data_positions]
+    for probe, (key, length) in enumerate(zip(keys.tolist(), lengths.tolist())):
+        assert length == int((rows[:, join_col] == key).sum())
+        assert (found[probe_idx == probe, join_col] == key).all()
 
 
 @given(rows=rows_strategy)

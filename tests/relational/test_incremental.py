@@ -1,17 +1,18 @@
-"""Equivalence tests for the incremental HISA merge path.
+"""The run-stack index against a from-scratch build, after every merge.
 
-The contract under test: merging N delta batches incrementally into a
-persistent full index yields a HISA that is *tuple-identical* to one built
-from scratch over the union — same sorted rows, same run starts/lengths, the
-same ``lookup``/``contains`` answers — while the hash table gains only the
-new keys (with geometric growth) and the device-memory bookkeeping stays
-leak-free.
+``HISA.merge`` keeps the index tier as a stack of sorted runs: it pushes the
+delta and absorbs the runs it is at least half as large as.  The oracle is
+the constructor — ``HISA(device, all_rows, join_columns)`` sorts, scans and
+hashes everything from nothing — and the contract is that no reader can tell
+the two apart: same tuples, same ``lookup`` / ``contains`` answers, same
+statistics, and after ``compact()`` the same bytes.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.backend import NumpyBackend
 from repro.device import Device
 from repro.relational import (
     HISA,
@@ -22,9 +23,12 @@ from repro.relational import (
     hash_rows,
 )
 
+#: all-column, prefix, prefix, non-prefix, non-prefix
+INDEX_KINDS = [(0, 1, 2), (0,), (0, 1), (1,), (2, 0)]
 
-def _fresh_device():
-    return Device("h100", oom_enabled=False)
+
+def _fresh_device(**options):
+    return Device("h100", oom_enabled=False, **options)
 
 
 def _random_unique_rows(rng, n, arity=3, lo=0, hi=60):
@@ -34,22 +38,65 @@ def _random_unique_rows(rng, n, arity=3, lo=0, hi=60):
 def _split_batches(rows, n_batches, rng):
     """Partition unique rows into one initial chunk plus disjoint delta batches."""
     order = rng.permutation(rows.shape[0])
-    chunks = np.array_split(order, n_batches + 1)
-    return [rows[c] for c in chunks if True]
+    return [rows[chunk] for chunk in np.array_split(order, n_batches + 1)]
 
 
-def _assert_hisa_equivalent(incremental: HISA, scratch: HISA, join_col_values: np.ndarray):
-    assert incremental.tuple_count == scratch.tuple_count
-    np.testing.assert_array_equal(
-        incremental.data[incremental.sorted_index], scratch.data[scratch.sorted_index]
-    )
-    np.testing.assert_array_equal(incremental.run_starts, scratch.run_starts)
-    np.testing.assert_array_equal(incremental.run_lengths, scratch.run_lengths)
-    keys = join_col_values.reshape(-1, incremental.n_join)
-    s_inc, l_inc = incremental.lookup(keys, charge=False)
-    s_ref, l_ref = scratch.lookup(keys, charge=False)
-    np.testing.assert_array_equal(s_inc, s_ref)
-    np.testing.assert_array_equal(l_inc, l_ref)
+def _row_pool(seed, size=6000):
+    """``size`` distinct arity-3 rows in random order whose join keys recur:
+    13 values in column 0 and 11 in column 1, so every delta repeats keys of
+    the runs before it."""
+    ids = np.random.default_rng(seed).permutation(size)
+    return np.column_stack([ids % 13, (ids // 13) % 11, ids // 143]).astype(np.int64)
+
+
+def _rows_per_key(hisa, keys, **options):
+    """``lookup`` then ``expand_matches``: the matched tuples of each key, as sets."""
+    runs, lengths = hisa.lookup(keys, charge=False, **options)
+    probe_idx, data_positions = hisa.expand_matches(runs, lengths)
+    assert (np.diff(probe_idx) >= 0).all()  # probe-major
+    matched = hisa.natural_rows()[data_positions]
+    found = [set() for _ in range(len(keys))]
+    for probe, row in zip(probe_idx.tolist(), matched.tolist()):
+        found[probe].add(tuple(row))
+    assert [len(rows) for rows in found] == lengths.tolist()
+    return found
+
+
+def _assert_runs_geometric(hisa):
+    sizes = hisa.run_sizes
+    assert sum(sizes) == hisa.tuple_count
+    for older, newer in zip(sizes, sizes[1:]):
+        assert older > 2 * newer, sizes
+
+
+def _assert_matches_scratch(full: HISA, rows: np.ndarray, join_columns):
+    """``full`` (any number of sorted runs) answers like an index built from ``rows``."""
+    scratch = HISA(_fresh_device(), rows, join_columns, label="ref")
+    assert full.tuple_count == scratch.tuple_count == rows.shape[0]
+    assert {tuple(r) for r in full.natural_rows().tolist()} == {tuple(r) for r in rows.tolist()}
+    assert full.distinct_key_count == scratch.distinct_key_count
+    assert full.max_run_length == scratch.max_run_length
+
+    present = np.unique(rows[:, list(join_columns)], axis=0)
+    absent = present + 1000  # misses: no column ever reaches 1000
+    keys = np.concatenate([present, absent])
+    found = _rows_per_key(full, keys)
+    assert found == _rows_per_key(scratch, keys)
+    assert all(found[: len(present)]) and not any(found[len(present) :])
+    if len(join_columns) == rows.shape[1]:
+        probes = np.concatenate([rows, rows + 1000])
+        expected = np.arange(len(probes)) < len(rows)
+        np.testing.assert_array_equal(full.contains(probes, charge=False), expected)
+
+
+def _assert_compacts_to_scratch(full: HISA, rows: np.ndarray, join_columns):
+    """After ``compact()`` the index tier is byte-identical to a scratch build's."""
+    scratch = HISA(_fresh_device(), rows, join_columns, label="ref")
+    full.compact()
+    assert full.run_sizes == [rows.shape[0]]
+    np.testing.assert_array_equal(full.sorted_natural_rows(), scratch.sorted_natural_rows())
+    np.testing.assert_array_equal(full.run_starts, scratch.run_starts)
+    np.testing.assert_array_equal(full.run_lengths, scratch.run_lengths)
 
 
 @pytest.mark.parametrize("manager_cls", [SimpleBufferManager, EagerBufferManager])
@@ -62,36 +109,92 @@ def test_incremental_merge_matches_scratch_build(manager_cls, join_columns):
     device = _fresh_device()
     manager = manager_cls(device)
     full = HISA(device, batches[0], join_columns, label="inc")
+    merged = batches[0]
     for batch in batches[1:]:
-        if batch.shape[0] == 0:
+        full = full.merge(HISA(device, batch, join_columns, label="inc.delta"), manager)
+        merged = np.concatenate([merged, batch])
+        _assert_runs_geometric(full)
+        _assert_matches_scratch(full, merged, join_columns)
+    _assert_compacts_to_scratch(full, rows, join_columns)
+
+
+def _delta_size(action: str, sizes: list[int], last: int) -> int:
+    """A delta size that makes the next merge do ``action`` on runs of ``sizes``."""
+    if action == "push":  # less than half the newest run: absorbs nothing
+        return max(1, (sizes[-1] - 1) // 2)
+    if action == "absorb-one":  # reaches the newest run, stops short of the next
+        return (sizes[-1] + 1) // 2
+    if action == "absorb-all":
+        return sum(sizes)
+    return last  # "equal": the chain of equal deltas
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    base=st.integers(0, 40),
+    first_delta=st.integers(1, 12),
+    join_columns=st.sampled_from(INDEX_KINDS),
+    schedule=st.lists(
+        st.sampled_from(["push", "absorb-one", "absorb-all", "equal", "equal", "compact"]), min_size=1, max_size=12
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_incremental_merge_equivalence_property(seed, base, first_delta, join_columns, schedule):
+    pool = _row_pool(seed)
+    device = _fresh_device()
+    manager = EagerBufferManager(device)
+    full = HISA(device, pool[:base], join_columns, label="p")
+    used, last = base, first_delta
+    for action in schedule:
+        if action == "compact":
+            _assert_compacts_to_scratch(full, pool[:used], join_columns)
             continue
-        delta = HISA(device, batch, join_columns, label="inc.delta")
-        full = full.merge(delta, manager)
+        last = _delta_size(action, full.run_sizes, last)
+        if used + last > len(pool):
+            break
+        delta = HISA(device, pool[used : used + last], join_columns, label="p.d", build_hash_index=False)
+        used += last
+        assert full.merge(delta, manager) is full
+        _assert_runs_geometric(full)
+        _assert_matches_scratch(full, pool[:used], join_columns)
+    _assert_compacts_to_scratch(full, pool[:used], join_columns)
 
-    scratch = HISA(_fresh_device(), rows, join_columns, label="ref")
-    probe_keys = np.unique(rows[:, list(join_columns)], axis=0)
-    _assert_hisa_equivalent(full, scratch, probe_keys)
+
+def test_equal_deltas_keep_the_stack_logarithmic():
+    """The schedule that never merges under a ratio of 1: a chain of equal deltas."""
+    pool = _row_pool(5)
+    device = _fresh_device()
+    full = HISA(device, pool[:20], (1,), label="chain")
+    for step in range(1, 200):
+        delta = HISA(device, pool[20 * step : 20 * step + 20], (1,), label="chain.d", build_hash_index=False)
+        full.merge(delta, EagerBufferManager(device))
+        _assert_runs_geometric(full)
+        assert len(full.run_sizes) <= np.ceil(np.log2(step + 1)) + 1
+    _assert_matches_scratch(full, pool[:4000], (1,))
 
 
-def test_incremental_equals_forced_rebuild():
-    """incremental=True and incremental=False must be indistinguishable."""
-    rng = np.random.default_rng(21)
-    rows = _random_unique_rows(rng, 600)
-    batches = _split_batches(rows, 4, rng)
+class _CollidingBackend(NumpyBackend):
+    """Hashes a key by its first column modulo 4, so keys 1 and 5 collide."""
 
-    results = {}
-    for incremental in (True, False):
-        device = _fresh_device()
-        full = HISA(device, batches[0], (0,), label="r")
-        for batch in batches[1:]:
-            delta = HISA(device, batch, (0,), label="r.delta")
-            full = full.merge(delta, EagerBufferManager(device), incremental=incremental)
-        results[incremental] = full
+    def hash_columns(self, columns):
+        return super().hash_columns([np.asarray(columns[0]) % 4])
 
-    keys = np.unique(rows[:, 0]).reshape(-1, 1)
-    _assert_hisa_equivalent(results[True], results[False], keys)
-    assert results[True].last_merge_incremental
-    assert not results[False].last_merge_incremental
+
+def test_hash_collision_falls_through_to_a_miss():
+    device = _fresh_device(backend=_CollidingBackend())
+    rows = np.array([[1, 10], [1, 11], [2, 20], [3, 30]], dtype=np.int64)
+    full = HISA(device, rows, (0,), label="c")
+    full.merge(HISA(device, np.array([[1, 12]], dtype=np.int64), (0,), label="c.d"), EagerBufferManager(device))
+    assert len(full.run_sizes) == 2  # key 1 sits in both sorted runs
+    keys = np.array([[1], [5]], dtype=np.int64)
+    assert _rows_per_key(full, keys) == [{(1, 10), (1, 11), (1, 12)}, set()]
+    # Unverified, key 5's hash hits key 1's entry in both runs.
+    assert _rows_per_key(full, keys, verify=False)[1] == {(1, 10), (1, 11), (1, 12)}
+
+    whole = HISA(device, rows[1:], (0, 1), label="w")
+    whole.merge(HISA(device, np.array([[4, 40]], dtype=np.int64), (0, 1), label="w.d"), EagerBufferManager(device))
+    probes = np.array([[4, 40], [8, 40], [1, 11], [5, 11]], dtype=np.int64)
+    assert whole.contains(probes, charge=False).tolist() == [True, False, True, False]
 
 
 def test_contains_after_incremental_merges():
@@ -107,33 +210,37 @@ def test_contains_after_incremental_merges():
     assert not full.contains(absent, charge=False).any()
 
 
-@given(
-    seed=st.integers(0, 10_000),
-    n_rows=st.integers(2, 250),
-    n_batches=st.integers(1, 6),
-    join_col=st.sampled_from([0, 1, 2]),
-)
-@settings(max_examples=40, deadline=None)
-def test_incremental_merge_equivalence_property(seed, n_rows, n_batches, join_col):
-    rng = np.random.default_rng(seed)
-    rows = _random_unique_rows(rng, n_rows, lo=0, hi=12)
-    if rows.shape[0] < 2:
-        return
-    batches = _split_batches(rows, n_batches, rng)
-
+def test_memory_accounting_follows_capacity():
+    """Every tier accounts what it has reserved, and ``free`` gives all of it back."""
+    pool = _row_pool(11)
     device = _fresh_device()
-    full = HISA(device, batches[0], (join_col,), label="p")
-    for batch in batches[1:]:
-        if batch.shape[0] == 0:
-            continue
-        full = full.merge(HISA(device, batch, (join_col,), label="p.d"), EagerBufferManager(device))
+    before = device.pool.in_use_bytes
+    full = HISA(device, pool[:100], (1,), label="m")
+    manager = EagerBufferManager(device)
 
-    scratch = HISA(_fresh_device(), rows, (join_col,), label="p.ref")
-    keys = np.unique(rows[:, join_col]).reshape(-1, 1)
-    _assert_hisa_equivalent(full, scratch, keys)
+    def reserved():
+        slab = full.table.capacity * 24
+        stores = sum(store.nbytes for store in full._stores)
+        return full.memory_breakdown().data_bytes + stores + slab
+
+    allocations = device.pool.stats.allocation_count
+    for step in range(50):
+        delta = HISA(device, pool[100 + 40 * step : 140 + 40 * step], (1,), label="m.d", build_hash_index=False)
+        full.merge(delta, manager)
+        assert full.memory_breakdown().total_bytes == reserved()
+        assert device.pool.in_use_bytes - before == reserved() + manager.spare_bytes
+    # 50 deltas allocated 50 x (data, index); the full index grew geometrically.
+    assert device.pool.stats.allocation_count - allocations - 100 <= 3 * np.log2(2100 / 100) + 3
+    assert len(full.run_sizes) > 1
+    full.compact()
+    assert full.memory_breakdown().total_bytes == reserved()
+    full.free()
+    manager.release()
+    assert device.pool.in_use_bytes == before
 
 
 def test_hash_table_growth_preserves_entries():
+    """Tables stacked in one slab keep answering after the slab is reallocated."""
     device = _fresh_device()
     rng = np.random.default_rng(11)
     all_keys = np.unique(rng.integers(0, 1 << 40, size=(3000, 2), dtype=np.int64), axis=0)
@@ -142,37 +249,45 @@ def test_hash_table_growth_preserves_entries():
     table = OpenAddressingHashTable(
         device, all_hashes[:16], np.arange(16, dtype=np.int64), load_factor=0.8
     )
-    inserted = 16
-    grew_at_least_once = False
-    while inserted < all_hashes.size:
-        batch = min(128, all_hashes.size - inserted)
-        hashes = all_hashes[inserted : inserted + batch]
-        values = np.arange(inserted, inserted + batch, dtype=np.int64)
-        slots, grew = table.insert_batch(hashes, values)
-        grew_at_least_once = grew_at_least_once or grew
-        assert (slots >= 0).all()
-        inserted += batch
+    bounds = [0, 16]
+    growths = 0
+    while bounds[-1] < all_hashes.size:
+        start, end = bounds[-1], min(bounds[-1] + 128, all_hashes.size)
+        slots, grew = table.insert_batch(all_hashes[start:end], np.arange(start, end, dtype=np.int64))
+        assert (slots >= 0).all() and np.unique(slots).size == end - start
+        growths += grew
+        bounds.append(end)
 
-    assert grew_at_least_once
+    assert 1 <= growths <= np.log2(all_hashes.size)  # geometric
     assert len(table) == all_hashes.size
     assert table.occupancy() <= table.load_factor + 1e-9
-    found_values, _ = table.probe(all_hashes, charge=False)
-    np.testing.assert_array_equal(found_values, np.arange(all_hashes.size, dtype=np.int64))
+    for index, (start, end) in enumerate(zip(bounds, bounds[1:])):
+        found, _ = table.probe(all_hashes[start:end], index, charge=False)
+        np.testing.assert_array_equal(found, np.arange(start, end, dtype=np.int64))
+        missed, _ = table.probe(all_hashes[end : end + 64], index, charge=False)
+        assert (missed == -1).all()
+
+    # Popping tables frees their slots for the next push: no growth.
+    table.truncate(2)
+    capacity = table.capacity
+    _, grew = table.insert_batch(all_hashes[bounds[2] :][:500], np.arange(500, dtype=np.int64))
+    assert not grew and table.capacity == capacity
+    found, _ = table.probe(all_hashes[bounds[2] :][:500], 2, charge=False)
+    np.testing.assert_array_equal(found, np.arange(500, dtype=np.int64))
 
 
-def test_insert_batch_slots_stay_valid_until_growth():
+def test_insert_batch_slots_address_update_slots():
     device = _fresh_device()
     keys = np.unique(np.random.default_rng(5).integers(0, 1 << 40, size=(64, 2), dtype=np.int64), axis=0)
     hashes = hash_rows(keys)
-    table = OpenAddressingHashTable(
-        device, hashes[:32], np.arange(32, dtype=np.int64), load_factor=0.5
-    )
-    slots = table.find_slots(hashes[:32])
-    assert (slots >= 0).all()
-    table.update_slots(slots, np.arange(32, dtype=np.int64) * 10, np.ones(32, dtype=np.int64))
-    values, lengths = table.probe(hashes[:32], charge=False)
+    table = OpenAddressingHashTable(device, hashes[:8], np.arange(8, dtype=np.int64), load_factor=0.5)
+    slots, _ = table.insert_batch(hashes[8:40], np.arange(32, dtype=np.int64))
+    table.update_slots(slots, np.arange(32, dtype=np.int64) * 10, np.full(32, 3, dtype=np.int64))
+    values, lengths = table.probe(hashes[8:40], 1, charge=False)
     np.testing.assert_array_equal(values, np.arange(32, dtype=np.int64) * 10)
-    np.testing.assert_array_equal(lengths, np.ones(32, dtype=np.int64))
+    np.testing.assert_array_equal(lengths, np.full(32, 3, dtype=np.int64))
+    values, _ = table.probe(hashes[:8], 0, charge=False)  # the table below is untouched
+    np.testing.assert_array_equal(values, np.arange(8, dtype=np.int64))
 
 
 def test_fixpoint_memory_accounting_leak_free():
@@ -220,5 +335,6 @@ def test_merge_into_empty_full():
     delta = HISA(device, np.array([[5, 6], [1, 2]], dtype=np.int64), (0,), label="r.d")
     merged = full.merge(delta, EagerBufferManager(device))
     assert merged.tuple_count == 2
-    starts, lengths = merged.lookup(np.array([[5]], dtype=np.int64), charge=False)
+    assert merged.run_sizes == [2]
+    _, lengths = merged.lookup(np.array([[5]], dtype=np.int64), charge=False)
     assert lengths.tolist() == [1]
