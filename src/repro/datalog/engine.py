@@ -19,7 +19,7 @@ String constants in facts or rules are interned into integers transparently
 from __future__ import annotations
 
 import os
-from collections import defaultdict
+from collections import Counter, defaultdict
 from collections.abc import Mapping
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -787,6 +787,7 @@ class GPULogEngine:
                         "estimated_cost": current.estimated_cost,
                         "observed_rows": float(entry["rows"]) if entry else 0.0,
                         "executions": int(entry["executions"]) if entry else 0,
+                        "distinct_outer": Counter(entry["distinct_outer"]) if entry else Counter(),
                     }
                 )
         return tuple(report)
@@ -799,6 +800,13 @@ class GPULogEngine:
         observed output cardinalities (observed is summed over every
         execution of the version and over every shard — 0 executions means
         the version never ran, e.g. its stratum converged immediately).
+        ``distinct_outer=<fired>/<eligible> rows=<n>→<d>`` reports the
+        version's join steps whose outer carried a dead column (eligible),
+        how many of them made the outer distinct on its live columns before
+        expanding it (fired, see ``hash_join``) and what that did to the outer
+        row count; ``observed_rows`` counts the outputs *after* that distinct
+        — rows the joins really produced, which is also what the adaptive
+        replanner compares with its estimate.
         """
         result = self.last_result
         if result is None:
@@ -819,6 +827,12 @@ class GPULogEngine:
                 f" observed_rows={entry['observed_rows']:.0f}"
                 f" executions={entry['executions']}"
             )
+            distinct = entry["distinct_outer"]
+            if distinct["eligible"]:
+                lines[-1] += (
+                    f" distinct_outer={distinct['fired']}/{distinct['eligible']}"
+                    f" rows={distinct['rows_in']}→{distinct['rows_out']}"
+                )
         return "\n".join(lines)
 
     def _build_result(

@@ -183,6 +183,61 @@ class RuleVersion:
             for column in self.head
         )
 
+    @cached_property
+    def live_columns(self) -> tuple[tuple[frozenset[int], ...], frozenset[int]]:
+        """Live schema positions in front of every join step and after the last.
+
+        Returns ``(live_before_step, live_final)`` where ``live_before_step[i]``
+        is the set of flowing-schema positions that step ``i`` or anything after
+        it (later joins, final filters, the head projection) still reads, and
+        ``live_final`` is the same set for the point after the last join.  A
+        position absent from the set is *dead*: no downstream operator will
+        ever materialize it, so a cross-shard shipment may omit the column
+        (the receiver substitutes an unread placeholder) and a join may treat
+        outer rows that differ only there as duplicates.
+
+        The walk is a standard backward liveness pass: seed with the head's
+        variable positions and the final filters' columns, then per join step
+        (in reverse) map output positions through ``post_projection``, add the
+        step's own filter columns, and translate ``"outer"``-sourced output
+        entries plus the probe keys back into the pre-step schema.  WCOJ
+        versions are decomposed into ordinary expand/check steps, so the same
+        walk covers them (membership checks keep every checked column alive via
+        their probe keys).
+        """
+        live: set[int] = set()
+        for column in self.head:
+            if column.kind == "var":
+                live.add(int(column.position))
+        for comparison in self.final_filters:
+            live.add(comparison.left_column)
+            if comparison.right_column is not None:
+                live.add(comparison.right_column)
+        live_final = frozenset(live)
+
+        live_before: list[frozenset[int]] = [frozenset()] * len(self.joins)
+        for index in range(len(self.joins) - 1, -1, -1):
+            step = self.joins[index]
+            # Lift to the step's pre-post-projection output positions.
+            if step.post_projection is not None:
+                out_live = {step.post_projection[position] for position in live}
+            else:
+                out_live = set(live)
+            for comparison in step.filters:
+                out_live.add(comparison.left_column)
+                if comparison.right_column is not None:
+                    out_live.add(comparison.right_column)
+            # Translate to the schema flowing *into* the step: probe keys plus
+            # every outer column a live output entry copies.
+            previous = set(step.outer_key_positions)
+            for position in out_live:
+                entry = step.output[position]
+                if entry.source == "outer":
+                    previous.add(entry.column)
+            live_before[index] = frozenset(previous)
+            live = previous
+        return tuple(live_before), live_final
+
 
 @dataclass(frozen=True)
 class RulePlan:
@@ -931,66 +986,6 @@ def plan_program(
 ) -> ProgramPlan:
     """Convenience wrapper: plan every rule of an analysed program."""
     return Planner(analysis, planner=planner, stats=stats).plan_program()
-
-
-# ----------------------------------------------------------------------
-# Column liveness (what the exchange layer may drop)
-# ----------------------------------------------------------------------
-
-def version_live_columns(
-    version: RuleVersion,
-) -> tuple[tuple[frozenset[int], ...], frozenset[int]]:
-    """Live schema positions at every exchange point of a rule version.
-
-    Returns ``(live_before_step, live_final)`` where ``live_before_step[i]``
-    is the set of flowing-schema positions that step ``i`` or anything after
-    it (later joins, final filters, the head projection) still reads, and
-    ``live_final`` is the same set for the point after the last join.  A
-    position absent from the set at an exchange is *dead*: no downstream
-    operator will ever materialize it, so a cross-shard shipment may omit
-    the column entirely (the receiver substitutes an unread placeholder).
-
-    The walk is a standard backward liveness pass: seed with the head's
-    variable positions and the final filters' columns, then per join step
-    (in reverse) map output positions through ``post_projection``, add the
-    step's own filter columns, and translate ``"outer"``-sourced output
-    entries plus the probe keys back into the pre-step schema.  WCOJ
-    versions are decomposed into ordinary expand/check steps, so the same
-    walk covers them (membership checks keep every checked column alive via
-    their probe keys).
-    """
-    live: set[int] = set()
-    for column in version.head:
-        if column.kind == "var":
-            live.add(int(column.position))
-    for comparison in version.final_filters:
-        live.add(comparison.left_column)
-        if comparison.right_column is not None:
-            live.add(comparison.right_column)
-    live_final = frozenset(live)
-
-    live_before: list[frozenset[int]] = [frozenset()] * len(version.joins)
-    for index in range(len(version.joins) - 1, -1, -1):
-        step = version.joins[index]
-        # Lift to the step's pre-post-projection output positions.
-        if step.post_projection is not None:
-            out_live = {step.post_projection[position] for position in live}
-        else:
-            out_live = set(live)
-        for comparison in step.filters:
-            out_live.add(comparison.left_column)
-            if comparison.right_column is not None:
-                out_live.add(comparison.right_column)
-        # Translate to the schema flowing *into* the step: probe keys plus
-        # every outer column a live output entry copies.
-        previous = set(step.outer_key_positions)
-        for position in out_live:
-            entry = step.output[position]
-            if entry.source == "outer":
-                previous.add(entry.column)
-        live_before[index] = frozenset(previous)
-        live = previous
-    return tuple(live_before), live_final
 
 
 def head_shard_variable(version: RuleVersion, shard_column: int) -> str | None:

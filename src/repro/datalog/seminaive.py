@@ -32,6 +32,7 @@ ablation kernel need one shard, and the pre-init snapshot needs more than one.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 
@@ -49,7 +50,7 @@ from ..errors import (
 )
 from ..relational.checkpoint import CheckpointStore, EvaluationCheckpoint
 from ..relational.columnbatch import ColumnBatch
-from ..relational.operators import fused_nway_join, hash_join, select
+from ..relational.operators import LiveOuter, fused_nway_join, hash_join, select
 from ..relational.sharded import ShardedRelation, partition_rows_host
 from ..relational.wcoj import generic_join
 from .planner import DELTA, WCOJ, ProgramPlan, RuleVersion
@@ -160,9 +161,10 @@ class SemiNaiveEvaluator:
         self.oom_chunked_joins = 0
         #: recursive versions whose pipeline actually changed on a replan
         self.replans = 0
-        #: per-version observed output rows, keyed by (rule identity, delta
-        #: atom) so the key survives version swaps; feeds ``explain()`` and
-        #: the adaptive replanning drift test
+        #: per-version observed output rows and distinct-before-expand
+        #: counters, keyed by (rule identity, delta atom) so the key survives
+        #: version swaps; feeds ``explain()`` and the adaptive replanning
+        #: drift test
         self.version_observations: dict[tuple[int, int | None], dict] = {}
 
     # ------------------------------------------------------------------
@@ -475,12 +477,24 @@ class SemiNaiveEvaluator:
     def _version_key(version: RuleVersion) -> tuple[int, int | None]:
         return (id(version.rule), version.delta_atom_index)
 
-    def _observe_version(self, version: RuleVersion, rows: int) -> None:
+    def _observation(self, version: RuleVersion) -> dict:
         entry = self.version_observations.setdefault(
             self._version_key(version),
-            {"version": version, "rows": 0.0, "executions": 0, "window_rows": 0.0, "window_executions": 0},
+            {
+                "rows": 0.0,
+                "executions": 0,
+                "window_rows": 0.0,
+                "window_executions": 0,
+                # what the version's joins report about distinct-before-expand
+                # (``LiveOuter.report``)
+                "distinct_outer": Counter(),
+            },
         )
         entry["version"] = version
+        return entry
+
+    def _observe_version(self, version: RuleVersion, rows: int) -> None:
+        entry = self._observation(version)
         entry["rows"] += float(rows)
         entry["executions"] += 1
         entry["window_rows"] += float(rows)
@@ -732,10 +746,16 @@ class SemiNaiveEvaluator:
             # join per kernel), but only the columns the next step or the
             # head actually reads are ever gathered.  A shard's empty batch
             # passes through untouched: nothing downstream reads its width.
+            # Each join is told which outer columns are still live, so it can
+            # stop expanding outer rows that differ only in dead ones, and
+            # reports what it did with that into the version's observations.
+            live_before, _ = version.live_columns
+            report = self._observation(version)["distinct_outer"]
             for index, step in enumerate(version.joins):
                 if not any(len(batch) for batch in batches):
                     break
                 batches, inners = self.exchange.place(version, index, batches)
+                live = LiveOuter(live_before[index], report)
                 joined = []
                 for device, batch, inner in zip(self.devices, batches, inners):
                     if len(batch):
@@ -748,6 +768,7 @@ class SemiNaiveEvaluator:
                                 step.output,
                                 comparisons=step.filters,
                                 label=f"{version.head_relation}<-{step.relation}",
+                                live_outer=live,
                             )
                             if step.post_projection is not None and len(batch):
                                 batch = batch.project(step.post_projection)

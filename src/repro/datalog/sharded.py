@@ -14,8 +14,8 @@ schedule:
   :class:`~repro.relational.columnbatch.ColumnBatch` objects *across shard
   boundaries too*: a shipment carries only the columns a downstream plan
   step still reads (the planner's backward liveness analysis,
-  :func:`~repro.datalog.planner.version_live_columns`), with selection
-  chains resolved sender-side, so dead columns never cross the interconnect;
+  ``RuleVersion.live_columns``), with selection chains resolved sender-side,
+  so dead columns never cross the interconnect;
 * before a repartition or broadcast, a **semi-join filter** — an exact
   per-shard key set built from the inner relation's join column and
   refreshed incrementally from deltas on merge
@@ -49,7 +49,7 @@ from ..relational.columnbatch import ColumnBatch
 from ..relational.relation import Relation
 from ..relational.semijoin import ExchangeFilterBank
 from ..relational.sharded import ShardedRelation, shard_owners
-from .planner import ProgramPlan, RuleVersion, head_shard_variable, version_live_columns
+from .planner import ProgramPlan, RuleVersion, head_shard_variable
 
 __all__ = ["ShardExchange", "ShardedSemiNaiveEvaluator", "shard_columns_for_plan"]
 
@@ -266,7 +266,6 @@ class ShardExchange:
         plan = self._version_plans.get(id(version))
         if plan is not None:
             return plan
-        live_before, _live_final = version_live_columns(version)
         schemas = tuple(
             [tuple(version.initial.schema)] + [tuple(step.schema) for step in version.joins]
         )
@@ -295,7 +294,7 @@ class ShardExchange:
         plan = _VersionPlan(
             modes=tuple(modes),
             schemas=schemas,
-            live_before=live_before,
+            live_before=version.live_columns[0],
             route_before=route_before,
             route_position=route_position,
         )
@@ -540,17 +539,6 @@ class ShardExchange:
                     for part in parts
                 ]
                 columns = device.kernels.concatenate_columns(materialized, label=f"{label}.gather")
-        total = sum(len(part) for part in parts)
-        live_map = {position: index for index, position in enumerate(live_positions)}
-        placeholder = None
-        full_columns = []
-        for position in range(width):
-            index = live_map.get(position)
-            if index is not None:
-                full_columns.append(columns[index])
-            else:
-                if placeholder is None:
-                    placeholder = device.backend.zeros(total, dtype=device.backend.int64)
-                full_columns.append(placeholder)
-        return ColumnBatch.from_columns(device, full_columns, length=total)
-
+        return ColumnBatch.from_live_columns(
+            device, columns, live_positions, width, length=sum(len(part) for part in parts)
+        )

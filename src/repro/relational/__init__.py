@@ -35,6 +35,7 @@ from .hisa import HISA, HisaMemoryBreakdown
 from .operators import (
     ColumnComparison,
     JoinOutput,
+    LiveOuter,
     deduplicate,
     difference,
     fused_nway_join,
@@ -64,6 +65,7 @@ __all__ = [
     "HisaMemoryBreakdown",
     "IterationStats",
     "JoinOutput",
+    "LiveOuter",
     "MergeBufferManager",
     "OpenAddressingHashTable",
     "Relation",

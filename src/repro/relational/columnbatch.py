@@ -77,8 +77,10 @@ class ColumnBatch:
         self._sources = sources
         self._selections = selections
         self._cache: dict[int, Array] = {}
-        #: per-source coalescing flag of the resolved selection, computed once
-        #: and shared by every column gathered from that source
+        #: per-source coalescing flag of the resolved selection: seeded by
+        #: :meth:`take` for selections that are monotone by construction,
+        #: otherwise computed once at first gather, and carried by the routing
+        #: operators to the batches that keep the source
         self._monotone: dict[int, bool] = {}
         if names is not None and len(names) != len(bases):
             raise SchemaError(f"{len(names)} column names for {len(bases)} columns")
@@ -141,6 +143,43 @@ class ColumnBatch:
         return cls.from_rows(device, data)
 
     @classmethod
+    def from_live_columns(
+        cls,
+        device: Device,
+        columns: Sequence[Array],
+        live_positions: Sequence[int],
+        arity: int,
+        *,
+        length: int | None = None,
+        names: tuple[str, ...] | None = None,
+    ) -> "ColumnBatch":
+        """A full-arity batch of which only the *live* positions hold values.
+
+        ``columns[i]`` becomes position ``live_positions[i]``; every other
+        position shares one zero-filled placeholder column that, by
+        construction (the planner's liveness analysis), no downstream
+        operator will ever gather.  How an exchanged shipment and a join
+        outer made distinct on its live columns rejoin the flowing schema.
+        """
+        if len(columns) != len(live_positions):
+            raise SchemaError(
+                f"{len(columns)} live columns for {len(live_positions)} live positions"
+            )
+        if length is None:
+            length = int(columns[0].shape[0]) if columns else 0
+        live = {int(position): column for position, column in zip(live_positions, columns)}
+        placeholder: Array | None = None
+        full: list[Array] = []
+        for position in range(arity):
+            column = live.get(position)
+            if column is None:
+                if placeholder is None:
+                    placeholder = device.backend.zeros(length, dtype=TUPLE_DTYPE)
+                column = placeholder
+            full.append(column)
+        return cls.from_columns(device, full, length=length, names=names)
+
+    @classmethod
     def from_shipped(
         cls,
         device: Device,
@@ -155,30 +194,23 @@ class ColumnBatch:
         The exchange path ships only *live* columns (positions a downstream
         plan step reads, per the planner's liveness analysis) packed as a
         ``(n, len(live_positions))`` row block.  This wraps that block back
-        into the receiving shard's full flowing schema: live positions become
-        zero-copy column views of the block, and every dead position shares
-        one zero-filled placeholder column that, by construction, no
-        downstream operator will ever gather.
+        into the receiving shard's full flowing schema
+        (:meth:`from_live_columns`): live positions become zero-copy column
+        views of the block.
         """
-        backend = device.backend
-        rows = backend.as_rows(rows)
+        rows = device.backend.as_rows(rows)
         if rows.shape[0] and rows.shape[1] != len(live_positions):
             raise SchemaError(
                 f"shipped block has {rows.shape[1]} columns, expected {len(live_positions)}"
             )
-        length = int(rows.shape[0])
-        live = {int(position): index for index, position in enumerate(live_positions)}
-        placeholder: Array | None = None
-        columns: list[Array] = []
-        for position in range(arity):
-            index = live.get(position)
-            if index is not None:
-                columns.append(rows[:, index])
-            else:
-                if placeholder is None:
-                    placeholder = backend.zeros(length, dtype=TUPLE_DTYPE)
-                columns.append(placeholder)
-        return cls.from_columns(device, columns, length=length, names=names)
+        return cls.from_live_columns(
+            device,
+            [rows[:, index] for index in range(len(live_positions))],
+            live_positions,
+            arity,
+            length=int(rows.shape[0]),
+            names=names,
+        )
 
     def ship_columns(
         self, positions: Sequence[int], *, label: str = "ship"
@@ -266,11 +298,17 @@ class ColumnBatch:
         chain = self._selections[source]
         if chain is None:
             return None
+        # A source flagged monotone while its chain is still unresolved got
+        # the flag from :meth:`take`: every link is monotone, so every
+        # composition coalesces and needs no check of its own.
+        coalesced = self._monotone.get(source) or None
         while len(chain) > 1:
             tail = chain.pop()
             head = chain.pop()
             if charge:
-                composed = self.device.kernels.compose_selection(head, tail, label=f"{label}.compose")
+                composed = self.device.kernels.compose_selection(
+                    head, tail, label=f"{label}.compose", coalesced=coalesced
+                )
             else:
                 composed = head[tail]
             chain.append(composed)
@@ -334,6 +372,7 @@ class ColumnBatch:
             selections=self._selections,
             names=names,
         )
+        batch._monotone = self._monotone  # same sources, same selection chains
         for new_position, position in enumerate(positions):
             if position in self._cache:
                 batch._cache[new_position] = self._cache[position]
@@ -385,6 +424,7 @@ class ColumnBatch:
             self.device, length=self._length, bases=bases, sources=sources, selections=selections, names=names
         )
         batch._cache.update(cache_entries)
+        batch._monotone.update(self._monotone)
         return batch
 
     def append_lazy(self, specs: Sequence[tuple[Array, Array]]) -> "ColumnBatch":
@@ -414,15 +454,23 @@ class ColumnBatch:
             self.device, length=self._length, bases=bases, sources=sources, selections=selections
         )
         batch._cache.update(self._cache)
+        batch._monotone.update(self._monotone)
         return batch
 
-    def take(self, indices: Array, *, label: str = "take") -> "ColumnBatch":
+    def take(self, indices: Array, *, label: str = "take", monotone: bool = False) -> "ColumnBatch":
         """Select rows by index — appends to each source's selection chain.
 
         No composition happens here; chains resolve lazily at first column
         access, so sources whose columns are never read are never composed.
         Columns already materialized are re-based onto their cached values,
         reusing the earlier gather instead of repeating it.
+
+        ``monotone`` certifies that ``indices`` is non-decreasing *by
+        construction* (match expansion's probe-major indices, a compaction's
+        surviving positions).  A source whose selection then is ``indices``
+        alone, or ``indices`` applied to a selection already known monotone
+        (non-decreasing maps compose), gets its coalescing flag here instead
+        of from an O(n) ``is_monotone`` pass at first gather.
         """
         indices = self.device.backend.asarray(indices, dtype=INDEX_DTYPE).reshape(-1)
         bases = list(self._bases)
@@ -432,6 +480,7 @@ class ColumnBatch:
             bases[position] = cached
             sources[position] = IDENTITY
         selections: list[list[Array] | None] = []
+        known_monotone: dict[int, bool] = {}
         slot_of: dict[int, int] = {}
         for position in range(len(bases)):
             source = sources[position]
@@ -443,12 +492,16 @@ class ColumnBatch:
                 slot = len(selections)
                 selections.append([indices] if chain is None else list(chain) + [indices])
                 slot_of[source] = slot
+                if monotone and (chain is None or self._monotone.get(source)):
+                    known_monotone[slot] = True
             sources[position] = slot
         if IDENTITY in sources or not selections:
             identity_slot = len(selections)
             selections.append([indices])
             sources = [identity_slot if source == IDENTITY else source for source in sources]
-        return ColumnBatch(
+            if monotone:
+                known_monotone[identity_slot] = True
+        batch = ColumnBatch(
             self.device,
             length=int(indices.shape[0]),
             bases=bases,
@@ -456,6 +509,8 @@ class ColumnBatch:
             selections=selections,
             names=self.names,
         )
+        batch._monotone = known_monotone
+        return batch
 
     def filter(self, mask: Array, *, charge: bool = True, label: str = "filter") -> "ColumnBatch":
         """Keep rows where ``mask`` is true (scan + lazy selection append)."""
@@ -468,4 +523,4 @@ class ColumnBatch:
             self.device.kernels.transform(
                 self._length, bytes_per_item=1.0, ops_per_item=1.0, label=f"{label}.scan"
             )
-        return self.take(indices, label=label)
+        return self.take(indices, label=label, monotone=True)

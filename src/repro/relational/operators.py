@@ -27,7 +27,9 @@ directly, so the same code runs on NumPy, CuPy or the guard backend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from contextlib import ExitStack
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 from ..backend import Array, ArrayBackend, HOST_BACKEND, INDEX_ITEMSIZE, TUPLE_ITEMSIZE
@@ -115,6 +117,44 @@ def _divergence(device: Device, work_per_item: Array) -> float:
 # Binary hash join (Algorithm 3)
 # ----------------------------------------------------------------------
 
+#: A join makes its outer distinct on the live columns before expanding it only
+#: when the probe found at least this many matches per outer row: the distinct
+#: (a gather and a packed value sort of the ``n`` outer rows) then costs at most
+#: 1/8 of the expansion work it can remove.  Measured on the benchmark's CSPA
+#: instance (``load_dataset("httpd")``, ``h100``, median wall of 5 runs; the
+#: steps the rule fires on fan out 20-98x there, every SG step fans out 3x and
+#: never qualifies): 2, 4, 8, 16 and 32 all fire on the same 7 joins and give
+#: 0.011487 simulated s and 493-561 ms; 64 fires on 5 (0.012064 s, 666 ms);
+#: never firing is 0.015122 s and 1,135 ms.  The curve is flat, 8 is the margin.
+DISTINCT_FANOUT = 8
+
+
+@dataclass(frozen=True)
+class LiveOuter:
+    """The outer columns anything *after* a join still reads.
+
+    The caller (the fixpoint driver, from ``RuleVersion.live_columns``) names
+    them; :func:`hash_join` adds what it reads itself — probe keys and the
+    outer columns its guards compare — and may then treat outer rows that
+    agree on all of those as one row.  ``report`` is where the joins handed
+    this object say what they did (the caller may share one between objects):
+    ``eligible`` joins whose live set left out an outer column, of those the
+    ``fired`` ones that replaced their outer by its distinct projection, and
+    the outer ``rows_in`` / ``rows_out`` of that distinct.
+    """
+
+    columns: frozenset[int]
+    report: Counter = field(default_factory=Counter)
+
+
+def _distinct_launches(width: int) -> int:
+    """Kernel launches distinct-before-expand adds to a join, ``width`` live
+    columns: their gather, :meth:`DeviceKernels.unique_columns` (a radix pass
+    and a gather per column, adjacent-compare, compact) and the second fused
+    scope of the probe pipeline the distinct splits in two."""
+    return 1 + (2 * width + 2) + 1
+
+
 def hash_join(
     device: Device,
     outer_rows: RowsLike,
@@ -125,6 +165,7 @@ def hash_join(
     comparisons: Sequence[ColumnComparison] = (),
     label: str = "join",
     charge: bool = True,
+    live_outer: LiveOuter | None = None,
 ) -> ColumnBatch:
     """Join an outer columnar batch (or tuple array) against an inner HISA.
 
@@ -136,6 +177,21 @@ def hash_join(
     Only the outer key columns are gathered to probe, and the result is a
     lazy batch of (match index, stored column) pairs — no output tuple is
     materialized until someone reads it.
+
+    **Distinct before expand.**  ``live_outer`` names the outer columns
+    anything downstream still reads (``None``: all of them).  Outer rows that
+    agree on every live column produce outputs that differ only in columns
+    nobody will read, so once the probe has counted the matches and *before
+    anything of that size is written* the join replaces its outer by the
+    distinct projection on the live columns iff (a) the live set omits an
+    outer column, (b) the probe found at least :data:`DISTINCT_FANOUT`
+    matches per outer row, and (c) the expansion is bandwidth-bound on this
+    device: the modelled memory time of the ``scan_inner`` charge it is about
+    to make is at least the launch latency of the kernels the distinct adds.
+    The result then carries placeholders in its dead outer columns and holds
+    the same tuple *set* on the live ones, in fewer rows.  (b) alone is not
+    enough: a small join with a high fan-out is launch-bound, and the
+    distinct's launches would cost more than the bytes it saves.
     """
     backend = device.backend
     outer = ColumnBatch.wrap(device, outer_rows)
@@ -151,10 +207,9 @@ def hash_join(
         if spec.source == INNER and spec.column >= inner.natural_arity:
             raise SchemaError(f"inner column {spec.column} out of range")
     n = len(outer)
-    streamed_keys = sum(1 for column in outer_join_columns if outer.is_materialized(column))
-    streamed_bytes = float(n) * streamed_keys * TUPLE_ITEMSIZE
     if n == 0 or inner.tuple_count == 0:
-        if charge and n and streamed_keys:
+        streamed_bytes = _streamed_key_bytes(outer, outer_join_columns)
+        if charge and streamed_bytes:
             device.charge(KernelCost(kernel=f"{label}.scan_outer", sequential_bytes=streamed_bytes))
         return ColumnBatch.empty(device, out_arity)
 
@@ -164,42 +219,32 @@ def hash_join(
     # one fused kernel.  The fusion scope folds every stage's bytes/ops
     # into a single launch; the stages below keep charging their own work
     # descriptions so the memory/compute accounting stays per-stage exact.
-    with device.fused(f"{label}.probe_fused"):
-        # 1. Read only the outer *key* columns (the columnar saving: non-key
-        #    columns of the outer batch are not touched by the probe).
-        #    Already-materialized key columns are charged here as a streaming
-        #    scan; lazy ones pay their own gather in ``column()`` instead, so
-        #    a fully lazy key set charges only the per-tuple probe ops.
-        if charge:
-            device.charge(
-                KernelCost(
-                    kernel=f"{label}.scan_outer",
-                    sequential_bytes=streamed_bytes,
-                    ops=float(n),
-                )
-            )
-        key_columns = [
-            outer.column(column, charge=charge, label=f"{label}.gather_keys")
-            for column in outer_join_columns
-        ]
+    with ExitStack() as fusion:
+        fusion.enter_context(device.fused(f"{label}.probe_fused"))
+        # 1-2. Read the outer key columns, hash them, probe the inner table.
+        runs, lengths = _probe(device, outer, outer_join_columns, inner, label, charge)
+        total_matches = int(lengths.sum())
 
-        # 2. Hash the key columns and probe the inner hash table.
-        runs, lengths = inner.lookup_columns(key_columns, charge=charge)
+        # 2b. Distinct before expand (docstring).  A radix sort is not an
+        #     elementwise stage: the probe so far closes as its own launch,
+        #     the distinct pays its own, and the distinct keys are probed
+        #     again (``d <= total_matches / DISTINCT_FANOUT`` of them) in a
+        #     new scope that expansion and the guards then share.
+        live = _live_outer_columns(live_outer, outer, outer_join_columns, output, comparisons)
+        if live is not None:
+            live_outer.report["eligible"] += 1
+            if charge and _distinct_pays(device, n, total_matches, len(live)):
+                fusion.close()
+                outer = _distinct_outer(device, outer, live, label)
+                live_outer.report.update(fired=1, rows_in=n, rows_out=len(outer))
+                fusion.enter_context(device.fused(f"{label}.expand_fused"))
+                runs, lengths = _probe(device, outer, outer_join_columns, inner, label, charge)
+                total_matches = int(lengths.sum())
 
         # 3. Expand the matched runs into (probe index, data position) pairs.
         #    Only the two index vectors are written — tuple values stay put.
-        total_matches = int(lengths.sum())
-        divergence = _divergence(device, lengths)
         if charge:
-            device.charge(
-                KernelCost(
-                    kernel=f"{label}.scan_inner",
-                    random_bytes=float(total_matches) * INDEX_ITEMSIZE,
-                    sequential_bytes=2.0 * float(total_matches) * INDEX_ITEMSIZE,
-                    ops=float(total_matches),
-                    divergence=divergence,
-                )
-            )
+            device.charge(_scan_inner_cost(label, total_matches, _divergence(device, lengths)))
         if total_matches == 0:
             return ColumnBatch.empty(device, out_arity)
         probe_idx, data_positions = inner.expand_matches(runs, lengths)
@@ -209,7 +254,7 @@ def hash_join(
         #    stored columns selected by data position.  Nothing is copied or
         #    composed here — selection chains resolve when (and only if) a
         #    column is read.
-        routed_outer = outer.take(probe_idx, label=f"{label}.route_outer")
+        routed_outer = outer.take(probe_idx, label=f"{label}.route_outer", monotone=True)
         inner_specs = [
             (inner.stored_column(inner.column_order.index(spec.column)), data_positions)
             for spec in output
@@ -234,6 +279,94 @@ def hash_join(
                 mask &= comparison.evaluate_batch(result, charge=charge, label=f"{label}.guard")
             result = result.filter(mask, charge=charge, label=f"{label}.guard_compact")
     return result
+
+
+def _streamed_key_bytes(outer: ColumnBatch, outer_join_columns: Sequence[int]) -> float:
+    """Bytes of the outer key columns a probe streams (the materialized ones)."""
+    streamed = sum(1 for column in outer_join_columns if outer.is_materialized(column))
+    return float(len(outer)) * streamed * TUPLE_ITEMSIZE
+
+
+def _probe(
+    device: Device,
+    outer: ColumnBatch,
+    outer_join_columns: Sequence[int],
+    inner: HISA,
+    label: str,
+    charge: bool,
+):
+    """Steps 1-2 of Algorithm 3: ``(runs, lengths)`` of every outer row's matches."""
+    # Read only the outer *key* columns (the columnar saving: non-key columns
+    # of the outer batch are not touched by the probe).  Already-materialized
+    # key columns are charged here as a streaming scan; lazy ones pay their
+    # own gather in ``column()`` instead, so a fully lazy key set charges
+    # only the per-tuple probe ops.
+    if charge:
+        device.charge(
+            KernelCost(
+                kernel=f"{label}.scan_outer",
+                sequential_bytes=_streamed_key_bytes(outer, outer_join_columns),
+                ops=float(len(outer)),
+            )
+        )
+    key_columns = [
+        outer.column(column, charge=charge, label=f"{label}.gather_keys")
+        for column in outer_join_columns
+    ]
+    return inner.lookup_columns(key_columns, charge=charge)
+
+
+def _scan_inner_cost(label: str, total_matches: int, divergence: float = 1.0) -> KernelCost:
+    """Match expansion: walk the matched runs, write the two index vectors."""
+    return KernelCost(
+        kernel=f"{label}.scan_inner",
+        random_bytes=float(total_matches) * INDEX_ITEMSIZE,
+        sequential_bytes=2.0 * float(total_matches) * INDEX_ITEMSIZE,
+        ops=float(total_matches),
+        divergence=divergence,
+    )
+
+
+def _live_outer_columns(
+    live_outer: LiveOuter | None,
+    outer: ColumnBatch,
+    outer_join_columns: Sequence[int],
+    output: Sequence[JoinOutput],
+    comparisons: Sequence[ColumnComparison],
+) -> list[int] | None:
+    """Condition (a): the outer columns this join or anything after it reads,
+    ascending, or ``None`` when that is every column (nothing to drop)."""
+    if live_outer is None:
+        return None
+    live = set(live_outer.columns) | set(outer_join_columns)
+    for comparison in comparisons:
+        for position in (comparison.left_column, comparison.right_column):
+            if position is not None and output[position].source == OUTER:
+                live.add(output[position].column)
+    return sorted(live) if len(live) < outer.arity else None
+
+
+def _distinct_pays(device: Device, n: int, total_matches: int, width: int) -> bool:
+    """Conditions (b) and (c) of distinct-before-expand (see :func:`hash_join`)."""
+    if total_matches < DISTINCT_FANOUT * n:
+        return False
+    cost_model = device.cost_model
+    added = KernelCost(kernel="distinct_outer", launches=_distinct_launches(width))
+    return cost_model.memory_seconds(_scan_inner_cost("", total_matches)) >= cost_model.launch_seconds(added)
+
+
+def _distinct_outer(device: Device, outer: ColumnBatch, live: list[int], label: str) -> ColumnBatch:
+    """``outer``'s distinct projection on the ``live`` columns, at full arity.
+
+    Charged like every other deduplication — a multi-column gather, then
+    :meth:`DeviceKernels.unique_columns` with its own launches — and wrapped
+    back into the flowing schema with unread placeholders in the dead
+    positions, as an exchanged shipment is.
+    """
+    with device.fused(f"{label}.distinct_outer.gather"):
+        columns = [outer.column(column, label=f"{label}.distinct_outer.gather") for column in live]
+    distinct = device.kernels.unique_columns(columns, label=f"{label}.distinct_outer")
+    return ColumnBatch.from_live_columns(device, distinct, live, outer.arity, names=outer.names)
 
 
 # ----------------------------------------------------------------------

@@ -71,6 +71,10 @@ class IterationStats:
     #: ``bench/drivers.py`` (``count.rebuild_merges``); goes with that metric
     #: in the next ``benchmark`` PR.
     rebuild_merges: int = 0
+    #: rows the rule versions appended to *new* this iteration, before
+    #: deduplication (``new_count`` is what survived it): the duplication the
+    #: join side produced and the dedup side had to sort away
+    raw_count: int = 0
 
 
 class Relation:
@@ -263,6 +267,7 @@ class Relation:
         """Run the populate-delta / merge / clear-new steps of Figure 3."""
         self._iteration += 1
         profiler = self.device.profiler
+        raw_count = self.new_count
 
         with profiler.phase(PHASE_DEDUPLICATION):
             if self._new_parts:
@@ -328,6 +333,7 @@ class Relation:
             delta_count=delta_count,
             full_count=self.full_count,
             in_place_merges=in_place_merges,
+            raw_count=raw_count,
         )
         self.history.append(stats)
         return stats

@@ -79,6 +79,7 @@ def _sum_iteration_stats(rows: list[IterationStats]) -> IterationStats:
         full_count=sum(s.full_count for s in rows),
         in_place_merges=sum(s.in_place_merges for s in rows),
         rebuild_merges=sum(s.rebuild_merges for s in rows),
+        raw_count=sum(s.raw_count for s in rows),
     )
 
 

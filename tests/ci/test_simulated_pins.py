@@ -15,12 +15,23 @@ runs no merge and did not move).  None may move under a refactor.  A PR that
 different plan — re-pins the affected rows (``PYTHONPATH=src python -m
 tests.ci.test_simulated_pins`` prints the current table) and says why in
 ``CHANGES.md``.
+
+The ``cspa-httpd`` row (PR 19) is there for the opposite reason: the twelve
+rows above are too small for distinct-before-expand (``hash_join``'s outer
+made distinct on its live columns before a high-fan-out step) to fire on the
+``h100`` preset — which is the point of its launch-latency condition, and why
+they did not move — so nothing among them would notice the lever being
+switched off.  This one is the benchmark's own CSPA instance, where it fires
+seven times, and pins the pre-dedup row volume (Σ ``raw_count``) next to the
+clock: a refactor that silently stops passing liveness to the join moves all
+three.
 """
 
 import numpy as np
 import pytest
 
 from repro import GPULogEngine
+from repro.datasets import load_dataset
 from repro.experiments.planner_bench import TRIANGLE_PROGRAM, hub_graph
 from repro.queries import CSPA_SOURCE, REACH_SOURCE, SG_SOURCE
 from tests.helpers import paper_edges, random_dag_edges
@@ -44,9 +55,12 @@ WORKLOADS = {
     "triangle": (TRIANGLE_PROGRAM, lambda: {"edge": hub_graph(600)}, "cost+wcoj"),
 }
 
+#: the benchmark's ``cspa-httpd`` instance (``repro.datasets``' bench profile)
+HTTPD = (CSPA_SOURCE, lambda: load_dataset("httpd").facts(), "greedy")
+
 
 def measure(workload: str, num_shards: int) -> dict:
-    source, make_facts, planner = WORKLOADS[workload]
+    source, make_facts, planner = HTTPD if workload == "cspa-httpd" else WORKLOADS[workload]
     engine = GPULogEngine(
         device="h100", oom_enabled=False, fault_plan="none", planner=planner, num_shards=num_shards
     )
@@ -67,6 +81,12 @@ def measure(workload: str, num_shards: int) -> dict:
         "total_iterations": result.total_iterations,
         "relation_counts": dict(sorted(result.relation_counts.items())),
         "exchange_bytes": result.exchange_bytes,
+        "raw_rows": sum(
+            item.raw_count for history in result.iteration_history.values() for item in history
+        ),
+        "distinct_outer_fired": sum(
+            entry["distinct_outer"]["fired"] for entry in result.plan_report
+        ),
     }
 
 
@@ -145,9 +165,26 @@ def test_simulated_clock_and_counters_are_pinned(workload, num_shards):
         assert measured[key] == pinned[key], key
 
 
-if __name__ == "__main__":  # prints the table to paste into PINS
+#: recorded by PR 19; at its parent commit (no liveness passed to the join)
+#: the same run reads 0.01512180541008267 s, 749 launches, 33,141,684 raw rows
+HTTPD_PIN = {
+    "elapsed_seconds": 0.011486737435778363, "kernel_launches": 805,
+    "raw_rows": 12154723, "distinct_outer_fired": 7, "total_iterations": 11,
+    "relation_counts": {"assign": 365, "dereference": 109, "memalias": 2828, "valuealias": 29148, "valueflow": 23752},
+}
+
+
+def test_distinct_before_expand_is_pinned_on_the_httpd_instance():
+    measured = measure("cspa-httpd", 1)
+    assert measured["elapsed_seconds"] == pytest.approx(HTTPD_PIN["elapsed_seconds"], rel=1e-12)
+    for key in ("kernel_launches", "raw_rows", "distinct_outer_fired", "total_iterations", "relation_counts"):
+        assert measured[key] == HTTPD_PIN[key], key
+
+
+if __name__ == "__main__":  # prints the tables to paste into PINS / HTTPD_PIN
     print("PINS = {")
     for name in sorted(WORKLOADS):
         for shards in SHARD_COUNTS:
             print(f"    ({name!r}, {shards}): {measure(name, shards)!r},")
     print("}")
+    print(f"HTTPD_PIN = {measure('cspa-httpd', 1)!r}")

@@ -19,7 +19,6 @@ from repro.datalog.planner import (
     GREEDY,
     WCOJ,
     Planner,
-    version_live_columns,
     version_required_indexes,
 )
 from repro.errors import PlanningError
@@ -189,7 +188,7 @@ def test_live_columns_zero_join_version():
     plan = plan_program(analyzed("out(y, x) :- edge(x, y)."), planner=GREEDY)
     version = only_version(plan)
     assert version.joins == ()
-    live_before, live_final = version_live_columns(version)
+    live_before, live_final = version.live_columns
     assert live_before == ()
     assert live_final == frozenset({0, 1})
 
@@ -200,7 +199,7 @@ def test_live_columns_constant_only_head():
     # last exchange.
     plan = plan_program(analyzed("flag(1) :- edge(x, y), edge(y, x)."), planner=GREEDY)
     version = only_version(plan)
-    live_before, live_final = version_live_columns(version)
+    live_before, live_final = version.live_columns
     assert live_final == frozenset()
     # The join itself still keeps its probe key alive on the way in.
     assert live_before[0]
@@ -214,7 +213,7 @@ def test_live_columns_filter_only_rule():
     version = only_version(plan)
     assert version.initial.filters  # the comparison became a scan filter
     assert version.final_filters == ()
-    _, live_final = version_live_columns(version)
+    _, live_final = version.live_columns
     assert live_final == frozenset({0})
 
 
@@ -224,7 +223,7 @@ def test_live_columns_final_filter_keeps_columns_alive():
     source = "out(x) :- edge(x, y), edge(y, z), y < z."
     plan = plan_program(analyzed(source), planner=GREEDY)
     version = only_version(plan)
-    live_before, live_final = version_live_columns(version)
+    live_before, live_final = version.live_columns
     filtered = {
         column
         for comparison in version.final_filters + version.joins[-1].filters
@@ -246,7 +245,7 @@ def test_live_columns_wcoj_steps():
     plan = plan_program(analyzed(TRIANGLE), planner=COST_WCOJ, stats=hub_catalog())
     version = only_version(plan)
     assert version.algorithm == WCOJ
-    live_before, live_final = version_live_columns(version)
+    live_before, live_final = version.live_columns
     assert len(live_before) == len(version.joins)
     assert live_final == frozenset({0, 1, 2})
     for index, step in enumerate(version.joins):
@@ -259,5 +258,5 @@ def test_live_columns_drop_dead_passenger_column():
     source = "out(x) :- wide(x, q), edge(x, y)."
     plan = plan_program(analyzed(source), planner=GREEDY)
     version = only_version(plan)
-    live_before, _ = version_live_columns(version)
+    live_before, _ = version.live_columns
     assert 1 not in live_before[0]  # q's position in the initial schema

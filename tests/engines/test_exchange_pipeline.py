@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from repro.datalog.analysis import analyze_program
 from repro.datalog.ast import Program
 from repro.datalog.engine import GPULogEngine
-from repro.datalog.planner import head_shard_variable, plan_program, version_live_columns
+from repro.datalog.planner import head_shard_variable, plan_program
 from repro.device import Device
 from repro.device.cost import KernelCost
 from repro.device.profiler import (
@@ -264,7 +264,7 @@ def test_version_live_columns_drops_dead_intermediate_columns():
     )
     plan = plan_program(analyze_program(program))
     version = next(iter(plan.rule_plans.values())).versions[0]
-    live_before, live_final = version_live_columns(version)
+    live_before, live_final = version.live_columns
     assert len(live_before) == len(version.joins)
     for index, step in enumerate(version.joins):
         # The probe key must always be live going into its own step.

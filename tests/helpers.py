@@ -80,3 +80,59 @@ def reference_unique(columns: list[np.ndarray]) -> list[np.ndarray]:
     keep = np.ones(order.shape[0], dtype=bool)
     keep[1:] = np.logical_or.reduce([column[1:] != column[:-1] for column in columns])
     return [column[keep] for column in columns]
+
+
+def naive_datalog(source: str, facts: dict) -> dict[str, set[tuple[int, ...]]]:
+    """Reference Datalog evaluation: naive fixpoint over Python sets.
+
+    Reads rules of the shape ``head(..) :- atom(..), .., x != y.`` (variables
+    only, ``//`` comments), and re-derives every rule from the whole database
+    until nothing new appears — no deltas, no join order, no duplicates to
+    handle, and only a throwaway dict per round to look rows up by their
+    bound terms, so it shares nothing with the engine but the rule text.
+    """
+    import re
+
+    rules = []
+    for clause in re.sub(r"//[^\n]*", "", source).split("."):
+        if not clause.strip():
+            continue
+        head_text, body_text = clause.split(":-")
+        atoms = [
+            (name, tuple(term.strip() for term in terms.split(",")))
+            for name, terms in re.findall(r"(\w+)\(([^)]*)\)", head_text + "," + body_text)
+        ]
+        rules.append((atoms[0], atoms[1:], re.findall(r"(\w+)\s*!=\s*(\w+)", body_text)))
+
+    database = {name: {tuple(map(int, row)) for row in rows} for name, rows in facts.items()}
+
+    def bindings(body, env, lookup):
+        if not body:
+            yield env
+            return
+        (name, terms), rest = body[0], body[1:]
+        bound = tuple(position for position, term in enumerate(terms) if term in env)
+        by_bound = lookup.get((name, bound))
+        if by_bound is None:
+            by_bound = lookup[name, bound] = {}
+            for row in database.get(name, ()):
+                by_bound.setdefault(tuple(row[position] for position in bound), []).append(row)
+        for row in by_bound.get(tuple(env[terms[position]] for position in bound), ()):
+            extended = dict(env)
+            if all(extended.setdefault(term, value) == value for term, value in zip(terms, row)):
+                yield from bindings(rest, extended, lookup)
+
+    changed = True
+    while changed:
+        changed = False
+        for (head, head_terms), body, guards in rules:
+            derived = {
+                tuple(env[term] for term in head_terms)
+                for env in bindings(body, {}, {})
+                if all(env[left] != env[right] for left, right in guards)
+            }
+            known = database.setdefault(head, set())
+            if not derived <= known:
+                known |= derived
+                changed = True
+    return database

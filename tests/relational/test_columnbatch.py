@@ -120,3 +120,65 @@ def test_wrap_passthrough_and_nbytes(device):
     assert ColumnBatch.wrap(device, cb) is cb
     assert ColumnBatch.wrap(device, rows).as_rows().tolist() == rows.tolist()
     assert cb.nbytes == rows.nbytes
+
+
+# ----------------------------------------------------------------------
+# Selections that are monotone by construction skip the O(n) check
+# ----------------------------------------------------------------------
+@pytest.fixture
+def monotone_checks(device, monkeypatch):
+    """Lengths of the index vectors ``backend.is_monotone`` was asked about."""
+    checked = []
+    real = device.backend.is_monotone
+
+    def recording(indices):
+        checked.append(int(indices.shape[0]))
+        return real(indices)
+
+    monkeypatch.setattr(device.backend, "is_monotone", recording)
+    return checked
+
+
+def gather_costs(device):
+    return [event.cost for event in device.profiler.events]
+
+
+def test_certified_monotone_take_seeds_the_coalescing_flag(device, batch, monotone_checks):
+    cb, rows = batch
+    indices = np.array([0, 0, 2, 3, 3], dtype=np.int64)
+    certified = cb.take(indices, monotone=True).project([2, 0])
+    assert certified.column(0).tolist() == rows[indices, 2].tolist()
+    certified.column(1)
+    assert monotone_checks == []
+    certified_costs = gather_costs(device)
+    # The charge is the one the check would have produced.
+    device.reset()
+    checked = cb.take(indices).project([2, 0])
+    checked.column(0), checked.column(1)
+    assert monotone_checks == [5]  # once per source, as before
+    assert gather_costs(device) == certified_costs
+
+
+def test_monotone_flag_survives_composition_but_not_an_unknown_link(device, batch, monotone_checks):
+    cb, rows = batch
+    twice = cb.take(np.array([0, 1, 1, 3]), monotone=True).filter(np.array([True, False, True, True]))
+    assert twice.column(1).tolist() == rows[[0, 1, 3], 1].tolist()
+    assert monotone_checks == []  # non-decreasing maps compose
+    shuffled = cb.take(np.array([3, 0, 2])).take(np.array([0, 1, 2]), monotone=True)
+    assert shuffled.column(1).tolist() == rows[[3, 0, 2], 1].tolist()
+    assert monotone_checks == [3, 3]  # first link never certified: the compose and the gather both ask
+
+
+def test_filter_and_join_expansion_certify_their_selections(device, monotone_checks):
+    from repro.relational import HISA, JoinOutput, hash_join
+
+    edges = np.array([(0, 1), (0, 2), (1, 2), (2, 0), (2, 1)], dtype=np.int64)
+    inner = HISA(device, edges, join_columns=(0,), label="edge")
+    joined = hash_join(
+        device, edges, [1], inner,
+        [JoinOutput("outer", 0), JoinOutput("outer", 1), JoinOutput("inner", 1)],
+    )
+    joined.column(0), joined.column(1)  # routed through the probe-major indices
+    assert monotone_checks == []
+    joined.column(2)  # inner data positions: not monotone by construction
+    assert monotone_checks == [len(joined)]

@@ -1,16 +1,19 @@
 """Tests for the relational-algebra kernels (join, select, project, difference)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.device import Device
+from repro.device import Device, device_preset
 from repro.errors import SchemaError
 from repro.relational import (
     HISA,
     ColumnBatch,
     ColumnComparison,
     JoinOutput,
+    LiveOuter,
     deduplicate,
     difference,
     fused_nway_join,
@@ -296,3 +299,96 @@ def test_columnar_join_keeps_unread_columns_lazy(device, paper_edges):
     assert out.materialized_column_count == 0
     out.column(2)
     assert out.materialized_column_count == 1
+
+
+# ----------------------------------------------------------------------
+# Distinct before expand
+# ----------------------------------------------------------------------
+
+#: a device on which every expansion is bandwidth-bound, so condition (c) of
+#: the rule holds at test sizes and (a) and (b) alone decide
+ZERO_LAUNCH = replace(device_preset("h100"), kernel_launch_us=0.0)
+
+#: outer columns: (z, x, w) — w is the probe key, x reaches the output, z is
+#: read by nothing
+DISTINCT_OUTPUT = [JoinOutput("outer", 1), JoinOutput("inner", 1)]
+
+
+def duplicated_outer(fan_out):
+    """1,000 outer rows that are 10 distinct ``(x, w)`` pairs under 100 values
+    of the dead column, and an inner with ``fan_out`` matches per key."""
+    pairs = [(x, 100 + x) for x in range(10)]
+    outer = np.array([(z, x, w) for z in range(100) for x, w in pairs], dtype=np.int64)
+    inner = np.array([(w, y) for _, w in pairs for y in range(fan_out)], dtype=np.int64)
+    return outer, inner
+
+
+def run_distinct_join(spec, fan_out, live, *, output=DISTINCT_OUTPUT, comparisons=()):
+    device = Device(spec, oom_enabled=False, fault_plan="none")
+    outer, inner = duplicated_outer(fan_out)
+    hisa = HISA(device, inner, join_columns=(0,), label="inner")
+    device.reset()
+    live_outer = None if live is None else LiveOuter(frozenset(live))
+    result = hash_join(device, outer, [2], hisa, output, comparisons=comparisons, live_outer=live_outer)
+    rows = result.as_rows(charge=False)
+    return rows, device.profiler.events, live_outer
+
+
+def test_distinct_before_expand_fires_on_a_duplicated_high_fanout_outer():
+    plain, _, _ = run_distinct_join(ZERO_LAUNCH, 100, None)
+    rows, events, live = run_distinct_join(ZERO_LAUNCH, 100, {1})
+    assert plain.shape[0] == 1000 * 100
+    assert rows.shape[0] == 10 * 100  # d x fan-out: nothing was expanded twice
+    assert set(map(tuple, rows.tolist())) == set(map(tuple, plain.tolist()))
+    assert live.report == {"eligible": 1, "fired": 1, "rows_in": 1000, "rows_out": 10}
+    # The sort is charged through the ordinary dedup kernel with launches of
+    # its own, between the two halves of the probe pipeline — not folded into
+    # either elementwise fused launch.
+    kernels = [event.kernel for event in events]
+    first, second = kernels.index("join.probe_fused"), kernels.index("join.expand_fused")
+    between = kernels[first + 1 : second]
+    assert "join.distinct_outer.sort" in between and "join.distinct_outer.compact" in between
+    assert sum(event.cost.launches for event in events[first + 1 : second]) >= 2 + 2  # radix passes + mask/compact
+    assert not any("distinct_outer" in kernel for kernel in kernels[:first] + kernels[second:])
+
+
+@pytest.mark.parametrize(
+    "spec, fan_out, live",
+    [
+        pytest.param(ZERO_LAUNCH, 3, {1}, id="fan-out-3"),
+        pytest.param(ZERO_LAUNCH, 100, {0, 1}, id="every-column-live"),
+        pytest.param("h100", 100, {1}, id="launch-bound-on-h100"),
+    ],
+)
+def test_distinct_before_expand_stays_out_of_the_way(spec, fan_out, live):
+    """Where the rule does not fire the join is the join without it: the same
+    rows in the same order, the same ``KernelCost`` sequence."""
+    plain_rows, plain_events, _ = run_distinct_join(spec, fan_out, None)
+    rows, events, live_outer = run_distinct_join(spec, fan_out, live)
+    assert live_outer.report["fired"] == 0
+    assert np.array_equal(rows, plain_rows)
+    assert [event.cost for event in events] == [event.cost for event in plain_events]
+
+
+def test_distinct_before_expand_keeps_guard_columns_live():
+    """A guard that reads an outer column keeps it: with ``z != y`` in the
+    join, rows differing in ``z`` are no longer duplicates of each other."""
+    output = [JoinOutput("outer", 0), JoinOutput("outer", 1), JoinOutput("inner", 1)]
+    guard = [ColumnComparison("!=", 0, right_column=2)]
+    plain, _, _ = run_distinct_join(ZERO_LAUNCH, 100, None, output=output, comparisons=guard)
+    assert plain.shape[0] == 1000 * 100 - 1000  # the guard drops y == z
+    rows, _, live = run_distinct_join(ZERO_LAUNCH, 100, {1}, output=output, comparisons=guard)
+    assert live.report["eligible"] == 0  # z (guard), x (output) and w (key): nothing left to drop
+    assert np.array_equal(rows, plain)
+    # With a fourth, genuinely dead column in front the rule fires again and
+    # the guard still sees every (z, x, w) combination.
+    device = Device(ZERO_LAUNCH, oom_enabled=False, fault_plan="none")
+    outer, inner = duplicated_outer(100)
+    wide = np.column_stack([np.arange(outer.shape[0]) % 7, outer])
+    wide = np.concatenate([wide, wide + [7, 0, 0, 0]])  # every (z, x, w) twice
+    hisa = HISA(device, inner, join_columns=(0,), label="inner")
+    shifted = [JoinOutput("outer", 1), JoinOutput("outer", 2), JoinOutput("inner", 1)]
+    live = LiveOuter(frozenset({2}))
+    result = hash_join(device, wide, [3], hisa, shifted, comparisons=guard, live_outer=live)
+    assert live.report == {"eligible": 1, "fired": 1, "rows_in": 2000, "rows_out": 1000}
+    assert as_sorted_tuples(result) == as_sorted_tuples(plain)

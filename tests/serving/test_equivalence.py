@@ -158,3 +158,43 @@ def test_tc_full_teardown_and_rebuild(num_shards):
         ({"edge": edges}, None),  # rebuilt
     ]
     replay_and_compare(REACH_SOURCE, {"edge": edges}, script, ["edge", "reach"], num_shards)
+
+
+@pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+def test_cspa_retract_epoch_matches_scratch_with_distinct_before_expand(num_shards):
+    """DRed's over-delete and re-derive passes run the same join chain as the
+    fixpoint, so they make their outers distinct on the live columns too; sets
+    in, sets out.  A zero-launch-latency device makes the rule fire at this
+    size (see ``tests/datalog/test_distinct_before_expand.py``)."""
+    from dataclasses import replace
+
+    from repro.device import device_preset
+
+    spec = replace(device_preset("h100"), kernel_launch_us=0.0)
+    rng = np.random.default_rng(0)
+    facts = {
+        "assign": sorted(set(map(tuple, rng.integers(0, 12, size=(24, 2)).tolist()))),
+        "dereference": sorted(set(map(tuple, rng.integers(0, 12, size=(12, 2)).tolist()))),
+    }
+    doomed = [facts["assign"][0], facts["assign"][3]]
+    kwargs = dict(device=spec, background=False, num_shards=num_shards, fault_plan="none")
+
+    def fired(engine):
+        return sum(
+            entry["distinct_outer"]["fired"]
+            for entry in engine._evaluator.version_observations.values()
+        )
+
+    engine = ServingEngine(CSPA_SOURCE, facts, **kwargs)
+    remaining = dict(facts, assign=[row for row in facts["assign"] if row not in doomed])
+    fresh = ServingEngine(CSPA_SOURCE, remaining, **kwargs)
+    try:
+        before = fired(engine)
+        outcome = engine.submit(retracts={"assign": doomed}).result()
+        assert outcome.retracted["valuealias"] > 0 and outcome.rederived
+        assert fired(engine) > before  # the lever was on inside the epoch
+        for name in ["assign", "dereference", "valueflow", "valuealias", "memalias"]:
+            assert engine.query(name).rows.tobytes() == fresh.query(name).rows.tobytes(), name
+    finally:
+        engine.close()
+        fresh.close()
