@@ -365,17 +365,14 @@ class GPULogEngine:
         memory_capacity_bytes: int | None = None,
         oom_enabled: bool = True,
         eager_buffers: bool = True,
-        buffer_growth_factor: float = 8.0,
         load_factor: float = DEFAULT_LOAD_FACTOR,
         materialize_nway: bool = True,
-        max_iterations: int = 1_000_000,
         collect_relations: bool = True,
         backend: "ArrayBackend | str | None" = None,
         num_shards: int | None = None,
         checkpoint_every: int = 0,
         checkpoint_store: CheckpointStore | None = None,
         max_retries: int = 3,
-        retry_backoff_seconds: float = 1e-3,
         fault_plan: "FaultPlan | str | None" = None,
         semijoin_filter: bool | None = None,
         overlap: bool | None = None,
@@ -442,16 +439,13 @@ class GPULogEngine:
             self.device = self.devices[0]
         self.collect_relations = bool(collect_relations)
         self.eager_buffers = bool(eager_buffers)
-        self.buffer_growth_factor = float(buffer_growth_factor)
         self.load_factor = float(load_factor)
         self.materialize_nway = bool(materialize_nway)
-        self.max_iterations = int(max_iterations)
         #: checkpoint every N fixpoint iterations (0 disables checkpointing)
         self.checkpoint_every = int(checkpoint_every)
         #: where snapshots go; ``None`` keeps only ``last_checkpoint`` in RAM
         self.checkpoint_store = checkpoint_store
         self.max_retries = int(max_retries)
-        self.retry_backoff_seconds = float(retry_backoff_seconds)
         #: semi-join filtering + EDB replication + head pre-routing in the
         #: sharded exchange layer (``None`` reads REPRO_SEMIJOIN_FILTER)
         self.semijoin_filter = (
@@ -577,54 +571,72 @@ class GPULogEngine:
         :mod:`repro.datalog.sharded`; ablations: ``semijoin_filter``,
         ``overlap``).  One shard is the same path with nothing to exchange.
         """
+        evaluator = self._build(program, plan, arities, catalog)
+        idb_facts = self._load_facts(program, analysis, staged_rows) if resume_from is None else {}
+        try:
+            stats = evaluator.evaluate(idb_facts, resume_from=resume_from)
+        finally:
+            self.last_checkpoint = evaluator.last_checkpoint
+            self._adopt_devices(evaluator)
+        return self._build_result(program, stats, evaluator, plan)
+
+    def _build(
+        self,
+        program: Program,
+        plan: ProgramPlan,
+        arities: dict[str, int],
+        catalog: StatsCatalog | None,
+        required_indexes: "Iterable[tuple[str, tuple[int, ...]]] | None" = None,
+    ) -> SemiNaiveEvaluator:
+        """Build this engine's relations for ``plan`` and the driver over them.
+
+        Every index in ``required_indexes`` (default: the ones ``plan``
+        probes) is registered before the first ``initialize``, so it rides
+        that load's shared sort.  The serving engine passes a superset: its
+        epoch and re-derive versions probe indexes the bootstrap plan does not.
+        """
         # Merge-maintained statistics, and the adaptive replanner that reads
         # them, exist on one shard only: a shard's merge reports the counts
         # of its partition, which would overwrite the relation's.
         adaptive = catalog is not None and self.num_shards == 1
         shard_columns = shard_columns_for_plan(plan, arities)
-        self.relations = {}
-        for relation_name, arity in arities.items():
-            self.relations[relation_name] = ShardedRelation(
+        self.relations = {
+            relation_name: ShardedRelation(
                 self.devices,
                 relation_name,
                 arity,
                 shard_column=shard_columns.get(relation_name, 0),
                 load_factor=self.load_factor,
                 eager_buffers=self.eager_buffers,
-                buffer_growth_factor=self.buffer_growth_factor,
                 stats=catalog if adaptive else None,
             )
-        for relation_name, columns in plan.required_indexes():
+            for relation_name, arity in arities.items()
+        }
+        if required_indexes is None:
+            required_indexes = plan.required_indexes()
+        for relation_name, columns in required_indexes:
             self.relations[relation_name].require_index(columns)
-
-        idb_facts = self._load_facts(program, analysis, staged_rows) if resume_from is None else {}
-
-        evaluator = SemiNaiveEvaluator(
+        return SemiNaiveEvaluator(
             self.devices,
             plan,
             self.relations,
             materialize_nway=self.materialize_nway,
-            max_iterations=self.max_iterations,
             checkpoint_every=self.checkpoint_every,
             checkpoint_store=self.checkpoint_store,
             max_retries=self.max_retries,
-            retry_backoff_seconds=self.retry_backoff_seconds,
             program_name=program.name,
             program_source=str(program),
             replan_every=self.replan_every if adaptive else 0,
-            replanner=self._make_replanner(analysis, catalog) if adaptive else None,
+            replanner=self._make_replanner(plan.analysis, catalog) if adaptive else None,
             semijoin_filter=self.semijoin_filter,
             overlap=self.overlap,
             replicate_max_bytes=self.replicate_max_bytes,
         )
-        try:
-            stats = evaluator.evaluate(idb_facts, resume_from=resume_from)
-        finally:
-            self.last_checkpoint = evaluator.last_checkpoint
-            # Crash recovery may have swapped in replacement shard devices.
-            self.devices = list(evaluator.devices)
-            self.device = self.devices[0]
-        return self._build_result(program, stats, evaluator, plan)
+
+    def _adopt_devices(self, evaluator: SemiNaiveEvaluator) -> None:
+        """Crash recovery may have swapped in replacement shard devices."""
+        self.devices = list(evaluator.devices)
+        self.device = self.devices[0]
 
     def resume(
         self,

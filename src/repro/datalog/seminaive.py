@@ -60,6 +60,14 @@ from .sharded import DEFAULT_REPLICATE_MAX_BYTES, ShardExchange
 #: depth 12 a chunk is 1/4096 of the scan and further splitting cannot help.
 OOM_CHUNK_MAX_DEPTH = 12
 
+#: Runaway guard: a stratum that has not converged after this many iterations
+#: is reported as an :class:`EvaluationError` instead of spinning forever.
+MAX_ITERATIONS = 1_000_000
+
+#: Simulated backoff before retry k is ``RETRY_BACKOFF_SECONDS * 2**(k-1)``,
+#: recorded under the recovery phase (never a wall-clock sleep).
+RETRY_BACKOFF_SECONDS = 1e-3
+
 
 @dataclass
 class StratumResult:
@@ -106,11 +114,9 @@ class SemiNaiveEvaluator:
         relations: dict[str, ShardedRelation],
         *,
         materialize_nway: bool = True,
-        max_iterations: int = 1_000_000,
         checkpoint_every: int = 0,
         checkpoint_store: CheckpointStore | None = None,
         max_retries: int = 3,
-        retry_backoff_seconds: float = 1e-3,
         program_name: str = "",
         program_source: str = "",
         replan_every: int = 0,
@@ -124,15 +130,11 @@ class SemiNaiveEvaluator:
         self.plan = plan
         self.relations = relations
         self.materialize_nway = bool(materialize_nway)
-        self.max_iterations = int(max_iterations)
         #: snapshot (full, delta) of every shard each N iterations (0 = off)
         self.checkpoint_every = int(checkpoint_every)
         self.checkpoint_store = checkpoint_store
         #: transient-fault retries per rule version, and global restores
         self.max_retries = int(max_retries)
-        #: simulated backoff before retry k is ``base * 2**(k-1)`` seconds,
-        #: recorded under the recovery phase (never a wall-clock sleep)
-        self.retry_backoff_seconds = float(retry_backoff_seconds)
         self.program_name = program_name
         self.program_source = program_source
         #: adaptively re-plan recursive versions every N fixpoint iterations
@@ -397,9 +399,9 @@ class SemiNaiveEvaluator:
         self._restart_overlap()
         while True:
             iteration += 1
-            if iteration > self.max_iterations:
+            if iteration > MAX_ITERATIONS:
                 raise EvaluationError(
-                    f"stratum {stratum_index} exceeded {self.max_iterations} iterations without reaching a fixpoint"
+                    f"stratum {stratum_index} exceeded {MAX_ITERATIONS} iterations without reaching a fixpoint"
                 )
             try:
                 with ExitStack() as stack:
@@ -700,7 +702,7 @@ class SemiNaiveEvaluator:
         coordinator's) profiler under the recovery phase — the simulation
         never sleeps.
         """
-        seconds = self.retry_backoff_seconds * (2 ** (attempt - 1))
+        seconds = RETRY_BACKOFF_SECONDS * (2 ** (attempt - 1))
         self.devices[0].profiler.record(
             KernelCost(kernel=f"retry_backoff[{label}]", launches=0),
             seconds,

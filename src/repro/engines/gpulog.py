@@ -33,7 +33,6 @@ class GPULogAdapter(BaselineEngine):
         *,
         memory_capacity_bytes: int | None = None,
         eager_buffers: bool = True,
-        buffer_growth_factor: float = 8.0,
         load_factor: float = 0.8,
         materialize_nway: bool = True,
         backend: str | None = None,
@@ -43,7 +42,6 @@ class GPULogAdapter(BaselineEngine):
         self.spec = device_preset(device) if isinstance(device, str) else device
         self.memory_capacity_bytes = memory_capacity_bytes
         self.eager_buffers = eager_buffers
-        self.buffer_growth_factor = buffer_growth_factor
         self.load_factor = load_factor
         self.materialize_nway = materialize_nway
         #: array-backend name/instance for every run (None = REPRO_BACKEND/numpy)
@@ -53,32 +51,6 @@ class GPULogAdapter(BaselineEngine):
         #: join planner per run (None = $REPRO_PLANNER and then "greedy")
         self.planner = planner
         self.last_result = None
-
-    def serving_engine(
-        self,
-        program: Union[Program, str],
-        facts: Mapping[str, np.ndarray] | None = None,
-        **kwargs,
-    ):
-        """Open a long-lived :class:`~repro.serving.engine.ServingEngine`.
-
-        Unlike :meth:`run`, state stays resident across requests: the caller
-        submits insert/retract epochs and reads versioned snapshots, and the
-        adapter's device/sharding/planner configuration carries over.  Extra
-        keyword arguments are forwarded (e.g. ``background=False`` for a
-        synchronous engine, ``cache=`` for a private program cache).
-        """
-        from ..serving.engine import ServingEngine
-
-        kwargs.setdefault("device", self.spec)
-        kwargs.setdefault("memory_capacity_bytes", self.memory_capacity_bytes)
-        kwargs.setdefault("eager_buffers", self.eager_buffers)
-        kwargs.setdefault("buffer_growth_factor", self.buffer_growth_factor)
-        kwargs.setdefault("load_factor", self.load_factor)
-        kwargs.setdefault("backend", self.backend)
-        kwargs.setdefault("num_shards", self.num_shards)
-        kwargs.setdefault("planner", self.planner)
-        return ServingEngine(program, facts, **kwargs)
 
     def run(
         self,
@@ -92,7 +64,6 @@ class GPULogAdapter(BaselineEngine):
         engine = GPULogEngine(
             device,
             eager_buffers=self.eager_buffers,
-            buffer_growth_factor=self.buffer_growth_factor,
             load_factor=self.load_factor,
             materialize_nway=self.materialize_nway,
             collect_relations=collect_relations,

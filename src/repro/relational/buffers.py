@@ -170,10 +170,9 @@ def make_buffer_manager(
     device: Device,
     *,
     eager: bool,
-    growth_factor: float = 8.0,
     label: str = "merge_buffer",
 ) -> MergeBufferManager:
     """Factory used by the engines: the EBM on/off switch of Table 1."""
     if eager:
-        return EagerBufferManager(device, growth_factor=growth_factor, label=label)
+        return EagerBufferManager(device, label=label)
     return SimpleBufferManager(device, label=label)

@@ -88,7 +88,6 @@ class Relation:
         *,
         load_factor: float = DEFAULT_LOAD_FACTOR,
         eager_buffers: bool = True,
-        buffer_growth_factor: float = 8.0,
         identity_index: bool = True,
         stats: "object | None" = None,
     ) -> None:
@@ -103,7 +102,6 @@ class Relation:
         self.stats = stats
         self.load_factor = float(load_factor)
         self.eager_buffers = bool(eager_buffers)
-        self.buffer_growth_factor = float(buffer_growth_factor)
 
         self._all_columns = tuple(range(self.arity))
         # The canonical all-column index backs full_rows()/full_count and the
@@ -163,7 +161,6 @@ class Relation:
             self._buffer_managers[join_columns] = make_buffer_manager(
                 self.device,
                 eager=self.eager_buffers,
-                growth_factor=self.buffer_growth_factor,
                 label=f"{self.name}.merge_buffer",
             )
             self._attach_stats(self.full_indexes[join_columns], join_columns)
@@ -224,7 +221,6 @@ class Relation:
                 self._buffer_managers[columns] = make_buffer_manager(
                     self.device,
                     eager=self.eager_buffers,
-                    growth_factor=self.buffer_growth_factor,
                     label=f"{self.name}.merge_buffer",
                 )
                 self._attach_stats(self.full_indexes[columns], columns)

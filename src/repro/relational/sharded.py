@@ -177,7 +177,6 @@ class ShardedRelation:
         shard_column: int = 0,
         load_factor: float = DEFAULT_LOAD_FACTOR,
         eager_buffers: bool = True,
-        buffer_growth_factor: float = 8.0,
         stats: "object | None" = None,
     ) -> None:
         if not devices:
@@ -195,7 +194,6 @@ class ShardedRelation:
         self._relation_config = dict(
             load_factor=load_factor,
             eager_buffers=eager_buffers,
-            buffer_growth_factor=buffer_growth_factor,
         )
         #: Optional StatsCatalog for the planner.  A shard's merges report
         #: the counts of its partition, so only a caller with one shard may

@@ -33,9 +33,8 @@ every kernel an epoch launches (joins, merges, retraction rebuilds, shard
 exchanges) goes through the same cost model — epoch latencies in simulated
 seconds are directly comparable to a full re-fixpoint of the same program.
 
-Epochs are **transactions** (``transactional=True``, the default): the
-engine keeps a host copy of every relation's state as of the last committed
-epoch, and a fault inside an epoch — kernel fault, injected OOM, exchange
+Epochs are **transactions**: the engine keeps a host copy of every
+relation's state as of the last committed epoch, and a fault inside an epoch — kernel fault, injected OOM, exchange
 error, shard crash, all scriptable via :class:`~repro.device.faults.
 FaultPlan` — first rides the evaluator's own retry/backoff ladder and then,
 at the serving layer, triggers whole-epoch rollback-and-replay.  When the
@@ -60,33 +59,20 @@ import threading
 import time
 from collections import defaultdict
 from concurrent.futures import Future
-from contextlib import ExitStack
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
 from ..datalog.ast import Program
-from ..datalog.engine import (
-    OVERLAP_ENV_VAR,
-    SEMIJOIN_ENV_VAR,
-    FactValue,
-    SymbolTable,
-    _default_num_shards,
-    _default_planner,
-    _env_flag,
-    intern_program,
-)
-from ..datalog.planner import PLANNERS, RuleVersion
-from ..datalog.seminaive import SemiNaiveEvaluator
-from ..datalog.sharded import DEFAULT_REPLICATE_MAX_BYTES, shard_columns_for_plan
-from ..device.device import Device
-from ..device.profiler import PHASE_CHECKPOINT, PHASE_LOAD
-from ..device.spec import DeviceSpec, device_preset
+from ..datalog.engine import FactValue, GPULogEngine, intern_program
+from ..datalog.planner import RuleVersion
+from ..device.profiler import PHASE_CHECKPOINT
+from ..device.spec import DeviceSpec
 from ..errors import (
     AdmissionRejected,
     CheckpointError,
-    DeviceBufferError,
     DeviceError,
     EngineClosed,
     EpochAborted,
@@ -99,7 +85,6 @@ from ..relational.checkpoint import (
     EvaluationCheckpoint,
     RelationState,
 )
-from ..relational.sharded import ShardedRelation
 from .cache import DEFAULT_PROGRAM_CACHE, CompiledProgram, ProgramCache
 from .snapshot import RelationSnapshot, SnapshotTable, canonical_rows
 from .wal import WalBatch, WriteAheadLog
@@ -189,29 +174,21 @@ class _Mutation:
 class ServingEngine:
     """A resident GPU Datalog database with incremental epochs and snapshots."""
 
+    #: whole-epoch replays the transaction ladder makes before it aborts
+    epoch_retries = 2
+
     def __init__(
         self,
         program: Union[Program, str],
         facts: Mapping[str, FactRows] | None = None,
         *,
         device: Union[DeviceSpec, str] = "h100",
-        memory_capacity_bytes: int | None = None,
         num_shards: int | None = None,
         planner: str | None = None,
         backend: "str | None" = None,
-        load_factor: float = 0.8,
-        eager_buffers: bool = True,
-        buffer_growth_factor: float = 8.0,
-        max_iterations: int = 1_000_000,
-        semijoin_filter: bool | None = None,
-        overlap: bool | None = None,
-        replicate_max_bytes: int = DEFAULT_REPLICATE_MAX_BYTES,
         cache: ProgramCache | None = None,
         background: bool = True,
         fault_plan: "str | None" = None,
-        name: str | None = None,
-        transactional: bool = True,
-        epoch_retries: int = 2,
         wal: WriteAheadLog | None = None,
         checkpoint_store: CheckpointStore | None = None,
         checkpoint_every_epochs: int = 1,
@@ -224,15 +201,7 @@ class ServingEngine:
         _restore: EvaluationCheckpoint | None = None,
     ) -> None:
         if isinstance(program, str):
-            program = Program.parse(program, name=name or "serving")
-        resolved_shards = num_shards if num_shards is not None else _default_num_shards()
-        if resolved_shards < 1:
-            raise SchemaError(f"num_shards must be >= 1, got {resolved_shards}")
-        resolved_planner = _default_planner() if planner is None else str(planner)
-        if resolved_planner not in PLANNERS:
-            raise SchemaError(
-                f"unknown planner {resolved_planner!r}; expected one of {', '.join(PLANNERS)}"
-            )
+            program = Program.parse(program, name="serving")
         if admission_policy not in ADMISSION_POLICIES:
             raise SchemaError(
                 f"unknown admission policy {admission_policy!r}; "
@@ -240,15 +209,10 @@ class ServingEngine:
             )
         if max_pending is not None and int(max_pending) < 1:
             raise SchemaError(f"max_pending must be >= 1, got {max_pending}")
-        self.num_shards = int(resolved_shards)
-        self.planner = resolved_planner
         self.background = bool(background)
         self.cache = cache if cache is not None else DEFAULT_PROGRAM_CACHE
-        self.symbols = SymbolTable()
 
-        # Transaction / durability / admission configuration.
-        self.transactional = bool(transactional)
-        self.epoch_retries = int(epoch_retries)
+        # Durability / admission configuration.
         self.wal = wal
         self.checkpoint_store = checkpoint_store
         self.checkpoint_every_epochs = max(1, int(checkpoint_every_epochs))
@@ -270,10 +234,43 @@ class ServingEngine:
         #: host state of every relation as of the last committed epoch —
         #: the rollback target, refreshed per commit for changed relations
         self._epoch_states: dict[str, RelationState] = {}
+        self.last_epoch: EpochResult | None = None
+        self.snapshots = SnapshotTable()
 
+        # Mutation queue + optional background epoch worker.
+        self._engine_lock = threading.RLock()
+        self._queue = threading.Condition()
+        self._pending: list[_Mutation] = []
+        self._inflight = False
+        self._inflight_batch: list[_Mutation] | None = None
+        self._closed = False
+        self._worker: threading.Thread | None = None
+        #: seconds close() waits for the worker before declaring it stuck
+        self._close_join_timeout = 30.0
+
+        #: the batch engine kept resident: it resolves shard count, planner,
+        #: backend and fault plan (arguments, then the ``REPRO_*`` environment)
+        #: and owns the devices, relations and symbol table (properties below)
+        self._core = GPULogEngine(
+            device, num_shards=num_shards, planner=planner, backend=backend, fault_plan=fault_plan
+        )
+        try:
+            self._boot(program, facts, _restore)
+        except BaseException:
+            self._core.close()
+            raise
+
+    def _boot(
+        self,
+        program: Program,
+        facts: Mapping[str, FactRows] | None,
+        restore: EvaluationCheckpoint | None,
+    ) -> None:
+        """Compile, build and load through the batch engine; keep it all resident."""
+        engine = self._core
         serving_meta: dict | None = None
-        if _restore is not None:
-            serving_meta = (_restore.metadata or {}).get("serving")
+        if restore is not None:
+            serving_meta = (restore.metadata or {}).get("serving")
             if not serving_meta:
                 raise CheckpointError(
                     "checkpoint carries no serving metadata; it was not written "
@@ -283,110 +280,33 @@ class ServingEngine:
             # every logged batch encode through these exact identifiers.
             self.symbols.restore_entries(serving_meta.get("symbols", ()))
 
-        spec = device_preset(device) if isinstance(device, str) else device
-        # Resolve the fault plan once (explicit argument or REPRO_FAULT_PLAN)
-        # and share the instance across every shard device, so occurrence
-        # counters are cluster-global — the batch engine's convention.  The
-        # primary resolves; siblings get the instance or an explicit "none"
-        # (which stops them re-resolving the environment into fresh plans).
-        self.devices = [
-            Device(spec, memory_capacity_bytes=memory_capacity_bytes, backend=backend,
-                   fault_plan=fault_plan)
-        ]
-        shared_plan = self.devices[0].fault_plan
-        self.devices += [
-            Device(
-                spec,
-                memory_capacity_bytes=memory_capacity_bytes,
-                backend=backend,
-                fault_plan=shared_plan if shared_plan is not None else "none",
-            )
-            for _ in range(self.num_shards - 1)
-        ]
-        self.device = self.devices[0]
-
-        # ------------------------------------------------------------------
         # Compile (cached) and resolve the schema.
-        # ------------------------------------------------------------------
         self.program = intern_program(program, self.symbols)
         self.compiled: CompiledProgram = self.cache.get(self.program, planner=self.planner)
-        self._arities = dict(self.program.relation_arities())
-        if _restore is not None:
+        for relation_name, rows in (facts or {}).items():
+            if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu":
+                engine.add_fact_array(relation_name, rows)
+            else:
+                engine.add_facts(relation_name, rows)
+        self._arities = engine._resolve_arities(self.program)
+        if restore is not None:
             # Fact-only relations no rule mentions adopted their arity from
             # the original constructor facts; re-adopt from the checkpoint.
-            for state in _restore.relations.values():
+            for state in restore.relations.values():
                 self._arities.setdefault(state.name, state.arity)
-        staged_facts: dict[str, np.ndarray] = {}
-        for relation_name, rows in (facts or {}).items():
-            encoded = self._encode_rows(relation_name, rows, register=True)
-            staged_facts[relation_name] = encoded
 
-        # ------------------------------------------------------------------
-        # Build resident relations, registering *every* index any plan —
-        # bootstrap, epoch delta versions, DRed full versions — will probe,
-        # before the first initialize (indexes then ride the shared sort).
-        # ------------------------------------------------------------------
-        relation_config = dict(
-            load_factor=float(load_factor),
-            eager_buffers=bool(eager_buffers),
-            buffer_growth_factor=float(buffer_growth_factor),
+        # Resident relations carry *every* index any plan — bootstrap, epoch
+        # delta versions, DRed full versions — will probe.  The plan is the
+        # cached, data-independent one: no statistics, no adaptive replanning.
+        self._evaluator = engine._build(
+            self.program, self.compiled.plan, self._arities, None, self.compiled.required_indexes
         )
-        shard_columns = shard_columns_for_plan(self.compiled.plan, self._arities)
-        self.relations: dict[str, ShardedRelation] = {
-            relation_name: ShardedRelation(
-                self.devices,
-                relation_name,
-                arity,
-                shard_column=shard_columns.get(relation_name, 0),
-                **relation_config,
-            )
-            for relation_name, arity in self._arities.items()
-        }
-        for relation_name, columns in self.compiled.required_indexes:
-            relation = self.relations.get(relation_name)
-            if relation is not None:
-                relation.require_index(columns)
-
-        # ------------------------------------------------------------------
-        # Load the EDB, run the bootstrap fixpoint, publish snapshot v1.
-        # ------------------------------------------------------------------
-        idb = self.compiled.idb_relations
-        idb_facts: dict[str, np.ndarray] = {}
-        with ExitStack() as stack:
-            for dev in self.devices:
-                stack.enter_context(dev.profiler.phase(PHASE_LOAD))
-            for relation_name, relation in self.relations.items():
-                if _restore is not None:
-                    # Recovery path: initialize everything empty so the
-                    # checkpoint restore below has live HISA state to replace.
-                    relation.initialize(np.empty((0, relation.arity), dtype=np.int64))
-                    continue
-                rows = staged_facts.get(
-                    relation_name, np.empty((0, relation.arity), dtype=np.int64)
-                )
-                if relation_name in idb:
-                    if rows.shape[0]:
-                        idb_facts[relation_name] = rows
-                else:
-                    relation.initialize(rows)
-
-        self._evaluator = SemiNaiveEvaluator(
-            self.devices,
-            self.compiled.plan,
-            self.relations,
-            max_iterations=int(max_iterations),
-            program_name=self.program.name,
-            program_source=str(self.program),
-            semijoin_filter=(
-                _env_flag(SEMIJOIN_ENV_VAR, True) if semijoin_filter is None else bool(semijoin_filter)
-            ),
-            overlap=_env_flag(OVERLAP_ENV_VAR, True) if overlap is None else bool(overlap),
-            replicate_max_bytes=int(replicate_max_bytes),
-        )
-        self.last_epoch: EpochResult | None = None
-        self.snapshots = SnapshotTable()
-        if _restore is None:
-            self.bootstrap_stats: "object | None" = self._evaluator.evaluate(idb_facts)
+        if restore is None:
+            # Load the facts (the program's own and the constructor's), run
+            # the bootstrap fixpoint, publish snapshot v1.
+            idb_facts = engine._load_facts(self.program, self.compiled.analysis, {})
+            engine.clear_facts()
+            self._evaluator.evaluate(idb_facts)
             # Invariant: between epochs every delta is empty.  ``initialize``
             # leaves EDB deltas holding *all* rows (they are never end_iterated
             # by the bootstrap), which would make the first epoch re-join the
@@ -401,61 +321,53 @@ class ServingEngine:
             # never downloaded.
             self._versions = {name: 1 for name in self.relations}
             self._changed_epoch = {name: 0 for name in self.relations}
-        else:
-            # Recovery: skip the bootstrap fixpoint and load the checkpoint's
-            # (full, delta) partitions instead — deltas are empty at an epoch
-            # boundary, so the between-epoch invariant holds by construction.
-            self.bootstrap_stats = None
-            for relation_name, relation in self.relations.items():
-                state = _restore.relations.get(relation_name)
-                if state is None:
-                    raise CheckpointError(
-                        f"checkpoint {_restore.checkpoint_id!r} is missing "
-                        f"relation {relation_name!r}"
-                    )
-                relation.restore(state)
-            self._evaluator.exchange.invalidate()
-            assert serving_meta is not None
-            self.epoch = int(serving_meta.get("epoch", 0))
-            self._versions = {
-                str(k): int(v) for k, v in serving_meta.get("versions", {}).items()
-            }
-            self._changed_epoch = {
-                str(k): int(v) for k, v in serving_meta.get("changed_epoch", {}).items()
-            }
-            for relation_name in self.relations:
-                self._versions.setdefault(relation_name, 1)
-                self._changed_epoch.setdefault(relation_name, 0)
-            self._committed_seq = int(serving_meta.get("covered_seq", 0))
-            # The checkpoint's host partitions double as the rollback target.
-            self._epoch_states = dict(_restore.relations)
-
-        # ------------------------------------------------------------------
-        # Mutation queue + optional background epoch worker.
-        # ------------------------------------------------------------------
-        self._engine_lock = threading.RLock()
-        self._queue = threading.Condition()
-        self._pending: list[_Mutation] = []
-        self._inflight = False
-        self._inflight_batch: list[_Mutation] | None = None
-        self._closed = False
-        self._worker: threading.Thread | None = None
-        #: seconds close() waits for the worker before declaring it stuck
-        self._close_join_timeout = 30.0
-
-        if _restore is None:
-            if self.transactional or self.checkpoint_store is not None:
-                # Epoch-0 baseline: the state every first-epoch rollback (and
-                # every recovery with no later checkpoint) returns to.
-                self._epoch_states = {
-                    name: self._capture(name) for name in self.relations
-                }
+            # Epoch-0 baseline: the state every first-epoch rollback (and
+            # every recovery with no later checkpoint) returns to.
+            self._epoch_states = {name: self._capture(name) for name in self.relations}
             if self.checkpoint_store is not None:
                 self._save_serving_checkpoint()
             self._start_worker()
-        # In recovery mode the caller (ServingEngine.recover) replays the WAL
-        # before starting the worker, so replay epochs cannot interleave with
-        # fresh submissions.
+            return
+
+        # Recovery: no facts and no bootstrap fixpoint — the checkpoint's
+        # (full, delta) partitions replace relations initialized empty, and
+        # deltas are empty at an epoch boundary, so the between-epoch
+        # invariant holds by construction.  The caller (ServingEngine.recover)
+        # replays the WAL before starting the worker, so replay epochs cannot
+        # interleave with fresh submissions.
+        for relation in self.relations.values():
+            relation.initialize(np.empty((0, relation.arity), dtype=np.int64))
+        for relation_name, relation in self.relations.items():
+            state = restore.relations.get(relation_name)
+            if state is None:
+                raise CheckpointError(
+                    f"checkpoint {restore.checkpoint_id!r} is missing "
+                    f"relation {relation_name!r}"
+                )
+            relation.restore(state)
+        self._evaluator.exchange.invalidate()
+        self.epoch = int(serving_meta.get("epoch", 0))
+        self._versions = {
+            str(k): int(v) for k, v in serving_meta.get("versions", {}).items()
+        }
+        self._changed_epoch = {
+            str(k): int(v) for k, v in serving_meta.get("changed_epoch", {}).items()
+        }
+        for relation_name in self.relations:
+            self._versions.setdefault(relation_name, 1)
+            self._changed_epoch.setdefault(relation_name, 0)
+        self._committed_seq = int(serving_meta.get("covered_seq", 0))
+        # The checkpoint's host partitions double as the rollback target.
+        self._epoch_states = dict(restore.relations)
+
+    # The resident state lives in the batch engine; these are read-only views
+    # of it (a shard rebuild swaps ``devices``, ``close`` empties ``relations``).
+    devices = property(attrgetter("_core.devices"))
+    device = property(attrgetter("_core.device"))
+    relations = property(attrgetter("_core.relations"))
+    symbols = property(attrgetter("_core.symbols"))
+    num_shards = property(attrgetter("_core.num_shards"))
+    planner = property(attrgetter("_core.planner"))
 
     # ------------------------------------------------------------------
     # Public API
@@ -637,12 +549,7 @@ class ServingEngine:
         if self.wal is not None:
             self.wal.close()
         with self._engine_lock:
-            relations, self.relations = self.relations, {}
-            for relation in relations.values():
-                try:
-                    relation.free()
-                except DeviceBufferError:
-                    continue
+            self._core.close()
 
     def crash(self) -> None:
         """Abandon the engine the way a dying process would (test/demo hook).
@@ -665,12 +572,7 @@ class ServingEngine:
         if self.wal is not None:
             self.wal.close()
         with self._engine_lock:
-            relations, self.relations = self.relations, {}
-            for relation in relations.values():
-                try:
-                    relation.free()
-                except DeviceBufferError:
-                    continue
+            self._core.close()
 
     def __enter__(self) -> "ServingEngine":
         return self
@@ -800,7 +702,7 @@ class ServingEngine:
                 mutation.future.set_result(result)
 
     def _run_epoch(self, batch: list[_Mutation]) -> EpochResult:
-        """Run one epoch, transactionally when enabled.
+        """Run one epoch as a transaction.
 
         The serving rung of the fault ladder: the evaluator already retries
         transient kernels per version, chunks around OOM, and (with its own
@@ -814,10 +716,6 @@ class ServingEngine:
         """
         with self._engine_lock:
             seqs = [mutation.seq for mutation in batch if mutation.seq]
-            if not self.transactional:
-                result = self._run_epoch_attempt(batch, attempt=1)
-                self._finish_commit(seqs)
-                return result
             attempt = 0
             while True:
                 attempt += 1
@@ -893,8 +791,7 @@ class ServingEngine:
             seen.add(id(cursor))
             if isinstance(cursor, ExchangeError):
                 self._evaluator._rebuild_crashed_shard(cursor)
-                self.devices = list(self._evaluator.devices)
-                self.device = self.devices[0]
+                self._core._adopt_devices(self._evaluator)
                 break
             cursor = (
                 getattr(cursor, "cause", None)
@@ -1053,9 +950,8 @@ class ServingEngine:
             # side dict so a mid-capture fault cannot corrupt the rollback
             # target with a half-updated epoch.
             new_states: dict[str, RelationState] = {}
-            if self.transactional or self.checkpoint_store is not None:
-                for relation_name in sorted(changed):
-                    new_states[relation_name] = self._capture(relation_name)
+            for relation_name in sorted(changed):
+                new_states[relation_name] = self._capture(relation_name)
 
             self.epoch += 1
             published: dict[str, int] = {}
@@ -1245,12 +1141,10 @@ class ServingEngine:
             self.snapshots.publish({relation_name: snapshot})
             return snapshot
 
-    def _encode_rows(
-        self, relation_name: str, rows: FactRows, *, register: bool = False
-    ) -> np.ndarray:
+    def _encode_rows(self, relation_name: str, rows: FactRows) -> np.ndarray:
         """Encode client rows (ints/strings) into an int64 host array."""
         known_arity = self._arities.get(relation_name)
-        if known_arity is None and not register:
+        if known_arity is None:
             raise SchemaError(f"unknown relation {relation_name!r}")
         if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu":
             encoded = np.asarray(rows, dtype=np.int64)
@@ -1261,7 +1155,7 @@ class ServingEngine:
                 tuple(self.symbols.encode(value) for value in row) for row in rows
             ]
             if not materialized:
-                encoded = np.empty((0, known_arity or 0), dtype=np.int64)
+                encoded = np.empty((0, known_arity), dtype=np.int64)
             else:
                 widths = {len(row) for row in materialized}
                 if len(widths) != 1:
@@ -1269,19 +1163,12 @@ class ServingEngine:
                         f"facts for {relation_name!r} have inconsistent arities {sorted(widths)}"
                     )
                 encoded = np.asarray(materialized, dtype=np.int64)
-        if known_arity is None:
-            # A fact-only relation no rule mentions: adopt its arity.
-            if encoded.shape[0] == 0:
-                raise SchemaError(
-                    f"cannot infer the arity of {relation_name!r} from zero facts"
-                )
-            self._arities[relation_name] = int(encoded.shape[1])
-        elif encoded.shape[0] and encoded.shape[1] != known_arity:
+        if encoded.shape[0] and encoded.shape[1] != known_arity:
             raise SchemaError(
                 f"relation {relation_name!r} has arity {known_arity}, "
                 f"got rows of width {encoded.shape[1]}"
             )
-        return encoded.reshape(-1, self._arities[relation_name])
+        return encoded.reshape(-1, known_arity)
 
     def _rows_array(
         self, rows: "Iterable[tuple[int, ...]]", relation_name: str

@@ -25,6 +25,12 @@ switched off.  This one is the benchmark's own CSPA instance, where it fires
 seven times, and pins the pre-dedup row volume (Σ ``raw_count``) next to the
 clock: a refactor that silently stops passing liveness to the join moves all
 three.
+
+The ``serving`` rows (PR 21) are the resident engine's: bootstrap, three
+2-edge insert epochs, one DRed retract epoch and one read of SG.  They were
+**recorded at the parent commit of PR 21**, where ``ServingEngine`` built its
+own devices, relations and evaluator; it now boots through ``GPULogEngine``,
+and the rows are what says the move left the clock where it was.
 """
 
 import numpy as np
@@ -34,6 +40,7 @@ from repro import GPULogEngine
 from repro.datasets import load_dataset
 from repro.experiments.planner_bench import TRIANGLE_PROGRAM, hub_graph
 from repro.queries import CSPA_SOURCE, REACH_SOURCE, SG_SOURCE
+from repro.serving import ServingEngine
 from tests.helpers import paper_edges, random_dag_edges
 
 SHARD_COUNTS = (1, 2, 4)
@@ -181,10 +188,64 @@ def test_distinct_before_expand_is_pinned_on_the_httpd_instance():
         assert measured[key] == HTTPD_PIN[key], key
 
 
-if __name__ == "__main__":  # prints the tables to paste into PINS / HTTPD_PIN
+def measure_serving(num_shards: int) -> dict:
+    edges = random_dag_edges()
+    resident, held = edges[:-6], edges[-6:]
+    engine = ServingEngine(
+        SG_SOURCE, {"edge": resident}, device="h100", fault_plan="none",
+        num_shards=num_shards, background=False,
+    )
+    try:
+        epochs = [engine.submit(inserts={"edge": held[i : i + 2]}).result() for i in (0, 2, 4)]
+        epochs.append(engine.submit(retracts={"edge": held[:2]}).result())
+        final = engine.query("sg").count
+        launches = sum(
+            summary.launches
+            for device in engine.devices
+            for summary in device.profiler.phase_summaries().values()
+        )
+        return {
+            "simulated_seconds": engine.simulated_seconds,
+            "kernel_launches": launches,
+            "epoch_iterations": [epoch.iterations for epoch in epochs],
+            "retracted": epochs[-1].retracted,
+            "rederived": epochs[-1].rederived,
+            "sg": final,
+        }
+    finally:
+        engine.close()
+
+
+#: recorded at the parent commit of PR 21 (see the module docstring)
+SERVING_PINS = {
+    1: {
+        "simulated_seconds": 0.005177487173421231, "kernel_launches": 363, "epoch_iterations": [2, 1, 1, 1],
+        "retracted": {"edge": 2, "sg": 94}, "rederived": {"sg": 66}, "sg": 474,
+    },
+    2: {
+        "simulated_seconds": 0.007441700738530274, "kernel_launches": 1206, "epoch_iterations": [2, 1, 1, 1],
+        "retracted": {"edge": 2, "sg": 94}, "rederived": {"sg": 66}, "sg": 474,
+    },
+}
+
+
+@pytest.mark.parametrize("num_shards", sorted(SERVING_PINS))
+def test_serving_session_is_pinned(num_shards):
+    measured = measure_serving(num_shards)
+    pinned = SERVING_PINS[num_shards]
+    assert measured["simulated_seconds"] == pytest.approx(pinned["simulated_seconds"], rel=1e-12)
+    for key in ("kernel_launches", "epoch_iterations", "retracted", "rederived", "sg"):
+        assert measured[key] == pinned[key], key
+
+
+if __name__ == "__main__":  # prints the tables to paste into PINS / HTTPD_PIN / SERVING_PINS
     print("PINS = {")
     for name in sorted(WORKLOADS):
         for shards in SHARD_COUNTS:
             print(f"    ({name!r}, {shards}): {measure(name, shards)!r},")
     print("}")
     print(f"HTTPD_PIN = {measure('cspa-httpd', 1)!r}")
+    print("SERVING_PINS = {")
+    for shards in (1, 2):
+        print(f"    {shards}: {measure_serving(shards)!r},")
+    print("}")

@@ -80,6 +80,13 @@ def test_ebm_does_not_change_results(random_dag_edges):
     assert eager.peak_memory_bytes >= normal.peak_memory_bytes
 
 
+def test_load_factor_trades_memory_for_probes_not_results(random_dag_edges):
+    sparse = run_reach(random_dag_edges, load_factor=0.4)
+    dense = run_reach(random_dag_edges, load_factor=0.95)
+    assert sparse.relation_set("reach") == dense.relation_set("reach")
+    assert sparse.peak_memory_bytes > dense.peak_memory_bytes
+
+
 def test_cspa_relations_are_consistent():
     assigns = np.array([[1, 0], [2, 1], [3, 2], [5, 4], [6, 5]], dtype=np.int64)
     derefs = np.array([[0, 7], [4, 7], [2, 8], [5, 8]], dtype=np.int64)
@@ -144,6 +151,9 @@ def test_oom_is_raised_with_tiny_memory(paper_edges):
     engine.add_fact_array("edge", paper_edges)
     with pytest.raises(DeviceOutOfMemoryError):
         engine.run(REACH_SOURCE)
+    # The engine's own capacity keyword caps every shard device it builds.
+    with pytest.raises(DeviceOutOfMemoryError):
+        run_reach(paper_edges, memory_capacity_bytes=2048, num_shards=2)
 
 
 def test_idb_facts_seed_the_fixpoint():

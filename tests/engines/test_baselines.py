@@ -67,6 +67,36 @@ def test_gpujoin_and_cudf_oom_with_tiny_capacity(reach_facts):
         assert result.display_time() == "OOM"
 
 
+def test_gpulog_adapter_oom_is_a_status_not_a_crash(reach_facts):
+    result = GPULogAdapter(memory_capacity_bytes=50_000).run(REACH_SOURCE, reach_facts)
+    assert result.status == STATUS_OOM
+    assert result.peak_memory_bytes <= 50_000
+
+
+#: every ablation the adapter forwards to the engine, written as the call a user makes
+ABLATED = {
+    "eager_buffers": lambda: GPULogAdapter(eager_buffers=False),
+    "load_factor": lambda: GPULogAdapter(load_factor=0.5),
+    "materialize_nway": lambda: GPULogAdapter(materialize_nway=False),
+    "planner": lambda: GPULogAdapter(planner="cost"),
+    "backend": lambda: GPULogAdapter(backend="guard"),
+}
+
+
+@pytest.mark.parametrize("option", sorted(ABLATED))
+def test_gpulog_adapter_options_reach_the_engine(paper_edges, option):
+    """Each option changes how SG is evaluated (clock or memory), not what it is."""
+    facts = {"edge": paper_edges}
+    default = GPULogAdapter().run(SG_SOURCE, facts, collect_relations=True)
+    adapter = ABLATED[option]()
+    result = adapter.run(SG_SOURCE, facts, collect_relations=True)
+    assert result.status == STATUS_OK
+    assert result.relations["sg"] == default.relations["sg"] == same_generation(paper_edges)
+    assert adapter.last_result.planner == ("cost" if option == "planner" else "greedy")
+    if option not in ("backend", "planner"):
+        assert (result.seconds, result.peak_memory_bytes) != (default.seconds, default.peak_memory_bytes)
+
+
 def test_gpulog_is_fastest_projected(reach_facts):
     """At paper scale GPUlog must beat every baseline that completes."""
     scale = 200_000.0
