@@ -11,7 +11,7 @@ import numpy as np
 
 from repro import GPULogEngine
 from repro.device import Device, DeviceSpec
-from repro.relational import HISA, JoinOutput, hash_join
+from repro.relational import HISA, ColumnBatch, JoinOutput, hash_join
 
 
 def relational_layer_demo() -> None:
@@ -30,6 +30,10 @@ def relational_layer_demo() -> None:
     # employee(id, department), salary(id, amount)
     employee = np.array([[1, 10], [2, 10], [3, 20], [4, 30]], dtype=np.int64)
     salary = np.array([[1, 90], [2, 70], [3, 85], [4, 60]], dtype=np.int64)
+
+    # A bare array is host data; a ColumnBatch is device data (charged upload).
+    employee = ColumnBatch.from_host(device, employee, 2, label="employee.h2d")
+    salary = ColumnBatch.from_host(device, salary, 2, label="salary.h2d")
 
     salary_index = HISA(device, salary, join_columns=(0,), label="salary")
     joined = hash_join(

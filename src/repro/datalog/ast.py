@@ -156,9 +156,6 @@ class Rule:
     def is_fact(self) -> bool:
         return not self.body and self.head.is_ground()
 
-    def body_relations(self) -> set[str]:
-        return {atom.relation for atom in self.body}
-
     def variable_names(self) -> set[str]:
         names = self.head.variable_names()
         for atom in self.body:

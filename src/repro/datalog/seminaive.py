@@ -31,7 +31,6 @@ ablation kernel need one shard, and the pre-init snapshot needs more than one.
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -283,25 +282,23 @@ class SemiNaiveEvaluator:
                     self._stage_ground_facts(name, rows, initial_parts[name])
                 for version in non_recursive:
                     def stage(shard, batch, name=version.head_relation):
-                        # Stratum initialization is a materialization edge:
-                        # the rows feed fact loading, which indexes them all.
-                        # The rows stay device-resident — no PCIe crossing.
-                        initial_parts[name][shard].append(
-                            batch.as_rows(label=f"{name}.materialize_init")
-                        )
+                        # Held lazy: fact loading's deduplication gathers the
+                        # columns it indexes, on the device.
+                        initial_parts[name][shard].append(batch)
 
                     self._execute_with_recovery(version, stage)
                 for name in idb_in_stratum:
                     relation = self.relations[name]
                     for shard, parts in enumerate(initial_parts[name]):
-                        backend = self.devices[shard].backend
-                        if not parts:
-                            rows = backend.empty((0, relation.arity), dtype=backend.int64)
-                        elif len(parts) == 1:
-                            rows = parts[0]
+                        device = self.devices[shard]
+                        if len(parts) == 1:
+                            batch = parts[0]
                         else:
-                            rows = backend.concatenate(parts, axis=0)
-                        relation.initialize_shard(shard, rows, device_resident=True)
+                            with device.fused(f"{name}.gather_init"):
+                                batch = ColumnBatch.concatenate(
+                                    device, parts, arity=relation.arity, label=f"{name}.gather_init"
+                                )
+                        relation.initialize_shard(shard, batch)
                 return
             except ExchangeError as error:
                 # The boundary must still hold the rebuilt shard's pre-stratum
@@ -316,9 +313,8 @@ class SemiNaiveEvaluator:
         parts = partition_rows_host(rows, relation.shard_column, self.num_shards)
         for shard, part in enumerate(parts):
             if part.shape[0]:
-                device = self.devices[shard]
                 buckets[shard].append(
-                    device.kernels.from_host(part, dtype=device.backend.int64, label=f"{name}.h2d_facts")
+                    ColumnBatch.from_host(self.devices[shard], part, relation.arity, label=f"{name}.h2d_facts")
                 )
 
     # ------------------------------------------------------------------
@@ -422,13 +418,9 @@ class SemiNaiveEvaluator:
                             continue
 
                         # add_new materializes the batch's head columns: the
-                        # join's output write.  Join outputs are
-                        # device-resident — no PCIe crossing at this edge.
+                        # join's output write.
                         self._execute_with_recovery(
-                            version,
-                            functools.partial(
-                                self.relations[version.head_relation].add_new_shard, device_resident=True
-                            ),
+                            version, self.relations[version.head_relation].add_new_shard
                         )
                     total_delta = 0
                     for name in idb_in_stratum:
@@ -827,24 +819,17 @@ class SemiNaiveEvaluator:
         return out
 
     def _execute_fused(self, version: RuleVersion, rows: ColumnBatch) -> ColumnBatch:
-        """Non-materialized nested n-way join (ablation baseline of Section 5.2).
-
-        The fused kernel is row-at-a-time; its output rejoins the pipeline as
-        column views of the rows it wrote.
-        """
+        """Non-materialized nested n-way join (ablation baseline of Section 5.2)."""
         stages = []
         for step in version.joins:
             inner = self._index_for(step.relation, step.join_columns)
             stages.append((step.outer_key_positions, inner, step.output))
-        return ColumnBatch.from_rows(
+        return fused_nway_join(
             self.devices[0],
-            fused_nway_join(
-                self.devices[0],
-                rows,
-                stages,
-                comparisons=list(version.joins[-1].filters),
-                label=f"{version.head_relation}.fused",
-            ),
+            rows,
+            stages,
+            comparisons=list(version.joins[-1].filters),
+            label=f"{version.head_relation}.fused",
         )
 
     def _index_for(self, relation: str, columns: tuple[int, ...]):

@@ -319,19 +319,26 @@ class ShardExchange:
                 replica.build_index(probe_columns)
             return replicas
         relation = self.relations[name]
-        parts_per_target: list[list] = [[] for _ in range(self.num_shards)]
+        width = relation.arity
+        everything = list(range(width))
+        parts_per_target: list[list[ColumnBatch]] = [[] for _ in range(self.num_shards)]
         for source in range(self.num_shards):
             device = self.devices[source]
-            rows = relation.shards[source].full_rows()
-            if not len(rows):
+            batch = relation.shards[source].full_batch()
+            if not len(batch):
                 continue
-            parts_per_target[source].append(rows)
+            parts_per_target[source].append(batch)
             targets = [shard for shard in range(self.num_shards) if shard != source]
-            copies = device.kernels.broadcast_to(
-                rows, [self.devices[target] for target in targets], label=f"{name}.replicate"
-            )
+            with device.profiler.phase(PHASE_SHARD_EXCHANGE):
+                copies = device.kernels.broadcast_to(
+                    self._pack(device, batch, everything, f"{name}.replicate"),
+                    [self.devices[target] for target in targets],
+                    label=f"{name}.replicate",
+                )
             for target, copy in zip(targets, copies):
-                parts_per_target[target].append(copy)
+                parts_per_target[target].append(
+                    ColumnBatch.from_shipped(self.devices[target], copy, everything, width)
+                )
         replicas = []
         try:
             for shard in range(self.num_shards):
@@ -339,20 +346,14 @@ class ShardExchange:
                 replica = Relation(
                     device,
                     f"{name}.replica",
-                    relation.arity,
+                    width,
                     identity_index=False,
                     **relation._relation_config,
                 )
                 replica.require_index(probe_columns)
-                parts = parts_per_target[shard]
-                if not parts:
-                    rows = device.backend.empty((0, relation.arity), dtype=device.backend.int64)
-                elif len(parts) == 1:
-                    rows = parts[0]
-                else:
-                    with device.profiler.phase(PHASE_SHARD_EXCHANGE):
-                        rows = device.kernels.concatenate_rows(parts, label=f"{name}.replicate.gather")
-                replica.initialize(rows, device_resident=True)
+                replica.initialize(
+                    self._gather_batches(shard, parts_per_target[shard], width, everything, f"{name}.replicate")
+                )
                 replicas.append(replica)
         except BaseException:
             for replica in replicas:
@@ -417,16 +418,10 @@ class ShardExchange:
                 slices[source].append(batch)
                 targets = [shard for shard in range(self.num_shards) if shard != source]
                 with device.profiler.phase(PHASE_SHARD_EXCHANGE):
-                    columns = batch.ship_columns(live_positions, label=label)
-                    stacked = backend.column_stack(columns)
-                    device.kernels.transform(
-                        len(batch),
-                        bytes_per_item=8.0 * len(live_positions),
-                        ops_per_item=float(len(live_positions)),
-                        label=f"{label}.pack",
-                    )
                     copies = device.kernels.broadcast_to(
-                        stacked, [self.devices[target] for target in targets], label=f"{label}.d2d"
+                        self._pack(device, batch, live_positions, label),
+                        [self.devices[target] for target in targets],
+                        label=f"{label}.d2d",
                     )
                 for target, copy in zip(targets, copies):
                     slices[target].append(
@@ -500,15 +495,7 @@ class ShardExchange:
             return []
         backend = device.backend
         order = backend.concatenate([indices for _target, indices in outbound])
-        sub_batch = batch.take(order, label=f"{label}.slice")
-        columns = sub_batch.ship_columns(live_positions, label=label)
-        stacked = backend.column_stack(columns)
-        device.kernels.transform(
-            len(sub_batch),
-            bytes_per_item=8.0 * len(live_positions),
-            ops_per_item=float(len(live_positions)),
-            label=f"{label}.pack",
-        )
+        stacked = self._pack(device, batch.take(order, label=f"{label}.slice"), live_positions, label)
         segments = []
         start = 0
         for target, indices in outbound:
@@ -520,6 +507,18 @@ class ShardExchange:
             (target, ColumnBatch.from_shipped(self.devices[target], copy, live_positions, width))
             for (target, _indices), copy in zip(outbound, copies)
         ]
+
+    @staticmethod
+    def _pack(device: Device, batch: ColumnBatch, live_positions: list[int], label: str):
+        """Resolve ``batch``'s live columns and pack them into one shipment block."""
+        stacked = device.backend.column_stack(batch.ship_columns(live_positions, label=label))
+        device.kernels.transform(
+            len(batch),
+            bytes_per_item=8.0 * len(live_positions),
+            ops_per_item=float(len(live_positions)),
+            label=f"{label}.pack",
+        )
+        return stacked
 
     def _gather_batches(
         self, shard: int, parts: list[ColumnBatch], width: int, live_positions: list[int], label: str

@@ -22,7 +22,7 @@ from ..backend import ArrayBackend, BackendLike, get_backend
 from .cost import CostModel, KernelCost
 from .faults import FaultPlan, resolve_fault_plan
 from .kernels import DeviceKernels
-from .memory import Buffer, MemoryPool, MemoryStats
+from .memory import Buffer, MemoryPool
 from .profiler import Profiler
 from .spec import DeviceSpec, device_preset
 
@@ -165,10 +165,6 @@ class Device:
         self.pool.free(buffer)
         if charge_cost:
             self.charge(KernelCost(kernel="device_free", ops=1.0, launches=0))
-
-    @property
-    def memory_stats(self) -> MemoryStats:
-        return self.pool.stats
 
     @property
     def peak_memory_bytes(self) -> int:

@@ -1,9 +1,9 @@
 """Data-parallel primitive kernels of the simulated device.
 
-These are the Thrust-style bulk primitives GPUlog is built from: gather,
-stable (radix-like) sort of tuple rows, exclusive scan, adjacent-difference
-deduplication, stream compaction, path merge, raw memory movement, and the
-host<->device transfer edges.  Each primitive
+These are the Thrust-style bulk primitives GPUlog is built from, over
+per-column arrays: gather, stable (radix-like) lexicographic sort,
+adjacent-difference deduplication, stream compaction, concatenation, and the
+host<->device and device<->device transfer edges.  Each primitive
 
 1. executes the real algorithm through the device's
    :class:`~repro.backend.base.ArrayBackend` (results are exact on whatever
@@ -55,12 +55,8 @@ __all__ = [
     "TUPLE_DTYPE",
     "TUPLE_ITEMSIZE",
     "as_rows",
-    "host_adjacent_unique_mask",
     "host_lexsort_columns",
     "is_monotone",
-    "lex_rank_keys",
-    "lex_rank_keys_columns",
-    "pack_rows",
     "row_search_bounds",
     "rows_nbytes",
 ]
@@ -85,13 +81,6 @@ def host_lexsort_columns(
     same packed-key argsort the device kernels run, on the reference backend.
     """
     return _lexsort(HOST_BACKEND, columns, n_rows)
-
-
-def host_adjacent_unique_mask(
-    columns: "list[Array] | tuple[Array, ...]", n_rows: int | None = None
-) -> np.ndarray:
-    """Mask of sorted tuples that differ from their predecessor, per column."""
-    return HOST_BACKEND.adjacent_unique_mask(columns, n_rows=n_rows)
 
 
 def rows_nbytes(n_rows: int, arity: int) -> int:
@@ -322,60 +311,6 @@ class DeviceKernels:
                 phase=PHASE_SHARD_EXCHANGE,
             )
             out.append(copied)
-        return out
-
-    # ------------------------------------------------------------------
-    # Raw memory movement
-    # ------------------------------------------------------------------
-    def copy(self, data: Array, label: str = "copy") -> Array:
-        """Device-to-device copy (one read + one write of the payload)."""
-        rows = self._backend.asarray(data).copy()
-        nbytes = rows.nbytes
-        self._device.charge(KernelCost(kernel=label, sequential_bytes=2.0 * nbytes, ops=rows.size))
-        return rows
-
-    def concatenate_rows(self, parts: list[Array], label: str = "concatenate") -> Array:
-        """Concatenate tuple arrays; charged as a streaming copy of the output."""
-        backend = self._backend
-        parts = [backend.as_rows(part) for part in parts if part is not None and len(part)]
-        if not parts:
-            return backend.empty((0, 0), dtype=TUPLE_DTYPE)
-        out = backend.concatenate(parts, axis=0)
-        self._device.charge(KernelCost(kernel=label, sequential_bytes=2.0 * out.nbytes, ops=out.shape[0]))
-        return out
-
-    def gather_rows(self, rows: Array, indices: Array, label: str = "gather") -> Array:
-        """Gather ``rows[indices]``; reads are random, writes are streaming."""
-        backend = self._backend
-        rows = backend.as_rows(rows)
-        indices = backend.asarray(indices, dtype=INDEX_DTYPE)
-        out = backend.take(rows, indices)
-        row_bytes = rows.shape[1] * TUPLE_ITEMSIZE if rows.size else TUPLE_ITEMSIZE
-        self._device.charge(
-            KernelCost(
-                kernel=label,
-                random_bytes=float(indices.size) * row_bytes,
-                sequential_bytes=float(indices.size) * (row_bytes + INDEX_ITEMSIZE),
-                ops=float(indices.size),
-            )
-        )
-        return out
-
-    def gather_values(self, values: Array, indices: Array, label: str = "gather_values") -> Array:
-        """Gather scalar values; reads are random, writes streaming."""
-        backend = self._backend
-        values = backend.asarray(values)
-        indices = backend.asarray(indices, dtype=INDEX_DTYPE)
-        out = backend.take(values, indices)
-        itemsize = values.dtype.itemsize
-        self._device.charge(
-            KernelCost(
-                kernel=label,
-                random_bytes=float(indices.size) * itemsize,
-                sequential_bytes=float(indices.size) * (itemsize + INDEX_ITEMSIZE),
-                ops=float(indices.size),
-            )
-        )
         return out
 
     # ------------------------------------------------------------------
@@ -622,30 +557,16 @@ class DeviceKernels:
     # ------------------------------------------------------------------
     # Sorting and order maintenance
     # ------------------------------------------------------------------
-    def lexsort_rows(self, rows: Array, label: str = "stable_sort") -> Array:
-        """Stable lexicographic argsort of tuple rows.
-
-        Charged as Algorithm 1: one stable sort pass per column from least to
-        most significant, each streaming the permutation indices and the key
-        column through memory.  The host runs one argsort of the packed key
-        when the columns fit 64 bits (:func:`_lexsort`).
-        """
-        backend = self._backend
-        rows = backend.as_rows(rows)
-        n, arity = rows.shape
-        order = _lexsort(backend, [rows[:, col] for col in range(arity)], n)
-        self._charge_lexsort(n, arity, label)
-        return order
-
     def lexsort_columns(
         self, columns: list[Array], label: str = "stable_sort", n_rows: int | None = None
     ) -> Array:
         """Stable lexicographic argsort over per-column arrays (SoA layout).
 
-        Same algorithm and cost as :meth:`lexsort_rows` — one stable pass per
-        column — but each pass streams a contiguous column instead of a
-        strided slice of a row array.  ``n_rows`` covers the zero-arity edge
-        (identity permutation).
+        Charged as Algorithm 1: one stable sort pass per column from least to
+        most significant, each streaming the permutation indices and one
+        contiguous key column through memory.  The host runs one argsort of
+        the packed key when the columns fit 64 bits (:func:`_lexsort`).
+        ``n_rows`` covers the zero-arity edge (identity permutation).
         """
         n = int(columns[0].shape[0]) if columns else int(n_rows or 0)
         order = _lexsort(self._backend, columns, n)
@@ -662,124 +583,6 @@ class DeviceKernels:
                 launches=max(1, arity),
             )
         )
-
-    def sort_rows(self, rows: Array, label: str = "sort_rows") -> Array:
-        """Return the rows physically reordered into lexicographic order."""
-        rows = self._backend.as_rows(rows)
-        order = self.lexsort_rows(rows, label=f"{label}.argsort")
-        return self.gather_rows(rows, order, label=f"{label}.gather")
-
-    def is_sorted_rows(self, rows: Array) -> bool:
-        """Host-side check (no cost) that rows are lexicographically sorted."""
-        rows = self._backend.as_rows(rows)
-        if rows.shape[0] < 2:
-            return True
-        prev, curr = rows[:-1], rows[1:]
-        return bool(_lex_less_equal(self._backend, prev, curr).all())
-
-    def merge_sorted_rows(self, left: Array, right: Array, label: str = "merge_path") -> Array:
-        """Merge two lexicographically sorted tuple arrays (GPU merge path).
-
-        Charged as a single streaming pass over both inputs plus the output,
-        the behaviour of the path-merge algorithm the paper takes from Thrust.
-        """
-        backend = self._backend
-        left, right = backend.as_rows(left), backend.as_rows(right)
-        if left.size == 0:
-            merged = right.copy()
-        elif right.size == 0:
-            merged = left.copy()
-        else:
-            if left.shape[1] != right.shape[1]:
-                raise ValueError("cannot merge tuple arrays with different arity")
-            merged = backend.concatenate([left, right], axis=0)
-            order = _lexsort(
-                backend, [merged[:, col] for col in range(merged.shape[1])], merged.shape[0]
-            )
-            merged = backend.take(merged, order)
-        total_bytes = float(left.nbytes + right.nbytes + merged.nbytes)
-        self._device.charge(
-            KernelCost(
-                kernel=label,
-                sequential_bytes=total_bytes,
-                ops=float(merged.shape[0]) * max(1, merged.shape[1] if merged.ndim == 2 else 1),
-            )
-        )
-        return merged
-
-    # ------------------------------------------------------------------
-    # Scan / reduction / compaction
-    # ------------------------------------------------------------------
-    def exclusive_scan(self, values: Array, label: str = "exclusive_scan") -> Array:
-        """Exclusive prefix sum (used for output-offset computation in joins)."""
-        backend = self._backend
-        values = backend.asarray(values, dtype=INDEX_DTYPE)
-        out = backend.zeros(values.shape, dtype=INDEX_DTYPE)
-        if values.size:
-            out[1:] = backend.cumsum(values[:-1])
-        self._device.charge(
-            KernelCost(
-                kernel=label,
-                sequential_bytes=2.0 * float(values.nbytes),
-                ops=float(values.size) * 2.0,
-            )
-        )
-        return out
-
-    def reduce_sum(self, values: Array, label: str = "reduce") -> int:
-        """Sum reduction (streaming read of the input)."""
-        values = self._backend.asarray(values)
-        total = int(values.sum()) if values.size else 0
-        self._device.charge(
-            KernelCost(kernel=label, sequential_bytes=float(values.nbytes), ops=float(values.size))
-        )
-        return total
-
-    def adjacent_unique_mask(self, sorted_rows: Array, label: str = "adjacent_unique") -> Array:
-        """Mask of rows that differ from their predecessor in a sorted array.
-
-        This is the HISA deduplication primitive (Section 4.2): after sorting
-        all columns lexicographically, duplicates are adjacent and removed by
-        comparing each tuple to its neighbour in a parallel scan.
-        """
-        backend = self._backend
-        rows = backend.as_rows(sorted_rows)
-        n = rows.shape[0]
-        mask = backend.adjacent_unique_mask([rows[:, col] for col in range(rows.shape[1])], n_rows=n)
-        self._device.charge(
-            KernelCost(
-                kernel=label,
-                sequential_bytes=2.0 * float(rows.nbytes) + float(n),
-                ops=float(n) * max(1, rows.shape[1] if rows.ndim == 2 else 1),
-            )
-        )
-        return mask
-
-    def stream_compact(self, rows: Array, mask: Array, label: str = "stream_compact") -> Array:
-        """Keep rows where ``mask`` is true (scan + scatter)."""
-        backend = self._backend
-        rows = backend.as_rows(rows)
-        mask = backend.asarray(mask, dtype=backend.bool_)
-        if mask.shape[0] != rows.shape[0]:
-            raise ValueError("mask length must equal the number of rows")
-        out = rows[mask]
-        self._device.charge(
-            KernelCost(
-                kernel=label,
-                sequential_bytes=float(rows.nbytes) + float(out.nbytes) + float(mask.size),
-                ops=float(rows.shape[0]),
-            )
-        )
-        return out
-
-    def unique_rows(self, rows: Array, label: str = "unique_rows") -> Array:
-        """Sort + adjacent-compare + compact: fully deduplicate a tuple array."""
-        rows = self._backend.as_rows(rows)
-        if rows.shape[0] == 0:
-            return rows
-        sorted_rows = self.sort_rows(rows, label=f"{label}.sort")
-        mask = self.adjacent_unique_mask(sorted_rows, label=f"{label}.mask")
-        return self.stream_compact(sorted_rows, mask, label=f"{label}.compact")
 
     # ------------------------------------------------------------------
     # Random access charging helpers (hash table build / probe)
@@ -831,48 +634,10 @@ class DeviceKernels:
             )
         )
 
-    def searchsorted_rows(
-        self,
-        haystack_sorted: Array,
-        needles: Array,
-        label: str = "binary_search",
-    ) -> tuple[Array, Array]:
-        """Lower/upper bound search of ``needles`` in sorted ``haystack``.
-
-        Returns ``(lower, upper)`` index arrays.  Charged as ``log2(n)``
-        random reads per needle — the cost a tree/binary-search range lookup
-        would pay, used by the CPU baseline and by HISA's sorted-array
-        fallback when the hash index is disabled.
-        """
-        backend = self._backend
-        haystack = backend.as_rows(haystack_sorted)
-        needles = backend.as_rows(needles)
-        lower, upper = _row_search_bounds(backend, haystack, needles)
-        n = needles.shape[0]
-        depth = max(1.0, math.log2(max(2, haystack.shape[0])))
-        row_bytes = max(TUPLE_ITEMSIZE, haystack.shape[1] * TUPLE_ITEMSIZE)
-        self._device.charge(
-            KernelCost(
-                kernel=label,
-                random_bytes=float(n) * depth * row_bytes,
-                sequential_bytes=float(needles.nbytes) + 2.0 * float(n) * INDEX_ITEMSIZE,
-                ops=float(n) * depth * 2.0,
-            )
-        )
-        return lower, upper
-
 
 # ----------------------------------------------------------------------
 # Host-side helpers (pure functions, no device cost)
 # ----------------------------------------------------------------------
-
-def pack_rows(rows: np.ndarray) -> np.ndarray:
-    """View each row as one opaque void scalar for exact set operations."""
-    rows = as_rows(rows)
-    if rows.shape[0] == 0:
-        return np.empty(0, dtype=np.dtype((np.void, max(1, rows.shape[1]) * TUPLE_ITEMSIZE)))
-    return np.ascontiguousarray(rows).view(np.dtype((np.void, rows.shape[1] * TUPLE_ITEMSIZE))).ravel()
-
 
 def _lexsort(backend, columns: "list[Array] | tuple[Array, ...]", n_rows: int | None = None) -> Array:
     """Stable lexicographic argsort of tuple columns (column 0 primary).
@@ -887,22 +652,10 @@ def _lexsort(backend, columns: "list[Array] | tuple[Array, ...]", n_rows: int | 
     return backend.lexsort(columns, n_rows=n_rows)
 
 
-def _lex_less_equal(backend, prev: Array, curr: Array) -> Array:
-    """Vectorised row-wise ``prev <= curr`` under lexicographic order."""
-    n, arity = prev.shape
-    result = backend.zeros(n, dtype=backend.bool_)
-    undecided = backend.ones(n, dtype=backend.bool_)
-    for col in range(arity):
-        less = prev[:, col] < curr[:, col]
-        greater = prev[:, col] > curr[:, col]
-        result |= undecided & less
-        undecided &= ~(less | greater)
-    result |= undecided  # fully equal rows compare as <=
-    return result
-
-
-def _row_search_bounds(backend, haystack: Array, needles: Array) -> tuple[Array, Array]:
-    """Lower/upper bounds of each needle row within a sorted haystack."""
+def row_search_bounds(haystack: np.ndarray, needles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower/upper bounds of each needle row within a sorted haystack (host helper)."""
+    backend = HOST_BACKEND
+    haystack, needles = as_rows(haystack), as_rows(needles)
     if haystack.shape[0] == 0 or needles.shape[0] == 0:
         zeros = backend.zeros(needles.shape[0], dtype=INDEX_DTYPE)
         return zeros, zeros.copy()
@@ -913,22 +666,3 @@ def _row_search_bounds(backend, haystack: Array, needles: Array) -> tuple[Array,
     lower = backend.searchsorted(hay_packed, needle_packed, side="left")
     upper = backend.searchsorted(hay_packed, needle_packed, side="right")
     return lower, upper
-
-
-def row_search_bounds(haystack: np.ndarray, needles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Host-side :func:`_row_search_bounds` on the reference backend."""
-    return _row_search_bounds(HOST_BACKEND, as_rows(haystack), as_rows(needles))
-
-
-def lex_rank_keys(rows: np.ndarray, reference: np.ndarray | None = None) -> np.ndarray:
-    """Map rows to sortable packed keys preserving lexicographic order.
-
-    ``reference`` is accepted for interface symmetry; keys are absolute.
-    """
-    rows = as_rows(rows)
-    return HOST_BACKEND.pack_lex_keys([rows[:, col] for col in range(rows.shape[1])])
-
-
-def lex_rank_keys_columns(columns: "list[Array] | tuple[Array, ...]") -> np.ndarray:
-    """Columnar :func:`lex_rank_keys` on the reference backend."""
-    return HOST_BACKEND.pack_lex_keys(columns)

@@ -42,14 +42,6 @@ class MemoryStats:
     free_count: int = 0
     oom_count: int = 0
 
-    @property
-    def peak_gib(self) -> float:
-        return self.peak_bytes / 1024**3
-
-    @property
-    def in_use_gib(self) -> float:
-        return self.in_use_bytes / 1024**3
-
 
 class MemoryPool:
     """Bump-accounting allocator for the simulated device memory."""

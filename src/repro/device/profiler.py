@@ -142,10 +142,6 @@ class Profiler:
     def current_phase(self) -> str:
         return self._phase_stack[-1] if self._phase_stack else PHASE_OTHER
 
-    @property
-    def current_iteration(self) -> int | None:
-        return self._iteration
-
     @contextmanager
     def phase(self, name: str) -> Iterator[None]:
         """Attribute all kernels launched inside the block to phase ``name``."""

@@ -92,12 +92,6 @@ class WorkloadTrace:
             for name in self.edb_relations
         )
 
-    def idb_counts(self) -> dict[str, int]:
-        return {
-            name: count
-            for name, count in self.relation_counts.items()
-            if name not in self.edb_relations
-        }
 
 
 class _HostRelation:

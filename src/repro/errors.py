@@ -119,10 +119,6 @@ class SafetyError(DatalogError):
     """Raised when a rule is unsafe (head variable not bound in a positive body atom)."""
 
 
-class StratificationError(DatalogError):
-    """Raised when a program cannot be stratified (negation inside a recursive cycle)."""
-
-
 class PlanningError(DatalogError):
     """Raised when a rule cannot be compiled into a relational-algebra plan."""
 
@@ -195,13 +191,5 @@ class WalError(ServingError):
     """Raised when a write-ahead-log record cannot be appended or replayed."""
 
 
-class EngineError(ReproError):
-    """Base class for comparison-engine errors."""
-
-
 class DatasetError(ReproError):
     """Raised for unknown dataset names or invalid generator parameters."""
-
-
-class ExperimentError(ReproError):
-    """Raised when an experiment driver is misconfigured."""

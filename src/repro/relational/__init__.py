@@ -40,12 +40,10 @@ from .operators import (
     difference,
     fused_nway_join,
     hash_join,
-    project,
     select,
-    union,
 )
 from .relation import IterationStats, Relation
-from .sharded import ShardedRelation, partition_rows, partition_rows_host, shard_assignments
+from .sharded import ShardedRelation, partition_rows_host, shard_assignments
 
 __all__ = [
     "BufferManagerStats",
@@ -80,10 +78,7 @@ __all__ = [
     "hash_single",
     "make_buffer_manager",
     "next_power_of_two",
-    "partition_rows",
     "partition_rows_host",
-    "project",
     "select",
     "shard_assignments",
-    "union",
 ]

@@ -46,12 +46,6 @@ class BufferManagerStats:
     in_place_appends: int = 0
     bytes_appended_in_place: int = 0
 
-    @property
-    def reuse_fraction(self) -> float:
-        if self.acquisitions == 0:
-            return 0.0
-        return self.reuses / self.acquisitions
-
 
 class MergeBufferManager(ABC):
     """Supplies destination buffers for full/delta merges and recycles old ones."""

@@ -38,11 +38,11 @@ The late-materialization contract
    selection can reference, so a lazy batch stays valid across fixpoint
    bookkeeping until it is materialized.
 
-Row arrays remain the interop format at the edges (:meth:`from_rows` /
-:meth:`as_rows`): fact load, host seed rows, stratum initialization,
-retraction and the fused n-way ablation kernel.  Note :meth:`as_rows` stays
-device-resident — crossing to host NumPy goes through the charged
-``Device.kernels.to_host`` transfer edge.
+A batch is the only form tuples take on the device; a bare row-major
+``(n, arity)`` array is host data.  :meth:`from_host` is the one way in (the
+charged ``from_host`` upload, then column views of the uploaded block) and
+:meth:`to_host` the one way out (the columns stacked into a block for the
+charged ``to_host`` download).
 """
 
 from __future__ import annotations
@@ -129,18 +129,28 @@ class ColumnBatch:
         )
 
     @classmethod
+    def from_host(cls, device: Device, rows, arity: int, *, label: str = "h2d_transfer") -> "ColumnBatch":
+        """The one way in: host ``(n, arity)`` tuples become a device batch.
+
+        The payload crosses PCIe through the charged ``from_host`` kernel and
+        is viewed as columns; an empty payload of any shape is an empty batch
+        and a single 1-D tuple is one row.
+        """
+        rows = device.kernels.from_host(rows, dtype=TUPLE_DTYPE, label=label)
+        if rows.size == 0:
+            return cls.empty(device, arity)
+        if rows.ndim == 1:
+            rows = rows.reshape(1, -1)
+        if rows.ndim != 2 or rows.shape[1] != arity:
+            raise SchemaError(f"{label}: expected tuples of arity {arity}, got shape {rows.shape}")
+        return cls.from_rows(device, rows)
+
+    @classmethod
     def empty(cls, device: Device, arity: int, *, names: tuple[str, ...] | None = None) -> "ColumnBatch":
         backend = device.backend
         return cls.from_columns(
             device, [backend.empty(0, dtype=TUPLE_DTYPE) for _ in range(arity)], length=0, names=names
         )
-
-    @classmethod
-    def wrap(cls, device: Device, data: "ColumnBatch | Array") -> "ColumnBatch":
-        """Coerce rows-or-batch input to a batch (rows are wrapped, not copied)."""
-        if isinstance(data, ColumnBatch):
-            return data
-        return cls.from_rows(device, data)
 
     @classmethod
     def from_live_columns(
@@ -340,8 +350,21 @@ class ColumnBatch:
     def columns(self, *, charge: bool = True, label: str = "gather_column") -> list[Array]:
         return [self.column(position, charge=charge, label=label) for position in range(self.arity)]
 
+    def to_host(self, *, charge: bool = True, label: str = "d2h_transfer"):
+        """The one way out: the batch as a host ``(n, arity)`` row array.
+
+        The columns are stacked into the row block the DMA reads (part of the
+        transfer, like the upload's column views) and cross PCIe through the
+        charged ``to_host`` kernel; ``charge=False`` is for callers that
+        account the download themselves and for test introspection.
+        """
+        block = self.device.backend.column_stack(self.columns(label=label))
+        if charge:
+            return self.device.kernels.to_host(block, label=label)
+        return self.device.backend.to_host(block)
+
     def as_rows(self, *, charge: bool = True, label: str = "materialize_rows") -> Array:
-        """Materialise the batch as a ``(n, arity)`` row array (interop edge)."""
+        """Materialise the batch as a device-resident ``(n, arity)`` row block."""
         backend = self.device.backend
         out = backend.empty((self._length, self.arity), dtype=TUPLE_DTYPE)
         for position in range(self.arity):

@@ -54,7 +54,7 @@ index as a few geometrically sized sorted batches:
   otherwise.
 
 ``merge(delta)`` mutates ``self`` (the full index) and returns it; ``delta``
-is consumed.  A from-scratch ``HISA(device, all_rows, join_columns)`` is the
+is consumed.  A from-scratch ``HISA(device, all_tuples, join_columns)`` is the
 oracle ``tests/relational/test_incremental.py`` holds every merge schedule to.
 
 All algorithms run for real on the device's
@@ -70,7 +70,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..backend import TUPLE_DTYPE, TUPLE_ITEMSIZE, Array, ArrayBackend
+from ..backend import TUPLE_ITEMSIZE, Array, ArrayBackend
 from ..device.cost import KernelCost
 from ..device.device import Device
 from ..device.memory import Buffer
@@ -125,7 +125,7 @@ class HISA:
     def __init__(
         self,
         device: Device,
-        rows: "Array | ColumnBatch",
+        rows: ColumnBatch,
         join_columns: Sequence[int],
         *,
         load_factor: float = DEFAULT_LOAD_FACTOR,
@@ -134,18 +134,11 @@ class HISA:
         assume_sorted: bool = False,
     ) -> None:
         backend = device.backend
-        # Columnar ingestion: a ColumnBatch hands over its (possibly lazy)
-        # columns directly — values are gathered per column, never packed
-        # into row tuples.  A row array is split into column views.
-        if isinstance(rows, ColumnBatch):
-            n = len(rows)
-            arity = rows.arity
-            natural_columns = rows.columns(label=f"{label}.ingest")
-        else:
-            rows = backend.as_rows(rows)
-            n = int(rows.shape[0])
-            arity = int(rows.shape[1])
-            natural_columns = [rows[:, column] for column in range(arity)]
+        # The batch hands over its (possibly lazy) columns directly — values
+        # are gathered per column, never packed into row tuples.
+        n = len(rows)
+        arity = rows.arity
+        natural_columns = rows.columns(label=f"{label}.ingest")
         self.device = device
         self.backend: ArrayBackend = backend
         self.label = label
@@ -182,7 +175,6 @@ class HISA:
             backend.ascontiguousarray(natural_columns[column]) for column in self.column_order
         ]
         self._live = n
-        self._rows_cache: Array | None = None
         if n:
             self.device.kernels.transform(
                 n,
@@ -305,7 +297,7 @@ class HISA:
         return self.memory_breakdown().total_bytes
 
     # ------------------------------------------------------------------
-    # Column access (the SoA fast path) and row-array interop views
+    # Column access
     # ------------------------------------------------------------------
     def stored_column(self, position: int) -> Array:
         """One stored column (index column order) as a dense 1-D view."""
@@ -324,34 +316,6 @@ class HISA:
     def natural_columns(self) -> list[Array]:
         """All columns in schema order — zero-copy views for ColumnBatch wrapping."""
         return [self.natural_column(column) for column in range(self.natural_arity)]
-
-    @property
-    def data(self) -> Array:
-        """Materialized ``(n, arity)`` row view in stored column order.
-
-        Kept for interop (tests); the cache is invalidated whenever a merge
-        mutates the column storage.
-        """
-        cache = self._rows_cache
-        if cache is None:
-            cache = self.backend.empty((self._live, len(self._column_storage)), dtype=TUPLE_DTYPE)
-            for position, column in enumerate(self._column_storage):
-                cache[:, position] = column[: self._live]
-            self._rows_cache = cache
-        return cache
-
-    def natural_rows(self) -> Array:
-        """All tuples in their original (schema) column order, insertion order."""
-        self._check_live()
-        out = self.backend.empty((self._live, self.natural_arity), dtype=TUPLE_DTYPE)
-        for column in range(self.natural_arity):
-            out[:, column] = self.natural_column(column)
-        return out
-
-    def stored_rows(self) -> Array:
-        """All tuples in index column order (join columns first), insertion order."""
-        self._check_live()
-        return self.data
 
     # -- sorted-order readers: one logical sorted array, via compact() -------
     @property
@@ -376,56 +340,27 @@ class HISA:
             self._key_runs = _runs_from_keys(self.backend, self._stores[-1][: self._live])
         return self._key_runs
 
-    def sorted_natural_rows(self) -> Array:
-        """All tuples in schema order, sorted by (join columns, rest)."""
-        return self.rows_at_sorted_positions(self.backend.arange(self._live, dtype=self.backend.int64))
-
-    def rows_at_sorted_positions(self, positions: Array) -> Array:
-        """Tuples (schema order) at the given positions of the sorted index array."""
-        backend = self.backend
-        data_positions = self.sorted_index[backend.asarray(positions, dtype=backend.int64)]
-        out = backend.empty((data_positions.size, self.natural_arity), dtype=TUPLE_DTYPE)
-        for column in range(self.natural_arity):
-            out[:, column] = self.natural_column(column)[data_positions]
-        return out
-
     # ------------------------------------------------------------------
     # Range queries (Algorithm 3 support)
     # ------------------------------------------------------------------
-    def lookup(self, keys: Array, *, charge: bool = True, verify: bool = True) -> tuple[MatchedRuns, Array]:
-        """Range-query a batch of join keys.
-
-        ``keys`` has shape ``(m, n_join)`` and column ``j`` holds the value of
-        ``join_columns[j]``.  Returns ``(runs, lengths)``: the matched key runs
-        (for :meth:`expand_matches`) and each key's total match count.
-        """
-        keys = self.backend.as_rows(keys)
-        if keys.shape[0] and keys.shape[1] != self.n_join:
-            raise SchemaError(f"expected keys of width {self.n_join}, got {keys.shape[1]}")
-        return self.lookup_columns(
-            [keys[:, position] for position in range(keys.shape[1])],
-            charge=charge,
-            verify=verify,
-            n_keys=int(keys.shape[0]),
-        )
-
     def lookup_columns(
         self,
         key_columns: Sequence[Array],
         *,
         charge: bool = True,
         verify: bool = True,
-        n_keys: int | None = None,
     ) -> tuple[MatchedRuns, Array]:
-        """Columnar :meth:`lookup`: ``key_columns[j]`` holds ``join_columns[j]``.
+        """Range-query a batch of join keys: ``key_columns[j]`` holds ``join_columns[j]``.
 
-        The SoA fast path — keys are hashed once by folding the columns
-        directly, probed in every sorted run's table and verified against
-        single stored columns, so no row tuples are ever assembled.
+        Returns ``(runs, lengths)``: the matched key runs (for
+        :meth:`expand_matches`) and each key's total match count.  Keys are
+        hashed once by folding the columns directly, probed in every sorted
+        run's table and verified against single stored columns, so no row
+        tuples are ever assembled.
         """
         self._check_live()
         backend = self.backend
-        m = int(key_columns[0].shape[0]) if key_columns else int(n_keys or 0)
+        m = int(key_columns[0].shape[0]) if key_columns else 0
         if m and len(key_columns) != self.n_join:
             raise SchemaError(f"expected keys of width {self.n_join}, got {len(key_columns)}")
         n_runs = len(self._bounds) - 1
@@ -486,7 +421,7 @@ class HISA:
         return starts, lengths
 
     def expand_matches(self, runs: MatchedRuns, lengths: Array) -> tuple[Array, Array]:
-        """Expand :meth:`lookup` results into flat (probe index, data position) pairs.
+        """Expand :meth:`lookup_columns` results into flat (probe index, data position) pairs.
 
         Returns ``(probe_indices, data_positions)`` where ``data_positions``
         index directly into the data array (already translated through the
@@ -508,30 +443,17 @@ class HISA:
         sorted_positions = backend.repeat(run_starts - before, run_lengths) + backend.arange(total, dtype=backend.int64)
         return probe_indices, self._stores[0][sorted_positions]
 
-    def contains(self, rows: Array, *, charge: bool = True) -> Array:
-        """Exact membership test for whole tuples (schema column order).
+    def contains_columns(self, columns: Sequence[Array], *, charge: bool = True) -> Array:
+        """Exact membership test for whole tuples; ``columns`` are in schema order.
 
         Requires the HISA to be indexed on *all* columns (as the ``full``
-        version used for deduplication is).
-        """
-        self._check_live()
-        rows = self.backend.as_rows(rows)
-        if rows.shape[0] == 0:
-            return self.backend.empty(0, dtype=self.backend.bool_)
-        return self.contains_columns(
-            [rows[:, column] for column in range(rows.shape[1])], charge=charge
-        )
-
-    def contains_columns(self, columns: Sequence[Array], *, charge: bool = True) -> Array:
-        """Columnar :meth:`contains`: ``columns`` are in schema order.
-
-        The sorted runs of an all-column index are disjoint, so a tuple found
+        version used for deduplication is).  The sorted runs of an all-column index are disjoint, so a tuple found
         in one run is settled: only still-unresolved tuples probe the next.
         """
         self._check_live()
         backend = self.backend
         if self.n_join != self.natural_arity:
-            raise HisaStateError("contains() requires an all-column index")
+            raise HisaStateError("contains_columns() requires an all-column index")
         if not columns or columns[0].shape[0] == 0:
             return backend.empty(0, dtype=backend.bool_)
         key_columns = [columns[column] for column in self.column_order]
@@ -705,7 +627,6 @@ class HISA:
             if old_buffer is not None:
                 manager.retire(old_buffer)
         self._live = n + d
-        self._rows_cache = None
         self.last_merge_in_place = in_place
 
     # -- index-tier helpers ------------------------------------------------

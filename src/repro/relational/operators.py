@@ -8,17 +8,14 @@ These are the compute kernels the fixpoint loop of Figure 3 executes:
 * :func:`fused_nway_join` — the *non*-materialized nested n-way join used as
   the baseline of the Section 5.2 ablation: one kernel performs both joins,
   so warp divergence is charged on the combined per-thread workload.
-* :func:`select`, :func:`project`, :func:`deduplicate`, :func:`difference` —
-  the remaining operators of the evaluation pipeline.
+* :func:`select`, :func:`deduplicate`, :func:`difference` — the remaining
+  operators of the evaluation pipeline.
 
-The join pipeline has one layout: :func:`hash_join`, :func:`select` and
-:func:`project` run on a :class:`ColumnBatch` and return one, whose columns are
-gathered only when a downstream consumer touches them (``hash_join`` returns
-the match-index pairs wrapped as a lazy batch instead of materializing output
-tuples).  A row-major tuple array is accepted at these entry points and wrapped
-as column views first.  :func:`deduplicate`, :func:`difference` and
-:func:`union` also take the row arrays the edges of the engine hand them —
-fact load, host seed rows, retraction, the OOM-degraded dedup merge.
+There is one layout: every operator takes a :class:`ColumnBatch` and returns
+one, whose columns are gathered only when a downstream consumer touches them
+(``hash_join`` returns the match-index pairs wrapped as a lazy batch instead
+of materializing output tuples).  Projection and concatenation are batch
+methods (:meth:`ColumnBatch.project`, :meth:`ColumnBatch.concatenate`).
 
 Every array is owned by the device's
 :class:`~repro.backend.base.ArrayBackend`; no operator calls an array library
@@ -30,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Sequence
 
 from ..backend import Array, ArrayBackend, HOST_BACKEND, INDEX_ITEMSIZE, TUPLE_ITEMSIZE
 from ..device.cost import KernelCost
@@ -43,10 +40,6 @@ from .hisa import HISA
 
 OUTER = "outer"
 INNER = "inner"
-
-#: What the operators accept: a row-major tuple array or a columnar batch.
-RowsLike = Union[Array, ColumnBatch]
-
 
 @dataclass(frozen=True)
 class JoinOutput:
@@ -157,7 +150,7 @@ def _distinct_launches(width: int) -> int:
 
 def hash_join(
     device: Device,
-    outer_rows: RowsLike,
+    outer: ColumnBatch,
     outer_join_columns: Sequence[int],
     inner: HISA,
     output: Sequence[JoinOutput],
@@ -167,7 +160,7 @@ def hash_join(
     charge: bool = True,
     live_outer: LiveOuter | None = None,
 ) -> ColumnBatch:
-    """Join an outer columnar batch (or tuple array) against an inner HISA.
+    """Join an outer batch against an inner HISA.
 
     ``outer_join_columns[j]`` is the outer column matched against the inner's
     ``join_columns[j]``.  ``output`` lists the columns of the result tuple;
@@ -194,7 +187,6 @@ def hash_join(
     distinct's launches would cost more than the bytes it saves.
     """
     backend = device.backend
-    outer = ColumnBatch.wrap(device, outer_rows)
     outer_join_columns = [int(c) for c in outer_join_columns]
     if len(outer_join_columns) != inner.n_join:
         raise SchemaError(
@@ -375,13 +367,12 @@ def _distinct_outer(device: Device, outer: ColumnBatch, live: list[int], label: 
 
 def fused_nway_join(
     device: Device,
-    outer_rows: RowsLike,
+    outer: ColumnBatch,
     stages: Sequence[tuple[Sequence[int], HISA, Sequence[JoinOutput]]],
     *,
     comparisons: Sequence[ColumnComparison] = (),
     label: str = "fused_join",
-    charge: bool = True,
-) -> Array:
+) -> ColumnBatch:
     """Evaluate a chain of joins inside a single simulated kernel.
 
     ``stages`` is a list of ``(outer_join_columns, inner_hisa, output)``
@@ -393,57 +384,47 @@ def fused_nway_join(
     every nested loop (Figure 5).
     """
     backend = device.backend
-    if isinstance(outer_rows, ColumnBatch):
-        # The fused kernel is inherently row-at-a-time (it is the ablation
-        # baseline); a columnar outer is materialized at this edge.
-        outer_rows = outer_rows.as_rows(charge=charge, label=f"{label}.materialize_outer")
-    outer_rows = backend.as_rows(outer_rows)
     if not stages:
         raise SchemaError("fused_nway_join requires at least one stage")
 
-    current = outer_rows
-    # Track, for every original outer tuple, how much nested work it generates.
-    origin = backend.arange(outer_rows.shape[0], dtype=backend.int64)
-    per_origin_work = backend.zeros(outer_rows.shape[0], dtype=backend.int64)
-    total_random_bytes = 0.0
-    total_ops = 0.0
+    # One launch: the outer gather and every stage's index probe fold their
+    # own charges into it; the nested match walks are charged at the end,
+    # once the per-lane workload (and so the divergence) is known.
+    with device.fused(label):
+        n_outer = len(outer)
+        current = outer.columns(label=f"{label}.gather_outer")
+        # Track, for every original outer tuple, how much nested work it generates.
+        origin = backend.arange(n_outer, dtype=backend.int64)
+        per_origin_work = backend.zeros(n_outer, dtype=backend.int64)
+        total_random_bytes = 0.0
+        total_ops = 0.0
 
-    for stage_index, (join_cols, inner, output) in enumerate(stages):
-        if current.shape[0] == 0:
-            current = backend.empty((0, len(output)), dtype=backend.int64)
-            origin = backend.empty(0, dtype=backend.int64)
-            break
-        keys = current[:, [int(c) for c in join_cols]]
-        runs, lengths = inner.lookup(keys, charge=False)
-        backend.add_at(per_origin_work, origin, lengths)
-        inner_row_bytes = max(1, inner.natural_arity) * TUPLE_ITEMSIZE
-        total_matches = int(lengths.sum())
-        total_random_bytes += float(total_matches) * (inner_row_bytes + 8.0)
-        total_random_bytes += float(current.shape[0]) * 16.0  # hash-table probes
-        total_ops += float(total_matches) * max(1, inner.natural_arity) + float(current.shape[0]) * 4.0
+        for join_cols, inner, output in stages:
+            if origin.shape[0] == 0:
+                current = [backend.empty(0, dtype=backend.int64) for _ in output]
+                break
+            runs, lengths = inner.lookup_columns([current[int(c)] for c in join_cols])
+            backend.add_at(per_origin_work, origin, lengths)
+            total_matches = int(lengths.sum())
+            total_random_bytes += float(total_matches) * (max(1, inner.natural_arity) * TUPLE_ITEMSIZE + 8.0)
+            total_ops += float(total_matches) * max(1, inner.natural_arity)
 
-        probe_idx, data_positions = inner.expand_matches(runs, lengths)
-        columns = []
-        for spec in output:
-            if spec.source == OUTER:
-                columns.append(current[probe_idx, spec.column])
-            else:
-                stored_col = inner.column_order.index(spec.column)
-                columns.append(inner.stored_column(stored_col)[data_positions])
-        current = (
-            backend.column_stack(columns).astype(backend.int64)
-            if columns
-            else backend.empty((probe_idx.size, 0), dtype=backend.int64)
-        )
-        origin = origin[probe_idx]
+            probe_idx, data_positions = inner.expand_matches(runs, lengths)
+            current = [
+                current[spec.column][probe_idx]
+                if spec.source == OUTER
+                else inner.natural_column(spec.column)[data_positions]
+                for spec in output
+            ]
+            origin = origin[probe_idx]
 
-    if comparisons and current.shape[0]:
-        mask = backend.ones(current.shape[0], dtype=backend.bool_)
-        for comparison in comparisons:
-            mask &= comparison.evaluate(current, backend)
-        current = current[mask]
+        result = ColumnBatch.from_columns(device, current, length=int(origin.shape[0]))
+        if comparisons and len(result):
+            mask = backend.ones(len(result), dtype=backend.bool_)
+            for comparison in comparisons:
+                mask &= comparison.evaluate_batch(result, label=f"{label}.guard")
+            result = ColumnBatch.from_columns(device, [column[mask] for column in current])
 
-    if charge:
         divergence = _divergence(device, per_origin_work)
         # Idle lanes issue no memory requests, so the whole warp's effective
         # bandwidth drops with divergence too — this is exactly the thread
@@ -451,14 +432,13 @@ def fused_nway_join(
         device.charge(
             KernelCost(
                 kernel=label,
-                sequential_bytes=float(outer_rows.nbytes) + float(current.nbytes),
+                sequential_bytes=float(outer.nbytes) + float(result.nbytes),
                 random_bytes=total_random_bytes * divergence,
-                ops=max(total_ops, float(outer_rows.shape[0])),
+                ops=max(total_ops, float(n_outer)),
                 divergence=divergence,
-                launches=1,
             )
         )
-    return current
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -467,18 +447,17 @@ def fused_nway_join(
 
 def select(
     device: Device,
-    rows: RowsLike,
+    batch: ColumnBatch,
     comparisons: Sequence[ColumnComparison],
     *,
     label: str = "select",
     charge: bool = True,
 ) -> ColumnBatch:
-    """Filter ``rows`` by conjunction of comparison predicates.
+    """Filter ``batch`` by conjunction of comparison predicates.
 
     Only the columns the predicates read are materialized; the surviving
     rows stay lazy (one selection compose per source).
     """
-    batch = ColumnBatch.wrap(device, rows)
     if len(batch) == 0 or not comparisons:
         return batch
     mask = device.backend.ones(len(batch), dtype=device.backend.bool_)
@@ -487,139 +466,66 @@ def select(
     return batch.filter(mask, charge=charge, label=f"{label}.compact")
 
 
-def project(device: Device, rows: RowsLike, columns: Sequence[int]) -> ColumnBatch:
-    """Project ``rows`` onto the given natural column indices (with reorder/repeat).
-
-    Pure metadata — no bytes move and nothing is charged.
-    """
-    return ColumnBatch.wrap(device, rows).project(columns)
-
-
 def deduplicate(
-    device: Device, rows: "RowsLike | PackedColumns", *, label: str = "deduplicate"
-) -> RowsLike:
+    device: Device, rows: "ColumnBatch | PackedColumns", *, label: str = "deduplicate"
+) -> ColumnBatch:
     """Sort + adjacent-compare + compact deduplication [R4].
 
-    Columnar batches go through :meth:`DeviceKernels.unique_columns`, which
-    packs the columns into one 64-bit sort key when their observed ranges
-    allow and sorts column by column otherwise; a batch that already is one
-    packed key column (:class:`PackedColumns`, the gathered *new* version)
-    is consumed as it is.  Row arrays take :meth:`DeviceKernels.unique_rows`.
-    Every route leaves the result in natural lexicographic order.
+    :meth:`DeviceKernels.unique_columns` packs the columns into one 64-bit
+    sort key when their observed ranges allow and sorts column by column
+    otherwise; a batch that already is one packed key column
+    (:class:`PackedColumns`, the gathered *new* version) is consumed as it
+    is.  Every route leaves the result in natural lexicographic order.
     """
-    backend = device.backend
     if isinstance(rows, PackedColumns):
         if len(rows) <= 1:
             return ColumnBatch.from_columns(device, rows.unpack())
         with device.fused(f"{label}.dedup_fused", launches=3):
             deduped = device.kernels.unique_columns(rows, label=label)
         return ColumnBatch.from_columns(device, deduped)
-    if isinstance(rows, ColumnBatch):
-        if len(rows) <= 1:
-            return rows
-        if rows.arity == 0:
-            # All zero-arity tuples are equal: one survivor.
-            return ColumnBatch.from_columns(device, [], length=1, names=rows.names)
-        # Column gather, sort epilogue, adjacent-compare and compaction
-        # fuse around the multi-pass sort core: two radix passes plus one
-        # fused gather/mask/compact kernel.
-        with device.fused(f"{label}.dedup_fused", launches=3):
-            columns = rows.columns(label=f"{label}.gather")
-            deduped = device.kernels.unique_columns(columns, label=label)
-        return ColumnBatch.from_columns(device, deduped, names=rows.names)
-    rows = backend.as_rows(rows)
-    if rows.shape[0] <= 1:
+    if len(rows) <= 1:
         return rows
-    return device.kernels.unique_rows(rows, label=label)
+    if rows.arity == 0:
+        # All zero-arity tuples are equal: one survivor.
+        return ColumnBatch.from_columns(device, [], length=1, names=rows.names)
+    # Column gather, sort epilogue, adjacent-compare and compaction
+    # fuse around the multi-pass sort core: two radix passes plus one
+    # fused gather/mask/compact kernel.
+    with device.fused(f"{label}.dedup_fused", launches=3):
+        columns = rows.columns(label=f"{label}.gather")
+        deduped = device.kernels.unique_columns(columns, label=label)
+    return ColumnBatch.from_columns(device, deduped, names=rows.names)
 
 
 def difference(
     device: Device,
-    rows: RowsLike,
+    rows: ColumnBatch,
     existing: HISA,
     *,
     label: str = "difference",
     charge: bool = True,
-) -> RowsLike:
+) -> ColumnBatch:
     """Return the tuples of ``rows`` not present in ``existing`` (populate-delta).
 
     ``existing`` must be indexed on all of its columns (the canonical ``full``
     index) so that membership can be answered by one range probe per tuple.
-    The columnar path hashes the batch's columns directly — no row tuples are
-    assembled for the membership probe.
+    The batch's columns are hashed directly — no row tuples are assembled for
+    the membership probe.
     """
-    backend = device.backend
-    if isinstance(rows, ColumnBatch):
-        if len(rows) == 0 or existing.tuple_count == 0:
-            return rows
-        # The membership probe is one fused kernel: gather, hash, table
-        # probe, verify and compact all stream the same rows once.
-        with device.fused(f"{label}.diff_fused"):
-            columns = rows.columns(charge=charge, label=f"{label}.gather")
-            present = existing.contains_columns(columns, charge=charge)
-            keep = ~present
-            # Compact eagerly: the delta feeds every index build next, so each
-            # column is streamed once here instead of re-gathered per consumer.
-            if charge:
-                kept_columns = device.kernels.compact_columns(columns, keep, label=f"{label}.compact")
-            else:
-                kept_columns = [column[keep] for column in columns]
-        return ColumnBatch.from_columns(
-            device, kept_columns, length=backend.count_nonzero(keep), names=rows.names
-        )
-    rows = backend.as_rows(rows)
-    if rows.shape[0] == 0:
+    if len(rows) == 0 or existing.tuple_count == 0:
         return rows
-    if existing.tuple_count == 0:
-        return rows
-    present = existing.contains(rows, charge=charge)
-    result = rows[~present]
-    if charge:
-        device.charge(
-            KernelCost(
-                kernel=f"{label}.compact",
-                sequential_bytes=float(rows.nbytes) + float(result.nbytes),
-                ops=float(rows.shape[0]),
-            )
-        )
-    return result
-
-
-def union(
-    device: Device,
-    parts: Sequence[RowsLike],
-    *,
-    arity: int | None = None,
-    label: str = "union",
-    charge: bool = True,
-) -> RowsLike:
-    """Concatenate tuple arrays or batches (no deduplication).
-
-    ``arity`` pins the schema: when every part is empty the result keeps its
-    column count instead of silently collapsing to ``(0, 0)``.  Any non-empty
-    part must agree with it.
-    """
-    backend = device.backend
-    live_parts = [part for part in parts if part is not None and len(part)]
-    if arity is None:
-        # Infer the schema from any part (empty parts still carry their width).
-        for part in parts:
-            if part is not None:
-                arity = part.arity if isinstance(part, ColumnBatch) else backend.as_rows(part).shape[1]
-                break
+    # The membership probe is one fused kernel: gather, hash, table
+    # probe, verify and compact all stream the same rows once.
+    with device.fused(f"{label}.diff_fused"):
+        columns = rows.columns(charge=charge, label=f"{label}.gather")
+        present = existing.contains_columns(columns, charge=charge)
+        keep = ~present
+        # Compact eagerly: the delta feeds every index build next, so each
+        # column is streamed once here instead of re-gathered per consumer.
+        if charge:
+            kept_columns = device.kernels.compact_columns(columns, keep, label=f"{label}.compact")
         else:
-            arity = 0
-    if any(isinstance(part, ColumnBatch) for part in live_parts) or (
-        not live_parts and any(isinstance(part, ColumnBatch) for part in parts if part is not None)
-    ):
-        batches = [ColumnBatch.wrap(device, part) for part in live_parts]
-        return ColumnBatch.concatenate(device, batches, arity=arity, label=label, charge=charge)
-    arrays = [backend.as_rows(part) for part in live_parts]
-    if not arrays:
-        return backend.empty((0, int(arity)), dtype=backend.int64)
-    for array in arrays:
-        if array.shape[1] != arity:
-            raise SchemaError("cannot union tuple arrays with different arity")
-    if charge:
-        return device.kernels.concatenate_rows(arrays, label=label)
-    return backend.concatenate(arrays, axis=0)
+            kept_columns = [column[keep] for column in columns]
+    return ColumnBatch.from_columns(
+        device, kept_columns, length=device.backend.count_nonzero(keep), names=rows.names
+    )

@@ -11,16 +11,22 @@ canonical all-column index used for deduplication.
 The transfer boundary
 ---------------------
 
-Relations are device-resident: every array they hold belongs to the device's
-:class:`~repro.backend.base.ArrayBackend`.  Host payloads cross the PCIe
-boundary exactly twice, and both edges are charged to the cost model:
+One rule: **a bare ``(n, arity)`` array is host data, a**
+:class:`~repro.relational.columnbatch.ColumnBatch` **is device data, and
+nothing else exists.**  Every version a relation holds — full (the HISA
+indexes), delta, the accumulated *new* parts — is columnar, and the type of an
+argument says which side of PCIe it is on:
 
-* **into** the relation — :meth:`initialize` and :meth:`add_new` upload host
-  rows via the charged ``from_host`` kernel unless the caller certifies the
-  rows are already device-resident (``device_resident=True``, which the
-  evaluator does for join outputs and materialized batches);
-* **out of** the relation — callers extracting rows for host consumption
-  (result collection) download via the charged ``to_host`` kernel.
+* **in** — :meth:`ColumnBatch.from_host` is the only place a host array
+  becomes device data: the charged ``from_host`` kernel, then column views of
+  the uploaded block.  :meth:`Relation.initialize` and
+  :meth:`Relation.add_new` take either form (a host array is uploaded
+  first); :meth:`Relation.present_rows`, :meth:`Relation.retract`,
+  :meth:`Relation.shadow_delta` and :meth:`Relation.restore` take host arrays.
+* **out** — :meth:`ColumnBatch.to_host` is the only place device data becomes
+  a host array again: the columns stacked into a row block and handed to the
+  charged ``to_host`` kernel (:meth:`Relation.full_rows_host`,
+  :meth:`Relation.checkpoint_state`, :meth:`Relation.present_rows`).
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from .checkpoint import PartitionState
 from .columnbatch import ColumnBatch
 from .hashtable import DEFAULT_LOAD_FACTOR
 from .hisa import HISA
-from .operators import RowsLike, deduplicate, difference, union
+from .operators import deduplicate, difference
 
 #: Smallest row count OOM degradation will split a dedup down to; below this
 #: the scratch is a few KiB and a failure means the device is genuinely full.
@@ -104,7 +110,7 @@ class Relation:
         self.eager_buffers = bool(eager_buffers)
 
         self._all_columns = tuple(range(self.arity))
-        # The canonical all-column index backs full_rows()/full_count and the
+        # The canonical all-column index backs full_batch()/full_count and the
         # merge/dedup cycle; probe-only relations (cross-shard replicas that
         # are only ever a join inner) skip it and pay for just the indexes
         # their probes require.
@@ -113,9 +119,8 @@ class Relation:
         )
         self.full_indexes: dict[tuple[int, ...], HISA] = {}
         self._buffer_managers: dict[tuple[int, ...], MergeBufferManager] = {}
-        self._delta: RowsLike = self.backend.empty((0, self.arity), dtype=self.backend.int64)
-        self._delta_rows_view: Array | None = None
-        self._new_parts: list[RowsLike] = []
+        self._delta = ColumnBatch.empty(device, self.arity)
+        self._new_parts: list[ColumnBatch] = []
         self._new_buffers: list[Buffer] = []
         self._delta_buffer: Buffer | None = None
         self._iteration = 0
@@ -153,7 +158,7 @@ class Relation:
         with self.device.profiler.phase(PHASE_INDEX_FULL):
             self.full_indexes[join_columns] = HISA(
                 self.device,
-                seed.natural_rows(),
+                ColumnBatch.from_columns(self.device, seed.natural_columns(), length=seed.tuple_count),
                 join_columns,
                 load_factor=self.load_factor,
                 label=f"{self.name}[{','.join(map(str, join_columns))}]",
@@ -187,23 +192,22 @@ class Relation:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def initialize(self, rows: Array, *, device_resident: bool = False) -> None:
+    def initialize(self, rows: "Array | ColumnBatch") -> None:
         """Load the initial facts: full = delta = deduplicated ``rows``.
 
-        ``rows`` is treated as a *host* payload unless ``device_resident``
-        certifies it already lives on the device (the evaluator's stratum
-        initialization does); host rows pay the charged H2D transfer — the
-        PCIe edge the cost model previously ignored.
+        A host array pays the charged H2D transfer; a batch
+        (stratum initialization, a retraction's survivors, a replica's
+        shipment) is already on the device.
         """
-        if not device_resident:
-            rows = self.device.kernels.from_host(
-                rows, dtype=self.backend.int64, label=f"{self.name}.h2d_facts"
-            )
-        rows = self._coerce(rows)
+        if not isinstance(rows, ColumnBatch):
+            rows = self._upload(rows, "h2d_facts")
+        self._check_arity(rows)
+        # A load replaces whatever the relation held: a retraction's or a
+        # restore's previous version, the empty indexes of a rolled-back stratum.
+        self.free()
         with self.device.profiler.phase(PHASE_DEDUPLICATION):
             rows = deduplicate(self.device, rows, label=f"{self.name}.init_dedup")
         self._delta = rows
-        self._delta_rows_view = None
         with self.device.profiler.phase(PHASE_INDEX_FULL):
             # ``deduplicate`` left ``rows`` in natural lexicographic order, so
             # every index whose column order is the identity permutation (the
@@ -225,36 +229,24 @@ class Relation:
                 )
                 self._attach_stats(self.full_indexes[columns], columns)
 
-    def add_new(self, rows: RowsLike, *, device_resident: bool = False) -> None:
-        """Append freshly derived tuples (rows or a columnar batch) to *new*.
+    def add_new(self, rows: "Array | ColumnBatch") -> None:
+        """Append freshly derived tuples (a batch, or host rows to upload) to *new*.
 
-        A :class:`ColumnBatch` is materialized column-wise here — the
-        delta-merge boundary of the late-materialization contract: every
-        column that survived the rule's head projection is about to be read
-        by deduplication anyway, and pinning values now decouples the batch
-        from producer storage that later merges will grow.  Batches are
-        device-resident by construction; row arrays are host payloads unless
-        the caller says otherwise, and pay the charged H2D transfer.
+        The batch is materialized column-wise here — the delta-merge boundary
+        of the late-materialization contract: every column that survived the
+        rule's head projection is about to be read by deduplication anyway,
+        and pinning values now decouples the batch from producer storage that
+        later merges will grow.
         """
-        if isinstance(rows, ColumnBatch):
-            if rows.arity != self.arity:
-                raise SchemaError(
-                    f"relation {self.name!r} has arity {self.arity}, got a batch of arity {rows.arity}"
-                )
-            if len(rows) == 0:
-                return
-            # Resolving every lazy column of the incoming batch is one
-            # multi-column gather kernel, not one launch per column.
-            with self.device.fused(f"{self.name}.new_gather"):
-                rows.columns(charge=True, label=f"{self.name}.new_gather")
-        else:
-            if not device_resident:
-                rows = self.device.kernels.from_host(
-                    rows, dtype=self.backend.int64, label=f"{self.name}.h2d_new"
-                )
-            rows = self._coerce(rows)
-            if rows.shape[0] == 0:
-                return
+        if not isinstance(rows, ColumnBatch):
+            rows = self._upload(rows, "h2d_new")
+        self._check_arity(rows)
+        if len(rows) == 0:
+            return
+        # Resolving every lazy column of the incoming batch is one
+        # multi-column gather kernel, not one launch per column.
+        with self.device.fused(f"{self.name}.new_gather"):
+            rows.columns(charge=True, label=f"{self.name}.new_gather")
         buffer = self.device.allocate(rows.nbytes, label=f"{self.name}.new", charge_cost=False)
         self._new_parts.append(rows)
         self._new_buffers.append(buffer)
@@ -269,7 +261,7 @@ class Relation:
             if self._new_parts:
                 new_rows = self._deduplicate_new(self._gather_new())
             else:
-                new_rows = self.backend.empty((0, self.arity), dtype=self.backend.int64)
+                new_rows = ColumnBatch.empty(self.device, self.arity)
         new_count = len(new_rows)
 
         with profiler.phase(PHASE_POPULATE_DELTA):
@@ -285,7 +277,6 @@ class Relation:
             self.device.free(self._delta_buffer, charge_cost=False)
             self._delta_buffer = None
         self._delta = delta
-        self._delta_rows_view = None
         if delta_count:
             self._delta_buffer = self.device.allocate(delta.nbytes, label=f"{self.name}.delta", charge_cost=False)
 
@@ -334,34 +325,34 @@ class Relation:
         self.history.append(stats)
         return stats
 
-    def _gather_new(self) -> "RowsLike | PackedColumns":
+    def _gather_new(self) -> "ColumnBatch | PackedColumns":
         """Concatenate the accumulated *new* parts for deduplication.
 
-        Columnar parts whose observed column ranges fit one 64-bit sort key
-        are packed straight into a single key buffer — dedup is the only
-        consumer, and it sorts exactly that key — so the ``arity``
-        concatenated columns are never written.  Anything else is a plain
-        :func:`union`.  Same kernel, same charge either way.
+        Parts whose observed column ranges fit one 64-bit sort key are packed
+        straight into a single key buffer — dedup is the only consumer, and it
+        sorts exactly that key — so the ``arity`` concatenated columns are
+        never written.  Anything else is a plain column-wise concatenation.
+        Same kernel, same charge either way.
         """
         label = f"{self.name}.gather_new"
-        if all(isinstance(part, ColumnBatch) for part in self._new_parts):
-            packed = self.device.kernels.concatenate_packed(
-                [part.columns(label=label) for part in self._new_parts], label=label
-            )
-            if packed is not None:
-                return packed
-        return union(self.device, self._new_parts, arity=self.arity, label=label)
+        packed = self.device.kernels.concatenate_packed(
+            [part.columns(label=label) for part in self._new_parts], label=label
+        )
+        if packed is not None:
+            return packed
+        return ColumnBatch.concatenate(self.device, self._new_parts, arity=self.arity, label=label)
 
-    def _deduplicate_new(self, rows: "RowsLike | PackedColumns") -> RowsLike:
+    def _deduplicate_new(self, rows: "ColumnBatch | PackedColumns") -> ColumnBatch:
         """Deduplicate the gathered new rows with an accounted sort scratch.
 
         The radix sort inside deduplication needs O(n) transient device
         scratch; this models it as a real pool allocation so memory pressure
         (or an injected ``alloc`` fault) can surface here.  When the scratch
         cannot be satisfied the pass *degrades* instead of failing: each half
-        is deduplicated with a half-size scratch and the sorted halves are
-        merged with an adjacent-unique compaction — the same sorted,
-        duplicate-free output, bought with extra charged merge passes.
+        is deduplicated with a half-size scratch, and the two sorted,
+        duplicate-free halves are concatenated and deduplicated once more —
+        the same sorted, duplicate-free output, bought with extra charged
+        passes.
         """
         try:
             scratch = self.device.allocate(
@@ -372,21 +363,18 @@ class Relation:
             if n <= OOM_DEDUP_FLOOR_ROWS:
                 raise
             self.oom_degradations += 1
-            if isinstance(rows, PackedColumns):
-                rows = ColumnBatch.from_columns(self.device, rows.unpack())
-            if isinstance(rows, ColumnBatch):
-                rows = rows.as_rows(label=f"{self.name}.dedup_degrade_materialize")
-            mid = n // 2
-            left = self._deduplicate_new(rows[:mid])
-            right = self._deduplicate_new(rows[mid:])
-            merged = self.device.kernels.merge_sorted_rows(
-                left, right, label=f"{self.name}.dedup_degrade_merge"
-            )
-            mask = self.device.kernels.adjacent_unique_mask(
-                merged, label=f"{self.name}.dedup_degrade_unique"
-            )
-            return self.device.kernels.stream_compact(
-                merged, mask, label=f"{self.name}.dedup_degrade_compact"
+            columns = rows.unpack() if isinstance(rows, PackedColumns) else rows.columns()
+            halves = [
+                self._deduplicate_new(
+                    ColumnBatch.from_columns(self.device, [column[span] for column in columns])
+                )
+                for span in (slice(None, n // 2), slice(n // 2, None))
+            ]
+            label = f"{self.name}.dedup_degrade_merge"
+            return deduplicate(
+                self.device,
+                ColumnBatch.concatenate(self.device, halves, arity=self.arity, label=label),
+                label=label,
             )
         try:
             return deduplicate(self.device, rows, label=f"{self.name}.dedup_new")
@@ -404,35 +392,25 @@ class Relation:
         The D2H downloads are charged under the checkpoint phase so snapshot
         overhead is visible in profiles (and in the robustness benchmark).
         """
+        label = f"{self.name}.d2h_checkpoint"
         with self.device.profiler.phase(PHASE_CHECKPOINT):
-            full = self.full_rows()
-            delta = self.delta_rows
-            if charge:
-                full = self.device.kernels.to_host(full, label=f"{self.name}.d2h_checkpoint")
-                delta = self.device.kernels.to_host(delta, label=f"{self.name}.d2h_checkpoint")
-            else:
-                full = self.backend.to_host(full)
-                delta = self.backend.to_host(delta)
+            full = self.full_batch().to_host(label=label, charge=charge)
+            delta = self._delta.to_host(label=label, charge=charge)
         return PartitionState(full=full, delta=delta, iteration=self._iteration)
 
     def restore(self, partition: PartitionState) -> None:
         """Rebuild every version and index from a host checkpoint partition.
 
-        The inverse of :meth:`checkpoint_state`: frees whatever state the
-        relation currently holds, re-uploads the snapshot's full rows through
-        the ordinary :meth:`initialize` path (which rebuilds all HISA indexes
-        from the sorted data), then overrides the delta version with the
-        snapshot's delta.  All uploads are charged under the recovery phase.
+        The inverse of :meth:`checkpoint_state`: re-uploads the snapshot's
+        full rows through the ordinary :meth:`initialize` path (which frees
+        whatever the relation held and rebuilds all HISA indexes from the
+        sorted data), then overrides the delta version with the snapshot's
+        delta.  All uploads are charged under the recovery phase.
         """
-        self.free()
         with self.device.profiler.phase(PHASE_RECOVERY):
             self.initialize(partition.full)
-            delta = self.device.kernels.from_host(
-                partition.delta, dtype=self.backend.int64, label=f"{self.name}.h2d_restore_delta"
-            )
-            delta = self._coerce(delta)
+            delta = self._upload(partition.delta, "h2d_restore_delta")
             self._delta = delta
-            self._delta_rows_view = None
             if len(delta):
                 self._delta_buffer = self.device.allocate(
                     delta.nbytes, label=f"{self.name}.delta", charge_cost=False
@@ -443,78 +421,70 @@ class Relation:
     # ------------------------------------------------------------------
     # Serving-epoch support (membership probes, retraction, shadow deltas)
     # ------------------------------------------------------------------
-    def present_rows(self, rows, *, device_resident: bool = False) -> "Array":
+    def present_rows(self, rows: Array) -> Array:
         """Host rows of ``rows`` that currently exist in the full version.
 
         The membership semi-join the serving engine's DRed over-delete phase
         starts from: requested retractions (and candidate over-deletions) are
         intersected with the resident full version before they enter the
-        deletion frontier.  Host payloads pay the charged H2D upload, the
-        probe is the canonical index's exact ``contains`` lookup, and the
+        deletion frontier.  The host rows pay the charged H2D upload, the
+        probe is the canonical index's exact membership lookup, and the
         surviving rows come back through the charged D2H edge.
         """
-        if not device_resident:
-            rows = self.device.kernels.from_host(
-                rows, dtype=self.backend.int64, label=f"{self.name}.h2d_present_probe"
-            )
-        rows = self._coerce(rows)
-        if rows.shape[0] == 0 or self.full_count == 0:
+        batch = self._upload(rows, "h2d_present_probe")
+        if len(batch) == 0 or self.full_count == 0:
             return np.empty((0, self.arity), dtype=np.int64)
         with self.device.profiler.phase(PHASE_RETRACTION):
-            mask = self.canonical_index.contains(rows)
-            kept = self.device.kernels.stream_compact(
-                rows, mask, label=f"{self.name}.present_compact"
+            columns = batch.columns()
+            kept = self.device.kernels.compact_columns(
+                columns, self.canonical_index.contains_columns(columns), label=f"{self.name}.present_compact"
             )
-            return self.device.kernels.to_host(kept, label=f"{self.name}.d2h_present")
+            return ColumnBatch.from_columns(self.device, kept).to_host(label=f"{self.name}.d2h_present")
 
-    def retract(self, rows, *, device_resident: bool = False) -> int:
-        """Remove ``rows`` from the full version; returns how many were removed.
+    def retract(self, rows: Array) -> int:
+        """Remove host ``rows`` from the full version; returns how many were removed.
 
         The apply step of a DRed deletion epoch.  HISA's merge path is
         insert-only, so retraction rebuilds: a temporary all-column index over
         the retract set masks the full version, survivors are stream-compacted,
-        and every registered index is rebuilt from the compacted rows through
+        and every registered index is rebuilt from the compacted batch through
         the ordinary :meth:`initialize` path (all of it charged under the
         retraction phase).  The delta is cleared afterwards — between serving
         epochs every delta is empty by invariant.
         """
-        if not device_resident:
-            rows = self.device.kernels.from_host(
-                rows, dtype=self.backend.int64, label=f"{self.name}.h2d_retract"
-            )
-        rows = self._coerce(rows)
-        if rows.shape[0] == 0 or self.full_count == 0:
+        batch = self._upload(rows, "h2d_retract")
+        if len(batch) == 0 or self.full_count == 0:
             self.clear_delta()
             return 0
         with self.device.profiler.phase(PHASE_RETRACTION):
             probe = HISA(
                 self.device,
-                rows,
+                batch,
                 self._all_columns,
                 load_factor=self.load_factor,
                 label=f"{self.name}.retract_probe",
             )
             try:
-                full = self.full_rows()
-                doomed = probe.contains(full)
+                full = self.full_batch().columns()
+                doomed = probe.contains_columns(full)
             finally:
                 probe.free()
             keep = self.backend.compare("==", doomed, False)
-            remaining = self.device.kernels.stream_compact(
-                full, keep, label=f"{self.name}.retract_compact"
+            remaining = ColumnBatch.from_columns(
+                self.device,
+                self.device.kernels.compact_columns(full, keep, label=f"{self.name}.retract_compact"),
             )
-            removed = self.full_count - int(remaining.shape[0])
+            removed = self.full_count - len(remaining)
             if removed == 0:
                 self.clear_delta()
                 return 0
-            self.free()
-            self.initialize(remaining, device_resident=True)
+            self.initialize(remaining)
         self.clear_delta()
         return removed
 
     @contextmanager
-    def shadow_delta(self, rows, *, device_resident: bool = False):
-        """Temporarily present ``rows`` as this relation's delta version.
+    def shadow_delta(self, rows: Array):
+        """Temporarily present host ``rows`` as this relation's delta version.
 
         The DRed over-delete phase executes delta rule versions with the
         deletion frontier standing in for the delta while the full version
@@ -522,25 +492,16 @@ class Relation:
         between epochs by invariant) is restored on exit; the shadow rows
         are never merged and never allocate a delta buffer.
         """
-        if not device_resident:
-            rows = self.device.kernels.from_host(
-                rows, dtype=self.backend.int64, label=f"{self.name}.h2d_shadow_delta"
-            )
-        rows = self._coerce(rows)
         saved = self._delta
-        saved_view = self._delta_rows_view
-        self._delta = rows
-        self._delta_rows_view = None
+        self._delta = self._upload(rows, "h2d_shadow_delta")
         try:
             yield self
         finally:
             self._delta = saved
-            self._delta_rows_view = saved_view
 
     def clear_delta(self) -> None:
         """Drop the delta version (used when a stratum reaches its fixpoint)."""
-        self._delta = self.backend.empty((0, self.arity), dtype=self.backend.int64)
-        self._delta_rows_view = None
+        self._delta = ColumnBatch.empty(self.device, self.arity)
         if self._delta_buffer is not None:
             self.device.free(self._delta_buffer, charge_cost=False)
             self._delta_buffer = None
@@ -570,40 +531,17 @@ class Relation:
         return len(self._delta)
 
     @property
-    def delta_rows(self) -> Array:
-        """The delta version as a device-resident row array (row-pipeline view).
-
-        A columnar delta is assembled into rows once and cached until the
-        next delta replaces it.  Host consumers must download the result
-        through the charged ``to_host`` kernel themselves.
-        """
-        if isinstance(self._delta, ColumnBatch):
-            if self._delta_rows_view is None:
-                self._delta_rows_view = self._delta.as_rows(charge=False)
-            return self._delta_rows_view
-        return self._delta
-
-    @property
     def delta_batch(self) -> ColumnBatch:
-        """The delta version as a columnar batch (zero-copy wrap)."""
-        return ColumnBatch.wrap(self.device, self._delta)
+        """The delta version."""
+        return self._delta
 
     @property
     def new_count(self) -> int:
         return sum(len(part) for part in self._new_parts)
 
-    def full_rows(self) -> Array:
-        """All tuples of the full version in schema column order (device-resident)."""
-        if self._all_columns in self.full_indexes:
-            return self.full_indexes[self._all_columns].natural_rows()
-        return self.backend.empty((0, self.arity), dtype=self.backend.int64)
-
-    def full_rows_host(self, *, charge: bool = True):
+    def full_rows_host(self, *, charge: bool = True) -> np.ndarray:
         """Download the full version to host rows (the charged D2H edge)."""
-        rows = self.full_rows()
-        if charge:
-            return self.device.kernels.to_host(rows, label=f"{self.name}.d2h_result")
-        return self.backend.to_host(rows)
+        return self.full_batch().to_host(label=f"{self.name}.d2h_result", charge=charge)
 
     def full_batch(self) -> ColumnBatch:
         """The full version as a columnar batch — zero-copy views of the
@@ -659,18 +597,14 @@ class Relation:
             max_multiplicity=hisa.max_run_length,
         )
 
-    def _coerce(self, rows: Array) -> Array:
-        backend = self.backend
-        rows = backend.asarray(rows, dtype=backend.int64)
-        if rows.size == 0:
-            return backend.empty((0, self.arity), dtype=backend.int64)
-        if rows.ndim == 1:
-            rows = rows.reshape(1, -1)
-        if rows.ndim != 2 or rows.shape[1] != self.arity:
+    def _upload(self, rows: Array, edge: str) -> ColumnBatch:
+        return ColumnBatch.from_host(self.device, rows, self.arity, label=f"{self.name}.{edge}")
+
+    def _check_arity(self, batch: ColumnBatch) -> None:
+        if batch.arity != self.arity:
             raise SchemaError(
-                f"relation {self.name!r} has arity {self.arity}, got tuples of shape {rows.shape}"
+                f"relation {self.name!r} has arity {self.arity}, got a batch of arity {batch.arity}"
             )
-        return backend.as_rows(rows)
 
     def _release_new_buffers(self) -> None:
         for buffer in self._new_buffers:

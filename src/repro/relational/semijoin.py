@@ -58,10 +58,6 @@ class ExchangeFilterBank:
         """True if any column of ``name`` has a live filter (refresh needed)."""
         return any(tracked == name for tracked, _column in self._keys)
 
-    def tracked_relations(self) -> set[str]:
-        """Names of relations with at least one live filter."""
-        return {name for name, _column in self._keys}
-
     # ------------------------------------------------------------------
     # Construction / maintenance
     # ------------------------------------------------------------------

@@ -9,8 +9,8 @@ storage half of that design for the simulated cluster:
   ``hash(tuple[shard_column]) % num_shards``.  The hash is the backend's
   ``hash_columns`` fold, so every backend (and the host) assigns tuples
   identically.
-* :func:`partition_rows` — a charged scatter-by-shard kernel splitting a
-  device-resident row array into per-destination-shard slices.
+* :func:`partition_rows_host` — the host half of that rule: fact rows split
+  by owner before each shard uploads its own partition.
 * :class:`ShardedRelation` — a router over ``num_shards`` ordinary
   :class:`~repro.relational.relation.Relation` objects, one per shard device.
   Each shard runs the unchanged columnar ``add_new``/dedup/merge path on its
@@ -41,7 +41,6 @@ from .relation import IterationStats, Relation
 
 __all__ = [
     "ShardedRelation",
-    "partition_rows",
     "partition_rows_host",
     "shard_assignments",
     "shard_owners",
@@ -52,7 +51,7 @@ def partition_rows_host(rows, column: int, num_shards: int) -> list:
     """Host-side hash partition of fact rows by owner shard (uncharged).
 
     The host half of the partitioning rule — same fold, same modulo as the
-    device-side :func:`partition_rows` — kept in one place so fact loading
+    device-side :func:`shard_owners` — kept in one place so fact loading
     and delta routing can never disagree about a tuple's owner.
     """
     from ..backend import HOST_BACKEND
@@ -93,43 +92,6 @@ def shard_assignments(backend, values: Array, num_shards: int) -> Array:
     return hashes % num_shards
 
 
-def partition_rows(
-    device: Device,
-    rows: Array,
-    column: int,
-    num_shards: int,
-    *,
-    label: str = "shard_partition",
-) -> list[Array]:
-    """Split a device-resident row array into per-shard slices by key hash.
-
-    Charged as one hash pass plus a scan + scatter of the payload (the
-    standard GPU partition kernel); the per-shard outputs stay resident on
-    ``device`` — moving foreign slices to their owners is the evaluator's
-    job (through the charged ``device_to_device`` edge).
-    """
-    backend = device.backend
-    rows = backend.as_rows(rows)
-    n, arity = rows.shape
-    if num_shards <= 1:
-        return [rows]
-    if n == 0:
-        return [rows] + [backend.empty((0, arity), dtype=backend.int64) for _ in range(num_shards - 1)]
-    owners = shard_assignments(backend, rows[:, column], num_shards)
-    parts = [rows[owners == shard] for shard in range(num_shards)]
-    row_bytes = float(rows.nbytes)
-    device.charge(
-        KernelCost(
-            kernel=label,
-            # hash read of the key column + payload read + scattered write
-            sequential_bytes=float(n) * 8.0 + 2.0 * row_bytes,
-            ops=float(n) * (arity + 4.0),
-            launches=2,
-        )
-    )
-    return parts
-
-
 def shard_owners(
     device: Device,
     keys: Array,
@@ -139,11 +101,10 @@ def shard_owners(
 ) -> Array:
     """Owner shard of each device-resident key value (charged hash pass).
 
-    The column-lazy sibling of :func:`partition_rows`: the exchange path
-    hashes just the routing key column of a batch, then slices the batch
-    lazily per destination — no full-row scatter is paid until (and unless)
-    live columns actually ship.  Charged as one streaming pass over the key
-    column (read + hash + owner write).
+    The exchange path hashes just the routing key column of a batch, then
+    slices the batch lazily per destination — no full-row scatter is paid
+    until (and unless) live columns actually ship.  Charged as one streaming
+    pass over the key column (read + hash + owner write).
     """
     backend = device.backend
     keys = backend.asarray(keys, dtype=backend.int64)
@@ -247,13 +208,13 @@ class ShardedRelation:
         for shard, part in zip(self.shards, parts):
             shard.initialize(part)
 
-    def initialize_shard(self, shard: int, rows, *, device_resident: bool = False) -> None:
+    def initialize_shard(self, shard: int, rows) -> None:
         """Load one shard's partition directly (stratum-init edge)."""
-        self.shards[shard].initialize(rows, device_resident=device_resident)
+        self.shards[shard].initialize(rows)
 
-    def add_new_shard(self, shard: int, rows, *, device_resident: bool = False) -> None:
+    def add_new_shard(self, shard: int, rows) -> None:
         """Append tuples already routed to ``shard`` to its *new* version."""
-        self.shards[shard].add_new(rows, device_resident=device_resident)
+        self.shards[shard].add_new(rows)
 
     def add_new(self, rows) -> None:
         """Partition *host* rows by owner shard and append each part to *new*.

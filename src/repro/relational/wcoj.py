@@ -61,7 +61,7 @@ def generic_join(
     ``outer`` flows in the version's initial schema; the result batch appends
     one column per level, matching the decomposed plan's final schema.
     """
-    batch = ColumnBatch.wrap(device, outer)
+    batch = outer
     total_levels = len(levels)
     for depth, level in enumerate(levels):
         if len(batch) == 0:

@@ -31,6 +31,32 @@ The ``serving`` rows (PR 21) are the resident engine's: bootstrap, three
 **recorded at the parent commit of PR 21**, where ``ServingEngine`` built its
 own devices, relations and evaluator; it now boots through ``GPULogEngine``,
 and the rows are what says the move left the clock where it was.
+
+**PR 22 re-pinned ``elapsed_seconds`` and ``kernel_launches`` of every row,
+downward, and nothing else** (iterations, counts, exchange bytes, raw rows
+and the per-epoch serving numbers are the parent's).  It deleted the row-major
+tuple route; what moved is every place that route still ran, all of them at
+load time or on a serving seed, none inside a batch iteration:
+
+* a load-time deduplication (EDB load, stratum initialization, replica
+  build, retraction rebuild) was ``unique_rows`` — ``arity`` radix passes, a
+  row gather, a mask and a compact, ``arity + 3`` launches — and is the fused
+  columnar dedup the iterations always ran, 3 launches (``-2`` per binary
+  relation per shard it is loaded on, ``-3`` for ``triangle``'s arity 3);
+* stratum initialization materialised each rule version's head batch as rows
+  (``materialize_init``: a launch per lazy column and one for the row write)
+  before loading it; the batch now goes to the load as it is and its columns
+  are gathered inside the dedup's fused launch (several versions feeding one
+  relation pay one ``gather_init`` concatenation instead);
+* an EDB replica shipped ``full_rows()`` and concatenated row blocks
+  (``replicate.gather``); it ships packed columns like every other exchange
+  (``+1`` ``replicate.pack`` per source shard, the concatenation unchanged
+  at one launch per target);
+* a serving seed (host rows through ``add_new``) was deduplicated and
+  differenced on the row route — ``dedup_new`` ``arity + 3`` launches and an
+  unfused hash / probe / compact — and takes the batch path: 3 and 1.
+
+The comment on each row gives its launch delta.
 """
 
 import numpy as np
@@ -97,65 +123,78 @@ def measure(workload: str, num_shards: int) -> dict:
     }
 
 
-#: recorded at the parent commit of PR 17, tc / sg / cspa re-pinned by PR 18 (see the module docstring)
+#: recorded at the parent commit of PR 17, tc / sg / cspa re-pinned by PR 18, seconds and launches of
+#: every row re-pinned (lower) by PR 22 (see the module docstring)
 PINS = {
     ("cspa", 1): {
-        "elapsed_seconds": 0.005153110696910758, "kernel_launches": 321, "total_iterations": 5,
+        # PR 22: launches -8: 3 load dedups 5->3, materialize_init -3, gather_init +1
+        "elapsed_seconds": 0.005113112573680754, "kernel_launches": 313, "total_iterations": 5,
         "relation_counts": {"assign": 57, "dereference": 40, "memalias": 400, "valuealias": 529, "valueflow": 507},
         "exchange_bytes": 0.0,
     },
     ("cspa", 2): {
-        "elapsed_seconds": 0.0057740494372669265, "kernel_launches": 1755, "total_iterations": 5,
+        # PR 22: launches -24: 6 load + 4 replica dedups 5->3, materialize_init -10, gather_init +2, replicate.pack +4
+        "elapsed_seconds": 0.005704050720083613, "kernel_launches": 1731, "total_iterations": 5,
         "relation_counts": {"assign": 57, "dereference": 40, "memalias": 400, "valuealias": 529, "valueflow": 507},
         "exchange_bytes": 2788472.0,
     },
     ("cspa", 4): {
-        "elapsed_seconds": 0.005825211577307605, "kernel_launches": 3674, "total_iterations": 5,
+        # PR 22: launches -48: 12 load + 8 replica dedups 5->3, materialize_init -20, gather_init +4, replicate.pack +8
+        "elapsed_seconds": 0.005755212578455713, "kernel_launches": 3626, "total_iterations": 5,
         "relation_counts": {"assign": 57, "dereference": 40, "memalias": 400, "valuealias": 529, "valueflow": 507},
         "exchange_bytes": 4076808.0,
     },
     ("sg", 1): {
-        "elapsed_seconds": 0.0009158285802389868, "kernel_launches": 63, "total_iterations": 3,
+        # PR 22: launches -7: 2 load dedups 5->3, materialize_init -3
+        "elapsed_seconds": 0.0008808256835138212, "kernel_launches": 56, "total_iterations": 3,
         "relation_counts": {"edge": 85, "sg": 502},
         "exchange_bytes": 0.0,
     },
     ("sg", 2): {
-        "elapsed_seconds": 0.0011655043232605905, "kernel_launches": 207, "total_iterations": 3,
+        # PR 22: launches -16: 4 load + 2 replica dedups 5->3, materialize_init -6, replicate.pack +2
+        "elapsed_seconds": 0.0011255032967448177, "kernel_launches": 191, "total_iterations": 3,
         "relation_counts": {"edge": 85, "sg": 502},
         "exchange_bytes": 6992.0,
     },
     ("sg", 4): {
-        "elapsed_seconds": 0.001175272928373839, "kernel_launches": 403, "total_iterations": 3,
+        # PR 22: launches -32: 8 load + 4 replica dedups 5->3, materialize_init -12, replicate.pack +4
+        "elapsed_seconds": 0.0011352726952537254, "kernel_launches": 371, "total_iterations": 3,
         "relation_counts": {"edge": 85, "sg": 502},
         "exchange_bytes": 13104.0,
     },
     ("tc", 1): {
-        "elapsed_seconds": 0.0008600303219192528, "kernel_launches": 52, "total_iterations": 3,
+        # PR 22: launches -5: 2 load dedups 5->3, materialize_init -1
+        "elapsed_seconds": 0.000835029762081081, "kernel_launches": 47, "total_iterations": 3,
         "relation_counts": {"edge": 10, "reach": 21},
         "exchange_bytes": 0.0,
     },
     ("tc", 2): {
-        "elapsed_seconds": 0.0011000176219678165, "kernel_launches": 151, "total_iterations": 3,
+        # PR 22: launches -12: 4 load + 2 replica dedups 5->3, materialize_init -2, replicate.pack +2
+        "elapsed_seconds": 0.0010700175274951252, "kernel_launches": 139, "total_iterations": 3,
         "relation_counts": {"edge": 10, "reach": 21},
         "exchange_bytes": 464.0,
     },
     ("tc", 4): {
-        "elapsed_seconds": 0.0010850142819260435, "kernel_launches": 286, "total_iterations": 3,
+        # PR 22: launches -24: 8 load + 4 replica dedups 5->3, materialize_init -4, replicate.pack +4
+        "elapsed_seconds": 0.0010550141752068921, "kernel_launches": 262, "total_iterations": 3,
         "relation_counts": {"edge": 10, "reach": 21},
         "exchange_bytes": 816.0,
     },
     ("triangle", 1): {
-        "elapsed_seconds": 0.0006719242597977146, "kernel_launches": 37, "total_iterations": 0,
+        # PR 22: launches -6: edge dedup 5->3, triangle dedup 6->3, materialize_init -1
+        "elapsed_seconds": 0.0006418534958154282, "kernel_launches": 31, "total_iterations": 0,
         "relation_counts": {"edge": 2396, "triangle": 3603},
         "exchange_bytes": 0.0,
     },
     ("triangle", 2): {
-        "elapsed_seconds": 0.001064431622758005, "kernel_launches": 122, "total_iterations": 0,
+        # PR 22: launches -22: 4 load + 2 replica dedups, materialize_init (+compose) -10, replicate.pack +2
+        "elapsed_seconds": 0.001009302272585789, "kernel_launches": 100, "total_iterations": 0,
         "relation_counts": {"edge": 2396, "triangle": 3603},
         "exchange_bytes": 38336.0,
     },
     ("triangle", 4): {
-        "elapsed_seconds": 0.001055720101278224, "kernel_launches": 252, "total_iterations": 0,
+        # PR 22: launches -44: 8 load + 4 replica dedups, materialize_init (+compose) -20, replicate.pack +4
+        "elapsed_seconds": 0.0010006264053621997, "kernel_launches": 208, "total_iterations": 0,
         "relation_counts": {"edge": 2396, "triangle": 3603},
         "exchange_bytes": 115008.0,
     },
@@ -173,9 +212,10 @@ def test_simulated_clock_and_counters_are_pinned(workload, num_shards):
 
 
 #: recorded by PR 19; at its parent commit (no liveness passed to the join)
-#: the same run reads 0.01512180541008267 s, 749 launches, 33,141,684 raw rows
+#: the same run reads 0.01512180541008267 s, 749 launches, 33,141,684 raw rows.
+#: PR 22: 0.011486737435778363 s / 805 launches before; -8 launches as ("cspa", 1)
 HTTPD_PIN = {
-    "elapsed_seconds": 0.011486737435778363, "kernel_launches": 805,
+    "elapsed_seconds": 0.011446735676224484, "kernel_launches": 797,
     "raw_rows": 12154723, "distinct_outer_fired": 7, "total_iterations": 11,
     "relation_counts": {"assign": 365, "dereference": 109, "memalias": 2828, "valuealias": 29148, "valueflow": 23752},
 }
@@ -216,14 +256,15 @@ def measure_serving(num_shards: int) -> dict:
         engine.close()
 
 
-#: recorded at the parent commit of PR 21 (see the module docstring)
+#: recorded at the parent commit of PR 21; seconds and launches re-pinned (lower) by PR 22 (see the
+#: module docstring): 0.005177487173421231 s / 363 and 0.007441700738530274 s / 1206 before
 SERVING_PINS = {
-    1: {
-        "simulated_seconds": 0.005177487173421231, "kernel_launches": 363, "epoch_iterations": [2, 1, 1, 1],
+    1: {  # launches -29: 4 load/rebuild dedups 5->3, 4 seed dedups 5->3, seed populate-delta -10, materialize_init -3
+        "simulated_seconds": 0.00503248184489901, "kernel_launches": 334, "epoch_iterations": [2, 1, 1, 1],
         "retracted": {"edge": 2, "sg": 94}, "rederived": {"sg": 66}, "sg": 474,
     },
-    2: {
-        "simulated_seconds": 0.007441700738530274, "kernel_launches": 1206, "epoch_iterations": [2, 1, 1, 1],
+    2: {  # launches -56: as above per shard, 14 replica dedups 5->3, replicate.pack +14
+        "simulated_seconds": 0.007271701171912806, "kernel_launches": 1150, "epoch_iterations": [2, 1, 1, 1],
         "retracted": {"edge": 2, "sg": 94}, "rederived": {"sg": 66}, "sg": 474,
     },
 }

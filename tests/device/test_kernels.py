@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.device import Device
-from repro.device.kernels import PackedColumns, lex_rank_keys, pack_rows, row_search_bounds
+from repro.backend import HOST_BACKEND
+from repro.device.kernels import PackedColumns, row_search_bounds
 
 from tests.helpers import reference_unique
 
@@ -22,68 +23,57 @@ def kernels(device):
     return device.kernels
 
 
+def _columns(rows):
+    return [np.ascontiguousarray(rows[:, c]) for c in range(rows.shape[1])]
+
+
 def test_lexsort_rows_matches_python_sort(kernels):
     rows = np.array([[2, 1, 5], [2, 5, 9], [2, 1, 2], [1, 0, 0]], dtype=np.int64)
-    order = kernels.lexsort_rows(rows)
+    order = kernels.lexsort_columns(_columns(rows))
     sorted_rows = rows[order]
     assert [tuple(r) for r in sorted_rows] == sorted(map(tuple, rows.tolist()))
 
 
 def test_sort_rows_charges_time(device):
+    """Sorting tuples is an argsort plus one gather per column, both charged."""
     rows = np.arange(60, dtype=np.int64).reshape(-1, 3)[::-1].copy()
     before = device.elapsed_seconds
-    result = device.kernels.sort_rows(rows)
-    assert device.elapsed_seconds > before
-    assert device.kernels.is_sorted_rows(result)
+    order = device.kernels.lexsort_columns(_columns(rows))
+    after_sort = device.elapsed_seconds
+    result = np.column_stack([device.kernels.gather_column(column, order) for column in _columns(rows)])
+    assert device.elapsed_seconds > after_sort > before
+    assert result.tolist() == sorted(rows.tolist())
 
 
 def test_unique_rows_removes_duplicates(kernels):
     rows = np.array([[1, 2], [1, 2], [3, 4], [0, 0], [3, 4]], dtype=np.int64)
-    unique = kernels.unique_rows(rows)
-    assert {tuple(r) for r in unique.tolist()} == {(1, 2), (3, 4), (0, 0)}
-    assert unique.shape[0] == 3
+    unique = np.column_stack(kernels.unique_columns(_columns(rows)))
+    assert unique.tolist() == [[0, 0], [1, 2], [3, 4]]
 
 
 def test_adjacent_unique_mask_requires_sorted_input(kernels):
     rows = np.array([[1, 1], [1, 1], [2, 2]], dtype=np.int64)
-    mask = kernels.adjacent_unique_mask(rows)
+    mask = kernels.adjacent_unique_mask_columns(_columns(rows), n_rows=3)
     assert mask.tolist() == [True, False, True]
 
 
 def test_stream_compact_checks_length(kernels):
     rows = np.array([[1, 2], [3, 4]], dtype=np.int64)
-    with pytest.raises(ValueError):
-        kernels.stream_compact(rows, np.array([True]))
-
-
-def test_exclusive_scan_and_reduce(kernels):
-    values = np.array([3, 1, 4, 1, 5], dtype=np.int64)
-    scan = kernels.exclusive_scan(values)
-    assert scan.tolist() == [0, 3, 4, 8, 9]
-    assert kernels.reduce_sum(values) == 14
-
-
-def test_merge_sorted_rows(kernels):
-    left = np.array([[1, 1], [3, 3]], dtype=np.int64)
-    right = np.array([[2, 2], [4, 4]], dtype=np.int64)
-    merged = kernels.merge_sorted_rows(left, right)
-    assert [tuple(r) for r in merged.tolist()] == [(1, 1), (2, 2), (3, 3), (4, 4)]
-
-
-def test_merge_arity_mismatch_rejected(kernels):
-    with pytest.raises(ValueError):
-        kernels.merge_sorted_rows(np.zeros((2, 2), dtype=np.int64), np.zeros((2, 3), dtype=np.int64))
+    assert [c.tolist() for c in kernels.compact_columns(_columns(rows), np.array([False, True]))] == [[3], [4]]
+    with pytest.raises((IndexError, ValueError)):
+        kernels.compact_columns(_columns(rows), np.array([True]))
 
 
 def test_gather_rows_and_values(kernels):
     rows = np.array([[10, 11], [20, 21], [30, 31]], dtype=np.int64)
-    assert kernels.gather_rows(rows, np.array([2, 0])).tolist() == [[30, 31], [10, 11]]
-    assert kernels.gather_values(np.array([5, 6, 7]), np.array([1, 1])).tolist() == [6, 6]
+    gathered = [kernels.gather_column(column, np.array([2, 0])) for column in _columns(rows)]
+    assert np.column_stack(gathered).tolist() == [[30, 31], [10, 11]]
+    assert kernels.compose_selection(np.array([5, 6, 7]), np.array([1, 1])).tolist() == [6, 6]
 
 
-def test_searchsorted_rows_bounds(kernels):
+def test_searchsorted_rows_bounds():
     haystack = np.array([[1, 1], [1, 1], [2, 5], [3, 0]], dtype=np.int64)
-    lower, upper = kernels.searchsorted_rows(haystack, np.array([[1, 1], [2, 5], [9, 9]], dtype=np.int64))
+    lower, upper = row_search_bounds(haystack, np.array([[1, 1], [2, 5], [9, 9]], dtype=np.int64))
     assert lower.tolist() == [0, 2, 4]
     assert upper.tolist() == [2, 3, 4]
 
@@ -91,7 +81,7 @@ def test_searchsorted_rows_bounds(kernels):
 @given(rows=rows_strategy)
 @settings(max_examples=60, deadline=None)
 def test_lex_rank_keys_preserve_order(rows):
-    keys = lex_rank_keys(rows)
+    keys = HOST_BACKEND.pack_lex_keys(_columns(rows))
     python_order = sorted(range(rows.shape[0]), key=lambda i: tuple(rows[i]))
     key_order = np.argsort(keys, kind="stable")
     assert [tuple(rows[i]) for i in key_order] == [tuple(rows[i]) for i in python_order]
@@ -112,16 +102,8 @@ def test_row_search_bounds_match_membership(rows, needles):
 @settings(max_examples=60, deadline=None)
 def test_unique_rows_is_exact_set(rows):
     device = Device("h100", oom_enabled=False)
-    unique = device.kernels.unique_rows(rows)
-    assert {tuple(r) for r in unique.tolist()} == {tuple(r) for r in rows.tolist()}
-    assert unique.shape[0] == len({tuple(r) for r in rows.tolist()})
-
-
-def test_pack_rows_distinguishes_rows():
-    rows = np.array([[1, 2], [2, 1], [1, 2]], dtype=np.int64)
-    packed = pack_rows(rows)
-    assert packed[0] == packed[2]
-    assert packed[0] != packed[1]
+    unique = np.column_stack(device.kernels.unique_columns(_columns(rows)))
+    assert unique.tolist() == np.unique(rows, axis=0).tolist()
 
 
 def _events(device):
@@ -149,7 +131,6 @@ def test_unique_columns_packed_and_lexsort_routes_agree(presorted, rows):
             outputs.append(device.kernels.unique_columns(columns, label="t"))
         device.kernels.unique_columns(columns, label="unfused")
         device.kernels.lexsort_columns(columns, label="sort")
-        device.kernels.unique_rows(rows, label="rows")
     assert [c.tolist() for c in outputs[0]] == [c.tolist() for c in outputs[1]]
     assert [c.tolist() for c in outputs[0]] == [c.tolist() for c in reference_unique(list(rows.T))]
     assert _events(packed_device) == _events(lexsort_device)

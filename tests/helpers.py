@@ -12,6 +12,29 @@ from __future__ import annotations
 import networkx as nx
 import numpy as np
 
+from repro.relational import HISA, ColumnBatch
+
+
+def batch_of(device, rows) -> ColumnBatch:
+    """``rows`` as a device batch (uncharged: tests hand the device its input)."""
+    return ColumnBatch.from_rows(device, np.asarray(rows, dtype=np.int64))
+
+
+def hisa_of(device, rows, join_columns, **options) -> HISA:
+    return HISA(device, batch_of(device, rows), join_columns, **options)
+
+
+def key_columns(keys) -> list[np.ndarray]:
+    """``(m, width)`` probe keys as the per-column arrays ``lookup_columns`` takes."""
+    keys = np.asarray(keys, dtype=np.int64)
+    return [np.ascontiguousarray(keys[:, position]) for position in range(keys.shape[1])]
+
+
+def hisa_rows(hisa: HISA, *, sorted_order: bool = False) -> np.ndarray:
+    """A HISA's tuples in schema column order: insertion order, or sorted-index order."""
+    rows = np.column_stack(hisa.natural_columns())
+    return rows[hisa.sorted_index] if sorted_order else rows
+
 
 def paper_edges() -> np.ndarray:
     """The 9-node example graph of Figures 1 and 2 of the paper."""

@@ -115,11 +115,28 @@ def test_assemble_routes_columns_and_writes_constants(batch):
 
 
 def test_wrap_passthrough_and_nbytes(device):
-    rows = np.array([[1, 2]], dtype=np.int64)
+    """``from_rows`` wraps a row block as column views: no copy, nothing charged."""
+    rows = np.array([[1, 2], [3, 4]], dtype=np.int64)
     cb = ColumnBatch.from_rows(device, rows)
-    assert ColumnBatch.wrap(device, cb) is cb
-    assert ColumnBatch.wrap(device, rows).as_rows().tolist() == rows.tolist()
+    assert all(np.shares_memory(column, rows) for column in cb.columns())
     assert cb.nbytes == rows.nbytes
+    assert device.elapsed_seconds == 0.0
+
+
+def test_from_host_and_to_host_are_the_charged_pcie_edges(device):
+    rows = np.array([[1, 2], [3, 4], [5, 6]], dtype=np.int64)
+    cb = ColumnBatch.from_host(device, rows, 2, label="t.h2d")
+    out = cb.to_host(label="t.d2h")
+    assert out.tolist() == rows.tolist() and out.flags.c_contiguous
+    events = [(event.kernel, event.cost.transfer_bytes) for event in device.profiler.events]
+    assert events == [("t.h2d", float(rows.nbytes)), ("t.d2h", float(rows.nbytes))]
+    assert cb.to_host(charge=False).tolist() == rows.tolist()
+    assert len(device.profiler.events) == 2
+    # One 1-D tuple is one row; an empty payload of any shape keeps the arity.
+    assert ColumnBatch.from_host(device, [7, 8], 2).as_rows().tolist() == [[7, 8]]
+    assert ColumnBatch.from_host(device, [], 3).arity == 3
+    with pytest.raises(SchemaError):
+        ColumnBatch.from_host(device, rows, 3)
 
 
 # ----------------------------------------------------------------------
@@ -172,7 +189,7 @@ def test_monotone_flag_survives_composition_but_not_an_unknown_link(device, batc
 def test_filter_and_join_expansion_certify_their_selections(device, monotone_checks):
     from repro.relational import HISA, JoinOutput, hash_join
 
-    edges = np.array([(0, 1), (0, 2), (1, 2), (2, 0), (2, 1)], dtype=np.int64)
+    edges = ColumnBatch.from_rows(device, np.array([(0, 1), (0, 2), (1, 2), (2, 0), (2, 1)], dtype=np.int64))
     inner = HISA(device, edges, join_columns=(0,), label="edge")
     joined = hash_join(
         device, edges, [1], inner,

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.device import Device
 from repro.errors import HisaStateError, SchemaError
-from repro.relational import HISA, SimpleBufferManager
+from repro.relational import SimpleBufferManager
+
+from tests.helpers import hisa_of as HISA, hisa_rows, key_columns
 
 
 rows_strategy = st.lists(
@@ -23,7 +25,7 @@ def edge_hisa(device, paper_edges):
 
 def test_data_array_preserves_tuples(device, paper_edges):
     hisa = HISA(device, paper_edges, join_columns=(1,), label="edge")
-    assert {tuple(r) for r in hisa.natural_rows().tolist()} == {tuple(r) for r in paper_edges.tolist()}
+    assert {tuple(r) for r in hisa_rows(hisa).tolist()} == {tuple(r) for r in paper_edges.tolist()}
     assert hisa.tuple_count == paper_edges.shape[0]
     assert hisa.arity == 2
 
@@ -33,39 +35,39 @@ def test_sorted_index_orders_join_columns_first(device):
     # Join on the middle column, as in the Section 4.2 example: the sorted
     # order should be (1,2,2) < (1,2,5) < (5,2,9) in reordered space.
     hisa = HISA(device, rows, join_columns=(1,), label="example")
-    sorted_rows = hisa.data[hisa.sorted_index]
-    assert sorted_rows[:, 0].tolist() == [1, 1, 5]
+    sorted_rows = hisa_rows(hisa, sorted_order=True)
+    assert sorted_rows[:, 1].tolist() == [1, 1, 5]
     assert hisa.sorted_index.tolist() == [2, 0, 1]
 
 
 def test_lookup_returns_runs(edge_hisa):
-    runs, lengths = edge_hisa.lookup(np.array([[0], [4], [9]], dtype=np.int64))
+    runs, lengths = edge_hisa.lookup_columns(key_columns([[0], [4], [9]]))
     assert lengths.tolist() == [2, 2, 0]
     assert runs.starts[:, 2].tolist() == [-1]  # one sorted run, and key 9 misses it
     start = int(runs.starts[0, 1])
-    rows = edge_hisa.rows_at_sorted_positions(np.arange(start, start + 2))
+    rows = hisa_rows(edge_hisa, sorted_order=True)[start : start + 2]
     assert {tuple(r) for r in rows.tolist()} == {(4, 7), (4, 8)}
 
 
 def test_lookup_wrong_key_width_rejected(edge_hisa):
     with pytest.raises(SchemaError):
-        edge_hisa.lookup(np.array([[1, 2]], dtype=np.int64))
+        edge_hisa.lookup_columns(key_columns([[1, 2]]))
 
 
 def test_expand_matches(edge_hisa):
-    runs, lengths = edge_hisa.lookup(np.array([[1], [4]], dtype=np.int64))
+    runs, lengths = edge_hisa.lookup_columns(key_columns([[1], [4]]))
     probe_idx, data_positions = edge_hisa.expand_matches(runs, lengths)
     assert probe_idx.tolist() == [0, 0, 1, 1]
-    matched = edge_hisa.stored_rows()[data_positions]
+    matched = hisa_rows(edge_hisa)[data_positions]
     assert {tuple(r) for r in matched.tolist()} == {(1, 3), (1, 4), (4, 7), (4, 8)}
 
 
 def test_contains_requires_all_column_index(device, paper_edges):
     partial = HISA(device, paper_edges, join_columns=(0,))
     with pytest.raises(HisaStateError):
-        partial.contains(paper_edges[:2])
+        partial.contains_columns(key_columns(paper_edges[:2]))
     full = HISA(device, paper_edges, join_columns=(0, 1))
-    mask = full.contains(np.array([[0, 1], [0, 9]], dtype=np.int64))
+    mask = full.contains_columns(key_columns([[0, 1], [0, 9]]))
     assert mask.tolist() == [True, False]
 
 
@@ -85,7 +87,7 @@ def test_memory_accounting_and_free(device, paper_edges):
     hisa.free()
     assert device.pool.in_use_bytes == before
     with pytest.raises(HisaStateError):
-        hisa.lookup(np.array([[1]], dtype=np.int64))
+        hisa.lookup_columns(key_columns([[1]]))
     hisa.free()  # double free is a no-op
 
 
@@ -97,8 +99,8 @@ def test_merge_combines_disjoint_relations(device):
     merged = full.merge(delta, SimpleBufferManager(device))
     assert merged is full  # merge mutates the full index in place
     assert merged.tuple_count == 4
-    assert {tuple(r) for r in merged.natural_rows().tolist()} == {(0, 1), (1, 2), (0, 2), (2, 3)}
-    starts, lengths = merged.lookup(np.array([[0]], dtype=np.int64))
+    assert {tuple(r) for r in hisa_rows(merged).tolist()} == {(0, 1), (1, 2), (0, 2), (2, 3)}
+    starts, lengths = merged.lookup_columns(key_columns([[0]]))
     assert lengths.tolist() == [2]
     assert delta.is_freed  # the delta is consumed
 
@@ -116,9 +118,9 @@ def test_lookup_matches_bruteforce(rows, join_col):
     device = Device("h100", oom_enabled=False)
     hisa = HISA(device, rows, join_columns=(join_col,))
     keys = np.unique(rows[:, join_col])
-    runs, lengths = hisa.lookup(keys.reshape(-1, 1), charge=False)
+    runs, lengths = hisa.lookup_columns([keys], charge=False)
     probe_idx, data_positions = hisa.expand_matches(runs, lengths)
-    found = hisa.natural_rows()[data_positions]
+    found = hisa_rows(hisa)[data_positions]
     for probe, (key, length) in enumerate(zip(keys.tolist(), lengths.tolist())):
         assert length == int((rows[:, join_col] == key).sum())
         assert (found[probe_idx == probe, join_col] == key).all()
@@ -135,7 +137,6 @@ def test_merge_equals_union_property(rows):
     full = HISA(device, unique[:split], join_columns=(0,))
     delta = HISA(device, unique[split:], join_columns=(0,))
     merged = full.merge(delta)
-    assert {tuple(r) for r in merged.natural_rows().tolist()} == {tuple(r) for r in unique.tolist()}
+    assert {tuple(r) for r in hisa_rows(merged).tolist()} == {tuple(r) for r in unique.tolist()}
     # The merged sorted index must be a valid permutation in sorted order.
-    sorted_rows = merged.data[merged.sorted_index]
-    assert device.kernels.is_sorted_rows(sorted_rows)
+    assert hisa_rows(merged, sorted_order=True).tolist() == sorted(unique.tolist())

@@ -4,7 +4,7 @@
 delta and absorbs the runs it is at least half as large as.  The oracle is
 the constructor — ``HISA(device, all_rows, join_columns)`` sorts, scans and
 hashes everything from nothing — and the contract is that no reader can tell
-the two apart: same tuples, same ``lookup`` / ``contains`` answers, same
+the two apart: same tuples, same ``lookup_columns`` / ``contains_columns`` answers, same
 statistics, and after ``compact()`` the same bytes.
 """
 
@@ -15,13 +15,14 @@ from hypothesis import given, settings, strategies as st
 from repro.backend import NumpyBackend
 from repro.device import Device
 from repro.relational import (
-    HISA,
     EagerBufferManager,
     OpenAddressingHashTable,
     Relation,
     SimpleBufferManager,
     hash_rows,
 )
+
+from tests.helpers import hisa_of as HISA, hisa_rows, key_columns
 
 #: all-column, prefix, prefix, non-prefix, non-prefix
 INDEX_KINDS = [(0, 1, 2), (0,), (0, 1), (1,), (2, 0)]
@@ -50,11 +51,11 @@ def _row_pool(seed, size=6000):
 
 
 def _rows_per_key(hisa, keys, **options):
-    """``lookup`` then ``expand_matches``: the matched tuples of each key, as sets."""
-    runs, lengths = hisa.lookup(keys, charge=False, **options)
+    """``lookup_columns`` then ``expand_matches``: the matched tuples of each key, as sets."""
+    runs, lengths = hisa.lookup_columns(key_columns(keys), charge=False, **options)
     probe_idx, data_positions = hisa.expand_matches(runs, lengths)
     assert (np.diff(probe_idx) >= 0).all()  # probe-major
-    matched = hisa.natural_rows()[data_positions]
+    matched = hisa_rows(hisa)[data_positions]
     found = [set() for _ in range(len(keys))]
     for probe, row in zip(probe_idx.tolist(), matched.tolist()):
         found[probe].add(tuple(row))
@@ -69,11 +70,11 @@ def _assert_runs_geometric(hisa):
         assert older > 2 * newer, sizes
 
 
-def _assert_matches_scratch(full: HISA, rows: np.ndarray, join_columns):
+def _assert_matches_scratch(full, rows: np.ndarray, join_columns):
     """``full`` (any number of sorted runs) answers like an index built from ``rows``."""
     scratch = HISA(_fresh_device(), rows, join_columns, label="ref")
     assert full.tuple_count == scratch.tuple_count == rows.shape[0]
-    assert {tuple(r) for r in full.natural_rows().tolist()} == {tuple(r) for r in rows.tolist()}
+    assert {tuple(r) for r in hisa_rows(full).tolist()} == {tuple(r) for r in rows.tolist()}
     assert full.distinct_key_count == scratch.distinct_key_count
     assert full.max_run_length == scratch.max_run_length
 
@@ -86,15 +87,15 @@ def _assert_matches_scratch(full: HISA, rows: np.ndarray, join_columns):
     if len(join_columns) == rows.shape[1]:
         probes = np.concatenate([rows, rows + 1000])
         expected = np.arange(len(probes)) < len(rows)
-        np.testing.assert_array_equal(full.contains(probes, charge=False), expected)
+        np.testing.assert_array_equal(full.contains_columns(key_columns(probes), charge=False), expected)
 
 
-def _assert_compacts_to_scratch(full: HISA, rows: np.ndarray, join_columns):
+def _assert_compacts_to_scratch(full, rows: np.ndarray, join_columns):
     """After ``compact()`` the index tier is byte-identical to a scratch build's."""
     scratch = HISA(_fresh_device(), rows, join_columns, label="ref")
     full.compact()
     assert full.run_sizes == [rows.shape[0]]
-    np.testing.assert_array_equal(full.sorted_natural_rows(), scratch.sorted_natural_rows())
+    np.testing.assert_array_equal(hisa_rows(full, sorted_order=True), hisa_rows(scratch, sorted_order=True))
     np.testing.assert_array_equal(full.run_starts, scratch.run_starts)
     np.testing.assert_array_equal(full.run_lengths, scratch.run_lengths)
 
@@ -194,7 +195,7 @@ def test_hash_collision_falls_through_to_a_miss():
     whole = HISA(device, rows[1:], (0, 1), label="w")
     whole.merge(HISA(device, np.array([[4, 40]], dtype=np.int64), (0, 1), label="w.d"), EagerBufferManager(device))
     probes = np.array([[4, 40], [8, 40], [1, 11], [5, 11]], dtype=np.int64)
-    assert whole.contains(probes, charge=False).tolist() == [True, False, True, False]
+    assert whole.contains_columns(key_columns(probes), charge=False).tolist() == [True, False, True, False]
 
 
 def test_contains_after_incremental_merges():
@@ -205,9 +206,9 @@ def test_contains_after_incremental_merges():
     full = HISA(device, batches[0], (0, 1), label="full")
     for batch in batches[1:]:
         full = full.merge(HISA(device, batch, (0, 1), label="d"), EagerBufferManager(device))
-    assert full.contains(rows, charge=False).all()
+    assert full.contains_columns(key_columns(rows), charge=False).all()
     absent = np.array([[999, 999], [-5, 3]], dtype=np.int64)
-    assert not full.contains(absent, charge=False).any()
+    assert not full.contains_columns(key_columns(absent), charge=False).any()
 
 
 def test_memory_accounting_follows_capacity():
@@ -304,7 +305,7 @@ def test_fixpoint_memory_accounting_leak_free():
     while True:
         new = [
             (a, c)
-            for a, b in relation.delta_rows.tolist()
+            for a, b in relation.delta_batch.as_rows().tolist()
             for c in edge_map.get(b, ())
         ]
         if new:
@@ -336,5 +337,5 @@ def test_merge_into_empty_full():
     merged = full.merge(delta, EagerBufferManager(device))
     assert merged.tuple_count == 2
     assert merged.run_sizes == [2]
-    _, lengths = merged.lookup(np.array([[5]], dtype=np.int64), charge=False)
+    _, lengths = merged.lookup_columns(key_columns([[5]]), charge=False)
     assert lengths.tolist() == [1]

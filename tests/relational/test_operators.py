@@ -1,4 +1,4 @@
-"""Tests for the relational-algebra kernels (join, select, project, difference)."""
+"""Tests for the relational-algebra kernels (join, select, dedup, difference)."""
 
 from dataclasses import replace
 
@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from repro.device import Device, device_preset
 from repro.errors import SchemaError
 from repro.relational import (
-    HISA,
     ColumnBatch,
     ColumnComparison,
     JoinOutput,
@@ -18,10 +17,10 @@ from repro.relational import (
     difference,
     fused_nway_join,
     hash_join,
-    project,
     select,
-    union,
 )
+
+from tests.helpers import batch_of, hisa_of as HISA
 
 
 def as_sorted_tuples(data):
@@ -44,7 +43,7 @@ def brute_force_join(outer, inner, outer_cols, inner_cols, output):
 def test_join_matches_bruteforce_on_example(device, paper_edges):
     inner = HISA(device, paper_edges, join_columns=(0,), label="edge")
     output = [JoinOutput("outer", 1), JoinOutput("inner", 1)]
-    result = hash_join(device, paper_edges, [1], inner, output)
+    result = hash_join(device, batch_of(device, paper_edges), [1], inner, output)
     expected = brute_force_join(paper_edges, paper_edges, [1], [0], [("outer", 1), ("inner", 1)])
     assert as_sorted_tuples(result) == sorted(expected)
 
@@ -53,7 +52,7 @@ def test_join_with_comparison_filter(device, paper_edges):
     inner = HISA(device, paper_edges, join_columns=(0,), label="edge")
     output = [JoinOutput("outer", 1), JoinOutput("inner", 1)]
     result = hash_join(
-        device, paper_edges, [0], inner, output,
+        device, batch_of(device, paper_edges), [0], inner, output,
         comparisons=[ColumnComparison("!=", 0, right_column=1)],
     )
     assert len(result)
@@ -63,17 +62,17 @@ def test_join_with_comparison_filter(device, paper_edges):
 def test_join_empty_inputs(device, paper_edges):
     inner = HISA(device, paper_edges, join_columns=(0,))
     empty = np.empty((0, 2), dtype=np.int64)
-    out = hash_join(device, empty, [0], inner, [JoinOutput("outer", 0)])
+    out = hash_join(device, batch_of(device, empty), [0], inner, [JoinOutput("outer", 0)])
     assert len(out) == 0 and out.arity == 1
     empty_inner = HISA(device, empty, join_columns=(0,))
-    out = hash_join(device, paper_edges, [0], empty_inner, [JoinOutput("outer", 0)])
+    out = hash_join(device, batch_of(device, paper_edges), [0], empty_inner, [JoinOutput("outer", 0)])
     assert len(out) == 0 and out.arity == 1
 
 
 def test_join_key_width_mismatch_rejected(device, paper_edges):
     inner = HISA(device, paper_edges, join_columns=(0, 1))
     with pytest.raises(SchemaError):
-        hash_join(device, paper_edges, [0], inner, [JoinOutput("outer", 0)])
+        hash_join(device, batch_of(device, paper_edges), [0], inner, [JoinOutput("outer", 0)])
 
 
 def test_join_output_validation():
@@ -93,36 +92,36 @@ def test_column_comparison_validation():
 
 
 def test_select_and_project(device):
-    rows = np.array([[1, 2, 3], [4, 4, 6], [7, 8, 7]], dtype=np.int64)
+    rows = batch_of(device, [[1, 2, 3], [4, 4, 6], [7, 8, 7]])
     selected = select(device, rows, [ColumnComparison("==", 0, right_column=1)])
     assert selected.as_rows().tolist() == [[4, 4, 6]]
     lt = select(device, rows, [ColumnComparison("<", 0, constant=5)])
     assert len(lt) == 2
-    projected = project(device, rows, [2, 0])
+    projected = rows.project([2, 0])
     assert projected.as_rows().tolist() == [[3, 1], [6, 4], [7, 7]]
 
 
 def test_deduplicate_and_union(device):
-    rows = np.array([[1, 1], [2, 2], [1, 1]], dtype=np.int64)
-    assert deduplicate(device, rows).shape[0] == 2
-    combined = union(device, [rows, np.array([[3, 3]], dtype=np.int64)])
-    assert combined.shape[0] == 4
+    rows = batch_of(device, [[1, 1], [2, 2], [1, 1]])
+    assert deduplicate(device, rows).as_rows().tolist() == [[1, 1], [2, 2]]
+    combined = ColumnBatch.concatenate(device, [rows, batch_of(device, [[3, 3]])], arity=2)
+    assert len(combined) == 4
     with pytest.raises(SchemaError):
-        union(device, [rows, np.array([[1, 2, 3]], dtype=np.int64)])
+        ColumnBatch.concatenate(device, [rows, batch_of(device, [[1, 2, 3]])], arity=2)
 
 
 def test_difference_removes_existing(device, paper_edges):
     existing = HISA(device, paper_edges, join_columns=(0, 1))
     candidate = np.array([[0, 1], [9, 9], [4, 8], [7, 7]], dtype=np.int64)
-    fresh = difference(device, candidate, existing)
-    assert {tuple(r) for r in fresh.tolist()} == {(9, 9), (7, 7)}
+    fresh = difference(device, batch_of(device, candidate), existing)
+    assert as_sorted_tuples(fresh) == [(7, 7), (9, 9)]
 
 
 def test_fused_join_equals_materialized(device, paper_edges):
     """The fused n-way join must produce the same tuples as two binary joins."""
     edge_by_src = HISA(device, paper_edges, join_columns=(0,), label="edge")
     sg_seed = hash_join(
-        device, paper_edges, [0], edge_by_src,
+        device, batch_of(device, paper_edges), [0], edge_by_src,
         [JoinOutput("outer", 1), JoinOutput("inner", 1)],
         comparisons=[ColumnComparison("!=", 0, right_column=1)],
     )
@@ -152,13 +151,11 @@ def test_fused_join_equals_materialized(device, paper_edges):
 def test_fused_join_charges_more_divergence_on_skewed_data(device):
     """A hub-heavy inner relation makes the fused plan pay for idle lanes."""
     hub_edges = np.array([[0, i] for i in range(1, 200)] + [[i, 200 + i] for i in range(1, 50)], dtype=np.int64)
-    outer = hub_edges
-
     fused_device = Device("h100", oom_enabled=False)
     fused_inner = HISA(fused_device, hub_edges, join_columns=(0,), label="hub")
     fused_nway_join(
         fused_device,
-        outer,
+        batch_of(fused_device, hub_edges),
         stages=[
             ([1], fused_inner, [JoinOutput("outer", 0), JoinOutput("inner", 1)]),
             ([1], fused_inner, [JoinOutput("outer", 0), JoinOutput("inner", 1)]),
@@ -179,7 +176,7 @@ def test_hash_join_matches_bruteforce_property(outer, inner):
     device = Device("h100", oom_enabled=False)
     inner_hisa = HISA(device, inner, join_columns=(0,))
     output = [JoinOutput("outer", 0), JoinOutput("outer", 1), JoinOutput("inner", 1)]
-    result = hash_join(device, outer, [1], inner_hisa, output)
+    result = hash_join(device, batch_of(device, outer), [1], inner_hisa, output)
     expected = brute_force_join(outer, inner, [1], [0], [("outer", 0), ("outer", 1), ("inner", 1)])
     assert as_sorted_tuples(result) == sorted(expected)
 
@@ -209,13 +206,19 @@ def test_guarded_join_matches_bruteforce_property(arity, data):
     comparisons = (
         [ColumnComparison("!=", 0, right_column=arity)] if arity > 1 else []
     )
-    result = hash_join(device, outer, [arity - 1], inner_hisa, output, comparisons=comparisons)
+    result = hash_join(device, batch_of(device, outer), [arity - 1], inner_hisa, output, comparisons=comparisons)
     expected = brute_force_join(
         outer, inner, [arity - 1], [0], [("outer", c) for c in range(arity)] + [("inner", arity - 1)]
     )
     if comparisons:
         expected = [row for row in expected if row[0] != row[arity]]
     assert as_sorted_tuples(result) == sorted(expected)
+
+
+def row_set_difference(rows, existing):
+    """NumPy oracle for ``difference``: rows of ``rows`` absent from ``existing``, in order."""
+    known = set(map(tuple, existing.tolist()))
+    return [row for row in map(tuple, rows.tolist()) if row not in known]
 
 
 @given(arity=st.integers(1, 3), data=st.data())
@@ -225,20 +228,16 @@ def test_columnar_dedup_difference_project_equal_row_reference(arity, data):
     existing = data.draw(rows_of_arity(arity, min_size=1))
     device = Device("h100", oom_enabled=False)
 
-    row_dedup = deduplicate(device, rows)
-    col_dedup = deduplicate(device, ColumnBatch.from_rows(device, rows))
-    # Both pipelines leave results in identical (sorted) order.
-    assert as_sorted_tuples(col_dedup) == as_sorted_tuples(row_dedup)
-    if len(row_dedup):
-        assert col_dedup.as_rows(charge=False).tolist() == row_dedup.tolist()
+    # Deduplication leaves its result in natural lexicographic order, like np.unique.
+    deduped = deduplicate(device, batch_of(device, rows))
+    assert deduped.as_rows(charge=False).tolist() == np.unique(rows, axis=0).tolist()
 
     full = HISA(device, existing, join_columns=tuple(range(arity)))
-    row_diff = difference(device, rows, full)
-    col_diff = difference(device, ColumnBatch.from_rows(device, rows), full)
-    assert as_sorted_tuples(col_diff) == as_sorted_tuples(row_diff)
+    fresh = difference(device, batch_of(device, rows), full)
+    assert list(map(tuple, fresh.as_rows(charge=False).tolist())) == row_set_difference(rows, existing)
 
     projection = [arity - 1, 0]
-    assert as_sorted_tuples(project(device, rows, projection)) == as_sorted_tuples(rows[:, projection])
+    assert as_sorted_tuples(batch_of(device, rows).project(projection)) == as_sorted_tuples(rows[:, projection])
 
 
 @given(arity=st.integers(1, 3), data=st.data())
@@ -248,15 +247,11 @@ def test_columnar_select_union_equal_row_reference(arity, data):
     second = data.draw(rows_of_arity(arity))
     device = Device("h100", oom_enabled=False)
     comparisons = [ColumnComparison("<=", 0, constant=2)]
-    assert as_sorted_tuples(select(device, first, comparisons)) == as_sorted_tuples(first[first[:, 0] <= 2])
+    selected = select(device, batch_of(device, first), comparisons)
+    assert selected.as_rows(charge=False).tolist() == first[first[:, 0] <= 2].tolist()
 
-    row_union = union(device, [first, second], arity=arity)
-    col_union = union(
-        device,
-        [ColumnBatch.from_rows(device, first), ColumnBatch.from_rows(device, second)],
-        arity=arity,
-    )
-    assert as_sorted_tuples(col_union) == as_sorted_tuples(row_union)
+    combined = ColumnBatch.concatenate(device, [batch_of(device, first), batch_of(device, second)], arity=arity)
+    assert combined.as_rows(charge=False).tolist() == np.concatenate([first, second]).tolist()
 
 
 def test_columnar_join_empty_inputs(device, paper_edges):
@@ -271,22 +266,6 @@ def test_columnar_join_empty_inputs(device, paper_edges):
         device, ColumnBatch.from_rows(device, paper_edges), [0], empty_inner, [JoinOutput("outer", 0)]
     )
     assert len(out) == 0 and out.arity == 1
-
-
-def test_union_empty_parts_keep_arity(device):
-    """Regression: union of all-empty parts used to lose the schema as (0, 0)."""
-    out = union(device, [np.empty((0, 3), dtype=np.int64)], arity=3)
-    assert out.shape == (0, 3)
-    out = union(device, [], arity=2)
-    assert out.shape == (0, 2)
-    # Arity can also be inferred from an empty part's own width.
-    out = union(device, [np.empty((0, 4), dtype=np.int64)])
-    assert out.shape == (0, 4)
-    # Same contract on the columnar branch: all-empty batches keep the schema.
-    out = union(device, [ColumnBatch.empty(device, 4)])
-    assert isinstance(out, ColumnBatch) and len(out) == 0 and out.arity == 4
-    out = union(device, [ColumnBatch.empty(device, 3)], arity=3)
-    assert out.arity == 3
 
 
 def test_columnar_join_keeps_unread_columns_lazy(device, paper_edges):
@@ -329,7 +308,9 @@ def run_distinct_join(spec, fan_out, live, *, output=DISTINCT_OUTPUT, comparison
     hisa = HISA(device, inner, join_columns=(0,), label="inner")
     device.reset()
     live_outer = None if live is None else LiveOuter(frozenset(live))
-    result = hash_join(device, outer, [2], hisa, output, comparisons=comparisons, live_outer=live_outer)
+    result = hash_join(
+        device, batch_of(device, outer), [2], hisa, output, comparisons=comparisons, live_outer=live_outer
+    )
     rows = result.as_rows(charge=False)
     return rows, device.profiler.events, live_outer
 
@@ -389,6 +370,6 @@ def test_distinct_before_expand_keeps_guard_columns_live():
     hisa = HISA(device, inner, join_columns=(0,), label="inner")
     shifted = [JoinOutput("outer", 1), JoinOutput("outer", 2), JoinOutput("inner", 1)]
     live = LiveOuter(frozenset({2}))
-    result = hash_join(device, wide, [3], hisa, shifted, comparisons=guard, live_outer=live)
+    result = hash_join(device, batch_of(device, wide), [3], hisa, shifted, comparisons=guard, live_outer=live)
     assert live.report == {"eligible": 1, "fired": 1, "rows_in": 2000, "rows_out": 1000}
     assert as_sorted_tuples(result) == as_sorted_tuples(plain)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.backend import HOST_BACKEND
 from repro.device import LINK_INTERCONNECT, PHASE_SHARD_EXCHANGE, Device
 from repro.errors import SchemaError
-from repro.relational import Relation, ShardedRelation, partition_rows, shard_assignments
+from repro.relational import Relation, ShardedRelation, partition_rows_host, shard_assignments
 
 
 def make_devices(n):
@@ -29,7 +29,7 @@ def test_shard_assignments_match_host_and_device(device):
 def test_partition_rows_is_a_permutation_grouped_by_owner(device):
     rng = np.random.default_rng(7)
     rows = rng.integers(0, 1000, size=(200, 3), dtype=np.int64)
-    parts = partition_rows(device, rows, 1, 4)
+    parts = partition_rows_host(rows, 1, 4)
     assert len(parts) == 4
     assert sum(part.shape[0] for part in parts) == rows.shape[0]
     recombined = {tuple(row) for part in parts for row in np.asarray(part).tolist()}
@@ -44,8 +44,8 @@ def test_partition_rows_is_a_permutation_grouped_by_owner(device):
 
 def test_partition_rows_single_shard_and_empty(device):
     rows = np.array([[1, 2], [3, 4]], dtype=np.int64)
-    assert len(partition_rows(device, rows, 0, 1)) == 1
-    empty_parts = partition_rows(device, np.empty((0, 2), dtype=np.int64), 0, 3)
+    assert len(partition_rows_host(rows, 0, 1)) == 1
+    empty_parts = partition_rows_host(np.empty((0, 2), dtype=np.int64), 0, 3)
     assert len(empty_parts) == 3
     assert all(part.shape[0] == 0 for part in empty_parts)
 

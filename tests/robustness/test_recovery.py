@@ -82,6 +82,7 @@ def run_engine(source, facts, outputs, num_shards, *, fault_plan="none", **kwarg
     result = engine.run(source)
     relations = {name: result.relation_set(name) for name in outputs}
     engine.close()
+    assert all(device.pool.in_use_bytes == 0 for device in engine.devices)
     return result, relations
 
 

@@ -103,6 +103,25 @@ def test_transient_fault_is_absorbed(num_shards, history_name):
 
 
 @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+def test_dedup_scratch_oom_degrades_an_insert_epoch_instead_of_aborting_it(monkeypatch, num_shards):
+    # The floor assumes production-sized batches; lower it so a seed of a few rows halves.
+    monkeypatch.setattr("repro.relational.relation.OOM_DEDUP_FLOOR_ROWS", 1)
+    history = [({"edge": [(i, i + 1) for i in range(6, 14)]}, {})]
+    engine = make_engine(num_shards)
+    try:
+        plan = install_plan(engine, "alloc:*.dedup_scratch:at=1")
+        run_history(engine, history)
+        assert plan.fault_count == 1
+        degraded = sum(shard.oom_degradations for relation in engine.relations.values() for shard in relation.shards)
+        assert degraded >= 1
+        assert engine.epoch_aborts == 0 and engine.health() == "healthy"
+        assert_equivalent(engine, history)
+    finally:
+        engine.close()
+    assert all(device.pool.in_use_bytes == 0 for device in engine.devices)
+
+
+@pytest.mark.parametrize("num_shards", SHARD_COUNTS)
 @pytest.mark.parametrize(
     "spec",
     [
