@@ -66,9 +66,8 @@ FactTuple = Sequence[FactValue]
 #: CLI's ``--shards`` flag exports it, mirroring ``REPRO_BACKEND``).
 SHARDS_ENV_VAR = "REPRO_SHARDS"
 
-#: Ablation levers for the sharded exchange layer (the experiments CLI's
-#: ``--no-semijoin-filter`` / ``--no-exchange-overlap`` flags export these).
-SEMIJOIN_ENV_VAR = "REPRO_SEMIJOIN_FILTER"
+#: Overlap ablation for the sharded exchange layer (the experiments CLI's
+#: ``--no-exchange-overlap`` flag exports it).
 OVERLAP_ENV_VAR = "REPRO_EXCHANGE_OVERLAP"
 
 #: Planner ablation axis (the experiments CLI's ``--planner`` flag exports it):
@@ -307,8 +306,6 @@ class EvaluationResult:
     exchange_overlap_hidden_seconds: float = 0.0
     #: hidden exchange time / total exchange time (0 with overlap disabled)
     exchange_overlap_efficiency: float = 0.0
-    #: outer rows semi-join filters dropped before they were shipped
-    semijoin_rows_dropped: int = 0
     #: join steps answered against a replicated EDB inner (no exchange)
     replicated_joins: int = 0
     #: join steps whose probe was shard-local after a key repartition
@@ -374,7 +371,6 @@ class GPULogEngine:
         checkpoint_store: CheckpointStore | None = None,
         max_retries: int = 3,
         fault_plan: "FaultPlan | str | None" = None,
-        semijoin_filter: bool | None = None,
         overlap: bool | None = None,
         replicate_max_bytes: int = DEFAULT_REPLICATE_MAX_BYTES,
         planner: str | None = None,
@@ -446,16 +442,11 @@ class GPULogEngine:
         #: where snapshots go; ``None`` keeps only ``last_checkpoint`` in RAM
         self.checkpoint_store = checkpoint_store
         self.max_retries = int(max_retries)
-        #: semi-join filtering + EDB replication + head pre-routing in the
-        #: sharded exchange layer (``None`` reads REPRO_SEMIJOIN_FILTER)
-        self.semijoin_filter = (
-            _env_flag(SEMIJOIN_ENV_VAR, True) if semijoin_filter is None else bool(semijoin_filter)
-        )
         #: double-buffered exchange/compute overlap (``None`` reads
         #: REPRO_EXCHANGE_OVERLAP)
         self.overlap = _env_flag(OVERLAP_ENV_VAR, True) if overlap is None else bool(overlap)
         #: replicate a static EDB inner to every shard when its payload fits
-        #: under this many bytes (0 disables replication)
+        #: under this many bytes (0 disables replication and head pre-routing)
         self.replicate_max_bytes = int(replicate_max_bytes)
         #: join planner: "greedy" (legacy literal order, the byte-stable
         #: ablation baseline), "cost", or "cost+wcoj" (``None`` reads
@@ -568,7 +559,7 @@ class GPULogEngine:
         Relations are hash-partitioned over the engine's shard devices by
         their canonical shard column; the driver exchanges foreign-keyed
         tuples through the charged interconnect edge each iteration (see
-        :mod:`repro.datalog.sharded`; ablations: ``semijoin_filter``,
+        :mod:`repro.datalog.sharded`; levers: ``replicate_max_bytes``,
         ``overlap``).  One shard is the same path with nothing to exchange.
         """
         evaluator = self._build(program, plan, arities, catalog)
@@ -628,7 +619,6 @@ class GPULogEngine:
             program_source=str(program),
             replan_every=self.replan_every if adaptive else 0,
             replanner=self._make_replanner(plan.analysis, catalog) if adaptive else None,
-            semijoin_filter=self.semijoin_filter,
             overlap=self.overlap,
             replicate_max_bytes=self.replicate_max_bytes,
         )
@@ -924,7 +914,6 @@ class GPULogEngine:
             exchange_skew=(max(traffic) * self.num_shards / total_traffic) if total_traffic > 0 else 0.0,
             exchange_overlap_hidden_seconds=hidden_seconds,
             exchange_overlap_efficiency=hidden_seconds / exchange_seconds if exchange_seconds > 0 else 0.0,
-            semijoin_rows_dropped=exchange.semijoin_rows_dropped,
             replicated_joins=exchange.replicated_joins,
             aligned_joins=exchange.aligned_joins,
             broadcast_joins=exchange.broadcast_joins,

@@ -39,7 +39,7 @@ Three planning modes choose the pipeline:
 A WCOJ version is *decomposed* into ordinary :class:`JoinStep`s — one
 expanding join per level plus full-arity membership-check joins for the other
 atoms of the level — so every existing executor (fused kernels, the sharded
-loop with its exchange barriers and semi-join filters, column liveness, fault
+loop with its exchange barriers, column liveness, fault
 replay) runs it unchanged; the single-device executor recognizes
 ``algorithm == "wcoj"`` and instead runs the per-row min-intersection
 operator, which computes the same set with worst-case-optimal work.

@@ -120,7 +120,6 @@ class SemiNaiveEvaluator:
         program_source: str = "",
         replan_every: int = 0,
         replanner=None,
-        semijoin_filter: bool = True,
         overlap: bool = True,
         replicate_max_bytes: int = DEFAULT_REPLICATE_MAX_BYTES,
     ) -> None:
@@ -150,7 +149,6 @@ class SemiNaiveEvaluator:
             self.devices,
             plan,
             relations,
-            semijoin_filter=semijoin_filter,
             replicate_max_bytes=replicate_max_bytes,
         )
         self.last_checkpoint: EvaluationCheckpoint | None = None
@@ -187,9 +185,9 @@ class SemiNaiveEvaluator:
         try:
             return self._evaluate(dict(idb_facts or {}), resume_from)
         finally:
-            # Replicas hold real pool buffers and filters hold key arrays;
-            # both are run-scoped caches, not results — release them so
-            # ``close()`` finds every shard device empty.
+            # Replicas hold real pool buffers; they are run-scoped caches,
+            # not results — release them so ``close()`` finds every shard
+            # device empty.
             self.exchange.invalidate()
 
     def _evaluate(self, idb_facts: dict, resume_from: EvaluationCheckpoint | None) -> EvaluationStats:
@@ -347,10 +345,9 @@ class SemiNaiveEvaluator:
         iterations means every seed was already present.
 
         Exchange caches are invalidated on entry *and* exit: replicated EDB
-        inners and semi-join filters were built against pre-epoch fulls, and
-        a mutation (especially a retraction applied between epochs) makes
-        them stale — replicas would serve deleted tuples, which is a
-        correctness bug, not just a pruning inefficiency.  They are rebuilt,
+        inners were built against pre-epoch fulls, and a mutation
+        (especially a retraction applied between epochs) makes them stale —
+        they would serve deleted tuples.  They are rebuilt,
         charged, on first use inside the epoch.
         """
         names = sorted(relation_names if relation_names is not None else self.relations)
@@ -362,10 +359,7 @@ class SemiNaiveEvaluator:
                 relation = self.relations[name]
                 if len(rows):
                     relation.add_new(rows)
-                result = relation.end_iteration()
-                total_delta += result.delta_count
-                if result.delta_count:
-                    self.exchange.refresh_filters(name)
+                total_delta += relation.end_iteration().delta_count
             if total_delta == 0:
                 return 0, 0, 0
             # Stratum -1: the epoch fixpoint is joint across strata (sound for
@@ -428,8 +422,6 @@ class SemiNaiveEvaluator:
                         total_delta += result.delta_count
                         in_place_merges += result.in_place_merges
                         rebuild_merges += result.rebuild_merges
-                        if result.delta_count:
-                            self.exchange.refresh_filters(name)
             except (ExchangeError, TransientDeviceError) as error:
                 # A shard died mid-exchange (possibly mid-overlap: the
                 # in-flight window is simply dropped — its credits were only
@@ -575,9 +567,9 @@ class SemiNaiveEvaluator:
                 relation.restore(state)
         self.last_checkpoint = checkpoint
         self.checkpoint_restores += 1
-        # Filters were built from the pre-rollback fulls and replicas may
-        # live on a device that no longer exists: drop both, they are
-        # rebuilt (and re-charged) on demand from the restored state.
+        # Replicas were built from the pre-rollback fulls and may live on a
+        # device that no longer exists: drop them, they are rebuilt (and
+        # re-charged) on demand from the restored state.
         self.exchange.invalidate()
 
     def _roll_back(self, error: Exception, attempt: int, where: str) -> None:

@@ -16,26 +16,22 @@ schedule:
   step still reads (the planner's backward liveness analysis,
   ``RuleVersion.live_columns``), with selection chains resolved sender-side,
   so dead columns never cross the interconnect;
-* before a repartition or broadcast, a **semi-join filter** — an exact
-  per-shard key set built from the inner relation's join column and
-  refreshed incrementally from deltas on merge
-  (:class:`~repro.relational.semijoin.ExchangeFilterBank`) — drops outer
-  rows that cannot match on the receiving shard; small static EDB inners
-  are instead **replicated** once to every shard (charged through the same
-  broadcast edge), turning their probes shard-local, and when every
-  remaining step is local the flowing batch is **pre-routed** by the head's
-  shard key so the final head route disappears entirely.
+* small static EDB inners are **replicated** once to every shard (charged
+  through the same broadcast edge), turning their probes shard-local, and
+  when every remaining step is local the flowing batch is **pre-routed** by
+  the head's shard key so the final head route disappears entirely.
 
-``semijoin_filter=False`` restores unfiltered, unreplicated, tail-routed
-exchanges.  All cross-shard movement goes through the charged
-``device_to_device`` / ``broadcast_to`` kernels (``KernelCost.transfer_bytes``
-at the NVLink-class interconnect bandwidth, recorded under the
-``shard_exchange`` phase), so filters and replicas only pay off when the rows
-they avoid shipping outweigh the keys they cost.  Filters and replicas are
-caches: the driver invalidates them on every rollback, rebuild and epoch
-boundary, and they are rebuilt, charged, on demand.  With one shard nothing
-moves and nothing is built — ``N = 1`` is not a separate code path, it is
-this one returning early.
+The one lever is ``replicate_max_bytes``, the largest EDB payload worth
+replicating; ``0`` replicates nothing and so also never pre-routes.  All
+cross-shard movement goes through the charged ``device_to_device`` /
+``broadcast_to`` / ``scatter_to`` kernels (``KernelCost.transfer_bytes`` at
+the NVLink-class interconnect bandwidth, recorded under the
+``shard_exchange`` phase), so a replica only pays off when the rows it keeps
+from moving outweigh the copy it costs.  Replicas are caches: the driver
+invalidates them on every rollback, rebuild and epoch boundary, and they are
+rebuilt, charged, on demand.  With one shard nothing moves and nothing is
+built — ``N = 1`` is not a separate code path, it is this one returning
+early.
 """
 
 from __future__ import annotations
@@ -47,7 +43,6 @@ from ..device.device import Device
 from ..device.profiler import PHASE_SHARD_EXCHANGE
 from ..relational.columnbatch import ColumnBatch
 from ..relational.relation import Relation
-from ..relational.semijoin import ExchangeFilterBank
 from ..relational.sharded import ShardedRelation, shard_owners
 from .planner import ProgramPlan, RuleVersion, head_shard_variable
 
@@ -133,29 +128,24 @@ class ShardExchange:
         plan: ProgramPlan,
         relations: dict[str, ShardedRelation],
         *,
-        semijoin_filter: bool = True,
         replicate_max_bytes: int = DEFAULT_REPLICATE_MAX_BYTES,
     ) -> None:
         self.devices = devices
         self.num_shards = len(devices)
         self.plan = plan
         self.relations = relations
-        #: semi-join filtering + EDB replication + head pre-routing lever
-        self.semijoin_filter = bool(semijoin_filter)
+        #: largest EDB payload replicated to every shard (0 = none)
         self.replicate_max_bytes = int(replicate_max_bytes)
         #: tuples moved across shards (the exchange volume in rows)
         self.exchange_tuples = 0
         #: join steps whose probe was shard-local after a key repartition
         self.aligned_joins = 0
-        #: join steps that actually replicated outer rows (a filtered
-        #: broadcast that ships nothing does not count)
+        #: join steps that actually replicated outer rows (a broadcast of
+        #: empty batches does not count)
         self.broadcast_joins = 0
         #: join steps answered from a replicated EDB inner (no exchange)
         self.replicated_joins = 0
-        #: outer rows dropped by semi-join filters before shipping
-        self.semijoin_rows_dropped = 0
         # Exchange-schedule state (rebuilt on demand, dropped on rollback).
-        self._filters = ExchangeFilterBank(self.devices)
         self._replicas: dict[str, list[Relation]] = {}
         self._replica_decision: dict[str, bool] = {}
         self._version_plans: dict[int, _VersionPlan] = {}
@@ -199,7 +189,6 @@ class ShardExchange:
             width=width,
             live=set(plan.live_before[index]),
             label=f"{version.head_relation}<-{step.relation}" + (".route" if mode == "aligned" else ".bcast"),
-            filter_key=(step.relation, step.join_columns[0]),
             replicate=mode == "broadcast",
         )
         if mode == "broadcast" and shipped:
@@ -224,15 +213,9 @@ class ShardExchange:
             label=f"{version.head_relation}.route_new",
         )[0]
 
-    def refresh_filters(self, name: str) -> None:
-        """Fold ``name``'s just-merged delta keys into the filters tracking it
-        (the delta rows are exactly the keys that entered full this iteration)."""
-        if self._filters.has_relation(name):
-            self._filters.refresh(name, self.relations[name].shards)
-
     def invalidate(self) -> None:
-        """Drop semi-join filters and EDB replicas: both are caches built from
-        the fulls as they were, stale after a rollback, a rebuild or a mutation."""
+        """Drop EDB replicas: they are caches built from the fulls as they
+        were, stale after a rollback, a rebuild or a mutation."""
         for replicas in self._replicas.values():
             for replica in replicas:
                 try:
@@ -241,15 +224,12 @@ class ShardExchange:
                     # A replica on the crashed device died with its pool.
                     pass
         self._replicas.clear()
-        self._filters.invalidate()
 
     # ------------------------------------------------------------------
     # Exchange scheduling (per rule version, cached)
     # ------------------------------------------------------------------
     def _replicable(self, name: str) -> bool:
         """True if ``name`` is a small static EDB inner worth replicating."""
-        if not self.semijoin_filter:
-            return False
         cached = self._replica_decision.get(name)
         if cached is not None:
             return cached
@@ -279,7 +259,7 @@ class ShardExchange:
                 modes.append("broadcast")
         route_before: int | None = None
         route_position: int | None = None
-        if self.semijoin_filter and version.joins:
+        if version.joins:
             head_var = head_shard_variable(
                 version, self.relations[version.head_relation].shard_column
             )
@@ -365,14 +345,6 @@ class ShardExchange:
     # ------------------------------------------------------------------
     # Exchange barriers
     # ------------------------------------------------------------------
-    def _filter_bank(self, filter_key: tuple[str, int] | None) -> ExchangeFilterBank | None:
-        """The filter bank with ``filter_key``'s key sets built, or ``None``."""
-        if not self.semijoin_filter or filter_key is None:
-            return None
-        name, column = filter_key
-        self._filters.ensure(name, column, self.relations[name].shards)
-        return self._filters
-
     def _exchange(
         self,
         parts: list[ColumnBatch],
@@ -381,7 +353,6 @@ class ShardExchange:
         width: int,
         live,
         label: str,
-        filter_key: tuple[str, int] | None = None,
         replicate: bool = False,
     ) -> tuple[list[ColumnBatch], int]:
         """Move flowing batches to the shards their next probe needs them on.
@@ -392,18 +363,14 @@ class ShardExchange:
         correct for any partitioning because each *inner* tuple still lives
         on exactly one shard, so every match is produced exactly once.
 
-        Either way, rows whose key misses the target shard's semi-join filter
-        are dropped before shipping (a broadcast row then reaches only the
-        shards whose inner partition holds its key — possibly several,
-        possibly none — and a target receiving nothing gets no transfer
-        launch at all), and a shipped slice carries only its ``live`` columns
-        (selection chains resolved sender-side): each surviving slice crosses
-        the interconnect exactly once, charged to the sender.  All of a
-        source's outbound slices resolve and pack through one fused kernel
-        sequence (:meth:`_ship_partitioned`); only the per-link DMA stays per
+        A shipped slice carries only its ``live`` columns (selection chains
+        resolved sender-side) and crosses the interconnect exactly once,
+        charged to the sender: a broadcast packs once and pays one transfer
+        per peer link; a repartition resolves and packs all of a source's
+        outbound slices through one fused kernel sequence
+        (:meth:`_ship_partitioned`), only the per-link DMA staying per
         target.  Returns ``(batches, rows_shipped)``.
         """
-        bank = self._filter_bank(filter_key)
         live_positions = sorted({int(position) for position in live} | {int(key_position)})
         slices: list[list[ColumnBatch]] = [[] for _ in range(self.num_shards)]
         shipped_rows = 0
@@ -411,10 +378,9 @@ class ShardExchange:
             if len(batch) == 0:
                 continue
             device = self.devices[source]
-            backend = device.backend
-            if replicate and bank is None:
-                # Unfiltered: one staged payload of the live columns, one
-                # charged transfer per peer link.
+            if replicate:
+                # One staged payload of the live columns, one charged
+                # transfer per peer link.
                 slices[source].append(batch)
                 targets = [shard for shard in range(self.num_shards) if shard != source]
                 with device.profiler.phase(PHASE_SHARD_EXCHANGE):
@@ -432,25 +398,10 @@ class ShardExchange:
                 continue
             with device.profiler.phase(PHASE_SHARD_EXCHANGE):
                 keys = batch.column(key_position, label=f"{label}.key")
-                if replicate:
-                    everything = backend.arange(len(batch))
-                else:
-                    owners = shard_owners(device, keys, self.num_shards, label=f"{label}.partition")
+                owners = shard_owners(device, keys, self.num_shards, label=f"{label}.partition")
                 outbound: list[tuple[int, object]] = []
                 for target in range(self.num_shards):
-                    indices = everything if replicate else backend.nonzero_indices(owners == target)
-                    if bank is not None and indices.shape[0]:
-                        present = bank.probe(
-                            device,
-                            filter_key[0],
-                            filter_key[1],
-                            target,
-                            backend.take(keys, indices),
-                            label=f"{label}.semijoin",
-                        )
-                        kept = indices[present]
-                        self.semijoin_rows_dropped += int(indices.shape[0] - kept.shape[0])
-                        indices = kept
+                    indices = device.backend.nonzero_indices(owners == target)
                     if indices.shape[0] == 0:
                         continue
                     if target == source:

@@ -17,7 +17,7 @@ import sys
 import time
 
 from ..backend import BACKEND_ENV_VAR
-from ..datalog.engine import OVERLAP_ENV_VAR, PLANNER_ENV_VAR, SEMIJOIN_ENV_VAR, SHARDS_ENV_VAR
+from ..datalog.engine import OVERLAP_ENV_VAR, PLANNER_ENV_VAR, SHARDS_ENV_VAR
 from ..datalog.planner import PLANNERS
 from . import ALL_EXPERIMENTS
 from .planner_bench import EXPLAIN_ENV_VAR
@@ -66,13 +66,6 @@ def main(argv: list[str] | None = None) -> int:
         f"(exports {EXPLAIN_ENV_VAR}=1)",
     )
     parser.add_argument(
-        "--no-semijoin-filter",
-        action="store_true",
-        help="ablation: disable semi-join-filtered exchanges (plus EDB "
-        "replication and head pre-routing) in sharded runs "
-        f"(exports {SEMIJOIN_ENV_VAR}=0)",
-    )
-    parser.add_argument(
         "--no-exchange-overlap",
         action="store_true",
         help="ablation: disable double-buffered exchange/compute overlap in "
@@ -101,8 +94,6 @@ def main(argv: list[str] | None = None) -> int:
         os.environ[PLANNER_ENV_VAR] = args.planner
     if args.explain:
         os.environ[EXPLAIN_ENV_VAR] = "1"
-    if args.no_semijoin_filter:
-        os.environ[SEMIJOIN_ENV_VAR] = "0"
     if args.no_exchange_overlap:
         os.environ[OVERLAP_ENV_VAR] = "0"
     if args.serving_protected:

@@ -6,7 +6,7 @@ buffers + run-structured index + open-addressing hash table, with an O(Δ)
 incremental ``merge``), lazy :class:`~repro.relational.columnbatch.ColumnBatch`
 operands, the join/dedup/difference operators, semi-naïve
 :class:`~repro.relational.relation.Relation` version triples and their
-sharded router, planner statistics, semi-join exchange filters, and
+sharded router, planner statistics, and
 iteration-boundary checkpoints.  No module in this package imports an array
 library — every primitive goes through the owning device's
 :class:`~repro.backend.base.ArrayBackend`, and host arrays cross only at

@@ -54,7 +54,7 @@ def assert_exposes(target, names: set[str]) -> None:
 
 
 def test_batch_results_expose_what_the_driver_reads():
-    engine = GPULogEngine(**ENGINE)
+    engine = GPULogEngine(**ENGINE, num_shards=1)
     try:
         engine.add_fact_array("edge", EDGES)
         result = engine.run(SG_SOURCE)

@@ -2,9 +2,9 @@
 
 The cost model is deterministic, so a ratio of two simulated times is a fact
 about the code, not about the machine: each lever the engine ships (generic
-join, cost planner, checkpoints, the filtered exchange, incremental serving
-epochs, the run-stack index merge) must keep paying — or keep costing no more —
-than the thresholds below.  Fault injection is pinned off; host wall-clock is
+join, cost planner, checkpoints, EDB replication in the exchange, incremental
+serving epochs, the run-stack index merge) must keep paying — or keep costing
+no more — than the thresholds below.  Fault injection is pinned off; host wall-clock is
 ``bench/run.py``'s job (see ``docs/benchmarks.md``).
 """
 
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro import GPULogEngine
+from repro.datalog.engine import SHARDS_ENV_VAR
 from repro.datasets import load_dataset
 from repro.device import Device
 from repro.device.profiler import PHASE_MERGE
@@ -31,8 +32,9 @@ MIN_INTERMEDIATE_BLOWUP = 10.0
 MAX_COST_REGRESSION = 1.05
 #: Ceiling for ``checkpoint_every=50`` over the checkpoint-free fixpoint.
 MAX_CHECKPOINT_OVERHEAD = 1.10
-#: Ceiling for semi-join-filtered over unfiltered exchange bytes.
-MAX_FILTERED_EXCHANGE_RATIO = 0.7
+#: Ceiling for exchange bytes with small-EDB replication (and the head
+#: pre-routing it enables) over ``replicate_max_bytes=0``.
+MAX_REPLICATED_EXCHANGE_RATIO = 0.7
 #: Floor for a full re-fixpoint over the median trickle insert epoch.
 MIN_SERVING_SPEEDUP = 5.0
 #: Ceiling for the index elements path merges rewrite over a whole fixpoint,
@@ -48,6 +50,8 @@ def sg_d5():
 
 
 def run(source, facts, **options):
+    # One device unless a floor says otherwise, whatever REPRO_SHARDS says.
+    options.setdefault("num_shards", 1)
     engine = GPULogEngine(
         device="h100", oom_enabled=False, collect_relations=False, fault_plan="none", **options
     )
@@ -93,13 +97,15 @@ def test_checkpoint_premium_stays_small():
     assert insured.elapsed_seconds <= MAX_CHECKPOINT_OVERHEAD * plain.elapsed_seconds
 
 
-def test_filtered_exchange_prunes_and_overlaps():
+def test_replicated_exchange_saves_bytes_and_overlaps():
     single = run(SG_SOURCE, sg_d5(), num_shards=1)
-    filtered = run(SG_SOURCE, sg_d5(), num_shards=4)
-    unfiltered = run(SG_SOURCE, sg_d5(), num_shards=4, semijoin_filter=False)
-    assert filtered.count("sg") == unfiltered.count("sg") == single.count("sg")
-    assert 0 < filtered.exchange_bytes <= MAX_FILTERED_EXCHANGE_RATIO * unfiltered.exchange_bytes
-    assert filtered.exchange_overlap_efficiency > 0
+    replicated = run(SG_SOURCE, sg_d5(), num_shards=4)
+    unreplicated = run(SG_SOURCE, sg_d5(), num_shards=4, replicate_max_bytes=0)
+    assert replicated.count("sg") == unreplicated.count("sg") == single.count("sg")
+    assert replicated.replicated_joins > 0
+    assert unreplicated.replicated_joins == 0
+    assert 0 < replicated.exchange_bytes <= MAX_REPLICATED_EXCHANGE_RATIO * unreplicated.exchange_bytes
+    assert replicated.exchange_overlap_efficiency > 0
 
 
 @pytest.mark.parametrize(
@@ -110,7 +116,8 @@ def test_filtered_exchange_prunes_and_overlaps():
     ],
     ids=["sg-tree-d6", "tc-dense-n400"],
 )
-def test_insert_epoch_beats_refixpoint(source, make_edges, head, batch, epochs):
+def test_insert_epoch_beats_refixpoint(monkeypatch, source, make_edges, head, batch, epochs):
+    monkeypatch.setenv(SHARDS_ENV_VAR, "1")
     # trickle_epochs itself raises if the resident answer and the re-fixpoint
     # over the same final EDB disagree on |head|.
     info = trickle_epochs(source, make_edges(), head, batch=batch, epochs=epochs, retract_epochs=0)
@@ -147,7 +154,7 @@ def test_chain_fixpoint_index_maintenance_is_amortised(monkeypatch):
 
     monkeypatch.setattr(HISA, "merge", counting_merge)
     monkeypatch.setattr(Device, "charge", counting_charge)
-    engine = GPULogEngine(device="h100", oom_enabled=False, collect_relations=False, fault_plan="none")
+    engine = GPULogEngine(device="h100", oom_enabled=False, collect_relations=False, fault_plan="none", num_shards=1)
     try:
         engine.add_fact_array("edge", np.array([[i, i + 1] for i in range(n)], dtype=np.int64))
         result = engine.run(REACH_SOURCE)

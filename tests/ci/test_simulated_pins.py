@@ -57,6 +57,18 @@ load time or on a serving seed, none inside a batch iteration:
   unfused hash / probe / compact — and takes the batch path: 3 and 1.
 
 The comment on each row gives its launch delta.
+
+**Deleting the semi-join filter bank re-pinned three rows — ``("cspa", 2)``,
+``("cspa", 4)`` and ``SERVING_PINS[2]`` — and nothing else.**  The bank was
+the exchange layer's per-shard key sets, built from an inner's join column,
+refreshed and merged after every iteration, broadcast to the peers and
+probed before a broadcast.  On ``tc``, ``sg`` and ``triangle`` it never fired
+(their inners are replicated EDBs, probed locally), so those rows are
+bit-identical.  Where it fired, its launches cost more than the rows it
+dropped: the simulated clock falls 2.7 % / 3.4 % / 5.8 % with 369 / 871 / 153
+fewer launches.  Exchange bytes *rise* on the two CSPA rows, by 1,608 B
+(+0.06 %) and 3,272 B (+0.08 %): rows the filter used to drop now ship.
+Iterations, relation counts and the serving epoch numbers are unchanged.
 """
 
 import numpy as np
@@ -125,6 +137,7 @@ def measure(workload: str, num_shards: int) -> dict:
 
 #: recorded at the parent commit of PR 17, tc / sg / cspa re-pinned by PR 18, seconds and launches of
 #: every row re-pinned (lower) by PR 22 (see the module docstring)
+#: the two sharded cspa rows re-pinned (lower) again when the semi-join filter bank was deleted
 PINS = {
     ("cspa", 1): {
         # PR 22: launches -8: 3 load dedups 5->3, materialize_init -3, gather_init +1
@@ -134,15 +147,19 @@ PINS = {
     },
     ("cspa", 2): {
         # PR 22: launches -24: 6 load + 4 replica dedups 5->3, materialize_init -10, gather_init +2, replicate.pack +4
-        "elapsed_seconds": 0.005704050720083613, "kernel_launches": 1731, "total_iterations": 5,
+        # filter bank deleted: launches -369, semi-join filter build/refresh/merge launches gone (was 0.005704050720083613 s /
+        # 1731 launches / 2,788,472 B: +1,608 B, the rows the filter dropped now ship)
+        "elapsed_seconds": 0.00554903492119475, "kernel_launches": 1362, "total_iterations": 5,
         "relation_counts": {"assign": 57, "dereference": 40, "memalias": 400, "valuealias": 529, "valueflow": 507},
-        "exchange_bytes": 2788472.0,
+        "exchange_bytes": 2790080.0,
     },
     ("cspa", 4): {
         # PR 22: launches -48: 12 load + 8 replica dedups 5->3, materialize_init -20, gather_init +4, replicate.pack +8
-        "elapsed_seconds": 0.005755212578455713, "kernel_launches": 3626, "total_iterations": 5,
+        # filter bank deleted: launches -871, semi-join filter build/refresh/merge launches gone (was 0.005755212578455713 s /
+        # 3626 launches / 4,076,808 B: +3,272 B, the rows the filter dropped now ship)
+        "elapsed_seconds": 0.005560204898833141, "kernel_launches": 2755, "total_iterations": 5,
         "relation_counts": {"assign": 57, "dereference": 40, "memalias": 400, "valuealias": 529, "valueflow": 507},
-        "exchange_bytes": 4076808.0,
+        "exchange_bytes": 4080080.0,
     },
     ("sg", 1): {
         # PR 22: launches -7: 2 load dedups 5->3, materialize_init -3
@@ -258,13 +275,16 @@ def measure_serving(num_shards: int) -> dict:
 
 #: recorded at the parent commit of PR 21; seconds and launches re-pinned (lower) by PR 22 (see the
 #: module docstring): 0.005177487173421231 s / 363 and 0.007441700738530274 s / 1206 before
+#: row 2 re-pinned (lower) again when the semi-join filter bank was deleted
 SERVING_PINS = {
     1: {  # launches -29: 4 load/rebuild dedups 5->3, 4 seed dedups 5->3, seed populate-delta -10, materialize_init -3
         "simulated_seconds": 0.00503248184489901, "kernel_launches": 334, "epoch_iterations": [2, 1, 1, 1],
         "retracted": {"edge": 2, "sg": 94}, "rederived": {"sg": 66}, "sg": 474,
     },
     2: {  # launches -56: as above per shard, 14 replica dedups 5->3, replicate.pack +14
-        "simulated_seconds": 0.007271701171912806, "kernel_launches": 1150, "epoch_iterations": [2, 1, 1, 1],
+        # filter bank deleted: launches -153, semi-join filter build/refresh/merge launches gone (was 0.007271701171912806 s /
+        # 1150); the filters were rebuilt after every retract epoch's invalidation
+        "simulated_seconds": 0.0068515589801933655, "kernel_launches": 997, "epoch_iterations": [2, 1, 1, 1],
         "retracted": {"edge": 2, "sg": 94}, "rederived": {"sg": 66}, "sg": 474,
     },
 }

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.datalog.engine import SHARDS_ENV_VAR
 from repro.engines import (
     CudfLikeEngine,
     GPUJoinEngine,
@@ -84,8 +85,9 @@ ABLATED = {
 
 
 @pytest.mark.parametrize("option", sorted(ABLATED))
-def test_gpulog_adapter_options_reach_the_engine(paper_edges, option):
+def test_gpulog_adapter_options_reach_the_engine(monkeypatch, paper_edges, option):
     """Each option changes how SG is evaluated (clock or memory), not what it is."""
+    monkeypatch.setenv(SHARDS_ENV_VAR, "1")
     facts = {"edge": paper_edges}
     default = GPULogAdapter().run(SG_SOURCE, facts, collect_relations=True)
     adapter = ABLATED[option]()

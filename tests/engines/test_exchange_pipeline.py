@@ -1,11 +1,11 @@
-"""The pipelined sharded exchange layer: filters, laziness, overlap.
+"""The pipelined sharded exchange layer: replication, laziness, overlap.
 
 Covers the volume-minimizing exchange schedule end to end:
 
-* semi-join filtering never changes the fixpoint and never ships *more*
-  rows than the unfiltered exchange (hypothesis property);
-* a filtered broadcast that prunes every row ships nothing — no replicated
-  rows counted, no empty transfer launched;
+* small-EDB replication (and the head pre-routing it enables) never changes
+  the fixpoint (hypothesis property);
+* a misaligned probe broadcasts its outer rows, matching or not, and counts
+  the broadcast join;
 * receiver-side interconnect accounting mirrors the sender side, and the
   per-shard send/recv split exposes routing skew;
 * overlap scheduling hides exchange time under the previous iteration's
@@ -26,7 +26,6 @@ from repro.datalog.analysis import analyze_program
 from repro.datalog.ast import Program
 from repro.datalog.engine import GPULogEngine
 from repro.datalog.planner import head_shard_variable, plan_program
-from repro.device import Device
 from repro.device.cost import KernelCost
 from repro.device.profiler import (
     PHASE_EXCHANGE_OVERLAP,
@@ -35,7 +34,6 @@ from repro.device.profiler import (
     Profiler,
 )
 from repro.queries import REACH_SOURCE, SG_SOURCE
-from repro.relational.semijoin import ExchangeFilterBank
 
 
 def run_engine(source, facts, num_shards, **kwargs):
@@ -47,38 +45,6 @@ def run_engine(source, facts, num_shards, **kwargs):
     return result
 
 
-# ----------------------------------------------------------------------
-# Hypothesis property: filtering only ever removes exchanged rows
-# ----------------------------------------------------------------------
-edge_lists = st.lists(
-    st.tuples(st.integers(0, 15), st.integers(0, 15)), min_size=1, max_size=40
-)
-
-
-@settings(max_examples=25, deadline=None)
-@given(edges=edge_lists, num_shards=st.sampled_from([2, 3]))
-def test_filtered_exchange_ships_no_more_rows_than_unfiltered(edges, num_shards):
-    """Same fixpoint, and filtered exchange volume (rows) <= unfiltered.
-
-    Compared in *rows*, with EDB replication disabled in both arms: filters
-    only ever drop rows from a shipment, whereas the byte totals also carry
-    the filter key sets themselves (which on tiny inputs can outweigh the
-    rows they prune — that trade is benchmarked, not asserted).
-    """
-    facts = {"edge": np.unique(np.asarray(edges, dtype=np.int64), axis=0)}
-    filtered = run_engine(
-        SG_SOURCE, facts, num_shards, semijoin_filter=True, replicate_max_bytes=0
-    )
-    unfiltered = run_engine(
-        SG_SOURCE, facts, num_shards, semijoin_filter=False, replicate_max_bytes=0
-    )
-    assert filtered.relation_set("sg") == unfiltered.relation_set("sg")
-    assert filtered.exchange_tuples <= unfiltered.exchange_tuples
-
-
-# ----------------------------------------------------------------------
-# Satellite: a fully pruned broadcast ships nothing
-# ----------------------------------------------------------------------
 # tgt is probed on column 1 by two rules and on column 0 by one, so its
 # canonical shard column is 1 and the out3 probe must broadcast.
 MISALIGNED_SOURCE = """
@@ -88,6 +54,38 @@ out3(x, y) :- src3(x, z), tgt(z, y).
 """
 
 
+# ----------------------------------------------------------------------
+# Hypothesis property: replication is answer-neutral
+# ----------------------------------------------------------------------
+edge_lists = st.lists(
+    st.tuples(st.integers(0, 15), st.integers(0, 15)), min_size=1, max_size=40
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    edges=edge_lists,
+    num_shards=st.sampled_from([2, 3]),
+    source=st.sampled_from([SG_SOURCE, MISALIGNED_SOURCE]),
+)
+def test_replication_is_answer_neutral(edges, num_shards, source):
+    """Replicated EDB inners and pre-routed heads derive exactly the
+    relations of the all-exchange schedule (``replicate_max_bytes=0``)."""
+    rows = np.unique(np.asarray(edges, dtype=np.int64), axis=0)
+    names = ("edge",) if source == SG_SOURCE else ("src1", "src2", "src3", "tgt")
+    facts = {name: rows for name in names}
+    replicated = run_engine(source, facts, num_shards)
+    unreplicated = run_engine(source, facts, num_shards, replicate_max_bytes=0)
+    assert replicated.replicated_joins > 0
+    assert unreplicated.replicated_joins == 0
+    assert replicated.relation_counts == unreplicated.relation_counts
+    for name in replicated.relation_counts:
+        assert replicated.relation_set(name) == unreplicated.relation_set(name)
+
+
+# ----------------------------------------------------------------------
+# Misaligned probes broadcast
+# ----------------------------------------------------------------------
 def _broadcast_facts(disjoint: bool) -> dict:
     # src3's probe keys either miss every tgt column-0 value (disjoint) or
     # hit them all.
@@ -98,32 +96,6 @@ def _broadcast_facts(disjoint: bool) -> dict:
         "src3": np.stack([np.arange(10), src3_keys], axis=1),
         "tgt": np.stack([np.arange(0, 10), np.arange(20, 30)], axis=1),
     }
-
-
-def _broadcast_launches(engine_result_devices):
-    return sum(
-        1
-        for device in engine_result_devices
-        for event in device.profiler.events
-        if ".bcast.d2d" in event.kernel
-    )
-
-
-def test_fully_pruned_broadcast_ships_nothing():
-    engine = GPULogEngine(
-        device="h100", oom_enabled=False, num_shards=3, replicate_max_bytes=0
-    )
-    for name, rows in _broadcast_facts(disjoint=True).items():
-        engine.add_fact_array(name, np.asarray(rows, dtype=np.int64))
-    result = engine.run(MISALIGNED_SOURCE)
-    # Every probe key misses every shard's filter: the broadcast replicates
-    # zero rows, so it neither counts as a broadcast join nor launches a
-    # transfer for the pruned payloads.
-    assert result.count("out3") == 0
-    assert result.broadcast_joins == 0
-    assert result.semijoin_rows_dropped > 0
-    assert _broadcast_launches(engine.devices) == 0
-    engine.close()
 
 
 def test_matching_broadcast_still_ships_and_counts():
@@ -139,13 +111,12 @@ def test_matching_broadcast_still_ships_and_counts():
 
 
 def test_unfiltered_broadcast_counts_even_when_unmatched():
-    # Ablation control: without filtering the same no-match workload really
-    # replicates its rows, so the counter (rows actually replicated) fires.
+    # A broadcast ships its outer rows whether or not they match anywhere,
+    # so the counter (rows actually replicated) fires on a no-match workload.
     result = run_engine(
         MISALIGNED_SOURCE,
         _broadcast_facts(disjoint=True),
         3,
-        semijoin_filter=False,
         replicate_max_bytes=0,
     )
     assert result.count("out3") == 0
@@ -240,16 +211,11 @@ def test_crash_during_overlapped_exchange_recovers_byte_identically(random_dag_e
 
 
 def test_ablation_env_flags(monkeypatch, paper_edges):
-    monkeypatch.setenv("REPRO_SEMIJOIN_FILTER", "0")
     monkeypatch.setenv("REPRO_EXCHANGE_OVERLAP", "0")
     engine = GPULogEngine(device="h100", oom_enabled=False, num_shards=2)
-    assert engine.semijoin_filter is False
     assert engine.overlap is False
     # Explicit arguments beat the environment.
-    explicit = GPULogEngine(
-        device="h100", oom_enabled=False, num_shards=2, semijoin_filter=True, overlap=True
-    )
-    assert explicit.semijoin_filter is True
+    explicit = GPULogEngine(device="h100", oom_enabled=False, num_shards=2, overlap=True)
     assert explicit.overlap is True
 
 
@@ -286,69 +252,3 @@ def test_head_shard_variable_resolves_position():
     name = head_shard_variable(version, 0)
     assert name in final_schema
     assert head_shard_variable(version, 99) is None
-
-
-# ----------------------------------------------------------------------
-# Filter bank (unit)
-# ----------------------------------------------------------------------
-def _two_device_bank():
-    devices = [Device("h100", oom_enabled=False) for _ in range(2)]
-    return devices, ExchangeFilterBank(devices)
-
-
-class _FakeShard:
-    """Minimal stand-in exposing the shard surface the bank reads."""
-
-    def __init__(self, device, full, delta=()):
-        from repro.relational.columnbatch import ColumnBatch
-
-        self._full = np.asarray(full, dtype=np.int64).reshape(-1, 2)
-        self._delta = np.asarray(delta, dtype=np.int64).reshape(-1, 2)
-        self._device = device
-        self._wrap = ColumnBatch
-
-    def full_batch(self):
-        return self._wrap.from_rows(self._device, self._full)
-
-    @property
-    def delta_batch(self):
-        return self._wrap.from_rows(self._device, self._delta)
-
-    @property
-    def delta_count(self):
-        return len(self._delta)
-
-
-def test_filter_bank_probe_and_refresh():
-    devices, bank = _two_device_bank()
-    shards = [
-        _FakeShard(devices[0], [(1, 10), (3, 30)]),
-        _FakeShard(devices[1], [(5, 50)]),
-    ]
-    bank.ensure("rel", 0, shards)
-    assert bank.has("rel", 0)
-    assert bank.has_relation("rel")
-    assert not bank.has_relation("other")
-    keys = devices[0].backend.asarray([1, 2, 3, 5], dtype=np.int64)
-    mask0 = bank.probe(devices[0], "rel", 0, 0, keys)
-    assert list(mask0) == [True, False, True, False]
-    mask1 = bank.probe(devices[0], "rel", 0, 1, keys)
-    assert list(mask1) == [False, False, False, True]
-    # Untracked (relation, column) pairs return None: ship unfiltered.
-    assert bank.probe(devices[0], "rel", 1, 0, keys) is None
-    # Delta refresh folds the new keys into shard 0's set only.
-    shards[0] = _FakeShard(devices[0], [(1, 10)], delta=[(7, 70)])
-    bank.refresh("rel", shards)
-    mask0 = bank.probe(devices[0], "rel", 0, 0, devices[0].backend.asarray([7], dtype=np.int64))
-    assert list(mask0) == [True]
-    bank.invalidate()
-    assert len(bank) == 0
-    assert bank.probe(devices[0], "rel", 0, 0, keys) is None
-
-
-def test_filter_bank_empty_keyset_rejects_everything():
-    devices, bank = _two_device_bank()
-    shards = [_FakeShard(devices[0], []), _FakeShard(devices[1], [(5, 50)])]
-    bank.ensure("rel", 0, shards)
-    keys = devices[0].backend.asarray([0, 5], dtype=np.int64)
-    assert list(bank.probe(devices[1], "rel", 0, 0, keys)) == [False, False]

@@ -180,7 +180,7 @@ def test_explain_before_any_run():
 
 
 def test_explain_dumps_orders_and_cardinalities():
-    engine = GPULogEngine(device="h100", oom_enabled=False, planner="cost+wcoj")
+    engine = GPULogEngine(device="h100", oom_enabled=False, planner="cost+wcoj", num_shards=1)
     engine.add_fact_array("edge", hub_edges())
     result = engine.run(TRIANGLE_SOURCE)
     dump = engine.explain()

@@ -11,16 +11,20 @@ import numpy as np
 import pytest
 
 from repro.datalog.engine import GPULogEngine
+from repro.datalog.sharded import DEFAULT_REPLICATE_MAX_BYTES
 from repro.queries import CSPA_SOURCE, REACH_SOURCE, SG_SOURCE
 
 SHARD_COUNTS = [1, 2, 3, 4]
 
-#: the exchange-layer ablation matrix: semi-join filtering × overlap
+#: the exchange-layer ablation matrix: EDB replication (with the head
+#: pre-routing it enables) × overlap.  The ids keep the names of the earlier
+#: semi-join-filter matrix so per-test history lines up: "filtered" is the
+#: default schedule, "unfiltered" is ``replicate_max_bytes=0``.
 ABLATIONS = [
-    pytest.param(True, True, id="filtered-overlapped"),
-    pytest.param(True, False, id="filtered-synchronous"),
-    pytest.param(False, True, id="unfiltered-overlapped"),
-    pytest.param(False, False, id="unfiltered-synchronous"),
+    pytest.param(DEFAULT_REPLICATE_MAX_BYTES, True, id="filtered-overlapped"),
+    pytest.param(DEFAULT_REPLICATE_MAX_BYTES, False, id="filtered-synchronous"),
+    pytest.param(0, True, id="unfiltered-overlapped"),
+    pytest.param(0, False, id="unfiltered-synchronous"),
 ]
 
 
@@ -71,41 +75,41 @@ def test_cspa_sharded_equals_single_device(num_shards):
         assert relations[name], f"relation {name!r} unexpectedly empty"
 
 
-@pytest.mark.parametrize("semijoin_filter,overlap", ABLATIONS)
+@pytest.mark.parametrize("replicate_max_bytes,overlap", ABLATIONS)
 @pytest.mark.parametrize("num_shards", [1, 2, 4])
-def test_tc_ablation_matrix_equals_single_device(paper_edges, num_shards, semijoin_filter, overlap):
+def test_tc_ablation_matrix_equals_single_device(paper_edges, num_shards, replicate_max_bytes, overlap):
     _, expected = run_engine(REACH_SOURCE, {"edge": paper_edges}, ["reach"], 1)
     _, relations = run_engine(
         REACH_SOURCE,
         {"edge": paper_edges},
         ["reach"],
         num_shards,
-        semijoin_filter=semijoin_filter,
+        replicate_max_bytes=replicate_max_bytes,
         overlap=overlap,
     )
     assert relations["reach"] == expected["reach"]
     assert relations["reach"]
 
 
-@pytest.mark.parametrize("semijoin_filter,overlap", ABLATIONS)
+@pytest.mark.parametrize("replicate_max_bytes,overlap", ABLATIONS)
 @pytest.mark.parametrize("num_shards", [1, 2, 4])
-def test_sg_ablation_matrix_equals_single_device(random_dag_edges, num_shards, semijoin_filter, overlap):
+def test_sg_ablation_matrix_equals_single_device(random_dag_edges, num_shards, replicate_max_bytes, overlap):
     _, expected = run_engine(SG_SOURCE, {"edge": random_dag_edges}, ["sg"], 1)
     _, relations = run_engine(
         SG_SOURCE,
         {"edge": random_dag_edges},
         ["sg"],
         num_shards,
-        semijoin_filter=semijoin_filter,
+        replicate_max_bytes=replicate_max_bytes,
         overlap=overlap,
     )
     assert relations["sg"] == expected["sg"]
     assert relations["sg"]
 
 
-@pytest.mark.parametrize("semijoin_filter,overlap", ABLATIONS)
+@pytest.mark.parametrize("replicate_max_bytes,overlap", ABLATIONS)
 @pytest.mark.parametrize("num_shards", [1, 2, 4])
-def test_cspa_ablation_matrix_equals_single_device(num_shards, semijoin_filter, overlap):
+def test_cspa_ablation_matrix_equals_single_device(num_shards, replicate_max_bytes, overlap):
     outputs = ["valueflow", "valuealias", "memalias"]
     _, expected = run_engine(CSPA_SOURCE, cspa_facts(), outputs, 1)
     _, relations = run_engine(
@@ -113,7 +117,7 @@ def test_cspa_ablation_matrix_equals_single_device(num_shards, semijoin_filter, 
         cspa_facts(),
         outputs,
         num_shards,
-        semijoin_filter=semijoin_filter,
+        replicate_max_bytes=replicate_max_bytes,
         overlap=overlap,
     )
     for name in outputs:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.datalog.engine import SHARDS_ENV_VAR
 from repro.device import device_preset
 from repro.experiments import (
     FIGURE1_SG,
@@ -52,7 +53,10 @@ def test_figure1_trace_matches_paper():
     assert len(table.rows) >= 2
 
 
-def test_run_gpulog_caches_and_repricing():
+def test_run_gpulog_caches_and_repricing(monkeypatch):
+    # The events re-priced are one device's, so the run must be on one device.
+    monkeypatch.setenv(SHARDS_ENV_VAR, "1")
+    clear_caches()
     result, events = run_gpulog("SF.cedge", "reach", profile="test")
     result2, events2 = run_gpulog("SF.cedge", "reach", profile="test")
     assert result2 is result and events2 is events

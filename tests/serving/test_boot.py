@@ -116,7 +116,7 @@ def test_removed_serving_keywords_are_type_errors(keyword):
         ServingEngine(REACH_SOURCE, {"edge": CHAIN}, fault_plan="none", **{keyword: 1})
 
 
-@pytest.mark.parametrize("keyword", ["buffer_growth_factor", "retry_backoff_seconds", "max_iterations"])
+@pytest.mark.parametrize("keyword", ["buffer_growth_factor", "retry_backoff_seconds", "max_iterations", "semijoin_filter"])
 def test_removed_batch_keywords_are_type_errors(keyword):
     with pytest.raises(TypeError, match=keyword):
         GPULogEngine(device="h100", **{keyword: 1})
