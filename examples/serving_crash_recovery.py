@@ -6,7 +6,9 @@ checkpoint store serves a stream of insert/retract epochs over 2 simulated
 H100s while this script abuses it:
 
 1. a few epochs commit normally (each one WAL-logged, committed with an
-   fsync'd marker, and checkpointed at the epoch boundary);
+   fsync'd marker, and checkpointed at the epoch boundary — as a segment
+   of the rows it appended, or as a new base once a retract re-initialized
+   a relation);
 2. a permanently faulty shard makes one epoch exhaust its retry ladder —
    the epoch aborts, state and snapshot versions roll back, and reads keep
    serving the last committed answer;
@@ -19,7 +21,8 @@ H100s while this script abuses it:
    epoch, and resumes serving.
 
 The recovered database must be byte-identical to a fault-free engine fed
-the same acknowledged history — the script checks exactly that.
+the same acknowledged history — the script checks exactly that — and the
+script ends by printing the checkpoint chain recovery would fold.
 """
 
 import os
@@ -39,6 +42,22 @@ CHAIN = [(i, i + 1) for i in range(8)]
 
 def snapshot_bytes(engine):
     return {name: engine.query(name).rows.tobytes() for name in ("edge", "reach")}
+
+
+def print_chain(store):
+    """The newest checkpoint's chain, base first: what recovery folds."""
+    for link in store.chain(store.list_ids()[-1]):
+        rows = sum(
+            partition.full.shape[0]
+            for state in link.relations.values()
+            for partition in state.partitions
+        )
+        on_disk = sum(
+            os.path.getsize(os.path.join(store.directory, link.checkpoint_id + suffix))
+            for suffix in (".json", ".npz")
+        )
+        kind = "segment" if link.parent else "base"
+        print(f"  {link.checkpoint_id}  {kind:7}  {rows:3d} rows  {on_disk:5d} bytes on disk")
 
 
 def main() -> None:
@@ -123,6 +142,13 @@ def main() -> None:
         f"post-recovery epoch {result.epoch} committed: |reach| = {reach.shape[0]}, "
         f"longest path spans {longest} nodes"
     )
+    # That epoch added about as many rows as the chain held, so it absorbed
+    # the chain into a new base.  Smaller epochs persist only the rows they
+    # append, as segments stacked on top.
+    recovered.submit(inserts={"edge": [(100 + 2 * i, 101 + 2 * i) for i in range(4)]}).result()
+    recovered.submit(inserts={"edge": [(200, 201)]}).result()
+    print("checkpoint chain after two small epochs (base first):")
+    print_chain(store)
 
     clean.close()
     recovered.close()

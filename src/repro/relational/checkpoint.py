@@ -8,6 +8,15 @@ A checkpoint therefore snapshots exactly those two column sets per relation
 per shard, and a restore re-indexes them through the ordinary
 :meth:`Relation.initialize` path.
 
+A checkpoint is either a **base**, complete on its own, or a **segment**: it
+names a ``parent`` and holds, per relation and shard, only the full rows
+appended since that parent (plus the newest delta and the symbol-table tail).
+A full version only grows between re-initializations, so a base followed by
+its segments is the whole state; :meth:`CheckpointStore.load` and
+:meth:`CheckpointStore.latest` fold such a chain back into one ordinary
+checkpoint, and callers never see a segment unless they ask for the
+:meth:`CheckpointStore.chain`.
+
 Two stores are provided:
 
 * :class:`InMemoryCheckpointStore` — host-RAM snapshots (the default; a real
@@ -15,15 +24,17 @@ Two stores are provided:
 * :class:`DiskCheckpointStore` — ``.npz``-serialized HISA column buffers plus
   a JSON manifest, surviving process restarts.
 
-Both keep a bounded history (newest last) so a long fixpoint cannot
-accumulate unbounded snapshot memory.
+Both keep a bounded history: the ``keep`` newest checkpoints and every
+ancestor of one, so a long fixpoint cannot accumulate unbounded snapshot
+memory and no kept checkpoint loses a link of its chain.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -82,7 +93,12 @@ class EvaluationCheckpoint:
     ``program_source`` carries the *interned* program text so a checkpoint
     loaded from disk can be resumed without re-supplying the program; the
     engine that resumes must own the symbol table that interned it (or the
-    program must be symbol-free).
+    program must be symbol-free) — ``symbols`` carries that table's
+    ``(symbol, identifier)`` entries when the writer has one.
+
+    With a ``parent`` the checkpoint is a segment of a chain (module
+    docstring): its full rows and ``symbols`` are what was appended since the
+    parent, everything else describes the state as a whole.
     """
 
     program_name: str
@@ -93,6 +109,8 @@ class EvaluationCheckpoint:
     program_source: str = ""
     checkpoint_id: str = ""
     metadata: dict = field(default_factory=dict)
+    symbols: list[tuple[str, int]] = field(default_factory=list)
+    parent: str = ""
 
     @property
     def nbytes(self) -> int:
@@ -108,59 +126,146 @@ class EvaluationCheckpoint:
         return np.concatenate(parts, axis=0)
 
 
+def _fold(chain: list[EvaluationCheckpoint]) -> EvaluationCheckpoint:
+    """One ordinary checkpoint from a base and its segments, oldest first.
+
+    Per relation and shard the full rows concatenate in chain order and the
+    symbol tails concatenate; the delta, the iteration counters, the metadata
+    and the id are the head's.
+    """
+    head = chain[-1]
+    if len(chain) == 1:
+        return head
+    relations: dict[str, RelationState] = {}
+    for name, state in head.relations.items():
+        partitions = []
+        for shard, partition in enumerate(state.partitions):
+            try:
+                fulls = [member.relations[name].partitions[shard].full for member in chain]
+            except (KeyError, IndexError):
+                raise CheckpointError(
+                    f"checkpoint chain of {head.checkpoint_id!r} has no shard {shard} "
+                    f"of relation {name!r} in every link"
+                ) from None
+            partitions.append(
+                PartitionState(
+                    full=np.concatenate(fulls, axis=0),
+                    delta=partition.delta,
+                    iteration=partition.iteration,
+                )
+            )
+        relations[name] = RelationState(name=name, arity=state.arity, partitions=partitions)
+    symbols = [entry for member in chain for entry in member.symbols]
+    return replace(head, relations=relations, symbols=symbols, parent="")
+
+
 class CheckpointStore:
-    """Interface shared by the in-memory and on-disk checkpoint backends."""
+    """Chains of checkpoints, shared by the in-memory and on-disk backends.
 
-    def save(self, checkpoint: EvaluationCheckpoint) -> str:
+    ``save`` names a checkpoint (ids sort in save order) and then prunes
+    everything but the ``keep`` newest checkpoints and their ancestors — only
+    after the new one is durable.  ``load`` / ``latest`` return a chain
+    folded into one ordinary checkpoint.  Backends implement the raw,
+    unfolded ``_write`` / ``_read`` / ``_delete`` and :meth:`list_ids`, and
+    may answer ``_parent`` without reading a payload.
+    """
+
+    def __init__(self, keep: int) -> None:
+        if keep < 1:
+            raise CheckpointError("a checkpoint store must keep at least one checkpoint")
+        self.keep = int(keep)
+        self._counter = 0
+
+    # -- backend hooks ---------------------------------------------------
+    def _write(self, checkpoint: EvaluationCheckpoint) -> None:
         raise NotImplementedError
 
-    def load(self, checkpoint_id: str) -> EvaluationCheckpoint:
+    def _read(self, checkpoint_id: str) -> EvaluationCheckpoint:
         raise NotImplementedError
 
-    def latest(self) -> EvaluationCheckpoint | None:
+    def _parent(self, checkpoint_id: str) -> str:
+        return self._read(checkpoint_id).parent
+
+    def _delete(self, checkpoint_id: str) -> None:
         raise NotImplementedError
 
     def list_ids(self) -> list[str]:
+        """Every stored checkpoint id, segments included, oldest first."""
         raise NotImplementedError
 
-    def clear(self) -> None:
-        raise NotImplementedError
-
-
-class InMemoryCheckpointStore(CheckpointStore):
-    """Keeps the ``keep`` newest checkpoints in host memory."""
-
-    def __init__(self, *, keep: int = 2) -> None:
-        if keep < 1:
-            raise CheckpointError("an in-memory store must keep at least one checkpoint")
-        self.keep = int(keep)
-        self._checkpoints: list[EvaluationCheckpoint] = []
-        self._counter = 0
-
+    # -- the chain -------------------------------------------------------
     def save(self, checkpoint: EvaluationCheckpoint) -> str:
         self._counter += 1
         checkpoint.checkpoint_id = (
-            checkpoint.checkpoint_id
-            or f"ckpt-{self._counter:06d}-s{checkpoint.stratum_index}-i{checkpoint.iteration}"
+            f"ckpt-{self._counter:06d}-s{checkpoint.stratum_index}-i{checkpoint.iteration}"
         )
-        self._checkpoints.append(checkpoint)
-        del self._checkpoints[: -self.keep]
+        self._write(checkpoint)
+        self._prune()
         return checkpoint.checkpoint_id
 
+    def chain(self, checkpoint_id: str) -> list[EvaluationCheckpoint]:
+        """The stored checkpoints ``checkpoint_id`` folds from, unfolded:
+        its base first, itself last."""
+        links = [self._read(checkpoint_id)]
+        while links[-1].parent:
+            links.append(self._read(links[-1].parent))
+        return links[::-1]
+
     def load(self, checkpoint_id: str) -> EvaluationCheckpoint:
-        for checkpoint in reversed(self._checkpoints):
-            if checkpoint.checkpoint_id == checkpoint_id:
-                return checkpoint
-        raise CheckpointError(f"unknown checkpoint {checkpoint_id!r}")
+        return _fold(self.chain(checkpoint_id))
 
     def latest(self) -> EvaluationCheckpoint | None:
-        return self._checkpoints[-1] if self._checkpoints else None
-
-    def list_ids(self) -> list[str]:
-        return [checkpoint.checkpoint_id for checkpoint in self._checkpoints]
+        ids = self.list_ids()
+        return self.load(ids[-1]) if ids else None
 
     def clear(self) -> None:
-        self._checkpoints.clear()
+        for checkpoint_id in reversed(self.list_ids()):
+            self._delete(checkpoint_id)
+
+    def _prune(self) -> None:
+        ids = self.list_ids()
+        kept: set[str] = set()
+        for head in ids[-self.keep :]:
+            cursor = head
+            while cursor and cursor not in kept:
+                kept.add(cursor)
+                cursor = self._parent(cursor)
+        # Newest first, so a crash mid-prune leaves no segment without its parent.
+        for stale in reversed(ids):
+            if stale not in kept:
+                self._delete(stale)
+
+
+class InMemoryCheckpointStore(CheckpointStore):
+    """Keeps the ``keep`` newest checkpoints (and their ancestors) in host memory."""
+
+    def __init__(self, *, keep: int = 2) -> None:
+        super().__init__(keep)
+        self._checkpoints: dict[str, EvaluationCheckpoint] = {}
+
+    def _write(self, checkpoint: EvaluationCheckpoint) -> None:
+        self._checkpoints[checkpoint.checkpoint_id] = checkpoint
+
+    def _read(self, checkpoint_id: str) -> EvaluationCheckpoint:
+        try:
+            return self._checkpoints[checkpoint_id]
+        except KeyError:
+            raise CheckpointError(f"unknown checkpoint {checkpoint_id!r}") from None
+
+    def _delete(self, checkpoint_id: str) -> None:
+        del self._checkpoints[checkpoint_id]
+
+    def list_ids(self) -> list[str]:
+        return list(self._checkpoints)
+
+
+_SEQUENCE = re.compile(r"ckpt-(\d+)-")
+
+
+def _sequence(name: str) -> int:
+    """The save counter a store encoded in a checkpoint's id or file name."""
+    match = _SEQUENCE.match(name)
+    return int(match.group(1)) if match else 0
 
 
 class DiskCheckpointStore(CheckpointStore):
@@ -169,28 +274,25 @@ class DiskCheckpointStore(CheckpointStore):
     The ``.npz`` holds every partition's full/delta column buffer under keys
     ``<relation>/<shard>/full`` and ``<relation>/<shard>/delta`` (HISA stores
     int64 columns; ``np.savez_compressed`` round-trips them exactly).  The
-    JSON manifest carries the structural metadata and the program source.
+    JSON manifest carries the structural metadata, the program source, the
+    symbol entries and the parent id.
     """
 
     def __init__(self, directory: str, *, keep: int = 2) -> None:
-        if keep < 1:
-            raise CheckpointError("a disk store must keep at least one checkpoint")
+        super().__init__(keep)
         self.directory = str(directory)
-        self.keep = int(keep)
         os.makedirs(self.directory, exist_ok=True)
-        self._counter = len(self.list_ids())
+        # Continue past every id on disk: after pruning, a count of the
+        # survivors would hand out an id that sorts before them.
+        self._counter = max(map(_sequence, os.listdir(self.directory)), default=0)
+        self._parents: dict[str, str] = {}
 
     # ------------------------------------------------------------------
     def _paths(self, checkpoint_id: str) -> tuple[str, str]:
         base = os.path.join(self.directory, checkpoint_id)
         return base + ".json", base + ".npz"
 
-    def save(self, checkpoint: EvaluationCheckpoint) -> str:
-        self._counter += 1
-        checkpoint.checkpoint_id = (
-            checkpoint.checkpoint_id
-            or f"ckpt-{self._counter:06d}-s{checkpoint.stratum_index}-i{checkpoint.iteration}"
-        )
+    def _write(self, checkpoint: EvaluationCheckpoint) -> None:
         manifest_path, payload_path = self._paths(checkpoint.checkpoint_id)
         arrays: dict[str, np.ndarray] = {}
         manifest_relations = {}
@@ -223,6 +325,8 @@ class DiskCheckpointStore(CheckpointStore):
             "relations": manifest_relations,
             "program_source": checkpoint.program_source,
             "metadata": checkpoint.metadata,
+            "symbols": [[str(s), int(i)] for s, i in checkpoint.symbols],
+            "parent": checkpoint.parent,
         }
         manifest_tmp = manifest_path + ".tmp"
         with open(manifest_tmp, "w", encoding="utf-8") as handle:
@@ -230,17 +334,21 @@ class DiskCheckpointStore(CheckpointStore):
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(manifest_tmp, manifest_path)
-        self._prune()
-        return checkpoint.checkpoint_id
+        self._parents[checkpoint.checkpoint_id] = checkpoint.parent
 
-    def load(self, checkpoint_id: str) -> EvaluationCheckpoint:
+    def _manifest(self, checkpoint_id: str) -> dict:
         manifest_path, payload_path = self._paths(checkpoint_id)
         if not os.path.exists(manifest_path) or not os.path.exists(payload_path):
             raise CheckpointError(f"unknown checkpoint {checkpoint_id!r} in {self.directory!r}")
         with open(manifest_path, "r", encoding="utf-8") as handle:
             manifest = json.load(handle)
+        self._parents[checkpoint_id] = manifest.get("parent", "")
+        return manifest
+
+    def _read(self, checkpoint_id: str) -> EvaluationCheckpoint:
+        manifest = self._manifest(checkpoint_id)
         relations: dict[str, RelationState] = {}
-        with np.load(payload_path) as payload:
+        with np.load(self._paths(checkpoint_id)[1]) as payload:
             for name, meta in manifest["relations"].items():
                 arity = int(meta["arity"])
                 iterations = meta.get("iterations") or [0] * int(meta["shards"])
@@ -261,11 +369,23 @@ class DiskCheckpointStore(CheckpointStore):
             program_source=manifest.get("program_source", ""),
             checkpoint_id=checkpoint_id,
             metadata=manifest.get("metadata", {}),
+            symbols=[(str(s), int(i)) for s, i in manifest.get("symbols", [])],
+            parent=manifest.get("parent", ""),
         )
 
-    def latest(self) -> EvaluationCheckpoint | None:
-        ids = self.list_ids()
-        return self.load(ids[-1]) if ids else None
+    def _parent(self, checkpoint_id: str) -> str:
+        # Cached: pruning walks the kept chains on every save, and a base's
+        # manifest holds the whole symbol table.
+        if checkpoint_id not in self._parents:
+            self._manifest(checkpoint_id)
+        return self._parents[checkpoint_id]
+
+    def _delete(self, checkpoint_id: str) -> None:
+        # Manifest first: listing ignores a payload without one.
+        for path in self._paths(checkpoint_id):
+            if os.path.exists(path):
+                os.remove(path)
+        self._parents.pop(checkpoint_id, None)
 
     def list_ids(self) -> list[str]:
         if not os.path.isdir(self.directory):
@@ -279,17 +399,4 @@ class DiskCheckpointStore(CheckpointStore):
             # fail on a file a crash left behind.
             and os.path.exists(os.path.join(self.directory, entry[: -len(".json")] + ".npz"))
         ]
-        return sorted(ids)
-
-    def clear(self) -> None:
-        for checkpoint_id in self.list_ids():
-            for path in self._paths(checkpoint_id):
-                if os.path.exists(path):
-                    os.remove(path)
-
-    def _prune(self) -> None:
-        ids = self.list_ids()
-        for stale in ids[: -self.keep]:
-            for path in self._paths(stale):
-                if os.path.exists(path):
-                    os.remove(path)
+        return sorted(ids, key=lambda checkpoint_id: (_sequence(checkpoint_id), checkpoint_id))

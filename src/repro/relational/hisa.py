@@ -90,6 +90,20 @@ from .hashtable import DEFAULT_LOAD_FACTOR, OpenAddressingHashTable, grown
 ABSORB_RATIO = 2
 
 
+def first_absorbed(sizes: Sequence[int], newer: int) -> int:
+    """The oldest of a run stack's ``sizes`` (oldest first) that a new run of
+    ``newer`` absorbs under :data:`ABSORB_RATIO`; ``len(sizes)`` if none.
+
+    The one absorb rule: :meth:`HISA.merge` applies it to sorted runs, the
+    serving engine to its chain of durable checkpoint segments.
+    """
+    first = len(sizes)
+    while first and ABSORB_RATIO * newer >= sizes[first - 1]:
+        first -= 1
+        newer += sizes[first]
+    return first
+
+
 @dataclass(frozen=True)
 class HisaMemoryBreakdown:
     """Bytes reserved by each HISA tier (for the memory columns of Tables 1-3)."""
@@ -509,7 +523,7 @@ class HISA:
             return self
 
         self._append_data(delta, manager, charge=charge)
-        first = self._first_absorbed(d)
+        first = first_absorbed(self.run_sizes, d)
         # Statistics, push, path merges, key-run scan, key hashing and table
         # build stream the touched runs once each: one fused epilogue, plus a
         # search and a scatter launch per path merge beyond the first's scatter.
@@ -532,15 +546,6 @@ class HISA:
                 del self._bounds[-1]
                 self._seal(0, newest, charge=charge)
         return self
-
-    def _first_absorbed(self, newer: int) -> int:
-        """The oldest sorted run a new run of ``newer`` tuples absorbs (the run count if none)."""
-        sizes = self.run_sizes
-        first = len(sizes)
-        while first and ABSORB_RATIO * newer >= sizes[first - 1]:
-            first -= 1
-            newer += sizes[first]
-        return first
 
     def _count_keys(self, delta: "HISA", *, charge: bool) -> None:
         """Keep ``distinct_key_count`` / ``max_run_length`` exact across a merge, in O(Δ).

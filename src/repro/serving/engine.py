@@ -44,7 +44,8 @@ fail (with :class:`~repro.errors.EpochAborted`), and reads keep serving the
 pre-epoch snapshots.  With a :class:`~repro.serving.wal.WriteAheadLog` every
 submission is logged before its ticket is returned and every commit writes
 a durable marker; together with a periodic checkpoint into a
-:class:`~repro.relational.checkpoint.CheckpointStore`,
+:class:`~repro.relational.checkpoint.CheckpointStore` — a base, then one
+segment of appended rows per checkpoint, kept as a run stack —
 :meth:`ServingEngine.recover` rebuilds a crashed engine to the exact
 pre-crash state (checkpoint + committed-group replay + one catch-up epoch
 for acknowledged-but-uncommitted batches).  A bounded mutation queue
@@ -83,8 +84,10 @@ from ..errors import (
 from ..relational.checkpoint import (
     CheckpointStore,
     EvaluationCheckpoint,
+    PartitionState,
     RelationState,
 )
+from ..relational.hisa import first_absorbed
 from .cache import DEFAULT_PROGRAM_CACHE, CompiledProgram, ProgramCache
 from .snapshot import RelationSnapshot, SnapshotTable, canonical_rows
 from .wal import WalBatch, WriteAheadLog
@@ -171,6 +174,23 @@ class _Mutation:
     seq: int = 0
 
 
+@dataclass(frozen=True)
+class _ChainLink:
+    """One durable checkpoint of the engine's chain (a base or a segment)."""
+
+    checkpoint_id: str
+    #: rows this checkpoint holds itself: the size the absorb rule compares
+    rows: int
+    #: per relation, per shard: full rows this checkpoint and its ancestors hold
+    marks: dict[str, list[int]]
+    #: symbol-table entries this checkpoint and its ancestors hold
+    symbols: int
+
+
+def _total(marks: dict[str, list[int]]) -> int:
+    return sum(sum(rows) for rows in marks.values())
+
+
 class ServingEngine:
     """A resident GPU Datalog database with incremental epochs and snapshots."""
 
@@ -234,6 +254,12 @@ class ServingEngine:
         #: host state of every relation as of the last committed epoch —
         #: the rollback target, refreshed per commit for changed relations
         self._epoch_states: dict[str, RelationState] = {}
+        #: the durable checkpoint chain as a run stack, base first; empty
+        #: when a relation was re-initialized since the last checkpoint,
+        #: which makes the next one a base
+        self._chain: list[_ChainLink] = []
+        #: the epoch the newest durable checkpoint holds (-1 = none yet)
+        self._checkpointed_epoch = -1
         self.last_epoch: EpochResult | None = None
         self.snapshots = SnapshotTable()
 
@@ -278,7 +304,7 @@ class ServingEngine:
                 )
             # Restore the symbol table first: the interned program source and
             # every logged batch encode through these exact identifiers.
-            self.symbols.restore_entries(serving_meta.get("symbols", ()))
+            self.symbols.restore_entries(restore.symbols)
 
         # Compile (cached) and resolve the schema.
         self.program = intern_program(program, self.symbols)
@@ -359,6 +385,13 @@ class ServingEngine:
         self._committed_seq = int(serving_meta.get("covered_seq", 0))
         # The checkpoint's host partitions double as the rollback target.
         self._epoch_states = dict(restore.relations)
+        # The loaded chain is the bottom of the stack: every row the
+        # relations now hold is durable in it.
+        marks = self._row_marks()
+        self._chain = [
+            _ChainLink(restore.checkpoint_id, _total(marks), marks, len(self.symbols))
+        ]
+        self._checkpointed_epoch = self.epoch
 
     # The resident state lives in the batch engine; these are read-only views
     # of it (a shard rebuild swaps ``devices``, ``close`` empties ``relations``).
@@ -802,6 +835,8 @@ class ServingEngine:
             state = self._epoch_states.get(relation_name)
             if state is not None:
                 relation.restore(state)
+        # ``restore`` re-initialized every relation: the next checkpoint is a base.
+        self._chain = []
         self._evaluator.exchange.invalidate()
         self.snapshots.discard_newer(self._versions)
 
@@ -813,13 +848,20 @@ class ServingEngine:
         path, so charging its D2H to the epoch would break the O(|Δ|) shape
         the trickle benchmark gates.  The simulated cost model sees
         checkpoint traffic when a checkpoint is actually persisted
-        (:meth:`_save_serving_checkpoint` charges the D2H then), mirroring
-        the batch engine's checkpoint phase.
+        (:meth:`_save_serving_checkpoint` charges the D2H of the rows it
+        writes then), mirroring the batch engine's checkpoint phase.
         """
         return self.relations[relation_name].checkpoint_state(charge=False)
 
-    def _charge_checkpoint_io(self) -> None:
-        """Charge the D2H traffic of persisting :attr:`_epoch_states` durably.
+    def _row_marks(self) -> dict[str, list[int]]:
+        """Full rows per relation per shard in the rollback baseline."""
+        return {
+            name: [partition.full.shape[0] for partition in state.partitions]
+            for name, state in self._epoch_states.items()
+        }
+
+    def _charge_checkpoint_io(self, checkpoint: EvaluationCheckpoint) -> None:
+        """Charge the D2H traffic of the rows ``checkpoint`` persists.
 
         Fault plans are suspended for the duration: persistence happens
         after the epoch committed, outside the transaction — like rollback,
@@ -829,39 +871,76 @@ class ServingEngine:
         for device in self.devices:
             device.fault_plan = None
         try:
-            for name, state in self._epoch_states.items():
+            for name, state in checkpoint.relations.items():
                 for index, partition in enumerate(state.partitions):
                     device = self.devices[index % len(self.devices)]
                     with device.profiler.phase(PHASE_CHECKPOINT):
-                        device.kernels.to_host(
-                            partition.full, label=f"{name}.d2h_checkpoint"
-                        )
-                        device.kernels.to_host(
-                            partition.delta, label=f"{name}.d2h_checkpoint"
-                        )
+                        for rows in (partition.full, partition.delta):
+                            if rows.shape[0]:
+                                device.kernels.to_host(rows, label=f"{name}.d2h_checkpoint")
         finally:
             for index, plan in enumerate(plans):
                 if index < len(self.devices):
                     self.devices[index].fault_plan = plan
 
     def _save_serving_checkpoint(self) -> None:
-        """Write a durable epoch-boundary checkpoint and compact the WAL.
+        """Make the last committed epoch durable and compact the WAL behind it.
 
-        Reuses the host states :attr:`_epoch_states` already holds, charging
-        their D2H under the checkpoint phase now that the copies become
-        durable.  ``metadata["serving"]``
-        carries everything :meth:`recover` needs beyond relation state:
-        epoch counter, snapshot versions, the WAL horizon the checkpoint
-        covers, and the symbol table that interned the program and rows.
+        The store holds a chain kept as a run stack under HISA's absorb rule
+        (:func:`~repro.relational.hisa.first_absorbed`): the rows appended
+        since the newest checkpoint absorb the newest links they are at least
+        half as large as, and are written as one segment of everything past
+        the surviving link's row marks — exact, because a full version only
+        grows until it is re-initialized, and every re-initialization
+        empties :attr:`_chain`.  Absorbing the base, or an empty chain,
+        writes a new base.  Each row is thereby rewritten
+        O(log(|full| / |Δ|)) times, and a recovery reads O(|full|) rows.
+
+        The rows come from the host states :attr:`_epoch_states` already
+        holds; their D2H is charged under the checkpoint phase now that they
+        become durable.  ``metadata["serving"]`` carries everything
+        :meth:`recover` needs beyond relation state and symbols: epoch
+        counter, snapshot versions and the WAL horizon the checkpoint covers.
+        An epoch that is already durable writes nothing.
         """
         assert self.checkpoint_store is not None
-        self._charge_checkpoint_io()
+        if self.epoch == self._checkpointed_epoch:
+            return
+        marks = self._row_marks()
+        total = _total(marks)
+        chain = self._chain
+        first = (
+            first_absorbed([link.rows for link in chain], total - _total(chain[-1].marks))
+            if chain
+            else 0
+        )
+        parent = chain[first - 1] if first else None
+        if parent is None:
+            relations, below_rows, below_symbols = dict(self._epoch_states), 0, 0
+        else:
+            below_rows, below_symbols = _total(parent.marks), parent.symbols
+            relations = {
+                name: RelationState(
+                    name=name,
+                    arity=state.arity,
+                    partitions=[
+                        PartitionState(
+                            full=partition.full[mark:].copy(),
+                            delta=partition.delta,
+                            iteration=partition.iteration,
+                        )
+                        for partition, mark in zip(state.partitions, parent.marks[name])
+                    ],
+                )
+                for name, state in self._epoch_states.items()
+            }
+        symbols = self.symbols.entries_from(below_symbols)
         checkpoint = EvaluationCheckpoint(
             program_name=self.program.name,
             stratum_index=-1,
             iteration=self.epoch,
             num_shards=self.num_shards,
-            relations=dict(self._epoch_states),
+            relations=relations,
             program_source=str(self.program),
             metadata={
                 "serving": {
@@ -869,13 +948,19 @@ class ServingEngine:
                     "versions": dict(self._versions),
                     "changed_epoch": dict(self._changed_epoch),
                     "covered_seq": self._committed_seq,
-                    "symbols": [[s, i] for s, i in self.symbols.entries()],
                     "planner": self.planner,
                     "num_shards": self.num_shards,
                 }
             },
+            symbols=symbols,
+            parent=parent.checkpoint_id if parent else "",
         )
+        self._charge_checkpoint_io(checkpoint)
         checkpoint_id = self.checkpoint_store.save(checkpoint)
+        self._chain = chain[:first] + [
+            _ChainLink(checkpoint_id, total - below_rows, marks, below_symbols + len(symbols))
+        ]
+        self._checkpointed_epoch = self.epoch
         if self.wal is not None:
             self.wal.append_checkpoint(
                 self.epoch, self._committed_seq, checkpoint_id=checkpoint_id
@@ -900,6 +985,9 @@ class ServingEngine:
                     removed = self.relations[relation_name].retract(rows)
                     if removed:
                         retracted_counts[relation_name] = removed
+                        # The rebuild re-initialized the relation: row
+                        # marks no longer name what was appended.
+                        self._chain = []
                 # The over-delete probes lazily built exchange state (semi-
                 # join filters, replicated inners) from the *pre-deletion*
                 # fulls; the re-derive must see post-deletion state only.

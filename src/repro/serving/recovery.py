@@ -12,9 +12,11 @@ durable artifacts behind:
 
 :func:`recover_engine` stitches them back together:
 
-1. load the newest checkpoint and rebuild a :class:`ServingEngine` around it
-   (program re-parsed from the interned source, symbol table restored,
-   relations restored shard by shard, bootstrap skipped);
+1. load the newest checkpoint — the store folds its base and segments into
+   one — and rebuild a :class:`ServingEngine` around it (program re-parsed
+   from the interned source, symbol table restored, relations restored
+   shard by shard, bootstrap skipped); the loaded chain becomes the bottom
+   link of the engine's checkpoint run stack;
 2. **redo**: replay each committed WAL group past the checkpoint's horizon
    as its own epoch, preserving the crashed engine's epoch boundaries — the
    delta fixpoint is deterministic, so the replayed database (and its
@@ -23,8 +25,10 @@ durable artifacts behind:
    final epoch that earns a fresh commit marker — those submitters held
    tickets, so their writes must survive;  aborted batches are skipped (the
    crashed engine told those submitters their epoch failed);
-4. write a fresh checkpoint, compact the WAL behind it, and only then start
-   the background worker.
+4. if anything was replayed, make it durable as one checkpoint on top of the
+   loaded chain (a segment, unless a replayed retract re-initialized a
+   relation) and compact the WAL behind it; then start the background
+   worker.  Nothing replayed, nothing written.
 
 The engine reports ``recovering`` health for the duration and returns to
 ``healthy`` once the final checkpoint lands.
@@ -101,8 +105,9 @@ def _replay_wal(engine: ServingEngine, wal: "WriteAheadLog | None") -> None:
         pending = wal.pending_batches()
         if pending:
             engine._apply_replay(pending, commit=True)
-    # A fresh checkpoint makes the recovered state durable immediately — a
-    # second crash before the first new epoch must not replay the log again
-    # from the stale horizon.
+    # A checkpoint makes the replayed epochs durable immediately — a second
+    # crash before the first new epoch must not replay the log again from
+    # the stale horizon.  It writes nothing when nothing was replayed, or
+    # when the catch-up epoch already checkpointed.
     if engine.checkpoint_store is not None:
         engine._save_serving_checkpoint()

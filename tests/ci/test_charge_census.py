@@ -23,7 +23,8 @@ UNCHARGED = {
         "a degraded re-execution slices the scan's stored columns, which are already materialized"
     ),
     ("serving/engine.py", "_capture", "checkpoint_state"): (
-        "an epoch's rollback baseline is off the critical path; its D2H is charged when a checkpoint persists it"
+        "an epoch's rollback baseline is off the critical path; the D2H of the rows a checkpoint persists"
+        " from it (a segment's appended rows or a base) is charged then"
     ),
 }
 
