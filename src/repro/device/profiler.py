@@ -124,6 +124,9 @@ class Profiler:
 
     def __init__(self) -> None:
         self._events: list[ProfileEvent] = []
+        #: Σ event seconds in recording order — what re-summing the events
+        #: would give, bit for bit, without the O(events) walk per read
+        self._total_seconds = 0.0
         self._phase_stack: list[str] = []
         self._iteration: int | None = None
         # Overlap-window bookkeeping (double-buffered exchange schedule).
@@ -215,7 +218,7 @@ class Profiler:
                         hidden_fixed = (
                             hidden * (exchange_fixed / exchange) if exchange > 0.0 else 0.0
                         )
-                        self._events.append(
+                        self._append(
                             ProfileEvent(
                                 phase=PHASE_EXCHANGE_OVERLAP,
                                 kernel="exchange_overlap_credit",
@@ -267,7 +270,7 @@ class Profiler:
             iteration=self._iteration,
             fixed_seconds=float(fixed_seconds),
         )
-        self._events.append(event)
+        self._append(event)
         if self._window_depth > 0 and event.seconds > 0.0:
             if event.phase == PHASE_SHARD_EXCHANGE:
                 self._window_exchange += event.seconds
@@ -276,13 +279,17 @@ class Profiler:
                 self._window_compute += event.seconds
         return event
 
+    def _append(self, event: ProfileEvent) -> None:
+        self._events.append(event)
+        self._total_seconds += event.seconds
+
     @property
     def events(self) -> list[ProfileEvent]:
         return list(self._events)
 
     @property
     def total_seconds(self) -> float:
-        return sum(event.seconds for event in self._events)
+        return self._total_seconds
 
     @property
     def fixed_seconds(self) -> float:
@@ -361,6 +368,7 @@ class Profiler:
     def reset(self) -> None:
         """Discard all recorded events (phase/iteration context is kept)."""
         self._events.clear()
+        self._total_seconds = 0.0
         self._window_exchange = 0.0
         self._window_compute = 0.0
         self._pipeline_compute = None
@@ -369,6 +377,7 @@ class Profiler:
 
     def merge_from(self, other: "Profiler") -> None:
         """Append every event recorded by ``other`` into this profiler."""
-        self._events.extend(other._events)
+        for event in other._events:
+            self._append(event)
         self._overlap_hidden += other._overlap_hidden
         self._overlap_exchange += other._overlap_exchange

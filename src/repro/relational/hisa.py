@@ -362,7 +362,6 @@ class HISA:
         key_columns: Sequence[Array],
         *,
         charge: bool = True,
-        verify: bool = True,
     ) -> tuple[MatchedRuns, Array]:
         """Range-query a batch of join keys: ``key_columns[j]`` holds ``join_columns[j]``.
 
@@ -383,9 +382,7 @@ class HISA:
         if m:
             hashes = self._hash_keys(key_columns, charge=charge)
             for run in range(n_runs):
-                self._probe_run(
-                    run, hashes, key_columns, charge=charge, verify=verify, out=(starts[run], lengths[run])
-                )
+                self._probe_run(run, hashes, key_columns, charge=charge, out=(starts[run], lengths[run]))
         return MatchedRuns(starts, lengths), lengths.sum(axis=0)
 
     def _hash_keys(self, key_columns: Sequence[Array], *, charge: bool = True) -> Array:
@@ -407,7 +404,6 @@ class HISA:
         key_columns: Sequence[Array],
         *,
         charge: bool,
-        verify: bool = True,
         out: tuple[Array, Array] | None = None,
     ) -> tuple[Array, Array]:
         """Probe one sorted run's table; hash hits on a different key become misses."""
@@ -415,8 +411,6 @@ class HISA:
             raise HisaStateError("this HISA was built without a hash index")
         backend = self.backend
         starts, lengths = self.table.probe(hashes, run, charge=charge, label=f"{self.label}.probe", out=out)
-        if not verify:
-            return starts, lengths
         hits = backend.nonzero_indices(starts >= 0)
         if hits.size:
             first_rows = self._stores[0][starts[hits]]

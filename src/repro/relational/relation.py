@@ -31,6 +31,7 @@ argument says which side of PCIe it is on:
 
 from __future__ import annotations
 
+import itertools
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
@@ -61,6 +62,12 @@ from .operators import deduplicate, difference
 #: Smallest row count OOM degradation will split a dedup down to; below this
 #: the scratch is a few KiB and a failure means the device is genuinely full.
 OOM_DEDUP_FLOOR_ROWS = 256
+
+#: One counter for every relation in the process: a relation draws a fresh
+#: generation when it is built and on every :meth:`Relation.initialize`, so two
+#: different data tiers — a shard and the replacement a rebuild put in its
+#: place included — never share one.
+_GENERATIONS = itertools.count(1)
 
 
 @dataclass
@@ -127,6 +134,12 @@ class Relation:
         self.history: list[IterationStats] = []
         #: dedup passes that had to degrade into halved chunks after an OOM
         self.oom_degradations = 0
+        #: Names the full version's data tier.  Between two loads it only
+        #: grows by appends (every merge writes past the live rows, in place
+        #: or into a grown copy), so while the generation is unchanged the
+        #: rows at positions ``[n, full_count)`` are exactly those merged in
+        #: since ``full_count`` was ``n`` (:meth:`appended_rows_host`).
+        self.generation = next(_GENERATIONS)
 
     # ------------------------------------------------------------------
     # Index registration
@@ -205,6 +218,7 @@ class Relation:
         # A load replaces whatever the relation held: a retraction's or a
         # restore's previous version, the empty indexes of a rolled-back stratum.
         self.free()
+        self.generation = next(_GENERATIONS)
         with self.device.profiler.phase(PHASE_DEDUPLICATION):
             rows = deduplicate(self.device, rows, label=f"{self.name}.init_dedup")
         self._delta = rows
@@ -543,12 +557,22 @@ class Relation:
         """Download the full version to host rows (the charged D2H edge)."""
         return self.full_batch().to_host(label=f"{self.name}.d2h_result", charge=charge)
 
-    def full_batch(self) -> ColumnBatch:
-        """The full version as a columnar batch — zero-copy views of the
-        canonical index's stored columns (the columnar scan fast path)."""
+    def appended_rows_host(self, start: int) -> np.ndarray:
+        """Download the full rows from data position ``start`` on (charged D2H).
+
+        While :attr:`generation` is the one that stood when ``full_count``
+        was ``start``, these are exactly the rows merged in since.
+        """
+        return self.full_batch(start).to_host(label=f"{self.name}.d2h_appended")
+
+    def full_batch(self, start: int = 0) -> ColumnBatch:
+        """The full version (from data position ``start`` on) as a columnar
+        batch — zero-copy views of the canonical index's stored columns (the
+        columnar scan fast path)."""
         if self._all_columns in self.full_indexes:
             hisa = self.full_indexes[self._all_columns]
-            return ColumnBatch.from_columns(self.device, hisa.natural_columns(), length=hisa.tuple_count)
+            columns = [column[start:] for column in hisa.natural_columns()]
+            return ColumnBatch.from_columns(self.device, columns, length=hisa.tuple_count - start)
         return ColumnBatch.empty(self.device, self.arity)
 
     def as_set(self) -> set[tuple[int, ...]]:

@@ -368,6 +368,29 @@ class ShardedRelation:
             return non_empty[0]
         return HOST_BACKEND.concatenate(non_empty, axis=0)
 
+    def append_marks(self) -> list[tuple[int, int]]:
+        """Per shard ``(generation, full rows)``: where its full version ends now."""
+        return [(shard.generation, shard.full_count) for shard in self.shards]
+
+    def appended_rows_host(self, marks: list[tuple[int, int]]) -> "np.ndarray | None":
+        """Host rows every shard appended past its :meth:`append_marks` entry.
+
+        Each shard that grew pays a charged D2H of its new rows only.  Returns
+        ``None`` when any shard's generation moved — it was re-initialized
+        (a retraction, a restore) or replaced by :meth:`rebuild_shard` — so
+        the marked rows are no longer a prefix of its full version.
+        """
+        if [generation for generation, _ in marks] != [shard.generation for shard in self.shards]:
+            return None
+        parts = [
+            shard.appended_rows_host(rows)
+            for shard, (_, rows) in zip(self.shards, marks)
+            if shard.full_count > rows
+        ]
+        if not parts:
+            return np.empty((0, self.arity), dtype=np.int64)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
+
     def as_set(self) -> set[tuple[int, ...]]:
         return set(host_rows_to_tuples(self.full_rows_host(charge=False)))
 

@@ -23,7 +23,8 @@ keeps the machinery *resident*:
 * :meth:`query` reads per-relation **versioned snapshots**
   (:mod:`repro.serving.snapshot`): immutable canonical copies, materialized
   lazily — a commit only bumps the changed relations' versions, and the
-  charged D2H download happens on the first query of a stale relation.
+  first query of a stale relation downloads the rows appended since the
+  previous snapshot (the charged D2H edge) and merges them into it.
   Repeat reads of an unchanged relation never block on in-flight epochs.
 
 Charged-cost boundaries are unchanged from the batch engine: seed rows and
@@ -89,7 +90,7 @@ from ..relational.checkpoint import (
 )
 from ..relational.hisa import first_absorbed
 from .cache import DEFAULT_PROGRAM_CACHE, CompiledProgram, ProgramCache
-from .snapshot import RelationSnapshot, SnapshotTable, canonical_rows
+from .snapshot import RelationSnapshot, SnapshotTable, canonical_rows, merge_rows, row_keys
 from .wal import WalBatch, WriteAheadLog
 
 __all__ = ["ADMISSION_POLICIES", "EpochResult", "EpochTicket", "ServingEngine"]
@@ -191,6 +192,18 @@ def _total(marks: dict[str, list[int]]) -> int:
     return sum(sum(rows) for rows in marks.values())
 
 
+@dataclass(frozen=True)
+class _ReadMark:
+    """Where a relation stood when its newest snapshot was built."""
+
+    snapshot: RelationSnapshot
+    #: the relation's ``append_marks()`` at that moment: per shard, the
+    #: generation and full row count the snapshot's rows are made of
+    marks: list[tuple[int, int]]
+    #: ``row_keys(snapshot.rows)``: what the next read's merge searches
+    keys: np.ndarray
+
+
 class ServingEngine:
     """A resident GPU Datalog database with incremental epochs and snapshots."""
 
@@ -262,6 +275,8 @@ class ServingEngine:
         self._checkpointed_epoch = -1
         self.last_epoch: EpochResult | None = None
         self.snapshots = SnapshotTable()
+        #: per relation, the newest snapshot's rows as the next read finds them
+        self._read_marks: dict[str, _ReadMark] = {}
 
         # Mutation queue + optional background epoch worker.
         self._engine_lock = threading.RLock()
@@ -504,9 +519,10 @@ class ServingEngine:
         Returns the :class:`RelationSnapshot` (raw interned int64 rows in
         canonical order), or — with ``decode=True`` — the decoded list of
         tuples.  If the relation changed since it was last read, the first
-        query pays the charged D2H download (and briefly synchronizes with
-        the epoch worker); repeat reads of an unchanged relation return the
-        cached immutable snapshot without blocking on in-flight epochs.
+        query pays the charged D2H download of the rows appended since (and
+        briefly synchronizes with the epoch worker); repeat reads of an
+        unchanged relation return the cached immutable snapshot without
+        blocking on in-flight epochs.
         """
         if relation_name not in self.relations:
             raise SchemaError(f"unknown relation {relation_name!r}")
@@ -1197,12 +1213,16 @@ class ServingEngine:
     # Snapshots / encoding helpers
     # ------------------------------------------------------------------
     def _materialize(self, relation_name: str) -> RelationSnapshot:
-        """Return the current snapshot, downloading it if the cache is stale.
+        """Return the current snapshot, building it if the cache is stale.
 
         Fast path (no engine lock): the cached snapshot already matches the
         committed version.  Slow path: take the engine lock — briefly
-        serializing with the epoch worker — re-check, then pay the charged
-        D2H download and publish the canonical copy for later readers.
+        serializing with the epoch worker — re-check, then build the new
+        version and publish it for later readers.  When every shard still
+        holds the generation the previous snapshot was built from, only the
+        rows appended since cross the charged D2H edge and are merged into
+        it; otherwise (first read, or a re-initialization since) the whole
+        relation is downloaded and sorted.
         """
         target = self._versions[relation_name]
         try:
@@ -1220,12 +1240,20 @@ class ServingEngine:
             except KeyError:
                 pass
             relation = self.relations[relation_name]
+            mark = self._read_marks.get(relation_name)
+            appended = None if mark is None else relation.appended_rows_host(mark.marks)
+            if appended is None:
+                rows = canonical_rows(relation.full_rows_host(charge=True), relation.arity)
+                keys = row_keys(rows)
+            else:
+                rows, keys = merge_rows(mark.snapshot.rows, mark.keys, appended)
             snapshot = RelationSnapshot(
                 name=relation_name,
                 version=target,
                 epoch=self._changed_epoch[relation_name],
-                rows=canonical_rows(relation.full_rows_host(charge=True), relation.arity),
+                rows=rows,
             )
+            self._read_marks[relation_name] = _ReadMark(snapshot, relation.append_marks(), keys)
             self.snapshots.publish({relation_name: snapshot})
             return snapshot
 

@@ -3,14 +3,22 @@
 HISA merges mutate storage in place, so a reader holding a device view while
 an epoch merges would observe torn state.  The serving engine therefore
 serves *immutable copies*: when an epoch changes a relation it bumps the
-relation's version, and the first query of the stale relation downloads the
-full version once (the charged D2H edge), canonicalizes it to lexicographic
-row order host-side, freezes it, and installs it in the
-:class:`SnapshotTable` under its lock.  Readers get whichever immutable
-snapshot matches the committed version — never a half-merged epoch — and two
-engines that reach the same logical database publish byte-identical arrays
-regardless of epoch history or shard count (canonical order erases merge and
+relation's version, and the first query of the stale relation builds the new
+version's copy once, freezes it, and installs it in the :class:`SnapshotTable`
+under its lock.  Readers get whichever immutable snapshot matches the
+committed version — never a half-merged epoch — and two engines that reach
+the same logical database publish byte-identical arrays regardless of epoch
+history or shard count (canonical, lexicographic row order erases merge and
 shard-concatenation order).
+
+A relation's full version only grows by appends until it is re-initialized,
+so a new snapshot is the previous one plus the rows appended since it was
+taken: the read downloads just those rows (the charged D2H edge), sorts them
+and merges them in with one binary search over the previous snapshot's packed
+keys (:func:`merge_rows`) — O(Δ) transfer plus one host copy.  Only a read
+after a re-initialization (the bootstrap read, a retraction, a rollback, a
+recovery, a rebuilt shard) downloads and sorts the whole relation
+(:func:`canonical_rows`).
 """
 
 from __future__ import annotations
@@ -20,10 +28,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..backend import host_rows_to_tuples
+from ..backend import HOST_BACKEND, host_rows_to_tuples
 from ..device.kernels import host_lexsort_columns
 
-__all__ = ["RelationSnapshot", "SnapshotTable"]
+__all__ = ["RelationSnapshot", "SnapshotTable", "canonical_rows", "merge_rows", "row_keys"]
+
+
+def _records(rows: np.ndarray) -> np.ndarray:
+    """C-contiguous ``(n, arity)`` rows viewed as ``n`` opaque records of
+    ``arity * 8`` bytes: one 1-D element per row, so a gather or an insert
+    moves each row in one piece instead of column by column."""
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+
+
+def _frozen(records: np.ndarray, arity: int) -> np.ndarray:
+    rows = records.view(np.int64).reshape(-1, arity)
+    rows.setflags(write=False)
+    return rows
 
 
 def canonical_rows(rows: np.ndarray, arity: int) -> np.ndarray:
@@ -33,12 +54,38 @@ def canonical_rows(rows: np.ndarray, arity: int) -> np.ndarray:
     decoding in the batch engine): the charged work is the D2H transfer the
     caller paid; the sort only canonicalizes presentation order.
     """
-    rows = np.asarray(rows, dtype=np.int64).reshape(-1, arity)
-    if rows.shape[0] > 1:
-        rows = rows[host_lexsort_columns([rows[:, column] for column in range(arity)])]
-    rows = np.ascontiguousarray(rows)
-    rows.setflags(write=False)
-    return rows
+    rows = np.ascontiguousarray(rows, dtype=np.int64).reshape(-1, arity)
+    n = rows.shape[0]
+    order = host_lexsort_columns([rows[:, column] for column in range(arity)]) if n > 1 else np.arange(n)
+    return _frozen(_records(rows)[order], arity)
+
+
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """One packed key per host row; keys compare like the rows do lexicographically.
+
+    The packing depends on nothing but the arity, so the keys of a snapshot
+    and of rows appended later are mutually comparable.
+    """
+    return HOST_BACKEND.pack_lex_keys([rows[:, column] for column in range(rows.shape[1])])
+
+
+def merge_rows(rows: np.ndarray, keys: np.ndarray, appended: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical ``rows`` (with their :func:`row_keys`) plus ``appended`` rows.
+
+    ``appended`` is in any order and disjoint from ``rows`` (a relation holds
+    each tuple once).  It is sorted by its own keys, placed by one
+    ``searchsorted`` into ``keys``, and inserted record-wise, so the result is
+    byte-identical to :func:`canonical_rows` over the union.  Returns the new
+    read-only rows and their keys.
+    """
+    arity = rows.shape[1]
+    appended = np.ascontiguousarray(appended, dtype=np.int64).reshape(-1, arity)
+    appended_keys = row_keys(appended)
+    order = np.argsort(appended_keys)
+    appended_keys = appended_keys[order]
+    at = np.searchsorted(keys, appended_keys)
+    merged = np.insert(_records(rows), at, _records(appended)[order])
+    return _frozen(merged, arity), np.insert(keys, at, appended_keys)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,12 @@
 """Tests for the phase-aware profiler and the device facade."""
 
+import functools
+import operator
+
+import numpy as np
 import pytest
 
+from repro.datalog.engine import GPULogEngine
 from repro.device import (
     Device,
     KernelCost,
@@ -9,6 +14,10 @@ from repro.device import (
     PHASE_MERGE,
     Profiler,
 )
+from repro.device.profiler import PHASE_EXCHANGE_OVERLAP
+from repro.queries import SG_SOURCE
+
+from tests import helpers
 
 
 def test_phase_attribution_and_nesting():
@@ -81,3 +90,31 @@ def test_merge_from_combines_profilers():
     b.record(KernelCost(kernel="y"), 2.0)
     a.merge_from(b)
     assert a.total_seconds == 3.0
+
+
+def test_total_seconds_is_the_events_summed_in_recording_order():
+    """The running total equals re-summing every event, bit for bit.
+
+    A sharded run records ordinary kernels and negative overlap credits.  The
+    left fold below is what ``sum(e.seconds for e in events)`` computes up to
+    Python 3.11; 3.12's ``sum`` compensates rounding, so the fold is spelled
+    out and ``sum`` is compared within a tolerance.
+    """
+    engine = GPULogEngine(device="h100", oom_enabled=False, num_shards=4, overlap=True)
+    try:
+        engine.add_fact_array("edge", np.asarray(helpers.random_dag_edges(), dtype=np.int64))
+        engine.run(SG_SOURCE)
+        events = [device.profiler.events for device in engine.devices]
+        assert any(event.phase == PHASE_EXCHANGE_OVERLAP for shard in events for event in shard)
+        for device, shard in zip(engine.devices, events):
+            expected = functools.reduce(operator.add, (event.seconds for event in shard), 0.0)
+            assert device.elapsed_seconds == expected
+            assert device.elapsed_seconds == pytest.approx(sum(event.seconds for event in shard), rel=1e-12)
+        merged = Profiler()
+        for device in engine.devices:
+            merged.merge_from(device.profiler)
+        assert merged.total_seconds == functools.reduce(
+            operator.add, (event.seconds for event in merged.events), 0.0
+        )
+    finally:
+        engine.close()

@@ -1,11 +1,21 @@
-"""Snapshot semantics: canonical form, immutability, atomic publication."""
+"""Snapshot semantics: canonical form, immutability, atomic publication, and
+the incremental read — a new snapshot is the previous one plus the rows
+appended since, byte-identical to sorting the whole relation again."""
 
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.serving import RelationSnapshot, SnapshotTable, canonical_rows
+from repro.device import Device, FaultPlan
+from repro.errors import EpochAborted
+from repro.queries import REACH_SOURCE, SG_SOURCE
+from repro.relational import Relation, ShardedRelation
+from repro.relational.checkpoint import InMemoryCheckpointStore
+from repro.serving import InMemoryWal, RelationSnapshot, ServingEngine, SnapshotTable, canonical_rows
+from repro.serving.snapshot import merge_rows, row_keys
 
 
 def snap(name, version, rows, *, epoch=0, arity=2):
@@ -87,3 +97,147 @@ def test_read_many_is_a_consistent_cut():
     stop.set()
     writer_thread.join()
     assert not errors
+
+
+# ----------------------------------------------------------------------
+# The incremental read
+# ----------------------------------------------------------------------
+CHAIN = [(i, i + 1) for i in range(6)]
+PERMANENT_FAULT = "kernel:*:every=1:times=1000000"
+
+
+def install_plan(engine, spec):
+    plan = FaultPlan.parse(spec)
+    for device in engine.devices:
+        device.fault_plan = plan
+
+
+def assert_reads_canonical(engine):
+    """Every relation's served snapshot is the whole relation, sorted afresh."""
+    for name, relation in engine.relations.items():
+        expected = canonical_rows(relation.full_rows_host(charge=False), relation.arity)
+        assert engine.query(name).rows.tobytes() == expected.tobytes(), name
+
+
+def transferred(engine) -> float:
+    return sum(device.profiler.transfer_bytes for device in engine.devices)
+
+
+def test_merge_rows_matches_a_fresh_sort():
+    rng = np.random.default_rng(4)
+    rows = np.unique(rng.integers(-50, 50, size=(400, 3)), axis=0)
+    order = rng.permutation(rows.shape[0])
+    previous = canonical_rows(rows[order[:300]], 3)
+    merged, keys = merge_rows(previous, row_keys(previous), rows[order[300:]])
+    assert merged.tobytes() == canonical_rows(rows, 3).tobytes()
+    assert keys.tobytes() == row_keys(merged).tobytes()
+    assert not merged.flags.writeable
+
+
+edge_strategy = st.tuples(st.integers(0, 9), st.integers(0, 9))
+step_strategy = st.tuples(
+    st.sampled_from(["insert", "retract", "noop", "abort", "recover"]),
+    st.lists(edge_strategy, min_size=1, max_size=3),
+    st.booleans(),  # read after this step, or let the appended rows pile up
+)
+
+
+@given(
+    steps=st.lists(step_strategy, min_size=1, max_size=8),
+    num_shards=st.sampled_from([1, 2]),
+)
+@settings(max_examples=15, deadline=None)
+def test_incremental_reads_are_byte_identical_to_a_full_sort(steps, num_shards):
+    store, wal = InMemoryCheckpointStore(keep=2), InMemoryWal()
+    engine = ServingEngine(
+        REACH_SOURCE,
+        {"edge": CHAIN},
+        background=False,
+        num_shards=num_shards,
+        fault_plan="none",
+        wal=wal,
+        checkpoint_store=store,
+    )
+    try:
+        assert_reads_canonical(engine)
+        for action, edges, read in steps:
+            if action == "insert":
+                engine.submit(inserts={"edge": edges}).result()
+            elif action == "retract":
+                engine.submit(retracts={"edge": edges}).result()
+            elif action == "noop":
+                engine.submit(retracts={"edge": [(99, 98)]}).result()
+            elif action == "abort":
+                install_plan(engine, PERMANENT_FAULT)
+                with pytest.raises(EpochAborted):
+                    engine.submit(inserts={"edge": edges}).result()
+                install_plan(engine, "none")
+            else:
+                engine.crash()
+                engine = ServingEngine.recover(store, wal, background=False, fault_plan="none")
+            if read:
+                assert_reads_canonical(engine)
+        assert_reads_canonical(engine)
+    finally:
+        engine.close()
+
+
+@pytest.mark.parametrize("num_shards", [1, 2])
+def test_a_read_after_an_insert_epoch_downloads_only_the_appended_rows(num_shards):
+    edges = np.array([(i // 2, i) for i in range(1, 64)], dtype=np.int64)  # a binary tree
+    engine = ServingEngine(SG_SOURCE, {"edge": edges}, background=False, num_shards=num_shards, fault_plan="none")
+    try:
+        before = engine.query("sg")
+        engine.submit(inserts={"edge": [(0, 64), (64, 65)]}).result()
+        start = transferred(engine)
+        after = engine.query("sg")
+        appended = after.count - before.count
+        assert appended > 0
+        assert transferred(engine) - start == appended * 2 * 8
+        assert_reads_canonical(engine)
+    finally:
+        engine.close()
+
+
+def test_a_rebuilt_shard_forces_the_full_read(monkeypatch):
+    sharded = ShardedRelation(
+        [Device("h100", oom_enabled=False) for _ in range(2)], "r", 2, shard_column=0
+    )
+    sharded.initialize(np.array([[0, 1], [1, 2], [2, 3], [3, 4]], dtype=np.int64))
+    marks = sharded.append_marks()
+    assert sharded.appended_rows_host(marks).shape == (0, 2)
+    # The replacement holds the same rows as the shard it replaced, but a
+    # different data tier: the marks no longer describe it.
+    state = sharded.checkpoint_state(charge=False)
+    sharded.rebuild_shard(1, Device("h100", oom_enabled=False))
+    sharded.restore(state)
+    assert [rows for _, rows in sharded.append_marks()] == [rows for _, rows in marks]
+    assert sharded.appended_rows_host(marks) is None
+
+    # In an engine: an exchange fault crashes a shard, rollback rebuilds it,
+    # and the next read downloads and sorts the whole relation.
+    full_reads = []
+    original = Relation.full_rows_host
+
+    def spy(self, **kwargs):
+        full_reads.append(self.name)
+        return original(self, **kwargs)
+
+    monkeypatch.setattr(Relation, "full_rows_host", spy)
+    engine = ServingEngine(REACH_SOURCE, {"edge": CHAIN}, background=False, num_shards=2, fault_plan="none")
+    try:
+        engine.query("reach")
+        engine.submit(inserts={"edge": [(6, 7)]}).result()
+        full_reads.clear()
+        engine.query("reach")
+        assert full_reads == []  # an insert epoch: the incremental read
+        install_plan(engine, "exchange:*:every=1:times=1000000")
+        with pytest.raises(EpochAborted):
+            engine.submit(inserts={"edge": [(7, 8)]}).result()
+        install_plan(engine, "none")
+        engine.submit(inserts={"edge": [(7, 8)]}).result()
+        engine.query("reach")
+        assert full_reads == ["reach", "reach"]  # one download per shard
+        assert_reads_canonical(engine)
+    finally:
+        engine.close()
