@@ -35,7 +35,13 @@ from .planner import (
     RuleVersion,
     plan_program,
 )
-from .seminaive import EvaluationStats, SemiNaiveEvaluator, StratumResult
+from .seminaive import (
+    EvaluationStats,
+    IterationTrace,
+    SemiNaiveEvaluator,
+    StratumResult,
+    WorkloadTrace,
+)
 from .sharded import ShardedSemiNaiveEvaluator, ShardExchange, shard_columns_for_plan
 
 __all__ = [
@@ -47,6 +53,7 @@ __all__ = [
     "GPULogEngine",
     "HeadColumn",
     "InitialScan",
+    "IterationTrace",
     "JoinStep",
     "Planner",
     "Program",
@@ -64,6 +71,7 @@ __all__ = [
     "SymbolTable",
     "Term",
     "Variable",
+    "WorkloadTrace",
     "analyze_program",
     "dependency_graph",
     "make_term",

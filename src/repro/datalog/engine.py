@@ -56,7 +56,7 @@ from .planner import (
     plan_program,
     version_required_indexes,
 )
-from .seminaive import EvaluationStats, SemiNaiveEvaluator
+from .seminaive import EvaluationStats, SemiNaiveEvaluator, WorkloadTrace
 from .sharded import DEFAULT_REPLICATE_MAX_BYTES, shard_columns_for_plan
 
 FactValue = Union[int, str]
@@ -335,6 +335,11 @@ class EvaluationResult:
 
     def count(self, name: str) -> int:
         return self.relation_counts.get(name, 0)
+
+    @property
+    def trace(self) -> WorkloadTrace:
+        """The run's per-iteration work counts, which the baselines price."""
+        return self.stats.trace
 
     def tail_iterations(self, relation: str, threshold: float = 0.01) -> int:
         """Iterations whose delta was below ``threshold`` of the final relation size.

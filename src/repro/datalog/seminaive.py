@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..backend import TUPLE_ITEMSIZE
 from ..device.cost import KernelCost
 from ..device.device import Device
 from ..device.profiler import PHASE_JOIN, PHASE_RECOVERY
@@ -83,10 +84,126 @@ class StratumResult:
 
 
 @dataclass
+class IterationTrace:
+    """Work counters of one semi-naïve iteration (iteration 0 = initialisation).
+
+    What the comparison baselines of :mod:`repro.engines` price.  ``outer``
+    is every executed rule version's scan of its first atom; ``probes`` and
+    ``match_tuples`` are the outer rows each binary join step was handed and
+    the matches its probe counted — before distinct-before-expand, so a
+    baseline prices the plain join; a version run as one generic join or one
+    fused n-way kernel has no steps to count.  ``new`` is the rows the
+    versions appended to *new*; ``delta``/``full`` are the iteration's
+    stratum relations after it.  Every ``*_bytes`` field is its tuples times
+    their arity times ``TUPLE_ITEMSIZE`` (int64 columns).
+    """
+
+    iteration: int
+    outer_tuples: int = 0
+    outer_bytes: int = 0
+    probes: int = 0
+    match_tuples: int = 0
+    match_bytes: int = 0
+    new_tuples: int = 0
+    new_bytes: int = 0
+    delta_tuples: int = 0
+    delta_bytes: int = 0
+    full_tuples_before: int = 0
+    full_bytes_before: int = 0
+    full_tuples_after: int = 0
+    full_bytes_after: int = 0
+    largest_join_output_bytes: int = 0
+
+
+@dataclass
+class WorkloadTrace:
+    """Per-iteration trace of one :meth:`SemiNaiveEvaluator.evaluate` run.
+
+    Counts are global (summed over shards, taken before any exchange), so the
+    trace is the same for every shard count; a retried, OOM-chunked or
+    rolled-back attempt counts once, as the attempt that stood.  Serving
+    epochs (:meth:`SemiNaiveEvaluator.delta_fixpoint`) record nothing.
+    """
+
+    iterations: list[IterationTrace] = field(default_factory=list)
+    relation_counts: dict[str, int] = field(default_factory=dict)
+    relation_arities: dict[str, int] = field(default_factory=dict)
+    edb_relations: set[str] = field(default_factory=set)
+
+    @property
+    def iteration_count(self) -> int:
+        """Number of fixpoint iterations (the initialisation pass is excluded)."""
+        return sum(1 for trace in self.iterations if trace.iteration > 0)
+
+    @property
+    def total_match_tuples(self) -> int:
+        return sum(trace.match_tuples for trace in self.iterations)
+
+    @property
+    def total_new_tuples(self) -> int:
+        return sum(trace.new_tuples for trace in self.iterations)
+
+    @property
+    def total_delta_tuples(self) -> int:
+        return sum(trace.delta_tuples for trace in self.iterations)
+
+    @property
+    def final_full_bytes(self) -> int:
+        if not self.iterations:
+            return 0
+        return self.iterations[-1].full_bytes_after
+
+    @property
+    def edb_bytes(self) -> int:
+        return sum(
+            self.relation_counts.get(name, 0) * self.relation_arities.get(name, 1) * TUPLE_ITEMSIZE
+            for name in self.edb_relations
+        )
+
+
+class _VersionWork:
+    """One rule version's execution as the trace counts it: scan, per join
+    step probes and matches, output rows — summed over the OOM chunks of the
+    attempt that stood."""
+
+    def __init__(self, version: RuleVersion) -> None:
+        self.version = version
+        self.outer_tuples = 0
+        self.outer_bytes = 0
+        self.probes = [0] * len(version.joins)
+        self.matches = [0] * len(version.joins)
+        self.rows = 0
+
+    def add(self, other: "_VersionWork") -> None:
+        self.outer_tuples += other.outer_tuples
+        self.outer_bytes += other.outer_bytes
+        self.probes = [a + b for a, b in zip(self.probes, other.probes)]
+        self.matches = [a + b for a, b in zip(self.matches, other.matches)]
+        self.rows += other.rows
+
+    def record(self, item: IterationTrace, *, new: bool) -> None:
+        """Add the scan and join counts to ``item``, and the output rows as
+        *new* when they went there (not at stratum initialisation)."""
+        item.outer_tuples += self.outer_tuples
+        item.outer_bytes += self.outer_bytes
+        for step, probes, matches in zip(self.version.joins, self.probes, self.matches):
+            match_bytes = matches * len(step.schema) * TUPLE_ITEMSIZE
+            item.probes += probes
+            item.match_tuples += matches
+            item.match_bytes += match_bytes
+            item.largest_join_output_bytes = max(item.largest_join_output_bytes, match_bytes)
+        if new:
+            item.new_tuples += self.rows
+            item.new_bytes += self.rows * len(self.version.head) * TUPLE_ITEMSIZE
+
+
+@dataclass
 class EvaluationStats:
     """Aggregate statistics produced by :class:`SemiNaiveEvaluator.evaluate`."""
 
     strata: list[StratumResult] = field(default_factory=list)
+    #: what the run did, per iteration, for the baselines' cost models
+    trace: WorkloadTrace = field(default_factory=WorkloadTrace)
 
     @property
     def total_iterations(self) -> int:
@@ -192,6 +309,9 @@ class SemiNaiveEvaluator:
 
     def _evaluate(self, idb_facts: dict, resume_from: EvaluationCheckpoint | None) -> EvaluationStats:
         stats = EvaluationStats()
+        trace = stats.trace
+        init = IterationTrace(iteration=0)
+        trace.iterations.append(init)
         analysis = self.plan.analysis
         for stratum in analysis.strata:
             non_recursive, recursive = self.plan.versions_for_stratum(stratum.index)
@@ -238,17 +358,21 @@ class SemiNaiveEvaluator:
                         stratum.index, 0, pre_init=True, stratum_facts=stratum_facts
                     )
                 self._initialize_stratum(
-                    stratum.index, idb_in_stratum, non_recursive, stratum_facts
+                    stratum.index, idb_in_stratum, non_recursive, stratum_facts, init
                 )
 
             if recursive:
                 result.iterations, result.in_place_merges, result.rebuild_merges = self._run_fixpoint(
-                    stratum.index, idb_in_stratum, recursive, start_iteration=start_iteration
+                    stratum.index, idb_in_stratum, recursive, start_iteration=start_iteration, trace=trace
                 )
             else:
                 # Nothing recursive: clear deltas so later strata see stable fulls.
                 for name in idb_in_stratum:
                     self.relations[name].clear_delta()
+        init.full_tuples_after, init.full_bytes_after = init.delta_tuples, init.delta_bytes
+        trace.relation_counts = {name: relation.full_count for name, relation in self.relations.items()}
+        trace.relation_arities = {name: relation.arity for name, relation in self.relations.items()}
+        trace.edb_relations = set(analysis.edb_relations)
         return stats
 
     def _initialize_stratum(
@@ -257,9 +381,11 @@ class SemiNaiveEvaluator:
         idb_in_stratum: list[str],
         non_recursive: list[RuleVersion],
         stratum_facts: dict,
+        init: IterationTrace,
     ) -> None:
         """Initialise the stratum: facts + non-recursive rule results, every
-        part already routed to its owner shard.
+        part already routed to its owner shard; the attempt that stands adds
+        its versions' work and the loaded deltas to ``init``.
 
         Exchange faults (a shard dying while initial parts are routed) are
         recovered here: initialization is a pure function of the stratum's
@@ -278,13 +404,14 @@ class SemiNaiveEvaluator:
                 }
                 for name, rows in stratum_facts.items():
                     self._stage_ground_facts(name, rows, initial_parts[name])
+                works = []
                 for version in non_recursive:
                     def stage(shard, batch, name=version.head_relation):
                         # Held lazy: fact loading's deduplication gathers the
                         # columns it indexes, on the device.
                         initial_parts[name][shard].append(batch)
 
-                    self._execute_with_recovery(version, stage)
+                    works.append(self._execute_with_recovery(version, stage))
                 for name in idb_in_stratum:
                     relation = self.relations[name]
                     for shard, parts in enumerate(initial_parts[name]):
@@ -297,6 +424,12 @@ class SemiNaiveEvaluator:
                                     device, parts, arity=relation.arity, label=f"{name}.gather_init"
                                 )
                         relation.initialize_shard(shard, batch)
+                for work in works:
+                    work.record(init, new=False)
+                for name in idb_in_stratum:
+                    relation = self.relations[name]
+                    init.delta_tuples += relation.delta_count
+                    init.delta_bytes += relation.delta_count * relation.arity * TUPLE_ITEMSIZE
                 return
             except ExchangeError as error:
                 # The boundary must still hold the rebuilt shard's pre-stratum
@@ -377,11 +510,16 @@ class SemiNaiveEvaluator:
         recursive: list[RuleVersion],
         *,
         start_iteration: int = 0,
+        trace: WorkloadTrace | None = None,
     ) -> tuple[int, int, int]:
+        """Iterate to the stratum's global fixpoint; with ``trace``, append one
+        :class:`IterationTrace` per iteration that stands (numbered on from the
+        strata before, so iteration 0 stays the initialisation pass)."""
         iteration = start_iteration
         in_place_merges = 0
         rebuild_merges = 0
         restores = 0
+        offset = trace.iterations[-1].iteration if trace is not None else 0
         if self.checkpoint_every and iteration == 0:
             # Baseline snapshot right after stratum init, so even an
             # iteration-1 fault has a boundary to roll back to.
@@ -393,6 +531,12 @@ class SemiNaiveEvaluator:
                 raise EvaluationError(
                     f"stratum {stratum_index} exceeded {MAX_ITERATIONS} iterations without reaching a fixpoint"
                 )
+            item = IterationTrace(offset + iteration)
+            for name in idb_in_stratum:
+                relation = self.relations[name]
+                item.full_tuples_before += relation.full_count
+                item.full_bytes_before += relation.full_count * relation.arity * TUPLE_ITEMSIZE
+            works = []
             try:
                 with ExitStack() as stack:
                     for device in self.devices:
@@ -413,15 +557,20 @@ class SemiNaiveEvaluator:
 
                         # add_new materializes the batch's head columns: the
                         # join's output write.
-                        self._execute_with_recovery(
+                        works.append(self._execute_with_recovery(
                             version, self.relations[version.head_relation].add_new_shard
-                        )
+                        ))
                     total_delta = 0
                     for name in idb_in_stratum:
                         result = self.relations[name].end_iteration()
                         total_delta += result.delta_count
                         in_place_merges += result.in_place_merges
                         rebuild_merges += result.rebuild_merges
+                        arity = self.relations[name].arity
+                        item.delta_tuples += result.delta_count
+                        item.delta_bytes += result.delta_count * arity * TUPLE_ITEMSIZE
+                        item.full_tuples_after += result.full_count
+                        item.full_bytes_after += result.full_count * arity * TUPLE_ITEMSIZE
             except (ExchangeError, TransientDeviceError) as error:
                 # A shard died mid-exchange (possibly mid-overlap: the
                 # in-flight window is simply dropped — its credits were only
@@ -431,7 +580,16 @@ class SemiNaiveEvaluator:
                 self._roll_back(error, restores, f"stratum {stratum_index} iteration {iteration}")
                 self._restart_overlap()
                 iteration = self.last_checkpoint.iteration
+                if trace is not None:
+                    # The iterations past the checkpoint replay: drop their items.
+                    trace.iterations[:] = [
+                        kept for kept in trace.iterations if kept.iteration <= offset + iteration
+                    ]
                 continue
+            if trace is not None:
+                for work in works:
+                    work.record(item, new=True)
+                trace.iterations.append(item)
             if self.checkpoint_every and (
                 iteration % self.checkpoint_every == 0 or total_delta == 0
             ):
@@ -625,7 +783,8 @@ class SemiNaiveEvaluator:
         *,
         part: tuple[int, int] = (0, 1),
         depth: int = 0,
-    ) -> None:
+        work: _VersionWork | None = None,
+    ) -> _VersionWork:
         """Execute one rule version; ``consume(shard, batch)`` takes its output.
 
         Transient kernel faults retry the whole (idempotent) version with
@@ -635,22 +794,28 @@ class SemiNaiveEvaluator:
         of its input scan (recursively, down to single rows; every shard
         halves its own partition of the scan), each chunk consumed
         independently — every extra pass is charged through the cost model,
-        so degradation is visible in the profile.
+        so degradation is visible in the profile.  Returns the work of the
+        attempts that stood (one, or the chunks that replaced it).
         """
         label = f"{version.head_relation}<-{version.initial.relation}"
+        if work is None:
+            work = _VersionWork(version)
         try:
             retries = 0
             while True:
+                attempt = _VersionWork(version)
                 try:
-                    batches = self._execute_version(version, part=part)
-                    self._observe_version(version, sum(len(batch) for batch in batches))
+                    batches = self._execute_version(version, part=part, work=attempt)
+                    attempt.rows = sum(len(batch) for batch in batches)
+                    self._observe_version(version, attempt.rows)
                     for shard, batch in enumerate(batches):
                         if len(batch):
                             # Consuming writes the join's output, so it is
                             # attributed to the join phase.
                             with self.devices[shard].profiler.phase(PHASE_JOIN):
                                 consume(shard, batch)
-                    return
+                    work.add(attempt)
+                    return work
                 except TransientDeviceError:
                     retries += 1
                     self.transient_retries += 1
@@ -667,8 +832,11 @@ class SemiNaiveEvaluator:
                 0.0,
                 phase=PHASE_RECOVERY,
             )
-            self._execute_with_recovery(version, consume, part=(2 * index, 2 * parts), depth=depth + 1)
-            self._execute_with_recovery(version, consume, part=(2 * index + 1, 2 * parts), depth=depth + 1)
+            for chunk in (2 * index, 2 * index + 1):
+                self._execute_with_recovery(
+                    version, consume, part=(chunk, 2 * parts), depth=depth + 1, work=work
+                )
+            return work
 
     def _part_span(self, version: RuleVersion, part: tuple[int, int]) -> int:
         """Most rows of the version's input scan chunk ``part`` covers on any shard."""
@@ -698,11 +866,18 @@ class SemiNaiveEvaluator:
     # Rule-version execution (per shard, with exchange barriers)
     # ------------------------------------------------------------------
     def _execute_version(
-        self, version: RuleVersion, *, part: tuple[int, int] = (0, 1)
+        self,
+        version: RuleVersion,
+        *,
+        part: tuple[int, int] = (0, 1),
+        work: _VersionWork | None = None,
     ) -> list[ColumnBatch]:
         """Execute one rule version; returns per-shard head batches, already
-        routed to the head relation's owner shards."""
-        batches = self._initial_rows(version, part=part)
+        routed to the head relation's owner shards.  The scan and every
+        binary join step add their counts to ``work``."""
+        if work is None:
+            work = _VersionWork(version)
+        batches = self._initial_rows(version, part, work)
         if self.runs_generic_join(version):
             # Per-row min-side intersection over the level candidates.
             if len(batches[0]):
@@ -734,12 +909,16 @@ class SemiNaiveEvaluator:
             # passes through untouched: nothing downstream reads its width.
             # Each join is told which outer columns are still live, so it can
             # stop expanding outer rows that differ only in dead ones, and
-            # reports what it did with that into the version's observations.
+            # reports what it did with that into the version's observations
+            # — its match count too, which the trace takes from there.
             live_before, _ = version.live_columns
             report = self._observation(version)["distinct_outer"]
             for index, step in enumerate(version.joins):
-                if not any(len(batch) for batch in batches):
+                probes = sum(len(batch) for batch in batches)
+                if not probes:
                     break
+                work.probes[index] += probes
+                matches_before = report["matches"]
                 batches, inners = self.exchange.place(version, index, batches)
                 live = LiveOuter(live_before[index], report)
                 joined = []
@@ -760,6 +939,7 @@ class SemiNaiveEvaluator:
                                 batch = batch.project(step.post_projection)
                     joined.append(batch)
                 batches = joined
+                work.matches[index] += report["matches"] - matches_before
 
         head_parts = []
         for device, batch in zip(self.devices, batches):
@@ -780,7 +960,9 @@ class SemiNaiveEvaluator:
         """
         return version.algorithm == WCOJ and self.num_shards == 1
 
-    def _initial_rows(self, version: RuleVersion, part: tuple[int, int] = (0, 1)) -> list[ColumnBatch]:
+    def _initial_rows(
+        self, version: RuleVersion, part: tuple[int, int], work: _VersionWork
+    ) -> list[ColumnBatch]:
         """Each shard's scan of the version's first atom, filtered and projected."""
         initial = version.initial
         out = []
@@ -799,6 +981,8 @@ class SemiNaiveEvaluator:
                     [column[start:stop] for column in batch.columns(charge=False)],
                     length=stop - start,
                 )
+            work.outer_tuples += len(batch)
+            work.outer_bytes += len(batch) * arity * TUPLE_ITEMSIZE
             if len(batch):
                 with device.profiler.phase(PHASE_JOIN):
                     if initial.filters:

@@ -9,7 +9,7 @@ divergence) parameterised by data-center GPU and CPU specifications.
 from .cost import LINK_INTERCONNECT, LINK_PCIE, CostModel, KernelCost
 from .device import Device, DeviceSnapshot
 from .faults import FAULT_PLAN_ENV_VAR, FaultPlan, FaultSpec, resolve_fault_plan
-from .kernels import DeviceKernels, TUPLE_DTYPE, as_rows, rows_nbytes
+from .kernels import DeviceKernels, TUPLE_DTYPE, rows_nbytes
 from .memory import Buffer, MemoryPool, MemoryStats
 from .profiler import (
     FIGURE6_PHASES,
@@ -82,7 +82,6 @@ __all__ = [
     "ProfileEvent",
     "Profiler",
     "TUPLE_DTYPE",
-    "as_rows",
     "device_preset",
     "list_device_presets",
     "resolve_fault_plan",

@@ -12,15 +12,15 @@ host<->device and device<->device transfer edges.  Each primitive
    :class:`~repro.device.device.Device`, which converts it into simulated
    seconds via the device's cost model and records it in the profiler.
 
-Higher layers (HISA, the relational operators, the baseline engines) only
-touch the device through these primitives plus :meth:`Device.charge` for
-bespoke kernels such as the hash-probe join of Algorithm 3.  None of them
-calls an array library directly: the backend is the single datapath.
+Higher layers (HISA, the relational operators) only touch the device through
+these primitives plus :meth:`Device.charge` for bespoke kernels such as the
+hash-probe join of Algorithm 3.  None of them calls an array library
+directly: the backend is the single datapath.
 
-The module-level helpers (:func:`as_rows`, :func:`host_lexsort_columns`, ...)
-are the *host-side* NumPy conveniences used by tests, baseline engines and
-uncharged oracles; they delegate to the shared reference backend so the host
-and device implementations can never diverge.
+The module-level helpers (:func:`host_lexsort_columns`, ...) are the
+*host-side* conveniences of snapshot canonicalisation and byte accounting;
+they delegate to the shared reference backend so the host and device
+implementations can never diverge.
 """
 
 from __future__ import annotations
@@ -54,17 +54,10 @@ __all__ = [
     "INDEX_ITEMSIZE",
     "TUPLE_DTYPE",
     "TUPLE_ITEMSIZE",
-    "as_rows",
     "host_lexsort_columns",
     "is_monotone",
-    "row_search_bounds",
     "rows_nbytes",
 ]
-
-
-def as_rows(data: Array) -> np.ndarray:
-    """Coerce ``data`` to a C-contiguous 2-D int64 row array (host helper)."""
-    return HOST_BACKEND.as_rows(data)
 
 
 def is_monotone(indices: Array) -> bool:
@@ -650,19 +643,3 @@ def _lexsort(backend, columns: "list[Array] | tuple[Array, ...]", n_rows: int | 
     if packed is not None:
         columns = [packed[0]]
     return backend.lexsort(columns, n_rows=n_rows)
-
-
-def row_search_bounds(haystack: np.ndarray, needles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower/upper bounds of each needle row within a sorted haystack (host helper)."""
-    backend = HOST_BACKEND
-    haystack, needles = as_rows(haystack), as_rows(needles)
-    if haystack.shape[0] == 0 or needles.shape[0] == 0:
-        zeros = backend.zeros(needles.shape[0], dtype=INDEX_DTYPE)
-        return zeros, zeros.copy()
-    if haystack.shape[1] != needles.shape[1]:
-        raise ValueError("haystack and needles must have the same arity")
-    hay_packed = backend.pack_lex_keys([haystack[:, col] for col in range(haystack.shape[1])])
-    needle_packed = backend.pack_lex_keys([needles[:, col] for col in range(needles.shape[1])])
-    lower = backend.searchsorted(hay_packed, needle_packed, side="left")
-    upper = backend.searchsorted(hay_packed, needle_packed, side="right")
-    return lower, upper

@@ -10,12 +10,6 @@ from .base import (
 from .cudf_like import CudfCostParameters, CudfLikeEngine
 from .gpujoin import GPUJoinCostParameters, GPUJoinEngine
 from .gpulog import GPULogAdapter
-from .instrumented import (
-    InstrumentedEvaluator,
-    IterationTrace,
-    WorkloadTrace,
-    evaluate_program,
-)
 from .souffle_cpu import SouffleCostParameters, SouffleCPUEngine
 
 __all__ = [
@@ -26,13 +20,9 @@ __all__ = [
     "GPUJoinCostParameters",
     "GPUJoinEngine",
     "GPULogAdapter",
-    "InstrumentedEvaluator",
-    "IterationTrace",
     "STATUS_OK",
     "STATUS_OOM",
     "STATUS_UNSUPPORTED",
     "SouffleCPUEngine",
     "SouffleCostParameters",
-    "WorkloadTrace",
-    "evaluate_program",
 ]

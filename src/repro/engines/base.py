@@ -5,17 +5,25 @@ on the same programs and inputs.  Every engine in this package implements
 :class:`BaselineEngine.run` with the same signature and returns an
 :class:`EngineRunResult`, so the experiment drivers can iterate over engines
 uniformly, including the ``OOM`` outcomes the paper reports.
+
+The comparison baselines evaluate nothing themselves: each is a cost model
+over the :class:`~repro.datalog.seminaive.WorkloadTrace` GPUlog's evaluator
+records while it runs (:meth:`BaselineEngine.simulate`), so their relations
+are GPUlog's and their work counts are those of the same semi-naïve
+iterations over the same rule plans.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
 import numpy as np
 
 from ..datalog.ast import Program
+from ..datalog.engine import GPULogEngine
+from ..datalog.seminaive import WorkloadTrace
+from ..device.device import Device
 
 STATUS_OK = "ok"
 STATUS_OOM = "oom"
@@ -76,18 +84,24 @@ class EngineRunResult:
         return f"{self.seconds:.2f}"
 
 
-class BaselineEngine(ABC):
-    """Abstract interface for every engine in the comparison."""
+class BaselineEngine:
+    """Interface of every engine in the comparison, and the baselines' one run.
+
+    A baseline defines :meth:`simulate` (and ``spec`` / ``parameters`` with
+    an ``iteration_overhead_us``); GPUlog's adapter overrides :meth:`run`.
+    """
 
     name: str = "engine"
+    #: :attr:`EngineRunResult.detail` of a program :meth:`supports` rejects
+    unsupported_detail: str = "the engine does not support this program"
 
-    @abstractmethod
     def run(
         self,
         program: Union[Program, str],
         facts: Mapping[str, np.ndarray],
         *,
         collect_relations: bool = False,
+        trace: WorkloadTrace | None = None,
     ) -> EngineRunResult:
         """Evaluate ``program`` over the given EDB facts.
 
@@ -95,7 +109,55 @@ class BaselineEngine(ABC):
         result reports simulated seconds, simulated peak device memory and the
         sizes of every derived relation; ``collect_relations=True`` also
         returns the tuples themselves (used by correctness tests).
+
+        The work is priced from ``trace``; without one, from the trace of one
+        GPUlog run on an ``h100`` that never runs out of memory, which also
+        supplies the relations.
         """
+        program = self.coerce_program(program)
+        if not self.supports(program):
+            return EngineRunResult(
+                engine=self.name,
+                device=self.spec.name,
+                status=STATUS_UNSUPPORTED,
+                detail=self.unsupported_detail,
+            )
+        relations = None
+        if trace is None or collect_relations:
+            engine = GPULogEngine(Device("h100", oom_enabled=False), collect_relations=collect_relations)
+            try:
+                for name, rows in facts.items():
+                    engine.add_fact_array(name, rows)
+                result = engine.run(program)
+            finally:
+                engine.close()
+            if trace is None:
+                trace = result.trace
+            if collect_relations:
+                relations = {name: result.relation_set(name) for name in result.relations}
+        seconds, peak, oom_at = self.simulate(trace)
+        fixed = self.parameters.iteration_overhead_us * 1e-6 * max(1, len(trace.iterations))
+        ok = oom_at is None
+        return EngineRunResult(
+            engine=self.name,
+            device=self.spec.name,
+            status=STATUS_OK if ok else STATUS_OOM,
+            seconds=seconds,
+            fixed_seconds=min(fixed, seconds),
+            variable_seconds=max(0.0, seconds - fixed),
+            peak_memory_bytes=peak,
+            iterations=trace.iteration_count if ok else oom_at,
+            relation_counts=dict(trace.relation_counts) if ok else {},
+            relations=relations if ok else None,
+            detail="" if ok else f"out of memory at iteration {oom_at}",
+        )
+
+    def supports(self, program: Program) -> bool:
+        return True
+
+    def simulate(self, trace: WorkloadTrace) -> tuple[float, int, int | None]:
+        """``(seconds, peak bytes, iteration it ran out of memory or None)``."""
+        raise NotImplementedError
 
     @staticmethod
     def coerce_program(program: Union[Program, str]) -> Program:

@@ -15,22 +15,18 @@ in Tables 2 and 3:
   the complete output, and ``drop_duplicates`` needs sort scratch space of the
   concatenated frame, which is why cuDF OOMs on most of the large graphs.
 
-As in the other baselines, the relation contents come from the shared
-instrumented evaluator; only time and memory are modelled.
+As in the other baselines, only time and memory are modelled, over the
+workload trace GPUlog's evaluator records; the relation contents are GPUlog's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import log2
-from typing import Mapping, Union
 
-import numpy as np
-
-from ..datalog.ast import Program
+from ..datalog.seminaive import WorkloadTrace
 from ..device.spec import NVIDIA_H100, DeviceSpec
-from .base import STATUS_OK, STATUS_OOM, BaselineEngine, EngineRunResult
-from .instrumented import InstrumentedEvaluator, WorkloadTrace
+from .base import BaselineEngine
 
 
 @dataclass(frozen=True)
@@ -67,41 +63,9 @@ class CudfLikeEngine(BaselineEngine):
         self.parameters = parameters or CudfCostParameters()
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        program: Union[Program, str],
-        facts: Mapping[str, np.ndarray],
-        *,
-        collect_relations: bool = False,
-        trace: WorkloadTrace | None = None,
-    ) -> EngineRunResult:
-        program = self.coerce_program(program)
-        if trace is None:
-            trace = InstrumentedEvaluator(program, facts).evaluate()
-        seconds, peak, oom_at = self._simulate(trace)
-        fixed = self.parameters.iteration_overhead_us * 1e-6 * max(1, len(trace.iterations))
-        status = STATUS_OOM if oom_at is not None else STATUS_OK
-        relations = None
-        if collect_relations and status == STATUS_OK:
-            relations = {name: set(map(tuple, rows.tolist())) for name, rows in trace.relations.items()}
-        return EngineRunResult(
-            engine=self.name,
-            device=self.spec.name,
-            status=status,
-            seconds=seconds,
-            fixed_seconds=min(fixed, seconds),
-            variable_seconds=max(0.0, seconds - fixed),
-            peak_memory_bytes=peak,
-            iterations=trace.iteration_count if oom_at is None else oom_at,
-            relation_counts=dict(trace.relation_counts) if status == STATUS_OK else {},
-            relations=relations,
-            detail="" if oom_at is None else f"out of memory at iteration {oom_at}",
-        )
-
-    # ------------------------------------------------------------------
     # Cost and memory model
     # ------------------------------------------------------------------
-    def _simulate(self, trace: WorkloadTrace) -> tuple[float, int, int | None]:
+    def simulate(self, trace: WorkloadTrace) -> tuple[float, int, int | None]:
         params = self.parameters
         seq_bw = self.spec.memory_bandwidth_gbps * 1e9 * self.spec.sequential_efficiency
         rnd_bw = self.spec.memory_bandwidth_gbps * 1e9 * self.spec.random_efficiency

@@ -21,14 +21,11 @@ is unsupported, matching its absence from Table 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
-
-import numpy as np
 
 from ..datalog.ast import Program
+from ..datalog.seminaive import WorkloadTrace
 from ..device.spec import NVIDIA_H100, DeviceSpec
-from .base import STATUS_OK, STATUS_OOM, STATUS_UNSUPPORTED, BaselineEngine, EngineRunResult
-from .instrumented import InstrumentedEvaluator, WorkloadTrace
+from .base import BaselineEngine
 
 
 @dataclass(frozen=True)
@@ -51,6 +48,7 @@ class GPUJoinEngine(BaselineEngine):
     """GPUJoin-style iterated hash joins over tuple-storing hash tables."""
 
     name = "gpujoin"
+    unsupported_detail = "GPUJoin only supports binary-join (two-atom) recursive queries"
 
     def __init__(
         self,
@@ -65,45 +63,6 @@ class GPUJoinEngine(BaselineEngine):
         )
         self.parameters = parameters or GPUJoinCostParameters()
 
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        program: Union[Program, str],
-        facts: Mapping[str, np.ndarray],
-        *,
-        collect_relations: bool = False,
-        trace: WorkloadTrace | None = None,
-    ) -> EngineRunResult:
-        program = self.coerce_program(program)
-        if not self.supports(program):
-            return EngineRunResult(
-                engine=self.name,
-                device=self.spec.name,
-                status=STATUS_UNSUPPORTED,
-                detail="GPUJoin only supports binary-join (two-atom) recursive queries",
-            )
-        if trace is None:
-            trace = InstrumentedEvaluator(program, facts).evaluate()
-        seconds, peak, oom_at = self._simulate(trace)
-        fixed = self.parameters.iteration_overhead_us * 1e-6 * max(1, len(trace.iterations))
-        status = STATUS_OOM if oom_at is not None else STATUS_OK
-        relations = None
-        if collect_relations and status == STATUS_OK:
-            relations = {name: set(map(tuple, rows.tolist())) for name, rows in trace.relations.items()}
-        return EngineRunResult(
-            engine=self.name,
-            device=self.spec.name,
-            status=status,
-            seconds=seconds,
-            fixed_seconds=min(fixed, seconds),
-            variable_seconds=max(0.0, seconds - fixed),
-            peak_memory_bytes=peak,
-            iterations=trace.iteration_count if oom_at is None else oom_at,
-            relation_counts=dict(trace.relation_counts) if status == STATUS_OK else {},
-            relations=relations,
-            detail="" if oom_at is None else f"out of memory at iteration {oom_at}",
-        )
-
     @staticmethod
     def supports(program: Program) -> bool:
         """GPUJoin handles rules with at most two body atoms (binary joins)."""
@@ -112,7 +71,7 @@ class GPUJoinEngine(BaselineEngine):
     # ------------------------------------------------------------------
     # Cost and memory model
     # ------------------------------------------------------------------
-    def _simulate(self, trace: WorkloadTrace) -> tuple[float, int, int | None]:
+    def simulate(self, trace: WorkloadTrace) -> tuple[float, int, int | None]:
         params = self.parameters
         seq_bw = self.spec.memory_bandwidth_gbps * 1e9 * self.spec.sequential_efficiency
         rnd_bw = self.spec.memory_bandwidth_gbps * 1e9 * self.spec.random_efficiency

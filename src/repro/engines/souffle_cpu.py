@@ -17,22 +17,19 @@ The cost model reflects those two effects directly:
 * The insert/dedup phase charges a B-tree insertion (``log`` depth of pointer
   chasing) per derived tuple, with a large serial fraction.
 
-Relation contents come from the shared instrumented evaluator, so every
-derived relation matches GPUlog exactly (the paper checks the same).
+Both are priced over the workload trace GPUlog's evaluator records, and the
+relation contents are GPUlog's, so every derived relation matches GPUlog
+exactly (the paper checks that all relation sizes match Soufflé's).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import log2
-from typing import Mapping, Union
 
-import numpy as np
-
-from ..datalog.ast import Program
+from ..datalog.seminaive import IterationTrace, WorkloadTrace
 from ..device.spec import AMD_EPYC_7543P, DeviceSpec
-from .base import STATUS_OK, BaselineEngine, EngineRunResult
-from .instrumented import InstrumentedEvaluator, WorkloadTrace
+from .base import BaselineEngine
 
 
 @dataclass(frozen=True)
@@ -72,68 +69,35 @@ class SouffleCPUEngine(BaselineEngine):
         self.parameters = parameters or SouffleCostParameters()
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        program: Union[Program, str],
-        facts: Mapping[str, np.ndarray],
-        *,
-        collect_relations: bool = False,
-        trace: WorkloadTrace | None = None,
-    ) -> EngineRunResult:
-        program = self.coerce_program(program)
-        if trace is None:
-            trace = InstrumentedEvaluator(program, facts).evaluate()
-        seconds = self.estimate_seconds(trace)
-        fixed = self.parameters.iteration_overhead_us * 1e-6 * max(1, len(trace.iterations))
-        peak = self.estimate_peak_memory(trace)
-        relations = None
-        if collect_relations:
-            relations = {name: set(map(tuple, rows.tolist())) for name, rows in trace.relations.items()}
-        return EngineRunResult(
-            engine=self.name,
-            device=self.spec.name,
-            status=STATUS_OK,
-            seconds=seconds,
-            fixed_seconds=min(fixed, seconds),
-            variable_seconds=max(0.0, seconds - fixed),
-            peak_memory_bytes=peak,
-            iterations=trace.iteration_count,
-            relation_counts=dict(trace.relation_counts),
-            relations=relations,
-        )
-
-    # ------------------------------------------------------------------
     # Cost model
     # ------------------------------------------------------------------
+    def simulate(self, trace: WorkloadTrace) -> tuple[float, int, None]:
+        """A CPU never runs out of device memory: seconds and peak only."""
+        return self.estimate_seconds(trace), self.estimate_peak_memory(trace), None
+
     def estimate_seconds(self, trace: WorkloadTrace) -> float:
-        params = self.parameters
-        threads = max(1, params.threads)
-        bandwidth = self.spec.memory_bandwidth_gbps * 1e9 * self.spec.sequential_efficiency
-        total = 0.0
-        # Loading the EDB into indexed relations.
-        total += self._load_seconds(trace)
+        total = self._load_seconds(trace)  # loading the EDB into indexed relations
         for item in trace.iterations:
-            inner_size = max(2, item.full_tuples_before + 2)
-            probe_depth = log2(inner_size)
-            join_compute = (
-                item.probes * probe_depth * params.probe_level_ns
-                + item.match_tuples * params.match_ns
-            ) * 1e-9
-            join_bytes = item.outer_bytes + item.match_bytes + item.probes * 64.0
-            join_time = max(
-                join_compute / (threads * params.join_parallel_efficiency),
-                join_bytes / bandwidth,
-            )
-
-            full_size = max(2, item.full_tuples_after + 2)
-            insert_depth = log2(full_size)
-            insert_compute = item.new_tuples * insert_depth * params.insert_level_ns * 1e-9
-            serial = insert_compute * params.insert_serial_fraction
-            parallel = insert_compute - serial
-            insert_time = serial + parallel / (threads * params.join_parallel_efficiency)
-
-            total += join_time + insert_time + params.iteration_overhead_us * 1e-6
+            join_time, insert_time = self._phase_seconds(item)
+            total += join_time + insert_time + self.parameters.iteration_overhead_us * 1e-6
         return total
+
+    def _phase_seconds(self, item: IterationTrace) -> tuple[float, float]:
+        """One iteration's (join, insert/dedup) seconds."""
+        params = self.parameters
+        parallel = max(1, params.threads) * params.join_parallel_efficiency
+        bandwidth = self.spec.memory_bandwidth_gbps * 1e9 * self.spec.sequential_efficiency
+        probe_depth = log2(max(2, item.full_tuples_before + 2))
+        join_compute = (
+            item.probes * probe_depth * params.probe_level_ns + item.match_tuples * params.match_ns
+        ) * 1e-9
+        join_bytes = item.outer_bytes + item.match_bytes + item.probes * 64.0
+        join_time = max(join_compute / parallel, join_bytes / bandwidth)
+
+        insert_depth = log2(max(2, item.full_tuples_after + 2))
+        insert_compute = item.new_tuples * insert_depth * params.insert_level_ns * 1e-9
+        serial = insert_compute * params.insert_serial_fraction
+        return join_time, serial + (insert_compute - serial) / parallel
 
     def _load_seconds(self, trace: WorkloadTrace) -> float:
         params = self.parameters
@@ -155,22 +119,12 @@ class SouffleCPUEngine(BaselineEngine):
 
     def breakdown(self, trace: WorkloadTrace) -> dict[str, float]:
         """Join-vs-insert split (used to check the 77.8 % serialized-insert claim)."""
-        params = self.parameters
-        threads = max(1, params.threads)
-        bandwidth = self.spec.memory_bandwidth_gbps * 1e9 * self.spec.sequential_efficiency
         join_total = 0.0
         insert_total = 0.0
         for item in trace.iterations:
-            probe_depth = log2(max(2, item.full_tuples_before + 2))
-            join_compute = (
-                item.probes * probe_depth * params.probe_level_ns + item.match_tuples * params.match_ns
-            ) * 1e-9
-            join_bytes = item.outer_bytes + item.match_bytes + item.probes * 64.0
-            join_total += max(join_compute / (threads * params.join_parallel_efficiency), join_bytes / bandwidth)
-            insert_depth = log2(max(2, item.full_tuples_after + 2))
-            insert_compute = item.new_tuples * insert_depth * params.insert_level_ns * 1e-9
-            serial = insert_compute * params.insert_serial_fraction
-            insert_total += serial + (insert_compute - serial) / (threads * params.join_parallel_efficiency)
+            join_time, insert_time = self._phase_seconds(item)
+            join_total += join_time
+            insert_total += insert_time
         total = join_total + insert_total
         if total <= 0:
             return {"join": 0.0, "insert": 0.0}

@@ -2,8 +2,9 @@
 
 Provides:
 
-* dataset / workload-trace caching, so that e.g. Table 2, Table 5 and Figure 6
-  can share the expensive evaluations of the same (program, dataset) pairs;
+* dataset / GPUlog-run caching, so that e.g. Table 2, Table 5 and Figure 6
+  can share the expensive evaluations of the same (program, dataset) pairs —
+  the baselines price the workload trace of that same run;
 * the *scale factor* computation used to project simulated runs of the scaled
   synthetic datasets back to the paper's full-size workloads (the paper output
   size divided by the measured synthetic output size — see docs/benchmarks.md);
@@ -22,12 +23,12 @@ from typing import Iterable
 from ..backend import get_backend
 from ..datalog.ast import Program
 from ..datalog.engine import EvaluationResult, GPULogEngine
+from ..datalog.seminaive import WorkloadTrace
 from ..device.cost import CostModel
 from ..device.device import Device
 from ..device.profiler import ProfileEvent
 from ..device.spec import DeviceSpec, device_preset
 from ..datasets.registry import PROFILE_BENCH, dataset_spec, load_dataset
-from ..engines.instrumented import InstrumentedEvaluator, WorkloadTrace
 from ..queries import cspa_program, reach_program, sg_program
 
 CSPA_OUTPUT_RELATIONS = ("valueflow", "valuealias", "memalias")
@@ -76,14 +77,12 @@ class ResultTable:
 # ----------------------------------------------------------------------
 
 _DATASET_CACHE: dict[tuple[str, str], object] = {}
-_TRACE_CACHE: dict[tuple[str, str, str], WorkloadTrace] = {}
-_GPULOG_CACHE: dict[tuple[str, str, str, str], tuple[EvaluationResult, list[ProfileEvent]]] = {}
+_GPULOG_CACHE: dict[tuple[str, str, str, str, str], tuple[EvaluationResult, list[ProfileEvent]]] = {}
 
 
 def clear_caches() -> None:
-    """Drop every cached dataset, trace and GPUlog run (used by tests)."""
+    """Drop every cached dataset and GPUlog run (used by tests)."""
     _DATASET_CACHE.clear()
-    _TRACE_CACHE.clear()
     _GPULOG_CACHE.clear()
 
 
@@ -107,13 +106,9 @@ def query_program(query: str) -> Program:
 
 
 def get_trace(dataset_name: str, query: str, profile: str = PROFILE_BENCH) -> WorkloadTrace:
-    """Evaluate (and cache) the workload trace of ``query`` on ``dataset_name``."""
-    key = (dataset_name, query, profile)
-    if key not in _TRACE_CACHE:
-        dataset = get_dataset(dataset_name, profile)
-        program = query_program(query)
-        _TRACE_CACHE[key] = InstrumentedEvaluator(program, dataset.facts()).evaluate()
-    return _TRACE_CACHE[key]
+    """The workload trace of the cached GPUlog run of ``query`` on ``dataset_name``."""
+    result, _ = run_gpulog(dataset_name, query, profile)
+    return result.trace
 
 
 def run_gpulog(
@@ -129,8 +124,8 @@ def run_gpulog(
 ) -> tuple[EvaluationResult, list[ProfileEvent]]:
     """Run GPUlog on a registered dataset, returning the result and kernel events.
 
-    Runs with the default configuration are cached per (dataset, query,
-    device, backend) so that multiple tables can reuse them.  ``backend``
+    Runs with the default configuration are cached per (dataset, profile,
+    query, device, backend) so that multiple tables can reuse them.  ``backend``
     selects the array backend by registry name; ``None`` defers to the
     ``REPRO_BACKEND`` environment variable (and then NumPy), so one exported
     variable retargets every experiment driver.
@@ -138,7 +133,7 @@ def run_gpulog(
     device_key = device if isinstance(device, str) else device.name
     backend_key = get_backend(backend).name
     cacheable = use_cache and eager_buffers and materialize_nway
-    key = (dataset_name, query, device_key, backend_key)
+    key = (dataset_name, profile, query, device_key, backend_key)
     if cacheable and key in _GPULOG_CACHE:
         return _GPULOG_CACHE[key]
 

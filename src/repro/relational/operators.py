@@ -29,7 +29,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ..backend import Array, ArrayBackend, HOST_BACKEND, INDEX_ITEMSIZE, TUPLE_ITEMSIZE
+from ..backend import Array, INDEX_ITEMSIZE, TUPLE_ITEMSIZE
 from ..device.cost import KernelCost
 from ..device.device import Device
 from ..device.kernels import PackedColumns
@@ -65,7 +65,7 @@ class ColumnComparison:
 
     Evaluation routes through the backend's ``compare`` kernel (the one
     comparison implementation every backend shares), so a backend overriding
-    it for device-side evaluation is honoured on rows and batches alike.
+    it for device-side evaluation is honoured.
     """
 
     op: str
@@ -80,11 +80,6 @@ class ColumnComparison:
             raise SchemaError(f"unsupported comparison operator {self.op!r}")
         if (self.right_column is None) == (self.constant is None):
             raise SchemaError("exactly one of right_column or constant must be given")
-
-    def evaluate(self, rows: Array, backend: "ArrayBackend | None" = None) -> Array:
-        left = rows[:, self.left_column]
-        right = rows[:, self.right_column] if self.right_column is not None else self.constant
-        return (backend or HOST_BACKEND).compare(self.op, left, right)
 
     def evaluate_batch(self, batch: ColumnBatch, *, charge: bool = True, label: str = "compare") -> Array:
         """Evaluate on a columnar batch — materializes only the referenced columns."""
@@ -131,9 +126,11 @@ class LiveOuter:
     outer columns its guards compare — and may then treat outer rows that
     agree on all of those as one row.  ``report`` is where the joins handed
     this object say what they did (the caller may share one between objects):
-    ``eligible`` joins whose live set left out an outer column, of those the
-    ``fired`` ones that replaced their outer by its distinct projection, and
-    the outer ``rows_in`` / ``rows_out`` of that distinct.
+    the ``matches`` their probes counted before any distinct (what the plain
+    join expands), ``eligible`` joins whose live set left out an outer
+    column, of those the ``fired`` ones that replaced their outer by its
+    distinct projection, and the outer ``rows_in`` / ``rows_out`` of that
+    distinct.
     """
 
     columns: frozenset[int]
@@ -216,6 +213,8 @@ def hash_join(
         # 1-2. Read the outer key columns, hash them, probe the inner table.
         runs, lengths = _probe(device, outer, outer_join_columns, inner, label, charge)
         total_matches = int(lengths.sum())
+        if live_outer is not None:
+            live_outer.report["matches"] += total_matches
 
         # 2b. Distinct before expand (docstring).  A radix sort is not an
         #     elementwise stage: the probe so far closes as its own launch,

@@ -35,10 +35,11 @@ exchanges) goes through the same cost model — epoch latencies in simulated
 seconds are directly comparable to a full re-fixpoint of the same program.
 
 Epochs are **transactions**: the engine keeps a host copy of every
-relation's state as of the last committed epoch, and a fault inside an epoch — kernel fault, injected OOM, exchange
-error, shard crash, all scriptable via :class:`~repro.device.faults.
-FaultPlan` — first rides the evaluator's own retry/backoff ladder and then,
-at the serving layer, triggers whole-epoch rollback-and-replay.  When the
+relation's state as of the last committed epoch.  A fault inside an epoch
+(kernel fault, injected OOM, exchange error or shard crash, all scriptable via
+:class:`~repro.device.faults.FaultPlan`) first rides the evaluator's own
+retry/backoff ladder and then, at the serving layer, triggers whole-epoch
+rollback-and-replay.  When the
 epoch retry budget is also exhausted the epoch **aborts**: state and
 snapshot versions roll back to the last commit, only that epoch's tickets
 fail (with :class:`~repro.errors.EpochAborted`), and reads keep serving the
@@ -61,6 +62,7 @@ import threading
 import time
 from collections import defaultdict
 from concurrent.futures import Future
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence, Union
@@ -370,14 +372,12 @@ class ServingEngine:
             self._start_worker()
             return
 
-        # Recovery: no facts and no bootstrap fixpoint — the checkpoint's
-        # (full, delta) partitions replace relations initialized empty, and
-        # deltas are empty at an epoch boundary, so the between-epoch
-        # invariant holds by construction.  The caller (ServingEngine.recover)
-        # replays the WAL before starting the worker, so replay epochs cannot
-        # interleave with fresh submissions.
-        for relation in self.relations.values():
-            relation.initialize(np.empty((0, relation.arity), dtype=np.int64))
+        # Recovery: no facts and no bootstrap fixpoint — each relation is
+        # loaded from the checkpoint's (full, delta) partitions (``restore``
+        # initializes it), and deltas are empty at an epoch boundary, so the
+        # between-epoch invariant holds by construction.  The caller
+        # (ServingEngine.recover) replays the WAL before starting the worker,
+        # so replay epochs cannot interleave with fresh submissions.
         for relation_name, relation in self.relations.items():
             state = restore.relations.get(relation_name)
             if state is None:
@@ -822,15 +822,25 @@ class ServingEngine:
         the restore mid-flight and leave exactly the torn state rollback
         exists to prevent.
         """
-        saved_plans = [device.fault_plan for device in self.devices]
+        with self._faults_suspended():
+            self._rollback_unprotected(error)
+
+    @contextmanager
+    def _faults_suspended(self):
+        """Detach every shard device's fault plan for the block.
+
+        For driver-level bookkeeping (rollback, checkpoint I/O), which is not
+        a production fault site.  The plans reattach by shard index: a shard
+        rebuild inside the block may have swapped ``self.devices`` (the
+        engine shares one plan instance).
+        """
+        plans = [device.fault_plan for device in self.devices]
         for device in self.devices:
             device.fault_plan = None
         try:
-            self._rollback_unprotected(error)
+            yield
         finally:
-            # self.devices may have been swapped by a shard rebuild; plans
-            # reattach by shard index (the engine shares one plan instance).
-            for device, plan in zip(self.devices, saved_plans):
+            for device, plan in zip(self.devices, plans):
                 device.fault_plan = plan
 
     def _rollback_unprotected(self, error: BaseException) -> None:
@@ -883,10 +893,7 @@ class ServingEngine:
         after the epoch committed, outside the transaction — like rollback,
         it models driver-level bookkeeping, not a production fault site.
         """
-        plans = [device.fault_plan for device in self.devices]
-        for device in self.devices:
-            device.fault_plan = None
-        try:
+        with self._faults_suspended():
             for name, state in checkpoint.relations.items():
                 for index, partition in enumerate(state.partitions):
                     device = self.devices[index % len(self.devices)]
@@ -894,10 +901,6 @@ class ServingEngine:
                         for rows in (partition.full, partition.delta):
                             if rows.shape[0]:
                                 device.kernels.to_host(rows, label=f"{name}.d2h_checkpoint")
-        finally:
-            for index, plan in enumerate(plans):
-                if index < len(self.devices):
-                    self.devices[index].fault_plan = plan
 
     def _save_serving_checkpoint(self) -> None:
         """Make the last committed epoch durable and compact the WAL behind it.
@@ -1004,9 +1007,9 @@ class ServingEngine:
                         # The rebuild re-initialized the relation: row
                         # marks no longer name what was appended.
                         self._chain = []
-                # The over-delete probes lazily built exchange state (semi-
-                # join filters, replicated inners) from the *pre-deletion*
-                # fulls; the re-derive must see post-deletion state only.
+                # The over-delete probes replicated inners the exchange built
+                # lazily from the *pre-deletion* fulls; the re-derive must see
+                # post-deletion state only.
                 self._evaluator.exchange.invalidate()
                 survivors = self._rederive(deleted)
                 rederived_counts = {

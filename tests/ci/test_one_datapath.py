@@ -6,6 +6,9 @@ the operators accepted, the ``device_resident=`` flag that told a host array
 from a device one, ``ColumnBatch.wrap`` and the row kernels).  These checks
 read ``src/repro`` rather than run it, so the fork cannot come back one
 ``isinstance`` at a time.
+
+The same goes for the fixpoint loop: there is one, and the comparison
+baselines are cost models over the trace it records, not evaluators.
 """
 
 import ast
@@ -38,6 +41,29 @@ def test_the_row_route_is_not_spelled_anywhere():
 
 def test_no_device_kernel_works_on_row_arrays():
     assert [name for name in vars(DeviceKernels) if name.endswith("_rows")] == []
+
+
+def test_the_second_evaluator_is_not_spelled_anywhere():
+    """One semi-naïve loop: the baselines' host evaluator and its helpers are gone."""
+    gone = re.compile(r"InstrumentedEvaluator|_HostRelation|row_search_bounds|evaluate_program")
+    hits = [f"{path}:{number}" for path, text in sources() for number, line in enumerate(text.splitlines(), 1)
+            if gone.search(line)]
+    assert hits == []
+
+
+def test_the_baselines_only_price_a_trace():
+    """``repro.engines`` sorts, searches and iterates nothing: it prices the
+    trace the fixpoint driver records."""
+    evaluating = {"lexsort", "searchsorted", "end_iteration"}
+    hits = []
+    for path, text in sources("engines"):
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                function = node.func
+                name = function.attr if isinstance(function, ast.Attribute) else getattr(function, "id", "")
+                if name in evaluating:
+                    hits.append(f"{path}:{node.lineno} {name}")
+    assert hits == []
 
 
 def test_a_batch_is_told_from_a_host_array_only_at_the_two_ingest_points():

@@ -69,6 +69,13 @@ dropped: the simulated clock falls 2.7 % / 3.4 % / 5.8 % with 369 / 871 / 153
 fewer launches.  Exchange bytes *rise* on the two CSPA rows, by 1,608 B
 (+0.06 %) and 3,272 B (+0.08 %): rows the filter used to drop now ship.
 Iterations, relation counts and the serving epoch numbers are unchanged.
+
+Each serving row carries a ``recover`` row: the same session with a WAL and
+a checkpoint per epoch, crashed after the retract epoch, and what
+``ServingEngine.recover`` then charges on fresh devices.  It was recorded
+before recovery stopped loading every relation empty ahead of its restore,
+and re-pinned lower by exactly that load (see the comment on
+``SERVING_PINS``); nothing else moved.
 """
 
 import numpy as np
@@ -78,7 +85,8 @@ from repro import GPULogEngine
 from repro.datasets import load_dataset
 from repro.experiments.planner_bench import TRIANGLE_PROGRAM, hub_graph
 from repro.queries import CSPA_SOURCE, REACH_SOURCE, SG_SOURCE
-from repro.serving import ServingEngine
+from repro.relational.checkpoint import InMemoryCheckpointStore
+from repro.serving import InMemoryWal, ServingEngine
 from tests.helpers import paper_edges, random_dag_edges
 
 SHARD_COUNTS = (1, 2, 4)
@@ -276,16 +284,24 @@ def measure_serving(num_shards: int) -> dict:
 #: recorded at the parent commit of PR 21; seconds and launches re-pinned (lower) by PR 22 (see the
 #: module docstring): 0.005177487173421231 s / 363 and 0.007441700738530274 s / 1206 before
 #: row 2 re-pinned (lower) again when the semi-join filter bank was deleted
+#: ``recover``: the crash -> ``ServingEngine.recover`` of the same session (``measure_recovery``),
+#: recorded at 0.0014253559023650975 s / 45 launches (1 shard) and 0.0014252115832310967 s / 90
+#: (2 shards) and re-pinned lower when recovery stopped initializing every relation empty before
+#: ``restore`` initializes it again: per shard, the empty load's 0-row ``h2d_facts`` launch and
+#: one hash-table build per index (sg [0], [1], [0,1], edge [0], [0,1]: a launch and a 125 us
+#: allocation each) and sg[1]'s 2-launch sort — 9 launches and 645 us
 SERVING_PINS = {
     1: {  # launches -29: 4 load/rebuild dedups 5->3, 4 seed dedups 5->3, seed populate-delta -10, materialize_init -3
         "simulated_seconds": 0.00503248184489901, "kernel_launches": 334, "epoch_iterations": [2, 1, 1, 1],
         "retracted": {"edge": 2, "sg": 94}, "rederived": {"sg": 66}, "sg": 474,
+        "recover": {"simulated_seconds": 0.0007803557590815154, "kernel_launches": 36, "epoch": 4, "sg": 474},
     },
     2: {  # launches -56: as above per shard, 14 replica dedups 5->3, replicate.pack +14
         # filter bank deleted: launches -153, semi-join filter build/refresh/merge launches gone (was 0.007271701171912806 s /
         # 1150); the filters were rebuilt after every retract epoch's invalidation
         "simulated_seconds": 0.0068515589801933655, "kernel_launches": 997, "epoch_iterations": [2, 1, 1, 1],
         "retracted": {"edge": 2, "sg": 94}, "rederived": {"sg": 66}, "sg": 474,
+        "recover": {"simulated_seconds": 0.0007802114399475149, "kernel_launches": 72, "epoch": 4, "sg": 474},
     },
 }
 
@@ -299,6 +315,48 @@ def test_serving_session_is_pinned(num_shards):
         assert measured[key] == pinned[key], key
 
 
+def measure_recovery(num_shards: int) -> dict:
+    """The same session with a WAL and a checkpoint per epoch, crashed after its
+    retract epoch: what ``ServingEngine.recover`` charges on fresh devices."""
+    edges = random_dag_edges()
+    resident, held = edges[:-6], edges[-6:]
+    store, wal = InMemoryCheckpointStore(keep=2), InMemoryWal()
+    engine = ServingEngine(
+        SG_SOURCE, {"edge": resident}, device="h100", fault_plan="none",
+        num_shards=num_shards, background=False, wal=wal, checkpoint_store=store,
+    )
+    try:
+        for i in (0, 2, 4):
+            engine.submit(inserts={"edge": held[i : i + 2]}).result()
+        engine.submit(retracts={"edge": held[:2]}).result()
+    finally:
+        engine.crash()
+    recovered = ServingEngine.recover(store, wal, background=False, fault_plan="none")
+    try:
+        launches = sum(
+            summary.launches
+            for device in recovered.devices
+            for summary in device.profiler.phase_summaries().values()
+        )
+        return {
+            "simulated_seconds": recovered.simulated_seconds,
+            "kernel_launches": launches,
+            "epoch": recovered.epoch,
+            "sg": recovered.query("sg").count,
+        }
+    finally:
+        recovered.close()
+
+
+@pytest.mark.parametrize("num_shards", sorted(SERVING_PINS))
+def test_serving_recovery_is_pinned(num_shards):
+    measured = measure_recovery(num_shards)
+    pinned = SERVING_PINS[num_shards]["recover"]
+    assert measured["simulated_seconds"] == pytest.approx(pinned["simulated_seconds"], rel=1e-12)
+    for key in ("kernel_launches", "epoch", "sg"):
+        assert measured[key] == pinned[key], key
+
+
 if __name__ == "__main__":  # prints the tables to paste into PINS / HTTPD_PIN / SERVING_PINS
     print("PINS = {")
     for name in sorted(WORKLOADS):
@@ -308,5 +366,5 @@ if __name__ == "__main__":  # prints the tables to paste into PINS / HTTPD_PIN /
     print(f"HTTPD_PIN = {measure('cspa-httpd', 1)!r}")
     print("SERVING_PINS = {")
     for shards in (1, 2):
-        print(f"    {shards}: {measure_serving(shards)!r},")
+        print(f"    {shards}: {dict(measure_serving(shards), recover=measure_recovery(shards))!r},")
     print("}")

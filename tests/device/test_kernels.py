@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.device import Device
 from repro.backend import HOST_BACKEND
-from repro.device.kernels import PackedColumns, row_search_bounds
+from repro.device.kernels import PackedColumns
 
 from tests.helpers import reference_unique
 
@@ -71,13 +71,6 @@ def test_gather_rows_and_values(kernels):
     assert kernels.compose_selection(np.array([5, 6, 7]), np.array([1, 1])).tolist() == [6, 6]
 
 
-def test_searchsorted_rows_bounds():
-    haystack = np.array([[1, 1], [1, 1], [2, 5], [3, 0]], dtype=np.int64)
-    lower, upper = row_search_bounds(haystack, np.array([[1, 1], [2, 5], [9, 9]], dtype=np.int64))
-    assert lower.tolist() == [0, 2, 4]
-    assert upper.tolist() == [2, 3, 4]
-
-
 @given(rows=rows_strategy)
 @settings(max_examples=60, deadline=None)
 def test_lex_rank_keys_preserve_order(rows):
@@ -85,17 +78,6 @@ def test_lex_rank_keys_preserve_order(rows):
     python_order = sorted(range(rows.shape[0]), key=lambda i: tuple(rows[i]))
     key_order = np.argsort(keys, kind="stable")
     assert [tuple(rows[i]) for i in key_order] == [tuple(rows[i]) for i in python_order]
-
-
-@given(rows=rows_strategy, needles=rows_strategy)
-@settings(max_examples=60, deadline=None)
-def test_row_search_bounds_match_membership(rows, needles):
-    if rows.shape[0]:
-        rows = rows[np.lexsort(tuple(rows[:, c] for c in reversed(range(rows.shape[1]))))]
-    lower, upper = row_search_bounds(rows, needles)
-    haystack = {tuple(r) for r in rows.tolist()}
-    for index, needle in enumerate(map(tuple, needles.tolist())):
-        assert (upper[index] > lower[index]) == (needle in haystack)
 
 
 @given(rows=rows_strategy)

@@ -321,7 +321,7 @@ def test_distinct_before_expand_fires_on_a_duplicated_high_fanout_outer():
     assert plain.shape[0] == 1000 * 100
     assert rows.shape[0] == 10 * 100  # d x fan-out: nothing was expanded twice
     assert set(map(tuple, rows.tolist())) == set(map(tuple, plain.tolist()))
-    assert live.report == {"eligible": 1, "fired": 1, "rows_in": 1000, "rows_out": 10}
+    assert live.report == {"matches": 1000 * 100, "eligible": 1, "fired": 1, "rows_in": 1000, "rows_out": 10}
     # The sort is charged through the ordinary dedup kernel with launches of
     # its own, between the two halves of the probe pipeline — not folded into
     # either elementwise fused launch.
@@ -371,5 +371,5 @@ def test_distinct_before_expand_keeps_guard_columns_live():
     shifted = [JoinOutput("outer", 1), JoinOutput("outer", 2), JoinOutput("inner", 1)]
     live = LiveOuter(frozenset({2}))
     result = hash_join(device, batch_of(device, wide), [3], hisa, shifted, comparisons=guard, live_outer=live)
-    assert live.report == {"eligible": 1, "fired": 1, "rows_in": 2000, "rows_out": 1000}
+    assert live.report == {"matches": 2000 * 100, "eligible": 1, "fired": 1, "rows_in": 2000, "rows_out": 1000}
     assert as_sorted_tuples(result) == as_sorted_tuples(plain)
