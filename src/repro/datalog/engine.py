@@ -171,6 +171,12 @@ class SymbolTable:
         """The entries interned at position ``start`` onward (a delta)."""
         return list(islice(self._by_symbol.items(), start, None))
 
+    def truncate(self, length: int) -> None:
+        """Forget the entries interned at position ``length`` onward."""
+        while len(self._by_symbol) > length:
+            _, identifier = self._by_symbol.popitem()
+            del self._by_id[identifier]
+
     def restore_entries(self, entries) -> None:
         """Re-intern persisted ``(symbol, identifier)`` pairs verbatim.
 

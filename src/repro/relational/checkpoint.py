@@ -47,6 +47,7 @@ __all__ = [
     "InMemoryCheckpointStore",
     "PartitionState",
     "RelationState",
+    "fold_chain",
 ]
 
 
@@ -126,12 +127,13 @@ class EvaluationCheckpoint:
         return np.concatenate(parts, axis=0)
 
 
-def _fold(chain: list[EvaluationCheckpoint]) -> EvaluationCheckpoint:
+def fold_chain(chain: list[EvaluationCheckpoint]) -> EvaluationCheckpoint:
     """One ordinary checkpoint from a base and its segments, oldest first.
 
     Per relation and shard the full rows concatenate in chain order and the
     symbol tails concatenate; the delta, the iteration counters, the metadata
-    and the id are the head's.
+    and the id are the head's.  Folding a run of segments instead gives one
+    segment of all their rows, whose ``parent`` the caller names.
     """
     head = chain[-1]
     if len(chain) == 1:
@@ -212,7 +214,7 @@ class CheckpointStore:
         return links[::-1]
 
     def load(self, checkpoint_id: str) -> EvaluationCheckpoint:
-        return _fold(self.chain(checkpoint_id))
+        return fold_chain(self.chain(checkpoint_id))
 
     def latest(self) -> EvaluationCheckpoint | None:
         ids = self.list_ids()

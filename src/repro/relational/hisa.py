@@ -95,7 +95,7 @@ def first_absorbed(sizes: Sequence[int], newer: int) -> int:
     ``newer`` absorbs under :data:`ABSORB_RATIO`; ``len(sizes)`` if none.
 
     The one absorb rule: :meth:`HISA.merge` applies it to sorted runs, the
-    serving engine to its chain of durable checkpoint segments.
+    serving engine to the chain of segments that is its commit record.
     """
     first = len(sizes)
     while first and ABSORB_RATIO * newer >= sizes[first - 1]:

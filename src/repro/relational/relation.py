@@ -138,7 +138,7 @@ class Relation:
         #: grows by appends (every merge writes past the live rows, in place
         #: or into a grown copy), so while the generation is unchanged the
         #: rows at positions ``[n, full_count)`` are exactly those merged in
-        #: since ``full_count`` was ``n`` (:meth:`appended_rows_host`).
+        #: since ``full_count`` was ``n`` (:meth:`appended_state`).
         self.generation = next(_GENERATIONS)
 
     # ------------------------------------------------------------------
@@ -398,7 +398,7 @@ class Relation:
     # ------------------------------------------------------------------
     # Checkpoint / restore
     # ------------------------------------------------------------------
-    def checkpoint_state(self, *, charge: bool = True) -> PartitionState:
+    def checkpoint_state(self) -> PartitionState:
         """Snapshot (full, delta) to host memory — the complete resumable state.
 
         Indexes, hash tables and buffer managers are deterministically
@@ -408,8 +408,20 @@ class Relation:
         """
         label = f"{self.name}.d2h_checkpoint"
         with self.device.profiler.phase(PHASE_CHECKPOINT):
-            full = self.full_batch().to_host(label=label, charge=charge)
-            delta = self._delta.to_host(label=label, charge=charge)
+            full = self.full_batch().to_host(label=label)
+            delta = self._delta.to_host(label=label)
+        return PartitionState(full=full, delta=delta, iteration=self._iteration)
+
+    def appended_state(self, start: int) -> PartitionState:
+        """:meth:`checkpoint_state` of the full rows from data position
+        ``start`` on: while :attr:`generation` is unchanged, the rows merged
+        in since ``full_count`` was ``start``.  Only a non-empty part pays
+        its charged D2H."""
+        label = f"{self.name}.d2h_checkpoint"
+        empty = np.empty((0, self.arity), dtype=np.int64)
+        with self.device.profiler.phase(PHASE_CHECKPOINT):
+            full = self.full_batch(start).to_host(label=label) if self.full_count > start else empty
+            delta = self._delta.to_host(label=label) if len(self._delta) else empty
         return PartitionState(full=full, delta=delta, iteration=self._iteration)
 
     def restore(self, partition: PartitionState) -> None:
@@ -556,14 +568,6 @@ class Relation:
     def full_rows_host(self, *, charge: bool = True) -> np.ndarray:
         """Download the full version to host rows (the charged D2H edge)."""
         return self.full_batch().to_host(label=f"{self.name}.d2h_result", charge=charge)
-
-    def appended_rows_host(self, start: int) -> np.ndarray:
-        """Download the full rows from data position ``start`` on (charged D2H).
-
-        While :attr:`generation` is the one that stood when ``full_count``
-        was ``start``, these are exactly the rows merged in since.
-        """
-        return self.full_batch(start).to_host(label=f"{self.name}.d2h_appended")
 
     def full_batch(self, start: int = 0) -> ColumnBatch:
         """The full version (from data position ``start`` on) as a columnar

@@ -290,12 +290,22 @@ class ShardedRelation:
     # ------------------------------------------------------------------
     # Checkpoint / recovery
     # ------------------------------------------------------------------
-    def checkpoint_state(self, *, charge: bool = True) -> RelationState:
+    def checkpoint_state(self) -> RelationState:
         """Snapshot every shard's (full, delta) partition to host memory."""
         return RelationState(
             name=self.name,
             arity=self.arity,
-            partitions=[shard.checkpoint_state(charge=charge) for shard in self.shards],
+            partitions=[shard.checkpoint_state() for shard in self.shards],
+        )
+
+    def appended_state(self, marks: list[tuple[int, int]]) -> RelationState:
+        """:meth:`checkpoint_state` of the rows every shard appended past its
+        :meth:`append_marks` entry (the marks must still :meth:`holds`); each shard
+        that grew pays a charged D2H of its new rows only."""
+        return RelationState(
+            name=self.name,
+            arity=self.arity,
+            partitions=[shard.appended_state(rows) for shard, (_, rows) in zip(self.shards, marks)],
         )
 
     def restore(self, state: RelationState) -> None:
@@ -372,24 +382,14 @@ class ShardedRelation:
         """Per shard ``(generation, full rows)``: where its full version ends now."""
         return [(shard.generation, shard.full_count) for shard in self.shards]
 
-    def appended_rows_host(self, marks: list[tuple[int, int]]) -> "np.ndarray | None":
-        """Host rows every shard appended past its :meth:`append_marks` entry.
+    def holds(self, marks: list[tuple[int, int]]) -> bool:
+        """True while every shard's generation is the one ``marks`` names.
 
-        Each shard that grew pays a charged D2H of its new rows only.  Returns
-        ``None`` when any shard's generation moved — it was re-initialized
-        (a retraction, a restore) or replaced by :meth:`rebuild_shard` — so
-        the marked rows are no longer a prefix of its full version.
+        Once one moved — the shard was re-initialized (a retraction, a
+        restore) or replaced by :meth:`rebuild_shard` — the marked rows are no
+        longer a prefix of its full version.
         """
-        if [generation for generation, _ in marks] != [shard.generation for shard in self.shards]:
-            return None
-        parts = [
-            shard.appended_rows_host(rows)
-            for shard, (_, rows) in zip(self.shards, marks)
-            if shard.full_count > rows
-        ]
-        if not parts:
-            return np.empty((0, self.arity), dtype=np.int64)
-        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
+        return [generation for generation, _ in marks] == [shard.generation for shard in self.shards]
 
     def as_set(self) -> set[tuple[int, ...]]:
         return set(host_rows_to_tuples(self.full_rows_host(charge=False)))

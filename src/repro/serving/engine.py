@@ -23,34 +23,37 @@ keeps the machinery *resident*:
 * :meth:`query` reads per-relation **versioned snapshots**
   (:mod:`repro.serving.snapshot`): immutable canonical copies, materialized
   lazily — a commit only bumps the changed relations' versions, and the
-  first query of a stale relation downloads the rows appended since the
-  previous snapshot (the charged D2H edge) and merges them into it.
-  Repeat reads of an unchanged relation never block on in-flight epochs.
+  first query of a stale relation merges the rows appended since the
+  previous snapshot, taken from the commit record, into it.  Repeat reads
+  of an unchanged relation never block on in-flight epochs.
 
 Charged-cost boundaries are unchanged from the batch engine: seed rows and
-retract probes pay H2D, snapshot materialization pays D2H (on the query
-path, so epoch latency prices exactly the incremental maintenance), and
-every kernel an epoch launches (joins, merges, retraction rebuilds, shard
+retract probes pay H2D, the commit step and a full snapshot build pay D2H
+(outside the epoch's latency, which prices the maintenance), and every
+kernel an epoch launches (joins, merges, retraction rebuilds, shard
 exchanges) goes through the same cost model — epoch latencies in simulated
 seconds are directly comparable to a full re-fixpoint of the same program.
 
-Epochs are **transactions**: the engine keeps a host copy of every
-relation's state as of the last committed epoch.  A fault inside an epoch
-(kernel fault, injected OOM, exchange error or shard crash, all scriptable via
+Epochs are **transactions**, and the engine keeps one record of the last
+committed state: its *commit record*, a chain of host links — a base, then
+per commit a segment of the full rows the epoch appended — kept as a run
+stack under HISA's absorb rule.  Each commit step downloads only the rows
+past the top link's per-shard marks (charged under the checkpoint phase,
+outside the epoch's latency).  A fault inside an epoch (kernel fault,
+injected OOM, exchange error or shard crash, all scriptable via
 :class:`~repro.device.faults.FaultPlan`) first rides the evaluator's own
 retry/backoff ladder and then, at the serving layer, triggers whole-epoch
-rollback-and-replay.  When the
-epoch retry budget is also exhausted the epoch **aborts**: state and
-snapshot versions roll back to the last commit, only that epoch's tickets
-fail (with :class:`~repro.errors.EpochAborted`), and reads keep serving the
-pre-epoch snapshots.  With a :class:`~repro.serving.wal.WriteAheadLog` every
-submission is logged before its ticket is returned and every commit writes
-a durable marker; together with a periodic checkpoint into a
-:class:`~repro.relational.checkpoint.CheckpointStore` — a base, then one
-segment of appended rows per checkpoint, kept as a run stack —
-:meth:`ServingEngine.recover` rebuilds a crashed engine to the exact
-pre-crash state (checkpoint + committed-group replay + one catch-up epoch
-for acknowledged-but-uncommitted batches).  A bounded mutation queue
+rollback — every relation restored from the folded record — and replay.
+When the epoch retry budget is also exhausted the epoch **aborts**: state
+and snapshot versions roll back to the last commit, only that epoch's
+tickets fail (with :class:`~repro.errors.EpochAborted`), and reads keep
+serving the pre-epoch snapshots.  With a
+:class:`~repro.serving.wal.WriteAheadLog` every submission is logged before
+its ticket is returned and every commit writes a durable marker; a
+:class:`~repro.relational.checkpoint.CheckpointStore` receives each new link
+as a checkpoint, and :meth:`ServingEngine.recover` rebuilds a crashed engine
+to the exact pre-crash state (checkpoint + committed-group replay + one
+catch-up epoch for acknowledged-but-uncommitted batches).  A bounded mutation queue
 (``max_pending`` + ``block``/``reject``/``shed-oldest`` policies), a health
 state machine (``healthy → degraded → recovering``), and backlog-widened
 coalescing windows keep the engine graceful under overload.
@@ -63,16 +66,16 @@ import time
 from collections import defaultdict
 from concurrent.futures import Future
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
+from ..backend import host_rows_to_tuples
 from ..datalog.ast import Program
 from ..datalog.engine import FactValue, GPULogEngine, intern_program
 from ..datalog.planner import RuleVersion
-from ..device.profiler import PHASE_CHECKPOINT
 from ..device.spec import DeviceSpec
 from ..errors import (
     AdmissionRejected,
@@ -84,12 +87,7 @@ from ..errors import (
     FixpointInterrupted,
     SchemaError,
 )
-from ..relational.checkpoint import (
-    CheckpointStore,
-    EvaluationCheckpoint,
-    PartitionState,
-    RelationState,
-)
+from ..relational.checkpoint import CheckpointStore, EvaluationCheckpoint, fold_chain
 from ..relational.hisa import first_absorbed
 from .cache import DEFAULT_PROGRAM_CACHE, CompiledProgram, ProgramCache
 from .snapshot import RelationSnapshot, SnapshotTable, canonical_rows, merge_rows, row_keys
@@ -129,7 +127,8 @@ class EpochResult:
     retracted: dict[str, int] = field(default_factory=dict)
     #: over-deleted rows that survived DRed re-derivation, per relation
     rederived: dict[str, int] = field(default_factory=dict)
-    #: simulated seconds the epoch charged (max over shard devices)
+    #: simulated seconds the epoch charged (max over shard devices), less the
+    #: commit step's D2H, so that it prices only the maintenance
     simulated_seconds: float = 0.0
     #: host wall-clock seconds the epoch took
     host_seconds: float = 0.0
@@ -179,19 +178,23 @@ class _Mutation:
 
 @dataclass(frozen=True)
 class _ChainLink:
-    """One durable checkpoint of the engine's chain (a base or a segment)."""
+    """One link of the commit record: a base, or a segment of appended rows."""
 
-    checkpoint_id: str
-    #: rows this checkpoint holds itself: the size the absorb rule compares
-    rows: int
-    #: per relation, per shard: full rows this checkpoint and its ancestors hold
-    marks: dict[str, list[int]]
-    #: symbol-table entries this checkpoint and its ancestors hold
-    symbols: int
+    #: per relation and shard, the full rows appended past the link below
+    #: (every row, in a base); its ``checkpoint_id`` is set, and its symbol
+    #: entries filled in, once a checkpoint store holds it
+    checkpoint: EvaluationCheckpoint
+    #: per relation, the ``append_marks()`` the link ends at
+    marks: dict[str, list[tuple[int, int]]]
 
-
-def _total(marks: dict[str, list[int]]) -> int:
-    return sum(sum(rows) for rows in marks.values())
+    @property
+    def rows(self) -> int:
+        """Full rows the link holds itself: the size the absorb rule compares."""
+        return sum(
+            partition.full.shape[0]
+            for state in self.checkpoint.relations.values()
+            for partition in state.partitions
+        )
 
 
 @dataclass(frozen=True)
@@ -199,8 +202,8 @@ class _ReadMark:
     """Where a relation stood when its newest snapshot was built."""
 
     snapshot: RelationSnapshot
-    #: the relation's ``append_marks()`` at that moment: per shard, the
-    #: generation and full row count the snapshot's rows are made of
+    #: the commit record's marks for the relation at that moment: per shard,
+    #: the generation and full row count the snapshot's rows are made of
     marks: list[tuple[int, int]]
     #: ``row_keys(snapshot.rows)``: what the next read's merge searches
     keys: np.ndarray
@@ -226,7 +229,6 @@ class ServingEngine:
         fault_plan: "str | None" = None,
         wal: WriteAheadLog | None = None,
         checkpoint_store: CheckpointStore | None = None,
-        checkpoint_every_epochs: int = 1,
         max_pending: int | None = None,
         admission_policy: str = "block",
         admission_timeout: float | None = None,
@@ -250,7 +252,6 @@ class ServingEngine:
         # Durability / admission configuration.
         self.wal = wal
         self.checkpoint_store = checkpoint_store
-        self.checkpoint_every_epochs = max(1, int(checkpoint_every_epochs))
         self.max_pending = None if max_pending is None else int(max_pending)
         self.admission_policy = admission_policy
         self.admission_timeout = None if admission_timeout is None else float(admission_timeout)
@@ -266,15 +267,11 @@ class ServingEngine:
         self._health = HEALTH_HEALTHY
         self._replaying = False
         self._committed_seq = 0
-        #: host state of every relation as of the last committed epoch —
-        #: the rollback target, refreshed per commit for changed relations
-        self._epoch_states: dict[str, RelationState] = {}
-        #: the durable checkpoint chain as a run stack, base first; empty
-        #: when a relation was re-initialized since the last checkpoint,
-        #: which makes the next one a base
+        #: the commit record: every relation as of the last committed epoch,
+        #: as host links kept as a run stack (base first) — the rollback
+        #: target, and what a checkpoint store persists; durable links come
+        #: first
         self._chain: list[_ChainLink] = []
-        #: the epoch the newest durable checkpoint holds (-1 = none yet)
-        self._checkpointed_epoch = -1
         self.last_epoch: EpochResult | None = None
         self.snapshots = SnapshotTable()
         #: per relation, the newest snapshot's rows as the next read finds them
@@ -283,6 +280,7 @@ class ServingEngine:
         # Mutation queue + optional background epoch worker.
         self._engine_lock = threading.RLock()
         self._queue = threading.Condition()
+        self._encoding = threading.Lock()
         self._pending: list[_Mutation] = []
         self._inflight = False
         self._inflight_batch: list[_Mutation] | None = None
@@ -366,7 +364,7 @@ class ServingEngine:
             self._changed_epoch = {name: 0 for name in self.relations}
             # Epoch-0 baseline: the state every first-epoch rollback (and
             # every recovery with no later checkpoint) returns to.
-            self._epoch_states = {name: self._capture(name) for name in self.relations}
+            self._record_commit(self.epoch)
             if self.checkpoint_store is not None:
                 self._save_serving_checkpoint()
             self._start_worker()
@@ -398,15 +396,9 @@ class ServingEngine:
             self._versions.setdefault(relation_name, 1)
             self._changed_epoch.setdefault(relation_name, 0)
         self._committed_seq = int(serving_meta.get("covered_seq", 0))
-        # The checkpoint's host partitions double as the rollback target.
-        self._epoch_states = dict(restore.relations)
-        # The loaded chain is the bottom of the stack: every row the
-        # relations now hold is durable in it.
-        marks = self._row_marks()
-        self._chain = [
-            _ChainLink(restore.checkpoint_id, _total(marks), marks, len(self.symbols))
-        ]
-        self._checkpointed_epoch = self.epoch
+        # The loaded chain is the bottom link of the commit record: every row
+        # the relations now hold is durable in it, nothing is downloaded.
+        self._chain = [_ChainLink(restore, self._append_marks())]
 
     # The resident state lives in the batch engine; these are read-only views
     # of it (a shard rebuild swaps ``devices``, ``close`` empties ``relations``).
@@ -432,16 +424,25 @@ class ServingEngine:
         honoured per tuple (last writer wins): retract-then-insert nets to
         the row being present, insert-then-retract to absent.
         """
-        symbol_mark = len(self.symbols)
-        encoded_inserts = {
-            relation_name: [tuple(row) for row in self._encode_rows(relation_name, rows)]
-            for relation_name, rows in (inserts or {}).items()
-        }
-        encoded_retracts = {
-            relation_name: [tuple(row) for row in self._encode_rows(relation_name, rows)]
-            for relation_name, rows in (retracts or {}).items()
-        }
-        new_symbols = self.symbols.entries_from(symbol_mark)
+        # A batch that fails to encode leaves no string interned: no log
+        # record would name it, so a later batch using it would recover as a
+        # raw id.  One submitter encodes at a time, so its strings are the
+        # table's tail.
+        with self._encoding:
+            symbol_mark = len(self.symbols)
+            try:
+                encoded_inserts = {
+                    relation_name: [tuple(row) for row in self._encode_rows(relation_name, rows)]
+                    for relation_name, rows in (inserts or {}).items()
+                }
+                encoded_retracts = {
+                    relation_name: [tuple(row) for row in self._encode_rows(relation_name, rows)]
+                    for relation_name, rows in (retracts or {}).items()
+                }
+            except BaseException:
+                self.symbols.truncate(symbol_mark)
+                raise
+            new_symbols = self.symbols.entries_from(symbol_mark)
         mutation = _Mutation(encoded_inserts, encoded_retracts, Future())
         deadline = (
             None
@@ -519,8 +520,8 @@ class ServingEngine:
         Returns the :class:`RelationSnapshot` (raw interned int64 rows in
         canonical order), or — with ``decode=True`` — the decoded list of
         tuples.  If the relation changed since it was last read, the first
-        query pays the charged D2H download of the rows appended since (and
-        briefly synchronizes with the epoch worker); repeat reads of an
+        query merges in the rows appended since (and briefly synchronizes
+        with the epoch worker); repeat reads of an
         unchanged relation return the cached immutable snapshot without
         blocking on in-flight epochs.
         """
@@ -793,16 +794,12 @@ class ServingEngine:
                 return result
 
     def _finish_commit(self, seqs: list[int]) -> None:
-        """Post-commit durability: WAL commit marker + periodic checkpoint."""
+        """Post-commit durability: WAL commit marker + checkpoint."""
         if seqs:
             self._committed_seq = max(self._committed_seq, max(seqs))
         if self.wal is not None and not self._replaying and seqs:
             self.wal.append_commit(self.epoch, seqs)
-        if (
-            self.checkpoint_store is not None
-            and not self._replaying
-            and self.epoch % self.checkpoint_every_epochs == 0
-        ):
+        if self.checkpoint_store is not None and not self._replaying:
             self._save_serving_checkpoint()
 
     def _rollback(self, error: BaseException) -> None:
@@ -811,10 +808,10 @@ class ServingEngine:
         If the failure chain contains an :class:`ExchangeError` the receiving
         shard's device died with its buffers: the evaluator raised without
         rebuilding it (it had no fixpoint checkpoint of its own), so the
-        rebuild happens here, against the *serving* layer's epoch-boundary
-        states.  Snapshot versions were never bumped mid-epoch, so committed
-        reads stay valid throughout; ``discard_newer`` enforces exactly that
-        invariant.
+        rebuild happens here; every relation is then restored from the folded
+        commit record.  Snapshot versions were never bumped mid-epoch, so
+        committed reads stay valid throughout; ``discard_newer`` enforces
+        exactly that invariant.
 
         Fault injection is suspended for the duration: rollback models
         driver-level recovery, and its own frees/uploads are not production
@@ -829,7 +826,7 @@ class ServingEngine:
     def _faults_suspended(self):
         """Detach every shard device's fault plan for the block.
 
-        For driver-level bookkeeping (rollback, checkpoint I/O), which is not
+        For driver-level bookkeeping (rollback, the commit step), which is not
         a production fault site.  The plans reattach by shard index: a shard
         rebuild inside the block may have swapped ``self.devices`` (the
         engine shares one plan instance).
@@ -857,109 +854,83 @@ class ServingEngine:
                 or cursor.__cause__
                 or cursor.__context__
             )
+        committed = fold_chain([link.checkpoint for link in self._chain])
         for relation_name, relation in self.relations.items():
-            state = self._epoch_states.get(relation_name)
-            if state is not None:
-                relation.restore(state)
-        # ``restore`` re-initialized every relation: the next checkpoint is a base.
-        self._chain = []
+            relation.restore(committed.relations[relation_name])
         self._evaluator.exchange.invalidate()
         self.snapshots.discard_newer(self._versions)
 
-    def _capture(self, relation_name: str) -> RelationState:
-        """Host-snapshot one relation's (full, delta) state, uncharged.
+    def _append_marks(self) -> dict[str, list[tuple[int, int]]]:
+        return {name: relation.append_marks() for name, relation in self.relations.items()}
 
-        The rollback baseline rides the copy engine in the background,
-        overlapped with serving reads — it is not on the epoch's critical
-        path, so charging its D2H to the epoch would break the O(|Δ|) shape
-        the trickle benchmark gates.  The simulated cost model sees
-        checkpoint traffic when a checkpoint is actually persisted
-        (:meth:`_save_serving_checkpoint` charges the D2H of the rows it
-        writes then), mirroring the batch engine's checkpoint phase.
-        """
-        return self.relations[relation_name].checkpoint_state(charge=False)
+    def _record_commit(self, epoch: int) -> None:
+        """The commit step: extend the commit record to the relations' state.
 
-    def _row_marks(self) -> dict[str, list[int]]:
-        """Full rows per relation per shard in the rollback baseline."""
-        return {
-            name: [partition.full.shape[0] for partition in state.partitions]
-            for name, state in self._epoch_states.items()
+        Per relation and shard, only the full rows past the top link's marks
+        cross the D2H edge, charged once under the checkpoint phase.  If any
+        shard's generation moved since — a retract or a rollback's restore
+        re-initialized it, or it is a rebuilt shard — the marks no longer
+        name a prefix, and every row is downloaded as a new base.  The new
+        link absorbs the newest links it is at least half as large as
+        (:func:`~repro.relational.hisa.first_absorbed`) by concatenating
+        their host rows, so a row crosses once and is copied
+        O(log(|full| / |Δ|)) times on the host.  Fault plans are suspended:
+        like rollback, this is driver-level bookkeeping.  Symbols are added
+        only by :meth:`_save_serving_checkpoint`."""
+        marks = self._append_marks()
+        chain = self._chain
+        if not (chain and all(relation.holds(chain[-1].marks[name]) for name, relation in self.relations.items())):
+            chain = []
+        since = chain[-1].marks if chain else {
+            name: [(generation, 0) for generation, _ in shards] for name, shards in marks.items()
         }
-
-    def _charge_checkpoint_io(self, checkpoint: EvaluationCheckpoint) -> None:
-        """Charge the D2H traffic of the rows ``checkpoint`` persists.
-
-        Fault plans are suspended for the duration: persistence happens
-        after the epoch committed, outside the transaction — like rollback,
-        it models driver-level bookkeeping, not a production fault site.
-        """
         with self._faults_suspended():
-            for name, state in checkpoint.relations.items():
-                for index, partition in enumerate(state.partitions):
-                    device = self.devices[index % len(self.devices)]
-                    with device.profiler.phase(PHASE_CHECKPOINT):
-                        for rows in (partition.full, partition.delta):
-                            if rows.shape[0]:
-                                device.kernels.to_host(rows, label=f"{name}.d2h_checkpoint")
+            relations = {name: relation.appended_state(since[name]) for name, relation in self.relations.items()}
+        link = _ChainLink(
+            EvaluationCheckpoint(
+                program_name=self.program.name,
+                stratum_index=-1,
+                iteration=epoch,
+                num_shards=self.num_shards,
+                relations=relations,
+            ),
+            marks,
+        )
+        first = first_absorbed([below.rows for below in chain], link.rows)
+        if first < len(chain):
+            folded = fold_chain([below.checkpoint for below in chain[first:]] + [link.checkpoint])
+            link = _ChainLink(folded, marks)
+        self._chain = chain[:first] + [link]
 
     def _save_serving_checkpoint(self) -> None:
         """Make the last committed epoch durable and compact the WAL behind it.
 
-        The store holds a chain kept as a run stack under HISA's absorb rule
-        (:func:`~repro.relational.hisa.first_absorbed`): the rows appended
-        since the newest checkpoint absorb the newest links they are at least
-        half as large as, and are written as one segment of everything past
-        the surviving link's row marks — exact, because a full version only
-        grows until it is re-initialized, and every re-initialization
-        empties :attr:`_chain`.  Absorbing the base, or an empty chain,
-        writes a new base.  Each row is thereby rewritten
-        O(log(|full| / |Δ|)) times, and a recovery reads O(|full|) rows.
-
-        The rows come from the host states :attr:`_epoch_states` already
-        holds; their D2H is charged under the checkpoint phase now that they
-        become durable.  ``metadata["serving"]`` carries everything
+        The checkpoint store receives the commit record's links above its
+        newest durable one, folded into one checkpoint whose parent is that
+        link — after a live epoch, the one link its commit step left on top;
+        after recovery, everything the replayed epochs added, whose commit
+        steps extend only the in-memory chain.  With no durable link below,
+        it is a base.  ``metadata["serving"]`` carries everything
         :meth:`recover` needs beyond relation state and symbols: epoch
         counter, snapshot versions and the WAL horizon the checkpoint covers.
-        An epoch that is already durable writes nothing.
+        An epoch that is already durable writes nothing.  The symbol tail is
+        read under the encoding lock: a failed encode frees its identifiers.
         """
         assert self.checkpoint_store is not None
-        if self.epoch == self._checkpointed_epoch:
-            return
-        marks = self._row_marks()
-        total = _total(marks)
         chain = self._chain
-        first = (
-            first_absorbed([link.rows for link in chain], total - _total(chain[-1].marks))
-            if chain
-            else 0
+        durable = next(
+            (index for index, link in enumerate(chain) if not link.checkpoint.checkpoint_id),
+            len(chain),
         )
-        parent = chain[first - 1] if first else None
-        if parent is None:
-            relations, below_rows, below_symbols = dict(self._epoch_states), 0, 0
-        else:
-            below_rows, below_symbols = _total(parent.marks), parent.symbols
-            relations = {
-                name: RelationState(
-                    name=name,
-                    arity=state.arity,
-                    partitions=[
-                        PartitionState(
-                            full=partition.full[mark:].copy(),
-                            delta=partition.delta,
-                            iteration=partition.iteration,
-                        )
-                        for partition, mark in zip(state.partitions, parent.marks[name])
-                    ],
-                )
-                for name, state in self._epoch_states.items()
-            }
-        symbols = self.symbols.entries_from(below_symbols)
-        checkpoint = EvaluationCheckpoint(
-            program_name=self.program.name,
-            stratum_index=-1,
+        if durable == len(chain):
+            return
+        folded = fold_chain([link.checkpoint for link in chain[durable:]])
+        with self._encoding:
+            symbols = self.symbols.entries_from(sum(len(link.checkpoint.symbols) for link in chain))
+        checkpoint = replace(
+            folded,
+            symbols=folded.symbols + symbols,
             iteration=self.epoch,
-            num_shards=self.num_shards,
-            relations=relations,
             program_source=str(self.program),
             metadata={
                 "serving": {
@@ -971,15 +942,10 @@ class ServingEngine:
                     "num_shards": self.num_shards,
                 }
             },
-            symbols=symbols,
-            parent=parent.checkpoint_id if parent else "",
+            parent=chain[durable - 1].checkpoint.checkpoint_id if durable else "",
         )
-        self._charge_checkpoint_io(checkpoint)
         checkpoint_id = self.checkpoint_store.save(checkpoint)
-        self._chain = chain[:first] + [
-            _ChainLink(checkpoint_id, total - below_rows, marks, below_symbols + len(symbols))
-        ]
-        self._checkpointed_epoch = self.epoch
+        self._chain = chain[:durable] + [_ChainLink(checkpoint, chain[-1].marks)]
         if self.wal is not None:
             self.wal.append_checkpoint(
                 self.epoch, self._committed_seq, checkpoint_id=checkpoint_id
@@ -1004,9 +970,6 @@ class ServingEngine:
                     removed = self.relations[relation_name].retract(rows)
                     if removed:
                         retracted_counts[relation_name] = removed
-                        # The rebuild re-initialized the relation: row
-                        # marks no longer name what was appended.
-                        self._chain = []
                 # The over-delete probes replicated inners the exchange built
                 # lazily from the *pre-deletion* fulls; the re-derive must see
                 # post-deletion state only.
@@ -1051,22 +1014,18 @@ class ServingEngine:
                         changed.add(relation_name)
                         break
 
-            # Epoch-boundary capture (still *before* any version bump: a
-            # fault during these D2H downloads rolls back against the old
-            # baselines and no reader ever saw a new version).  Staged into a
-            # side dict so a mid-capture fault cannot corrupt the rollback
-            # target with a half-updated epoch.
-            new_states: dict[str, RelationState] = {}
-            for relation_name in sorted(changed):
-                new_states[relation_name] = self._capture(relation_name)
-
+            # The epoch's latency prices its maintenance; the commit step's
+            # D2H is on the device clock, under the checkpoint phase.  It
+            # runs *before* the epoch counter or any version moves, with no
+            # fault site in it.
+            sim_end = [device.elapsed_seconds for device in self.devices]
+            self._record_commit(self.epoch + 1)
             self.epoch += 1
             published: dict[str, int] = {}
             for relation_name in sorted(changed):
                 self._versions[relation_name] += 1
                 self._changed_epoch[relation_name] = self.epoch
                 published[relation_name] = self._versions[relation_name]
-            self._epoch_states.update(new_states)
 
             with self._queue:
                 backlog = len(self._pending)
@@ -1075,7 +1034,6 @@ class ServingEngine:
             else:
                 self._health = HEALTH_HEALTHY
 
-            sim_end = [device.elapsed_seconds for device in self.devices]
             result = EpochResult(
                 epoch=self.epoch,
                 coalesced=len(batch),
@@ -1194,11 +1152,12 @@ class ServingEngine:
             derived = self._collect_version_rows(version)
             if not derived.shape[0]:
                 continue
-            regained = {
-                tuple(int(value) for value in row) for row in derived
-            } & deleted[head]
-            if regained:
-                survivors.setdefault(head, set()).update(regained)
+            # Membership on packed keys: ``derived`` is the rule's whole
+            # output, the cone is small.
+            cone = row_keys(self._rows_array(deleted[head], head))
+            regained = derived[np.isin(row_keys(derived), cone)]
+            if regained.shape[0]:
+                survivors.setdefault(head, set()).update(host_rows_to_tuples(regained))
         return survivors
 
     def _collect_version_rows(self, version: RuleVersion) -> np.ndarray:
@@ -1222,10 +1181,11 @@ class ServingEngine:
         committed version.  Slow path: take the engine lock — briefly
         serializing with the epoch worker — re-check, then build the new
         version and publish it for later readers.  When every shard still
-        holds the generation the previous snapshot was built from, only the
-        rows appended since cross the charged D2H edge and are merged into
-        it; otherwise (first read, or a re-initialization since) the whole
-        relation is downloaded and sorted.
+        holds the generation the previous snapshot was built from, the rows
+        appended since are merged into it from the commit record, whose
+        commit steps already downloaded them; otherwise (first read, or a
+        re-initialization since) the whole relation crosses the charged D2H
+        edge and is sorted.
         """
         target = self._versions[relation_name]
         try:
@@ -1244,7 +1204,7 @@ class ServingEngine:
                 pass
             relation = self.relations[relation_name]
             mark = self._read_marks.get(relation_name)
-            appended = None if mark is None else relation.appended_rows_host(mark.marks)
+            appended = None if mark is None else self._committed_since(relation_name, mark.marks)
             if appended is None:
                 rows = canonical_rows(relation.full_rows_host(charge=True), relation.arity)
                 keys = row_keys(rows)
@@ -1256,9 +1216,27 @@ class ServingEngine:
                 epoch=self._changed_epoch[relation_name],
                 rows=rows,
             )
-            self._read_marks[relation_name] = _ReadMark(snapshot, relation.append_marks(), keys)
+            self._read_marks[relation_name] = _ReadMark(snapshot, self._chain[-1].marks[relation_name], keys)
             self.snapshots.publish({relation_name: snapshot})
             return snapshot
+
+    def _committed_since(self, relation_name: str, marks: list[tuple[int, int]]) -> np.ndarray | None:
+        """The commit record's host rows of ``relation_name`` past ``marks``,
+        or ``None`` once a generation moved: every link shares its base's
+        generations, so per shard they are the newest links' rows, the
+        oldest of them cut at the mark."""
+        top = self._chain[-1].marks[relation_name]
+        if [generation for generation, _ in marks] != [generation for generation, _ in top]:
+            return None
+        parts = [np.empty((0, self.relations[relation_name].arity), dtype=np.int64)]
+        for shard, ((_, start), (_, end)) in enumerate(zip(marks, top)):
+            for link in reversed(self._chain):
+                if end <= start:
+                    break
+                rows = link.checkpoint.relations[relation_name].partitions[shard].full
+                parts.append(rows[max(0, rows.shape[0] - (end - start)) :])
+                end -= rows.shape[0]
+        return np.concatenate(parts, axis=0)
 
     def _encode_rows(self, relation_name: str, rows: FactRows) -> np.ndarray:
         """Encode client rows (ints/strings) into an int64 host array."""

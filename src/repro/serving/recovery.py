@@ -3,9 +3,10 @@
 The recovery contract mirrors ARIES in miniature.  A live engine leaves two
 durable artifacts behind:
 
-* the **checkpoint store** — epoch-boundary (full, delta) state of every
-  relation plus serving metadata (epoch counter, snapshot versions, symbol
-  table, WAL horizon), written every ``checkpoint_every_epochs`` commits, and
+* the **checkpoint store** — the engine's commit record, one link per
+  commit: a base, then segments of the full rows each epoch appended, plus
+  serving metadata (epoch counter, snapshot versions, symbol table, WAL
+  horizon), and
 * the **write-ahead log** — every acknowledged ``submit()`` batch, commit
   markers naming the batches each epoch folded in, and abort markers for
   batches that will never commit (rolled-back epochs, shed batches).
@@ -16,7 +17,7 @@ durable artifacts behind:
    one — and rebuild a :class:`ServingEngine` around it (program re-parsed
    from the interned source, symbol table restored, relations restored
    shard by shard, bootstrap skipped); the loaded chain becomes the bottom
-   link of the engine's checkpoint run stack;
+   link of the engine's in-memory commit record;
 2. **redo**: replay each committed WAL group past the checkpoint's horizon
    as its own epoch, preserving the crashed engine's epoch boundaries — the
    delta fixpoint is deterministic, so the replayed database (and its
@@ -25,9 +26,10 @@ durable artifacts behind:
    final epoch that earns a fresh commit marker — those submitters held
    tickets, so their writes must survive;  aborted batches are skipped (the
    crashed engine told those submitters their epoch failed);
-4. if anything was replayed, make it durable as one checkpoint on top of the
-   loaded chain (a segment, unless a replayed retract re-initialized a
-   relation) and compact the WAL behind it; then start the background
+4. replayed epochs extend only the in-memory record; if anything was
+   replayed, everything above the newest durable link is written as one
+   checkpoint (a segment, unless a replayed retract re-initialized a
+   relation) and the WAL is compacted behind it; then start the background
    worker.  Nothing replayed, nothing written.
 
 The engine reports ``recovering`` health for the duration and returns to

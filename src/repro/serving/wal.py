@@ -189,8 +189,11 @@ class WriteAheadLog:
         return [dict(record) for record in self._records]
 
     def last_seq(self) -> int:
+        """Highest batch sequence ever logged: compaction drops the covered
+        batch records, so the checkpoint horizon counts too (a reissued
+        sequence would hide its group behind that horizon)."""
         seqs = [r["seq"] for r in self._records if r["type"] == RECORD_BATCH]
-        return max(seqs) if seqs else 0
+        return max([*seqs, self.covered_seq()])
 
     def covered_seq(self) -> int:
         """Highest batch sequence a checkpoint record covers (0 = none)."""

@@ -7,7 +7,8 @@ model (ROADMAP aim 3).  The call sites are found by parsing, not executing,
 and pinned as a literal: a new one is a deliberate edit of this file that says
 why the work is free.  PR 22 took the list from six to four (the cached
 row view of a delta and the fused n-way join's index probes went with the row
-route).
+route), and the serving commit record took it to three: the rollback baseline
+is the checkpoint chain, whose download is charged once.
 """
 
 import ast
@@ -21,10 +22,6 @@ UNCHARGED = {
     ("relational/sharded.py", "as_set", "full_rows_host"): "test introspection of the full version",
     ("datalog/seminaive.py", "_initial_rows", "columns"): (
         "a degraded re-execution slices the scan's stored columns, which are already materialized"
-    ),
-    ("serving/engine.py", "_capture", "checkpoint_state"): (
-        "an epoch's rollback baseline is off the critical path; the D2H of the rows a checkpoint persists"
-        " from it (a segment's appended rows or a base) is charged then"
     ),
 }
 
@@ -56,5 +53,5 @@ def uncharged_calls() -> set[tuple[str, str, str]]:
 
 def test_every_uncharged_call_is_listed_with_a_reason():
     assert uncharged_calls() == set(UNCHARGED)
-    assert len(UNCHARGED) <= 4
+    assert len(UNCHARGED) <= 3
     assert all(reason for reason in UNCHARGED.values())

@@ -8,7 +8,9 @@ read ``src/repro`` rather than run it, so the fork cannot come back one
 ``isinstance`` at a time.
 
 The same goes for the fixpoint loop: there is one, and the comparison
-baselines are cost models over the trace it records, not evaluators.
+baselines are cost models over the trace it records, not evaluators.  And for
+the serving engine's record of its last commit: there is one, the checkpoint
+chain, which is also its rollback baseline.
 """
 
 import ast
@@ -46,6 +48,17 @@ def test_no_device_kernel_works_on_row_arrays():
 def test_the_second_evaluator_is_not_spelled_anywhere():
     """One semi-naïve loop: the baselines' host evaluator and its helpers are gone."""
     gone = re.compile(r"InstrumentedEvaluator|_HostRelation|row_search_bounds|evaluate_program")
+    hits = [f"{path}:{number}" for path, text in sources() for number, line in enumerate(text.splitlines(), 1)
+            if gone.search(line)]
+    assert hits == []
+
+
+def test_the_second_commit_record_is_not_spelled_anywhere():
+    """One commit record: the per-commit host copy and what fed on it are
+    gone, and reads take appended rows from the record, not a second D2H."""
+    gone = re.compile(
+        r"\b(_epoch_states|_capture|_row_marks|_charge_checkpoint_io|checkpoint_every_epochs|appended_rows_host)\b"
+    )
     hits = [f"{path}:{number}" for path, text in sources() for number, line in enumerate(text.splitlines(), 1)
             if gone.search(line)]
     assert hits == []

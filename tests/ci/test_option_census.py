@@ -38,7 +38,7 @@ CENSUS = {
     ServingEngine: (
         {
             "device", "num_shards", "planner", "backend", "fault_plan", "cache", "background", "wal",
-            "checkpoint_store", "checkpoint_every_epochs", "max_pending", "admission_policy", "admission_timeout",
+            "checkpoint_store", "max_pending", "admission_policy", "admission_timeout",
             "overload_threshold", "coalesce_window", "max_coalesce_window",
         },
         {"ServingEngine", "recover", "recover_engine"},

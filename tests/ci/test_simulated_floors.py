@@ -22,6 +22,8 @@ from repro.experiments.planner_bench import TRIANGLE_PROGRAM, hub_graph, wedge_c
 from repro.experiments.serving_workload import dense_digraph_edges, sg_tree_edges, trickle_epochs
 from repro.queries import CSPA_SOURCE, REACH_SOURCE, SG_SOURCE
 from repro.relational import HISA, InMemoryCheckpointStore
+from repro.serving import InMemoryWal
+from tests.ci.test_simulated_pins import measure_serving
 
 #: Floor for the generic join over the greedy binary plan on the hub triangle.
 MIN_WCOJ_SPEEDUP = 1.5
@@ -95,6 +97,14 @@ def test_checkpoint_premium_stays_small():
     assert insured.checkpoints_taken > 0
     assert insured.relation_counts == plain.relation_counts
     assert insured.elapsed_seconds <= MAX_CHECKPOINT_OVERHEAD * plain.elapsed_seconds
+
+
+def test_serving_protection_is_free_on_the_simulated_clock():
+    """A WAL and a checkpoint store add only host work: the rows they persist
+    are the commit record's, downloaded (and charged) with or without them."""
+    plain = measure_serving(1)
+    protected = measure_serving(1, wal=InMemoryWal(), checkpoint_store=InMemoryCheckpointStore())
+    assert protected == plain
 
 
 def test_replicated_exchange_saves_bytes_and_overlaps():

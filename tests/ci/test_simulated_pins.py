@@ -70,6 +70,13 @@ fewer launches.  Exchange bytes *rise* on the two CSPA rows, by 1,608 B
 (+0.06 %) and 3,272 B (+0.08 %): rows the filter used to drop now ship.
 Iterations, relation counts and the serving epoch numbers are unchanged.
 
+**Making the checkpoint chain the serving engine's one commit record moved the
+two serving session rows, upward, and nothing else.**  Every commit now
+downloads the rows it appended (every row at bootstrap and after the retract)
+under the checkpoint phase, with or without a checkpoint store; before, that
+D2H was charged only when a store persisted a checkpoint, and the rollback
+baseline was an uncharged copy.  The ``recover`` rows are bit-identical.
+
 Each serving row carries a ``recover`` row: the same session with a WAL and
 a checkpoint per epoch, crashed after the retract epoch, and what
 ``ServingEngine.recover`` then charges on fresh devices.  It was recorded
@@ -253,12 +260,14 @@ def test_distinct_before_expand_is_pinned_on_the_httpd_instance():
         assert measured[key] == HTTPD_PIN[key], key
 
 
-def measure_serving(num_shards: int) -> dict:
+def measure_serving(num_shards: int, **protection) -> dict:
+    """Bootstrap, three insert epochs, a retract epoch and a read of SG;
+    ``protection`` is a WAL and a checkpoint store, which change nothing here."""
     edges = random_dag_edges()
     resident, held = edges[:-6], edges[-6:]
     engine = ServingEngine(
         SG_SOURCE, {"edge": resident}, device="h100", fault_plan="none",
-        num_shards=num_shards, background=False,
+        num_shards=num_shards, background=False, **protection,
     )
     try:
         epochs = [engine.submit(inserts={"edge": held[i : i + 2]}).result() for i in (0, 2, 4)]
@@ -284,6 +293,9 @@ def measure_serving(num_shards: int) -> dict:
 #: recorded at the parent commit of PR 21; seconds and launches re-pinned (lower) by PR 22 (see the
 #: module docstring): 0.005177487173421231 s / 363 and 0.007441700738530274 s / 1206 before
 #: row 2 re-pinned (lower) again when the semi-join filter bank was deleted
+#: both sessions re-pinned (higher) when the checkpoint chain became the one commit record: the commit
+#: step's checkpoint-phase D2H of each relation's rows (a base at bootstrap and after the retract, the
+#: rows an insert epoch appended otherwise) is now charged with or without a checkpoint store
 #: ``recover``: the crash -> ``ServingEngine.recover`` of the same session (``measure_recovery``),
 #: recorded at 0.0014253559023650975 s / 45 launches (1 shard) and 0.0014252115832310967 s / 90
 #: (2 shards) and re-pinned lower when recovery stopped initializing every relation empty before
@@ -292,14 +304,18 @@ def measure_serving(num_shards: int) -> dict:
 #: allocation each) and sg[1]'s 2-launch sort — 9 launches and 645 us
 SERVING_PINS = {
     1: {  # launches -29: 4 load/rebuild dedups 5->3, 4 seed dedups 5->3, seed populate-delta -10, materialize_init -3
-        "simulated_seconds": 0.00503248184489901, "kernel_launches": 334, "epoch_iterations": [2, 1, 1, 1],
+        # commit record: +40.37 us, +8 launches (d2h_checkpoint: base 2, inserts 2 + 1 + 1, retract base 2;
+        # was 0.00503248184489901 s / 334)
+        "simulated_seconds": 0.005072854929874135, "kernel_launches": 342, "epoch_iterations": [2, 1, 1, 1],
         "retracted": {"edge": 2, "sg": 94}, "rederived": {"sg": 66}, "sg": 474,
         "recover": {"simulated_seconds": 0.0007803557590815154, "kernel_launches": 36, "epoch": 4, "sg": 474},
     },
     2: {  # launches -56: as above per shard, 14 replica dedups 5->3, replicate.pack +14
         # filter bank deleted: launches -153, semi-join filter build/refresh/merge launches gone (was 0.007271701171912806 s /
         # 1150); the filters were rebuilt after every retract epoch's invalidation
-        "simulated_seconds": 0.0068515589801933655, "kernel_launches": 997, "epoch_iterations": [2, 1, 1, 1],
+        # commit record: +40.22 us (slowest device), +14 launches (base 4, inserts 3 + 1 + 2, retract base 4;
+        # was 0.0068515589801933655 s / 997)
+        "simulated_seconds": 0.006891774221525168, "kernel_launches": 1011, "epoch_iterations": [2, 1, 1, 1],
         "retracted": {"edge": 2, "sg": 94}, "rederived": {"sg": 66}, "sg": 474,
         "recover": {"simulated_seconds": 0.0007802114399475149, "kernel_launches": 72, "epoch": 4, "sg": 474},
     },

@@ -9,6 +9,10 @@ import ...`` failed collection.  Test modules import them as::
 
 from __future__ import annotations
 
+import os
+import shutil
+from contextlib import contextmanager
+
 import networkx as nx
 import numpy as np
 
@@ -34,6 +38,59 @@ def hisa_rows(hisa: HISA, *, sorted_order: bool = False) -> np.ndarray:
     """A HISA's tuples in schema column order: insertion order, or sorted-index order."""
     rows = np.column_stack(hisa.natural_columns())
     return rows[hisa.sorted_index] if sorted_order else rows
+
+
+class CrashCopies:
+    """Copies of ``live`` as a machine that stopped just before each fsync
+    would find it: every file cut to the length it was last fsynced at
+    (never: empty).
+
+    Inside :meth:`at_every_fsync`, each ``os.fsync`` first copies ``live``
+    into ``scratch`` and appends ``(copy, tag(), file)`` to :attr:`copies`,
+    ``file`` being the path under ``live`` about to be synced; :meth:`take`
+    adds one more copy by hand.
+    """
+
+    def __init__(self, live, scratch, tag=lambda: None) -> None:
+        self.live, self.scratch, self.tag = str(live), str(scratch), tag
+        self.copies: list[tuple[str, object, str]] = []
+        self._synced: dict[int, int] = {}
+
+    def _files(self):
+        for folder, _, names in os.walk(self.live):
+            for name in names:
+                yield os.path.join(folder, name)
+
+    def take(self, syncing: str = "") -> None:
+        target = os.path.join(self.scratch, f"crash-{len(self.copies):03d}")
+        shutil.copytree(self.live, target)
+        for source in self._files():
+            copy = os.path.join(target, os.path.relpath(source, self.live))
+            os.truncate(copy, min(os.path.getsize(copy), self._synced.get(os.stat(source).st_ino, 0)))
+        self.copies.append((target, self.tag(), syncing))
+
+    @contextmanager
+    def at_every_fsync(self, monkeypatch):
+        real_fsync = os.fsync
+        held: dict[int, int] = {}
+
+        def fsync(fd):
+            inode = os.fstat(fd).st_ino
+            self.take(next((os.path.relpath(path, self.live) for path in self._files()
+                            if os.stat(path).st_ino == inode), ""))
+            real_fsync(fd)
+            # Holding the file open keeps its inode from naming a later file.
+            if inode not in held:
+                held[inode] = os.dup(fd)
+            self._synced[inode] = os.fstat(fd).st_size
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        try:
+            yield self
+        finally:
+            monkeypatch.undo()
+            for descriptor in held.values():
+                os.close(descriptor)
 
 
 def paper_edges() -> np.ndarray:

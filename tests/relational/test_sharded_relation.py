@@ -170,7 +170,7 @@ def test_history_survives_a_shard_rebuild_and_restore_truncates_it():
         sharded.add_new(np.array([[10 + step, step], [20 + step, step]], dtype=np.int64))
         sharded.end_iteration()
         if step == 1:
-            state = sharded.checkpoint_state(charge=False)
+            state = sharded.checkpoint_state()
     assert sharded.history is sharded.history  # a plain list, not rebuilt per read
     assert [(s.iteration, s.delta_count, s.full_count) for s in sharded.history] == [
         (1, 2, 4), (2, 2, 6), (3, 2, 8)

@@ -109,6 +109,7 @@ def test_a_failed_bootstrap_leaves_nothing_behind(built, num_shards, facts, faul
     [
         "transactional", "epoch_retries", "name", "memory_capacity_bytes", "load_factor", "eager_buffers",
         "buffer_growth_factor", "max_iterations", "semijoin_filter", "overlap", "replicate_max_bytes",
+        "checkpoint_every_epochs",
     ],
 )
 def test_removed_serving_keywords_are_type_errors(keyword):

@@ -1,17 +1,17 @@
-"""Durable checkpoints as a chain: a base, then segments of appended rows.
+"""The commit record as a chain: a base, then segments of appended rows.
 
-A serving engine persists each epoch as a segment holding only the rows the
-epoch appended, kept as a run stack under HISA's absorb rule; the stores fold
-a chain back into one ordinary checkpoint on load.  These tests hold that
-design to three things: the folded chain is the live database after every
-epoch, the chain stays logarithmic and restarts from a base whenever a
-relation is re-initialized, and a crash at any fsync boundary recovers to an
-acknowledged state.
+A serving engine records each committed epoch as a segment holding only the
+rows the epoch appended, kept in memory as a run stack under HISA's absorb
+rule; that chain is its rollback target, and a checkpoint store receives its
+links and folds them back into one ordinary checkpoint on load.  These tests
+hold that design to three things: the folded chain — in memory and durable —
+is the live database after every epoch, the chain stays logarithmic and
+restarts from a base whenever a relation is re-initialized, and a crash at
+any fsync boundary recovers to an acknowledged state.
 """
 
 import math
 import os
-import shutil
 
 import pytest
 
@@ -19,7 +19,9 @@ from repro.device import FaultPlan
 from repro.errors import CheckpointError
 from repro.queries import SG_SOURCE
 from repro.relational import DiskCheckpointStore, InMemoryCheckpointStore
+from repro.relational.checkpoint import fold_chain
 from repro.serving import DiskWal, InMemoryWal, ServingEngine
+from tests.helpers import CrashCopies
 
 #: a binary tree of depth 3; every batch below hangs two leaves off a node
 BASE = [(i, 2 * i + 1) for i in range(7)] + [(i, 2 * i + 2) for i in range(7)]
@@ -30,17 +32,27 @@ def leaves(node):
 
 
 #: (kind, inserts, retracts) in order: the retract and the rolled-back
-#: epoch re-initialize relations; "pending" is acknowledged into the WAL,
-#: the engine crashes, and recovery's catch-up epoch commits it
+#: epochs re-initialize relations ("exchange" is an exchange fault, whose
+#: rollback rebuilds the crashed shard, on 2 shards, and a plain insert on
+#: 1); "pending" is acknowledged into the WAL, the engine crashes, and
+#: recovery's catch-up epoch commits it (a plain insert with no WAL)
 HISTORY = [
     ("insert", leaves(7), []),
     ("insert", leaves(8), []),
     ("retract", [], leaves(7)),
     ("rollback", leaves(9), []),
+    ("exchange", leaves(13), []),
     ("pending", leaves(10), []),
     ("insert", leaves(11), []),
     ("insert", leaves(12), []),
 ]
+
+#: the fault each rolled-back kind injects after the bootstrap, by shard count
+FAULTS = {
+    ("rollback", 1): "alloc:*:at=2:times=1",
+    ("rollback", 2): "alloc:*:at=2:times=1",
+    ("exchange", 2): "exchange:*:at=1:times=1",
+}
 
 
 def fresh_answers():
@@ -67,19 +79,20 @@ def run_history(open_parts, num_shards, on_ack):
     try:
         on_ack(engine, store, "bootstrap")
         for kind, inserts, retracts in HISTORY:
-            if kind == "pending":
+            if kind == "pending" and wal is not None:
                 engine.wal.append_batch({"edge": inserts}, {})
                 engine.crash()
                 store, wal = open_parts()
                 engine = ServingEngine.recover(store, wal, background=False, fault_plan="none")
                 on_ack(engine, store, kind)
                 continue
-            if kind == "rollback":
-                plan = FaultPlan.parse("alloc:*:at=2:times=1")
+            fault = FAULTS.get((kind, num_shards))
+            if fault:
+                plan = FaultPlan.parse(fault)
                 for device in engine.devices:
                     device.fault_plan = plan
             result = engine.submit(inserts={"edge": inserts}, retracts={"edge": retracts}).result()
-            if kind == "rollback":
+            if fault:
                 assert result.attempts > 1
                 for device in engine.devices:
                     device.fault_plan = None
@@ -92,11 +105,13 @@ def run_history(open_parts, num_shards, on_ack):
 # Invariants after every epoch
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("num_shards", [1, 2])
-@pytest.mark.parametrize("store_kind", ["memory", "disk"])
+@pytest.mark.parametrize("store_kind", ["none", "memory", "disk"])
 def test_chain_invariants_after_every_epoch(tmp_path, store_kind, num_shards):
     memory = (InMemoryCheckpointStore(), InMemoryWal())
 
     def open_parts():
+        if store_kind == "none":
+            return None, None
         if store_kind == "memory":
             return memory
         return DiskCheckpointStore(str(tmp_path / "ckpt")), DiskWal(str(tmp_path / "wal.jsonl"))
@@ -104,24 +119,31 @@ def test_chain_invariants_after_every_epoch(tmp_path, store_kind, num_shards):
     kinds_seen = []
 
     def check(engine, store, kind):
-        head = store.list_ids()[-1]
-        chain = store.chain(head)
-        kinds_seen.append((kind, len(chain)))
-        # The folded chain is the live database.
-        folded = store.load(head)
-        assert folded.parent == "" and folded.checkpoint_id == head
-        for name, relation in engine.relations.items():
-            assert {tuple(row) for row in folded.relation_rows(name).tolist()} == relation.as_set()
-        # A run stack: every link more than twice its newer neighbour.
+        chains = {"in memory": [link.checkpoint for link in engine._chain]}
+        if store is not None:
+            head = store.list_ids()[-1]
+            chains["durable"] = store.chain(head)
+            folded = store.load(head)
+            assert folded.parent == "" and folded.checkpoint_id == head
+            assert chains["durable"][0].parent == "" and all(link.parent for link in chains["durable"][1:])
         rows = sum(relation.full_count for relation in engine.relations.values())
-        assert len(chain) <= 1 + math.ceil(math.log2(rows))
-        assert chain[0].parent == "" and all(link.parent for link in chain[1:])
-        if kind in ("bootstrap", "retract", "rollback"):
-            assert len(chain) == 1
+        for where, chain in chains.items():
+            kinds_seen.append((where, kind, len(chain)))
+            # The folded chain is the live database.
+            folded = fold_chain(chain)
+            for name, relation in engine.relations.items():
+                assert {tuple(row) for row in folded.relation_rows(name).tolist()} == relation.as_set(), where
+            # A run stack: every link more than twice its newer neighbour.
+            assert len(chain) <= 1 + math.ceil(math.log2(rows)), where
+            if kind in ("bootstrap", "retract") or (kind, num_shards) in FAULTS:
+                assert len(chain) == 1, where
 
     run_history(open_parts, num_shards, check)
-    # Insert epochs after a base write segments on top of it.
-    assert ("insert", 2) in kinds_seen
+    # Insert epochs after a base add segments on top of it, in memory and in
+    # the store (which writes each epoch's rows, not the whole fold).
+    assert ("in memory", "insert", 2) in kinds_seen
+    if store_kind != "none":
+        assert ("durable", "insert", 2) in kinds_seen
 
 
 # ----------------------------------------------------------------------
@@ -130,32 +152,8 @@ def test_chain_invariants_after_every_epoch(tmp_path, store_kind, num_shards):
 @pytest.mark.parametrize("num_shards", [1, 2])
 def test_every_fsync_prefix_recovers_an_acknowledged_state(tmp_path, monkeypatch, num_shards):
     live = tmp_path / "live"
-    crashes: list[tuple[str, int]] = []
-    synced: dict[int, int] = {}
-    held: dict[int, int] = {}
     acked = 0
-    real_fsync = os.fsync
-
-    def crash_copy():
-        """The directory as a machine that stopped now would find it: each
-        file cut to the length it was last fsynced at (never: empty)."""
-        target = str(tmp_path / f"crash-{len(crashes):03d}")
-        shutil.copytree(live, target)
-        for folder, _, names in os.walk(live):
-            for name in names:
-                source = os.path.join(folder, name)
-                copy = os.path.join(target, os.path.relpath(source, live))
-                os.truncate(copy, min(os.path.getsize(copy), synced.get(os.stat(source).st_ino, 0)))
-        crashes.append((target, acked))
-
-    def fsync(fd):
-        crash_copy()  # a crash just before this fsync
-        real_fsync(fd)
-        status = os.fstat(fd)
-        # Holding the file open keeps its inode from naming a later file.
-        if status.st_ino not in held:
-            held[status.st_ino] = os.dup(fd)
-        synced[status.st_ino] = status.st_size
+    crashes = CrashCopies(live, tmp_path, tag=lambda: acked)
 
     def on_ack(engine, store, kind):
         nonlocal acked
@@ -165,18 +163,13 @@ def test_every_fsync_prefix_recovers_an_acknowledged_state(tmp_path, monkeypatch
     def open_parts():
         return DiskCheckpointStore(str(live / "ckpt")), DiskWal(str(live / "wal.jsonl"))
 
-    monkeypatch.setattr(os, "fsync", fsync)
-    try:
+    with crashes.at_every_fsync(monkeypatch):
         run_history(open_parts, num_shards, on_ack)
-        crash_copy()
-    finally:
-        monkeypatch.undo()
-        for descriptor in held.values():
-            os.close(descriptor)
+        crashes.take()
     assert acked == len(HISTORY)
 
     answers = fresh_answers()
-    for directory, acknowledged in crashes:
+    for directory, acknowledged, _ in crashes.copies:
         try:
             engine = ServingEngine.recover(
                 DiskCheckpointStore(os.path.join(directory, "ckpt")),

@@ -6,18 +6,22 @@ engine fed the same history and a from-scratch fixpoint over the final fact
 set.  Aborted epochs must be invisible — same bytes, same snapshot versions.
 """
 
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.device import FaultPlan
-from repro.errors import EpochAborted
+from repro.errors import DatalogError, EpochAborted
 from repro.queries import REACH_SOURCE
 from repro.relational.checkpoint import DiskCheckpointStore, InMemoryCheckpointStore
 from repro.serving import DiskWal, InMemoryWal, ServingEngine
 
-from tests.helpers import transitive_closure
+from tests.helpers import CrashCopies, transitive_closure
 
 CHAIN = [(i, i + 1) for i in range(6)]
 SHARD_COUNTS = [1, 2]
@@ -241,31 +245,35 @@ def test_recover_from_memory_artifacts(num_shards, history_name):
 
 
 @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-def test_recover_replays_unflushed_batches(num_shards, tmp_path):
-    """Acknowledged batches beyond the last checkpoint survive the crash."""
-    store = DiskCheckpointStore(str(tmp_path / "ckpt"), keep=2)
-    wal = DiskWal(str(tmp_path / "wal.jsonl"))
-    # checkpoint_every_epochs=10: both epochs live only in the WAL.
-    engine = make_engine(
-        num_shards, wal=wal, checkpoint_store=store, checkpoint_every_epochs=10
-    )
-    try:
-        engine.submit(inserts={"edge": [(6, 7)]}).result()
-        engine.submit(retracts={"edge": [(2, 3)]}).result()
-        expected = snapshot_bytes(engine)
-        epoch = engine.epoch
-    finally:
-        engine.crash()
+def test_recover_replays_unflushed_batches(num_shards, tmp_path, monkeypatch):
+    """A crash after an epoch's commit marker is durable and before its
+    checkpoint is: recovery replays the committed WAL group past the
+    checkpoint's horizon, a retract epoch here."""
+    live = tmp_path / "live"
+    history = [({"edge": [(6, 7)]}, {}), ({}, {"edge": [(2, 3)]})]
+    crashes = CrashCopies(live, tmp_path)
+    with crashes.at_every_fsync(monkeypatch):
+        engine = make_engine(
+            num_shards, wal=DiskWal(str(live / "wal.jsonl")),
+            checkpoint_store=DiskCheckpointStore(str(live / "ckpt"), keep=2),
+        )
+        try:
+            run_history(engine, history[:1])
+            first = len(crashes.copies)
+            run_history(engine, history[1:])
+            expected = snapshot_bytes(engine)
+        finally:
+            engine.crash()
+    # The first checkpoint payload synced after the retract epoch's commit marker.
+    directory = next(copy for copy, _, synced in crashes.copies[first:] if synced.endswith(".npz.tmp"))
+    store = DiskCheckpointStore(os.path.join(directory, "ckpt"), keep=2)
+    assert store.latest().metadata["serving"]["epoch"] == 1
     recovered = ServingEngine.recover(
-        store,
-        DiskWal(str(tmp_path / "wal.jsonl")),
-        background=False,
-        fault_plan="none",
+        store, DiskWal(os.path.join(directory, "wal.jsonl")), background=False, fault_plan="none"
     )
     try:
-        assert recovered.epoch == epoch
+        assert recovered.epoch == 2
         assert snapshot_bytes(recovered) == expected
-        history = [({"edge": [(6, 7)]}, {}), ({}, {"edge": [(2, 3)]})]
         assert_equivalent(recovered, history)
     finally:
         recovered.close()
@@ -323,6 +331,97 @@ def test_recover_preserves_string_symbols(tmp_path):
         # New string facts keep interning consistently after recovery.
         recovered.submit(inserts={"edge": [("d", "e")]}).result()
         assert ("a", "e") in set(recovered.query("reach", decode=True))
+    finally:
+        recovered.close()
+
+
+def test_a_rejected_submit_interns_no_symbol(tmp_path):
+    """A row that failed to encode once left its earlier strings interned but
+    unlogged: the next batch was logged without them, recovery read its edge
+    back as a raw id, and the next new string took that id."""
+    store = DiskCheckpointStore(str(tmp_path / "ckpt"), keep=2)
+    engine = make_engine(1, wal=DiskWal(str(tmp_path / "wal.jsonl")), checkpoint_store=store)
+    try:
+        with pytest.raises(DatalogError):
+            engine.submit(inserts={"edge": [("a", 1.5)]})
+        assert len(engine.symbols) == 0
+        engine.submit(inserts={"edge": [("a", 7)]})  # acknowledged into the WAL
+    finally:
+        engine.crash()
+    recovered = ServingEngine.recover(
+        store, DiskWal(str(tmp_path / "wal.jsonl")), background=False, fault_plan="none"
+    )
+    try:
+        assert ("a", 7) in set(recovered.query("edge", decode=True))
+        recovered.submit(inserts={"edge": [("z", 8)]}).result()
+        decoded = set(recovered.query("edge", decode=True))
+        assert {("a", 7), ("z", 8)} <= decoded and ("z", 7) not in decoded
+    finally:
+        recovered.close()
+
+
+@pytest.mark.parametrize("durable", ["wal", "wal+checkpoints"])
+def test_racing_submits_log_every_symbol_they_intern(durable):
+    """Submitters intern strings while others fail to encode: every symbol
+    the table holds is logged by the batch that interned it, and no rejected
+    one survives to be reused.  With checkpoints a background worker commits
+    and saves while they race: each checkpoint's symbols must be the live
+    table's, or a reused identifier decodes as a rejected string after
+    recovery (the WAL records that named it are compacted away)."""
+    wal = InMemoryWal()
+    if durable == "wal":
+        store = None
+        engine = make_engine(1, wal=wal)
+    else:
+        store = InMemoryCheckpointStore(keep=2)
+        engine = ServingEngine(
+            REACH_SOURCE, {"edge": CHAIN}, num_shards=1, fault_plan="none", wal=wal, checkpoint_store=store
+        )
+    errors: list[BaseException] = []
+
+    def submitter(worker):
+        try:
+            for index in range(40):
+                engine.submit(inserts={"edge": [(f"w{worker}.{index}", f"w{worker}.{index}+")]})
+                with pytest.raises(DatalogError):  # interns 20 strings, then fails
+                    engine.submit(inserts={"edge": [(f"bad{worker}.{index}.{k}", k) for k in range(20)] + [(0, 1.5)]})
+        except BaseException as error:  # noqa: BLE001 - reported below
+            errors.append(error)
+
+    threads = [threading.Thread(target=submitter, args=(worker,)) for worker in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    if store is None:
+        try:
+            assert not any(thread.is_alive() for thread in threads) and errors == []
+            batches = wal.pending_batches()
+            assert len(batches) == 4 * 40
+            assert dict(entry for batch in batches for entry in batch.symbols) == dict(engine.symbols.entries())
+            for batch in batches:
+                ((source, target),) = batch.inserts["edge"]
+                assert engine.symbols.decode(target) == engine.symbols.decode(source) + "+"
+        finally:
+            engine.close()
+        return
+    try:
+        assert not any(thread.is_alive() for thread in threads) and errors == []
+        engine.flush()
+        live = dict(engine.symbols.entries())
+        for checkpoint_id in store.list_ids():
+            assert dict(store.load(checkpoint_id).symbols).items() <= live.items()
+    finally:
+        engine.crash()
+    recovered = ServingEngine.recover(store, wal, background=False, fault_plan="none")
+    try:
+        expected = {(f"w{worker}.{index}", f"w{worker}.{index}+") for worker in range(4) for index in range(40)}
+        assert set(recovered.query("edge", decode=True)) - set(CHAIN) == expected
     finally:
         recovered.close()
 

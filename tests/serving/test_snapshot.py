@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.device import Device, FaultPlan
+from repro.device.profiler import PHASE_CHECKPOINT
 from repro.errors import EpochAborted
 from repro.queries import REACH_SOURCE, SG_SOURCE
 from repro.relational import Relation, ShardedRelation
@@ -182,18 +183,33 @@ def test_incremental_reads_are_byte_identical_to_a_full_sort(steps, num_shards):
         engine.close()
 
 
+def checkpointed(engine) -> float:
+    """Bytes the engine's commit steps have moved so far."""
+    return sum(
+        summary.transfer_bytes
+        for device in engine.devices
+        for phase, summary in device.profiler.phase_summaries().items()
+        if phase == PHASE_CHECKPOINT
+    )
+
+
 @pytest.mark.parametrize("num_shards", [1, 2])
 def test_a_read_after_an_insert_epoch_downloads_only_the_appended_rows(num_shards):
+    """The appended rows cross D2H once, in the epoch's commit step; the read
+    merges them in from the commit record and transfers nothing."""
     edges = np.array([(i // 2, i) for i in range(1, 64)], dtype=np.int64)  # a binary tree
     engine = ServingEngine(SG_SOURCE, {"edge": edges}, background=False, num_shards=num_shards, fault_plan="none")
     try:
         before = engine.query("sg")
+        start = checkpointed(engine)
         engine.submit(inserts={"edge": [(0, 64), (64, 65)]}).result()
+        committed = checkpointed(engine) - start
         start = transferred(engine)
         after = engine.query("sg")
+        assert transferred(engine) == start
         appended = after.count - before.count
         assert appended > 0
-        assert transferred(engine) - start == appended * 2 * 8
+        assert committed == (appended + 2) * 2 * 8  # the new sg rows and the two edges
         assert_reads_canonical(engine)
     finally:
         engine.close()
@@ -205,14 +221,14 @@ def test_a_rebuilt_shard_forces_the_full_read(monkeypatch):
     )
     sharded.initialize(np.array([[0, 1], [1, 2], [2, 3], [3, 4]], dtype=np.int64))
     marks = sharded.append_marks()
-    assert sharded.appended_rows_host(marks).shape == (0, 2)
+    assert sharded.holds(marks)
     # The replacement holds the same rows as the shard it replaced, but a
     # different data tier: the marks no longer describe it.
-    state = sharded.checkpoint_state(charge=False)
+    state = sharded.checkpoint_state()
     sharded.rebuild_shard(1, Device("h100", oom_enabled=False))
     sharded.restore(state)
     assert [rows for _, rows in sharded.append_marks()] == [rows for _, rows in marks]
-    assert sharded.appended_rows_host(marks) is None
+    assert not sharded.holds(marks)
 
     # In an engine: an exchange fault crashes a shard, rollback rebuilds it,
     # and the next read downloads and sorts the whole relation.

@@ -93,6 +93,27 @@ def test_compact_drops_covered_records_and_keeps_horizon():
     assert "checkpoint" in kinds
 
 
+@pytest.mark.parametrize("reopen", [False, True])
+def test_sequences_continue_past_a_compaction_that_dropped_every_batch(tmp_path, reopen):
+    """Numbering once restarted at 1 behind a compaction that left no batch
+    record, so the next epoch's group hid behind the checkpoint horizon and a
+    crash before the next checkpoint lost it."""
+    path = str(tmp_path / "wal.jsonl")
+    wal = DiskWal(path)
+    s1 = wal.append_batch({"e": [(1,)]}, {})
+    wal.append_commit(1, [s1])
+    wal.append_checkpoint(1, s1)
+    wal.compact(s1)
+    if reopen:
+        wal.close()
+        wal = DiskWal(path)
+    s2 = wal.append_batch({"e": [(2,)]}, {})
+    wal.append_commit(2, [s2])
+    assert s2 == s1 + 1
+    assert [epoch for epoch, _ in wal.committed_groups(after_seq=wal.covered_seq())] == [2]
+    wal.close()
+
+
 def test_committed_group_past_compaction_horizon_is_an_error():
     wal = InMemoryWal()
     s1 = wal.append_batch({"e": [(1,)]}, {})
