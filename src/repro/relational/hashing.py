@@ -7,9 +7,13 @@ structure supports join keys wider than the 64/128-bit atomic-CAS limit
 64-bit value with a splitmix64-style mixer.
 
 A 64-bit hash can collide for distinct join keys; the probability for the
-relation sizes in this reproduction is ~n^2 / 2^64 and the join kernel always
-verifies the actual column values while scanning the sorted index array, so a
-collision can cost a wasted scan but never an incorrect result.
+relation sizes in this reproduction is ~n^2 / 2^64.  A collision is correct
+only because both sides handle it: a table build decides its CAS races by
+claimant, not by hash, so two keys with one hash each get a slot, and a probe
+verifies the actual column values of every hash hit and walks on past one
+that belongs to another key.  A collision costs those extra probes, never a
+lost or a phantom match (``tests/relational/test_incremental.py`` forces one
+with a backend whose hash is the key modulo 4).
 
 The fold itself lives on the :class:`~repro.backend.base.ArrayBackend`
 contract (:meth:`~repro.backend.base.ArrayBackend.hash_columns`), so every
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 from ..backend import EMPTY_KEY, HOST_BACKEND, Array
 
-__all__ = ["EMPTY_KEY", "hash_columns", "hash_rows", "hash_single", "next_power_of_two"]
+__all__ = ["EMPTY_KEY", "hash_columns", "hash_rows", "hash_scalar", "hash_single", "next_power_of_two"]
 
 
 def hash_rows(rows: Array) -> Array:
@@ -44,6 +48,11 @@ def hash_single(values: tuple[int, ...] | list[int]) -> int:
     """Hash one join key given as a Python tuple (convenience for tests)."""
     row = HOST_BACKEND.as_rows([list(values)])
     return int(HOST_BACKEND.hash_rows(row)[0])
+
+
+def hash_scalar(backend, value: int):
+    """``value`` as a scalar of ``backend``'s hash dtype (uint64), for masks and shifts."""
+    return backend.asarray(value, dtype=backend.uint64)[()]
 
 
 def next_power_of_two(value: int) -> int:

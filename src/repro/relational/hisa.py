@@ -48,6 +48,15 @@ index as a few geometrically sized sorted batches:
   keys once and probes every run's table, :meth:`HISA.expand_matches` emits
   the matches probe-major (what one GPU thread per probe key walking its runs
   produces), and sorted-order readers go through :meth:`HISA.compact`;
+* an index on *all* columns — the one every ``new - full`` difference, retract
+  and WCOJ member check asks — also gives each run's table a **membership
+  filter**, a blocked Bloom filter of
+  :data:`~repro.relational.hashtable.FILTER_BITS_PER_SLOT` bits per table
+  slot, set as the table is built.  :meth:`HISA.contains_columns` probes a run's table
+  only for the tuples its filter cannot rule out, so a
+  tuple that is new walks no miss chain in the runs that cannot hold it; a
+  filter has no false negatives, so the answer is the probe's.  Lookups on
+  fewer columns mostly hit and probe every table without one;
 * the data array grows by an **in-place append** of the delta whenever the
   backing device buffer has headroom (the eager buffer manager's
   over-allocation), falling back to an amortised copy into a larger buffer
@@ -242,6 +251,7 @@ class HISA:
             )
 
         # --- Tier 3: open-addressing hash tables, one per sorted run -----------
+        # (on an all-column index, each with a membership filter)
         self.table: OpenAddressingHashTable | None = None
         if build_hash_index:
             self.table = OpenAddressingHashTable(
@@ -251,6 +261,7 @@ class HISA:
                 run_lengths,
                 load_factor=self.load_factor,
                 label=f"{label}.table",
+                filtered=self.n_join == arity,
             )
 
         # --- Device memory accounting ------------------------------------------
@@ -399,20 +410,27 @@ class HISA:
 
     def _probe_run(
         self,
-        run: int,
+        run: "int | Array",
         hashes: Array,
         key_columns: Sequence[Array],
         *,
         charge: bool,
         out: tuple[Array, Array] | None = None,
     ) -> tuple[Array, Array]:
-        """Probe one sorted run's table; hash hits on a different key become misses."""
-        if self.table is None:
-            raise HisaStateError("this HISA was built without a hash index")
+        """Probe one sorted run's table (or each key its own run's, ``run``
+        an array), verifying every hash hit against the stored key.
+
+        A hit on a different key with the same 64-bit hash walks on from the
+        slot past it, so a key stored behind a colliding one is still found;
+        only those resumed walks (and their verification) add to the charge.
+        """
+        self._check_table()
         backend = self.backend
-        starts, lengths = self.table.probe(hashes, run, charge=charge, label=f"{self.label}.probe", out=out)
+        label = f"{self.label}.probe"
+        slots = backend.empty(int(hashes.shape[0]), dtype=backend.int64)
+        starts, lengths = self.table.probe(hashes, run, charge=charge, label=label, out=out, found=slots)
         hits = backend.nonzero_indices(starts >= 0)
-        if hits.size:
+        while hits.size:
             first_rows = self._stores[0][starts[hits]]
             same = backend.ones(hits.size, dtype=backend.bool_)
             for position, key_column in enumerate(key_columns):
@@ -424,8 +442,21 @@ class HISA:
                     label=f"{self.label}.verify_key",
                 )
             collided = hits[~same]
-            backend.scatter(starts, collided, -1)
-            backend.scatter(lengths, collided, 0)
+            if not collided.size:
+                break
+            resumed = backend.empty(int(collided.size), dtype=backend.int64)
+            resumed_starts, resumed_lengths = self.table.probe(
+                hashes[collided],
+                run if isinstance(run, int) else run[collided],
+                charge=charge,
+                label=label,
+                start=slots[collided] + 1,
+                found=resumed,
+            )
+            backend.scatter(starts, collided, resumed_starts)
+            backend.scatter(lengths, collided, resumed_lengths)
+            backend.scatter(slots, collided, resumed)
+            hits = collided[resumed_starts >= 0]
         return starts, lengths
 
     def expand_matches(self, runs: MatchedRuns, lengths: Array) -> tuple[Array, Array]:
@@ -455,26 +486,26 @@ class HISA:
         """Exact membership test for whole tuples; ``columns`` are in schema order.
 
         Requires the HISA to be indexed on *all* columns (as the ``full``
-        version used for deduplication is).  The sorted runs of an all-column index are disjoint, so a tuple found
-        in one run is settled: only still-unresolved tuples probe the next.
+        version used for deduplication is).  Every tuple checks every run's
+        membership filter, and the (tuple, run) pairs a filter admits probe
+        that run's table, all in one batch — one GPU thread per pair.  The
+        runs are disjoint, so at most one pair per tuple hits; a filter has no
+        false negatives, so no tuple that is present is missed.
         """
         self._check_live()
         backend = self.backend
         if self.n_join != self.natural_arity:
             raise HisaStateError("contains_columns() requires an all-column index")
+        self._check_table()
         if not columns or columns[0].shape[0] == 0:
             return backend.empty(0, dtype=backend.bool_)
         key_columns = [columns[column] for column in self.column_order]
         hashes = self._hash_keys(key_columns, charge=charge)
-        present = self._probe_run(0, hashes, key_columns, charge=charge)[0] >= 0
-        for run in range(1, len(self._bounds) - 1):
-            pending = backend.nonzero_indices(~present)
-            if not pending.size:
-                break
-            starts, _ = self._probe_run(
-                run, hashes[pending], [column[pending] for column in key_columns], charge=charge
-            )
-            backend.scatter(present, pending[starts >= 0], True)
+        tuples, runs = self.table.may_contain(hashes, charge=charge, label=f"{self.label}.filter_check")
+        present = backend.zeros(int(hashes.shape[0]), dtype=backend.bool_)
+        if tuples.size:
+            starts, _ = self._probe_run(runs, hashes[tuples], [column[tuples] for column in key_columns], charge=charge)
+            backend.scatter(present, tuples[starts >= 0], True)
         return present
 
     # ------------------------------------------------------------------
@@ -770,6 +801,10 @@ class HISA:
     def _check_live(self) -> None:
         if self._freed:
             raise HisaStateError(f"HISA {self.label!r} has been freed")
+
+    def _check_table(self) -> None:
+        if self.table is None:
+            raise HisaStateError("this HISA was built without a hash index")
 
 
 # ----------------------------------------------------------------------

@@ -55,3 +55,30 @@ def test_every_uncharged_call_is_listed_with_a_reason():
     assert uncharged_calls() == set(UNCHARGED)
     assert len(UNCHARGED) <= 3
     assert all(reason for reason in UNCHARGED.values())
+
+
+def test_an_uncharged_membership_test_charges_no_filter_work():
+    """The run filters are charged like the probes they stand in front of:
+    with ``charge=True`` a check rides in every membership test, with
+    ``charge=False`` nothing at all is recorded."""
+    import numpy as np
+
+    from repro.device import Device
+    from repro.relational import EagerBufferManager
+    from tests.helpers import hisa_of, key_columns
+
+    device = Device("h100", oom_enabled=False)
+    rows = np.arange(600, dtype=np.int64).reshape(300, 2)
+    full = hisa_of(device, rows[:250], (0, 1), label="f")
+    full.merge(hisa_of(device, rows[250:], (0, 1), label="f.d", build_hash_index=False), EagerBufferManager(device))
+    assert len(full.run_sizes) == 2
+    probes = key_columns(np.concatenate([rows, rows + 1]))
+
+    before, seconds = len(device.profiler.events), device.elapsed_seconds
+    uncharged = full.contains_columns(probes, charge=False)
+    assert len(device.profiler.events) == before and device.elapsed_seconds == seconds
+
+    charged = full.contains_columns(probes)
+    kernels = [event.cost.kernel for event in device.profiler.events[before:]]
+    assert kernels.count("f.filter_check") == 1
+    np.testing.assert_array_equal(charged, uncharged)

@@ -77,6 +77,22 @@ under the checkpoint phase, with or without a checkpoint store; before, that
 D2H was charged only when a store persisted a checkpoint, and the rollback
 baseline was an uncharged copy.  The ``recover`` rows are bit-identical.
 
+**Giving each sorted run of an all-column index a membership filter re-pinned
+the simulated seconds of every row.**  Every relation has that index, so every
+row builds filters (8 random bytes per tuple, set by the threads of the table
+build: no launch of its own; 2 bytes per slot more for that table's slab to
+clear, copy and allocate) and checks them in its membership tests (8 random
+bytes per tuple per run, in the probe's launch), and the membership tests walk
+only the tables whose filter admits the tuple.  Each row's comment gives its
+old value and the net move, from -45 us (the 2-shard serving session) and
+-2.4 us (``cspa-httpd``) to +0.1 us (``triangle`` on 2 and 4 shards, whose
+replica loads build filters that few membership tests use).  Launches are
+unchanged except in the serving sessions (-7 and -12): DRed's membership test
+runs outside a fused kernel, and it now probes every run's admitted tuples in
+one launch, and checks their keys in one, instead of one of each per run.
+Iterations, counts, exchange bytes, raw rows and the per-epoch serving numbers
+are unchanged.
+
 Each serving row carries a ``recover`` row: the same session with a WAL and
 a checkpoint per epoch, crashed after the retract epoch, and what
 ``ServingEngine.recover`` then charges on fresh devices.  It was recorded
@@ -156,7 +172,8 @@ def measure(workload: str, num_shards: int) -> dict:
 PINS = {
     ("cspa", 1): {
         # PR 22: launches -8: 3 load dedups 5->3, materialize_init -3, gather_init +1
-        "elapsed_seconds": 0.005113112573680754, "kernel_launches": 313, "total_iterations": 5,
+        # run filters: -71.3 ns, filter build + check bytes added, probe bytes saved (was 0.005113112573680754 s)
+        "elapsed_seconds": 0.00511304132332156, "kernel_launches": 313, "total_iterations": 5,
         "relation_counts": {"assign": 57, "dereference": 40, "memalias": 400, "valuealias": 529, "valueflow": 507},
         "exchange_bytes": 0.0,
     },
@@ -164,7 +181,8 @@ PINS = {
         # PR 22: launches -24: 6 load + 4 replica dedups 5->3, materialize_init -10, gather_init +2, replicate.pack +4
         # filter bank deleted: launches -369, semi-join filter build/refresh/merge launches gone (was 0.005704050720083613 s /
         # 1731 launches / 2,788,472 B: +1,608 B, the rows the filter dropped now ship)
-        "elapsed_seconds": 0.00554903492119475, "kernel_launches": 1362, "total_iterations": 5,
+        # run filters: -46.1 ns, filter build + check bytes added, probe bytes saved (was 0.00554903492119475 s)
+        "elapsed_seconds": 0.005548988850012201, "kernel_launches": 1362, "total_iterations": 5,
         "relation_counts": {"assign": 57, "dereference": 40, "memalias": 400, "valuealias": 529, "valueflow": 507},
         "exchange_bytes": 2790080.0,
     },
@@ -172,61 +190,71 @@ PINS = {
         # PR 22: launches -48: 12 load + 8 replica dedups 5->3, materialize_init -20, gather_init +4, replicate.pack +8
         # filter bank deleted: launches -871, semi-join filter build/refresh/merge launches gone (was 0.005755212578455713 s /
         # 3626 launches / 4,076,808 B: +3,272 B, the rows the filter dropped now ship)
-        "elapsed_seconds": 0.005560204898833141, "kernel_launches": 2755, "total_iterations": 5,
+        # run filters: -19.5 ns, filter build + check bytes added, probe bytes saved (was 0.005560204898833141 s)
+        "elapsed_seconds": 0.005560185377695974, "kernel_launches": 2755, "total_iterations": 5,
         "relation_counts": {"assign": 57, "dereference": 40, "memalias": 400, "valuealias": 529, "valueflow": 507},
         "exchange_bytes": 4080080.0,
     },
     ("sg", 1): {
         # PR 22: launches -7: 2 load dedups 5->3, materialize_init -3
-        "elapsed_seconds": 0.0008808256835138212, "kernel_launches": 56, "total_iterations": 3,
+        # run filters: +7.0 ns, filter build + check bytes added, probe bytes saved (was 0.0008808256835138212 s)
+        "elapsed_seconds": 0.0008808326925302773, "kernel_launches": 56, "total_iterations": 3,
         "relation_counts": {"edge": 85, "sg": 502},
         "exchange_bytes": 0.0,
     },
     ("sg", 2): {
         # PR 22: launches -16: 4 load + 2 replica dedups 5->3, materialize_init -6, replicate.pack +2
-        "elapsed_seconds": 0.0011255032967448177, "kernel_launches": 191, "total_iterations": 3,
+        # run filters: +0.6 ns, filter build + check bytes added, probe bytes saved (was 0.0011255032967448177 s)
+        "elapsed_seconds": 0.0011255039270526193, "kernel_launches": 191, "total_iterations": 3,
         "relation_counts": {"edge": 85, "sg": 502},
         "exchange_bytes": 6992.0,
     },
     ("sg", 4): {
         # PR 22: launches -32: 8 load + 4 replica dedups 5->3, materialize_init -12, replicate.pack +4
-        "elapsed_seconds": 0.0011352726952537254, "kernel_launches": 371, "total_iterations": 3,
+        # run filters: -0.4 ns, filter build + check bytes added, probe bytes saved (was 0.0011352726952537254 s)
+        "elapsed_seconds": 0.0011352722598745773, "kernel_launches": 371, "total_iterations": 3,
         "relation_counts": {"edge": 85, "sg": 502},
         "exchange_bytes": 13104.0,
     },
     ("tc", 1): {
         # PR 22: launches -5: 2 load dedups 5->3, materialize_init -1
-        "elapsed_seconds": 0.000835029762081081, "kernel_launches": 47, "total_iterations": 3,
+        # run filters: -0.7 ns, filter build + check bytes added, probe bytes saved (was 0.000835029762081081 s)
+        "elapsed_seconds": 0.0008350290951213741, "kernel_launches": 47, "total_iterations": 3,
         "relation_counts": {"edge": 10, "reach": 21},
         "exchange_bytes": 0.0,
     },
     ("tc", 2): {
         # PR 22: launches -12: 4 load + 2 replica dedups 5->3, materialize_init -2, replicate.pack +2
-        "elapsed_seconds": 0.0010700175274951252, "kernel_launches": 139, "total_iterations": 3,
+        # run filters: +0.2 ns, filter build + check bytes added, probe bytes saved (was 0.0010700175274951252 s)
+        "elapsed_seconds": 0.0010700177584458657, "kernel_launches": 139, "total_iterations": 3,
         "relation_counts": {"edge": 10, "reach": 21},
         "exchange_bytes": 464.0,
     },
     ("tc", 4): {
         # PR 22: launches -24: 8 load + 4 replica dedups 5->3, materialize_init -4, replicate.pack +4
-        "elapsed_seconds": 0.0010550141752068921, "kernel_launches": 262, "total_iterations": 3,
+        # run filters: +0.2 ns, filter build + check bytes added, probe bytes saved (was 0.0010550141752068921 s)
+        "elapsed_seconds": 0.0010550143744043118, "kernel_launches": 262, "total_iterations": 3,
         "relation_counts": {"edge": 10, "reach": 21},
         "exchange_bytes": 816.0,
     },
     ("triangle", 1): {
         # PR 22: launches -6: edge dedup 5->3, triangle dedup 6->3, materialize_init -1
-        "elapsed_seconds": 0.0006418534958154282, "kernel_launches": 31, "total_iterations": 0,
+        # run filters: +12.7 ns, filter build + check bytes added, probe bytes saved (was 0.0006418534958154282 s)
+        "elapsed_seconds": 0.0006418661893761959, "kernel_launches": 31, "total_iterations": 0,
         "relation_counts": {"edge": 2396, "triangle": 3603},
         "exchange_bytes": 0.0,
     },
     ("triangle", 2): {
         # PR 22: launches -22: 4 load + 2 replica dedups, materialize_init (+compose) -10, replicate.pack +2
-        "elapsed_seconds": 0.001009302272585789, "kernel_launches": 100, "total_iterations": 0,
+        # run filters: +119.7 ns, filter build + check bytes added, probe bytes saved (was 0.001009302272585789 s)
+        "elapsed_seconds": 0.0010094219791955971, "kernel_launches": 100, "total_iterations": 0,
         "relation_counts": {"edge": 2396, "triangle": 3603},
         "exchange_bytes": 38336.0,
     },
     ("triangle", 4): {
         # PR 22: launches -44: 8 load + 4 replica dedups, materialize_init (+compose) -20, replicate.pack +4
-        "elapsed_seconds": 0.0010006264053621997, "kernel_launches": 208, "total_iterations": 0,
+        # run filters: +101.7 ns, filter build + check bytes added, probe bytes saved (was 0.0010006264053621997 s)
+        "elapsed_seconds": 0.0010007281503515387, "kernel_launches": 208, "total_iterations": 0,
         "relation_counts": {"edge": 2396, "triangle": 3603},
         "exchange_bytes": 115008.0,
     },
@@ -246,8 +274,9 @@ def test_simulated_clock_and_counters_are_pinned(workload, num_shards):
 #: recorded by PR 19; at its parent commit (no liveness passed to the join)
 #: the same run reads 0.01512180541008267 s, 749 launches, 33,141,684 raw rows.
 #: PR 22: 0.011486737435778363 s / 805 launches before; -8 launches as ("cspa", 1)
+#: run filters: -2364.7 ns, filter build + check bytes added, probe bytes saved (was 0.011446735676224484 s)
 HTTPD_PIN = {
-    "elapsed_seconds": 0.011446735676224484, "kernel_launches": 797,
+    "elapsed_seconds": 0.011444370989994092, "kernel_launches": 797,
     "raw_rows": 12154723, "distinct_outer_fired": 7, "total_iterations": 11,
     "relation_counts": {"assign": 365, "dereference": 109, "memalias": 2828, "valuealias": 29148, "valueflow": 23752},
 }
@@ -306,18 +335,26 @@ SERVING_PINS = {
     1: {  # launches -29: 4 load/rebuild dedups 5->3, 4 seed dedups 5->3, seed populate-delta -10, materialize_init -3
         # commit record: +40.37 us, +8 launches (d2h_checkpoint: base 2, inserts 2 + 1 + 1, retract base 2;
         # was 0.00503248184489901 s / 334)
-        "simulated_seconds": 0.005072854929874135, "kernel_launches": 342, "epoch_iterations": [2, 1, 1, 1],
+        # run filters: -35099.6 ns, filter build + check bytes added, probe bytes saved;
+        # -7 launches: DRed's membership tests launch one probe and one key check each, not one per run (edge[0,1]
+        # probe -1, sg[0,1] probe -3, verify_key -3) (was 0.005072854929874135 s / 342)
+        "simulated_seconds": 0.005037755314509204, "kernel_launches": 335, "epoch_iterations": [2, 1, 1, 1],
         "retracted": {"edge": 2, "sg": 94}, "rederived": {"sg": 66}, "sg": 474,
-        "recover": {"simulated_seconds": 0.0007803557590815154, "kernel_launches": 36, "epoch": 4, "sg": 474},
+        # recover, run filters: +10.9 ns, filter build bytes added (was 0.0007803557590815154 s)
+        "recover": {"simulated_seconds": 0.0007803666356700014, "kernel_launches": 36, "epoch": 4, "sg": 474},
     },
     2: {  # launches -56: as above per shard, 14 replica dedups 5->3, replicate.pack +14
         # filter bank deleted: launches -153, semi-join filter build/refresh/merge launches gone (was 0.007271701171912806 s /
         # 1150); the filters were rebuilt after every retract epoch's invalidation
         # commit record: +40.22 us (slowest device), +14 launches (base 4, inserts 3 + 1 + 2, retract base 4;
         # was 0.0068515589801933655 s / 997)
-        "simulated_seconds": 0.006891774221525168, "kernel_launches": 1011, "epoch_iterations": [2, 1, 1, 1],
+        # run filters: -45008.2 ns, filter build + check bytes added, probe bytes saved;
+        # -12 launches: DRed's membership tests launch one probe and one key check each, not one per run (edge[0,1]
+        # probe -1, sg[0,1] probe -7, verify_key -4) (was 0.006891774221525168 s / 1011)
+        "simulated_seconds": 0.006846766015802136, "kernel_launches": 999, "epoch_iterations": [2, 1, 1, 1],
         "retracted": {"edge": 2, "sg": 94}, "rederived": {"sg": 66}, "sg": 474,
-        "recover": {"simulated_seconds": 0.0007802114399475149, "kernel_launches": 72, "epoch": 4, "sg": 474},
+        # recover, run filters: +6.2 ns, filter build bytes added (was 0.0007802114399475149 s)
+        "recover": {"simulated_seconds": 0.0007802176373035918, "kernel_launches": 72, "epoch": 4, "sg": 474},
     },
 }
 

@@ -74,3 +74,72 @@ def test_probe_roundtrip_property(seed, n_keys, load_factor):
     found_values, found_lengths = table.probe(hashes, charge=False)
     assert np.array_equal(found_values, values)
     assert np.array_equal(found_lengths, lengths)
+
+
+def test_equal_hashes_each_claim_a_slot(device):
+    """Keys with one 64-bit hash race for one slot: one wins it, the other takes
+    the next, and a walk resumed past the first hit finds the second."""
+    hashes = np.array([7, 7, 7, 12], dtype=np.uint64)
+    table = OpenAddressingHashTable(device, hashes, np.array([10, 20, 30, 40], dtype=np.int64), load_factor=0.5)
+    slots, _ = table.insert_batch(hashes[:2], np.array([50, 60], dtype=np.int64))
+    assert np.unique(slots).size == 2
+    found = np.empty(1, dtype=np.int64)
+    seen = []
+    start = None
+    for _ in range(2):
+        values, _ = table.probe(hashes[:1], 1, charge=False, start=start, found=found)
+        seen.append(int(values[0]))
+        start = found + 1
+    assert sorted(seen) == [50, 60]
+    values, _ = table.probe(hashes[:1], 1, charge=False, start=start)
+    assert values.tolist() == [-1]  # the walk ends at an empty slot
+    # The table below holds all three 7s and the 12.
+    values, _ = table.probe(np.array([12], dtype=np.uint64), 0, charge=False)
+    assert values.tolist() == [40]
+
+
+def test_one_batch_probes_each_hash_in_its_own_table():
+    """Per-hash tables walk exactly the slots the per-table probes walk."""
+    device = Device("h100", oom_enabled=False)
+    keys = np.unique(np.random.default_rng(9).integers(0, 1 << 40, size=(700, 2), dtype=np.int64), axis=0)
+    hashes = hash_rows(keys)
+    table = OpenAddressingHashTable(device, hashes[:400], np.arange(400, dtype=np.int64))
+    table.insert_batch(hashes[400:600], np.arange(400, 600, dtype=np.int64))
+    table.insert_batch(hashes[600:], np.arange(600, hashes.size, dtype=np.int64))
+    queries = np.concatenate([hashes, hashes[::3]])  # every table's keys, and misses in the others
+    tables = np.arange(queries.size, dtype=np.int64) % 3
+
+    before = len(device.profiler.events)
+    batched, batched_lengths = table.probe(queries, tables)
+    batched_bytes = sum(event.cost.random_bytes for event in device.profiler.events[before:])
+
+    before = len(device.profiler.events)
+    expected = np.full(queries.size, -1, dtype=np.int64)
+    for index in range(3):
+        rows = np.flatnonzero(tables == index)
+        expected[rows] = table.probe(queries[rows], index)[0]
+    assert batched_bytes == sum(event.cost.random_bytes for event in device.profiler.events[before:])
+    np.testing.assert_array_equal(batched, expected)
+    assert (batched_lengths[batched >= 0] == 1).all() and (batched >= 0).sum() > 700 // 3
+
+
+def test_filters_are_pushed_and_popped_with_their_tables():
+    """A filtered slab admits every key of the table holding it (no false
+    negatives), and a table pushed over a popped one starts from a clear filter."""
+    device = Device("h100", oom_enabled=False)
+    keys = np.unique(np.random.default_rng(4).integers(0, 1 << 40, size=(3000, 2), dtype=np.int64), axis=0)
+    hashes = hash_rows(keys)
+    table = OpenAddressingHashTable(device, hashes[:2000], np.arange(2000, dtype=np.int64), filtered=True)
+    table.insert_batch(hashes[2000:2500], np.arange(2000, 2500, dtype=np.int64))
+    table.truncate(1)
+    table.insert_batch(hashes[2500:], np.arange(2500, hashes.size, dtype=np.int64))
+    assert table.nbytes == table.capacity * 26  # a filter word per 4 slots
+
+    rows, tables = table.may_contain(hashes, charge=False)
+    admitted = set(zip(rows.tolist(), tables.tolist()))
+    assert {(row, 0) for row in range(2000)} <= admitted
+    assert {(row, 1) for row in range(2500, hashes.size)} <= admitted
+    # The popped table's keys (and the other table's) pass only as false positives.
+    assert sum(1 for row, index in admitted if index == 1 and row < 2500) < 0.05 * 2500
+    positions, _ = table.probe(hashes[rows], tables, charge=False)
+    assert sorted(rows[positions >= 0].tolist()) == list(range(2000)) + list(range(2500, hashes.size))

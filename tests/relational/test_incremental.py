@@ -85,9 +85,14 @@ def _assert_matches_scratch(full, rows: np.ndarray, join_columns):
     assert found == _rows_per_key(scratch, keys)
     assert all(found[: len(present)]) and not any(found[len(present) :])
     if len(join_columns) == rows.shape[1]:
+        # One membership filter per sorted run, and with them the same answers.
+        assert full.table.filtered and len(full.table._tables) == len(full.run_sizes)
         probes = np.concatenate([rows, rows + 1000])
         expected = np.arange(len(probes)) < len(rows)
         np.testing.assert_array_equal(full.contains_columns(key_columns(probes), charge=False), expected)
+        np.testing.assert_array_equal(scratch.contains_columns(key_columns(probes), charge=False), expected)
+    else:
+        assert not full.table.filtered
 
 
 def _assert_compacts_to_scratch(full, rows: np.ndarray, join_columns):
@@ -201,6 +206,54 @@ def test_hash_collision_falls_through_to_a_miss():
     assert whole.contains_columns(key_columns(probes), charge=False).tolist() == [True, False, True, False]
 
 
+def test_colliding_keys_both_keep_their_entries():
+    """Two stored keys with one 64-bit hash: each gets a slot, and each is found
+    behind the other — the walk goes on past a hash hit on a different key."""
+    device = _fresh_device(backend=_CollidingBackend())
+    prefix = HISA(device, np.array([[1, 10], [5, 50], [2, 20]], dtype=np.int64), (0,), label="c")
+    keys = np.array([[1], [5], [2], [9]], dtype=np.int64)
+    assert _rows_per_key(prefix, keys) == [{(1, 10)}, {(5, 50)}, {(2, 20)}, set()]
+
+    whole = HISA(device, np.array([[1, 7], [5, 7]], dtype=np.int64), (0, 1), label="w")
+    probes = np.array([[1, 7], [5, 7], [9, 7], [5, 8]], dtype=np.int64)
+    assert whole.contains_columns(key_columns(probes), charge=False).tolist() == [True, True, False, False]
+
+
+def test_resumed_walks_are_the_only_extra_charge():
+    """A collision-free probe charges what it always did; a rejected hash hit
+    adds the resumed walk and its key comparison, nothing else."""
+    rows = np.array([[1, 7], [5, 7]], dtype=np.int64)
+    charged = {}
+    for name, backend in (("plain", NumpyBackend()), ("colliding", _CollidingBackend())):
+        device = _fresh_device(backend=backend)
+        index = HISA(device, rows, (0, 1), label="w")
+        before = len(device.profiler.events)
+        assert index.contains_columns(key_columns(rows)).tolist() == [True, True]
+        charged[name] = [event.cost.kernel for event in device.profiler.events[before:]]
+    assert charged["plain"] == ["w.hash_keys", "w.filter_check", "w.probe", "w.verify_key"]
+    # One of the two keys sits behind the other: one more walk, one more comparison.
+    assert charged["colliding"] == [
+        "w.hash_keys", "w.filter_check", "w.probe", "w.verify_key", "w.probe", "w.verify_key"
+    ]
+
+
+def test_run_filters_keep_absent_tuples_out_of_the_tables():
+    """Tuples no run holds are ruled out by the filters: only the false
+    positives (well under 5 % at 16 bits per slot) walk a table."""
+    pool = _row_pool(2)
+    device = _fresh_device()
+    full = HISA(device, pool[:3000], (0, 1, 2), label="f")
+    full.merge(HISA(device, pool[3000:4000], (0, 1, 2), label="f.d", build_hash_index=False), EagerBufferManager(device))
+    assert len(full.run_sizes) == 2
+    before = len(device.profiler.events)
+    absent = pool[:4000] + 1000
+    assert not full.contains_columns(key_columns(absent)).any()
+    probed = sum(
+        event.cost.random_bytes / 16 for event in device.profiler.events[before:] if event.cost.kernel == "f.probe"
+    )
+    assert probed <= 0.05 * 2 * len(absent)
+
+
 def test_contains_after_incremental_merges():
     rng = np.random.default_rng(3)
     rows = _random_unique_rows(rng, 500, arity=2)
@@ -215,26 +268,43 @@ def test_contains_after_incremental_merges():
 
 
 def test_memory_accounting_follows_capacity():
-    """Every tier accounts what it has reserved, and ``free`` gives all of it back."""
+    """Every tier accounts what it has reserved, and ``free`` gives all of it
+    back — the filters of an all-column index included."""
+    for join_columns in ((1,), (0, 1, 2)):
+        _check_memory_accounting(join_columns)
+
+
+def _check_memory_accounting(join_columns):
     pool = _row_pool(11)
     device = _fresh_device()
     before = device.pool.in_use_bytes
-    full = HISA(device, pool[:100], (1,), label="m")
+    full = HISA(device, pool[:100], join_columns, label="m")
     manager = EagerBufferManager(device)
+    whole = len(join_columns) == 3
 
     def reserved():
-        slab = full.table.capacity * 24
+        # an all-column index's slab also holds a filter word per 4 slots
+        slab = full.table.capacity * (26 if whole else 24)
         stores = sum(store.nbytes for store in full._stores)
         return full.memory_breakdown().data_bytes + stores + slab
 
     allocations = device.pool.stats.allocation_count
     for step in range(50):
-        delta = HISA(device, pool[100 + 40 * step : 140 + 40 * step], (1,), label="m.d", build_hash_index=False)
+        delta = HISA(
+            device, pool[100 + 40 * step : 140 + 40 * step], join_columns, label="m.d", build_hash_index=False
+        )
         full.merge(delta, manager)
         assert full.memory_breakdown().total_bytes == reserved()
         assert device.pool.in_use_bytes - before == reserved() + manager.spare_bytes
     # 50 deltas allocated 50 x (data, index); the full index grew geometrically.
-    assert device.pool.stats.allocation_count - allocations - 100 <= 3 * np.log2(2100 / 100) + 3
+    growths = device.pool.stats.allocation_count - allocations - 100
+    if whole:
+        # The table has a slot per tuple, so its slab grows with the data as
+        # the stores do (the (1,) index's table holds a few distinct keys):
+        # each of the three tiers grows at most ceil(log2(21)) + 1 times.
+        assert growths <= 3 * (np.ceil(np.log2(2100 / 100)) + 1)
+    else:
+        assert growths <= 3 * np.log2(2100 / 100) + 3
     assert len(full.run_sizes) > 1
     full.compact()
     assert full.memory_breakdown().total_bytes == reserved()
