@@ -45,9 +45,10 @@ index as a few geometrically sized sorted batches:
   merge, and a delta comparable to ``full`` absorbs everything — one run,
   exactly the dense merge;
 * readers see one logical index: :meth:`HISA.lookup_columns` hashes the probe
-  keys once and probes every run's table, :meth:`HISA.expand_matches` emits
-  the matches probe-major (what one GPU thread per probe key walking its runs
-  produces), and sorted-order readers go through :meth:`HISA.compact`;
+  keys once and walks every (key, run) pair in one batched probe of the
+  tables, :meth:`HISA.expand_matches` emits the matches probe-major (what one
+  GPU thread per probe key walking its runs produces), and sorted-order
+  readers go through :meth:`HISA.compact`;
 * an index on *all* columns — the one every ``new - full`` difference, retract
   and WCOJ member check asks — also gives each run's table a **membership
   filter**, a blocked Bloom filter of
@@ -171,8 +172,8 @@ class HISA:
         self.last_merge_in_place = False
         # Optional statistics hook: called after every merge with the delta
         # and post-merge tuple/distinct-key counts (maintained exactly, in
-        # O(Δ), by :meth:`merge`).  Wired by Relation when the engine runs
-        # with a StatsCatalog; see relational/stats.py.
+        # O(Δ), by :meth:`merge` while it is set).  Wired by Relation when
+        # the engine runs with a StatsCatalog; see relational/stats.py.
         self.stats_observer = None
 
         join_columns = tuple(int(c) for c in join_columns)
@@ -290,11 +291,16 @@ class HISA:
 
     @property
     def distinct_key_count(self) -> int:
+        """Distinct join keys (see :meth:`_count_keys` for how they are kept)."""
+        if self._distinct_keys is None:
+            self._recount_keys()
         return self._distinct_keys
 
     @property
     def max_run_length(self) -> int:
         """Longest join-key run — the worst-case matches one probe key returns."""
+        if self._max_run_length is None:
+            self._recount_keys()
         return self._max_run_length
 
     @property
@@ -378,9 +384,10 @@ class HISA:
 
         Returns ``(runs, lengths)``: the matched key runs (for
         :meth:`expand_matches`) and each key's total match count.  Keys are
-        hashed once by folding the columns directly, probed in every sorted
-        run's table and verified against single stored columns, so no row
-        tuples are ever assembled.
+        hashed once by folding the columns directly, and every (key, sorted
+        run) pair is probed in that run's table in one batched walk — one GPU
+        thread per pair — and verified against single stored columns, so no
+        row tuples are ever assembled.
         """
         self._check_live()
         backend = self.backend
@@ -392,8 +399,17 @@ class HISA:
         lengths = backend.empty((n_runs, m), dtype=backend.int64)
         if m:
             hashes = self._hash_keys(key_columns, charge=charge)
-            for run in range(n_runs):
-                self._probe_run(run, hashes, key_columns, charge=charge, out=(starts[run], lengths[run]))
+            if n_runs == 1:
+                self._probe_run(0, hashes, key_columns, charge=charge, out=(starts[0], lengths[0]))
+            else:
+                # Pair ``r * m + i`` is key ``i`` in run ``r``: run-major, so
+                # the flat results are the rows of ``starts`` / ``lengths``.
+                pairs = backend.arange(n_runs * m, dtype=backend.int64)
+                keys = pairs % m
+                self._probe_run(
+                    pairs // m, hashes[keys], key_columns, keys=keys,
+                    charge=charge, out=(starts.reshape(-1), lengths.reshape(-1)),
+                )
         return MatchedRuns(starts, lengths), lengths.sum(axis=0)
 
     def _hash_keys(self, key_columns: Sequence[Array], *, charge: bool = True) -> Array:
@@ -415,14 +431,18 @@ class HISA:
         key_columns: Sequence[Array],
         *,
         charge: bool,
+        keys: Array | None = None,
         out: tuple[Array, Array] | None = None,
     ) -> tuple[Array, Array]:
-        """Probe one sorted run's table (or each key its own run's, ``run``
+        """Probe one sorted run's table (or each hash its own run's, ``run``
         an array), verifying every hash hit against the stored key.
 
-        A hit on a different key with the same 64-bit hash walks on from the
-        slot past it, so a key stored behind a colliding one is still found;
-        only those resumed walks (and their verification) add to the charge.
+        ``hashes[j]`` is the hash of key ``keys[j]`` of ``key_columns``
+        (of key ``j`` without ``keys``); a key's columns are gathered only
+        for its hits.  A hit on a different key with the same 64-bit hash
+        walks on from the slot past it, so a key stored behind a colliding
+        one is still found; only those resumed walks (and their
+        verification) add to the charge.
         """
         self._check_table()
         backend = self.backend
@@ -432,9 +452,10 @@ class HISA:
         hits = backend.nonzero_indices(starts >= 0)
         while hits.size:
             first_rows = self._stores[0][starts[hits]]
+            key_rows = hits if keys is None else keys[hits]
             same = backend.ones(hits.size, dtype=backend.bool_)
             for position, key_column in enumerate(key_columns):
-                same &= self._column_storage[position][first_rows] == key_column[hits]
+                same &= self._column_storage[position][first_rows] == key_column[key_rows]
             if charge:
                 self.device.kernels.random_access(
                     int(hits.size),
@@ -504,7 +525,7 @@ class HISA:
         tuples, runs = self.table.may_contain(hashes, charge=charge, label=f"{self.label}.filter_check")
         present = backend.zeros(int(hashes.shape[0]), dtype=backend.bool_)
         if tuples.size:
-            starts, _ = self._probe_run(runs, hashes[tuples], [column[tuples] for column in key_columns], charge=charge)
+            starts, _ = self._probe_run(runs, hashes[tuples], key_columns, keys=tuples, charge=charge)
             backend.scatter(present, tuples[starts >= 0], True)
         return present
 
@@ -573,24 +594,42 @@ class HISA:
         return self
 
     def _count_keys(self, delta: "HISA", *, charge: bool) -> None:
-        """Keep ``distinct_key_count`` / ``max_run_length`` exact across a merge, in O(Δ).
+        """Keep ``distinct_key_count`` / ``max_run_length`` across a merge.
 
-        A join key can sit in several sorted runs, so neither is a sum or a
-        maximum over them: the delta's distinct keys are looked up in the
-        runs already here (the multi-run probe a join does, charged like
-        one).  The delta of an all-column index is disjoint from ``self`` by
-        construction and needs no lookup.
+        The delta of an all-column index is disjoint from ``self`` by
+        construction: both are a sum and a maximum.  On fewer columns a join
+        key can sit in several sorted runs, so neither is; only the
+        statistics catalog reads them during a fixpoint, so only while a
+        :attr:`stats_observer` is attached are the delta's distinct keys
+        looked up in the runs already here (the multi-run probe a join does,
+        charged like one), in O(Δ).  Otherwise both are marked unknown, and
+        reading one recounts both (:meth:`_recount_keys`).
         """
         if self.n_join == self.natural_arity:
             self._distinct_keys += delta._distinct_keys
             self._max_run_length = max(self._max_run_length, delta._max_run_length)
             return
+        if self.stats_observer is None:
+            self._distinct_keys = self._max_run_length = None
+            return
+        distinct, longest = self.distinct_key_count, self.max_run_length
         run_starts, run_lengths = delta._compacted_key_runs()
         first_rows = delta._stores[0][run_starts]
         key_columns = [delta.stored_column(position)[first_rows] for position in range(self.n_join)]
         _, already = self.lookup_columns(key_columns, charge=charge)
-        self._distinct_keys += self.backend.count_nonzero(already == 0)
-        self._max_run_length = max(self._max_run_length, int((already + run_lengths).max()))
+        self._distinct_keys = distinct + self.backend.count_nonzero(already == 0)
+        self._max_run_length = max(longest, int((already + run_lengths).max()))
+
+    def _recount_keys(self) -> None:
+        """Count the distinct join keys and the longest key run exactly, by
+        sorting the stored join columns: host introspection, not charged,
+        kept until the next merge."""
+        backend = self.backend
+        columns = [self.stored_column(position) for position in range(self.n_join)]
+        order = backend.lexsort(columns, n_rows=self._live)
+        _, run_lengths = _runs_from_keys(backend, backend.pack_lex_keys([column[order] for column in columns]))
+        self._distinct_keys = int(run_lengths.size)
+        self._max_run_length = int(run_lengths.max()) if self._distinct_keys else 0
 
     def _notify_stats(self, delta_rows: int, delta_distinct: int) -> None:
         if self.stats_observer is not None:
@@ -702,9 +741,9 @@ class HISA:
                 )
 
         index = self._stores[0][start:end]
-        if self._distinct_keys == self._live:
+        if self.n_join == self.natural_arity:
             # Every key run is a single tuple (an all-column index over
-            # duplicate-free tuples always): the key runs are positional.
+            # duplicate-free tuples): the key runs are positional.
             run_starts, run_lengths, first_rows = backend.arange(size, dtype=backend.int64), None, index
         else:
             run_starts, run_lengths = _runs_from_keys(backend, self._stores[-1][start:end])

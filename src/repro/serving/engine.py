@@ -318,8 +318,13 @@ class ServingEngine:
                     "by a ServingEngine"
                 )
             # Restore the symbol table first: the interned program source and
-            # every logged batch encode through these exact identifiers.
+            # every logged batch encode through these exact identifiers.  The
+            # log's records count too, aborted ones included: each carries
+            # the symbols interned since the record before it, which a later
+            # batch may use without logging them again.
             self.symbols.restore_entries(restore.symbols)
+            if self.wal is not None:
+                self.symbols.restore_entries(self.wal.symbol_entries())
 
         # Compile (cached) and resolve the schema.
         self.program = intern_program(program, self.symbols)
@@ -329,6 +334,9 @@ class ServingEngine:
                 engine.add_fact_array(relation_name, rows)
             else:
                 engine.add_facts(relation_name, rows)
+        #: symbols below this position are durable: in the checkpoint booted
+        #: from (or the bootstrap's) or in a log record (see :meth:`submit`)
+        self._logged_symbols = len(self.symbols)
         self._arities = engine._resolve_arities(self.program)
         if restore is not None:
             # Fact-only relations no rule mentions adopted their arity from
@@ -424,10 +432,9 @@ class ServingEngine:
         honoured per tuple (last writer wins): retract-then-insert nets to
         the row being present, insert-then-retract to absent.
         """
-        # A batch that fails to encode leaves no string interned: no log
-        # record would name it, so a later batch using it would recover as a
-        # raw id.  One submitter encodes at a time, so its strings are the
-        # table's tail.
+        # A batch that fails to encode leaves no string interned: the table
+        # holds only strings of batches that encoded.  One submitter encodes
+        # at a time, so its strings are the table's tail.
         with self._encoding:
             symbol_mark = len(self.symbols)
             try:
@@ -442,7 +449,6 @@ class ServingEngine:
             except BaseException:
                 self.symbols.truncate(symbol_mark)
                 raise
-            new_symbols = self.symbols.entries_from(symbol_mark)
         mutation = _Mutation(encoded_inserts, encoded_retracts, Future())
         deadline = (
             None
@@ -488,10 +494,15 @@ class ServingEngine:
                     raise EngineClosed("serving engine is closed")
             if self.wal is not None:
                 # Logged *before* the ticket is returned: once the submitter
-                # holds the ticket, the batch survives a process crash.
-                mutation.seq = self.wal.append_batch(
-                    mutation.inserts, mutation.retracts, symbols=new_symbols
-                )
+                # holds the ticket, the batch survives a process crash.  The
+                # record carries every symbol interned since the last one, not
+                # just this batch's: a refused batch keeps its strings
+                # interned, and the next batch to use one logs nothing new.
+                with self._encoding:
+                    logged = len(self.symbols)
+                    symbols = self.symbols.entries_from(self._logged_symbols)
+                mutation.seq = self.wal.append_batch(mutation.inserts, mutation.retracts, symbols=symbols)
+                self._logged_symbols = logged
             self._pending.append(mutation)
             self._queue.notify_all()
         return EpochTicket(self, mutation.future)
@@ -657,8 +668,6 @@ class ServingEngine:
         ``commit=True`` is the catch-up epoch for pending batches, which
         earns a fresh commit marker like any live epoch.
         """
-        for batch in batches:
-            self.symbols.restore_entries(batch.symbols)
         mutations = [
             _Mutation(
                 {name: list(rows) for name, rows in batch.inserts.items()},

@@ -21,16 +21,17 @@ Mirroring :mod:`repro.relational.checkpoint`, two backends are provided:
   before it — is durable).
 
 Records are value-encoded (interned int64 rows plus the symbol-table
-entries each batch registered), so replay does not depend on any in-memory
-state of the crashed process.  ``compact(covered_seq)`` drops records a
-checkpoint already covers; recovery is ``checkpoint + replay`` as in any
-ARIES-shaped design.
+entries interned since the record before), so replay does not depend on any
+in-memory state of the crashed process.  ``compact(covered_seq)`` drops
+records a checkpoint already covers; recovery is ``checkpoint + replay`` as
+in any ARIES-shaped design.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 from dataclasses import dataclass, field
 
 from ..errors import WalError
@@ -54,8 +55,8 @@ class WalBatch:
 
     ``inserts``/``retracts`` hold interned int64 rows (exactly what the
     engine's encoder produced); ``symbols`` carries the symbol-table entries
-    this batch's encoding registered, so a recovering engine re-interns
-    identically before replaying.
+    interned since the record before (a refused batch's strings included),
+    so a recovering engine re-interns identically before replaying.
     """
 
     seq: int
@@ -98,11 +99,17 @@ class WriteAheadLog:
     Subclasses implement :meth:`_persist` (append one record, optionally
     making everything so far durable) and :meth:`_rewrite` (replace the
     whole record list — compaction).  All queries run over the in-memory
-    record list, which both backends keep authoritative.
+    record list, which both backends keep authoritative; appends and
+    compaction hold one lock, because submitters and the epoch worker write
+    concurrently.
     """
 
     def __init__(self) -> None:
         self._records: list[dict] = []
+        #: submitters append batch records while the epoch worker appends
+        #: markers and compacts: an append must not land in the record list
+        #: a compaction is replacing, nor two appends take one sequence
+        self._lock = threading.Lock()
         #: commit markers appended (each one is an fsync point on disk)
         self.commits = 0
         #: fsync calls the backend actually performed
@@ -131,16 +138,17 @@ class WriteAheadLog:
         symbols: "tuple[tuple[str, int], ...] | list" = (),
     ) -> int:
         """Log one submission; returns its sequence number (1-based)."""
-        seq = self.last_seq() + 1
-        record = {
-            "type": RECORD_BATCH,
-            "seq": seq,
-            "inserts": _encode_rows_map(inserts or {}),
-            "retracts": _encode_rows_map(retracts or {}),
-            "symbols": [[str(s), int(i)] for s, i in (symbols or ())],
-        }
-        self._records.append(record)
-        self._persist(record, sync=False)
+        with self._lock:
+            seq = self.last_seq() + 1
+            record = {
+                "type": RECORD_BATCH,
+                "seq": seq,
+                "inserts": _encode_rows_map(inserts or {}),
+                "retracts": _encode_rows_map(retracts or {}),
+                "symbols": [[str(s), int(i)] for s, i in (symbols or ())],
+            }
+            self._records.append(record)
+            self._persist(record, sync=False)
         return seq
 
     def append_commit(self, epoch: int, seqs: "list[int]") -> None:
@@ -149,18 +157,20 @@ class WriteAheadLog:
         The disk backend fsyncs here: every batch record written before
         this marker becomes durable together with it.
         """
-        self._validate_seqs(seqs, marker="commit")
-        record = {"type": RECORD_COMMIT, "epoch": int(epoch), "seqs": [int(s) for s in seqs]}
-        self._records.append(record)
-        self.commits += 1
-        self._persist(record, sync=True)
+        with self._lock:
+            self._validate_seqs(seqs, marker="commit")
+            record = {"type": RECORD_COMMIT, "epoch": int(epoch), "seqs": [int(s) for s in seqs]}
+            self._records.append(record)
+            self.commits += 1
+            self._persist(record, sync=True)
 
     def append_abort(self, seqs: "list[int]", *, reason: str = "") -> None:
         """Log that ``seqs`` will never commit (rolled back, shed, or closed)."""
-        self._validate_seqs(seqs, marker="abort")
-        record = {"type": RECORD_ABORT, "seqs": [int(s) for s in seqs], "reason": str(reason)}
-        self._records.append(record)
-        self._persist(record, sync=True)
+        with self._lock:
+            self._validate_seqs(seqs, marker="abort")
+            record = {"type": RECORD_ABORT, "seqs": [int(s) for s in seqs], "reason": str(reason)}
+            self._records.append(record)
+            self._persist(record, sync=True)
 
     def append_checkpoint(self, epoch: int, covered_seq: int, *, checkpoint_id: str = "") -> None:
         """Note that a durable checkpoint covers every batch up to ``covered_seq``."""
@@ -170,8 +180,9 @@ class WriteAheadLog:
             "covered_seq": int(covered_seq),
             "checkpoint_id": str(checkpoint_id),
         }
-        self._records.append(record)
-        self._persist(record, sync=True)
+        with self._lock:
+            self._records.append(record)
+            self._persist(record, sync=True)
 
     def _validate_seqs(self, seqs, *, marker: str) -> None:
         if not seqs:
@@ -214,6 +225,15 @@ class WriteAheadLog:
             if record["type"] == RECORD_ABORT:
                 aborted.update(int(s) for s in record["seqs"])
         return aborted
+
+    def symbol_entries(self) -> list[tuple[str, int]]:
+        """The symbol entries of every batch record, aborted ones included."""
+        return [
+            entry
+            for record in self._records
+            if record["type"] == RECORD_BATCH
+            for entry in _batch_from_record(record).symbols
+        ]
 
     def pending_batches(self) -> list[WalBatch]:
         """Batches appended but never committed or aborted, oldest first."""
@@ -264,26 +284,27 @@ class WriteAheadLog:
         the covered horizon discoverable after reopening the log.
         """
         covered_seq = int(covered_seq)
-        kept: list[dict] = []
-        for record in self._records:
-            if record["type"] == RECORD_BATCH and record["seq"] <= covered_seq:
-                continue
-            if record["type"] in (RECORD_COMMIT, RECORD_ABORT) and all(
-                int(s) <= covered_seq for s in record["seqs"]
-            ):
-                continue
-            if record["type"] == RECORD_CHECKPOINT and record["covered_seq"] < covered_seq:
-                continue
-            kept.append(record)
-        if not any(r["type"] == RECORD_CHECKPOINT for r in kept):
-            kept.insert(0, {
-                "type": RECORD_CHECKPOINT,
-                "epoch": -1,
-                "covered_seq": covered_seq,
-                "checkpoint_id": "",
-            })
-        self._records = kept
-        self._rewrite(kept)
+        with self._lock:
+            kept: list[dict] = []
+            for record in self._records:
+                if record["type"] == RECORD_BATCH and record["seq"] <= covered_seq:
+                    continue
+                if record["type"] in (RECORD_COMMIT, RECORD_ABORT) and all(
+                    int(s) <= covered_seq for s in record["seqs"]
+                ):
+                    continue
+                if record["type"] == RECORD_CHECKPOINT and record["covered_seq"] < covered_seq:
+                    continue
+                kept.append(record)
+            if not any(r["type"] == RECORD_CHECKPOINT for r in kept):
+                kept.insert(0, {
+                    "type": RECORD_CHECKPOINT,
+                    "epoch": -1,
+                    "covered_seq": covered_seq,
+                    "checkpoint_id": "",
+                })
+            self._records = kept
+            self._rewrite(kept)
 
 
 class InMemoryWal(WriteAheadLog):

@@ -93,6 +93,18 @@ one launch, and checks their keys in one, instead of one of each per run.
 Iterations, counts, exchange bytes, raw rows and the per-epoch serving numbers
 are unchanged.
 
+**Looking a merge's delta keys up only for a statistics catalog re-pinned the
+seconds of the three ``cspa`` rows, ``HTTPD_PIN`` and the two serving
+sessions, downward, and nothing else.**  A merge into an index on fewer than
+all columns used to look its delta's distinct keys up in the runs already
+there, to keep ``distinct_key_count`` / ``max_run_length`` exact; only the
+``cost`` planners' catalog reads them, and these rows run ``greedy``.  That
+lookup rode in the merge's fused launch, so only its key-hash, probe and
+key-check bytes go: from -581.1 ns (``cspa-httpd``) to -9.3 ns (the 2-shard
+session).  ``tc``, ``sg`` and ``triangle`` merge only into all-column indexes
+(``triangle`` not at all) and are bit-identical; launches, iterations, counts,
+exchange bytes and the ``recover`` rows are unchanged.
+
 Each serving row carries a ``recover`` row: the same session with a WAL and
 a checkpoint per epoch, crashed after the retract epoch, and what
 ``ServingEngine.recover`` then charges on fresh devices.  It was recorded
@@ -173,7 +185,8 @@ PINS = {
     ("cspa", 1): {
         # PR 22: launches -8: 3 load dedups 5->3, materialize_init -3, gather_init +1
         # run filters: -71.3 ns, filter build + check bytes added, probe bytes saved (was 0.005113112573680754 s)
-        "elapsed_seconds": 0.00511304132332156, "kernel_launches": 313, "total_iterations": 5,
+        # merge-time key lookups removed: -14.7 ns, merge_finalize's key hash, probe and verify bytes gone (was 0.00511304132332156 s)
+        "elapsed_seconds": 0.005113026657748327, "kernel_launches": 313, "total_iterations": 5,
         "relation_counts": {"assign": 57, "dereference": 40, "memalias": 400, "valuealias": 529, "valueflow": 507},
         "exchange_bytes": 0.0,
     },
@@ -182,7 +195,8 @@ PINS = {
         # filter bank deleted: launches -369, semi-join filter build/refresh/merge launches gone (was 0.005704050720083613 s /
         # 1731 launches / 2,788,472 B: +1,608 B, the rows the filter dropped now ship)
         # run filters: -46.1 ns, filter build + check bytes added, probe bytes saved (was 0.00554903492119475 s)
-        "elapsed_seconds": 0.005548988850012201, "kernel_launches": 1362, "total_iterations": 5,
+        # merge-time key lookups removed: -11.5 ns, merge_finalize's key hash, probe and verify bytes gone (was 0.005548988850012201 s)
+        "elapsed_seconds": 0.005548977353647868, "kernel_launches": 1362, "total_iterations": 5,
         "relation_counts": {"assign": 57, "dereference": 40, "memalias": 400, "valuealias": 529, "valueflow": 507},
         "exchange_bytes": 2790080.0,
     },
@@ -191,7 +205,8 @@ PINS = {
         # filter bank deleted: launches -871, semi-join filter build/refresh/merge launches gone (was 0.005755212578455713 s /
         # 3626 launches / 4,076,808 B: +3,272 B, the rows the filter dropped now ship)
         # run filters: -19.5 ns, filter build + check bytes added, probe bytes saved (was 0.005560204898833141 s)
-        "elapsed_seconds": 0.005560185377695974, "kernel_launches": 2755, "total_iterations": 5,
+        # merge-time key lookups removed: -10.2 ns, merge_finalize's key hash, probe and verify bytes gone (was 0.005560185377695974 s)
+        "elapsed_seconds": 0.00556017520001296, "kernel_launches": 2755, "total_iterations": 5,
         "relation_counts": {"assign": 57, "dereference": 40, "memalias": 400, "valuealias": 529, "valueflow": 507},
         "exchange_bytes": 4080080.0,
     },
@@ -275,8 +290,9 @@ def test_simulated_clock_and_counters_are_pinned(workload, num_shards):
 #: the same run reads 0.01512180541008267 s, 749 launches, 33,141,684 raw rows.
 #: PR 22: 0.011486737435778363 s / 805 launches before; -8 launches as ("cspa", 1)
 #: run filters: -2364.7 ns, filter build + check bytes added, probe bytes saved (was 0.011446735676224484 s)
+#: merge-time key lookups removed: -581.1 ns, merge_finalize's key hash, probe and verify bytes gone (was 0.011444370989994092 s)
 HTTPD_PIN = {
-    "elapsed_seconds": 0.011444370989994092, "kernel_launches": 797,
+    "elapsed_seconds": 0.011443789904214201, "kernel_launches": 797,
     "raw_rows": 12154723, "distinct_outer_fired": 7, "total_iterations": 11,
     "relation_counts": {"assign": 365, "dereference": 109, "memalias": 2828, "valuealias": 29148, "valueflow": 23752},
 }
@@ -338,7 +354,8 @@ SERVING_PINS = {
         # run filters: -35099.6 ns, filter build + check bytes added, probe bytes saved;
         # -7 launches: DRed's membership tests launch one probe and one key check each, not one per run (edge[0,1]
         # probe -1, sg[0,1] probe -3, verify_key -3) (was 0.005072854929874135 s / 342)
-        "simulated_seconds": 0.005037755314509204, "kernel_launches": 335, "epoch_iterations": [2, 1, 1, 1],
+        # merge-time key lookups removed: -12.8 ns, merge_finalize's key hash, probe and verify bytes gone (was 0.005037755314509204 s)
+        "simulated_seconds": 0.0050377424727837666, "kernel_launches": 335, "epoch_iterations": [2, 1, 1, 1],
         "retracted": {"edge": 2, "sg": 94}, "rederived": {"sg": 66}, "sg": 474,
         # recover, run filters: +10.9 ns, filter build bytes added (was 0.0007803557590815154 s)
         "recover": {"simulated_seconds": 0.0007803666356700014, "kernel_launches": 36, "epoch": 4, "sg": 474},
@@ -351,7 +368,8 @@ SERVING_PINS = {
         # run filters: -45008.2 ns, filter build + check bytes added, probe bytes saved;
         # -12 launches: DRed's membership tests launch one probe and one key check each, not one per run (edge[0,1]
         # probe -1, sg[0,1] probe -7, verify_key -4) (was 0.006891774221525168 s / 1011)
-        "simulated_seconds": 0.006846766015802136, "kernel_launches": 999, "epoch_iterations": [2, 1, 1, 1],
+        # merge-time key lookups removed: -9.3 ns, merge_finalize's key hash, probe and verify bytes gone (was 0.006846766015802136 s)
+        "simulated_seconds": 0.006846756686623851, "kernel_launches": 999, "epoch_iterations": [2, 1, 1, 1],
         "retracted": {"edge": 2, "sg": 94}, "rederived": {"sg": 66}, "sg": 474,
         # recover, run filters: +6.2 ns, filter build bytes added (was 0.0007802114399475149 s)
         "recover": {"simulated_seconds": 0.0007802176373035918, "kernel_launches": 72, "epoch": 4, "sg": 474},

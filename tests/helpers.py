@@ -16,7 +16,9 @@ from contextlib import contextmanager
 import networkx as nx
 import numpy as np
 
+from repro.backend import NumpyBackend
 from repro.relational import HISA, ColumnBatch
+from repro.relational.hisa import MatchedRuns
 
 
 def batch_of(device, rows) -> ColumnBatch:
@@ -38,6 +40,35 @@ def hisa_rows(hisa: HISA, *, sorted_order: bool = False) -> np.ndarray:
     """A HISA's tuples in schema column order: insertion order, or sorted-index order."""
     rows = np.column_stack(hisa.natural_columns())
     return rows[hisa.sorted_index] if sorted_order else rows
+
+
+class CollidingBackend(NumpyBackend):
+    """NumPy with a weak key hash: a key's first column counts only modulo
+    4, so keys that differ there by a multiple of 4 — ``(1,)`` and ``(5,)``,
+    ``(1, 7)`` and ``(5, 7)`` — share their 64-bit hash."""
+
+    def hash_columns(self, columns):
+        return super().hash_columns([np.asarray(columns[0]) % 4, *columns[1:]])
+
+
+#: the array backends the lookup tests run on: plain NumPy, and NumPy whose
+#: hash collides (every table walk then meets hits on other keys)
+LOOKUP_BACKENDS = {"numpy": NumpyBackend, "colliding": CollidingBackend}
+
+
+def lookup_per_run(hisa: HISA, key_columns, *, charge: bool = True) -> tuple[MatchedRuns, np.ndarray]:
+    """``HISA.lookup_columns`` as a loop over the sorted runs: the keys are
+    hashed once and each run's table is probed on its own.  The reference the
+    batched walk over all (key, run) pairs must match, result and charge."""
+    m = int(key_columns[0].shape[0])
+    n_runs = len(hisa.run_sizes)
+    starts = np.empty((n_runs, m), dtype=np.int64)
+    lengths = np.empty((n_runs, m), dtype=np.int64)
+    if m:
+        hashes = hisa._hash_keys(key_columns, charge=charge)
+        for run in range(n_runs):
+            hisa._probe_run(run, hashes, key_columns, charge=charge, out=(starts[run], lengths[run]))
+    return MatchedRuns(starts, lengths), lengths.sum(axis=0)
 
 
 class CrashCopies:

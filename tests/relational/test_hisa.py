@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.device import Device
 from repro.errors import HisaStateError, SchemaError
-from repro.relational import SimpleBufferManager
+from repro.relational import EagerBufferManager, OpenAddressingHashTable, SimpleBufferManager
 
-from tests.helpers import hisa_of as HISA, hisa_rows, key_columns
+from tests.helpers import LOOKUP_BACKENDS, hisa_of as HISA, hisa_rows, key_columns, lookup_per_run
 
 
 rows_strategy = st.lists(
@@ -140,3 +140,39 @@ def test_merge_equals_union_property(rows):
     assert {tuple(r) for r in hisa_rows(merged).tolist()} == {tuple(r) for r in unique.tolist()}
     # The merged sorted index must be a valid permutation in sorted order.
     assert hisa_rows(merged, sorted_order=True).tolist() == sorted(unique.tolist())
+
+
+@pytest.mark.parametrize("backend", sorted(LOOKUP_BACKENDS))
+def test_a_lookup_probes_every_run_in_one_call(monkeypatch, backend):
+    """On a k-run index, a lookup is one ``OpenAddressingHashTable.probe``
+    over all (key, run) pairs, plus a resumed walk per round of hits on a key
+    with the same hash; the per-run loop it replaced made k."""
+    device = Device("h100", oom_enabled=False, backend=LOOKUP_BACKENDS[backend]())
+    rows = np.array([(key, value) for key in range(40) for value in range(key % 5 + 1)], dtype=np.int64)
+    order = np.random.default_rng(3).permutation(len(rows))
+    full = HISA(device, rows[order[:80]], (0,), label="k")
+    for delta in (order[80:110], order[110:120]):  # each less than half the run below: pushed
+        full.merge(HISA(device, rows[delta], (0,), label="k.d", build_hash_index=False), EagerBufferManager(device))
+    assert len(full.run_sizes) == 3
+    keys = key_columns(np.arange(-2, 44).reshape(-1, 1))
+
+    walks = []
+    probe = OpenAddressingHashTable.probe
+
+    def counted(self, query_hashes, table=0, **options):
+        walks.append("resumed" if options.get("start") is not None else "first")
+        return probe(self, query_hashes, table, **options)
+
+    monkeypatch.setattr(OpenAddressingHashTable, "probe", counted)
+    runs, lengths = full.lookup_columns(keys)
+    assert walks.count("first") == 1
+    if backend == "numpy":
+        assert walks == ["first"]
+    else:
+        assert "resumed" in walks
+    walks.clear()
+    reference, expected = lookup_per_run(full, keys)
+    assert walks.count("first") == 3
+    np.testing.assert_array_equal(runs.starts, reference.starts)
+    np.testing.assert_array_equal(lengths, expected)
+    assert lengths.tolist() == [0, 0] + [key % 5 + 1 for key in range(40)] + [0] * 4

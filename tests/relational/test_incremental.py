@@ -5,7 +5,9 @@ delta and absorbs the runs it is at least half as large as.  The oracle is
 the constructor — ``HISA(device, all_rows, join_columns)`` sorts, scans and
 hashes everything from nothing — and the contract is that no reader can tell
 the two apart: same tuples, same ``lookup_columns`` / ``contains_columns`` answers, same
-statistics, and after ``compact()`` the same bytes.
+statistics, and after ``compact()`` the same bytes.  ``lookup_columns`` walks
+every (key, run) pair in one batch; it is also held to a loop probing each
+run on its own (``tests.helpers.lookup_per_run``), answer and charge.
 """
 
 import numpy as np
@@ -22,7 +24,7 @@ from repro.relational import (
     hash_rows,
 )
 
-from tests.helpers import hisa_of as HISA, hisa_rows, key_columns
+from tests.helpers import LOOKUP_BACKENDS, CollidingBackend, hisa_of as HISA, hisa_rows, key_columns, lookup_per_run
 
 #: all-column, prefix, prefix, non-prefix, non-prefix
 INDEX_KINDS = [(0, 1, 2), (0,), (0, 1), (1,), (2, 0)]
@@ -81,6 +83,7 @@ def _assert_matches_scratch(full, rows: np.ndarray, join_columns):
     present = np.unique(rows[:, list(join_columns)], axis=0)
     absent = present + 1000  # misses: no column ever reaches 1000
     keys = np.concatenate([present, absent])
+    _assert_walk_matches_per_run(full, keys)
     found = _rows_per_key(full, keys)
     assert found == _rows_per_key(scratch, keys)
     assert all(found[: len(present)]) and not any(found[len(present) :])
@@ -93,6 +96,23 @@ def _assert_matches_scratch(full, rows: np.ndarray, join_columns):
         np.testing.assert_array_equal(scratch.contains_columns(key_columns(probes), charge=False), expected)
     else:
         assert not full.table.filtered
+
+
+def _assert_walk_matches_per_run(hisa, keys):
+    """One batched walk over every (key, run) pair returns what probing each
+    run on its own does, and charges the same inside a fused launch."""
+    columns = key_columns(keys)
+    answers, charged = [], []
+    for lookup in (hisa.lookup_columns, lambda columns: lookup_per_run(hisa, columns)):
+        before = len(hisa.device.profiler.events)
+        with hisa.device.fused("lookup"):
+            answers.append(lookup(columns))
+        charged.append([event.cost for event in hisa.device.profiler.events[before:]])
+    (batched, totals), (per_run, expected) = answers
+    np.testing.assert_array_equal(batched.starts, per_run.starts)
+    np.testing.assert_array_equal(batched.lengths, per_run.lengths)
+    np.testing.assert_array_equal(totals, expected)
+    assert charged[0] == charged[1]
 
 
 def _assert_compacts_to_scratch(full, rows: np.ndarray, join_columns):
@@ -136,6 +156,7 @@ def _delta_size(action: str, sizes: list[int], last: int) -> int:
 
 
 @given(
+    backend=st.sampled_from(sorted(LOOKUP_BACKENDS)),
     seed=st.integers(0, 10_000),
     base=st.integers(0, 40),
     first_delta=st.integers(1, 12),
@@ -143,15 +164,26 @@ def _delta_size(action: str, sizes: list[int], last: int) -> int:
     schedule=st.lists(
         st.sampled_from(["push", "absorb-one", "absorb-all", "equal", "equal", "compact"]), min_size=1, max_size=12
     ),
+    observed_from=st.integers(0, 12),
 )
-@settings(max_examples=60, deadline=None)
-def test_incremental_merge_equivalence_property(seed, base, first_delta, join_columns, schedule):
+@settings(max_examples=100, deadline=None)
+def test_incremental_merge_equivalence_property(
+    backend, seed, base, first_delta, join_columns, schedule, observed_from
+):
+    """Every schedule of merges and compactions, under a good hash and a
+    colliding one.  A statistics observer is attached from merge
+    ``observed_from`` on (12: never): without one a merge stops counting keys,
+    and the first read recounts them; with one, every merge reports the
+    counts the from-scratch build has."""
     pool = _row_pool(seed)
-    device = _fresh_device()
+    device = _fresh_device(backend=LOOKUP_BACKENDS[backend]())
     manager = EagerBufferManager(device)
     full = HISA(device, pool[:base], join_columns, label="p")
+    observed = []
     used, last = base, first_delta
-    for action in schedule:
+    for step, action in enumerate(schedule):
+        if step == observed_from:
+            full.stats_observer = lambda **totals: observed.append(totals)
         if action == "compact":
             _assert_compacts_to_scratch(full, pool[:used], join_columns)
             continue
@@ -161,8 +193,13 @@ def test_incremental_merge_equivalence_property(seed, base, first_delta, join_co
         delta = HISA(device, pool[used : used + last], join_columns, label="p.d", build_hash_index=False)
         used += last
         assert full.merge(delta, manager) is full
+        if full.stats_observer is not None:
+            assert observed[-1]["total_rows"] == used
+            distinct, longest = observed[-1]["total_distinct"], observed[-1]["max_multiplicity"]
         _assert_runs_geometric(full)
         _assert_matches_scratch(full, pool[:used], join_columns)
+        if full.stats_observer is not None:
+            assert (distinct, longest) == (full.distinct_key_count, full.max_run_length)
     _assert_compacts_to_scratch(full, pool[:used], join_columns)
 
 
@@ -179,15 +216,8 @@ def test_equal_deltas_keep_the_stack_logarithmic():
     _assert_matches_scratch(full, pool[:4000], (1,))
 
 
-class _CollidingBackend(NumpyBackend):
-    """Hashes a key by its first column modulo 4, so keys 1 and 5 collide."""
-
-    def hash_columns(self, columns):
-        return super().hash_columns([np.asarray(columns[0]) % 4])
-
-
 def test_hash_collision_falls_through_to_a_miss():
-    device = _fresh_device(backend=_CollidingBackend())
+    device = _fresh_device(backend=CollidingBackend())
     rows = np.array([[1, 10], [1, 11], [2, 20], [3, 30]], dtype=np.int64)
     full = HISA(device, rows, (0,), label="c")
     full.merge(HISA(device, np.array([[1, 12]], dtype=np.int64), (0,), label="c.d"), EagerBufferManager(device))
@@ -209,7 +239,7 @@ def test_hash_collision_falls_through_to_a_miss():
 def test_colliding_keys_both_keep_their_entries():
     """Two stored keys with one 64-bit hash: each gets a slot, and each is found
     behind the other — the walk goes on past a hash hit on a different key."""
-    device = _fresh_device(backend=_CollidingBackend())
+    device = _fresh_device(backend=CollidingBackend())
     prefix = HISA(device, np.array([[1, 10], [5, 50], [2, 20]], dtype=np.int64), (0,), label="c")
     keys = np.array([[1], [5], [2], [9]], dtype=np.int64)
     assert _rows_per_key(prefix, keys) == [{(1, 10)}, {(5, 50)}, {(2, 20)}, set()]
@@ -224,7 +254,7 @@ def test_resumed_walks_are_the_only_extra_charge():
     adds the resumed walk and its key comparison, nothing else."""
     rows = np.array([[1, 7], [5, 7]], dtype=np.int64)
     charged = {}
-    for name, backend in (("plain", NumpyBackend()), ("colliding", _CollidingBackend())):
+    for name, backend in (("plain", NumpyBackend()), ("colliding", CollidingBackend())):
         device = _fresh_device(backend=backend)
         index = HISA(device, rows, (0, 1), label="w")
         before = len(device.profiler.events)

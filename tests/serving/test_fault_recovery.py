@@ -7,6 +7,7 @@ set.  Aborted epochs must be invisible — same bytes, same snapshot versions.
 """
 
 import os
+import shutil
 import sys
 import threading
 
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.device import FaultPlan
-from repro.errors import DatalogError, EpochAborted
+from repro.errors import AdmissionRejected, DatalogError, EpochAborted
 from repro.queries import REACH_SOURCE
 from repro.relational.checkpoint import DiskCheckpointStore, InMemoryCheckpointStore
 from repro.serving import DiskWal, InMemoryWal, ServingEngine
@@ -356,6 +357,87 @@ def test_a_rejected_submit_interns_no_symbol(tmp_path):
         recovered.submit(inserts={"edge": [("z", 8)]}).result()
         decoded = set(recovered.query("edge", decode=True))
         assert {("a", 7), ("z", 8)} <= decoded and ("z", 7) not in decoded
+    finally:
+        recovered.close()
+
+
+class _HookedStore(DiskCheckpointStore):
+    """A checkpoint store that runs the next of ``hooks`` on each save, after
+    the engine has read the checkpoint's symbol tail and before the
+    checkpoint is written: a submit from inside an epoch's commit."""
+
+    def __init__(self, directory, hooks):
+        super().__init__(directory, keep=2)
+        self.hooks = hooks
+
+    def save(self, checkpoint):
+        if self.hooks:
+            self.hooks.pop(0)()
+        return super().save(checkpoint)
+
+
+def test_a_refused_submit_logs_its_symbols_with_the_next_record(tmp_path):
+    """A refused batch keeps the strings it interned.  A later batch using one
+    must log it, or a crash before the next checkpoint recovers its row as a
+    raw id: the checkpoint read its symbol tail before the string existed,
+    and the batch's own new strings start after it."""
+    live, crashed = tmp_path / "live", tmp_path / "crashed"
+    hooks = []
+    store = _HookedStore(str(live / "ckpt"), hooks)
+    engine = make_engine(
+        1, wal=DiskWal(str(live / "wal.jsonl")), checkpoint_store=store, max_pending=1, admission_policy="reject"
+    )
+
+    def queue_one_and_refuse_one():  # inside epoch 1's checkpoint
+        engine.submit(inserts={"edge": [("b", "c")]})
+        with pytest.raises(AdmissionRejected):
+            engine.submit(inserts={"edge": [("zz", "a")]})
+
+    def use_the_refused_string_then_crash():  # inside epoch 2's, which took ("b", "c")
+        engine.submit(inserts={"edge": [("zz", "b")]})
+        shutil.copytree(live, crashed)
+
+    hooks += [queue_one_and_refuse_one, use_the_refused_string_then_crash]
+    try:
+        engine.submit(inserts={"edge": [("a", "b")]}).result()
+        assert not hooks
+    finally:
+        engine.close()
+    recovered = ServingEngine.recover(
+        DiskCheckpointStore(str(crashed / "ckpt")), DiskWal(str(crashed / "wal.jsonl")),
+        background=False, fault_plan="none",
+    )
+    try:
+        assert {("a", "b"), ("b", "c"), ("zz", "b")} <= set(recovered.query("edge", decode=True))
+        recovered.submit(inserts={"edge": [("yy", "a")]}).result()
+        decoded = set(recovered.query("edge", decode=True))
+        assert {("zz", "b"), ("yy", "a")} <= decoded and ("yy", "b") not in decoded
+    finally:
+        recovered.close()
+
+
+def test_a_shed_batchs_symbols_survive_its_abort(tmp_path):
+    """A shed batch's record is the first to log its strings; a later batch
+    using them logs nothing new, so recovery restores the symbols of aborted
+    records too."""
+    store = DiskCheckpointStore(str(tmp_path / "ckpt"), keep=2)
+    engine = make_engine(
+        1, wal=DiskWal(str(tmp_path / "wal.jsonl")), checkpoint_store=store,
+        max_pending=1, admission_policy="shed-oldest",
+    )
+    try:
+        shed = engine.submit(inserts={"edge": [("s", "t")]})
+        engine.submit(inserts={"edge": [("s", "u")]})  # sheds the first
+        with pytest.raises(AdmissionRejected):
+            shed.result()
+    finally:
+        engine.crash()
+    recovered = ServingEngine.recover(
+        store, DiskWal(str(tmp_path / "wal.jsonl")), background=False, fault_plan="none"
+    )
+    try:
+        decoded = set(recovered.query("edge", decode=True))
+        assert ("s", "u") in decoded and ("s", "t") not in decoded
     finally:
         recovered.close()
 

@@ -225,3 +225,49 @@ def test_wal_replay_round_trip(tmp_path_factory, batches, commit_mask):
             assert batch.inserts.get("edge", []) == [tuple(r) for r in ins]
             assert batch.retracts.get("edge", []) == [tuple(r) for r in rets]
     reopened.close()
+
+
+def test_appends_racing_a_compaction_are_all_kept():
+    """Submitters append batch records while the epoch worker appends markers
+    and compacts: no record appended mid-compaction may vanish with the list
+    compaction replaces, and no sequence number may be handed out twice."""
+    import sys
+    import threading
+
+    wal = InMemoryWal()
+    seqs: list[int] = []
+    errors: list[BaseException] = []
+    done = threading.Event()
+
+    def submitter():
+        try:
+            for _ in range(300):
+                seqs.append(wal.append_batch({"edge": [(1, 2)]}, {}))
+        except BaseException as error:  # noqa: BLE001 - reported below
+            errors.append(error)
+
+    def worker():
+        try:
+            while not done.is_set():
+                wal.append_checkpoint(0, 0)
+                wal.compact(0)  # drops no batch, but rebuilds the record list
+        except BaseException as error:  # noqa: BLE001 - reported below
+            errors.append(error)
+
+    submitters = [threading.Thread(target=submitter) for _ in range(4)]
+    compactor = threading.Thread(target=worker)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        compactor.start()
+        for thread in submitters:
+            thread.start()
+        for thread in submitters:
+            thread.join(timeout=60)
+        done.set()
+        compactor.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in [*submitters, compactor]) and errors == []
+    assert sorted(seqs) == list(range(1, 4 * 300 + 1))
+    assert sorted(batch.seq for batch in wal.pending_batches()) == sorted(seqs)
