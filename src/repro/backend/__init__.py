@@ -45,6 +45,7 @@ from .base import (
     TUPLE_ITEMSIZE,
     Array,
     ArrayBackend,
+    is_wide_keys,
 )
 from .guard import GuardBackend
 from .numpy_backend import NumpyBackend
@@ -145,5 +146,6 @@ __all__ = [
     "available_backends",
     "get_backend",
     "host_rows_to_tuples",
+    "is_wide_keys",
     "register_backend",
 ]

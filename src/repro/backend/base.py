@@ -55,6 +55,12 @@ TUPLE_ITEMSIZE = TUPLE_DTYPE.itemsize
 INDEX_DTYPE = np.dtype(np.int64)
 INDEX_ITEMSIZE = INDEX_DTYPE.itemsize
 
+
+def is_wide_keys(keys: Array) -> bool:
+    """Whether :meth:`ArrayBackend.pack_lex_keys` returned ``keys`` wide."""
+    return keys.dtype != np.uint64
+
+
 # splitmix64 constants (shared by every backend so hashes are identical)
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -172,13 +178,28 @@ class ArrayBackend(ABC):
         """Batch binary search of ``needles`` into sorted ``haystack``."""
 
     @abstractmethod
-    def pack_lex_keys(self, columns: Sequence[Array]) -> Array:
-        """Pack per-column tuple values into one opaque sortable key array.
+    def pack_lex_keys(self, columns: Sequence[Array], *, wide: bool = False) -> Array:
+        """Pack per-column tuple values into one sortable key per tuple.
 
-        The keys of two packings are mutually comparable (``searchsorted``
-        across arrays works) and ordering matches signed lexicographic tuple
-        order.  The packed representation is backend-private; callers only
-        ever compare, merge-scatter, and binary-search it.
+        Key order is signed lexicographic tuple order, and two keys are equal
+        exactly when their tuples are.  There are two formats:
+
+        * **narrow** — one ``uint64`` per tuple.  Column ``j`` of ``k`` takes
+          bits ``[64 - (j+1)*w, 64 - j*w)`` with ``w = 64 // k``, stored
+          offset-binary (the value plus ``2**(w-1)``), so unsigned order of
+          the word is tuple order.  Returned whenever every value fits its
+          ``w``-bit field — always, for one column — and ``wide`` is false.
+        * **wide** — a backend-private representation with no bit budget,
+          returned otherwise.  A backend that has none raises
+          :class:`~repro.errors.BackendError` instead.
+
+        The layout of either format depends only on ``k``, so keys of one
+        format are mutually comparable across packings (``searchsorted`` of
+        one array into another works); keys of different formats are not.
+        A caller holding a store of keys packs new keys with ``wide=``
+        :func:`is_wide_keys` of its store, and re-packs the store wide once
+        when a packing does not fit it: formats widen, never narrow.
+        Callers only ever compare, merge-scatter and binary-search keys.
         """
 
     @abstractmethod

@@ -5,18 +5,20 @@ CI skip-marks every CuPy-parameterized test when the import fails).  The
 implementation mirrors :class:`~repro.backend.numpy_backend.NumpyBackend`
 primitive-for-primitive with two documented deviations:
 
-* ``pack_lex_keys`` — CuPy has no void/structured dtypes, so multi-column
-  packed sort keys cannot live on the device as opaque byte rows.  Keys pack
-  into a single device-resident uint64 with a *fixed bit budget* of
-  ``64 // n_columns`` bits per column (offset-binary so signed order is
-  preserved).  The budget depends only on the column count, so keys packed by
-  different calls stay mutually comparable — exactly what the incremental
-  merge's cross-array ``searchsorted`` needs — and every downstream consumer
-  (``empty`` with the key dtype, ``scatter``, ``adjacent_unique_mask``,
-  ``nonzero_indices``) sees an ordinary device uint64 array.  Values outside
-  the per-column budget raise :class:`~repro.errors.BackendError` loudly
-  instead of mis-sorting; VFLog-style multi-pass radix keys are the known
-  fix for wider domains.
+* ``pack_lex_keys`` — CuPy has no void/structured dtypes, so it has only the
+  contract's *narrow* format: one device-resident uint64 per tuple with a
+  fixed bit budget of ``64 // n_columns`` bits per column (offset-binary so
+  signed order is preserved).  The budget depends only on the column count,
+  so keys packed by different calls stay mutually comparable — exactly what
+  the incremental merge's cross-array ``searchsorted`` needs — and every
+  downstream consumer (``empty`` with the key dtype, ``scatter``,
+  ``adjacent_unique_mask``, ``nonzero_indices``) sees an ordinary device
+  uint64 array.  NumPy falls back to wide byte records when a value does not
+  fit; here such values, and a request for wide keys, raise
+  :class:`~repro.errors.BackendError` loudly instead of mis-sorting.
+  VFLog-style multi-pass radix keys are the known fix for wider domains.
+  The simulated device charges keys at their logical width (8 bytes per
+  column) on every backend, so CuPy and NumPy runs charge the same bytes.
 * ``reduceat_sum`` — CuPy lacks ``add.reduceat``; the segmented sum is
   computed from an inclusive scan, which requires strictly increasing segment
   starts (the only shape the datapath produces: run starts).
@@ -126,16 +128,18 @@ class CupyBackend(ArrayBackend):  # pragma: no cover - requires a CUDA device
     def searchsorted(self, haystack: Array, needles: Array, side: str = "left") -> Array:
         return cp.searchsorted(haystack, cp.asarray(needles), side=side).astype(INDEX_DTYPE)
 
-    def pack_lex_keys(self, columns: Sequence[Array]) -> Array:
-        """Device-resident packed keys with a fixed ``64 // k`` bit budget.
+    def pack_lex_keys(self, columns: Sequence[Array], *, wide: bool = False) -> Array:
+        """Device-resident narrow keys with a fixed ``64 // k`` bit budget.
 
         Column ``j`` occupies bits ``[64 - (j+1)*width, 64 - j*width)`` of a
         uint64 after an offset-binary shift, so unsigned comparison of the
         packed word equals signed lexicographic tuple comparison.  The layout
         depends only on the column count — packings from different calls
-        (full vs delta keys) stay mutually comparable.  Out-of-budget values
-        fail loudly rather than mis-sort.
+        (full vs delta keys) stay mutually comparable.  There is no wide
+        format: out-of-budget values fail loudly rather than mis-sort.
         """
+        if wide:
+            raise BackendError("cupy pack_lex_keys has no wide key format")
         k = len(columns)
         if k == 0:
             return cp.empty(0, dtype=cp.uint64)

@@ -72,7 +72,11 @@ All algorithms run for real on the device's
 when selected); every step charges the owning simulated device so the
 profiler sees the same phases the paper measures.  The packed sort keys are
 backend-opaque (:meth:`~repro.backend.base.ArrayBackend.pack_lex_keys`); this
-module only compares, merge-scatters and binary-searches them.
+module only compares, merge-scatters and binary-searches them.  Each key
+store is one machine word per tuple while its values fit the narrow layout
+and is re-packed wide, once, by the merge that first brings a value that does
+not; charges and reserved bytes count every key at its logical width, 8 bytes
+per column, whichever format the host holds.
 """
 
 from __future__ import annotations
@@ -80,7 +84,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..backend import TUPLE_ITEMSIZE, Array, ArrayBackend
+from ..backend import INDEX_ITEMSIZE, TUPLE_ITEMSIZE, Array, ArrayBackend, is_wide_keys
 from ..device.cost import KernelCost
 from ..device.device import Device
 from ..device.memory import Buffer
@@ -239,6 +243,12 @@ class HISA:
         self._stores: list[Array] = [sorted_index, backend.pack_lex_keys(sorted_columns)]
         if self.n_join < arity:
             self._stores.append(backend.pack_lex_keys(sorted_columns[: self.n_join]))
+        # What the device reserves and moves per index-tier row, whatever the
+        # host format of the keys: the index, the tuple key and the join key,
+        # each at 8 bytes per column.
+        self._index_row_bytes = INDEX_ITEMSIZE + TUPLE_ITEMSIZE * (
+            arity + (self.n_join if self.n_join < arity else 0)
+        )
         self._bounds = [0, n]
         run_starts, run_lengths = self._key_runs = _runs_from_keys(backend, self._stores[-1])
         self._distinct_keys = int(run_starts.size)
@@ -319,7 +329,7 @@ class HISA:
     def memory_breakdown(self) -> HisaMemoryBreakdown:
         return HisaMemoryBreakdown(
             data_bytes=self._data_buffer.nbytes if self._data_buffer is not None else self._storage_nbytes(),
-            index_bytes=sum(int(store.nbytes) for store in self._stores),
+            index_bytes=int(self._stores[0].shape[0]) * self._index_row_bytes,
             table_bytes=self.table.nbytes if self.table is not None else 0,
         )
 
@@ -568,6 +578,15 @@ class HISA:
             self._notify_stats(0, 0)
             return self
 
+        parts = [store[:d] for store in delta._stores]
+        parts[0] = parts[0] + n
+        for position in range(1, len(parts)):
+            # A store keeps its key format until a delta's keys do not fit
+            # it; the narrow side is then re-packed wide, once.
+            if is_wide_keys(parts[position]) and not is_wide_keys(self._stores[position]):
+                self._stores[position] = self._wide_store(position)
+            elif is_wide_keys(self._stores[position]) and not is_wide_keys(parts[position]):
+                parts[position] = delta._wide_store(position)[:d]
         self._append_data(delta, manager, charge=charge)
         first = first_absorbed(self.run_sizes, d)
         # Statistics, push, path merges, key-run scan, key hashing and table
@@ -575,8 +594,6 @@ class HISA:
         # search and a scatter launch per path merge beyond the first's scatter.
         with self.device.fused(f"{self.label}.merge_finalize", launches=max(1, 2 * (len(self._bounds) - 1 - first))):
             self._count_keys(delta, charge=charge)
-            parts = [store[:d] for store in delta._stores]
-            parts[0] = parts[0] + n
             self._seal(first, parts, charge=charge)
         delta.free()
         self._notify_stats(d, delta.distinct_key_count)
@@ -724,7 +741,7 @@ class HISA:
             # arrays *are* the new index tier, as in a dense merge.
             self._stores = parts
         else:
-            row_bytes = sum(store.dtype.itemsize for store in self._stores)
+            row_bytes = self._index_row_bytes
             if end > capacity:
                 # Geometric growth, like the data tier's eager buffers; only
                 # the runs that stay are carried over.
@@ -753,7 +770,7 @@ class HISA:
             self.device.charge(
                 KernelCost(
                     kernel=f"{self.label}.run_scan",
-                    sequential_bytes=float(size) * self._stores[-1].dtype.itemsize,
+                    sequential_bytes=float(size) * self.n_join * TUPLE_ITEMSIZE,
                     ops=float(size),
                 )
             )
@@ -796,11 +813,21 @@ class HISA:
             self.device.charge(
                 KernelCost(
                     kernel=f"{self.label}.merge_scatter",
-                    sequential_bytes=2.0 * total * sum(part.dtype.itemsize for part in merged),
+                    sequential_bytes=2.0 * total * self._index_row_bytes,
                     ops=float(total),
                 )
             )
         return merged
+
+    def _wide_store(self, position: int) -> Array:
+        """Key store ``position`` (1: tuple keys, 2: join keys) re-packed wide
+        from the stored columns, same capacity: a host re-pack the simulated
+        device does not see, since it charges keys at their logical width."""
+        end = self._bounds[-1]
+        index = self._stores[0][:end]
+        width = self.natural_arity if position == 1 else self.n_join
+        keys = self.backend.pack_lex_keys([self._column_storage[c][index] for c in range(width)], wide=True)
+        return grown(self.backend, keys, end, int(self._stores[0].shape[0]))
 
     def _account_index_tiers(self) -> None:
         """Hold the index and table tiers' reserved capacity in the device pool.

@@ -90,7 +90,7 @@ from ..errors import (
 from ..relational.checkpoint import CheckpointStore, EvaluationCheckpoint, fold_chain
 from ..relational.hisa import first_absorbed
 from .cache import DEFAULT_PROGRAM_CACHE, CompiledProgram, ProgramCache
-from .snapshot import RelationSnapshot, SnapshotTable, canonical_rows, merge_rows, row_keys
+from .snapshot import RelationSnapshot, SnapshotTable, canonical_rows, keys_alongside, merge_rows, row_keys
 from .wal import WalBatch, WriteAheadLog
 
 __all__ = ["ADMISSION_POLICIES", "EpochResult", "EpochTicket", "ServingEngine"]
@@ -176,6 +176,11 @@ class _Mutation:
     seq: int = 0
 
 
+class _Uncoalesce(Exception):
+    """A coalesced epoch failed without a device fault and rolled back: its
+    submissions are to be run one per epoch (:meth:`ServingEngine._commit`)."""
+
+
 @dataclass(frozen=True)
 class _ChainLink:
     """One link of the commit record: a base, or a segment of appended rows."""
@@ -205,7 +210,8 @@ class _ReadMark:
     #: the commit record's marks for the relation at that moment: per shard,
     #: the generation and full row count the snapshot's rows are made of
     marks: list[tuple[int, int]]
-    #: ``row_keys(snapshot.rows)``: what the next read's merge searches
+    #: ``row_keys(snapshot.rows)``, wide for good once an appended row did not
+    #: fit narrow keys: what the next read's merge searches
     keys: np.ndarray
 
 
@@ -660,8 +666,8 @@ class ServingEngine:
 
         return recover_engine(store, wal, **engine_kwargs)
 
-    def _apply_replay(self, batches: "list[WalBatch]", *, commit: bool) -> EpochResult:
-        """Run one recovery epoch from logged batches.
+    def _apply_replay(self, batches: "list[WalBatch]", *, commit: bool) -> None:
+        """Run one recovery epoch from logged batches; raise if it fails.
 
         ``commit=False`` replays a group the crashed engine already committed
         (its marker is in the log; writing another would corrupt it) —
@@ -679,12 +685,11 @@ class ServingEngine:
         ]
         self._replaying = not commit
         try:
-            result = self._run_epoch(mutations)
+            self._commit(mutations)
         finally:
             self._replaying = False
         for mutation in mutations:
-            mutation.future.set_result(result)
-        return result
+            mutation.future.result()
 
     # ------------------------------------------------------------------
     # Epoch execution
@@ -751,6 +756,13 @@ class ServingEngine:
         # them a second time here would raise InvalidStateError in the worker.
         try:
             result = self._run_epoch(batch)
+        except _Uncoalesce:
+            # The coalesced epoch failed for a reason of its own and rolled
+            # back: one epoch per submission, so only a submission that
+            # fails on its own gets the error.
+            for mutation in batch:
+                self._commit([mutation])
+            return
         except BaseException as error:  # noqa: BLE001 - forwarded to tickets
             for mutation in batch:
                 if not mutation.future.done():
@@ -772,6 +784,12 @@ class ServingEngine:
         epoch budget is exhausted too, the epoch aborts: state stays rolled
         back at the last commit, this batch's tickets get
         :class:`EpochAborted`, and reads keep serving.
+
+        Any other exception (a bug, or a backend refusing a value that
+        encoded fine) is no fault to retry: the epoch rolls back at once.  A
+        live epoch that coalesced several submissions then raises
+        :class:`_Uncoalesce`, and :meth:`_commit` runs them one per epoch; a
+        lone submission aborts with the error itself.
         """
         with self._engine_lock:
             seqs = [mutation.seq for mutation in batch if mutation.seq]
@@ -780,25 +798,30 @@ class ServingEngine:
                 attempt += 1
                 try:
                     result = self._run_epoch_attempt(batch, attempt=attempt)
-                except (DeviceError, FixpointInterrupted) as error:
+                except Exception as error:
                     self._health = HEALTH_RECOVERING
                     self._rollback(error)
-                    if attempt > self.epoch_retries:
-                        self.epoch_aborts += 1
-                        self._health = HEALTH_DEGRADED
-                        if self.wal is not None and not self._replaying and seqs:
-                            self.wal.append_abort(seqs, reason=f"epoch-aborted: {error}")
-                        raise EpochAborted(
-                            f"epoch {self.epoch + 1} aborted after {attempt} attempts "
-                            f"and rolled back to epoch {self.epoch}: {error}",
-                            epoch=self.epoch + 1,
-                            attempts=attempt,
-                            cause=error,
-                        ) from error
-                    self._evaluator._charge_backoff(
-                        attempt, label=f"serving_epoch{self.epoch + 1}"
-                    )
-                    continue
+                    transient = isinstance(error, (DeviceError, FixpointInterrupted))
+                    if transient and attempt <= self.epoch_retries:
+                        self._evaluator._charge_backoff(
+                            attempt, label=f"serving_epoch{self.epoch + 1}"
+                        )
+                        continue
+                    self._health = HEALTH_DEGRADED
+                    if not transient and len(batch) > 1 and not self._replaying:
+                        raise _Uncoalesce() from error
+                    self.epoch_aborts += 1
+                    if self.wal is not None and not self._replaying and seqs:
+                        self.wal.append_abort(seqs, reason=f"epoch-aborted: {error}")
+                    if not transient:
+                        raise
+                    raise EpochAborted(
+                        f"epoch {self.epoch + 1} aborted after {attempt} attempts "
+                        f"and rolled back to epoch {self.epoch}: {error}",
+                        epoch=self.epoch + 1,
+                        attempts=attempt,
+                        cause=error,
+                    ) from error
                 self._finish_commit(seqs)
                 return result
 
@@ -1161,10 +1184,10 @@ class ServingEngine:
             derived = self._collect_version_rows(version)
             if not derived.shape[0]:
                 continue
-            # Membership on packed keys: ``derived`` is the rule's whole
-            # output, the cone is small.
-            cone = row_keys(self._rows_array(deleted[head], head))
-            regained = derived[np.isin(row_keys(derived), cone)]
+            # Membership on packed keys of one format: ``derived`` is the
+            # rule's whole output, the cone is small.
+            derived_keys, cone = keys_alongside(derived, row_keys(derived), self._rows_array(deleted[head], head))
+            regained = derived[np.isin(derived_keys, cone)]
             if regained.shape[0]:
                 survivors.setdefault(head, set()).update(host_rows_to_tuples(regained))
         return survivors

@@ -15,7 +15,9 @@ A relation's full version only grows by appends until it is re-initialized,
 so a new snapshot is the previous one plus the rows appended since it was
 taken: the read downloads just those rows (the charged D2H edge), sorts them
 and merges them in with one binary search over the previous snapshot's packed
-keys (:func:`merge_rows`) — O(Δ) transfer plus one host copy.  Only a read
+keys (:func:`merge_rows`) — O(Δ) transfer plus one host copy.  Those keys are
+one machine word per row while the values fit, and wide from the first
+appended row that does not.  Only a read
 after a re-initialization (the bootstrap read, a retraction, a rollback, a
 recovery, a rebuilt shard) downloads and sorts the whole relation
 (:func:`canonical_rows`).
@@ -28,10 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..backend import HOST_BACKEND, host_rows_to_tuples
+from ..backend import HOST_BACKEND, host_rows_to_tuples, is_wide_keys
 from ..device.kernels import host_lexsort_columns
 
-__all__ = ["RelationSnapshot", "SnapshotTable", "canonical_rows", "merge_rows", "row_keys"]
+__all__ = ["RelationSnapshot", "SnapshotTable", "canonical_rows", "keys_alongside", "merge_rows", "row_keys"]
 
 
 def _records(rows: np.ndarray) -> np.ndarray:
@@ -60,13 +62,29 @@ def canonical_rows(rows: np.ndarray, arity: int) -> np.ndarray:
     return _frozen(_records(rows)[order], arity)
 
 
-def row_keys(rows: np.ndarray) -> np.ndarray:
+def row_keys(rows: np.ndarray, *, wide: bool = False) -> np.ndarray:
     """One packed key per host row; keys compare like the rows do lexicographically.
 
-    The packing depends on nothing but the arity, so the keys of a snapshot
-    and of rows appended later are mutually comparable.
+    Narrow (one ``uint64`` per row) when every value fits the arity's bit
+    budget and ``wide`` is false, wide otherwise
+    (:meth:`~repro.backend.base.ArrayBackend.pack_lex_keys`).  The packing
+    depends on nothing but the arity and the format, so keys of one format —
+    a snapshot's and those of rows appended later — are mutually comparable;
+    :func:`keys_alongside` puts two sets of keys in one format.
     """
-    return HOST_BACKEND.pack_lex_keys([rows[:, column] for column in range(rows.shape[1])])
+    return HOST_BACKEND.pack_lex_keys([rows[:, column] for column in range(rows.shape[1])], wide=wide)
+
+
+def keys_alongside(rows: np.ndarray, keys: np.ndarray, more: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``keys`` (the :func:`row_keys` of ``rows``) and keys of ``more`` in one format.
+
+    ``more`` is packed in the format of ``keys``; if it does not fit, ``keys``
+    is re-packed wide from ``rows``.  Returns ``(keys, more_keys)``.
+    """
+    more_keys = row_keys(more, wide=is_wide_keys(keys))
+    if is_wide_keys(more_keys) and not is_wide_keys(keys):
+        keys = row_keys(rows, wide=True)
+    return keys, more_keys
 
 
 def merge_rows(rows: np.ndarray, keys: np.ndarray, appended: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -76,11 +94,12 @@ def merge_rows(rows: np.ndarray, keys: np.ndarray, appended: np.ndarray) -> tupl
     each tuple once).  It is sorted by its own keys, placed by one
     ``searchsorted`` into ``keys``, and inserted record-wise, so the result is
     byte-identical to :func:`canonical_rows` over the union.  Returns the new
-    read-only rows and their keys.
+    read-only rows and their keys, wide from the first append that does not
+    fit narrow keys on.
     """
     arity = rows.shape[1]
     appended = np.ascontiguousarray(appended, dtype=np.int64).reshape(-1, arity)
-    appended_keys = row_keys(appended)
+    keys, appended_keys = keys_alongside(rows, keys, appended)
     order = np.argsort(appended_keys)
     appended_keys = appended_keys[order]
     at = np.searchsorted(keys, appended_keys)

@@ -21,6 +21,7 @@ from repro.backend import (
     NumpyBackend,
     available_backends,
     get_backend,
+    is_wide_keys,
 )
 from repro.errors import BackendContractError, BackendUnavailableError
 
@@ -178,15 +179,11 @@ def test_lexsort_zero_arity_identity(backend):
     assert to_host_list(backend, backend.lexsort([], n_rows=0)) == []
 
 
-@settings(max_examples=40, deadline=None)
-@given(rows=st.lists(st.tuples(values, values), max_size=50))
-def test_pack_lex_keys_preserves_tuple_order(rows):
-    backend = get_backend("numpy")
-    columns = [backend.from_host([row[c] for row in rows], dtype=backend.int64) for c in range(2)]
-    keys = backend.pack_lex_keys(columns)
-    order_by_key = sorted(range(len(rows)), key=lambda i: (keys[i].tobytes(), i))
-    order_by_tuple = sorted(range(len(rows)), key=lambda i: (rows[i], i))
-    assert order_by_key == order_by_tuple
+def key_values(keys):
+    """Packed keys as Python values ordered and equal like the keys: the
+    record bytes of wide keys, the integer of narrow ones."""
+    keys = np.asarray(keys)
+    return [key.tobytes() for key in keys] if is_wide_keys(keys) else keys.tolist()
 
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
@@ -209,6 +206,66 @@ def sort_key_batches(draw):
     n = draw(st.integers(0, 40))
     domains = [draw(sort_key_domains) for _ in range(arity)]
     return [draw(st.lists(domain, min_size=n, max_size=n)) for domain in domains]
+
+
+def cupy_formula(columns):
+    """The CuPy backend's packing, transcribed to NumPy: ``64 // k`` bits per
+    column, offset-binary, column 0 in the top field."""
+    if len(columns) == 1:
+        return np.asarray(columns[0], dtype=np.int64).view(np.uint64) ^ np.uint64(1 << 63)
+    width = 64 // len(columns)
+    low = -(1 << (width - 1))
+    packed = np.zeros(len(columns[0]), dtype=np.uint64)
+    for position, column in enumerate(columns):
+        offset = (np.asarray(column, dtype=np.int64) - low).astype(np.uint64)
+        packed |= offset << np.uint64(64 - (position + 1) * width)
+    return packed
+
+
+@settings(max_examples=60, deadline=None)
+@given(arity=st.integers(1, 5), data=st.data())
+def test_narrow_keys_are_the_cupy_formula(arity, data):
+    """In budget, NumPy's keys are the CuPy backend's, bit for bit."""
+    half = 1 << (64 // arity - 1)
+    domain = st.integers(-half, half - 1) | st.sampled_from([-half, half - 1, 0])
+    n = data.draw(st.integers(0, 30))
+    columns = [np.array(data.draw(st.lists(domain, min_size=n, max_size=n)), dtype=np.int64) for _ in range(arity)]
+    keys = get_backend("numpy").pack_lex_keys(columns)
+    assert keys.dtype == np.uint64
+    np.testing.assert_array_equal(keys, cupy_formula(columns))
+
+
+@pytest.mark.parametrize(
+    "columns, wide",
+    [
+        ([[INT64_MIN, INT64_MAX]], False),  # one column: always narrow
+        ([[-(2**31), 2**31 - 1], [0, 0]], False),  # the 32-bit budget's edges
+        ([[2**31], [0]], True),
+        ([[0], [-(2**31) - 1]], True),
+        ([[2**40], [5]], True),  # an interned symbol id
+        ([[2**20 - 1], [-(2**20)], [0]], False),  # 21 bits on three columns
+        ([[2**20], [0], [0]], True),
+        ([[], []], False),
+    ],
+)
+def test_pack_lex_keys_goes_wide_only_out_of_budget(columns, wide):
+    backend = get_backend("numpy")
+    columns = [np.array(column, dtype=np.int64) for column in columns]
+    assert is_wide_keys(backend.pack_lex_keys(columns)) == wide
+    assert is_wide_keys(backend.pack_lex_keys(columns, wide=True))
+
+
+@settings(max_examples=120, deadline=None)
+@given(batch=sort_key_batches(), wide=st.booleans())
+def test_pack_lex_keys_preserves_tuple_order(batch, wide):
+    """Narrow or wide — int64 extremes and symbol ids included — keys sort
+    like their tuples and are equal exactly when their tuples are."""
+    rows = list(zip(*batch))
+    keys = key_values(get_backend("numpy").pack_lex_keys([np.array(c, dtype=np.int64) for c in batch], wide=wide))
+    assert sorted(range(len(rows)), key=lambda i: (keys[i], i)) == sorted(range(len(rows)), key=lambda i: (rows[i], i))
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            assert (keys[i] == keys[j]) == (rows[i] == rows[j])
 
 
 @settings(max_examples=120, deadline=None)

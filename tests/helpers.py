@@ -51,9 +51,17 @@ class CollidingBackend(NumpyBackend):
         return super().hash_columns([np.asarray(columns[0]) % 4, *columns[1:]])
 
 
-#: the array backends the lookup tests run on: plain NumPy, and NumPy whose
-#: hash collides (every table walk then meets hits on other keys)
-LOOKUP_BACKENDS = {"numpy": NumpyBackend, "colliding": CollidingBackend}
+class WideKeyBackend(NumpyBackend):
+    """NumPy that packs every sort key in the wide format, whatever the values."""
+
+    def pack_lex_keys(self, columns, *, wide=False):
+        return super().pack_lex_keys(columns, wide=True)
+
+
+#: the array backends the lookup tests run on: plain NumPy (narrow keys while
+#: the values fit), NumPy with only wide keys, and NumPy whose hash collides
+#: (every table walk then meets hits on other keys)
+LOOKUP_BACKENDS = {"numpy": NumpyBackend, "wide": WideKeyBackend, "colliding": CollidingBackend}
 
 
 def lookup_per_run(hisa: HISA, key_columns, *, charge: bool = True) -> tuple[MatchedRuns, np.ndarray]:

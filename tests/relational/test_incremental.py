@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.backend import NumpyBackend
+from repro.backend import NumpyBackend, is_wide_keys
 from repro.device import Device
 from repro.relational import (
     EagerBufferManager,
@@ -165,16 +165,19 @@ def _delta_size(action: str, sizes: list[int], last: int) -> int:
         st.sampled_from(["push", "absorb-one", "absorb-all", "equal", "equal", "compact"]), min_size=1, max_size=12
     ),
     observed_from=st.integers(0, 12),
+    wide_at=st.integers(0, 12),
 )
 @settings(max_examples=100, deadline=None)
 def test_incremental_merge_equivalence_property(
-    backend, seed, base, first_delta, join_columns, schedule, observed_from
+    backend, seed, base, first_delta, join_columns, schedule, observed_from, wide_at
 ):
-    """Every schedule of merges and compactions, under a good hash and a
-    colliding one.  A statistics observer is attached from merge
-    ``observed_from`` on (12: never): without one a merge stops counting keys,
-    and the first read recounts them; with one, every merge reports the
-    counts the from-scratch build has."""
+    """Every schedule of merges and compactions, under a good hash, a
+    colliding one and wide-only keys.  A statistics observer is attached from
+    merge ``observed_from`` on (12: never): without one a merge stops counting
+    keys, and the first read recounts them; with one, every merge reports the
+    counts the from-scratch build has.  The delta of merge ``wide_at`` (12:
+    none) carries values past the narrow keys' 21-bit budget, so the stores
+    turn wide mid-run — the deltas after it are narrow again — and stay wide."""
     pool = _row_pool(seed)
     device = _fresh_device(backend=LOOKUP_BACKENDS[backend]())
     manager = EagerBufferManager(device)
@@ -190,9 +193,12 @@ def test_incremental_merge_equivalence_property(
         last = _delta_size(action, full.run_sizes, last)
         if used + last > len(pool):
             break
+        if step == wide_at:
+            pool[used : used + last, 2] += 1 << 40  # still distinct: no other row reaches 2**40
         delta = HISA(device, pool[used : used + last], join_columns, label="p.d", build_hash_index=False)
         used += last
         assert full.merge(delta, manager) is full
+        assert is_wide_keys(full._stores[1]) == (backend == "wide" or bool((pool[:used, 2] >= 1 << 40).any()))
         if full.stats_observer is not None:
             assert observed[-1]["total_rows"] == used
             distinct, longest = observed[-1]["total_distinct"], observed[-1]["max_multiplicity"]
@@ -315,7 +321,10 @@ def _check_memory_accounting(join_columns):
     def reserved():
         # an all-column index's slab also holds a filter word per 4 slots
         slab = full.table.capacity * (26 if whole else 24)
-        stores = sum(store.nbytes for store in full._stores)
+        # per reserved index row: the position, the tuple key and (on fewer
+        # columns) the join key, 8 bytes per key column whatever the host
+        # packing of the keys
+        stores = full._stores[0].shape[0] * 8 * (1 + 3 + (0 if whole else len(join_columns)))
         return full.memory_breakdown().data_bytes + stores + slab
 
     allocations = device.pool.stats.allocation_count
@@ -341,6 +350,30 @@ def _check_memory_accounting(join_columns):
     full.free()
     manager.release()
     assert device.pool.in_use_bytes == before
+
+
+@pytest.mark.parametrize("join_columns", INDEX_KINDS)
+def test_charges_ignore_the_host_key_format(join_columns):
+    """Narrow and wide keys are host representations of the same index: one
+    merge schedule charges the same kernels, reserves the same bytes and
+    answers the same on both."""
+    pool = _row_pool(4)
+    recorded = {}
+    for name in ("numpy", "wide"):
+        device = _fresh_device(backend=LOOKUP_BACKENDS[name]())
+        manager = EagerBufferManager(device)
+        full = HISA(device, pool[:300], join_columns, label="c")
+        breakdowns = [full.memory_breakdown()]
+        for start, size in [(300, 40), (340, 10), (350, 200), (550, 5), (555, 3), (558, 900)]:
+            full.merge(HISA(device, pool[start : start + size], join_columns, label="c.d"), manager)
+            breakdowns.append(full.memory_breakdown())
+        _, lengths = full.lookup_columns(key_columns(pool[:50, list(join_columns)]))
+        full.compact()
+        breakdowns.append(full.memory_breakdown())
+        assert is_wide_keys(full._stores[1]) == (name == "wide")
+        events = [(event.phase, event.cost) for event in device.profiler.events]
+        recorded[name] = (events, breakdowns, lengths.tolist(), device.pool.in_use_bytes, device.pool.stats.peak_bytes)
+    assert recorded["numpy"] == recorded["wide"]
 
 
 def test_hash_table_growth_preserves_entries():

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.device import FaultPlan
 from repro.errors import AdmissionRejected, DatalogError, EpochAborted
 from repro.queries import REACH_SOURCE
+from repro.relational import Relation
 from repro.relational.checkpoint import DiskCheckpointStore, InMemoryCheckpointStore
 from repro.serving import DiskWal, InMemoryWal, ServingEngine
 
@@ -208,6 +209,67 @@ def test_abort_then_commit_history(history_name):
             device.fault_plan = None
         run_history(engine, history[1:])
         assert_equivalent(engine, history)
+    finally:
+        engine.close()
+
+
+def test_an_epoch_that_raises_without_a_device_fault_keeps_no_merge(monkeypatch):
+    """Any exception rolls an epoch back, not only a device fault: here one
+    raised after ``edge`` already merged the inserted row."""
+    chain = [(0, 1), (1, 2), (2, 3)]
+    wal = InMemoryWal()
+    engine = ServingEngine(
+        REACH_SOURCE, {"edge": chain}, background=False, num_shards=1, fault_plan="none", wal=wal
+    )
+    try:
+        calls = []
+        end_iteration = Relation.end_iteration
+
+        def second_call_raises(self, *args, **kwargs):
+            calls.append(self.name)
+            if len(calls) == 2:
+                raise ValueError("not a device fault")
+            return end_iteration(self, *args, **kwargs)
+
+        monkeypatch.setattr(Relation, "end_iteration", second_call_raises)
+        with pytest.raises(ValueError, match="not a device fault"):
+            engine.submit(inserts={"edge": [(3, 4)]}).result()
+        monkeypatch.undo()
+        assert calls[0] == "edge"  # the row was merged when the epoch raised
+        assert engine.relations["edge"].as_set() == set(chain)
+        assert engine.epoch == 0 and engine.epoch_aborts == 1
+        assert wal.aborted_seqs() == {1}
+        engine.submit(inserts={"edge": [(5, 6)]}).result()
+        assert engine.query("reach").as_set() == transitive_closure(np.array(chain + [(5, 6)]))
+    finally:
+        engine.close()
+
+
+def test_a_coalesced_epoch_that_raises_commits_its_good_submissions(monkeypatch):
+    """A coalesced epoch that fails without a device fault replays its
+    submissions one per epoch: only the one that fails on its own gets the
+    error and a WAL abort marker."""
+    wal = InMemoryWal()
+    engine = make_engine(1, wal=wal)
+    try:
+        add_new = Relation.add_new
+
+        def refuse_99(self, rows, *args, **kwargs):
+            if isinstance(rows, np.ndarray) and (rows == 99).any():
+                raise ValueError("refused 99")
+            return add_new(self, rows, *args, **kwargs)
+
+        monkeypatch.setattr(Relation, "add_new", refuse_99)
+        good = engine.submit(inserts={"edge": [(6, 7)]})
+        bad = engine.submit(inserts={"edge": [(7, 99)]})
+        after = engine.submit(inserts={"edge": [(7, 8)]})
+        engine.flush()
+        with pytest.raises(ValueError, match="refused 99"):
+            bad.result()
+        assert (good.result().epoch, good.result().coalesced) == (1, 1)
+        assert (after.result().epoch, after.result().coalesced) == (2, 1)
+        assert wal.aborted_seqs() == {2}
+        assert engine.query("reach").as_set() == transitive_closure(np.array(CHAIN + [(6, 7), (7, 8)]))
     finally:
         engine.close()
 

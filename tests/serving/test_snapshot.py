@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend import is_wide_keys
 from repro.device import Device, FaultPlan
 from repro.device.profiler import PHASE_CHECKPOINT
 from repro.errors import EpochAborted
@@ -16,7 +17,7 @@ from repro.queries import REACH_SOURCE, SG_SOURCE
 from repro.relational import Relation, ShardedRelation
 from repro.relational.checkpoint import InMemoryCheckpointStore
 from repro.serving import InMemoryWal, RelationSnapshot, ServingEngine, SnapshotTable, canonical_rows
-from repro.serving.snapshot import merge_rows, row_keys
+from repro.serving.snapshot import keys_alongside, merge_rows, row_keys
 
 
 def snap(name, version, rows, *, epoch=0, arity=2):
@@ -133,6 +134,32 @@ def test_merge_rows_matches_a_fresh_sort():
     assert merged.tobytes() == canonical_rows(rows, 3).tobytes()
     assert keys.tobytes() == row_keys(merged).tobytes()
     assert not merged.flags.writeable
+
+
+def test_merge_rows_widens_the_keys_once_a_row_does_not_fit():
+    rng = np.random.default_rng(5)
+    rows = np.unique(rng.integers(-50, 50, size=(300, 3)), axis=0)
+    previous = canonical_rows(rows[:200], 3)
+    keys = row_keys(previous)
+    assert not is_wide_keys(keys)
+    symbols = rows[200:250] + np.array([0, 1 << 40, 0])  # past the 21-bit budget
+    merged, keys = merge_rows(previous, keys, symbols)
+    assert merged.tobytes() == canonical_rows(np.concatenate([rows[:200], symbols]), 3).tobytes()
+    assert keys.tobytes() == row_keys(merged, wide=True).tobytes()
+    # Wide for good: rows that would fit narrow keys are packed wide too.
+    merged, keys = merge_rows(merged, keys, rows[250:])
+    assert merged.tobytes() == canonical_rows(np.concatenate([rows[:200], symbols, rows[250:]]), 3).tobytes()
+    assert keys.tobytes() == row_keys(merged, wide=True).tobytes()
+
+
+@pytest.mark.parametrize("wide_side", ["keys", "more"])
+def test_keys_alongside_share_one_format(wide_side):
+    small = np.array([[1, 2], [3, 4], [5, 6]], dtype=np.int64)
+    big = np.array([[3, 4], [1, 1 << 40]], dtype=np.int64)
+    rows, more = (big, small) if wide_side == "keys" else (small, big)
+    keys, more_keys = keys_alongside(rows, row_keys(rows), more)
+    assert is_wide_keys(keys) and is_wide_keys(more_keys)
+    assert np.isin(more_keys, keys).tolist() == [row.tolist() in rows.tolist() for row in more]
 
 
 edge_strategy = st.tuples(st.integers(0, 9), st.integers(0, 9))
@@ -257,3 +284,48 @@ def test_a_rebuilt_shard_forces_the_full_read(monkeypatch):
         assert_reads_canonical(engine)
     finally:
         engine.close()
+
+
+def test_a_symbol_edge_widens_the_read_mark():
+    """An interned symbol id does not fit a narrow key: the read after it
+    re-packs the read mark's keys wide, still without a download, and the
+    snapshots stay the whole relation sorted afresh."""
+    engine = ServingEngine(REACH_SOURCE, {"edge": CHAIN}, background=False, num_shards=1, fault_plan="none")
+    try:
+        assert_reads_canonical(engine)
+        assert not is_wide_keys(engine._read_marks["reach"].keys)
+        engine.submit(inserts={"edge": [(6, "seven")]}).result()
+        start = transferred(engine)
+        assert_reads_canonical(engine)
+        assert transferred(engine) == start
+        assert is_wide_keys(engine._read_marks["reach"].keys)
+        engine.submit(inserts={"edge": [(8, 9)]}).result()
+        assert_reads_canonical(engine)
+        assert is_wide_keys(engine._read_marks["reach"].keys)
+        assert (0, "seven") in set(engine.query("reach", decode=True))
+    finally:
+        engine.close()
+
+
+@pytest.mark.parametrize(
+    "edges, retracted",
+    [
+        # the cone is all small ids, the re-derived rows hold a symbol
+        ([(0, 1), (1, 2), (0, 2), (2, 3), (5, "s"), ("s", 6)], [(0, 1)]),
+        # the cone holds the symbol, the re-derived rows are all small ids
+        ([(0, 1), (1, 2), (0, 2), (2, "s")], [(2, "s"), (1, 2)]),
+    ],
+)
+def test_dred_membership_across_key_formats(edges, retracted):
+    """DRed tests the re-derived rows against the deletion cone on keys of one
+    format, whichever side needs wide keys."""
+    engine = ServingEngine(REACH_SOURCE, {"edge": edges}, background=False, num_shards=1, fault_plan="none")
+    remaining = [edge for edge in edges if edge not in retracted]
+    fresh = ServingEngine(REACH_SOURCE, {"edge": remaining}, background=False, num_shards=1, fault_plan="none")
+    try:
+        result = engine.submit(retracts={"edge": retracted}).result()
+        assert result.rederived.get("reach", 0) >= 1
+        assert set(engine.query("reach", decode=True)) == set(fresh.query("reach", decode=True))
+    finally:
+        engine.close()
+        fresh.close()
