@@ -212,7 +212,11 @@ class ArrayBackend(ABC):
 
     @abstractmethod
     def is_monotone(self, indices: Array) -> bool:
-        """True if ``indices`` is non-decreasing (coalescable gather)."""
+        """True if ``indices`` is non-decreasing (coalescable gather).
+
+        Also answers for packed sort keys of either format
+        (:meth:`pack_lex_keys`): whether they are in tuple order.
+        """
 
     # ------------------------------------------------------------------
     # Scans / reductions / compaction support

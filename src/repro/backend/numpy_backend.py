@@ -162,6 +162,9 @@ class NumpyBackend(ArrayBackend):
     def is_monotone(self, indices: Array) -> bool:
         if indices.size < 2:
             return True
+        if indices.dtype.kind == "V":
+            # Wide sort keys: big-endian byte records order as byte strings.
+            indices = indices.view(f"S{indices.dtype.itemsize}")
         return bool((indices[1:] >= indices[:-1]).all())
 
     # ------------------------------------------------------------------

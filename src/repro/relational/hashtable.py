@@ -16,11 +16,14 @@ The number of rounds therefore equals the longest probe sequence, exactly as
 it would on the GPU.
 
 A slab of tables, stacked (Section 5.1, semi-naïve merge).  The owning HISA
-keeps its index as a stack of sorted runs and needs one table per run: built
-once when the run is written, probed until a merge absorbs the run, never
-updated in between — a run's positions are absolute and nothing older moves.
-One :class:`OpenAddressingHashTable` is therefore a *slab* of slots holding a
-stack of tables end to end, each a power-of-two slot range:
+keeps its index as a stack of sorted runs and gives a table to each run of
+the stack's oldest, large prefix (on an all-column index the small runs above
+it keep none and are searched instead): built once when the run is written,
+probed until a merge absorbs the run, never updated in between — a run's
+positions are absolute and nothing older moves.  One
+:class:`OpenAddressingHashTable` is therefore a *slab* of slots holding a
+stack of tables end to end, each a power-of-two slot range; the stack may be
+empty:
 
 * :meth:`insert_batch` pushes a table holding exactly the given keys on top of
   the stack (the same CAS-race emulation), reusing the slots a popped table
@@ -63,11 +66,12 @@ DEFAULT_LOAD_FACTOR = 0.8
 #: slots gets that many), so they grow and are reused with the slab and a
 #: merge pays no allocation for them; at a load factor of at most 0.8 a key
 #: gets 20 to 40 bits.  Measured on ``bench/run.py``'s ``reach-road`` instance
-#: (seed 0: 2.35 M tuple x run checks in ``new - full``, 8.0 % of them of a
-#: run that holds the tuple): of the others, 8 bits a slot let 1.29 % through
-#: to the table, 16 bits 0.28 % and 32 bits 0.06 %, so the table probes are
-#: 216 k, 194 k and 189 k, of which 87 %, 97 % and 99 % hit.  16 gets most of
-#: what 32 does at 2 bytes a slot, against the 24 of the slot itself.
+#: (seed 0: 695 k tuple x run checks in ``new - full`` against the runs that
+#: keep a table, the large ones, 1.4 % of them of a run that holds the tuple):
+#: of the others, 8 bits a slot let 1.42 % through to the table, 16 bits
+#: 0.30 % and 32 bits 0.07 %, so the table probes are 19.3 k, 11.6 k and
+#: 10.1 k, of which 50 %, 83 % and 95 % hit.  16 gets most of what 32 does at
+#: 2 bytes a slot, against the 24 of the slot itself.
 FILTER_BITS_PER_SLOT = 16
 _SLOTS_PER_WORD = 64 // FILTER_BITS_PER_SLOT
 
@@ -103,8 +107,8 @@ class OpenAddressingHashTable:
     def __init__(
         self,
         device: Device,
-        key_hashes: Array,
-        values: Array,
+        key_hashes: Array | None = None,
+        values: Array | None = None,
         run_lengths: Array | None = None,
         *,
         load_factor: float = DEFAULT_LOAD_FACTOR,
@@ -130,7 +134,9 @@ class OpenAddressingHashTable:
         self._words = backend.empty(0, dtype=backend.uint64)
         #: ``(first slot, slot count, key count)`` of every table, oldest first
         self._tables: list[tuple[int, int, int]] = []
-        self.insert_batch(key_hashes, values, run_lengths, charge=charge, label=f"{label}.build")
+        self.stats = HashTableStats(capacity=0, n_keys=0, build_rounds=0, total_probes=0)
+        if key_hashes is not None:  # else the stack starts empty
+            self.insert_batch(key_hashes, values, run_lengths, charge=charge, label=f"{label}.build")
 
     # ------------------------------------------------------------------
     # The stack of tables
@@ -418,6 +424,11 @@ class OpenAddressingHashTable:
     def capacity(self) -> int:
         """Slots in the slab (reserved, whether or not a table occupies them)."""
         return int(self._keys.shape[0])
+
+    @property
+    def n_tables(self) -> int:
+        """Tables on the stack (the oldest ``n_tables`` runs of the owning index)."""
+        return len(self._tables)
 
     @property
     def n_keys(self) -> int:

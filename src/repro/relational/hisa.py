@@ -32,7 +32,8 @@ index as a few geometrically sized sorted batches:
   an index on fewer than all columns) the cached packed join keys live in
   **capacity-backed arrays holding a stack of sorted runs end to end**,
   oldest and largest first; the hash table is a slab holding one table per
-  run the same way;
+  run the same way — on an all-column index, one per run of at least
+  :data:`TABLE_MIN_ROWS` tuples (below);
 * :meth:`HISA.merge` **pushes** the delta — already sorted, its keys already
   packed — as the newest run: O(|Δ|), nothing older moves, so the absolute
   positions in the older runs' tables stay valid;
@@ -50,14 +51,22 @@ index as a few geometrically sized sorted batches:
   GPU thread per probe key walking its runs produces), and sorted-order
   readers go through :meth:`HISA.compact`;
 * an index on *all* columns — the one every ``new - full`` difference, retract
-  and WCOJ member check asks — also gives each run's table a **membership
-  filter**, a blocked Bloom filter of
+  and WCOJ member check asks — keeps a table only for its runs of at least
+  :data:`TABLE_MIN_ROWS` tuples.  Runs shrink more than twofold toward the
+  top of the stack, so those are a prefix of it and table ``r`` stays run
+  ``r``.  The table is what finds a key's range in a *large* sorted array;
+  a small run answers by a search of the sorted tuple keys it already caches,
+  which is exact.  :meth:`HISA.contains_columns` packs the batch once and
+  searches each small run — a merge path when the batch is sorted, as
+  ``new - full``'s deduplicated batch always is, a binary search otherwise —
+  and hashes only for the runs with tables.  Each of those tables carries a
+  **membership filter**, a blocked Bloom filter of
   :data:`~repro.relational.hashtable.FILTER_BITS_PER_SLOT` bits per table
-  slot, set as the table is built.  :meth:`HISA.contains_columns` probes a run's table
-  only for the tuples its filter cannot rule out, so a
-  tuple that is new walks no miss chain in the runs that cannot hold it; a
-  filter has no false negatives, so the answer is the probe's.  Lookups on
-  fewer columns mostly hit and probe every table without one;
+  slot, set as the table is built: a run's table is probed only for the
+  tuples its filter cannot rule out, so a tuple that is new walks no miss
+  chain in the runs that cannot hold it; a filter has no false negatives, so
+  the answer is the probe's.  Lookups on fewer columns mostly hit and probe
+  every run's table without one;
 * the data array grows by an **in-place append** of the delta whenever the
   backing device buffer has headroom (the eager buffer manager's
   over-allocation), falling back to an amortised copy into a larger buffer
@@ -102,6 +111,17 @@ from .hashtable import DEFAULT_LOAD_FACTOR, OpenAddressingHashTable, grown
 #: walks hundreds of runs (the cliff ``tests/ci/test_simulated_floors.py``
 #: pins).  2 rewrites the least on the flat part of the curve.
 ABSORB_RATIO = 2
+
+#: The fewest tuples a sorted run of an all-column index keeps a hash table
+#: (and membership filter) for; smaller runs are searched (module docstring).
+#: Swept on a 2-vCPU VM (``reach-road`` host time of one ``bench/run.py`` unit,
+#: median of 3, and the ``slow`` paper tables' GPUlog cells): 4 Ki 1.63 s with
+#: Table 2 fe_ocean 5.05 and fe_body 0.383; 16 Ki 1.42 s with com-dblp 3.46,
+#: above the 3.38 of a table for every run; **64 Ki** 1.23 s with fe_ocean
+#: 4.67, fe_body 0.339 and com-dblp 3.25; 116 Ki (H100's resident threads)
+#: 1.11 s, but vsp_finan 2.62 -> 2.73, fe_body 0.339 -> 0.343 and SF.cedge
+#: 0.201 -> 0.211.  At 64 Ki ``reach-road`` builds 7 tables per run, not 298.
+TABLE_MIN_ROWS = 1 << 16
 
 
 def first_absorbed(sizes: Sequence[int], newer: int) -> int:
@@ -262,18 +282,19 @@ class HISA:
             )
 
         # --- Tier 3: open-addressing hash tables, one per sorted run -----------
-        # (on an all-column index, each with a membership filter)
+        # (on an all-column index, only for a large run, with a membership filter)
         self.table: OpenAddressingHashTable | None = None
         if build_hash_index:
             self.table = OpenAddressingHashTable(
-                device,
-                self._hash_keys([column[run_starts] for column in sorted_columns[: self.n_join]]),
-                run_starts,
-                run_lengths,
-                load_factor=self.load_factor,
-                label=f"{label}.table",
-                filtered=self.n_join == arity,
+                device, load_factor=self.load_factor, label=f"{label}.table", filtered=self.n_join == arity
             )
+            if self._keeps_table(n):
+                self.table.insert_batch(
+                    self._hash_keys([column[run_starts] for column in sorted_columns[: self.n_join]]),
+                    run_starts,
+                    run_lengths,
+                    label=f"{label}.table.build",
+                )
 
         # --- Device memory accounting ------------------------------------------
         # Every tier accounts the capacity it has reserved.  The index tier
@@ -395,9 +416,11 @@ class HISA:
         Returns ``(runs, lengths)``: the matched key runs (for
         :meth:`expand_matches`) and each key's total match count.  Keys are
         hashed once by folding the columns directly, and every (key, sorted
-        run) pair is probed in that run's table in one batched walk — one GPU
-        thread per pair — and verified against single stored columns, so no
-        row tuples are ever assembled.
+        run) pair of the runs with tables is probed in that run's table in one
+        batched walk — one GPU thread per pair — and verified against single
+        stored columns, so no row tuples are ever assembled.  The small runs
+        of an all-column index, which keep no table, are searched
+        (:meth:`_search_runs`).
         """
         self._check_live()
         backend = self.backend
@@ -408,18 +431,24 @@ class HISA:
         starts = backend.empty((n_runs, m), dtype=backend.int64)
         lengths = backend.empty((n_runs, m), dtype=backend.int64)
         if m:
-            hashes = self._hash_keys(key_columns, charge=charge)
-            if n_runs == 1:
+            self._check_table()
+            n_tabled = self.table.n_tables
+            if n_tabled:
+                hashes = self._hash_keys(key_columns, charge=charge)
+            if n_tabled == 1:
                 self._probe_run(0, hashes, key_columns, charge=charge, out=(starts[0], lengths[0]))
-            else:
+            elif n_tabled:
                 # Pair ``r * m + i`` is key ``i`` in run ``r``: run-major, so
                 # the flat results are the rows of ``starts`` / ``lengths``.
-                pairs = backend.arange(n_runs * m, dtype=backend.int64)
+                pairs = backend.arange(n_tabled * m, dtype=backend.int64)
                 keys = pairs % m
                 self._probe_run(
                     pairs // m, hashes[keys], key_columns, keys=keys,
-                    charge=charge, out=(starts.reshape(-1), lengths.reshape(-1)),
+                    charge=charge, out=(starts[:n_tabled].reshape(-1), lengths[:n_tabled].reshape(-1)),
                 )
+            starts[n_tabled:], lengths[n_tabled:] = -1, 0
+            for run, at, counts in self._search_runs(key_columns, charge=charge, counted=True):
+                starts[run], lengths[run] = (at + self._bounds[run] + 1) * (counts > 0) - 1, counts
         return MatchedRuns(starts, lengths), lengths.sum(axis=0)
 
     def _hash_keys(self, key_columns: Sequence[Array], *, charge: bool = True) -> Array:
@@ -517,11 +546,13 @@ class HISA:
         """Exact membership test for whole tuples; ``columns`` are in schema order.
 
         Requires the HISA to be indexed on *all* columns (as the ``full``
-        version used for deduplication is).  Every tuple checks every run's
-        membership filter, and the (tuple, run) pairs a filter admits probe
-        that run's table, all in one batch — one GPU thread per pair.  The
-        runs are disjoint, so at most one pair per tuple hits; a filter has no
-        false negatives, so no tuple that is present is missed.
+        version used for deduplication is).  Every tuple checks the membership
+        filter of every run with a table, and the (tuple, run) pairs a filter
+        admits probe that run's table, all in one batch — one GPU thread per
+        pair; the small runs without a table are searched
+        (:meth:`_search_runs`).  The runs are disjoint, so at most one run
+        holds a tuple; neither a filter nor a search has false negatives, so
+        no tuple that is present is missed.
         """
         self._check_live()
         backend = self.backend
@@ -531,13 +562,75 @@ class HISA:
         if not columns or columns[0].shape[0] == 0:
             return backend.empty(0, dtype=backend.bool_)
         key_columns = [columns[column] for column in self.column_order]
-        hashes = self._hash_keys(key_columns, charge=charge)
-        tuples, runs = self.table.may_contain(hashes, charge=charge, label=f"{self.label}.filter_check")
-        present = backend.zeros(int(hashes.shape[0]), dtype=backend.bool_)
-        if tuples.size:
-            starts, _ = self._probe_run(runs, hashes[tuples], key_columns, keys=tuples, charge=charge)
-            backend.scatter(present, tuples[starts >= 0], True)
+        present = backend.zeros(int(key_columns[0].shape[0]), dtype=backend.bool_)
+        if self.table.n_tables:
+            hashes = self._hash_keys(key_columns, charge=charge)
+            tuples, runs = self.table.may_contain(hashes, charge=charge, label=f"{self.label}.filter_check")
+            if tuples.size:
+                starts, _ = self._probe_run(runs, hashes[tuples], key_columns, keys=tuples, charge=charge)
+                backend.scatter(present, tuples[starts >= 0], True)
+        for _, _, matches in self._search_runs(key_columns, charge=charge):
+            present |= matches
         return present
+
+    def _search_runs(
+        self, key_columns: Sequence[Array], *, charge: bool, counted: bool = False
+    ) -> list[tuple[int, Array, Array]]:
+        """Search whole-tuple keys (index column order) in every run without a table.
+
+        Returns ``(run, at, matches)`` per such run: ``matches`` says whether
+        the run holds each key — how many of its tuples match it when
+        ``counted`` (a constructor's run holds whatever rows it was given,
+        duplicates included; the runs a merge writes are duplicate-free) —
+        and ``at`` is where the first match sits within the run, meaningful
+        only where there is one.  The keys are packed once in the
+        tuple-key store's format (a batch that does not fit narrow keys
+        widens the store, as a merge's delta does) and binary-searched in each
+        run's cached tuple keys.  A sorted batch — ``new - full``'s
+        deduplicated one — is charged as a merge path, batch and run keys each
+        streamed once; any other as a binary search per key.  The charges
+        fold into the caller's fused launch (outside one, they are one launch).
+        """
+        backend = self.backend
+        bounds = self._bounds
+        runs = [run for run in range(self.table.n_tables, len(bounds) - 1) if bounds[run + 1] > bounds[run]]
+        if not runs:
+            return []
+        keys = backend.pack_lex_keys(key_columns)
+        if is_wide_keys(keys) and not is_wide_keys(self._stores[1]):
+            self._stores[1] = self._wide_store(1)
+        elif is_wide_keys(self._stores[1]) and not is_wide_keys(keys):
+            keys = backend.pack_lex_keys(key_columns, wide=True)
+        found = []
+        for run in runs:
+            start, end = bounds[run], bounds[run + 1]
+            run_keys = self._stores[1][start:end]
+            # Searching all but the last key gives a position inside the run
+            # for every key, and it holds the key if the run does.
+            at = backend.searchsorted(run_keys[:-1], keys, side="left")
+            matches = run_keys[at] == keys
+            if counted:
+                matches = (backend.searchsorted(run_keys, keys, side="right") - at) * matches
+            found.append((run, at, matches))
+        if charge:
+            self._charge_search([bounds[run + 1] - bounds[run] for run in runs], keys)
+        return found
+
+    def _charge_search(self, run_sizes: list[int], keys: Array) -> None:
+        """Charge :meth:`_search_runs`: a merge path per run for a sorted batch, else a binary search per key."""
+        m = int(keys.shape[0])
+        key_bytes = self.natural_arity * TUPLE_ITEMSIZE
+        if self.backend.is_monotone(keys):
+            streamed = float(m * len(run_sizes) + sum(run_sizes))
+            self.device.charge(
+                KernelCost(kernel=f"{self.label}.merge_search", sequential_bytes=streamed * key_bytes, ops=streamed)
+            )
+            return
+        with self.device.fused(f"{self.label}.search_keys"):
+            for size in run_sizes:
+                self.device.kernels.binary_search_keys(
+                    m, haystack_size=size, key_bytes=key_bytes, label=f"{self.label}.search_keys"
+                )
 
     # ------------------------------------------------------------------
     # Merge (full <- full U delta), Section 4.2 / 5.1
@@ -722,7 +815,8 @@ class HISA:
         ``parts`` is a sorted run outside the stack, one array per store.  It
         is path-merged with the stack's runs newest to oldest down to
         ``first`` (none for a plain push), written where run ``first`` began,
-        scanned for key runs once and given one hash table.
+        scanned for key runs once and given one hash table — unless it is a
+        small run of an all-column index (:data:`TABLE_MIN_ROWS`).
         """
         backend = self.backend
         bounds = self._bounds
@@ -757,6 +851,13 @@ class HISA:
                     KernelCost(kernel=f"{self.label}.run_push", sequential_bytes=2.0 * size * row_bytes, ops=float(size))
                 )
 
+        self.table.truncate(first)
+        if not self._keeps_table(size):
+            self._account_index_tiers()
+            return
+        # Runs shrink more than twofold toward the top of the stack, so the
+        # runs with tables are a prefix of it: table ``r`` is run ``r``.
+        assert self.table.n_tables == first, (self.table.n_tables, first)
         index = self._stores[0][start:end]
         if self.n_join == self.natural_arity:
             # Every key run is a single tuple (an all-column index over
@@ -777,7 +878,6 @@ class HISA:
         hashes = self._hash_keys(
             [self._column_storage[position][first_rows] for position in range(self.n_join)], charge=charge
         )
-        self.table.truncate(first)
         self.table.insert_batch(
             hashes, run_starts + start, run_lengths, charge=charge, label=f"{self.label}.table_insert"
         )
@@ -818,6 +918,10 @@ class HISA:
                 )
             )
         return merged
+
+    def _keeps_table(self, size: int) -> bool:
+        """Whether a sorted run of ``size`` tuples gets a hash table."""
+        return self.n_join < self.natural_arity or size >= TABLE_MIN_ROWS
 
     def _wide_store(self, position: int) -> Array:
         """Key store ``position`` (1: tuple keys, 2: join keys) re-packed wide

@@ -57,16 +57,17 @@ def test_every_uncharged_call_is_listed_with_a_reason():
     assert all(reason for reason in UNCHARGED.values())
 
 
-def test_an_uncharged_membership_test_charges_no_filter_work():
+def test_an_uncharged_membership_test_charges_no_filter_work(monkeypatch):
     """The run filters are charged like the probes they stand in front of:
     with ``charge=True`` a check rides in every membership test, with
     ``charge=False`` nothing at all is recorded."""
     import numpy as np
 
     from repro.device import Device
-    from repro.relational import EagerBufferManager
+    from repro.relational import EagerBufferManager, hisa
     from tests.helpers import hisa_of, key_columns
 
+    monkeypatch.setattr(hisa, "TABLE_MIN_ROWS", 0)  # every run keeps a table and filter
     device = Device("h100", oom_enabled=False)
     rows = np.arange(600, dtype=np.int64).reshape(300, 2)
     full = hisa_of(device, rows[:250], (0, 1), label="f")
@@ -115,3 +116,54 @@ def test_a_merge_no_catalog_observes_looks_no_key_up():
         assert "p.merge_finalize" in stages and full.distinct_key_count == 20
         looked_up[observed] = {"p.probe", "p.verify_key"} & set(stages)
     assert looked_up == {False: set(), True: {"p.probe", "p.verify_key"}}
+
+
+def test_small_runs_are_searched_inside_the_callers_launch(monkeypatch):
+    """An all-column index's runs below ``TABLE_MIN_ROWS`` keep no table.  A
+    sorted batch (``new - full``'s) is merged against each: batch and run
+    keys streamed once, no random access.  Any other batch (a retract probe,
+    a WCOJ member check) is binary-searched.  Neither adds a launch to the
+    caller's fused one, and a run at or above the threshold still charges its
+    filter check, probe and key verification."""
+    import numpy as np
+
+    from repro.device import Device
+    from repro.relational import EagerBufferManager, hisa
+    from tests.helpers import hisa_of, key_columns
+
+    rows = np.arange(600, dtype=np.int64).reshape(300, 2)
+    probes = np.concatenate([rows, rows + 1])
+    for threshold in (hisa.TABLE_MIN_ROWS, 100):
+        monkeypatch.setattr(hisa, "TABLE_MIN_ROWS", threshold)
+        device = Device("h100", oom_enabled=False)
+        full = hisa_of(device, rows[:250], (0, 1), label="f")
+        full.merge(hisa_of(device, rows[250:], (0, 1), label="f.d", build_hash_index=False), EagerBufferManager(device))
+        assert full.run_sizes == [250, 50] and full.table.n_tables == (threshold == 100)
+        stages = []
+        charge = device.charge
+
+        def recording(cost, phase=None):
+            stages.append(cost)
+            return charge(cost, phase)
+
+        device.charge = recording
+        for batch, ordered in ((np.unique(probes, axis=0), True), (probes, False)):
+            del stages[:]
+            before = len(device.profiler.events)
+            with device.fused("diff"):
+                present = full.contains_columns(key_columns(batch))
+            assert present.tolist() == [tuple(row) in set(map(tuple, rows.tolist())) for row in batch.tolist()]
+            fused = device.profiler.events[before:]
+            assert len(fused) == 1 and fused[0].cost.launches == 1
+            kernels = [cost.kernel for cost in stages[:-1]]  # the last is the fused launch
+            table_stages = ["f.hash_keys", "f.filter_check", "f.probe", "f.verify_key"] if threshold == 100 else []
+            searched = [50] if threshold == 100 else [250, 50]  # sizes of the runs without a table
+            searches = stages[len(table_stages) : -1]
+            if ordered:
+                # one merge path per run, batch and run keys streamed once each
+                assert kernels == table_stages + ["f.merge_search"]
+                assert searches[0].sequential_bytes == sum(16.0 * (len(batch) + n) for n in searched)
+                assert searches[0].random_bytes == 0
+            else:
+                assert kernels == table_stages + ["f.search_keys"] * len(searched)
+                assert all(cost.random_bytes > 0 for cost in searches)

@@ -105,6 +105,17 @@ session).  ``tc``, ``sg`` and ``triangle`` merge only into all-column indexes
 (``triangle`` not at all) and are bit-identical; launches, iterations, counts,
 exchange bytes and the ``recover`` rows are unchanged.
 
+**Keeping no hash table for an all-column index's runs below
+``TABLE_MIN_ROWS`` re-pinned the seconds and launches of every row,
+downward, and nothing else.**  Every relation here is far below the threshold,
+so no all-column index builds a table: a load no longer launches its key hash
+and table build (-2 launches per all-column index loaded), no slab is
+allocated for one (a 125 us allocation each), and a merge builds no table or
+filter in its fused launch.  Membership tests search the runs' cached tuple
+keys inside the caller's launch instead.  From -1,880 us (``cspa-httpd``) to
+-259 us (``triangle`` on one shard); iterations, counts, exchange bytes, raw
+rows and the per-epoch serving numbers are unchanged.
+
 Each serving row carries a ``recover`` row: the same session with a WAL and
 a checkpoint per epoch, crashed after the retract epoch, and what
 ``ServingEngine.recover`` then charges on fresh devices.  It was recorded
@@ -186,7 +197,9 @@ PINS = {
         # PR 22: launches -8: 3 load dedups 5->3, materialize_init -3, gather_init +1
         # run filters: -71.3 ns, filter build + check bytes added, probe bytes saved (was 0.005113112573680754 s)
         # merge-time key lookups removed: -14.7 ns, merge_finalize's key hash, probe and verify bytes gone (was 0.00511304132332156 s)
-        "elapsed_seconds": 0.005113026657748327, "kernel_launches": 313, "total_iterations": 5,
+        # small all-column runs keep no table: -1240.7 us, launches -8: no table, filter or slab allocation for a small run, no key hash or
+        # table launch for a small load (was 0.005113026657748327 s / 313)
+        "elapsed_seconds": 0.003872321401628928, "kernel_launches": 305, "total_iterations": 5,
         "relation_counts": {"assign": 57, "dereference": 40, "memalias": 400, "valuealias": 529, "valueflow": 507},
         "exchange_bytes": 0.0,
     },
@@ -196,7 +209,9 @@ PINS = {
         # 1731 launches / 2,788,472 B: +1,608 B, the rows the filter dropped now ship)
         # run filters: -46.1 ns, filter build + check bytes added, probe bytes saved (was 0.00554903492119475 s)
         # merge-time key lookups removed: -11.5 ns, merge_finalize's key hash, probe and verify bytes gone (was 0.005548988850012201 s)
-        "elapsed_seconds": 0.005548977353647868, "kernel_launches": 1362, "total_iterations": 5,
+        # small all-column runs keep no table: -1240.4 us, launches -16: no table, filter or slab allocation for a small run, no key hash or
+        # table launch for a small load (was 0.005548977353647868 s / 1362)
+        "elapsed_seconds": 0.004308595498317922, "kernel_launches": 1346, "total_iterations": 5,
         "relation_counts": {"assign": 57, "dereference": 40, "memalias": 400, "valuealias": 529, "valueflow": 507},
         "exchange_bytes": 2790080.0,
     },
@@ -206,70 +221,90 @@ PINS = {
         # 3626 launches / 4,076,808 B: +3,272 B, the rows the filter dropped now ship)
         # run filters: -19.5 ns, filter build + check bytes added, probe bytes saved (was 0.005560204898833141 s)
         # merge-time key lookups removed: -10.2 ns, merge_finalize's key hash, probe and verify bytes gone (was 0.005560185377695974 s)
-        "elapsed_seconds": 0.00556017520001296, "kernel_launches": 2755, "total_iterations": 5,
+        # small all-column runs keep no table: -1240.3 us, launches -32: no table, filter or slab allocation for a small run, no key hash or
+        # table launch for a small load (was 0.00556017520001296 s / 2755)
+        "elapsed_seconds": 0.004319879042051115, "kernel_launches": 2723, "total_iterations": 5,
         "relation_counts": {"assign": 57, "dereference": 40, "memalias": 400, "valuealias": 529, "valueflow": 507},
         "exchange_bytes": 4080080.0,
     },
     ("sg", 1): {
         # PR 22: launches -7: 2 load dedups 5->3, materialize_init -3
         # run filters: +7.0 ns, filter build + check bytes added, probe bytes saved (was 0.0008808256835138212 s)
-        "elapsed_seconds": 0.0008808326925302773, "kernel_launches": 56, "total_iterations": 3,
+        # small all-column runs keep no table: -380.1 us, launches -4: no table, filter or slab allocation for a small run, no key hash or
+        # table launch for a small load (was 0.0008808326925302773 s / 56)
+        "elapsed_seconds": 0.0005007111240561645, "kernel_launches": 52, "total_iterations": 3,
         "relation_counts": {"edge": 85, "sg": 502},
         "exchange_bytes": 0.0,
     },
     ("sg", 2): {
         # PR 22: launches -16: 4 load + 2 replica dedups 5->3, materialize_init -6, replicate.pack +2
         # run filters: +0.6 ns, filter build + check bytes added, probe bytes saved (was 0.0011255032967448177 s)
-        "elapsed_seconds": 0.0011255039270526193, "kernel_launches": 191, "total_iterations": 3,
+        # small all-column runs keep no table: -380.1 us, launches -8: no table, filter or slab allocation for a small run, no key hash or
+        # table launch for a small load (was 0.0011255039270526193 s / 191)
+        "elapsed_seconds": 0.0007454335153485032, "kernel_launches": 183, "total_iterations": 3,
         "relation_counts": {"edge": 85, "sg": 502},
         "exchange_bytes": 6992.0,
     },
     ("sg", 4): {
         # PR 22: launches -32: 8 load + 4 replica dedups 5->3, materialize_init -12, replicate.pack +4
         # run filters: -0.4 ns, filter build + check bytes added, probe bytes saved (was 0.0011352726952537254 s)
-        "elapsed_seconds": 0.0011352722598745773, "kernel_launches": 371, "total_iterations": 3,
+        # small all-column runs keep no table: -380.0 us, launches -16: no table, filter or slab allocation for a small run, no key hash or
+        # table launch for a small load (was 0.0011352722598745773 s / 371)
+        "elapsed_seconds": 0.0007552353930963807, "kernel_launches": 355, "total_iterations": 3,
         "relation_counts": {"edge": 85, "sg": 502},
         "exchange_bytes": 13104.0,
     },
     ("tc", 1): {
         # PR 22: launches -5: 2 load dedups 5->3, materialize_init -1
         # run filters: -0.7 ns, filter build + check bytes added, probe bytes saved (was 0.000835029762081081 s)
-        "elapsed_seconds": 0.0008350290951213741, "kernel_launches": 47, "total_iterations": 3,
+        # small all-column runs keep no table: -380.0 us, launches -4: no table, filter or slab allocation for a small run, no key hash or
+        # table launch for a small load (was 0.0008350290951213741 s / 47)
+        "elapsed_seconds": 0.00045502385843010503, "kernel_launches": 43, "total_iterations": 3,
         "relation_counts": {"edge": 10, "reach": 21},
         "exchange_bytes": 0.0,
     },
     ("tc", 2): {
         # PR 22: launches -12: 4 load + 2 replica dedups 5->3, materialize_init -2, replicate.pack +2
         # run filters: +0.2 ns, filter build + check bytes added, probe bytes saved (was 0.0010700175274951252 s)
-        "elapsed_seconds": 0.0010700177584458657, "kernel_launches": 139, "total_iterations": 3,
+        # small all-column runs keep no table: -380.0 us, launches -8: no table, filter or slab allocation for a small run, no key hash or
+        # table launch for a small load (was 0.0010700177584458657 s / 139)
+        "elapsed_seconds": 0.000690015565227343, "kernel_launches": 131, "total_iterations": 3,
         "relation_counts": {"edge": 10, "reach": 21},
         "exchange_bytes": 464.0,
     },
     ("tc", 4): {
         # PR 22: launches -24: 8 load + 4 replica dedups 5->3, materialize_init -4, replicate.pack +4
         # run filters: +0.2 ns, filter build + check bytes added, probe bytes saved (was 0.0010550141752068921 s)
-        "elapsed_seconds": 0.0010550143744043118, "kernel_launches": 262, "total_iterations": 3,
+        # small all-column runs keep no table: -380.0 us, launches -16: no table, filter or slab allocation for a small run, no key hash or
+        # table launch for a small load (was 0.0010550143744043118 s / 262)
+        "elapsed_seconds": 0.0006750125559274653, "kernel_launches": 246, "total_iterations": 3,
         "relation_counts": {"edge": 10, "reach": 21},
         "exchange_bytes": 816.0,
     },
     ("triangle", 1): {
         # PR 22: launches -6: edge dedup 5->3, triangle dedup 6->3, materialize_init -1
         # run filters: +12.7 ns, filter build + check bytes added, probe bytes saved (was 0.0006418534958154282 s)
-        "elapsed_seconds": 0.0006418661893761959, "kernel_launches": 31, "total_iterations": 0,
+        # small all-column runs keep no table: -258.7 us, launches -4: no table, filter or slab allocation for a small run, no key hash or
+        # table launch for a small load (was 0.0006418661893761959 s / 31)
+        "elapsed_seconds": 0.00038312858705117725, "kernel_launches": 27, "total_iterations": 0,
         "relation_counts": {"edge": 2396, "triangle": 3603},
         "exchange_bytes": 0.0,
     },
     ("triangle", 2): {
         # PR 22: launches -22: 4 load + 2 replica dedups, materialize_init (+compose) -10, replicate.pack +2
         # run filters: +119.7 ns, filter build + check bytes added, probe bytes saved (was 0.001009302272585789 s)
-        "elapsed_seconds": 0.0010094219791955971, "kernel_launches": 100, "total_iterations": 0,
+        # small all-column runs keep no table: -341.6 us, launches -12: no table, filter or slab allocation for a small run, no key hash or
+        # table launch for a small load (was 0.0010094219791955971 s / 100)
+        "elapsed_seconds": 0.0006678624177355138, "kernel_launches": 88, "total_iterations": 0,
         "relation_counts": {"edge": 2396, "triangle": 3603},
         "exchange_bytes": 38336.0,
     },
     ("triangle", 4): {
         # PR 22: launches -44: 8 load + 4 replica dedups, materialize_init (+compose) -20, replicate.pack +4
         # run filters: +101.7 ns, filter build + check bytes added, probe bytes saved (was 0.0010006264053621997 s)
-        "elapsed_seconds": 0.0010007281503515387, "kernel_launches": 208, "total_iterations": 0,
+        # small all-column runs keep no table: -366.4 us, launches -24: no table, filter or slab allocation for a small run, no key hash or
+        # table launch for a small load (was 0.0010007281503515387 s / 208)
+        "elapsed_seconds": 0.000634348274563542, "kernel_launches": 184, "total_iterations": 0,
         "relation_counts": {"edge": 2396, "triangle": 3603},
         "exchange_bytes": 115008.0,
     },
@@ -291,8 +326,9 @@ def test_simulated_clock_and_counters_are_pinned(workload, num_shards):
 #: PR 22: 0.011486737435778363 s / 805 launches before; -8 launches as ("cspa", 1)
 #: run filters: -2364.7 ns, filter build + check bytes added, probe bytes saved (was 0.011446735676224484 s)
 #: merge-time key lookups removed: -581.1 ns, merge_finalize's key hash, probe and verify bytes gone (was 0.011444370989994092 s)
+#: small all-column runs keep no table: -1880.1 us, launches -8 (was 0.011443789904214201 s / 797)
 HTTPD_PIN = {
-    "elapsed_seconds": 0.011443789904214201, "kernel_launches": 797,
+    "elapsed_seconds": 0.009563648896619195, "kernel_launches": 789,
     "raw_rows": 12154723, "distinct_outer_fired": 7, "total_iterations": 11,
     "relation_counts": {"assign": 365, "dereference": 109, "memalias": 2828, "valuealias": 29148, "valueflow": 23752},
 }
@@ -355,10 +391,12 @@ SERVING_PINS = {
         # -7 launches: DRed's membership tests launch one probe and one key check each, not one per run (edge[0,1]
         # probe -1, sg[0,1] probe -3, verify_key -3) (was 0.005072854929874135 s / 342)
         # merge-time key lookups removed: -12.8 ns, merge_finalize's key hash, probe and verify bytes gone (was 0.005037755314509204 s)
-        "simulated_seconds": 0.0050377424727837666, "kernel_launches": 335, "epoch_iterations": [2, 1, 1, 1],
+        # small all-column runs keep no table: -1200.2 us, launches -24 (was 0.0050377424727837666 s / 335)
+        "simulated_seconds": 0.003837591267719449, "kernel_launches": 311, "epoch_iterations": [2, 1, 1, 1],
         "retracted": {"edge": 2, "sg": 94}, "rederived": {"sg": 66}, "sg": 474,
         # recover, run filters: +10.9 ns, filter build bytes added (was 0.0007803557590815154 s)
-        "recover": {"simulated_seconds": 0.0007803666356700014, "kernel_launches": 36, "epoch": 4, "sg": 474},
+        # recover, small all-column runs keep no table: -260.1 us, launches -4 (was 0.0007803666356700014 s / 36)
+        "recover": {"simulated_seconds": 0.0005203047645946094, "kernel_launches": 32, "epoch": 4, "sg": 474},
     },
     2: {  # launches -56: as above per shard, 14 replica dedups 5->3, replicate.pack +14
         # filter bank deleted: launches -153, semi-join filter build/refresh/merge launches gone (was 0.007271701171912806 s /
@@ -369,10 +407,12 @@ SERVING_PINS = {
         # -12 launches: DRed's membership tests launch one probe and one key check each, not one per run (edge[0,1]
         # probe -1, sg[0,1] probe -7, verify_key -4) (was 0.006891774221525168 s / 1011)
         # merge-time key lookups removed: -9.3 ns, merge_finalize's key hash, probe and verify bytes gone (was 0.006846766015802136 s)
-        "simulated_seconds": 0.006846756686623851, "kernel_launches": 999, "epoch_iterations": [2, 1, 1, 1],
+        # small all-column runs keep no table: -1200.1 us, launches -40 (was 0.006846756686623851 s / 999)
+        "simulated_seconds": 0.005646655270924328, "kernel_launches": 959, "epoch_iterations": [2, 1, 1, 1],
         "retracted": {"edge": 2, "sg": 94}, "rederived": {"sg": 66}, "sg": 474,
         # recover, run filters: +6.2 ns, filter build bytes added (was 0.0007802114399475149 s)
-        "recover": {"simulated_seconds": 0.0007802176373035918, "kernel_launches": 72, "epoch": 4, "sg": 474},
+        # recover, small all-column runs keep no table: -260.0 us, launches -8 (was 0.0007802176373035918 s / 72)
+        "recover": {"simulated_seconds": 0.0005201797177847029, "kernel_launches": 64, "epoch": 4, "sg": 474},
     },
 }
 

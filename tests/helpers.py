@@ -66,16 +66,21 @@ LOOKUP_BACKENDS = {"numpy": NumpyBackend, "wide": WideKeyBackend, "colliding": C
 
 def lookup_per_run(hisa: HISA, key_columns, *, charge: bool = True) -> tuple[MatchedRuns, np.ndarray]:
     """``HISA.lookup_columns`` as a loop over the sorted runs: the keys are
-    hashed once and each run's table is probed on its own.  The reference the
-    batched walk over all (key, run) pairs must match, result and charge."""
+    hashed once and each run's table is probed on its own; the runs without
+    a table (small runs of an all-column index) are searched.  The reference
+    the batched walk over all (key, run) pairs must match, result and charge."""
     m = int(key_columns[0].shape[0])
     n_runs = len(hisa.run_sizes)
     starts = np.empty((n_runs, m), dtype=np.int64)
     lengths = np.empty((n_runs, m), dtype=np.int64)
     if m:
-        hashes = hisa._hash_keys(key_columns, charge=charge)
-        for run in range(n_runs):
+        n_tabled = hisa.table.n_tables
+        if n_tabled:
+            hashes = hisa._hash_keys(key_columns, charge=charge)
+        for run in range(n_tabled):
             hisa._probe_run(run, hashes, key_columns, charge=charge, out=(starts[run], lengths[run]))
+        for run, at, counts in hisa._search_runs(key_columns, charge=charge, counted=True):
+            starts[run], lengths[run] = (at + hisa._bounds[run] + 1) * (counts > 0) - 1, counts
     return MatchedRuns(starts, lengths), lengths.sum(axis=0)
 
 

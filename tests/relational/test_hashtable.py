@@ -53,6 +53,24 @@ def test_empty_table(device):
     assert len(table) == 0
 
 
+def test_the_stack_may_start_empty(device):
+    """A slab built with no keys holds no table and reserves nothing (an
+    all-column index whose runs are all small); the first push reserves
+    exactly its slots, and tables then stack and pop as usual."""
+    hashes = hash_rows(np.arange(600, dtype=np.int64).reshape(300, 2))
+    table = OpenAddressingHashTable(device)
+    assert table.n_tables == 0 and table.capacity == 0 and table.nbytes == 0
+    table.insert_batch(hashes[:100], np.arange(100, dtype=np.int64))
+    assert table.n_tables == 1 and table.capacity == 128
+    table.insert_batch(hashes[100:], np.arange(200, dtype=np.int64))
+    assert table.n_tables == 2
+    table.truncate(0)
+    assert table.n_tables == 0 and len(table) == 0
+    table.insert_batch(hashes, np.arange(300, dtype=np.int64))
+    found, _ = table.probe(hashes)
+    np.testing.assert_array_equal(found, np.arange(300, dtype=np.int64))
+
+
 def test_mismatched_inputs_rejected(device):
     with pytest.raises(ValueError):
         OpenAddressingHashTable(device, np.zeros(2, dtype=np.uint64), np.zeros(3, dtype=np.int64))

@@ -7,8 +7,13 @@ hashes everything from nothing — and the contract is that no reader can tell
 the two apart: same tuples, same ``lookup_columns`` / ``contains_columns`` answers, same
 statistics, and after ``compact()`` the same bytes.  ``lookup_columns`` walks
 every (key, run) pair in one batch; it is also held to a loop probing each
-run on its own (``tests.helpers.lookup_per_run``), answer and charge.
+run on its own (``tests.helpers.lookup_per_run``), answer and charge.  An
+all-column index keeps a table only for its runs of at least
+``TABLE_MIN_ROWS`` tuples, the oldest ones; the property test draws that
+threshold, so every mix of runs with and without tables is covered.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +28,7 @@ from repro.relational import (
     SimpleBufferManager,
     hash_rows,
 )
+from repro.relational import hisa as hisa_module
 
 from tests.helpers import LOOKUP_BACKENDS, CollidingBackend, hisa_of as HISA, hisa_rows, key_columns, lookup_per_run
 
@@ -88,14 +94,20 @@ def _assert_matches_scratch(full, rows: np.ndarray, join_columns):
     assert found == _rows_per_key(scratch, keys)
     assert all(found[: len(present)]) and not any(found[len(present) :])
     if len(join_columns) == rows.shape[1]:
-        # One membership filter per sorted run, and with them the same answers.
-        assert full.table.filtered and len(full.table._tables) == len(full.run_sizes)
-        probes = np.concatenate([rows, rows + 1000])
-        expected = np.arange(len(probes)) < len(rows)
-        np.testing.assert_array_equal(full.contains_columns(key_columns(probes), charge=False), expected)
-        np.testing.assert_array_equal(scratch.contains_columns(key_columns(probes), charge=False), expected)
+        # A table (and membership filter) exactly for the runs of at least
+        # TABLE_MIN_ROWS tuples, which are the oldest; the same answers as a
+        # set of the rows, for a batch in any order and a sorted one.
+        tabled = [size >= hisa_module.TABLE_MIN_ROWS for size in full.run_sizes]
+        assert full.table.filtered and full.table.n_tables == sum(tabled)
+        assert tabled == sorted(tabled, reverse=True)
+        stored = {tuple(r) for r in rows.tolist()}
+        probes = np.concatenate([rows, rows + 1000, rows[:, ::-1]])
+        for batch in (probes, np.unique(probes, axis=0)):
+            expected = np.array([tuple(p) in stored for p in batch.tolist()])
+            np.testing.assert_array_equal(full.contains_columns(key_columns(batch), charge=False), expected)
+            np.testing.assert_array_equal(scratch.contains_columns(key_columns(batch), charge=False), expected)
     else:
-        assert not full.table.filtered
+        assert not full.table.filtered and full.table.n_tables == len(full.run_sizes)
 
 
 def _assert_walk_matches_per_run(hisa, keys):
@@ -157,6 +169,7 @@ def _delta_size(action: str, sizes: list[int], last: int) -> int:
 
 @given(
     backend=st.sampled_from(sorted(LOOKUP_BACKENDS)),
+    table_min_rows=st.sampled_from([0, 4, hisa_module.TABLE_MIN_ROWS]),
     seed=st.integers(0, 10_000),
     base=st.integers(0, 40),
     first_delta=st.integers(1, 12),
@@ -169,15 +182,22 @@ def _delta_size(action: str, sizes: list[int], last: int) -> int:
 )
 @settings(max_examples=100, deadline=None)
 def test_incremental_merge_equivalence_property(
-    backend, seed, base, first_delta, join_columns, schedule, observed_from, wide_at
+    backend, table_min_rows, seed, base, first_delta, join_columns, schedule, observed_from, wide_at
 ):
     """Every schedule of merges and compactions, under a good hash, a
-    colliding one and wide-only keys.  A statistics observer is attached from
-    merge ``observed_from`` on (12: never): without one a merge stops counting
-    keys, and the first read recounts them; with one, every merge reports the
-    counts the from-scratch build has.  The delta of merge ``wide_at`` (12:
+    colliding one and wide-only keys, with an all-column index's runs keeping
+    a table from 0 tuples (all), 4 or the default (none at these sizes) on.
+    A statistics observer is attached from merge ``observed_from`` on (12:
+    never): without one a merge stops counting keys, and the first read
+    recounts them; with one, every merge reports the counts the from-scratch
+    build has.  The delta of merge ``wide_at`` (12:
     none) carries values past the narrow keys' 21-bit budget, so the stores
     turn wide mid-run — the deltas after it are narrow again — and stay wide."""
+    with mock.patch.object(hisa_module, "TABLE_MIN_ROWS", table_min_rows):
+        _check_merge_schedule(backend, seed, base, first_delta, join_columns, schedule, observed_from, wide_at)
+
+
+def _check_merge_schedule(backend, seed, base, first_delta, join_columns, schedule, observed_from, wide_at):
     pool = _row_pool(seed)
     device = _fresh_device(backend=LOOKUP_BACKENDS[backend]())
     manager = EagerBufferManager(device)
@@ -255,9 +275,10 @@ def test_colliding_keys_both_keep_their_entries():
     assert whole.contains_columns(key_columns(probes), charge=False).tolist() == [True, True, False, False]
 
 
-def test_resumed_walks_are_the_only_extra_charge():
+def test_resumed_walks_are_the_only_extra_charge(monkeypatch):
     """A collision-free probe charges what it always did; a rejected hash hit
     adds the resumed walk and its key comparison, nothing else."""
+    monkeypatch.setattr(hisa_module, "TABLE_MIN_ROWS", 0)  # a table for every run
     rows = np.array([[1, 7], [5, 7]], dtype=np.int64)
     charged = {}
     for name, backend in (("plain", NumpyBackend()), ("colliding", CollidingBackend())):
@@ -273,9 +294,10 @@ def test_resumed_walks_are_the_only_extra_charge():
     ]
 
 
-def test_run_filters_keep_absent_tuples_out_of_the_tables():
+def test_run_filters_keep_absent_tuples_out_of_the_tables(monkeypatch):
     """Tuples no run holds are ruled out by the filters: only the false
     positives (well under 5 % at 16 bits per slot) walk a table."""
+    monkeypatch.setattr(hisa_module, "TABLE_MIN_ROWS", 0)  # a table for every run
     pool = _row_pool(2)
     device = _fresh_device()
     full = HISA(device, pool[:3000], (0, 1, 2), label="f")
@@ -288,6 +310,25 @@ def test_run_filters_keep_absent_tuples_out_of_the_tables():
         event.cost.random_bytes / 16 for event in device.profiler.events[before:] if event.cost.kernel == "f.probe"
     )
     assert probed <= 0.05 * 2 * len(absent)
+
+
+def test_a_wide_membership_batch_widens_the_searched_runs():
+    """Runs without a table are searched by packed tuple key, in the store's
+    format: a batch whose values do not fit narrow keys widens the store, once,
+    as a merged delta would, and a narrow batch is then packed wide."""
+    pool = _row_pool(3)
+    device = _fresh_device()
+    full = HISA(device, pool[:200], (0, 1, 2), label="w")
+    full.merge(HISA(device, pool[200:260], (0, 1, 2), label="w.d", build_hash_index=False), EagerBufferManager(device))
+    assert full.run_sizes == [200, 60] and full.table.n_tables == 0
+    assert not is_wide_keys(full._stores[1])
+    far = pool[:5] + np.array([0, 0, 1 << 40])
+    probes = np.concatenate([pool[:260], far])
+    assert full.contains_columns(key_columns(probes), charge=False).tolist() == [True] * 260 + [False] * 5
+    assert is_wide_keys(full._stores[1])
+    assert full.contains_columns(key_columns(pool[255:265]), charge=False).tolist() == [True] * 5 + [False] * 5
+    full.merge(HISA(device, pool[260:300], (0, 1, 2), label="w.d", build_hash_index=False), EagerBufferManager(device))
+    _assert_matches_scratch(full, pool[:300], (0, 1, 2))
 
 
 def test_contains_after_incremental_merges():
