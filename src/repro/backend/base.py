@@ -14,7 +14,7 @@ The contract has three parts:
 1. **Abstract primitives** — creation (``empty``/``full``/``arange``/
    ``asarray``), movement (``concatenate``/``take``/``scatter``/``repeat``),
    order (``lexsort``/``searchsorted``/``pack_lex_keys``/
-   ``adjacent_unique_mask``), scans and reductions (``cumsum``/``add_at``/
+   ``adjacent_unique_mask``), scans and reductions (``cumsum``/``cummin``/``add_at``/
    ``or_at``/``reduceat_sum``/``nonzero_indices``/``count_nonzero``), and the transfer
    boundary (``to_host``/``from_host``).  Each backend implements these with
    its native library (NumPy, CuPy, ...).
@@ -226,6 +226,10 @@ class ArrayBackend(ABC):
         """Inclusive prefix sum."""
 
     @abstractmethod
+    def cummin(self, values: Array) -> Array:
+        """Inclusive running minimum: element ``i`` is ``values[: i + 1].min()``."""
+
+    @abstractmethod
     def nonzero_indices(self, mask: Array) -> Array:
         """Indices of true mask entries as an :data:`INDEX_DTYPE` vector."""
 
@@ -425,6 +429,7 @@ ARRAY_BACKEND_CONTRACT = frozenset(
         "is_monotone",
         # scans / reductions
         "cumsum",
+        "cummin",
         "nonzero_indices",
         "count_nonzero",
         "add_at",

@@ -186,6 +186,9 @@ class CupyBackend(ArrayBackend):  # pragma: no cover - requires a CUDA device
     def cumsum(self, values: Array) -> Array:
         return cp.cumsum(values)
 
+    def cummin(self, values: Array) -> Array:
+        return cp.minimum.accumulate(values)
+
     def nonzero_indices(self, mask: Array) -> Array:
         return cp.flatnonzero(mask).astype(INDEX_DTYPE)
 

@@ -173,6 +173,9 @@ class NumpyBackend(ArrayBackend):
     def cumsum(self, values: Array) -> Array:
         return np.cumsum(values)
 
+    def cummin(self, values: Array) -> Array:
+        return np.minimum.accumulate(values)
+
     def nonzero_indices(self, mask: Array) -> Array:
         return np.flatnonzero(mask).astype(INDEX_DTYPE, copy=False)
 

@@ -6,7 +6,6 @@ Usage::
     python -m repro.experiments table2
     python -m repro.experiments table4 figure6
     python -m repro.experiments all
-    repro-experiments table1 --profile test
 """
 
 from __future__ import annotations

@@ -18,27 +18,40 @@ it would on the GPU.
 A slab of tables, stacked (Section 5.1, semi-naïve merge).  The owning HISA
 keeps its index as a stack of sorted runs and gives a table to each run of
 the stack's oldest, large prefix (on an all-column index the small runs above
-it keep none and are searched instead): built once when the run is written,
-probed until a merge absorbs the run, never updated in between — a run's
-positions are absolute and nothing older moves.  One
-:class:`OpenAddressingHashTable` is therefore a *slab* of slots holding a
+it keep none and are searched instead): charged when the run is written,
+built on the host at first read, probed until a merge absorbs the run, never
+updated in between — a run's positions are absolute and nothing older moves.
+One :class:`OpenAddressingHashTable` is therefore a *slab* of slots holding a
 stack of tables end to end, each a power-of-two slot range; the stack may be
 empty:
 
 * :meth:`insert_batch` pushes a table holding exactly the given keys on top of
-  the stack (the same CAS-race emulation), reusing the slots a popped table
-  left behind; the slab grows geometrically (to twice what the stack needs)
-  when the stack outgrows it, and only then is an allocation charged;
+  the stack, reusing the slots a popped table left behind; the slab grows
+  geometrically (to twice what the stack needs) when the stack outgrows it,
+  and only then is an allocation charged;
 * :meth:`truncate` pops the newest tables (their runs were merged away);
 * :meth:`probe` looks a batch of hashes up in one table of the stack, or each
   hash in a table of its own (one batch over several runs).
+
+**Tables are built when first read.**  The simulated device pays for every
+build at its push, exactly as the paper's CAS-insert loop after the merge
+does; the host keeps the pushed keys, values and run lengths *pending* in the
+first of the table's own slots and runs the CAS-race emulation only when
+:meth:`probe`, :meth:`may_contain`, :meth:`update_slots` or :attr:`stats`
+first touches the table (:meth:`truncate` drops a pending table unbuilt).
+The one charged term that depends on the layout, the probe count, comes in
+closed form: linear probing's total displacement does not depend on
+insertion order (Knuth, TAOCP vol. 3, §6.4), so it is the sum over slots of
+the keys carried past each slot (:func:`_linear_probes`), which is what the
+emulated rounds count.  The last merge's tables of a fixpoint are
+never read, and are never built on the host.
 
 A *filtered* slab also gives each table a **membership filter**: a blocked
 Bloom filter of :data:`FILTER_BITS_PER_SLOT` bits per slot, whose words lie
 in the slab beside the table's slots (one word per
 ``64 // FILTER_BITS_PER_SLOT`` slots, so they are reserved, reused, grown and
-popped with them).  :meth:`insert_batch` sets each key's bits from the hash it
-inserts, and :meth:`may_contain` names the tables a batch of hashes need be
+popped with them).  A table's build sets each key's bits from its hash, and
+:meth:`may_contain` names the tables a batch of hashes need be
 probed in.  A filter has no false negatives, so the tables it rules out
 cannot hold the key.
 
@@ -78,7 +91,7 @@ _SLOTS_PER_WORD = 64 // FILTER_BITS_PER_SLOT
 
 @dataclass(frozen=True)
 class HashTableStats:
-    """Construction statistics of the newest table (used by the load-factor ablation)."""
+    """Construction statistics of one built table (used by the load-factor ablation)."""
 
     capacity: int
     n_keys: int
@@ -134,7 +147,9 @@ class OpenAddressingHashTable:
         self._words = backend.empty(0, dtype=backend.uint64)
         #: ``(first slot, slot count, key count)`` of every table, oldest first
         self._tables: list[tuple[int, int, int]] = []
-        self.stats = HashTableStats(capacity=0, n_keys=0, build_rounds=0, total_probes=0)
+        #: per table, oldest first: the statistics of its build on the host,
+        #: ``None`` while it is pending (pushed and charged, not yet built)
+        self._builds: list[HashTableStats | None] = []
         if key_hashes is not None:  # else the stack starts empty
             self.insert_batch(key_hashes, values, run_lengths, charge=charge, label=f"{label}.build")
 
@@ -149,25 +164,23 @@ class OpenAddressingHashTable:
         *,
         charge: bool = True,
         label: str | None = None,
-    ) -> tuple[Array, bool]:
-        """Push a table holding exactly these (distinct) keys; returns ``(slots, grew)``.
+    ) -> bool:
+        """Push a table holding exactly these (distinct) keys; returns ``grew``.
 
-        ``slots[i]`` is the slab slot claimed by ``key_hashes[i]``.  The table
-        takes the power-of-two slot range after the current top of the stack;
-        ``grew`` says the slab had to be reallocated for it (geometrically, so
-        a fixpoint pushing many small tables pays amortised O(1) allocations).
-        Charged: the keys' probe work and filter bits, the streamed clear of
-        a reused slot range (and its filter words), and — only when the slab
-        grew — the allocation and the copy of the tables below.
+        The table takes the power-of-two slot range after the current top of
+        the stack; ``grew`` says the slab had to be reallocated for it
+        (geometrically, so a fixpoint pushing many small tables pays amortised
+        O(1) allocations).  Charged: the keys' probe work and filter bits, the
+        streamed clear of a reused slot range (and its filter words), and —
+        only when the slab grew — the allocation and the copy of the tables
+        below.  The table is built on the host when first read; until then
+        its keys, values and run lengths wait in the first of its own slots.
         """
         backend = self.backend
         key_hashes = backend.asarray(key_hashes, dtype=backend.uint64)
         values = backend.asarray(values, dtype=backend.int64)
         if key_hashes.shape != values.shape:
             raise ValueError("key_hashes and values must have the same length")
-        if run_lengths is None:
-            run_lengths = backend.ones(values.shape, dtype=backend.int64)
-        run_lengths = backend.asarray(run_lengths, dtype=backend.int64)
         m = int(key_hashes.size)
 
         first = sum(slots for _, slots, _ in self._tables)
@@ -187,15 +200,13 @@ class OpenAddressingHashTable:
             )
             if self.filtered:
                 self._words = grown(backend, self._words, first // _SLOTS_PER_WORD, capacity // _SLOTS_PER_WORD)
-        self._keys[first : first + slots] = EMPTY_KEY
         self._tables.append((first, slots, m))
-        rounds, probes, claimed = self._build(first, slots, key_hashes, values, run_lengths)
-        if self.filtered:
-            words = self._filter(first, slots)
-            words[...] = 0
-            backend.or_at(words, _filter_words(backend, key_hashes, words), _filter_masks(backend, key_hashes))
-        self.stats = HashTableStats(capacity=slots, n_keys=m, build_rounds=rounds, total_probes=probes)
+        self._builds.append(None)
+        self._keys[first : first + m] = key_hashes
+        self._values[first : first + m] = values
+        self._lengths[first : first + m] = 1 if run_lengths is None else run_lengths
         if charge:
+            probes = _linear_probes(backend, key_hashes, slots)
             # A fresh slab is initialised by its allocation (first touch); a
             # reused range is cleared by streaming its key slots and filter
             # words.  Each inserting thread also ORs its key's bits into its
@@ -213,23 +224,41 @@ class OpenAddressingHashTable:
                     allocations=1 if grew else 0,
                 )
             )
-        return claimed, grew
+        return grew
 
     def truncate(self, n_tables: int) -> None:
         """Pop every table above the oldest ``n_tables``; their slots are reused by the next push."""
         del self._tables[n_tables:]
+        del self._builds[n_tables:]
+
+    def _built(self, index: int) -> HashTableStats:
+        """Build table ``index`` of the stack on the host if it is pending; its build statistics."""
+        if self._builds[index] is not None:
+            return self._builds[index]
+        first, slots, m = self._tables[index]
+        backend = self.backend
+        key_hashes, values, lengths = (
+            array[first : first + m].copy() for array in (self._keys, self._values, self._lengths)
+        )
+        self._keys[first : first + slots] = EMPTY_KEY
+        rounds, probes = self._build(first, slots, key_hashes, values, lengths)
+        if self.filtered:
+            words = self._filter(first, slots)
+            words[...] = 0
+            backend.or_at(words, _filter_words(backend, key_hashes, words), _filter_masks(backend, key_hashes))
+        self._builds[index] = HashTableStats(capacity=slots, n_keys=m, build_rounds=rounds, total_probes=probes)
+        return self._builds[index]
 
     def _build(
         self, first: int, slots: int, key_hashes: Array, values: Array, lengths: Array
-    ) -> tuple[int, int, Array]:
-        """CAS-race insertion rounds into one slot range; returns (rounds, probes, winning slots)."""
+    ) -> tuple[int, int]:
+        """CAS-race insertion rounds into one cleared slot range; returns (rounds, probes)."""
         backend = self.backend
         keys = self._keys[first : first + slots]
         owners = self._values[first : first + slots]
         wrap = slots - 1
         pending = backend.arange(key_hashes.size, dtype=backend.int64)
         at = (key_hashes & hash_scalar(backend, wrap)).astype(backend.int64)
-        claimed = backend.empty(key_hashes.size, dtype=backend.int64)
         rounds = 0
         probes = 0
         while pending.size:
@@ -242,23 +271,23 @@ class OpenAddressingHashTable:
             # one write per slot (exactly one CAS wins).  Reading the slot back
             # tells each candidate whether it was the winner — by ordinal, not
             # by hash, so two keys with one hash cannot both win a slot.  The
-            # ordinals go through the claimed slots' value words, which get
-            # their winners' values once every key has a slot.
+            # ordinals go through the slots' value words: a claimed slot's
+            # keeps its winner's, which fetches the winner's payload once
+            # every key has a slot.
             candidates = backend.nonzero_indices(keys[at] == EMPTY_KEY)
-            candidate_slots = at[candidates]
-            backend.scatter(owners, candidate_slots, candidates)
-            won = candidates[owners[candidate_slots] == candidates]
-            won_slots = at[won]
-            backend.scatter(keys, won_slots, key_hashes[won])
-            backend.scatter(claimed, pending[won], won_slots)
+            candidate_slots, ordinals = at[candidates], pending[candidates]
+            backend.scatter(owners, candidate_slots, ordinals)
+            won = candidates[owners[candidate_slots] == ordinals]
+            backend.scatter(keys, at[won], key_hashes[won])
             retry = backend.ones(pending.size, dtype=backend.bool_)
             backend.scatter(retry, won, False)
             pending, key_hashes = pending[retry], key_hashes[retry]
             at = (at[retry] + 1) & wrap
-        claimed += first
-        backend.scatter(self._values, claimed, values)
-        backend.scatter(self._lengths, claimed, lengths)
-        return rounds, probes, claimed
+        claimed = backend.nonzero_indices(keys != EMPTY_KEY)
+        winners = owners[claimed]
+        backend.scatter(owners, claimed, values[winners])
+        backend.scatter(self._lengths[first : first + slots], claimed, lengths[winners])
+        return rounds, probes
 
     def update_slots(
         self,
@@ -278,6 +307,9 @@ class OpenAddressingHashTable:
         """
         backend = self.backend
         slots = backend.asarray(slots, dtype=backend.int64)
+        for index, (first, size, _) in enumerate(self._tables):
+            if ((slots >= first) & (slots < first + size)).any():
+                self._built(index)
         backend.scatter(self._values, slots, backend.asarray(values, dtype=backend.int64))
         backend.scatter(self._lengths, slots, backend.asarray(run_lengths, dtype=backend.int64))
         if charge and slots.size:
@@ -325,6 +357,8 @@ class OpenAddressingHashTable:
         per_query = not isinstance(table, int)
         if per_query:
             # One table per hash: each walk wraps within its own slot range.
+            for index in range(len(self._tables)):
+                self._built(index)
             tables = backend.asarray(self._tables, dtype=backend.int64)
             first, wrap = tables[table, 0], tables[table, 1] - 1
             slots = max(slots for _, slots, _ in self._tables)
@@ -338,6 +372,7 @@ class OpenAddressingHashTable:
                         )
                     )
                 return positions, lengths
+            self._built(table)
             wrap = slots - 1
 
         unresolved = backend.arange(n, dtype=backend.int64)
@@ -400,6 +435,7 @@ class OpenAddressingHashTable:
         masks = _filter_masks(backend, query)
         rows, tables = [], []
         for index, (first, slots, _) in enumerate(self._tables):
+            self._built(index)
             words = self._filter(first, slots)
             admitted = backend.nonzero_indices((words[_filter_words(backend, query, words)] & masks) == masks)
             rows.append(admitted)
@@ -420,6 +456,14 @@ class OpenAddressingHashTable:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    @property
+    def stats(self) -> HashTableStats:
+        """Construction statistics of the newest table on the stack (built
+        here if pending); zeros when the stack is empty."""
+        if not self._tables:
+            return HashTableStats(capacity=0, n_keys=0, build_rounds=0, total_probes=0)
+        return self._built(len(self._tables) - 1)
+
     @property
     def capacity(self) -> int:
         """Slots in the slab (reserved, whether or not a table occupies them)."""
@@ -444,6 +488,29 @@ class OpenAddressingHashTable:
 
     def __len__(self) -> int:
         return self.n_keys
+
+
+def _linear_probes(backend, key_hashes: Array, slots: int) -> int:
+    """The slots a linear-probing build of these keys into ``slots`` slots walks.
+
+    A key walks one slot more than its displacement, and the total
+    displacement is the same in every insertion order: it is ``Σ_s q_s``,
+    ``q_s`` the keys carried past slot ``s``, which satisfy
+    ``q_s = max(0, q_{s-1} + c_s - 1)`` around the circular slot range,
+    ``c_s`` the keys whose home is ``s``.  With ``D`` the prefix sum of
+    ``c - 1`` and a carry ``C`` into slot 0, ``q_s = D_s - min(min(D_0..D_s), -C)``;
+    the carry is the least fixed point of one turn round the range,
+    ``C = D_last - min(D)``.
+    """
+    if not key_hashes.size:
+        return 0
+    carried = backend.full(slots, -1, dtype=backend.int64)
+    backend.add_at(carried, (key_hashes & hash_scalar(backend, slots - 1)).astype(backend.int64), 1)
+    carried = backend.cumsum(carried)
+    lowest = backend.cummin(carried)
+    wrap = int(carried[-1] - lowest[-1])
+    lowest[lowest > -wrap] = -wrap
+    return int(key_hashes.size) + int(carried.sum() - lowest.sum())
 
 
 def _filter_masks(backend, hashes: Array) -> Array:

@@ -40,7 +40,9 @@ index as a few geometrically sized sorted batches:
 * it then **absorbs** the suffix of runs that are no more than
   :data:`ABSORB_RATIO` times the newer side: the suffix is decided first,
   path-merged pairwise from the small end (binary-search the smaller side
-  into the larger), and the result gets one key-run scan and one table.
+  into the larger), and the result gets one key-run scan and one table —
+  charged when the run is written, built on the host at first read (the
+  last merge's tables of a fixpoint are read by nothing and never built).
   Every surviving run is therefore more than twice its newer neighbour: at
   most ⌈log₂(|full|/|Δ|)⌉ + 1 runs, amortised O(|Δ| log(|full|/|Δ|)) work per
   merge, and a delta comparable to ``full`` absorbs everything — one run,
@@ -733,10 +735,12 @@ class HISA:
     def _recount_keys(self) -> None:
         """Count the distinct join keys and the longest key run exactly, by
         sorting the stored join columns: host introspection, not charged,
-        kept until the next merge."""
+        kept until the next merge.  Only the rows the sorted runs index are
+        counted: inside a merge, the appended delta is not yet one of them."""
         backend = self.backend
-        columns = [self.stored_column(position) for position in range(self.n_join)]
-        order = backend.lexsort(columns, n_rows=self._live)
+        indexed = self._bounds[-1]
+        columns = [self._column_storage[position][:indexed] for position in range(self.n_join)]
+        order = backend.lexsort(columns, n_rows=indexed)
         _, run_lengths = _runs_from_keys(backend, backend.pack_lex_keys([column[order] for column in columns]))
         self._distinct_keys = int(run_lengths.size)
         self._max_run_length = int(run_lengths.max()) if self._distinct_keys else 0

@@ -398,6 +398,15 @@ def test_cumsum_nonzero_count(backend):
     assert backend.count_nonzero(mask) == 2
 
 
+@pytest.mark.parametrize("spec", BACKEND_PARAMS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.lists(st.one_of(values, dup_values), max_size=40))
+def test_cummin_is_the_running_minimum(spec, data):
+    backend = get_backend(spec)
+    expected = np.minimum.accumulate(np.array(data, dtype=np.int64)).tolist()
+    assert to_host_list(backend, backend.cummin(backend.from_host(data, dtype=backend.int64))) == expected
+
+
 def test_add_at_accumulates_duplicates(backend):
     target = backend.zeros(3, dtype=backend.int64)
     backend.add_at(

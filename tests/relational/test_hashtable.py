@@ -1,11 +1,15 @@
 """Tests for the open-addressing hash table (HISA tier 3)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.device import Device
 from repro.relational import OpenAddressingHashTable, hash_rows
+from repro.relational.hashing import next_power_of_two
+from repro.relational.hashtable import HashTableStats
 
 
 def build_table(device, n_keys=1000, load_factor=0.8, seed=0):
@@ -99,16 +103,16 @@ def test_equal_hashes_each_claim_a_slot(device):
     the next, and a walk resumed past the first hit finds the second."""
     hashes = np.array([7, 7, 7, 12], dtype=np.uint64)
     table = OpenAddressingHashTable(device, hashes, np.array([10, 20, 30, 40], dtype=np.int64), load_factor=0.5)
-    slots, _ = table.insert_batch(hashes[:2], np.array([50, 60], dtype=np.int64))
-    assert np.unique(slots).size == 2
+    table.insert_batch(hashes[:2], np.array([50, 60], dtype=np.int64))
     found = np.empty(1, dtype=np.int64)
-    seen = []
+    seen, slots = [], []
     start = None
     for _ in range(2):
         values, _ = table.probe(hashes[:1], 1, charge=False, start=start, found=found)
         seen.append(int(values[0]))
+        slots.append(int(found[0]))
         start = found + 1
-    assert sorted(seen) == [50, 60]
+    assert sorted(seen) == [50, 60] and slots[0] != slots[1]
     values, _ = table.probe(hashes[:1], 1, charge=False, start=start)
     assert values.tolist() == [-1]  # the walk ends at an empty slot
     # The table below holds all three 7s and the 12.
@@ -161,3 +165,83 @@ def test_filters_are_pushed_and_popped_with_their_tables():
     assert sum(1 for row, index in admitted if index == 1 and row < 2500) < 0.05 * 2500
     positions, _ = table.probe(hashes[rows], tables, charge=False)
     assert sorted(rows[positions >= 0].tolist()) == list(range(2000)) + list(range(2500, hashes.size))
+
+
+def _hashes(rng, n_keys, slots, shape):
+    """``n_keys`` hashes: uniform, in a few tight clusters (one straddling the
+    slot range's wrap), or drawn from a handful of repeated values."""
+    if shape == "uniform":
+        return rng.integers(0, 1 << 63, size=n_keys, dtype=np.int64).astype(np.uint64)
+    if shape == "clustered":
+        centres = np.array([slots - 1, rng.integers(0, slots)], dtype=np.int64)
+        homes = centres[rng.integers(0, 2, size=n_keys)] + rng.integers(0, max(1, n_keys // 8), size=n_keys)
+        high = rng.integers(0, 1 << 20, size=n_keys, dtype=np.int64) * slots  # above the home bits
+        return ((homes % slots) + high).astype(np.uint64)
+    return rng.integers(0, 1 << 63, size=4, dtype=np.int64).astype(np.uint64)[rng.integers(0, 4, size=n_keys)]
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    n_keys=st.one_of(st.integers(0, 4096), st.sampled_from([1 << bits for bits in range(13)])),
+    load_factor=st.sampled_from([0.4, 0.6, 0.8, 0.95, 1.0]),
+    shape=st.sampled_from(["uniform", "clustered", "repeated"]),
+    filtered=st.booleans(),
+    below=st.integers(0, 300),
+)
+@settings(max_examples=80, deadline=None)
+def test_charged_probes_equal_the_emulated_build(seed, n_keys, load_factor, shape, filtered, below):
+    """The probe count a push charges comes in closed form; the CAS-race
+    emulation, run when the table is first read, walks exactly that many
+    slots — power-of-two keys at a load factor of 1.0 fill their table."""
+    device = Device("h100", oom_enabled=False)
+    table = OpenAddressingHashTable(device, load_factor=load_factor, filtered=filtered)
+    rng = np.random.default_rng(seed)
+    table.insert_batch(rng.integers(0, 1 << 63, size=below, dtype=np.int64).astype(np.uint64), np.arange(below))
+    slots = max(next_power_of_two(int(np.ceil(max(1, n_keys) / load_factor))), 4 if filtered else 1)
+    hashes = _hashes(rng, n_keys, slots, shape)
+    table.insert_batch(hashes, np.arange(n_keys, dtype=np.int64))
+    push = device.profiler.events[-1].cost
+    charged = (push.ops - (n_keys if filtered else 0)) / 4
+    assert table.stats.capacity == slots and table.stats.n_keys == n_keys
+    assert charged == table.stats.total_probes
+    if load_factor == 1.0 and n_keys == slots:
+        assert table.occupancy() <= 1.0 and table.stats.load == 1.0
+    found, _ = table.probe(hashes, 1, charge=False)
+    assert (found >= 0).all()
+
+
+def test_a_table_nothing_reads_is_never_built(device):
+    """A push is charged at once and built on the host only when a read
+    touches its table: a probe of one table builds that table, a popped
+    table is dropped unbuilt, and a probe with a table per hash builds them all."""
+    hashes = hash_rows(np.arange(2000, dtype=np.int64).reshape(1000, 2))
+    table = OpenAddressingHashTable(device)
+    build_one = OpenAddressingHashTable._build
+    with mock.patch.object(OpenAddressingHashTable, "_build", autospec=True, side_effect=build_one) as build:
+        before = device.elapsed_seconds
+        for start in (0, 600, 900):
+            table.insert_batch(hashes[start : start + 100], np.arange(100, dtype=np.int64))
+        assert device.elapsed_seconds > before and build.call_count == 0
+        table.probe(hashes[:10], 0)
+        assert [call.args[1] for call in build.call_args_list] == [0]  # the oldest table's first slot
+        table.truncate(1)  # the two pending tables go unbuilt
+        table.insert_batch(hashes[100:200], np.arange(100, dtype=np.int64))
+        assert build.call_count == 1
+        table.probe(hashes[100:110], np.ones(10, dtype=np.int64))
+        assert build.call_count == 2
+        table.probe(hashes[:10], 0)
+        assert build.call_count == 2  # each table is built once
+
+
+def test_stats_describe_the_newest_table_on_the_stack(device):
+    """``stats`` follows pushes and pops: the newest table on the stack, and
+    zeros once the stack is empty."""
+    hashes = hash_rows(np.arange(220, dtype=np.int64).reshape(110, 2))
+    table = OpenAddressingHashTable(device, hashes[:100], np.arange(100, dtype=np.int64))
+    table.insert_batch(hashes[100:], np.arange(10, dtype=np.int64))
+    assert table.stats.n_keys == 10 and table.stats.capacity == 16
+    table.truncate(1)
+    assert table.stats.n_keys == 100 and table.stats.capacity == 128 and table.stats.total_probes >= 100
+    table.truncate(0)
+    assert table.n_tables == 0
+    assert table.stats == HashTableStats(capacity=0, n_keys=0, build_rounds=0, total_probes=0)

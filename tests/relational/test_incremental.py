@@ -19,8 +19,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import GPULogEngine
 from repro.backend import NumpyBackend, is_wide_keys
 from repro.device import Device
+from repro.queries import SG_SOURCE
 from repro.relational import (
     EagerBufferManager,
     OpenAddressingHashTable,
@@ -179,10 +181,11 @@ def _delta_size(action: str, sizes: list[int], last: int) -> int:
     ),
     observed_from=st.integers(0, 12),
     wide_at=st.integers(0, 12),
+    reads=st.lists(st.booleans(), min_size=12, max_size=12),
 )
 @settings(max_examples=100, deadline=None)
 def test_incremental_merge_equivalence_property(
-    backend, table_min_rows, seed, base, first_delta, join_columns, schedule, observed_from, wide_at
+    backend, table_min_rows, seed, base, first_delta, join_columns, schedule, observed_from, wide_at, reads
 ):
     """Every schedule of merges and compactions, under a good hash, a
     colliding one and wide-only keys, with an all-column index's runs keeping
@@ -192,12 +195,15 @@ def test_incremental_merge_equivalence_property(
     recounts them; with one, every merge reports the counts the from-scratch
     build has.  The delta of merge ``wide_at`` (12:
     none) carries values past the narrow keys' 21-bit budget, so the stores
-    turn wide mid-run — the deltas after it are narrow again — and stay wide."""
+    turn wide mid-run — the deltas after it are narrow again — and stay wide.
+    The index is read after merge ``i`` only if ``reads[i]``: a table is
+    built on the host when first read, so tables stay pending across pushes,
+    pops and slab growths, and the last check reads every one."""
     with mock.patch.object(hisa_module, "TABLE_MIN_ROWS", table_min_rows):
-        _check_merge_schedule(backend, seed, base, first_delta, join_columns, schedule, observed_from, wide_at)
+        _check_merge_schedule(backend, seed, base, first_delta, join_columns, schedule, observed_from, wide_at, reads)
 
 
-def _check_merge_schedule(backend, seed, base, first_delta, join_columns, schedule, observed_from, wide_at):
+def _check_merge_schedule(backend, seed, base, first_delta, join_columns, schedule, observed_from, wide_at, reads):
     pool = _row_pool(seed)
     device = _fresh_device(backend=LOOKUP_BACKENDS[backend]())
     manager = EagerBufferManager(device)
@@ -223,10 +229,26 @@ def _check_merge_schedule(backend, seed, base, first_delta, join_columns, schedu
             assert observed[-1]["total_rows"] == used
             distinct, longest = observed[-1]["total_distinct"], observed[-1]["max_multiplicity"]
         _assert_runs_geometric(full)
-        _assert_matches_scratch(full, pool[:used], join_columns)
+        if reads[step]:
+            _assert_matches_scratch(full, pool[:used], join_columns)
         if full.stats_observer is not None:
             assert (distinct, longest) == (full.distinct_key_count, full.max_run_length)
+    _assert_matches_scratch(full, pool[:used], join_columns)
     _assert_compacts_to_scratch(full, pool[:used], join_columns)
+
+
+def test_an_observer_attached_mid_run_counts_from_the_indexed_rows():
+    """A prefix-index merge with no statistics observer leaves the key counts
+    unknown; the next merge, observed, recounts the rows already indexed —
+    not the delta it has just appended — and adds the delta's new keys."""
+    device = _fresh_device()
+    rows = np.array([[9, 7, 30], [2, 10, 41]], dtype=np.int64)
+    full = HISA(device, rows[:0], (0,), label="o")
+    full.merge(HISA(device, rows[:1], (0,), label="o.d", build_hash_index=False), EagerBufferManager(device))
+    observed = []
+    full.stats_observer = lambda **totals: observed.append(totals)
+    full.merge(HISA(device, rows[1:], (0,), label="o.d", build_hash_index=False), EagerBufferManager(device))
+    assert observed[-1]["total_distinct"] == full.distinct_key_count == 2
 
 
 def test_equal_deltas_keep_the_stack_logarithmic():
@@ -431,24 +453,24 @@ def test_hash_table_growth_preserves_entries():
     growths = 0
     while bounds[-1] < all_hashes.size:
         start, end = bounds[-1], min(bounds[-1] + 128, all_hashes.size)
-        slots, grew = table.insert_batch(all_hashes[start:end], np.arange(start, end, dtype=np.int64))
-        assert (slots >= 0).all() and np.unique(slots).size == end - start
-        growths += grew
+        growths += table.insert_batch(all_hashes[start:end], np.arange(start, end, dtype=np.int64))
         bounds.append(end)
 
     assert 1 <= growths <= np.log2(all_hashes.size)  # geometric
     assert len(table) == all_hashes.size
     assert table.occupancy() <= table.load_factor + 1e-9
     for index, (start, end) in enumerate(zip(bounds, bounds[1:])):
-        found, _ = table.probe(all_hashes[start:end], index, charge=False)
+        slots = np.empty(end - start, dtype=np.int64)
+        found, _ = table.probe(all_hashes[start:end], index, charge=False, found=slots)
         np.testing.assert_array_equal(found, np.arange(start, end, dtype=np.int64))
+        assert (slots >= 0).all() and np.unique(slots).size == end - start  # a slot per key
         missed, _ = table.probe(all_hashes[end : end + 64], index, charge=False)
         assert (missed == -1).all()
 
     # Popping tables frees their slots for the next push: no growth.
     table.truncate(2)
     capacity = table.capacity
-    _, grew = table.insert_batch(all_hashes[bounds[2] :][:500], np.arange(500, dtype=np.int64))
+    grew = table.insert_batch(all_hashes[bounds[2] :][:500], np.arange(500, dtype=np.int64))
     assert not grew and table.capacity == capacity
     found, _ = table.probe(all_hashes[bounds[2] :][:500], 2, charge=False)
     np.testing.assert_array_equal(found, np.arange(500, dtype=np.int64))
@@ -459,13 +481,45 @@ def test_insert_batch_slots_address_update_slots():
     keys = np.unique(np.random.default_rng(5).integers(0, 1 << 40, size=(64, 2), dtype=np.int64), axis=0)
     hashes = hash_rows(keys)
     table = OpenAddressingHashTable(device, hashes[:8], np.arange(8, dtype=np.int64), load_factor=0.5)
-    slots, _ = table.insert_batch(hashes[8:40], np.arange(32, dtype=np.int64))
-    table.update_slots(slots, np.arange(32, dtype=np.int64) * 10, np.full(32, 3, dtype=np.int64))
+    table.insert_batch(hashes[8:40], np.arange(32, dtype=np.int64))
+    slots = np.empty(32, dtype=np.int64)
+    table.probe(hashes[8:40], 1, charge=False, found=slots)  # slots within table 1, after table 0's 16
+    table.update_slots(slots + 16, np.arange(32, dtype=np.int64) * 10, np.full(32, 3, dtype=np.int64))
     values, lengths = table.probe(hashes[8:40], 1, charge=False)
     np.testing.assert_array_equal(values, np.arange(32, dtype=np.int64) * 10)
     np.testing.assert_array_equal(lengths, np.full(32, 3, dtype=np.int64))
     values, _ = table.probe(hashes[:8], 0, charge=False)  # the table below is untouched
     np.testing.assert_array_equal(values, np.arange(8, dtype=np.int64))
+
+
+def test_a_push_charges_the_same_whether_or_not_its_table_is_read(monkeypatch):
+    """The device pays for every table at its push; the host builds it when
+    first read.  Building each table right after its push, as if something
+    read it at once, records the same kernels over a whole fixpoint —
+    labels, bytes, launches, fused grouping — and the same answer, though
+    some tables are then built that nothing reads."""
+    monkeypatch.setattr(hisa_module, "TABLE_MIN_ROWS", 0)  # every run keeps a table
+    push, build = OpenAddressingHashTable.insert_batch, OpenAddressingHashTable._build
+    edges = [(node // 2, node) for node in range(1, 300)]
+
+    def push_and_read(self, *args, **kwargs):
+        grew = push(self, *args, **kwargs)
+        self.stats  # reads, so builds, the table just pushed
+        return grew
+
+    recorded = []
+    for eager in (False, True):
+        if eager:
+            monkeypatch.setattr(OpenAddressingHashTable, "insert_batch", push_and_read)
+        with mock.patch.object(OpenAddressingHashTable, "_build", autospec=True, side_effect=build) as builds:
+            engine = GPULogEngine(device="h100")
+            engine.add_facts("edge", edges)
+            result = engine.run(SG_SOURCE)
+        recorded.append((engine.device.profiler.events, result.relation_set("sg"), builds.call_count))
+        engine.close()
+    (deferred, answer, built), (eager_events, eager_answer, pushed) = recorded
+    assert deferred == eager_events and answer == eager_answer
+    assert 0 < built < pushed
 
 
 def test_fixpoint_memory_accounting_leak_free():
