@@ -17,10 +17,11 @@ it would on the GPU.
 
 A slab of tables, stacked (Section 5.1, semi-naïve merge).  The owning HISA
 keeps its index as a stack of sorted runs and gives a table to each run of
-the stack's oldest, large prefix (on an all-column index the small runs above
-it keep none and are searched instead): charged when the run is written,
-built on the host at first read, probed until a merge absorbs the run, never
-updated in between — a run's positions are absolute and nothing older moves.
+the stack's oldest prefix — its large runs and a prefix index's first run;
+the small runs a merge writes above it keep none and are searched instead:
+charged when the run is written, built on the host at first read, probed
+until a merge absorbs the run, never updated in between — a run's positions
+are absolute and nothing older moves.
 One :class:`OpenAddressingHashTable` is therefore a *slab* of slots holding a
 stack of tables end to end, each a power-of-two slot range; the stack may be
 empty:

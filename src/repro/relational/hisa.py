@@ -32,43 +32,51 @@ index as a few geometrically sized sorted batches:
   an index on fewer than all columns) the cached packed join keys live in
   **capacity-backed arrays holding a stack of sorted runs end to end**,
   oldest and largest first; the hash table is a slab holding one table per
-  run the same way — on an all-column index, one per run of at least
-  :data:`TABLE_MIN_ROWS` tuples (below);
+  large run the same way — per run of at least :data:`TABLE_MIN_ROWS`
+  tuples, and a prefix index's constructor run (below);
 * :meth:`HISA.merge` **pushes** the delta — already sorted, its keys already
   packed — as the newest run: O(|Δ|), nothing older moves, so the absolute
   positions in the older runs' tables stay valid;
 * it then **absorbs** the suffix of runs that are no more than
   :data:`ABSORB_RATIO` times the newer side: the suffix is decided first,
   path-merged pairwise from the small end (binary-search the smaller side
-  into the larger), and the result gets one key-run scan and one table —
-  charged when the run is written, built on the host at first read (the
-  last merge's tables of a fixpoint are read by nothing and never built).
+  into the larger), and the result gets one key-run scan and, if it is
+  large, one table — charged when the run is written, built on the host at
+  first read (the last merge's tables of a fixpoint are read by nothing and
+  never built).
   Every surviving run is therefore more than twice its newer neighbour: at
   most ⌈log₂(|full|/|Δ|)⌉ + 1 runs, amortised O(|Δ| log(|full|/|Δ|)) work per
   merge, and a delta comparable to ``full`` absorbs everything — one run,
   exactly the dense merge;
+* a run a merge writes keeps a table only from :data:`TABLE_MIN_ROWS`
+  tuples, on every index.  The table is what finds a key's range in a
+  *large* sorted array; a small run answers by a search of the sorted keys
+  it already caches — join keys, which on an all-column index are the tuple
+  keys — and the search is exact.  One run keeps its table at any size: the
+  constructor's run of an index on fewer columns, which indexes a whole
+  relation (its facts, a stratum's load, a retract's re-initialization) and
+  is probed by every iteration and epoch until a merge absorbs it; an empty
+  one keeps none.  Runs shrink more than twofold toward the top of the
+  stack and the constructor's run is the oldest, so the runs with tables
+  are a prefix of it and table ``r`` stays run ``r``;
 * readers see one logical index: :meth:`HISA.lookup_columns` hashes the probe
-  keys once and walks every (key, run) pair in one batched probe of the
-  tables, :meth:`HISA.expand_matches` emits the matches probe-major (what one
-  GPU thread per probe key walking its runs produces), and sorted-order
-  readers go through :meth:`HISA.compact`;
-* an index on *all* columns — the one every ``new - full`` difference, retract
-  and WCOJ member check asks — keeps a table only for its runs of at least
-  :data:`TABLE_MIN_ROWS` tuples.  Runs shrink more than twofold toward the
-  top of the stack, so those are a prefix of it and table ``r`` stays run
-  ``r``.  The table is what finds a key's range in a *large* sorted array;
-  a small run answers by a search of the sorted tuple keys it already caches,
-  which is exact.  :meth:`HISA.contains_columns` packs the batch once and
-  searches each small run — a merge path when the batch is sorted, as
-  ``new - full``'s deduplicated batch always is, a binary search otherwise —
-  and hashes only for the runs with tables.  Each of those tables carries a
-  **membership filter**, a blocked Bloom filter of
+  keys once, walks every (key, run) pair of the runs with tables in one
+  batched probe and searches the others' join keys,
+  :meth:`HISA.expand_matches` emits the matches probe-major (what one GPU
+  thread per probe key walking its runs produces), and sorted-order readers
+  go through :meth:`HISA.compact`;
+* an index on *all* columns is the one every ``new - full`` difference,
+  retract and WCOJ member check asks.  :meth:`HISA.contains_columns` packs
+  the batch once and searches each small run — a merge path when the batch
+  is sorted, as ``new - full``'s deduplicated batch always is, a binary
+  search otherwise — and hashes only for the runs with tables.  Each of
+  those tables carries a **membership filter**, a blocked Bloom filter of
   :data:`~repro.relational.hashtable.FILTER_BITS_PER_SLOT` bits per table
   slot, set as the table is built: a run's table is probed only for the
   tuples its filter cannot rule out, so a tuple that is new walks no miss
   chain in the runs that cannot hold it; a filter has no false negatives, so
   the answer is the probe's.  Lookups on fewer columns mostly hit and probe
-  every run's table without one;
+  their tables without one;
 * the data array grows by an **in-place append** of the delta whenever the
   backing device buffer has headroom (the eager buffer manager's
   over-allocation), falling back to an amortised copy into a larger buffer
@@ -114,8 +122,9 @@ from .hashtable import DEFAULT_LOAD_FACTOR, OpenAddressingHashTable, grown
 #: pins).  2 rewrites the least on the flat part of the curve.
 ABSORB_RATIO = 2
 
-#: The fewest tuples a sorted run of an all-column index keeps a hash table
-#: (and membership filter) for; smaller runs are searched (module docstring).
+#: The fewest tuples a sorted run a merge writes keeps a hash table (and, on
+#: an all-column index, membership filter) for; smaller runs are searched
+#: (module docstring).
 #: Swept on a 2-vCPU VM (``reach-road`` host time of one ``bench/run.py`` unit,
 #: median of 3, and the ``slow`` paper tables' GPUlog cells): 4 Ki 1.63 s with
 #: Table 2 fe_ocean 5.05 and fe_body 0.383; 16 Ki 1.42 s with com-dblp 3.46,
@@ -283,14 +292,18 @@ class HISA:
                 label=f"{label}.find_runs",
             )
 
-        # --- Tier 3: open-addressing hash tables, one per sorted run -----------
-        # (on an all-column index, only for a large run, with a membership filter)
+        # --- Tier 3: open-addressing hash tables, one per large sorted run ------
+        # (on an all-column index with a membership filter)
         self.table: OpenAddressingHashTable | None = None
         if build_hash_index:
             self.table = OpenAddressingHashTable(
                 device, load_factor=self.load_factor, label=f"{label}.table", filtered=self.n_join == arity
             )
-            if self._keeps_table(n):
+            # A prefix index's first run indexes a whole relation (its facts,
+            # a stratum's load, a retract's re-initialization), which every
+            # iteration and epoch probes: it keeps a table whenever it holds
+            # tuples.  Every other run follows :meth:`_keeps_table`.
+            if n and (self.n_join < arity or self._keeps_table(n)):
                 self.table.insert_batch(
                     self._hash_keys([column[run_starts] for column in sorted_columns[: self.n_join]]),
                     run_starts,
@@ -421,8 +434,9 @@ class HISA:
         run) pair of the runs with tables is probed in that run's table in one
         batched walk — one GPU thread per pair — and verified against single
         stored columns, so no row tuples are ever assembled.  The small runs
-        of an all-column index, which keep no table, are searched
-        (:meth:`_search_runs`).
+        a merge wrote, which keep no table, are searched
+        (:meth:`_search_runs`): the first match by a left search, the count
+        as the distance to a right one.
         """
         self._check_live()
         backend = self.backend
@@ -578,35 +592,37 @@ class HISA:
     def _search_runs(
         self, key_columns: Sequence[Array], *, charge: bool, counted: bool = False
     ) -> list[tuple[int, Array, Array]]:
-        """Search whole-tuple keys (index column order) in every run without a table.
+        """Search join keys (index column order) in every run without a table.
 
         Returns ``(run, at, matches)`` per such run: ``matches`` says whether
-        the run holds each key — how many of its tuples match it when
-        ``counted`` (a constructor's run holds whatever rows it was given,
-        duplicates included; the runs a merge writes are duplicate-free) —
-        and ``at`` is where the first match sits within the run, meaningful
-        only where there is one.  The keys are packed once in the
-        tuple-key store's format (a batch that does not fit narrow keys
-        widens the store, as a merge's delta does) and binary-searched in each
-        run's cached tuple keys.  A sorted batch — ``new - full``'s
-        deduplicated one — is charged as a merge path, batch and run keys each
-        streamed once; any other as a binary search per key.  The charges
-        fold into the caller's fused launch (outside one, they are one launch).
+        the run holds each key — how many of its tuples carry it when
+        ``counted`` (a join key's tuples sit side by side in a run) — and
+        ``at`` is where the first of them sits within the run, meaningful only
+        where there is one.  The keys are packed once in the join-key store's
+        format — the tuple-key store on an all-column index; a batch that
+        does not fit narrow keys widens the store, as a merge's delta does —
+        and binary-searched in each run's cached join keys.  A sorted batch —
+        ``new - full``'s deduplicated one — is charged as a merge path, batch
+        and run keys each streamed once; any other as a binary search per
+        key, for the first match (the key run's length is the scan the join
+        charges, as after a hash probe).  The charges fold into the caller's
+        fused launch (outside one, they are one launch).
         """
         backend = self.backend
         bounds = self._bounds
         runs = [run for run in range(self.table.n_tables, len(bounds) - 1) if bounds[run + 1] > bounds[run]]
         if not runs:
             return []
+        store = len(self._stores) - 1
         keys = backend.pack_lex_keys(key_columns)
-        if is_wide_keys(keys) and not is_wide_keys(self._stores[1]):
-            self._stores[1] = self._wide_store(1)
-        elif is_wide_keys(self._stores[1]) and not is_wide_keys(keys):
+        if is_wide_keys(keys) and not is_wide_keys(self._stores[store]):
+            self._stores[store] = self._wide_store(store)
+        elif is_wide_keys(self._stores[store]) and not is_wide_keys(keys):
             keys = backend.pack_lex_keys(key_columns, wide=True)
         found = []
         for run in runs:
             start, end = bounds[run], bounds[run + 1]
-            run_keys = self._stores[1][start:end]
+            run_keys = self._stores[store][start:end]
             # Searching all but the last key gives a position inside the run
             # for every key, and it holds the key if the run does.
             at = backend.searchsorted(run_keys[:-1], keys, side="left")
@@ -621,7 +637,7 @@ class HISA:
     def _charge_search(self, run_sizes: list[int], keys: Array) -> None:
         """Charge :meth:`_search_runs`: a merge path per run for a sorted batch, else a binary search per key."""
         m = int(keys.shape[0])
-        key_bytes = self.natural_arity * TUPLE_ITEMSIZE
+        key_bytes = self.n_join * TUPLE_ITEMSIZE
         if self.backend.is_monotone(keys):
             streamed = float(m * len(run_sizes) + sum(run_sizes))
             self.device.charge(
@@ -820,7 +836,7 @@ class HISA:
         is path-merged with the stack's runs newest to oldest down to
         ``first`` (none for a plain push), written where run ``first`` began,
         scanned for key runs once and given one hash table — unless it is a
-        small run of an all-column index (:data:`TABLE_MIN_ROWS`).
+        small run (:data:`TABLE_MIN_ROWS`), which lookups search instead.
         """
         backend = self.backend
         bounds = self._bounds
@@ -924,8 +940,9 @@ class HISA:
         return merged
 
     def _keeps_table(self, size: int) -> bool:
-        """Whether a sorted run of ``size`` tuples gets a hash table."""
-        return self.n_join < self.natural_arity or size >= TABLE_MIN_ROWS
+        """Whether a sorted run of ``size`` tuples that a merge writes gets a
+        hash table (a prefix index's non-empty constructor run always does)."""
+        return size >= TABLE_MIN_ROWS
 
     def _wide_store(self, position: int) -> Array:
         """Key store ``position`` (1: tuple keys, 2: join keys) re-packed wide

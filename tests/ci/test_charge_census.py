@@ -119,12 +119,14 @@ def test_a_merge_no_catalog_observes_looks_no_key_up():
 
 
 def test_small_runs_are_searched_inside_the_callers_launch(monkeypatch):
-    """An all-column index's runs below ``TABLE_MIN_ROWS`` keep no table.  A
+    """The runs a merge writes below ``TABLE_MIN_ROWS`` keep no table.  A
     sorted batch (``new - full``'s) is merged against each: batch and run
     keys streamed once, no random access.  Any other batch (a retract probe,
     a WCOJ member check) is binary-searched.  Neither adds a launch to the
     caller's fused one, and a run at or above the threshold still charges its
-    filter check, probe and key verification."""
+    filter check, probe and key verification.  On a prefix index the
+    constructor's run keeps its table and is probed, and a join lookup
+    searches the merged run at the join key's width, in the same one launch."""
     import numpy as np
 
     from repro.device import Device
@@ -167,3 +169,29 @@ def test_small_runs_are_searched_inside_the_callers_launch(monkeypatch):
             else:
                 assert kernels == table_stages + ["f.search_keys"] * len(searched)
                 assert all(cost.random_bytes > 0 for cost in searches)
+
+    monkeypatch.undo()  # the default threshold
+    device = Device("h100", oom_enabled=False)
+    prefix = hisa_of(device, rows[:250], (0,), label="p")
+    prefix.merge(hisa_of(device, rows[250:], (0,), label="p.d", build_hash_index=False), EagerBufferManager(device))
+    assert prefix.run_sizes == [250, 50] and prefix.table.n_tables == 1
+    stages = []
+    charge = device.charge
+    device.charge = recording
+    keys = probes[:, :1]
+    for batch, ordered in ((np.unique(keys, axis=0), True), (keys[::-1], False)):
+        del stages[:]
+        before = len(device.profiler.events)
+        with device.fused("join"):
+            _, lengths = prefix.lookup_columns(key_columns(batch))
+        assert lengths.tolist() == [int(key in rows[:, 0]) for key in batch[:, 0].tolist()]
+        fused = device.profiler.events[before:]
+        assert len(fused) == 1 and fused[0].cost.launches == 1
+        kernels = [cost.kernel for cost in stages[:-1]]
+        m, search = len(batch), stages[-2]
+        if ordered:
+            assert kernels == ["p.hash_keys", "p.probe", "p.verify_key", "p.merge_search"]
+            assert search.sequential_bytes == 8.0 * (m + 50) and search.random_bytes == 0
+        else:
+            assert kernels == ["p.hash_keys", "p.probe", "p.verify_key", "p.search_keys"]
+            assert search.random_bytes == 8.0 * m * np.log2(50)

@@ -116,6 +116,23 @@ keys inside the caller's launch instead.  From -1,880 us (``cspa-httpd``) to
 -259 us (``triangle`` on one shard); iterations, counts, exchange bytes, raw
 rows and the per-epoch serving numbers are unchanged.
 
+**Keeping no hash table for the small runs a merge writes on an index on
+fewer columns too re-pinned the three ``cspa`` rows, ``HTTPD_PIN`` and the
+two serving sessions, downward, and nothing else.**  A run a merge writes
+keeps a table only from ``TABLE_MIN_ROWS`` tuples on every index, and a join
+lookup searches the smaller runs' cached join keys in its own launch; a
+prefix index's constructor run keeps its table, but only if it holds tuples.
+What goes is the slab growths the tiny merged tables caused (a 120 us
+allocation each: six on ``cspa``, two on ``cspa-httpd``, five per serving
+session) and the 2-slot table of each empty prefix index (``memalias[0]`` and
+``[1]``: a launch and a 125 us allocation each, so launches -2 per shard on
+``cspa``).  The searches cost more bytes than the probes they replace
+(+71.0 us on ``cspa-httpd``, inside launches the joins already had).  From
+-968.5 us (``("cspa", 1)``) to -600.0 us (the serving sessions).  ``tc``
+and ``sg`` merge only into all-column indexes and ``triangle`` merges
+nothing, so they are bit-identical, as are the ``recover`` rows (a restore
+loads each index whole), iterations, counts, exchange bytes and raw rows.
+
 Each serving row carries a ``recover`` row: the same session with a WAL and
 a checkpoint per epoch, crashed after the retract epoch, and what
 ``ServingEngine.recover`` then charges on fresh devices.  It was recorded
@@ -199,7 +216,10 @@ PINS = {
         # merge-time key lookups removed: -14.7 ns, merge_finalize's key hash, probe and verify bytes gone (was 0.00511304132332156 s)
         # small all-column runs keep no table: -1240.7 us, launches -8: no table, filter or slab allocation for a small run, no key hash or
         # table launch for a small load (was 0.005113026657748327 s / 313)
-        "elapsed_seconds": 0.003872321401628928, "kernel_launches": 305, "total_iterations": 5,
+        # small prefix runs keep no table: -968.5 us, launches -2: no slab growth (a 120 us allocation) for
+        # a small merged run's table, no table build for memalias's two empty prefix indexes
+        # (was 0.003872321401628928 s / 305)
+        "elapsed_seconds": 0.0029037927402028505, "kernel_launches": 303, "total_iterations": 5,
         "relation_counts": {"assign": 57, "dereference": 40, "memalias": 400, "valuealias": 529, "valueflow": 507},
         "exchange_bytes": 0.0,
     },
@@ -211,7 +231,9 @@ PINS = {
         # merge-time key lookups removed: -11.5 ns, merge_finalize's key hash, probe and verify bytes gone (was 0.005548988850012201 s)
         # small all-column runs keep no table: -1240.4 us, launches -16: no table, filter or slab allocation for a small run, no key hash or
         # table launch for a small load (was 0.005548977353647868 s / 1362)
-        "elapsed_seconds": 0.004308595498317922, "kernel_launches": 1346, "total_iterations": 5,
+        # small prefix runs keep no table: -799.2 us, launches -4: as ("cspa", 1), per shard
+        # (was 0.004308595498317922 s / 1346)
+        "elapsed_seconds": 0.003509421417769584, "kernel_launches": 1342, "total_iterations": 5,
         "relation_counts": {"assign": 57, "dereference": 40, "memalias": 400, "valuealias": 529, "valueflow": 507},
         "exchange_bytes": 2790080.0,
     },
@@ -223,7 +245,9 @@ PINS = {
         # merge-time key lookups removed: -10.2 ns, merge_finalize's key hash, probe and verify bytes gone (was 0.005560185377695974 s)
         # small all-column runs keep no table: -1240.3 us, launches -32: no table, filter or slab allocation for a small run, no key hash or
         # table launch for a small load (was 0.00556017520001296 s / 2755)
-        "elapsed_seconds": 0.004319879042051115, "kernel_launches": 2723, "total_iterations": 5,
+        # small prefix runs keep no table: -776.6 us, launches -8: as ("cspa", 1), per shard
+        # (was 0.004319879042051115 s / 2723)
+        "elapsed_seconds": 0.003543262227114113, "kernel_launches": 2715, "total_iterations": 5,
         "relation_counts": {"assign": 57, "dereference": 40, "memalias": 400, "valuealias": 529, "valueflow": 507},
         "exchange_bytes": 4080080.0,
     },
@@ -327,8 +351,11 @@ def test_simulated_clock_and_counters_are_pinned(workload, num_shards):
 #: run filters: -2364.7 ns, filter build + check bytes added, probe bytes saved (was 0.011446735676224484 s)
 #: merge-time key lookups removed: -581.1 ns, merge_finalize's key hash, probe and verify bytes gone (was 0.011444370989994092 s)
 #: small all-column runs keep no table: -1880.1 us, launches -8 (was 0.011443789904214201 s / 797)
+#: small prefix runs keep no table: -659.9 us, launches -2: memalias's empty tables and two slab growths
+#: gone (-730.9 us), the searches of valueflow's merged runs in the joins' launches (+71.0 us)
+#: (was 0.009563648896619195 s / 789)
 HTTPD_PIN = {
-    "elapsed_seconds": 0.009563648896619195, "kernel_launches": 789,
+    "elapsed_seconds": 0.008903790794552382, "kernel_launches": 787,
     "raw_rows": 12154723, "distinct_outer_fired": 7, "total_iterations": 11,
     "relation_counts": {"assign": 365, "dereference": 109, "memalias": 2828, "valuealias": 29148, "valueflow": 23752},
 }
@@ -392,7 +419,9 @@ SERVING_PINS = {
         # probe -1, sg[0,1] probe -3, verify_key -3) (was 0.005072854929874135 s / 342)
         # merge-time key lookups removed: -12.8 ns, merge_finalize's key hash, probe and verify bytes gone (was 0.005037755314509204 s)
         # small all-column runs keep no table: -1200.2 us, launches -24 (was 0.0050377424727837666 s / 335)
-        "simulated_seconds": 0.003837591267719449, "kernel_launches": 311, "epoch_iterations": [2, 1, 1, 1],
+        # small prefix runs keep no table: -600.0 us: five slab growths (a 120 us allocation each) of edge[0],
+        # sg[0] and sg[1] for the epochs' tiny runs gone; launches unchanged (was 0.003837591267719449 s)
+        "simulated_seconds": 0.0032375461033965873, "kernel_launches": 311, "epoch_iterations": [2, 1, 1, 1],
         "retracted": {"edge": 2, "sg": 94}, "rederived": {"sg": 66}, "sg": 474,
         # recover, run filters: +10.9 ns, filter build bytes added (was 0.0007803557590815154 s)
         # recover, small all-column runs keep no table: -260.1 us, launches -4 (was 0.0007803666356700014 s / 36)
@@ -408,7 +437,9 @@ SERVING_PINS = {
         # probe -1, sg[0,1] probe -7, verify_key -4) (was 0.006891774221525168 s / 1011)
         # merge-time key lookups removed: -9.3 ns, merge_finalize's key hash, probe and verify bytes gone (was 0.006846766015802136 s)
         # small all-column runs keep no table: -1200.1 us, launches -40 (was 0.006846756686623851 s / 999)
-        "simulated_seconds": 0.005646655270924328, "kernel_launches": 959, "epoch_iterations": [2, 1, 1, 1],
+        # small prefix runs keep no table: -600.0 us (slowest device), as row 1; launches unchanged
+        # (was 0.005646655270924328 s)
+        "simulated_seconds": 0.005046635092922029, "kernel_launches": 959, "epoch_iterations": [2, 1, 1, 1],
         "retracted": {"edge": 2, "sg": 94}, "rederived": {"sg": 66}, "sg": 474,
         # recover, run filters: +6.2 ns, filter build bytes added (was 0.0007802114399475149 s)
         # recover, small all-column runs keep no table: -260.0 us, launches -8 (was 0.0007802176373035918 s / 72)

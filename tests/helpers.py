@@ -67,8 +67,9 @@ LOOKUP_BACKENDS = {"numpy": NumpyBackend, "wide": WideKeyBackend, "colliding": C
 def lookup_per_run(hisa: HISA, key_columns, *, charge: bool = True) -> tuple[MatchedRuns, np.ndarray]:
     """``HISA.lookup_columns`` as a loop over the sorted runs: the keys are
     hashed once and each run's table is probed on its own; the runs without
-    a table (small runs of an all-column index) are searched.  The reference
-    the batched walk over all (key, run) pairs must match, result and charge."""
+    a table (the small runs a merge writes, on any index) are searched.  The
+    reference the batched walk over all (key, run) pairs must match, result
+    and charge."""
     m = int(key_columns[0].shape[0])
     n_runs = len(hisa.run_sizes)
     starts = np.empty((n_runs, m), dtype=np.int64)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.device import Device
 from repro.errors import HisaStateError, SchemaError
 from repro.relational import EagerBufferManager, OpenAddressingHashTable, SimpleBufferManager
+from repro.relational import hisa as hisa_module
 
 from tests.helpers import LOOKUP_BACKENDS, hisa_of as HISA, hisa_rows, key_columns, lookup_per_run
 
@@ -147,6 +148,7 @@ def test_a_lookup_probes_every_run_in_one_call(monkeypatch, backend):
     """On a k-run index, a lookup is one ``OpenAddressingHashTable.probe``
     over all (key, run) pairs, plus a resumed walk per round of hits on a key
     with the same hash; the per-run loop it replaced made k."""
+    monkeypatch.setattr(hisa_module, "TABLE_MIN_ROWS", 0)  # a table for every run
     device = Device("h100", oom_enabled=False, backend=LOOKUP_BACKENDS[backend]())
     rows = np.array([(key, value) for key in range(40) for value in range(key % 5 + 1)], dtype=np.int64)
     order = np.random.default_rng(3).permutation(len(rows))

@@ -7,10 +7,11 @@ hashes everything from nothing — and the contract is that no reader can tell
 the two apart: same tuples, same ``lookup_columns`` / ``contains_columns`` answers, same
 statistics, and after ``compact()`` the same bytes.  ``lookup_columns`` walks
 every (key, run) pair in one batch; it is also held to a loop probing each
-run on its own (``tests.helpers.lookup_per_run``), answer and charge.  An
-all-column index keeps a table only for its runs of at least
-``TABLE_MIN_ROWS`` tuples, the oldest ones; the property test draws that
-threshold, so every mix of runs with and without tables is covered.
+run on its own (``tests.helpers.lookup_per_run``), answer and charge.  A run
+a merge writes keeps a table only from ``TABLE_MIN_ROWS`` tuples, on every
+index, and a prefix index's non-empty constructor run keeps one at any size;
+the property test draws that threshold, so every mix of runs with and
+without tables is covered.
 """
 
 from unittest import mock
@@ -80,8 +81,9 @@ def _assert_runs_geometric(hisa):
         assert older > 2 * newer, sizes
 
 
-def _assert_matches_scratch(full, rows: np.ndarray, join_columns):
-    """``full`` (any number of sorted runs) answers like an index built from ``rows``."""
+def _assert_matches_scratch(full, rows: np.ndarray, join_columns, *, base: int):
+    """``full`` (any number of sorted runs) answers like an index built from
+    ``rows``; its constructor was given the first ``base`` of them."""
     scratch = HISA(_fresh_device(), rows, join_columns, label="ref")
     assert full.tuple_count == scratch.tuple_count == rows.shape[0]
     assert {tuple(r) for r in hisa_rows(full).tolist()} == {tuple(r) for r in rows.tolist()}
@@ -95,21 +97,24 @@ def _assert_matches_scratch(full, rows: np.ndarray, join_columns):
     found = _rows_per_key(full, keys)
     assert found == _rows_per_key(scratch, keys)
     assert all(found[: len(present)]) and not any(found[len(present) :])
-    if len(join_columns) == rows.shape[1]:
-        # A table (and membership filter) exactly for the runs of at least
-        # TABLE_MIN_ROWS tuples, which are the oldest; the same answers as a
-        # set of the rows, for a batch in any order and a sorted one.
-        tabled = [size >= hisa_module.TABLE_MIN_ROWS for size in full.run_sizes]
-        assert full.table.filtered and full.table.n_tables == sum(tabled)
-        assert tabled == sorted(tabled, reverse=True)
+    # A table exactly for the runs of at least TABLE_MIN_ROWS tuples and, on
+    # a prefix index, for the constructor's run while it holds tuples and no
+    # merge has absorbed it (a merged run 0 holds more than ``base``); the
+    # runs with tables are the oldest.
+    whole = len(join_columns) == rows.shape[1]
+    tabled = [size > 0 and size >= hisa_module.TABLE_MIN_ROWS for size in full.run_sizes]
+    tabled[0] |= not whole and 0 < base == full.run_sizes[0]
+    assert full.table.n_tables == sum(tabled) and full.table.filtered == whole
+    assert tabled == sorted(tabled, reverse=True)
+    if whole:
+        # Membership: the same answers as a set of the rows, for a batch in
+        # any order and a sorted one.
         stored = {tuple(r) for r in rows.tolist()}
         probes = np.concatenate([rows, rows + 1000, rows[:, ::-1]])
         for batch in (probes, np.unique(probes, axis=0)):
             expected = np.array([tuple(p) in stored for p in batch.tolist()])
             np.testing.assert_array_equal(full.contains_columns(key_columns(batch), charge=False), expected)
             np.testing.assert_array_equal(scratch.contains_columns(key_columns(batch), charge=False), expected)
-    else:
-        assert not full.table.filtered and full.table.n_tables == len(full.run_sizes)
 
 
 def _assert_walk_matches_per_run(hisa, keys):
@@ -154,7 +159,7 @@ def test_incremental_merge_matches_scratch_build(manager_cls, join_columns):
         full = full.merge(HISA(device, batch, join_columns, label="inc.delta"), manager)
         merged = np.concatenate([merged, batch])
         _assert_runs_geometric(full)
-        _assert_matches_scratch(full, merged, join_columns)
+        _assert_matches_scratch(full, merged, join_columns, base=len(batches[0]))
     _assert_compacts_to_scratch(full, rows, join_columns)
 
 
@@ -188,8 +193,10 @@ def test_incremental_merge_equivalence_property(
     backend, table_min_rows, seed, base, first_delta, join_columns, schedule, observed_from, wide_at, reads
 ):
     """Every schedule of merges and compactions, under a good hash, a
-    colliding one and wide-only keys, with an all-column index's runs keeping
-    a table from 0 tuples (all), 4 or the default (none at these sizes) on.
+    colliding one and wide-only keys, with the runs a merge writes keeping a
+    table from 0 tuples (all), 4 or the default (none at these sizes) on, on
+    every index kind; a prefix index's constructor run keeps its table until
+    a merge absorbs it.
     A statistics observer is attached from merge ``observed_from`` on (12:
     never): without one a merge stops counting keys, and the first read
     recounts them; with one, every merge reports the counts the from-scratch
@@ -230,10 +237,10 @@ def _check_merge_schedule(backend, seed, base, first_delta, join_columns, schedu
             distinct, longest = observed[-1]["total_distinct"], observed[-1]["max_multiplicity"]
         _assert_runs_geometric(full)
         if reads[step]:
-            _assert_matches_scratch(full, pool[:used], join_columns)
+            _assert_matches_scratch(full, pool[:used], join_columns, base=base)
         if full.stats_observer is not None:
             assert (distinct, longest) == (full.distinct_key_count, full.max_run_length)
-    _assert_matches_scratch(full, pool[:used], join_columns)
+    _assert_matches_scratch(full, pool[:used], join_columns, base=base)
     _assert_compacts_to_scratch(full, pool[:used], join_columns)
 
 
@@ -251,8 +258,10 @@ def test_an_observer_attached_mid_run_counts_from_the_indexed_rows():
     assert observed[-1]["total_distinct"] == full.distinct_key_count == 2
 
 
-def test_equal_deltas_keep_the_stack_logarithmic():
-    """The schedule that never merges under a ratio of 1: a chain of equal deltas."""
+def test_equal_deltas_keep_the_stack_logarithmic(monkeypatch):
+    """The schedule that never merges under a ratio of 1: a chain of equal
+    deltas, every run with a table, so the walk covers the whole stack."""
+    monkeypatch.setattr(hisa_module, "TABLE_MIN_ROWS", 0)  # a table for every run
     pool = _row_pool(5)
     device = _fresh_device()
     full = HISA(device, pool[:20], (1,), label="chain")
@@ -261,10 +270,11 @@ def test_equal_deltas_keep_the_stack_logarithmic():
         full.merge(delta, EagerBufferManager(device))
         _assert_runs_geometric(full)
         assert len(full.run_sizes) <= np.ceil(np.log2(step + 1)) + 1
-    _assert_matches_scratch(full, pool[:4000], (1,))
+    _assert_matches_scratch(full, pool[:4000], (1,), base=20)
 
 
-def test_hash_collision_falls_through_to_a_miss():
+def test_hash_collision_falls_through_to_a_miss(monkeypatch):
+    monkeypatch.setattr(hisa_module, "TABLE_MIN_ROWS", 0)  # a table for every run
     device = _fresh_device(backend=CollidingBackend())
     rows = np.array([[1, 10], [1, 11], [2, 20], [3, 30]], dtype=np.int64)
     full = HISA(device, rows, (0,), label="c")
@@ -350,7 +360,84 @@ def test_a_wide_membership_batch_widens_the_searched_runs():
     assert is_wide_keys(full._stores[1])
     assert full.contains_columns(key_columns(pool[255:265]), charge=False).tolist() == [True] * 5 + [False] * 5
     full.merge(HISA(device, pool[260:300], (0, 1, 2), label="w.d", build_hash_index=False), EagerBufferManager(device))
-    _assert_matches_scratch(full, pool[:300], (0, 1, 2))
+    _assert_matches_scratch(full, pool[:300], (0, 1, 2), base=200)
+
+
+@pytest.mark.parametrize("backend", sorted(LOOKUP_BACKENDS))
+@pytest.mark.parametrize("join_columns", [(0,), (0, 1), (2, 0)])
+def test_searched_runs_answer_like_the_table_walk(backend, join_columns):
+    """The runs a merge writes onto an index on fewer columns keep no table
+    below TABLE_MIN_ROWS, and a lookup searches their join keys: the same
+    ``(starts, lengths)`` and ``expand_matches`` pairs as the same merges
+    with a table for every run, and the same pairs as a from-scratch build.
+    Join keys recur within every run and across runs, and half the probe
+    keys (in no particular order, some twice) are in no run."""
+    pool = _row_pool(9)
+    present = np.unique(pool[:1430, list(join_columns)], axis=0)
+    keys = np.random.default_rng(1).permutation(np.concatenate([present, present + 1000, present[:20]]))
+    answers = []
+    for threshold in (hisa_module.TABLE_MIN_ROWS, 0):
+        with mock.patch.object(hisa_module, "TABLE_MIN_ROWS", threshold):
+            device = _fresh_device(backend=LOOKUP_BACKENDS[backend]())
+            full = HISA(device, pool[:1000], join_columns, label="s")
+            for start, size in [(1000, 300), (1300, 100), (1400, 30)]:  # each is pushed
+                delta = HISA(device, pool[start : start + size], join_columns, label="s.d", build_hash_index=False)
+                full.merge(delta, EagerBufferManager(device))
+            assert full.run_sizes == [1000, 300, 100, 30]
+            assert full.table.n_tables == (4 if threshold == 0 else 1)
+            runs, lengths = full.lookup_columns(key_columns(keys), charge=False)
+            answers.append((runs.starts, runs.lengths, lengths, *full.expand_matches(runs, lengths)))
+    for searched, walked in zip(*answers):
+        np.testing.assert_array_equal(searched, walked)
+    scratch = HISA(_fresh_device(), pool[:1430], join_columns, label="ref")
+    runs, lengths = scratch.lookup_columns(key_columns(keys), charge=False)
+    np.testing.assert_array_equal(lengths, answers[0][2])
+    assert (lengths[keys[:, 0] < 1000] > 0).all() and lengths[keys[:, 0] >= 1000].sum() == 0
+    # Same data array (same rows, same order), so the same pairs up to order.
+    expected = np.unique(np.column_stack(scratch.expand_matches(runs, lengths)), axis=0)
+    np.testing.assert_array_equal(np.unique(np.column_stack(answers[0][3:]), axis=0), expected)
+
+
+def test_a_wide_lookup_batch_widens_only_the_join_keys():
+    """A lookup packs its keys in the searched join-key store's format: a
+    batch whose join keys do not fit narrow keys widens that store, once,
+    and leaves the tuple-key store alone; a narrow batch is then packed wide,
+    and a later merge carries on from both formats."""
+    pool = _row_pool(3)
+    device = _fresh_device()
+    full = HISA(device, pool[:200], (0, 1), label="w")
+    full.merge(HISA(device, pool[200:260], (0, 1), label="w.d", build_hash_index=False), EagerBufferManager(device))
+    assert full.run_sizes == [200, 60] and full.table.n_tables == 1
+    assert not is_wide_keys(full._stores[1]) and not is_wide_keys(full._stores[2])
+    keys = np.concatenate([pool[:260, :2], pool[:5, :2] + np.array([1 << 40, 0])])
+    expected = [{tuple(row) for row in pool[:260].tolist() if row[:2] == key} for key in keys.tolist()]
+    assert _rows_per_key(full, keys) == expected
+    assert is_wide_keys(full._stores[2]) and not is_wide_keys(full._stores[1])
+    assert _rows_per_key(full, keys[250:]) == expected[250:]
+    full.merge(HISA(device, pool[260:300], (0, 1), label="w.d", build_hash_index=False), EagerBufferManager(device))
+    _assert_matches_scratch(full, pool[:300], (0, 1), base=200)
+
+
+def test_an_empty_index_builds_no_table():
+    """A relation loaded with no rows (an IDB before its first iteration)
+    pushes no table on its prefix index — no build charged, no slab
+    allocated; a lookup misses, and the first merge answers like a
+    from-scratch build."""
+    device = _fresh_device()
+    relation = Relation(device, "alias", 2)
+    relation.require_index((0,))
+    before = len(device.profiler.events)
+    relation.initialize(np.empty((0, 2), dtype=np.int64))
+    charged = [event.cost for event in device.profiler.events[before:]]
+    assert not any(cost.kernel.endswith(".table.build") for cost in charged)
+    assert sum(cost.allocations for cost in charged) == 0
+    index = relation.full_indexes[(0,)]
+    assert index.table.n_tables == 0 and index.memory_breakdown().table_bytes == 0
+    assert _rows_per_key(index, np.array([[1], [7]])) == [set(), set()]
+    rows = _random_unique_rows(np.random.default_rng(4), 80, arity=2, hi=9)
+    relation.add_new(rows)
+    relation.end_iteration()
+    _assert_matches_scratch(relation.full_indexes[(0,)], rows, (0,), base=0)
 
 
 def test_contains_after_incremental_merges():
