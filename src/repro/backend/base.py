@@ -318,22 +318,35 @@ class ArrayBackend(ABC):
         layout = tuple((low, (high - low).bit_length()) for low, high in zip(lows, highs))
         if sum(width for _, width in layout) > 64:
             return None
+        # A 0-bit field holds only its minimum and contributes nothing.  The
+        # others are packed raw in Horner form, and their minima come off in
+        # one final pass as one combined offset: uint64 arithmetic wraps, so
+        # ``sum(column << shift) - sum(minimum << shift)`` is exact even where
+        # int64 would overflow.  A later field is narrower than 64 bits, as
+        # the first field's width is at least 1.
+        fields = [(j, width) for j, (_, width) in enumerate(layout) if width]
+        shift = sum(width for _, width in layout)
+        combined = 0
+        for minimum, width in layout:
+            shift -= width
+            if width:
+                combined += minimum << shift
         lengths = [int(columns[0].shape[0]) for columns in batches]
         keys = self.empty(sum(lengths), dtype=self.uint64)
-        offset = 0
+        start = 0
         for columns, length in zip(batches, lengths):
-            # Horner form, in place in the key buffer: uint64 arithmetic wraps,
-            # so ``column - minimum`` is exact even where int64 would overflow.
-            part = keys[offset : offset + length]
-            offset += length
-            for position, (column, (minimum, width)) in enumerate(zip(columns, layout)):
+            part = keys[start : start + length]
+            start += length
+            if not fields:
+                part[...] = 0
+                continue
+            for position, (j, width) in enumerate(fields):
                 if position == 0:
-                    part[...] = column.view(self.uint64)
+                    part[...] = columns[j].view(self.uint64)
                 else:
-                    if 0 < width < 64:  # width 64 means every earlier field is 0 wide
-                        part <<= np.uint64(width)
-                    part += column.view(self.uint64)
-                part -= _u64(minimum)
+                    part <<= np.uint64(width)
+                    part += columns[j].view(self.uint64)
+            part -= _u64(combined)
         return keys, layout
 
     def unpack_sort_keys(self, keys: Array, layout: SortKeyLayout) -> list[Array]:

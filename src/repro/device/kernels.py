@@ -76,6 +76,27 @@ def host_lexsort_columns(
     return _lexsort(HOST_BACKEND, columns, n_rows)
 
 
+#: A packed batch of ``n`` rows whose key space (``2**bits``) has at most this
+#: many slots per row is deduplicated through an occupancy table instead of a
+#: sort: on the host, marking and scanning the table beats sorting the keys up
+#: to about 5 slots a row and loses from about 8.
+DENSE_KEY_SLOTS_PER_ROW = 4
+#: The occupancy table also has at most ``2**DENSE_KEY_MAX_BITS`` slots (4 MiB):
+#: past that its scattered marks miss the cache, and it loses to the sort even
+#: at 2 slots a row.
+DENSE_KEY_MAX_BITS = 22
+
+
+def _occupied_keys(backend: ArrayBackend, keys: Array, bits: int) -> Array:
+    """The distinct values of ``keys`` (each below ``2**bits``), ascending:
+    marked in a ``2**bits``-entry occupancy table and read back in order."""
+    occupied = backend.zeros(1 << bits, dtype=backend.bool_)
+    # An array-protocol scatter-write, indexed as int64: NumPy copies a
+    # uint64 index array before it scatters.
+    occupied[keys.view(backend.int64)] = True
+    return backend.nonzero_indices(occupied).view(backend.uint64)
+
+
 def rows_nbytes(n_rows: int, arity: int) -> int:
     """Bytes occupied by ``n_rows`` tuples of the given arity."""
     return int(n_rows) * int(arity) * TUPLE_ITEMSIZE
@@ -88,8 +109,9 @@ class PackedColumns:
     What :meth:`DeviceKernels.concatenate_packed` hands to
     :meth:`DeviceKernels.unique_columns` in place of ``arity`` concatenated
     columns (see :meth:`ArrayBackend.pack_sort_keys` for the key layout).
-    ``len()`` and ``nbytes`` describe the logical batch — rows, and the bytes
-    its unpacked columns would occupy — like a ``ColumnBatch``.
+    The keys are the dedup's scratch: ``unique_columns`` may sort them in
+    place.  ``len()`` and ``nbytes`` describe the logical batch — rows, and
+    the bytes its unpacked columns would occupy — like a ``ColumnBatch``.
     """
 
     backend: ArrayBackend
@@ -474,12 +496,14 @@ class DeviceKernels:
 
         When the columns' observed ranges fit one 64-bit key (or the caller
         already holds them as :class:`PackedColumns`, which this consumes) the
-        batch is packed, the single key column is *value*-sorted in place,
-        adjacent keys are compared, and only the survivors are unpacked — no
-        sort permutation, no per-column gather.  Wider batches take the
-        per-column lexsort.  Both routes charge the same kernels with the same
-        costs, in the same order: the route is a host matter, the simulated
-        device runs radix passes over the key either way.
+        batch is packed and only the distinct keys are unpacked — no sort
+        permutation, no per-column gather.  A dense key space (at most
+        :data:`DENSE_KEY_SLOTS_PER_ROW` slots a row) finds them by marking an
+        occupancy table; any other packed batch value-sorts its keys in place
+        and compares adjacent keys.  Wider batches take the per-column
+        lexsort.  Every route charges the same kernels with the same costs, in
+        the same order: the route is a host matter, the simulated device runs
+        radix passes over the key either way.
         """
         if isinstance(columns, PackedColumns):
             return self._unique_packed(columns, label)
@@ -499,20 +523,32 @@ class DeviceKernels:
         return self.compact_columns(sorted_columns, mask, label=f"{label}.compact")
 
     def _unique_packed(self, packed: PackedColumns, label: str) -> list[Array]:
-        """The packed route of :meth:`unique_columns`; sorts ``packed.keys`` in place."""
+        """The packed route of :meth:`unique_columns`; consumes ``packed.keys``.
+
+        The distinct keys, ascending, come from one of two host routes chosen
+        by the data.  A *dense* batch — one whose key space, ``2**bits`` for
+        the layout's total width, has at most :data:`DENSE_KEY_SLOTS_PER_ROW`
+        slots per row and at most ``2**DENSE_KEY_MAX_BITS`` slots — marks an
+        occupancy table (:func:`_occupied_keys`); any other batch value-sorts
+        its keys in place and compares adjacent keys.  Both charge the same
+        radix sort, gathers, mask and compaction.
+        """
         backend = self._backend
         keys, n, arity = packed.keys, len(packed), packed.arity
         # A stable sort permutation is monotone exactly when the input is
         # already sorted, which for one key column is a single ``>=`` pass.
         coalesced = backend.is_monotone(keys)
-        if not coalesced:
-            keys.sort()
+        bits = sum(width for _, width in packed.layout)
+        if bits <= DENSE_KEY_MAX_BITS and (1 << bits) <= DENSE_KEY_SLOTS_PER_ROW * n:
+            survivors = _occupied_keys(backend, keys, bits)
+        else:
+            if not coalesced:
+                keys.sort()
+            survivors = keys[backend.adjacent_unique_mask([keys], n_rows=n)]
         self._charge_lexsort(n, arity, f"{label}.sort")
         for _ in range(arity):
             self._charge_gather_column(n, TUPLE_ITEMSIZE, coalesced, f"{label}.gather")
-        mask = backend.adjacent_unique_mask([keys], n_rows=n)
         self._charge_adjacent_unique(n, float(packed.nbytes), arity, f"{label}.mask")
-        survivors = keys[mask]
         self._charge_compact_columns(
             float(packed.nbytes),
             float(rows_nbytes(int(survivors.shape[0]), arity)),

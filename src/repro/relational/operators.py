@@ -468,13 +468,15 @@ def select(
 def deduplicate(
     device: Device, rows: "ColumnBatch | PackedColumns", *, label: str = "deduplicate"
 ) -> ColumnBatch:
-    """Sort + adjacent-compare + compact deduplication [R4].
+    """Sort + adjacent-compare + compact deduplication [R4], as charged.
 
     :meth:`DeviceKernels.unique_columns` packs the columns into one 64-bit
     sort key when their observed ranges allow and sorts column by column
     otherwise; a batch that already is one packed key column
     (:class:`PackedColumns`, the gathered *new* version) is consumed as it
-    is.  Every route leaves the result in natural lexicographic order.
+    is.  On the host a packed batch with a dense key space marks an
+    occupancy table instead of sorting.  Every route leaves the result in
+    natural lexicographic order and charges the device the same sort.
     """
     if isinstance(rows, PackedColumns):
         if len(rows) <= 1:

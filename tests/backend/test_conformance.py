@@ -25,7 +25,7 @@ from repro.backend import (
 )
 from repro.errors import BackendContractError, BackendUnavailableError
 
-from tests.helpers import reference_unique
+from tests.helpers import horner_pack_sort_keys, reference_unique
 
 BACKEND_PARAMS = [
     pytest.param("numpy", id="numpy"),
@@ -296,6 +296,44 @@ def test_pack_sort_keys_dedup_matches_reference(batch, split):
         assert all(column.dtype == backend.int64 for column in unique)
         expected = reference_unique([np.asarray(column, dtype=np.int64) for column in batch])
         assert [to_host_list(backend, c) for c in unique] == [c.tolist() for c in expected]
+
+
+@settings(max_examples=120, deadline=None)
+@given(batch=sort_key_batches(), split=st.integers(0, 40))
+def test_pack_sort_keys_matches_the_horner_packer(batch, split):
+    """One combined offset subtracted at the end gives the keys and layout of
+    subtracting every column's minimum in its own pass (uint64 wraps)."""
+    for spec in ("numpy", "guard"):
+        backend = get_backend(spec)
+        columns = [backend.from_host(column, dtype=backend.int64) for column in batch]
+        split = min(split, len(batch[0]))
+        for batches in ([columns], [[c[:split] for c in columns], [c[split:] for c in columns]]):
+            packed = backend.pack_sort_keys(*batches)
+            expected = horner_pack_sort_keys(backend, *batches)
+            if expected is None:
+                assert packed is None
+                continue
+            assert packed[1] == expected[1]
+            assert to_host_list(backend, packed[0]) == to_host_list(backend, expected[0])
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        [[INT64_MAX, INT64_MIN, 0]],  # one 64-bit column
+        [[3, 3], [INT64_MIN, INT64_MAX], [9, 9]],  # 0-bit fields around a 64-bit one
+        [[INT64_MIN, INT64_MIN], [INT64_MAX, INT64_MAX - 1]],  # extreme minima, 0 + 1 bits
+        [[-5, -5, -5], [2**41, 2**41, 2**41]],  # every field 0 bits wide
+        [[INT64_MIN, INT64_MIN + 1], [-(2**30), 2**30], [INT64_MAX, INT64_MAX]],  # 1 + 31 + 0 bits
+        [[INT64_MIN, -1], [5, 5]],  # 63 + 0 bits
+    ],
+)
+def test_pack_sort_keys_matches_the_horner_packer_at_the_edges(backend, columns):
+    columns = [backend.from_host(column, dtype=backend.int64) for column in columns]
+    keys, layout = backend.pack_sort_keys(columns)
+    expected_keys, expected_layout = horner_pack_sort_keys(backend, columns)
+    assert layout == expected_layout
+    assert to_host_list(backend, keys) == to_host_list(backend, expected_keys)
 
 
 def test_pack_sort_keys_edges(backend):

@@ -207,6 +207,42 @@ def reference_unique(columns: list[np.ndarray]) -> list[np.ndarray]:
     return [column[keep] for column in columns]
 
 
+def horner_pack_sort_keys(backend, *batches):
+    """``ArrayBackend.pack_sort_keys`` as it was first written: every field in
+    Horner form, each column's minimum subtracted in its own pass over the key
+    buffer.  The oracle for the packer, which subtracts one combined offset."""
+    arity = len(batches[0])
+    if arity == 0:
+        return None
+    batches = [
+        [backend.asarray(column, dtype=np.int64) for column in columns]
+        for columns in batches
+        if int(columns[0].shape[0])
+    ]
+    if not batches:
+        return backend.empty(0, dtype=backend.uint64), ((0, 0),) * arity
+    lows = [min(int(columns[j].min()) for columns in batches) for j in range(arity)]
+    highs = [max(int(columns[j].max()) for columns in batches) for j in range(arity)]
+    layout = tuple((low, (high - low).bit_length()) for low, high in zip(lows, highs))
+    if sum(width for _, width in layout) > 64:
+        return None
+    lengths = [int(columns[0].shape[0]) for columns in batches]
+    keys = backend.empty(sum(lengths), dtype=backend.uint64)
+    offset = 0
+    for columns, length in zip(batches, lengths):
+        part = keys[offset : offset + length]
+        offset += length
+        for position, (column, (minimum, width)) in enumerate(zip(columns, layout)):
+            if position == 0:
+                part[...] = column.view(backend.uint64)
+            else:
+                if 0 < width < 64:  # width 64 means every earlier field is 0 wide
+                    part <<= np.uint64(width)
+                part += column.view(backend.uint64)
+            part -= np.uint64(minimum % (1 << 64))
+    return keys, layout
+
+
 def naive_datalog(source: str, facts: dict) -> dict[str, set[tuple[int, ...]]]:
     """Reference Datalog evaluation: naive fixpoint over Python sets.
 
