@@ -51,10 +51,8 @@ from .planner import (
     GREEDY,
     PLANNERS,
     WCOJ,
-    Planner,
     ProgramPlan,
     plan_program,
-    version_required_indexes,
 )
 from .seminaive import EvaluationStats, SemiNaiveEvaluator, WorkloadTrace
 from .sharded import DEFAULT_REPLICATE_MAX_BYTES, shard_columns_for_plan
@@ -323,8 +321,6 @@ class EvaluationResult:
     #: one entry per rule version: chosen join order, algorithm, estimated
     #: vs. observed cardinalities (feeds ``GPULogEngine.explain()``)
     plan_report: tuple = field(default_factory=tuple)
-    #: recursive versions whose pipeline changed under adaptive replanning
-    replans: int = 0
 
     def relation(self, name: str) -> list[tuple[FactValue, ...]]:
         """Tuples of ``name`` (decoded), or an empty list if unknown."""
@@ -385,7 +381,6 @@ class GPULogEngine:
         overlap: bool | None = None,
         replicate_max_bytes: int = DEFAULT_REPLICATE_MAX_BYTES,
         planner: str | None = None,
-        replan_every: int = 8,
     ) -> None:
         resolved_shards = num_shards if num_shards is not None else _default_num_shards()
         if resolved_shards < 1:
@@ -468,10 +463,6 @@ class GPULogEngine:
                 f"unknown planner {resolved_planner!r}; expected one of {', '.join(PLANNERS)}"
             )
         self.planner = resolved_planner
-        #: re-plan recursive versions every N fixpoint iterations when
-        #: observed cardinalities drift ≥ 2x from estimates (0 disables;
-        #: only active for the statistics-driven planners)
-        self.replan_every = int(replan_every)
         #: newest iteration-boundary checkpoint from the most recent run
         self.last_checkpoint: EvaluationCheckpoint | None = None
         #: result of the most recent run/resume (feeds :meth:`explain`)
@@ -535,9 +526,10 @@ class GPULogEngine:
 
         # Statistics-driven planners measure the staged host facts before
         # planning (exact per-column distincts and max value frequencies —
-        # host-side introspection, nothing is charged).  The greedy planner
-        # plans stat-free, keeping its kernel sequence byte-identical to the
-        # legacy path.
+        # host-side introspection, nothing is charged); the plan is a pure
+        # function of that catalog and holds for the whole run.  The greedy
+        # planner plans stat-free, keeping its kernel sequence byte-identical
+        # to the legacy path.
         catalog: StatsCatalog | None = None
         staged_rows: dict[str, np.ndarray] = {}
         if self.planner != GREEDY:
@@ -553,7 +545,7 @@ class GPULogEngine:
                     catalog.ensure(relation_name, arity)
         plan = plan_program(analysis, planner=self.planner, stats=catalog)
 
-        return self._run(program, analysis, plan, arities, catalog, staged_rows)
+        return self._run(program, analysis, plan, arities, staged_rows)
 
     def _run(
         self,
@@ -561,7 +553,6 @@ class GPULogEngine:
         analysis,
         plan: ProgramPlan,
         arities: dict[str, int],
-        catalog: StatsCatalog | None,
         staged_rows: dict[str, np.ndarray],
         resume_from: EvaluationCheckpoint | None = None,
     ) -> EvaluationResult:
@@ -573,7 +564,7 @@ class GPULogEngine:
         :mod:`repro.datalog.sharded`; levers: ``replicate_max_bytes``,
         ``overlap``).  One shard is the same path with nothing to exchange.
         """
-        evaluator = self._build(program, plan, arities, catalog)
+        evaluator = self._build(program, plan, arities)
         idb_facts = self._load_facts(program, analysis, staged_rows) if resume_from is None else {}
         try:
             stats = evaluator.evaluate(idb_facts, resume_from=resume_from)
@@ -587,7 +578,6 @@ class GPULogEngine:
         program: Program,
         plan: ProgramPlan,
         arities: dict[str, int],
-        catalog: StatsCatalog | None,
         required_indexes: "Iterable[tuple[str, tuple[int, ...]]] | None" = None,
     ) -> SemiNaiveEvaluator:
         """Build this engine's relations for ``plan`` and the driver over them.
@@ -597,10 +587,6 @@ class GPULogEngine:
         that load's shared sort.  The serving engine passes a superset: its
         epoch and re-derive versions probe indexes the bootstrap plan does not.
         """
-        # Merge-maintained statistics, and the adaptive replanner that reads
-        # them, exist on one shard only: a shard's merge reports the counts
-        # of its partition, which would overwrite the relation's.
-        adaptive = catalog is not None and self.num_shards == 1
         shard_columns = shard_columns_for_plan(plan, arities)
         self.relations = {
             relation_name: ShardedRelation(
@@ -610,7 +596,6 @@ class GPULogEngine:
                 shard_column=shard_columns.get(relation_name, 0),
                 load_factor=self.load_factor,
                 eager_buffers=self.eager_buffers,
-                stats=catalog if adaptive else None,
             )
             for relation_name, arity in arities.items()
         }
@@ -628,8 +613,6 @@ class GPULogEngine:
             max_retries=self.max_retries,
             program_name=program.name,
             program_source=str(program),
-            replan_every=self.replan_every if adaptive else 0,
-            replanner=self._make_replanner(plan.analysis, catalog) if adaptive else None,
             overlap=self.overlap,
             replicate_max_bytes=self.replicate_max_bytes,
         )
@@ -680,7 +663,7 @@ class GPULogEngine:
                     f"the program expects {known}"
                 )
 
-        return self._run(program, analysis, plan, arities, catalog=None, staged_rows={}, resume_from=checkpoint)
+        return self._run(program, analysis, plan, arities, staged_rows={}, resume_from=checkpoint)
 
     def close(self) -> None:
         """Release all simulated device memory held by the engine's relations.
@@ -761,43 +744,22 @@ class GPULogEngine:
         rows = np.concatenate([np.asarray(p, dtype=np.int64).reshape(-1, arity) for p in parts], axis=0)
         return rows
 
-    def _make_replanner(self, analysis, catalog: StatsCatalog):
-        """Adaptive replanning hook: re-plan one version against live stats.
-
-        Each call plans against a fresh snapshot of the merge-maintained
-        catalog (so delta-scan versions see current delta cardinalities) and
-        backfills whatever indexes the fresh pipeline probes.
-        """
-        planner_name = self.planner
-
-        def replan(version):
-            planner = Planner(analysis, planner=planner_name, stats=catalog.snapshot())
-            replacement = planner.plan_version(version.rule, version.delta_atom_index)
-            for relation_name, columns in version_required_indexes(replacement):
-                relation = self.relations.get(relation_name)
-                if relation is not None:
-                    relation.build_index(columns)
-            return replacement
-
-        return replan
-
     def _plan_report(self, plan: ProgramPlan, evaluator: SemiNaiveEvaluator) -> tuple:
         report = []
         for rule, rule_plan in plan.rule_plans.items():
             for version in rule_plan.versions:
                 entry = evaluator.version_observations.get((id(rule), version.delta_atom_index))
-                current = entry["version"] if entry else version
                 report.append(
                     {
                         "rule": str(rule),
-                        "head": current.head_relation,
-                        "delta_atom": current.delta_atom_index,
-                        "planner": current.planner,
-                        "algorithm": WCOJ if evaluator.runs_generic_join(current) else BINARY,
-                        "planned_algorithm": current.algorithm,
-                        "atom_order": list(current.atom_order),
-                        "estimated_rows": current.estimated_rows,
-                        "estimated_cost": current.estimated_cost,
+                        "head": version.head_relation,
+                        "delta_atom": version.delta_atom_index,
+                        "planner": version.planner,
+                        "algorithm": WCOJ if evaluator.runs_generic_join(version) else BINARY,
+                        "planned_algorithm": version.algorithm,
+                        "atom_order": list(version.atom_order),
+                        "estimated_rows": version.estimated_rows,
+                        "estimated_cost": version.estimated_cost,
                         "observed_rows": float(entry["rows"]) if entry else 0.0,
                         "executions": int(entry["executions"]) if entry else 0,
                         "distinct_outer": Counter(entry["distinct_outer"]) if entry else Counter(),
@@ -818,13 +780,12 @@ class GPULogEngine:
         how many of them made the outer distinct on its live columns before
         expanding it (fired, see ``hash_join``) and what that did to the outer
         row count; ``observed_rows`` counts the outputs *after* that distinct
-        — rows the joins really produced, which is also what the adaptive
-        replanner compares with its estimate.
+        — rows the joins really produced.
         """
         result = self.last_result
         if result is None:
             return "no run to explain (call run() first)"
-        lines = [f"planner={result.planner} replans={result.replans}"]
+        lines = [f"planner={result.planner}"]
         for entry in result.plan_report:
             estimated = entry["estimated_rows"]
             estimated_text = f"{estimated:.1f}" if estimated is not None else "n/a"
@@ -930,7 +891,6 @@ class GPULogEngine:
             broadcast_joins=exchange.broadcast_joins,
             planner=self.planner,
             plan_report=self._plan_report(plan, evaluator),
-            replans=evaluator.replans,
         )
         self.last_result = result
         return result

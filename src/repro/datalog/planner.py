@@ -26,8 +26,9 @@ Three planning modes choose the pipeline:
   ``|O ⋈ A| = |O|·|A| / Π_v max(d_O(v), d_A(v))`` over the shared variables;
   the planner minimizes C_out (the sum of intermediate sizes), exhaustively
   for bodies of at most :data:`EXHAUSTIVE_MAX_ATOMS` atoms and greedily by
-  cheapest next join beyond.  Delta-scan versions cost the outer scan at the
-  relation's *delta* cardinality.
+  cheapest next join beyond.  The statistics are measured once, from the
+  loaded facts, so a delta-scan version costs its outer scan at the
+  relation's row count too.
 * ``"cost+wcoj"`` — additionally considers the worst-case-optimal generic
   join (:mod:`repro.relational.wcoj`) for *cyclic* rule bodies (GYO
   reduction does not empty the hypergraph).  A WCOJ version binds one new
@@ -348,12 +349,10 @@ class Planner:
 
         if self.planner == GREEDY:
             order = self._order_atoms(body, outer_index, rule)
-            estimate = self._estimate_order(body, outer_index, order, version_tag)
+            estimate = self._estimate_order(body, order)
             step_rows, cost, worst_cost = estimate if estimate is not None else ((), None, None)
         else:
-            order, step_rows, cost, worst_cost = self._order_atoms_by_cost(
-                body, outer_index, rule, version_tag
-            )
+            order, step_rows, cost, worst_cost = self._order_atoms_by_cost(body, outer_index, rule)
 
         if self.planner == COST_WCOJ:
             wcoj = self._try_plan_wcoj(rule, delta_atom_index, version_tag, binary_cost=worst_cost)
@@ -465,15 +464,7 @@ class Planner:
         }
         return rows, distincts, seen
 
-    def _atom_rows(self, body: list[Atom], index: int, outer_index: int, version_tag: str) -> float:
-        atom = body[index]
-        if index == outer_index and version_tag == DELTA:
-            return self.stats.delta_rows(atom.relation)
-        return self.stats.rows(atom.relation)
-
-    def _estimate_order(
-        self, body: list[Atom], outer_index: int, order: list[int], version_tag: str
-    ) -> tuple[list[float], float, float] | None:
+    def _estimate_order(self, body: list[Atom], order: list[int]) -> tuple[list[float], float, float] | None:
         """Estimate one join order: per-step rows, C_out, and worst-case C_out.
 
         Returns ``None`` if the order needs a cross product (an atom joins on
@@ -484,7 +475,7 @@ class Planner:
         case that decides binary-vs-WCOJ, bound against bound.
         """
         rows, distincts, _ = self._scan_estimate(
-            body[order[0]], self._atom_rows(body, order[0], outer_index, version_tag)
+            body[order[0]], self.stats.rows(body[order[0]].relation)
         )
         step_rows = [rows]
         cost = 0.0
@@ -493,7 +484,7 @@ class Planner:
         for index in order[1:]:
             atom = body[index]
             inner_rows, inner_d, inner_columns = self._scan_estimate(
-                atom, self._atom_rows(body, index, outer_index, version_tag)
+                atom, self.stats.rows(atom.relation)
             )
             shared = [name for name in inner_d if name in distincts]
             if not shared:
@@ -518,7 +509,7 @@ class Planner:
         return step_rows, cost, worst_cost
 
     def _order_atoms_by_cost(
-        self, body: list[Atom], outer_index: int, rule: Rule, version_tag: str
+        self, body: list[Atom], outer_index: int, rule: Rule
     ) -> tuple[list[int], list[float], float, float]:
         """Pick the cheapest connected join order by estimated C_out.
 
@@ -530,7 +521,7 @@ class Planner:
         others = [index for index in range(len(body)) if index != outer_index]
         if not others:
             order = [outer_index]
-            estimate = self._estimate_order(body, outer_index, order, version_tag)
+            estimate = self._estimate_order(body, order)
             step_rows, cost, worst_cost = estimate if estimate is not None else ([], 0.0, 0.0)
             return order, step_rows, cost, worst_cost
 
@@ -538,7 +529,7 @@ class Planner:
             best: tuple[float, tuple[int, ...], list[float], float] | None = None
             for permutation in itertools.permutations(others):
                 order = [outer_index, *permutation]
-                estimate = self._estimate_order(body, outer_index, order, version_tag)
+                estimate = self._estimate_order(body, order)
                 if estimate is None:
                     continue
                 step_rows, cost, worst_cost = estimate
@@ -559,7 +550,7 @@ class Planner:
         while remaining:
             scored: list[tuple[float, int]] = []
             for index in remaining:
-                estimate = self._estimate_order(body, outer_index, [*order, index], version_tag)
+                estimate = self._estimate_order(body, [*order, index])
                 if estimate is not None:
                     scored.append((estimate[0][-1], index))
             if not scored:
@@ -570,7 +561,7 @@ class Planner:
             _, chosen = min(scored)
             order.append(chosen)
             remaining.remove(chosen)
-        estimate = self._estimate_order(body, outer_index, order, version_tag)
+        estimate = self._estimate_order(body, order)
         assert estimate is not None
         step_rows, cost, worst_cost = estimate
         return order, step_rows, cost, worst_cost
@@ -608,7 +599,7 @@ class Planner:
         if order_vars is None:
             return None
 
-        bound_value = self._agm_bound(body, outer_index, version_tag)
+        bound_value = self._agm_bound(body)
         if bound_value is None:
             return None
         if binary_cost is not None and bound_value >= binary_cost:
@@ -772,7 +763,7 @@ class Planner:
                     assigned.add(index)
         return order
 
-    def _agm_bound(self, body: list[Atom], outer_index: int, version_tag: str) -> float | None:
+    def _agm_bound(self, body: list[Atom]) -> float | None:
         """AGM-style output bound ``Π_a |R_a|^{w_a}`` for a cyclic body.
 
         Uses the heuristic fractional edge cover ``w_a = 1 / max_{v∈a}
@@ -791,7 +782,7 @@ class Planner:
                 return None
         bound = 1.0
         for index, weight in enumerate(weights):
-            bound *= max(self._atom_rows(body, index, outer_index, version_tag), 1.0) ** weight
+            bound *= max(self.stats.rows(body[index].relation), 1.0) ** weight
         return bound
 
     @staticmethod

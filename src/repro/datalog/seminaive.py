@@ -235,8 +235,6 @@ class SemiNaiveEvaluator:
         max_retries: int = 3,
         program_name: str = "",
         program_source: str = "",
-        replan_every: int = 0,
-        replanner=None,
         overlap: bool = True,
         replicate_max_bytes: int = DEFAULT_REPLICATE_MAX_BYTES,
     ) -> None:
@@ -252,13 +250,6 @@ class SemiNaiveEvaluator:
         self.max_retries = int(max_retries)
         self.program_name = program_name
         self.program_source = program_source
-        #: adaptively re-plan recursive versions every N fixpoint iterations
-        #: (0 = static plans); requires ``replanner``
-        self.replan_every = int(replan_every)
-        #: callable ``(version) -> RuleVersion | None`` producing a fresh plan
-        #: for one rule version against *current* statistics (and building
-        #: whatever new indexes the fresh plan probes)
-        self.replanner = replanner
         #: double-buffered exchange/compute overlap lever
         self.overlap = bool(overlap)
         #: the exchange layer; shares this driver's device list and relations
@@ -275,12 +266,8 @@ class SemiNaiveEvaluator:
         self.checkpoint_restores = 0
         self.shard_rebuilds = 0
         self.oom_chunked_joins = 0
-        #: recursive versions whose pipeline actually changed on a replan
-        self.replans = 0
         #: per-version observed output rows and distinct-before-expand
-        #: counters, keyed by (rule identity, delta atom) so the key survives
-        #: version swaps; feeds ``explain()`` and the adaptive replanning
-        #: drift test
+        #: counters, keyed by (rule identity, delta atom); feeds ``explain()``
         self.version_observations: dict[tuple[int, int | None], dict] = {}
 
     # ------------------------------------------------------------------
@@ -498,7 +485,7 @@ class SemiNaiveEvaluator:
             # Stratum -1: the epoch fixpoint is joint across strata (sound for
             # the positive programs this engine evaluates — monotonicity makes
             # stratum order a scheduling choice, not a semantic one).
-            return self._run_fixpoint(-1, names, list(versions))
+            return self._run_fixpoint(-1, names, versions)
         finally:
             self.exchange.invalidate()
 
@@ -599,12 +586,6 @@ class SemiNaiveEvaluator:
                 self.save_checkpoint(stratum_index, iteration)
             if total_delta == 0:
                 break
-            if (
-                self.replanner is not None
-                and self.replan_every
-                and iteration % self.replan_every == 0
-            ):
-                recursive[:] = [self._maybe_replan(version) for version in recursive]
         return iteration, in_place_merges, rebuild_merges
 
     def _restart_overlap(self) -> None:
@@ -615,66 +596,28 @@ class SemiNaiveEvaluator:
                 device.profiler.begin_overlap_schedule()
 
     # ------------------------------------------------------------------
-    # Adaptive replanning
+    # Per-version observations (``explain()``)
     # ------------------------------------------------------------------
     @staticmethod
     def _version_key(version: RuleVersion) -> tuple[int, int | None]:
         return (id(version.rule), version.delta_atom_index)
 
     def _observation(self, version: RuleVersion) -> dict:
-        entry = self.version_observations.setdefault(
+        return self.version_observations.setdefault(
             self._version_key(version),
             {
                 "rows": 0.0,
                 "executions": 0,
-                "window_rows": 0.0,
-                "window_executions": 0,
                 # what the version's joins report about distinct-before-expand
                 # (``LiveOuter.report``)
                 "distinct_outer": Counter(),
             },
         )
-        entry["version"] = version
-        return entry
 
     def _observe_version(self, version: RuleVersion, rows: int) -> None:
         entry = self._observation(version)
         entry["rows"] += float(rows)
         entry["executions"] += 1
-        entry["window_rows"] += float(rows)
-        entry["window_executions"] += 1
-
-    def _maybe_replan(self, version: RuleVersion) -> RuleVersion:
-        """Swap in a fresh plan when observed output drifts ≥ 2x from estimate.
-
-        Drift is measured over the window since the last replan check; a
-        version whose average observed output stays within [0.5x, 2x] of its
-        estimate keeps its pipeline.  A replacement with the same atom order
-        and algorithm only refreshes the estimates (same kernels); a changed
-        pipeline counts as a replan.
-        """
-        entry = self.version_observations.get(self._version_key(version))
-        if entry is None or not entry["window_executions"]:
-            return version
-        estimated = version.estimated_rows
-        observed = entry["window_rows"] / entry["window_executions"]
-        entry["window_rows"] = 0.0
-        entry["window_executions"] = 0
-        if estimated is None:
-            return version
-        ratio = max(observed, 1.0) / max(estimated, 1.0)
-        if 0.5 <= ratio <= 2.0:
-            return version
-        replacement = self.replanner(version)
-        if replacement is None:
-            return version
-        if (replacement.atom_order, replacement.algorithm) != (
-            version.atom_order,
-            version.algorithm,
-        ):
-            self.replans += 1
-        entry["version"] = replacement
-        return replacement
 
     # ------------------------------------------------------------------
     # Fault recovery

@@ -63,8 +63,8 @@ index as a few geometrically sized sorted batches:
   keys once, walks every (key, run) pair of the runs with tables in one
   batched probe and searches the others' join keys,
   :meth:`HISA.expand_matches` emits the matches probe-major (what one GPU
-  thread per probe key walking its runs produces), and sorted-order readers
-  go through :meth:`HISA.compact`;
+  thread per probe key walking its runs produces); nothing reads the runs
+  as one sorted array, so nothing ever folds them back into one;
 * an index on *all* columns is the one every ``new - full`` difference,
   retract and WCOJ member check asks.  :meth:`HISA.contains_columns` packs
   the batch once and searches each small run — a merge path when the batch
@@ -205,11 +205,6 @@ class HISA:
         self.natural_arity = arity
         self._freed = False
         self.last_merge_in_place = False
-        # Optional statistics hook: called after every merge with the delta
-        # and post-merge tuple/distinct-key counts (maintained exactly, in
-        # O(Δ), by :meth:`merge` while it is set).  Wired by Relation when
-        # the engine runs with a StatsCatalog; see relational/stats.py.
-        self.stats_observer = None
 
         join_columns = tuple(int(c) for c in join_columns)
         if any(c < 0 or c >= arity for c in join_columns):
@@ -251,7 +246,7 @@ class HISA:
         # shared instead of re-sorted per index (callers guarantee the
         # precondition; it is not re-checked tuple by tuple).
         if assume_sorted and self.column_order == tuple(range(arity)):
-            sorted_index = backend.arange(n, dtype=backend.int64)
+            order = backend.arange(n, dtype=backend.int64)
             if n:
                 self.device.kernels.transform(
                     n,
@@ -260,18 +255,18 @@ class HISA:
                     label=f"{label}.adopt_sorted",
                 )
         else:
-            sorted_index = self.device.kernels.lexsort_columns(
+            order = self.device.kernels.lexsort_columns(
                 self.stored_columns(), label=f"{label}.sort_index", n_rows=n
             )
 
-        # --- Cached packed sort keys + key runs --------------------------------
+        # --- Cached packed sort keys ------------------------------------------
         # The index tier: the sorted index, the packed sort keys of the sorted
         # tuples and, unless the join key is the whole tuple (then the tuple
         # keys double as join keys: the last store is always the join keys),
         # the packed join keys.  Each is a capacity-backed array holding the
         # sorted runs ``[_bounds[r], _bounds[r + 1])`` end to end.
-        sorted_columns = [column[sorted_index] for column in self.stored_columns()]
-        self._stores: list[Array] = [sorted_index, backend.pack_lex_keys(sorted_columns)]
+        sorted_columns = [column[order] for column in self.stored_columns()]
+        self._stores: list[Array] = [order, backend.pack_lex_keys(sorted_columns)]
         if self.n_join < arity:
             self._stores.append(backend.pack_lex_keys(sorted_columns[: self.n_join]))
         # What the device reserves and moves per index-tier row, whatever the
@@ -281,9 +276,8 @@ class HISA:
             arity + (self.n_join if self.n_join < arity else 0)
         )
         self._bounds = [0, n]
-        run_starts, run_lengths = self._key_runs = _runs_from_keys(backend, self._stores[-1])
-        self._distinct_keys = int(run_starts.size)
-        self._max_run_length = int(run_lengths.max()) if self._distinct_keys else 0
+        # The key-run scan is charged for every index; the host finds the
+        # runs only for the table they key (below).
         if n:
             self.device.kernels.transform(
                 n,
@@ -304,6 +298,7 @@ class HISA:
             # iteration and epoch probes: it keeps a table whenever it holds
             # tuples.  Every other run follows :meth:`_keeps_table`.
             if n and (self.n_join < arity or self._keeps_table(n)):
+                run_starts, run_lengths = _runs_from_keys(backend, self._stores[-1])
                 self.table.insert_batch(
                     self._hash_keys([column[run_starts] for column in sorted_columns[: self.n_join]]),
                     run_starts,
@@ -334,20 +329,6 @@ class HISA:
     @property
     def arity(self) -> int:
         return self.natural_arity
-
-    @property
-    def distinct_key_count(self) -> int:
-        """Distinct join keys (see :meth:`_count_keys` for how they are kept)."""
-        if self._distinct_keys is None:
-            self._recount_keys()
-        return self._distinct_keys
-
-    @property
-    def max_run_length(self) -> int:
-        """Longest join-key run — the worst-case matches one probe key returns."""
-        if self._max_run_length is None:
-            self._recount_keys()
-        return self._max_run_length
 
     @property
     def run_sizes(self) -> list[int]:
@@ -393,29 +374,6 @@ class HISA:
     def natural_columns(self) -> list[Array]:
         """All columns in schema order — zero-copy views for ColumnBatch wrapping."""
         return [self.natural_column(column) for column in range(self.natural_arity)]
-
-    # -- sorted-order readers: one logical sorted array, via compact() -------
-    @property
-    def sorted_index(self) -> Array:
-        """Data positions of all tuples in sorted order (compacts the runs first)."""
-        self.compact()
-        return self._stores[0][: self._live]
-
-    @property
-    def run_starts(self) -> Array:
-        """Sorted-index position of each distinct join key's first tuple (compacts first)."""
-        return self._compacted_key_runs()[0]
-
-    @property
-    def run_lengths(self) -> Array:
-        """Tuples per distinct join key, in key order (compacts first)."""
-        return self._compacted_key_runs()[1]
-
-    def _compacted_key_runs(self) -> tuple[Array, Array]:
-        self.compact()
-        if self._key_runs is None:
-            self._key_runs = _runs_from_keys(self.backend, self._stores[-1][: self._live])
-        return self._key_runs
 
     # ------------------------------------------------------------------
     # Range queries (Algorithm 3 support)
@@ -663,9 +621,10 @@ class HISA:
         """Absorb ``delta``'s tuples into this HISA and return ``self``.
 
         ``delta`` must already be disjoint from ``self`` (the populate-delta
-        phase guarantees it), so no deduplication is performed.  ``delta`` is
-        consumed: its device buffers are freed and it must not be used
-        afterwards.  The delta's rows are appended to the data array and its
+        phase guarantees it), so no deduplication is performed, and one sorted
+        run, as the constructor builds it (:class:`HisaStateError` otherwise).
+        ``delta`` is consumed: its device buffers are freed and it must not be
+        used afterwards.  The delta's rows are appended to the data array and its
         sorted index pushed as the newest sorted run, which then absorbs the
         older runs it is at least half as large as (module docstring):
         amortised O(|Δ| log(|full|/|Δ|)), and nothing about the runs that stay
@@ -679,14 +638,14 @@ class HISA:
             raise SchemaError("cannot merge HISAs indexed on different join columns")
         if self.table is None:
             raise HisaStateError("cannot merge into a HISA built without a hash index")
+        if len(delta._bounds) > 2:
+            raise HisaStateError("a merge takes a delta of one sorted run, as its constructor builds")
         manager = buffer_manager if buffer_manager is not None else SimpleBufferManager(self.device, label=f"{self.label}.merge")
 
-        delta.compact(charge=charge)
         n, d = self._live, delta.tuple_count
         if d == 0:
             delta.free()
             self.last_merge_in_place = True
-            self._notify_stats(0, 0)
             return self
 
         parts = [store[:d] for store in delta._stores]
@@ -700,76 +659,13 @@ class HISA:
                 parts[position] = delta._wide_store(position)[:d]
         self._append_data(delta, manager, charge=charge)
         first = first_absorbed(self.run_sizes, d)
-        # Statistics, push, path merges, key-run scan, key hashing and table
-        # build stream the touched runs once each: one fused epilogue, plus a
-        # search and a scatter launch per path merge beyond the first's scatter.
+        # Push, path merges, key-run scan, key hashing and table build stream
+        # the touched runs once each: one fused epilogue, plus a search and a
+        # scatter launch per path merge beyond the first's scatter.
         with self.device.fused(f"{self.label}.merge_finalize", launches=max(1, 2 * (len(self._bounds) - 1 - first))):
-            self._count_keys(delta, charge=charge)
             self._seal(first, parts, charge=charge)
         delta.free()
-        self._notify_stats(d, delta.distinct_key_count)
         return self
-
-    def compact(self, *, charge: bool = True) -> "HISA":
-        """Merge every sorted run into one, so the index tier is one sorted array again."""
-        self._check_live()
-        absorbed = len(self._bounds) - 2
-        if absorbed:
-            with self.device.fused(f"{self.label}.compact", launches=2 * absorbed):
-                newest = [store[self._bounds[-2] : self._live] for store in self._stores]
-                del self._bounds[-1]
-                self._seal(0, newest, charge=charge)
-        return self
-
-    def _count_keys(self, delta: "HISA", *, charge: bool) -> None:
-        """Keep ``distinct_key_count`` / ``max_run_length`` across a merge.
-
-        The delta of an all-column index is disjoint from ``self`` by
-        construction: both are a sum and a maximum.  On fewer columns a join
-        key can sit in several sorted runs, so neither is; only the
-        statistics catalog reads them during a fixpoint, so only while a
-        :attr:`stats_observer` is attached are the delta's distinct keys
-        looked up in the runs already here (the multi-run probe a join does,
-        charged like one), in O(Δ).  Otherwise both are marked unknown, and
-        reading one recounts both (:meth:`_recount_keys`).
-        """
-        if self.n_join == self.natural_arity:
-            self._distinct_keys += delta._distinct_keys
-            self._max_run_length = max(self._max_run_length, delta._max_run_length)
-            return
-        if self.stats_observer is None:
-            self._distinct_keys = self._max_run_length = None
-            return
-        distinct, longest = self.distinct_key_count, self.max_run_length
-        run_starts, run_lengths = delta._compacted_key_runs()
-        first_rows = delta._stores[0][run_starts]
-        key_columns = [delta.stored_column(position)[first_rows] for position in range(self.n_join)]
-        _, already = self.lookup_columns(key_columns, charge=charge)
-        self._distinct_keys = distinct + self.backend.count_nonzero(already == 0)
-        self._max_run_length = max(longest, int((already + run_lengths).max()))
-
-    def _recount_keys(self) -> None:
-        """Count the distinct join keys and the longest key run exactly, by
-        sorting the stored join columns: host introspection, not charged,
-        kept until the next merge.  Only the rows the sorted runs index are
-        counted: inside a merge, the appended delta is not yet one of them."""
-        backend = self.backend
-        indexed = self._bounds[-1]
-        columns = [self._column_storage[position][:indexed] for position in range(self.n_join)]
-        order = backend.lexsort(columns, n_rows=indexed)
-        _, run_lengths = _runs_from_keys(backend, backend.pack_lex_keys([column[order] for column in columns]))
-        self._distinct_keys = int(run_lengths.size)
-        self._max_run_length = int(run_lengths.max()) if self._distinct_keys else 0
-
-    def _notify_stats(self, delta_rows: int, delta_distinct: int) -> None:
-        if self.stats_observer is not None:
-            self.stats_observer(
-                delta_rows=delta_rows,
-                delta_distinct=delta_distinct,
-                total_rows=self.tuple_count,
-                total_distinct=self.distinct_key_count,
-                max_multiplicity=self.max_run_length,
-            )
 
     # -- data-tier helper ------------------------------------------------
     def _append_data(self, delta: "HISA", manager: MergeBufferManager, *, charge: bool) -> None:
@@ -848,7 +744,6 @@ class HISA:
         start, size = bounds[first], int(parts[0].shape[0])
         end = start + size
         bounds.append(end)
-        self._key_runs = None
         capacity = int(self._stores[0].shape[0])
         if start == 0 and end > capacity:
             # Everything was absorbed and has outgrown the stores: the merged

@@ -102,7 +102,6 @@ class Relation:
         load_factor: float = DEFAULT_LOAD_FACTOR,
         eager_buffers: bool = True,
         identity_index: bool = True,
-        stats: "object | None" = None,
     ) -> None:
         if arity <= 0:
             raise SchemaError(f"relation {name!r} must have positive arity, got {arity}")
@@ -110,9 +109,6 @@ class Relation:
         self.backend = device.backend
         self.name = name
         self.arity = int(arity)
-        #: Optional StatsCatalog; every index merge reports its (free)
-        #: delta/total counts into it for the cost-based planner.
-        self.stats = stats
         self.load_factor = float(load_factor)
         self.eager_buffers = bool(eager_buffers)
 
@@ -181,7 +177,6 @@ class Relation:
                 eager=self.eager_buffers,
                 label=f"{self.name}.merge_buffer",
             )
-            self._attach_stats(self.full_indexes[join_columns], join_columns)
 
     @property
     def index_column_sets(self) -> set[tuple[int, ...]]:
@@ -241,7 +236,6 @@ class Relation:
                     eager=self.eager_buffers,
                     label=f"{self.name}.merge_buffer",
                 )
-                self._attach_stats(self.full_indexes[columns], columns)
 
     def add_new(self, rows: "Array | ColumnBatch") -> None:
         """Append freshly derived tuples (a batch, or host rows to upload) to *new*.
@@ -593,38 +587,6 @@ class Relation:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _attach_stats(self, hisa: HISA, columns: tuple[int, ...]) -> None:
-        """Point one index's merge observer at the shared stats catalog.
-
-        The initial build counts as a merge of the whole relation (iteration
-        1's delta scan reads exactly these rows), so the catalog is seeded
-        immediately rather than waiting for the first end_iteration.
-        """
-        if self.stats is None:
-            return
-        catalog, name, arity = self.stats, self.name, self.arity
-
-        def observe(*, delta_rows, delta_distinct, total_rows, total_distinct, max_multiplicity=None):
-            catalog.observe_merge(
-                name,
-                arity,
-                columns,
-                delta_rows=delta_rows,
-                delta_distinct=delta_distinct,
-                total_rows=total_rows,
-                total_distinct=total_distinct,
-                max_multiplicity=max_multiplicity,
-            )
-
-        hisa.stats_observer = observe
-        observe(
-            delta_rows=hisa.tuple_count,
-            delta_distinct=hisa.distinct_key_count,
-            total_rows=hisa.tuple_count,
-            total_distinct=hisa.distinct_key_count,
-            max_multiplicity=hisa.max_run_length,
-        )
-
     def _upload(self, rows: Array, edge: str) -> ColumnBatch:
         return ColumnBatch.from_host(self.device, rows, self.arity, label=f"{self.name}.{edge}")
 

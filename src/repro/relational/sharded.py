@@ -138,7 +138,6 @@ class ShardedRelation:
         shard_column: int = 0,
         load_factor: float = DEFAULT_LOAD_FACTOR,
         eager_buffers: bool = True,
-        stats: "object | None" = None,
     ) -> None:
         if not devices:
             raise SchemaError(f"sharded relation {name!r} needs at least one device")
@@ -156,12 +155,8 @@ class ShardedRelation:
             load_factor=load_factor,
             eager_buffers=eager_buffers,
         )
-        #: Optional StatsCatalog for the planner.  A shard's merges report
-        #: the counts of its partition, so only a caller with one shard may
-        #: pass one (the engine does exactly that); rebuilt shards and
-        #: replicas never report.
         self.shards = [
-            Relation(device, name, arity, stats=stats, **self._relation_config)
+            Relation(device, name, arity, **self._relation_config)
             for device in self.devices
         ]
         #: per-iteration global stats, one entry per :meth:`end_iteration`
@@ -173,12 +168,6 @@ class ShardedRelation:
     def require_index(self, join_columns: tuple[int, ...]) -> None:
         for shard in self.shards:
             shard.require_index(join_columns)
-
-    def build_index(self, join_columns: tuple[int, ...]) -> None:
-        """Ensure every shard has an index on ``join_columns``, backfilling it
-        on an already-initialized relation (the adaptive replanner's path)."""
-        for shard in self.shards:
-            shard.build_index(join_columns)
 
     @property
     def index_column_sets(self) -> set[tuple[int, ...]]:

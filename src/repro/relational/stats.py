@@ -1,33 +1,26 @@
-"""Lightweight relation statistics for the cost-based planner.
+"""Load-time relation statistics for the cost-based planner.
 
 The planner needs two numbers per relation to cost a join order: how many
-rows the relation (or its per-iteration delta) holds, and how many distinct
-values each column holds.  Both are *host-side metadata*, never part of the
-charged datapath — like :mod:`repro.relational.checkpoint`, this module works
-on host arrays and plain Python numbers and charges no kernels.
+rows the relation holds, and how many distinct values each column holds.
+Both are *host-side metadata*, never part of the charged datapath — like
+:mod:`repro.relational.checkpoint`, this module works on host arrays and
+plain Python numbers and charges no kernels.
 
-Three sources feed a :class:`StatsCatalog`:
+A plan is a pure function of the catalog the engine builds before the first
+iteration, from two sources:
 
 * **Fact seeding** — the engine measures the staged host fact columns once
   before upload (`np.unique`, exact) and calls :meth:`StatsCatalog.seed_facts`.
   Columns beyond :data:`EXACT_DISTINCT_LIMIT` rows are estimated with a
   :class:`KMVSketch` instead of sorted exactly.
-* **Merge observation** — every :class:`~repro.relational.hisa.HISA` index
-  already maintains its distinct-join-key run structure incrementally, so the
-  per-merge observation is free: the relation wires an observer into each
-  index and :meth:`StatsCatalog.observe_merge` receives the delta row count,
-  the delta's distinct keys, and the post-merge totals.  Single-column
-  indexes refresh per-column distincts; multi-column indexes refresh joint
-  distincts.  The last merge's delta row count is what delta-scan rule
-  versions plan against.
-* **Fallbacks** — relations never seeded (IDB predicates before their first
-  iteration) estimate rows as the largest seeded relation and distincts as
-  the row count, i.e. maximally selective joins are never assumed without
-  evidence.
+* **Fallbacks** — relations never seeded (IDB predicates, whose rows the
+  fixpoint derives) estimate rows as the largest seeded relation and
+  distincts as the row count, i.e. maximally selective joins are never
+  assumed without evidence.
 
-``snapshot()`` freezes the catalog into an immutable view so a re-planning
-pass inside the fixpoint costs against one consistent iteration, not a
-moving target.
+A delta-scan version plans its outer scan at the same row count: nothing is
+measured during the fixpoint, so a relation's delta has no estimate of its
+own.
 """
 
 from __future__ import annotations
@@ -113,18 +106,14 @@ class RelationStats:
     name: str
     arity: int
     rows: float = 0.0
-    delta_rows: float = 0.0
     #: Per-column distinct estimates (column index -> estimate).
     column_distinct: dict = field(default_factory=dict)
-    #: Joint distincts per sorted column tuple, from multi-column indexes.
-    joint_distinct: dict = field(default_factory=dict)
-    #: Max join-key multiplicity per sorted column tuple (the longest HISA
-    #: run, or the hottest value at seed time) — the skew signal that lets
-    #: the planner bound a binary join's worst case.
+    #: Max join-key multiplicity per sorted column tuple (the hottest value
+    #: at seed time) — the skew signal that lets the planner bound a binary
+    #: join's worst case.
     key_multiplicity: dict = field(default_factory=dict)
-    #: True when rows/distincts come from exact measurement, not fallbacks.
+    #: True when rows/distincts come from measured facts, not fallbacks.
     seeded: bool = False
-    exact: bool = False
 
 
 class StatsCatalog:
@@ -132,7 +121,6 @@ class StatsCatalog:
 
     def __init__(self) -> None:
         self._relations: dict[str, RelationStats] = {}
-        self.merges_observed = 0
 
     # -- feeding -------------------------------------------------------
     def ensure(self, name: str, arity: int) -> RelationStats:
@@ -148,9 +136,7 @@ class StatsCatalog:
         stats = self.ensure(name, len(columns))
         rows = float(columns[0].size) if columns else 0.0
         stats.rows = rows
-        stats.delta_rows = rows
         stats.seeded = True
-        stats.exact = True
         for position, column in enumerate(columns):
             if column.size <= exact_limit:
                 _, counts = np.unique(column, return_counts=True)
@@ -160,45 +146,7 @@ class StatsCatalog:
                 estimate = KMVSketch().update(column).estimate()
                 stats.column_distinct[position] = estimate
                 stats.key_multiplicity[(position,)] = rows / max(estimate, 1.0)
-                stats.exact = False
         return stats
-
-    def observe_merge(
-        self,
-        name: str,
-        arity: int,
-        columns: tuple[int, ...],
-        *,
-        delta_rows: int,
-        delta_distinct: int,
-        total_rows: int,
-        total_distinct: int,
-        max_multiplicity: int | None = None,
-    ) -> None:
-        """Record one HISA index merge (free: the run structure is maintained anyway).
-
-        ``columns`` is the index's join-column set in natural schema order;
-        ``total_distinct`` is its post-merge distinct-key count and
-        ``max_multiplicity`` its longest key run.  Every index of a relation
-        merges the same delta, so ``delta_rows`` overwrites rather than
-        accumulates.
-        """
-        stats = self.ensure(name, arity)
-        self.merges_observed += 1
-        stats.rows = float(total_rows)
-        stats.delta_rows = float(delta_rows)
-        stats.seeded = True
-        key = tuple(sorted(columns))
-        if len(key) == 1:
-            stats.column_distinct[key[0]] = float(total_distinct)
-        else:
-            stats.joint_distinct[key] = float(total_distinct)
-        if max_multiplicity is not None:
-            stats.key_multiplicity[key] = float(max_multiplicity)
-        # A full-arity index counts distinct rows; deduped storage means the
-        # row count *is* the distinct count, which the assignment above or
-        # below already reflects — nothing extra to record.
-        del delta_distinct  # reserved for delta-aware sketches
 
     # -- queries (the planner's protocol) ------------------------------
     def _default_rows(self) -> float:
@@ -210,12 +158,6 @@ class StatsCatalog:
         if stats is None or not stats.seeded:
             return self._default_rows()
         return max(stats.rows, 1.0)
-
-    def delta_rows(self, name: str) -> float:
-        stats = self._relations.get(name)
-        if stats is None or not stats.seeded:
-            return self._default_rows()
-        return max(stats.delta_rows, 1.0)
 
     def distinct(self, name: str, column: int) -> float:
         rows = self.rows(name)
@@ -230,8 +172,8 @@ class StatsCatalog:
     def max_multiplicity(self, name: str, columns) -> float:
         """Worst-case rows a single probe key can match on these columns.
 
-        Prefers the measured longest run of a matching index; a superset
-        key can only shorten runs, so the tightest single-column bound also
+        Prefers the measured count of the hottest value; a superset key can
+        only match fewer rows, so the tightest single-column bound also
         bounds any key containing that column.  With no measurement the
         uniformity assumption ``rows / Π distinct`` applies.
         """
@@ -257,73 +199,6 @@ class StatsCatalog:
         joint = max(1.0, min(joint, rows))
         return max(1.0, rows / joint)
 
-    def snapshot(self) -> "StatsSnapshot":
-        return StatsSnapshot(
-            rows={name: self.rows(name) for name in self._relations},
-            delta_rows={name: self.delta_rows(name) for name in self._relations},
-            column_distinct={
-                (name, column): self.distinct(name, column)
-                for name, stats in self._relations.items()
-                for column in stats.column_distinct
-            },
-            key_multiplicity={
-                (name, key): self.max_multiplicity(name, key)
-                for name, stats in self._relations.items()
-                for key in stats.key_multiplicity
-            },
-            default_rows=self._default_rows(),
-            arity={name: stats.arity for name, stats in self._relations.items()},
-        )
-
-    def relation_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._relations))
-
-
-class StatsSnapshot:
-    """Immutable view of a catalog; same query protocol as the live catalog."""
-
-    def __init__(self, rows, delta_rows, column_distinct, key_multiplicity, default_rows, arity=None):
-        self.rows_by_name = dict(rows)
-        self.delta_rows_by_name = dict(delta_rows)
-        self.column_distinct_by_key = dict(column_distinct)
-        self.key_multiplicity_by_key = dict(key_multiplicity)
-        self.default_row_estimate = float(default_rows)
-        self.arity_by_name = dict(arity or {})
-
-    def rows(self, name: str) -> float:
-        return self.rows_by_name.get(name, self.default_row_estimate)
-
-    def delta_rows(self, name: str) -> float:
-        return self.delta_rows_by_name.get(name, self.default_row_estimate)
-
-    def distinct(self, name: str, column: int) -> float:
-        rows = self.rows(name)
-        estimate = self.column_distinct_by_key.get((name, column))
-        if estimate is None:
-            return rows
-        return max(1.0, min(float(estimate), rows))
-
-    def max_multiplicity(self, name: str, columns) -> float:
-        rows = self.rows(name)
-        key = tuple(sorted(int(column) for column in columns))
-        if self.arity_by_name.get(name) == len(key):
-            return 1.0  # deduplicated storage: the full key is unique
-        direct = self.key_multiplicity_by_key.get((name, key))
-        if direct is not None:
-            return max(1.0, min(float(direct), rows))
-        singles = [
-            self.key_multiplicity_by_key.get((name, (column,)))
-            for column in key
-            if (name, (column,)) in self.key_multiplicity_by_key
-        ]
-        if singles:
-            return max(1.0, min(min(float(s) for s in singles), rows))
-        joint = 1.0
-        for column in key:
-            joint *= self.distinct(name, column)
-        joint = max(1.0, min(joint, rows))
-        return max(1.0, rows / joint)
-
 
 class UniformStats:
     """Stats stand-in when no catalog exists: every relation looks alike.
@@ -337,9 +212,6 @@ class UniformStats:
         self._rows = float(rows)
 
     def rows(self, name: str) -> float:
-        return self._rows
-
-    def delta_rows(self, name: str) -> float:
         return self._rows
 
     def distinct(self, name: str, column: int) -> float:

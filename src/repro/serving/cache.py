@@ -16,7 +16,7 @@ tables disagree produce different interned text and therefore different keys
 — a shared cache can never hand an engine a plan whose constants were
 interned by someone else's table.  Statistics-driven planners are keyed the
 same way but compile stat-free here (serving plans are data-independent by
-design; the adaptive replanner remains a batch-engine feature).
+design; a batch run plans from the statistics of its loaded facts).
 """
 
 from __future__ import annotations

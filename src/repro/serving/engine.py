@@ -352,9 +352,9 @@ class ServingEngine:
 
         # Resident relations carry *every* index any plan — bootstrap, epoch
         # delta versions, DRed full versions — will probe.  The plan is the
-        # cached, data-independent one: no statistics, no adaptive replanning.
+        # cached, data-independent one: no statistics.
         self._evaluator = engine._build(
-            self.program, self.compiled.plan, self._arities, None, self.compiled.required_indexes
+            self.program, self.compiled.plan, self._arities, self.compiled.required_indexes
         )
         if restore is None:
             # Load the facts (the program's own and the constructor's), run

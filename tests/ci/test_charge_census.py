@@ -85,39 +85,6 @@ def test_an_uncharged_membership_test_charges_no_filter_work(monkeypatch):
     np.testing.assert_array_equal(charged, uncharged)
 
 
-def test_a_merge_no_catalog_observes_looks_no_key_up():
-    """A merge into an index on fewer than all columns looks its delta's keys
-    up in the runs already there only to keep the distinct-key count and the
-    longest key run exact, which only a statistics catalog reads: with no
-    observer attached it charges no probe and no key check."""
-    import numpy as np
-
-    from repro.device import Device
-    from repro.relational import EagerBufferManager
-    from tests.helpers import hisa_of
-
-    rows = np.array([(key, value) for key in range(20) for value in range(12)], dtype=np.int64)
-    rows = rows[np.random.default_rng(5).permutation(len(rows))]
-    looked_up = {}
-    for observed in (False, True):
-        device = Device("h100", oom_enabled=False)
-        full = hisa_of(device, rows[:200], (0,), label="p")
-        if observed:
-            full.stats_observer = lambda **totals: None
-        stages = []
-        charge = device.charge
-
-        def recording(cost, phase=None):
-            stages.append(cost.kernel)
-            return charge(cost, phase)
-
-        device.charge = recording
-        full.merge(hisa_of(device, rows[200:], (0,), label="p.d", build_hash_index=False), EagerBufferManager(device))
-        assert "p.merge_finalize" in stages and full.distinct_key_count == 20
-        looked_up[observed] = {"p.probe", "p.verify_key"} & set(stages)
-    assert looked_up == {False: set(), True: {"p.probe", "p.verify_key"}}
-
-
 def test_small_runs_are_searched_inside_the_callers_launch(monkeypatch):
     """The runs a merge writes below ``TABLE_MIN_ROWS`` keep no table.  A
     sorted batch (``new - full``'s) is merged against each: batch and run

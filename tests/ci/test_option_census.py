@@ -31,7 +31,7 @@ CENSUS = {
         {
             "device", "memory_capacity_bytes", "oom_enabled", "eager_buffers", "load_factor", "materialize_nway",
             "collect_relations", "backend", "num_shards", "checkpoint_every", "checkpoint_store", "max_retries",
-            "fault_plan", "overlap", "replicate_max_bytes", "planner", "replan_every",
+            "fault_plan", "overlap", "replicate_max_bytes", "planner",
         },
         {"GPULogEngine"},
     ),

@@ -22,7 +22,7 @@ from repro.datalog.planner import (
     version_required_indexes,
 )
 from repro.errors import PlanningError
-from repro.relational.stats import StatsCatalog, UniformStats
+from repro.relational.stats import StatsCatalog
 
 TRIANGLE = "triangle(x, y, z) :- edge(x, y), edge(y, z), edge(z, x)."
 CLIQUE4 = (
@@ -67,8 +67,8 @@ def test_greedy_order_breaks_ties_by_lowest_body_position():
 
 
 def test_greedy_order_is_reproducible():
-    # The greedy plan must be a pure function of the rule text: replanning
-    # the same program yields byte-identical orders (regression for the
+    # The greedy plan must be a pure function of the rule text: planning
+    # the same program again yields byte-identical orders (regression for the
     # planner ablation baseline drifting with dict iteration order).
     orders = []
     for _ in range(3):
@@ -260,50 +260,3 @@ def test_live_columns_drop_dead_passenger_column():
     version = only_version(plan)
     live_before, _ = version.live_columns
     assert 1 not in live_before[0]  # q's position in the initial schema
-
-
-def test_catalog_after_a_recursive_cost_run_is_pinned(monkeypatch):
-    """What the ``cost`` planner's catalog holds after a short CSPA fixpoint on
-    one device, as literals.  Merges into an index on fewer than all columns
-    feed it the index's distinct keys and longest key run, which a merge
-    looks up only while an observer is attached: these numbers must not move
-    with that."""
-    from repro import GPULogEngine
-    from repro.queries import CSPA_SOURCE
-
-    catalogs = []
-
-    class RecordingCatalog(StatsCatalog):
-        def __init__(self):
-            super().__init__()
-            catalogs.append(self)
-
-    monkeypatch.setattr("repro.datalog.engine.StatsCatalog", RecordingCatalog)
-    rng = np.random.default_rng(42)
-    engine = GPULogEngine(device="h100", oom_enabled=False, fault_plan="none", planner=COST, num_shards=1)
-    try:
-        engine.add_fact_array("assign", rng.integers(0, 24, size=(60, 2), dtype=np.int64))
-        engine.add_fact_array("dereference", rng.integers(0, 24, size=(40, 2), dtype=np.int64))
-        assert engine.run(CSPA_SOURCE).total_iterations == 5
-    finally:
-        engine.close()
-    (catalog,) = catalogs
-    snapshot = catalog.snapshot()
-    assert catalog.merges_observed == 35
-    assert snapshot.rows_by_name == {
-        "assign": 57.0, "dereference": 40.0, "memalias": 400.0, "valuealias": 529.0, "valueflow": 507.0
-    }
-    assert snapshot.delta_rows_by_name == {
-        "assign": 57.0, "dereference": 40.0, "memalias": 10.0, "valuealias": 80.0, "valueflow": 2.0
-    }
-    assert snapshot.column_distinct_by_key == {
-        ("assign", 0): 22.0, ("assign", 1): 22.0, ("dereference", 0): 23.0, ("dereference", 1): 21.0,
-        ("memalias", 0): 20.0, ("memalias", 1): 20.0, ("valueflow", 0): 23.0, ("valueflow", 1): 23.0,
-    }
-    assert snapshot.key_multiplicity_by_key == {
-        ("assign", (0,)): 4.0, ("assign", (0, 1)): 1.0, ("assign", (1,)): 6.0,
-        ("dereference", (0,)): 4.0, ("dereference", (0, 1)): 1.0, ("dereference", (1,)): 4.0,
-        ("memalias", (0,)): 20.0, ("memalias", (0, 1)): 1.0, ("memalias", (1,)): 20.0,
-        ("valuealias", (0, 1)): 1.0,
-        ("valueflow", (0,)): 23.0, ("valueflow", (0, 1)): 1.0, ("valueflow", (1,)): 23.0,
-    }

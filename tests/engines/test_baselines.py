@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.datalog.engine import SHARDS_ENV_VAR
+from repro.datalog.engine import PLANNER_ENV_VAR, SHARDS_ENV_VAR
 from repro.engines import (
     CudfLikeEngine,
     GPUJoinEngine,
@@ -94,6 +94,7 @@ ABLATED = {
 def test_gpulog_adapter_options_reach_the_engine(monkeypatch, paper_edges, option):
     """Each option changes how SG is evaluated (clock or memory), not what it is."""
     monkeypatch.setenv(SHARDS_ENV_VAR, "1")
+    monkeypatch.delenv(PLANNER_ENV_VAR, raising=False)
     facts = {"edge": paper_edges}
     default = GPULogAdapter().run(SG_SOURCE, facts, collect_relations=True)
     adapter = ABLATED[option]()

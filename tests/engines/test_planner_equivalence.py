@@ -4,12 +4,9 @@ The planner changes *which kernels run*, never *what is derived*: every
 workload below (the three paper queries plus the cyclic triangle / 4-clique
 patterns) must produce byte-identical relations across the full
 planner × shard-count matrix.  A hypothesis property drives the WCOJ path
-against the binary-join oracle on random cyclic inputs, and the adaptive
-replanning bookkeeping is pinned at the evaluator level.
+against the binary-join oracle on random cyclic inputs.
 """
 
-import os
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro.datalog.engine import PLANNER_ENV_VAR, GPULogEngine
 from repro.datalog.planner import PLANNERS
-from repro.datalog.seminaive import SemiNaiveEvaluator
 from repro.errors import SchemaError
 from repro.queries import CSPA_SOURCE, REACH_SOURCE, SG_SOURCE
 
@@ -214,86 +210,3 @@ def test_explain_reports_the_algorithm_that_executed(num_shards):
     else:
         assert entry["algorithm"] == "binary"
         assert "algorithm=binary planned=wcoj (generic join is single-device)" in dump
-
-
-# ----------------------------------------------------------------------
-# Adaptive replanning bookkeeping (evaluator level, deterministic)
-# ----------------------------------------------------------------------
-
-def make_version(estimated_rows, atom_order=(0, 1), algorithm="binary"):
-    return SimpleNamespace(
-        rule=object(),
-        delta_atom_index=0,
-        estimated_rows=estimated_rows,
-        atom_order=tuple(atom_order),
-        algorithm=algorithm,
-    )
-
-
-def make_evaluator(replanner):
-    evaluator = object.__new__(SemiNaiveEvaluator)
-    evaluator.version_observations = {}
-    evaluator.replans = 0
-    evaluator.replanner = replanner
-    return evaluator
-
-
-def test_replan_triggers_outside_drift_band():
-    version = make_version(estimated_rows=10.0)
-    replacement = make_version(estimated_rows=500.0, atom_order=(1, 0))
-    replacement.rule = version.rule
-    calls = []
-
-    def replanner(v):
-        calls.append(v)
-        return replacement
-
-    evaluator = make_evaluator(replanner)
-    evaluator._observe_version(version, 500)  # 50x the estimate: drifted
-    swapped = evaluator._maybe_replan(version)
-    assert calls == [version]
-    assert swapped is replacement
-    assert evaluator.replans == 1  # the pipeline (atom order) changed
-
-
-def test_replan_within_band_keeps_version():
-    version = make_version(estimated_rows=100.0)
-    evaluator = make_evaluator(lambda v: pytest.fail("replanner must not run"))
-    evaluator._observe_version(version, 120)  # 1.2x: inside [0.5, 2.0]
-    assert evaluator._maybe_replan(version) is version
-    assert evaluator.replans == 0
-
-
-def test_replan_same_pipeline_refreshes_estimates_without_counting():
-    version = make_version(estimated_rows=10.0)
-    refreshed = make_version(estimated_rows=480.0)  # same order + algorithm
-    refreshed.rule = version.rule
-    evaluator = make_evaluator(lambda v: refreshed)
-    evaluator._observe_version(version, 500)
-    swapped = evaluator._maybe_replan(version)
-    assert swapped is refreshed
-    assert evaluator.replans == 0  # same kernels: only estimates moved
-
-
-def test_replan_window_resets_after_check():
-    version = make_version(estimated_rows=10.0)
-    evaluator = make_evaluator(lambda v: None)  # replanner declines
-    evaluator._observe_version(version, 500)
-    assert evaluator._maybe_replan(version) is version
-    # Window consumed: a second check with no new observations is a no-op.
-    assert evaluator._maybe_replan(version) is version
-    entry = evaluator.version_observations[evaluator._version_key(version)]
-    assert entry["window_executions"] == 0
-    assert entry["executions"] == 1  # lifetime counters survive the reset
-
-
-def test_engine_replanning_smoke():
-    # End to end: a long thin fixpoint under cost planning with an
-    # every-iteration replan cadence still derives the exact closure.
-    chain = np.array([[i, i + 1] for i in range(40)], dtype=np.int64)
-    _, expected, _ = run_engine(REACH_SOURCE, {"edge": chain}, ["reach"])
-    result, relations, _ = run_engine(
-        REACH_SOURCE, {"edge": chain}, ["reach"], planner="cost", replan_every=1
-    )
-    assert relations["reach"] == expected["reach"]
-    assert result.replans >= 0

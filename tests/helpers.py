@@ -37,9 +37,24 @@ def key_columns(keys) -> list[np.ndarray]:
 
 
 def hisa_rows(hisa: HISA, *, sorted_order: bool = False) -> np.ndarray:
-    """A HISA's tuples in schema column order: insertion order, or sorted-index order."""
+    """A HISA's tuples in schema column order: insertion order, or sorted the
+    way the index sorts them — by its column order, join columns first — on
+    the host."""
     rows = np.column_stack(hisa.natural_columns())
-    return rows[hisa.sorted_index] if sorted_order else rows
+    return lex_sorted(rows, hisa.column_order) if sorted_order else rows
+
+
+def lex_sorted(rows: np.ndarray, column_order) -> np.ndarray:
+    """``rows`` sorted lexicographically by the columns of ``column_order``, first column first."""
+    return rows[np.lexsort([rows[:, column] for column in reversed(column_order)])]
+
+
+def hisa_runs(hisa: HISA) -> list[np.ndarray]:
+    """The tuples of each sorted run of a HISA's index tier, oldest run first,
+    each in the order its run's sorted index lists them (schema column order)."""
+    rows = np.column_stack(hisa.natural_columns())
+    bounds = np.cumsum([0, *hisa.run_sizes])
+    return [rows[hisa._stores[0][start:end]] for start, end in zip(bounds, bounds[1:])]
 
 
 class CollidingBackend(NumpyBackend):

@@ -9,7 +9,7 @@ from repro.errors import HisaStateError, SchemaError
 from repro.relational import EagerBufferManager, OpenAddressingHashTable, SimpleBufferManager
 from repro.relational import hisa as hisa_module
 
-from tests.helpers import LOOKUP_BACKENDS, hisa_of as HISA, hisa_rows, key_columns, lookup_per_run
+from tests.helpers import LOOKUP_BACKENDS, hisa_of as HISA, hisa_rows, hisa_runs, key_columns, lookup_per_run
 
 
 rows_strategy = st.lists(
@@ -36,9 +36,10 @@ def test_sorted_index_orders_join_columns_first(device):
     # Join on the middle column, as in the Section 4.2 example: the sorted
     # order should be (1,2,2) < (1,2,5) < (5,2,9) in reordered space.
     hisa = HISA(device, rows, join_columns=(1,), label="example")
-    sorted_rows = hisa_rows(hisa, sorted_order=True)
-    assert sorted_rows[:, 1].tolist() == [1, 1, 5]
-    assert hisa.sorted_index.tolist() == [2, 0, 1]
+    (run,) = hisa_runs(hisa)
+    assert run[:, 1].tolist() == [1, 1, 5]
+    np.testing.assert_array_equal(run, hisa_rows(hisa, sorted_order=True))
+    assert hisa._stores[0][: hisa.tuple_count].tolist() == [2, 0, 1]
 
 
 def test_lookup_returns_runs(edge_hisa):
@@ -139,8 +140,9 @@ def test_merge_equals_union_property(rows):
     delta = HISA(device, unique[split:], join_columns=(0,))
     merged = full.merge(delta)
     assert {tuple(r) for r in hisa_rows(merged).tolist()} == {tuple(r) for r in unique.tolist()}
-    # The merged sorted index must be a valid permutation in sorted order.
-    assert hisa_rows(merged, sorted_order=True).tolist() == sorted(unique.tolist())
+    # Every sorted run of the merged index lists its tuples in sorted order.
+    for run in hisa_runs(merged):
+        assert run.tolist() == sorted(run.tolist())
 
 
 @pytest.mark.parametrize("backend", sorted(LOOKUP_BACKENDS))

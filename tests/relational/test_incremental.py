@@ -4,8 +4,10 @@
 delta and absorbs the runs it is at least half as large as.  The oracle is
 the constructor — ``HISA(device, all_rows, join_columns)`` sorts, scans and
 hashes everything from nothing — and the contract is that no reader can tell
-the two apart: same tuples, same ``lookup_columns`` / ``contains_columns`` answers, same
-statistics, and after ``compact()`` the same bytes.  ``lookup_columns`` walks
+the two apart: same tuples and same ``lookup_columns`` / ``contains_columns``
+answers; and the runs themselves, read on the host, are each sorted by their
+cached keys, pairwise disjoint, and together the scratch build's sorted rows
+and key runs.  ``lookup_columns`` walks
 every (key, run) pair in one batch; it is also held to a loop probing each
 run on its own (``tests.helpers.lookup_per_run``), answer and charge.  A run
 a merge writes keeps a table only from ``TABLE_MIN_ROWS`` tuples, on every
@@ -23,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 from repro import GPULogEngine
 from repro.backend import NumpyBackend, is_wide_keys
 from repro.device import Device
+from repro.errors import HisaStateError
 from repro.queries import SG_SOURCE
 from repro.relational import (
     EagerBufferManager,
@@ -33,7 +36,16 @@ from repro.relational import (
 )
 from repro.relational import hisa as hisa_module
 
-from tests.helpers import LOOKUP_BACKENDS, CollidingBackend, hisa_of as HISA, hisa_rows, key_columns, lookup_per_run
+from tests.helpers import (
+    LOOKUP_BACKENDS,
+    CollidingBackend,
+    hisa_of as HISA,
+    hisa_rows,
+    hisa_runs,
+    key_columns,
+    lex_sorted,
+    lookup_per_run,
+)
 
 #: all-column, prefix, prefix, non-prefix, non-prefix
 INDEX_KINDS = [(0, 1, 2), (0,), (0, 1), (1,), (2, 0)]
@@ -87,8 +99,6 @@ def _assert_matches_scratch(full, rows: np.ndarray, join_columns, *, base: int):
     scratch = HISA(_fresh_device(), rows, join_columns, label="ref")
     assert full.tuple_count == scratch.tuple_count == rows.shape[0]
     assert {tuple(r) for r in hisa_rows(full).tolist()} == {tuple(r) for r in rows.tolist()}
-    assert full.distinct_key_count == scratch.distinct_key_count
-    assert full.max_run_length == scratch.max_run_length
 
     present = np.unique(rows[:, list(join_columns)], axis=0)
     absent = present + 1000  # misses: no column ever reaches 1000
@@ -134,14 +144,29 @@ def _assert_walk_matches_per_run(hisa, keys):
     assert charged[0] == charged[1]
 
 
-def _assert_compacts_to_scratch(full, rows: np.ndarray, join_columns):
-    """After ``compact()`` the index tier is byte-identical to a scratch build's."""
+def _assert_runs_match_scratch(full, rows: np.ndarray, join_columns):
+    """Each sorted run lists its tuples in the order of its cached tuple keys
+    (and join keys), the runs are pairwise disjoint, and their union in
+    sorted order is the scratch build's sorted rows and key runs."""
     scratch = HISA(_fresh_device(), rows, join_columns, label="ref")
-    full.compact()
-    assert full.run_sizes == [rows.shape[0]]
-    np.testing.assert_array_equal(hisa_rows(full, sorted_order=True), hisa_rows(scratch, sorted_order=True))
-    np.testing.assert_array_equal(full.run_starts, scratch.run_starts)
-    np.testing.assert_array_equal(full.run_lengths, scratch.run_lengths)
+    backend, order = full.backend, list(full.column_order)
+    runs = hisa_runs(full)
+    bounds = np.cumsum([0, *full.run_sizes])
+    for run_rows, start, end in zip(runs, bounds, bounds[1:]):
+        for store, width in ((1, full.arity), (-1, full.n_join)):
+            keys = full._stores[store][start:end]
+            packed = backend.pack_lex_keys(key_columns(run_rows[:, order[:width]]), wide=is_wide_keys(keys))
+            np.testing.assert_array_equal(keys, packed)
+            assert backend.is_monotone(keys)
+    union = np.concatenate(runs)
+    assert len({tuple(r) for r in union.tolist()}) == len(union) == rows.shape[0]
+    union = lex_sorted(union, order)
+    np.testing.assert_array_equal(union, hisa_rows(scratch, sorted_order=True))
+    join = union[:, order[: full.n_join]]
+    starts = np.flatnonzero(np.concatenate([[True], (join[1:] != join[:-1]).any(axis=1)]))[: len(union)]
+    expected_starts, expected_lengths = hisa_module._runs_from_keys(scratch.backend, scratch._stores[-1])
+    np.testing.assert_array_equal(starts, expected_starts)
+    np.testing.assert_array_equal(np.diff(np.append(starts, len(union))), expected_lengths)
 
 
 @pytest.mark.parametrize("manager_cls", [SimpleBufferManager, EagerBufferManager])
@@ -160,7 +185,7 @@ def test_incremental_merge_matches_scratch_build(manager_cls, join_columns):
         merged = np.concatenate([merged, batch])
         _assert_runs_geometric(full)
         _assert_matches_scratch(full, merged, join_columns, base=len(batches[0]))
-    _assert_compacts_to_scratch(full, rows, join_columns)
+        _assert_runs_match_scratch(full, merged, join_columns)
 
 
 def _delta_size(action: str, sizes: list[int], last: int) -> int:
@@ -182,46 +207,39 @@ def _delta_size(action: str, sizes: list[int], last: int) -> int:
     first_delta=st.integers(1, 12),
     join_columns=st.sampled_from(INDEX_KINDS),
     schedule=st.lists(
-        st.sampled_from(["push", "absorb-one", "absorb-all", "equal", "equal", "compact"]), min_size=1, max_size=12
+        st.sampled_from(["push", "absorb-one", "absorb-all", "equal", "equal", "runs"]), min_size=1, max_size=12
     ),
-    observed_from=st.integers(0, 12),
     wide_at=st.integers(0, 12),
     reads=st.lists(st.booleans(), min_size=12, max_size=12),
 )
 @settings(max_examples=100, deadline=None)
 def test_incremental_merge_equivalence_property(
-    backend, table_min_rows, seed, base, first_delta, join_columns, schedule, observed_from, wide_at, reads
+    backend, table_min_rows, seed, base, first_delta, join_columns, schedule, wide_at, reads
 ):
-    """Every schedule of merges and compactions, under a good hash, a
-    colliding one and wide-only keys, with the runs a merge writes keeping a
-    table from 0 tuples (all), 4 or the default (none at these sizes) on, on
-    every index kind; a prefix index's constructor run keeps its table until
-    a merge absorbs it.
-    A statistics observer is attached from merge ``observed_from`` on (12:
-    never): without one a merge stops counting keys, and the first read
-    recounts them; with one, every merge reports the counts the from-scratch
-    build has.  The delta of merge ``wide_at`` (12:
+    """Every schedule of merges and checks of the runs themselves, under a
+    good hash, a colliding one and wide-only keys, with the runs a merge
+    writes keeping a table from 0 tuples (all), 4 or the default (none at
+    these sizes) on, on every index kind; a prefix index's constructor run
+    keeps its table until a merge absorbs it.
+    The delta of merge ``wide_at`` (12:
     none) carries values past the narrow keys' 21-bit budget, so the stores
     turn wide mid-run — the deltas after it are narrow again — and stay wide.
     The index is read after merge ``i`` only if ``reads[i]``: a table is
     built on the host when first read, so tables stay pending across pushes,
     pops and slab growths, and the last check reads every one."""
     with mock.patch.object(hisa_module, "TABLE_MIN_ROWS", table_min_rows):
-        _check_merge_schedule(backend, seed, base, first_delta, join_columns, schedule, observed_from, wide_at, reads)
+        _check_merge_schedule(backend, seed, base, first_delta, join_columns, schedule, wide_at, reads)
 
 
-def _check_merge_schedule(backend, seed, base, first_delta, join_columns, schedule, observed_from, wide_at, reads):
+def _check_merge_schedule(backend, seed, base, first_delta, join_columns, schedule, wide_at, reads):
     pool = _row_pool(seed)
     device = _fresh_device(backend=LOOKUP_BACKENDS[backend]())
     manager = EagerBufferManager(device)
     full = HISA(device, pool[:base], join_columns, label="p")
-    observed = []
     used, last = base, first_delta
     for step, action in enumerate(schedule):
-        if step == observed_from:
-            full.stats_observer = lambda **totals: observed.append(totals)
-        if action == "compact":
-            _assert_compacts_to_scratch(full, pool[:used], join_columns)
+        if action == "runs":
+            _assert_runs_match_scratch(full, pool[:used], join_columns)
             continue
         last = _delta_size(action, full.run_sizes, last)
         if used + last > len(pool):
@@ -232,30 +250,27 @@ def _check_merge_schedule(backend, seed, base, first_delta, join_columns, schedu
         used += last
         assert full.merge(delta, manager) is full
         assert is_wide_keys(full._stores[1]) == (backend == "wide" or bool((pool[:used, 2] >= 1 << 40).any()))
-        if full.stats_observer is not None:
-            assert observed[-1]["total_rows"] == used
-            distinct, longest = observed[-1]["total_distinct"], observed[-1]["max_multiplicity"]
         _assert_runs_geometric(full)
         if reads[step]:
             _assert_matches_scratch(full, pool[:used], join_columns, base=base)
-        if full.stats_observer is not None:
-            assert (distinct, longest) == (full.distinct_key_count, full.max_run_length)
     _assert_matches_scratch(full, pool[:used], join_columns, base=base)
-    _assert_compacts_to_scratch(full, pool[:used], join_columns)
+    _assert_runs_match_scratch(full, pool[:used], join_columns)
 
 
-def test_an_observer_attached_mid_run_counts_from_the_indexed_rows():
-    """A prefix-index merge with no statistics observer leaves the key counts
-    unknown; the next merge, observed, recounts the rows already indexed —
-    not the delta it has just appended — and adds the delta's new keys."""
+def test_a_merge_takes_a_delta_of_one_run():
+    """A delta is one sorted run, as its constructor builds it: a merge
+    handed an index of several runs raises and leaves the full index as it
+    was."""
+    pool = _row_pool(6)
     device = _fresh_device()
-    rows = np.array([[9, 7, 30], [2, 10, 41]], dtype=np.int64)
-    full = HISA(device, rows[:0], (0,), label="o")
-    full.merge(HISA(device, rows[:1], (0,), label="o.d", build_hash_index=False), EagerBufferManager(device))
-    observed = []
-    full.stats_observer = lambda **totals: observed.append(totals)
-    full.merge(HISA(device, rows[1:], (0,), label="o.d", build_hash_index=False), EagerBufferManager(device))
-    assert observed[-1]["total_distinct"] == full.distinct_key_count == 2
+    full = HISA(device, pool[:100], (0,), label="f")
+    stacked = HISA(device, pool[100:200], (0,), label="s")
+    stacked.merge(HISA(device, pool[200:210], (0,), label="s.d", build_hash_index=False), EagerBufferManager(device))
+    assert len(stacked.run_sizes) == 2
+    with pytest.raises(HisaStateError):
+        full.merge(stacked, EagerBufferManager(device))
+    assert full.run_sizes == [100] and not stacked.is_freed
+    _assert_matches_scratch(full, pool[:100], (0,), base=100)
 
 
 def test_equal_deltas_keep_the_stack_logarithmic(monkeypatch):
@@ -495,7 +510,6 @@ def _check_memory_accounting(join_columns):
     else:
         assert growths <= 3 * np.log2(2100 / 100) + 3
     assert len(full.run_sizes) > 1
-    full.compact()
     assert full.memory_breakdown().total_bytes == reserved()
     full.free()
     manager.release()
@@ -518,8 +532,6 @@ def test_charges_ignore_the_host_key_format(join_columns):
             full.merge(HISA(device, pool[start : start + size], join_columns, label="c.d"), manager)
             breakdowns.append(full.memory_breakdown())
         _, lengths = full.lookup_columns(key_columns(pool[:50, list(join_columns)]))
-        full.compact()
-        breakdowns.append(full.memory_breakdown())
         assert is_wide_keys(full._stores[1]) == (name == "wide")
         events = [(event.phase, event.cost) for event in device.profiler.events]
         recorded[name] = (events, breakdowns, lengths.tolist(), device.pool.in_use_bytes, device.pool.stats.peak_bytes)

@@ -1,9 +1,9 @@
 """Unit tests for the planner's statistics layer (repro.relational.stats).
 
-The cost planner is only as good as these numbers: exact seeding below the
-limit, the KMV sketch above it, free per-merge refreshes, the full-key
-multiplicity rule (deduplicated storage ⇒ unique full keys), and snapshot
-consistency for replanning passes.
+The cost planner is only as good as these numbers, all measured once from
+the loaded facts: exact seeding below the limit, the KMV sketch above it, the
+fallbacks for relations nothing was loaded into, and the full-key
+multiplicity rule (deduplicated storage ⇒ unique full keys).
 """
 
 import numpy as np
@@ -78,7 +78,7 @@ def test_seed_facts_measures_exactly():
     assert stats.rows == 100.0
     assert stats.column_distinct[0] == 1.0
     assert stats.column_distinct[1] == 100.0
-    assert stats.exact
+    assert stats.seeded
 
 
 def test_seed_facts_records_key_multiplicity():
@@ -98,69 +98,26 @@ def test_full_arity_key_multiplicity_is_one():
     assert catalog.max_multiplicity("edge", (0, 1)) == 1.0
 
 
-def test_observe_merge_refreshes_rows_and_distincts():
-    catalog = StatsCatalog()
-    catalog.seed_facts("reach", [np.arange(10), np.arange(10)])
-    catalog.observe_merge(
-        "reach", 2, (1,),
-        delta_rows=4, delta_distinct=4, total_rows=14, total_distinct=9,
-        max_multiplicity=3,
-    )
-    assert catalog.rows("reach") == 14.0
-    assert catalog.delta_rows("reach") == 4.0
-    assert catalog.distinct("reach", 1) == 9.0
-    assert catalog.max_multiplicity("reach", (1,)) == 3.0
-    assert catalog.merges_observed == 1
-
-
 def test_unseeded_relation_falls_back_to_largest_seeded():
     catalog = StatsCatalog()
     assert catalog.rows("nothing") == DEFAULT_ROW_ESTIMATE
     catalog.seed_facts("edge", hub_columns(500))
-    # IDB predicates before their first iteration assume the largest EDB:
+    # IDB predicates, whose rows the fixpoint derives, assume the largest EDB:
     # never assume a maximally selective join without evidence.
     assert catalog.rows("reach") == 500.0
-    assert catalog.delta_rows("reach") == 500.0
 
 
 def test_distinct_is_clamped_to_rows():
+    # Past the exact limit a column is sketched, and the sketch can estimate
+    # more distinct values than the column has rows (2,058 for these 1,952).
     catalog = StatsCatalog()
-    catalog.seed_facts("edge", hub_columns(50))
-    catalog.observe_merge(
-        "edge", 2, (1,),
-        delta_rows=0, delta_distinct=0, total_rows=10, total_distinct=50,
-    )
-    assert catalog.distinct("edge", 1) <= catalog.rows("edge")
-
-
-def test_snapshot_matches_live_catalog():
-    catalog = StatsCatalog()
-    catalog.seed_facts("edge", hub_columns(100))
-    catalog.observe_merge(
-        "reach", 2, (1,),
-        delta_rows=7, delta_distinct=7, total_rows=40, total_distinct=25,
-        max_multiplicity=5,
-    )
-    snap = catalog.snapshot()
-    for name in ("edge", "reach"):
-        assert snap.rows(name) == catalog.rows(name)
-        assert snap.delta_rows(name) == catalog.delta_rows(name)
-    assert snap.distinct("edge", 0) == catalog.distinct("edge", 0)
-    assert snap.max_multiplicity("edge", (0,)) == catalog.max_multiplicity("edge", (0,))
-    assert snap.max_multiplicity("reach", (1,)) == 5.0
-    # The full-key rule survives the snapshot.
-    assert snap.max_multiplicity("edge", (0, 1)) == 1.0
-    # And the snapshot is frozen: later observations don't leak in.
-    catalog.observe_merge(
-        "reach", 2, (1,),
-        delta_rows=1, delta_distinct=1, total_rows=99, total_distinct=60,
-    )
-    assert snap.rows("reach") == 40.0
+    stats = catalog.seed_facts("edge", [np.zeros(1952, dtype=np.int64), np.arange(1952)], exact_limit=1000)
+    assert stats.column_distinct[1] > stats.rows
+    assert catalog.distinct("edge", 1) == catalog.rows("edge") == 1952.0
 
 
 def test_uniform_stats_protocol():
     uniform = UniformStats(rows=200.0)
     assert uniform.rows("anything") == 200.0
-    assert uniform.delta_rows("anything") == 200.0
     assert uniform.distinct("anything", 3) == 200.0
     assert uniform.max_multiplicity("anything", (0, 1)) == 1.0
