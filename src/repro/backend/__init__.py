@@ -33,7 +33,8 @@ both as PCIe transfers.  Inside the datapath every array is backend-owned.
 from __future__ import annotations
 
 import os
-from typing import Callable, Union
+from itertools import chain, repeat
+from typing import Callable, Iterator, Union
 
 from ..errors import BackendError, BackendUnavailableError
 from .base import (
@@ -83,24 +84,44 @@ except ImportError:  # pragma: no cover - cupy_backend itself always imports
 HOST_BACKEND = NumpyBackend()
 
 
-def host_rows_to_tuples(rows, translate=None) -> list[tuple]:
-    """Rows of an ``(n, arity)`` host integer array as tuples of Python ints.
+#: Rows turned into Python tuples at a time when host rows leave as tuples.
+#: A pass holds one block's column value lists instead of a list of every
+#: tuple.  One pass over ``sg-tree``'s 596,778 two-column tuples (2-vCPU
+#: Xeon VM, CPython 3.11, NumPy 2.4; median of seven, two sweeps) took
+#: 66-68 ms at 4,096 rows a block, 65-66 ms at 16,384, 72-78 ms at 65,536
+#: and 91 ms at 262,144, with a traced peak of 0.3, 1.2, 4.8 and 17 MB;
+#: ``list()`` of the same tuples traces 68-77 MB.
+DECODE_BLOCK_ROWS = 16_384
 
-    The one array-to-Python-objects conversion on the egress side of the
-    transfer boundary: one ``tolist()`` per column and one ``zip``, so the
-    interpreter does no work per value.  ``translate(column, values)`` may
-    return a replacement for a column's value list (the symbol table decodes
-    interned identifiers through it); row order is preserved.
-    """
-    count, arity = rows.shape
+
+def _block_tuples(block, translate) -> Iterator[tuple]:
+    count, arity = block.shape
     if arity == 0:
-        return [()] * count
+        return repeat((), count)
     columns = []
     for index in range(arity):
-        column = rows[:, index]
+        column = block[:, index]
         values = column.tolist()
         columns.append(values if translate is None else translate(column, values))
-    return list(zip(*columns))
+    return zip(*columns)
+
+
+def host_rows_to_tuples(rows, translate=None) -> Iterator[tuple]:
+    """Rows of an ``(n, arity)`` host integer array as tuples of Python ints.
+
+    The one array-to-Python-objects conversion on the host side of the
+    transfer boundary.  It streams: each block of :data:`DECODE_BLOCK_ROWS`
+    rows takes one ``tolist()`` per column and one ``zip``, and
+    ``itertools.chain`` joins the blocks, so Python code runs once a block,
+    not once a value, and a pass holds one block's values at a time.
+    ``translate(column, values)`` may return a replacement for a block
+    column's value list (the symbol table decodes interned identifiers
+    through it); row order is preserved.
+    """
+    block = DECODE_BLOCK_ROWS
+    return chain.from_iterable(
+        _block_tuples(rows[start : start + block], translate) for start in range(0, rows.shape[0], block)
+    )
 
 
 def get_backend(spec: BackendLike = None) -> ArrayBackend:
@@ -135,6 +156,7 @@ __all__ = [
     "BackendError",
     "BackendUnavailableError",
     "CUPY_AVAILABLE",
+    "DECODE_BLOCK_ROWS",
     "EMPTY_KEY",
     "GuardBackend",
     "HOST_BACKEND",

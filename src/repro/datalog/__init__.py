@@ -23,7 +23,7 @@ from .ast import (
     make_term,
     program_from_rules,
 )
-from .engine import SHARDS_ENV_VAR, EvaluationResult, GPULogEngine, SymbolTable
+from .engine import SHARDS_ENV_VAR, DecodedRelation, EvaluationResult, GPULogEngine, SymbolTable
 from .parser import parse_program, parse_rule
 from .planner import (
     HeadColumn,
@@ -48,6 +48,7 @@ __all__ = [
     "Atom",
     "Comparison",
     "Constant",
+    "DecodedRelation",
     "EvaluationResult",
     "EvaluationStats",
     "GPULogEngine",

@@ -13,18 +13,22 @@ device.  Typical usage::
     result.relation("reach")
 
 String constants in facts or rules are interned into integers transparently
-(GPU relations hold int64 tuples); results are decoded back on the way out.
+(GPU relations hold int64 tuples).  ``run`` downloads each relation's rows
+once; ``result.relation(name)`` is a read-only sequence over them that
+decodes ids back into ints and strings one block at a time as it is
+iterated, so no relation is held as a list of Python tuples.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 from collections import Counter, defaultdict
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -136,10 +140,16 @@ class SymbolTable:
 
         Equal to ``[tuple(decode(v) for v in row) for row in rows.tolist()]``
         — same row order, Python ``int``/``str`` elements, un-interned ids at
-        or above :attr:`BASE` stay ints — without per-value calls: a column
-        takes a dictionary pass only when symbols exist and its maximum
-        reaches ``BASE``.
+        or above :attr:`BASE` stay ints.  :meth:`iter_decoded` is the same
+        tuples streamed.
         """
+        return list(self.iter_decoded(rows))
+
+    def iter_decoded(self, rows: np.ndarray) -> Iterator[tuple[FactValue, ...]]:
+        """The tuples of :meth:`decode_rows`, decoded one block at a time
+        (:func:`~repro.backend.host_rows_to_tuples`) without per-value calls:
+        a block's column takes a dictionary pass only when symbols exist and
+        its maximum reaches ``BASE``."""
         if not self._by_id:
             return host_rows_to_tuples(rows)
         lookup = self._by_id.get
@@ -220,13 +230,57 @@ def intern_program(program: Program, symbols: SymbolTable) -> Program:
     return Program(tuple(rules), name=program.name)
 
 
+class DecodedRelation(Sequence):
+    """Read-only sequence of one relation's decoded tuples.
+
+    A view over the relation's downloaded ``(n, arity)`` int64 rows and the
+    symbol table: iterating it decodes one block of rows at a time
+    (:meth:`SymbolTable.iter_decoded`), so a tuple becomes a Python object
+    only when the consumer reaches it and a pass never holds the whole
+    relation as a list.  Each pass decodes again.  Indexing by an ``int``
+    gives one tuple, by a ``slice`` a list; it equals a list (or another
+    view) with the same tuples in the same order.  It has no ``__array__``:
+    ``np.asarray(view)`` iterates it like any sequence.
+    """
+
+    __slots__ = ("_rows", "_symbols")
+
+    def __init__(self, rows: np.ndarray, symbols: SymbolTable) -> None:
+        self._rows = rows
+        self._symbols = symbols
+
+    def __len__(self) -> int:
+        return self._rows.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._symbols.decode_rows(self._rows[index])
+        return self._symbols.decode_rows(self._rows[operator.index(index), None])[0]
+
+    def __iter__(self) -> Iterator[tuple[FactValue, ...]]:
+        return self._symbols.iter_decoded(self._rows)
+
+    def __reversed__(self) -> Iterator[tuple[FactValue, ...]]:
+        return self._symbols.iter_decoded(self._rows[::-1])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (list, DecodedRelation)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 class DecodedRelations(Mapping):
-    """Read-only ``name -> list of decoded tuples`` view over downloaded rows.
+    """Read-only ``name -> DecodedRelation`` view over downloaded rows.
 
     The run hands over each relation's host array as downloaded (interned
-    int64 ids, frozen read-only); a relation's tuples are built by
-    :meth:`SymbolTable.decode_rows` on the first lookup and memoised, so a
-    relation nobody reads never becomes Python objects.
+    int64 ids, frozen read-only).  A lookup returns that relation's
+    :class:`DecodedRelation`, memoised so ``relations[name] is
+    relations[name]``; it holds no tuples, so a relation nobody iterates
+    never becomes Python objects and one that is iterated is decoded block
+    by block, pass by pass.
     """
 
     def __init__(self, rows: dict[str, np.ndarray], symbols: SymbolTable) -> None:
@@ -234,15 +288,15 @@ class DecodedRelations(Mapping):
             array.setflags(write=False)
         self._rows = rows
         self._symbols = symbols
-        self._tuples: dict[str, list[tuple[FactValue, ...]]] = {}
+        self._views: dict[str, DecodedRelation] = {}
 
-    def __getitem__(self, name: str) -> list[tuple[FactValue, ...]]:
-        tuples = self._tuples.get(name)
-        if tuples is None:
-            tuples = self._tuples[name] = self._symbols.decode_rows(self._rows[name])
-        return tuples
+    def __getitem__(self, name: str) -> DecodedRelation:
+        view = self._views.get(name)
+        if view is None:
+            view = self._views[name] = DecodedRelation(self._rows[name], self._symbols)
+        return view
 
-    def __contains__(self, name: object) -> bool:  # the Mapping default would decode
+    def __contains__(self, name: object) -> bool:
         return name in self._rows
 
     def __iter__(self) -> Iterator[str]:
@@ -261,7 +315,7 @@ class EvaluationResult:
 
     program_name: str
     device_name: str
-    #: decoded tuples per relation, built lazily (see :class:`DecodedRelations`)
+    #: decoded tuples per relation, streamed on read (see :class:`DecodedRelations`)
     relations: DecodedRelations
     relation_counts: dict[str, int]
     elapsed_seconds: float
@@ -322,12 +376,15 @@ class EvaluationResult:
     #: vs. observed cardinalities (feeds ``GPULogEngine.explain()``)
     plan_report: tuple = field(default_factory=tuple)
 
-    def relation(self, name: str) -> list[tuple[FactValue, ...]]:
-        """Tuples of ``name`` (decoded), or an empty list if unknown."""
+    def relation(self, name: str) -> DecodedRelation | list:
+        """The decoded tuples of ``name`` as a memoised, read-only
+        :class:`DecodedRelation` that decodes block by block as it is
+        iterated; an empty list if ``name`` is unknown."""
         return self.relations.get(name, [])
 
     def relation_set(self, name: str) -> set[tuple[FactValue, ...]]:
-        return set(self.relations.get(name, []))
+        """The decoded tuples of ``name`` as a set (one pass over its view)."""
+        return set(self.relations.get(name, ()))
 
     def rows(self, name: str) -> np.ndarray:
         """The downloaded ``(n, arity)`` int64 rows of ``name``: read-only,

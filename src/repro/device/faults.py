@@ -44,7 +44,7 @@ ladder must absorb).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fnmatch import fnmatchcase
 
 import numpy as np

@@ -74,7 +74,7 @@ import numpy as np
 
 from ..backend import host_rows_to_tuples
 from ..datalog.ast import Program
-from ..datalog.engine import FactValue, GPULogEngine, intern_program
+from ..datalog.engine import DecodedRelation, FactValue, GPULogEngine, intern_program
 from ..datalog.planner import RuleVersion
 from ..device.spec import DeviceSpec
 from ..errors import (
@@ -445,11 +445,11 @@ class ServingEngine:
             symbol_mark = len(self.symbols)
             try:
                 encoded_inserts = {
-                    relation_name: [tuple(row) for row in self._encode_rows(relation_name, rows)]
+                    relation_name: list(host_rows_to_tuples(self._encode_rows(relation_name, rows)))
                     for relation_name, rows in (inserts or {}).items()
                 }
                 encoded_retracts = {
-                    relation_name: [tuple(row) for row in self._encode_rows(relation_name, rows)]
+                    relation_name: list(host_rows_to_tuples(self._encode_rows(relation_name, rows)))
                     for relation_name, rows in (retracts or {}).items()
                 }
             except BaseException:
@@ -535,19 +535,21 @@ class ServingEngine:
         """Read the newest committed snapshot of ``relation_name``.
 
         Returns the :class:`RelationSnapshot` (raw interned int64 rows in
-        canonical order), or — with ``decode=True`` — the decoded list of
-        tuples.  If the relation changed since it was last read, the first
-        query merges in the rows appended since (and briefly synchronizes
-        with the epoch worker); repeat reads of an
-        unchanged relation return the cached immutable snapshot without
-        blocking on in-flight epochs.
+        canonical order), or — with ``decode=True`` — a
+        :class:`~repro.datalog.engine.DecodedRelation` over the snapshot's
+        rows, the read-only sequence a batch result's ``relation(name)``
+        returns: it decodes the tuples block by block as it is iterated.
+        If the relation changed since it was last read, the first query
+        merges in the rows appended since (and briefly synchronizes with
+        the epoch worker); repeat reads of an unchanged relation return the
+        cached immutable snapshot without blocking on in-flight epochs.
         """
         if relation_name not in self.relations:
             raise SchemaError(f"unknown relation {relation_name!r}")
         snapshot = self._materialize(relation_name)
         if not decode:
             return snapshot
-        return self.symbols.decode_rows(snapshot.rows)
+        return DecodedRelation(snapshot.rows, self.symbols)
 
     def query_many(self, relation_names: list[str]) -> dict[str, RelationSnapshot]:
         """One consistent cut across several relations (single epoch boundary)."""

@@ -7,7 +7,6 @@ shard counts lives in tests/engines/test_planner_equivalence.py.
 """
 
 import numpy as np
-import pytest
 
 from repro.datalog import analyze_program, parse_program, plan_program
 from repro.datalog.planner import COST_WCOJ, WCOJ, version_required_indexes
