@@ -15,7 +15,7 @@ The contract has three parts:
    ``asarray``), movement (``concatenate``/``take``/``scatter``/``repeat``),
    order (``lexsort``/``searchsorted``/``pack_lex_keys``/
    ``adjacent_unique_mask``), scans and reductions (``cumsum``/``cummin``/``add_at``/
-   ``or_at``/``reduceat_sum``/``nonzero_indices``/``count_nonzero``), and the transfer
+   ``reduceat_sum``/``nonzero_indices``/``count_nonzero``), and the transfer
    boundary (``to_host``/``from_host``).  Each backend implements these with
    its native library (NumPy, CuPy, ...).
 2. **Derived helpers** — implemented once here in terms of the primitives and
@@ -242,14 +242,6 @@ class ArrayBackend(ABC):
         """Unbuffered scatter-add: ``target[indices] += values`` with repeats."""
 
     @abstractmethod
-    def or_at(self, target: Array, indices: Array, values: Any) -> None:
-        """Unbuffered scatter-OR: ``target[indices] |= values`` with repeats.
-
-        Every value reaches its word however many share an index (an atomic
-        OR on the GPU), which a plain ``scatter`` of OR-ed values would not.
-        """
-
-    @abstractmethod
     def reduceat_sum(self, values: Array, starts: Array) -> Array:
         """Segmented sum: total of ``values[starts[i]:starts[i+1]]`` per segment."""
 
@@ -446,7 +438,6 @@ ARRAY_BACKEND_CONTRACT = frozenset(
         "nonzero_indices",
         "count_nonzero",
         "add_at",
-        "or_at",
         "reduceat_sum",
         # derived helpers
         "as_rows",

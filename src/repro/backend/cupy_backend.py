@@ -198,10 +198,6 @@ class CupyBackend(ArrayBackend):  # pragma: no cover - requires a CUDA device
     def add_at(self, target: Array, indices: Array, values: Any) -> None:
         cupyx.scatter_add(target, indices, values)
 
-    def or_at(self, target: Array, indices: Array, values: Any) -> None:
-        # ``ufunc.at`` of a bitwise ufunc compiles to one atomicOr per value.
-        cp.bitwise_or.at(target, cp.asarray(indices), values)
-
     def reduceat_sum(self, values: Array, starts: Array) -> Array:
         """Segmented sum via inclusive scan; requires strictly increasing starts."""
         starts = cp.asarray(starts)

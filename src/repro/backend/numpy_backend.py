@@ -185,9 +185,6 @@ class NumpyBackend(ArrayBackend):
     def add_at(self, target: Array, indices: Array, values: Any) -> None:
         np.add.at(target, indices, values)
 
-    def or_at(self, target: Array, indices: Array, values: Any) -> None:
-        np.bitwise_or.at(target, indices, values)
-
     def reduceat_sum(self, values: Array, starts: Array) -> Array:
         if int(starts.shape[0]) == 0:
             return np.empty(0, dtype=values.dtype)

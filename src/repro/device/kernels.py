@@ -638,29 +638,23 @@ class DeviceKernels:
     # ------------------------------------------------------------------
     # Searching
     # ------------------------------------------------------------------
-    def binary_search_keys(
-        self,
-        n_needles: int,
-        haystack_size: int,
-        key_bytes: float,
-        label: str = "binary_search_keys",
-    ) -> None:
-        """Charge a batch binary search of packed keys into a sorted array.
+    @staticmethod
+    def binary_search_cost(n_needles: int, haystack_size: int, key_bytes: float, label: str) -> KernelCost:
+        """What a batch binary search of packed keys into a sorted array costs.
 
-        This is the cost of the incremental merge path: each of the ``n``
-        delta keys walks ``log2(|full|)`` random reads to find its insertion
-        rank.  The array work (``searchsorted`` on cached packed keys)
-        happens inline in the caller.
+        Each of the ``n`` keys walks ``log2(|haystack|)`` random reads to find
+        its rank: the incremental merge path, and a search of a sorted run
+        (priced against a merge path there).  The array work (``searchsorted``
+        on cached packed keys) happens inline in the caller, which charges
+        the cost.
         """
         n_needles = max(0, int(n_needles))
         depth = max(1.0, math.log2(max(2, int(haystack_size))))
-        self._device.charge(
-            KernelCost(
-                kernel=label,
-                random_bytes=float(n_needles) * depth * float(key_bytes),
-                sequential_bytes=float(n_needles) * (float(key_bytes) + 2.0 * INDEX_ITEMSIZE),
-                ops=float(n_needles) * depth * 2.0,
-            )
+        return KernelCost(
+            kernel=label,
+            random_bytes=float(n_needles) * depth * float(key_bytes),
+            sequential_bytes=float(n_needles) * (float(key_bytes) + 2.0 * INDEX_ITEMSIZE),
+            ops=float(n_needles) * depth * 2.0,
         )
 
 

@@ -15,9 +15,14 @@ slot per round (the "CAS winner"), everyone else retries in the next round.
 The number of rounds therefore equals the longest probe sequence, exactly as
 it would on the GPU.
 
+Tables exist only where joins probe them: on an index on fewer than all
+columns.  An all-column index (``new - full``, DRed, WCOJ member checks)
+keeps none and answers membership by searching its sorted runs
+(:meth:`~repro.relational.hisa.HISA.contains_columns`).
+
 A slab of tables, stacked (Section 5.1, semi-naïve merge).  The owning HISA
 keeps its index as a stack of sorted runs and gives a table to each run of
-the stack's oldest prefix — its large runs and a prefix index's first run;
+the stack's oldest prefix — its large runs and its first run;
 the small runs a merge writes above it keep none and are searched instead:
 charged when the run is written, built on the host at first read, probed
 until a merge absorbs the run, never updated in between — a run's positions
@@ -38,23 +43,14 @@ empty:
 build at its push, exactly as the paper's CAS-insert loop after the merge
 does; the host keeps the pushed keys, values and run lengths *pending* in the
 first of the table's own slots and runs the CAS-race emulation only when
-:meth:`probe`, :meth:`may_contain`, :meth:`update_slots` or :attr:`stats`
-first touches the table (:meth:`truncate` drops a pending table unbuilt).
+:meth:`probe`, :meth:`update_slots` or :attr:`stats` first touches the table
+(:meth:`truncate` drops a pending table unbuilt).
 The one charged term that depends on the layout, the probe count, comes in
 closed form: linear probing's total displacement does not depend on
 insertion order (Knuth, TAOCP vol. 3, §6.4), so it is the sum over slots of
 the keys carried past each slot (:func:`_linear_probes`), which is what the
 emulated rounds count.  The last merge's tables of a fixpoint are
 never read, and are never built on the host.
-
-A *filtered* slab also gives each table a **membership filter**: a blocked
-Bloom filter of :data:`FILTER_BITS_PER_SLOT` bits per slot, whose words lie
-in the slab beside the table's slots (one word per
-``64 // FILTER_BITS_PER_SLOT`` slots, so they are reserved, reused, grown and
-popped with them).  A table's build sets each key's bits from its hash, and
-:meth:`may_contain` names the tables a batch of hashes need be
-probed in.  A filter has no false negatives, so the tables it rules out
-cannot hold the key.
 
 All arrays are owned by the device's
 :class:`~repro.backend.base.ArrayBackend`.
@@ -71,23 +67,8 @@ from ..device.device import Device
 from .hashing import hash_scalar, next_power_of_two
 
 _SLOT_BYTES = 16  # 8-byte key + 8-byte value, the paper's (K, V) pair
+_RESERVED_SLOT_BYTES = _SLOT_BYTES + 8  # plus the run length kept beside each entry
 DEFAULT_LOAD_FACTOR = 0.8
-
-#: Bits of a filtered table's membership filter per slot.  A key sets three
-#: bits of one 64-bit word, the word picked by the high half of its hash, so a
-#: check reads one word.  Sizing by slots, not keys, lays a table's words
-#: beside its slots (a table with fewer than ``64 // FILTER_BITS_PER_SLOT``
-#: slots gets that many), so they grow and are reused with the slab and a
-#: merge pays no allocation for them; at a load factor of at most 0.8 a key
-#: gets 20 to 40 bits.  Measured on ``bench/run.py``'s ``reach-road`` instance
-#: (seed 0: 695 k tuple x run checks in ``new - full`` against the runs that
-#: keep a table, the large ones, 1.4 % of them of a run that holds the tuple):
-#: of the others, 8 bits a slot let 1.42 % through to the table, 16 bits
-#: 0.30 % and 32 bits 0.07 %, so the table probes are 19.3 k, 11.6 k and
-#: 10.1 k, of which 50 %, 83 % and 95 % hit.  16 gets most of what 32 does at
-#: 2 bytes a slot, against the 24 of the slot itself.
-FILTER_BITS_PER_SLOT = 16
-_SLOTS_PER_WORD = 64 // FILTER_BITS_PER_SLOT
 
 
 @dataclass(frozen=True)
@@ -128,7 +109,6 @@ class OpenAddressingHashTable:
         load_factor: float = DEFAULT_LOAD_FACTOR,
         label: str = "hash_table",
         charge: bool = True,
-        filtered: bool = False,
     ) -> None:
         if not 0 < load_factor <= 1.0:
             raise ValueError("load_factor must be in (0, 1]")
@@ -137,15 +117,9 @@ class OpenAddressingHashTable:
         self.backend = backend
         self.load_factor = float(load_factor)
         self.label = label
-        self.filtered = filtered
-        #: reserved bytes per slot: key, value, run length and, when filtered,
-        #: a slot's share of a filter word
-        self._slot_bytes = _SLOT_BYTES + 8 + (8 // _SLOTS_PER_WORD if filtered else 0)
         self._keys = backend.empty(0, dtype=backend.uint64)
         self._values = backend.empty(0, dtype=backend.int64)
         self._lengths = backend.empty(0, dtype=backend.int64)
-        #: the filters' words, one per ``_SLOTS_PER_WORD`` slots of the slab
-        self._words = backend.empty(0, dtype=backend.uint64)
         #: ``(first slot, slot count, key count)`` of every table, oldest first
         self._tables: list[tuple[int, int, int]] = []
         #: per table, oldest first: the statistics of its build on the host,
@@ -171,8 +145,8 @@ class OpenAddressingHashTable:
         The table takes the power-of-two slot range after the current top of
         the stack; ``grew`` says the slab had to be reallocated for it
         (geometrically, so a fixpoint pushing many small tables pays amortised
-        O(1) allocations).  Charged: the keys' probe work and filter bits, the
-        streamed clear of a reused slot range (and its filter words), and —
+        O(1) allocations).  Charged: the keys' probe work, the streamed clear
+        of a reused slot range, and —
         only when the slab grew — the allocation and the copy of the tables
         below.  The table is built on the host when first read; until then
         its keys, values and run lengths wait in the first of its own slots.
@@ -186,8 +160,6 @@ class OpenAddressingHashTable:
 
         first = sum(slots for _, slots, _ in self._tables)
         slots = next_power_of_two(int(math.ceil(max(1, m) / self.load_factor)))
-        if self.filtered:
-            slots = max(slots, _SLOTS_PER_WORD)  # whole filter words
         grew = first + slots > self.capacity
         if grew:
             # A table built once (an index nothing is merged into) reserves
@@ -199,8 +171,6 @@ class OpenAddressingHashTable:
             self._keys, self._values, self._lengths = (
                 grown(backend, array, first, capacity) for array in (self._keys, self._values, self._lengths)
             )
-            if self.filtered:
-                self._words = grown(backend, self._words, first // _SLOTS_PER_WORD, capacity // _SLOTS_PER_WORD)
         self._tables.append((first, slots, m))
         self._builds.append(None)
         self._keys[first : first + m] = key_hashes
@@ -209,18 +179,14 @@ class OpenAddressingHashTable:
         if charge:
             probes = _linear_probes(backend, key_hashes, slots)
             # A fresh slab is initialised by its allocation (first touch); a
-            # reused range is cleared by streaming its key slots and filter
-            # words.  Each inserting thread also ORs its key's bits into its
-            # filter word (one random 8-byte atomic).
-            cleared = slots + (slots // _SLOTS_PER_WORD if self.filtered else 0)  # key slots, filter words
-            streamed = 2.0 * first * self._slot_bytes if grew else 8.0 * cleared
-            filter_bits = float(m) if self.filtered else 0.0
+            # reused range is cleared by streaming its key slots.
+            streamed = 2.0 * first * _RESERVED_SLOT_BYTES if grew else 8.0 * slots
             self.device.charge(
                 KernelCost(
                     kernel=label or f"{self.label}.insert_batch",
-                    random_bytes=float(probes) * _SLOT_BYTES + 8.0 * filter_bits,
+                    random_bytes=float(probes) * _SLOT_BYTES,
                     sequential_bytes=float(m) * 24.0 + streamed,
-                    ops=float(probes) * 4.0 + filter_bits,
+                    ops=float(probes) * 4.0,
                     alloc_bytes=float(self.nbytes) if grew else 0.0,
                     allocations=1 if grew else 0,
                 )
@@ -237,16 +203,11 @@ class OpenAddressingHashTable:
         if self._builds[index] is not None:
             return self._builds[index]
         first, slots, m = self._tables[index]
-        backend = self.backend
         key_hashes, values, lengths = (
             array[first : first + m].copy() for array in (self._keys, self._values, self._lengths)
         )
         self._keys[first : first + slots] = EMPTY_KEY
         rounds, probes = self._build(first, slots, key_hashes, values, lengths)
-        if self.filtered:
-            words = self._filter(first, slots)
-            words[...] = 0
-            backend.or_at(words, _filter_words(backend, key_hashes, words), _filter_masks(backend, key_hashes))
         self._builds[index] = HashTableStats(capacity=slots, n_keys=m, build_rounds=rounds, total_probes=probes)
         return self._builds[index]
 
@@ -417,43 +378,6 @@ class OpenAddressingHashTable:
             )
         return positions, lengths
 
-    def may_contain(
-        self, query_hashes: Array, *, charge: bool = True, label: str | None = None
-    ) -> tuple[Array, Array]:
-        """The (hash, table) pairs whose table's filter admits the hash.
-
-        Returns ``(rows, tables)``: for each admitted pair the hash's index in
-        ``query_hashes`` and the table's index in the stack, table by table —
-        the arguments :meth:`probe` takes to look every pair up in one batch.
-        A pair left out cannot match.  Charged: one filter-word read per hash
-        per table, done by the threads of the probe that follows (no launch
-        of its own).  Requires a filtered slab.
-        """
-        if not self.filtered:
-            raise ValueError("may_contain() requires a filtered hash table")
-        backend = self.backend
-        query = backend.asarray(query_hashes, dtype=backend.uint64)
-        masks = _filter_masks(backend, query)
-        rows, tables = [], []
-        for index, (first, slots, _) in enumerate(self._tables):
-            self._built(index)
-            words = self._filter(first, slots)
-            admitted = backend.nonzero_indices((words[_filter_words(backend, query, words)] & masks) == masks)
-            rows.append(admitted)
-            tables.append(backend.full(int(admitted.size), index, dtype=backend.int64))
-        if charge:
-            checked = float(query.size) * len(self._tables)
-            self.device.charge(
-                KernelCost(
-                    kernel=label or f"{self.label}.may_contain", random_bytes=8.0 * checked, ops=checked, launches=0
-                )
-            )
-        return backend.concatenate(rows), backend.concatenate(tables)
-
-    def _filter(self, first: int, slots: int) -> Array:
-        """The filter words of the table in slots ``[first, first + slots)``."""
-        return self._words[first // _SLOTS_PER_WORD : (first + slots) // _SLOTS_PER_WORD]
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -481,8 +405,8 @@ class OpenAddressingHashTable:
 
     @property
     def nbytes(self) -> int:
-        """Device bytes reserved by the slab (keys, values, run lengths, filter words)."""
-        return self.capacity * self._slot_bytes
+        """Device bytes reserved by the slab (keys, values, run lengths)."""
+        return self.capacity * _RESERVED_SLOT_BYTES
 
     def occupancy(self) -> float:
         return self.n_keys / self.capacity if self.capacity else 0.0
@@ -512,18 +436,3 @@ def _linear_probes(backend, key_hashes: Array, slots: int) -> int:
     wrap = int(carried[-1] - lowest[-1])
     lowest[lowest > -wrap] = -wrap
     return int(key_hashes.size) + int(carried.sum() - lowest.sum())
-
-
-def _filter_masks(backend, hashes: Array) -> Array:
-    """The three bits of its filter word each key sets: three 6-bit fields of its hash."""
-    one, field = hash_scalar(backend, 1), hash_scalar(backend, 63)
-    masks = one << (hashes & field)
-    for shift in (6, 12):
-        masks |= one << ((hashes >> hash_scalar(backend, shift)) & field)
-    return masks
-
-
-def _filter_words(backend, hashes: Array, words: Array) -> Array:
-    """The filter word of each key: the high half of its hash modulo the (power-of-two) word count."""
-    wrap = hash_scalar(backend, int(words.shape[0]) - 1)
-    return ((hashes >> hash_scalar(backend, 32)) & wrap).astype(backend.int64)

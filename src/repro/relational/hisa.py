@@ -14,7 +14,8 @@ A HISA stores one relation (or one index of a relation) in three tiers:
    adjacent-compare deduplication [R4].
 3. **open-addressing hash table** — maps the 64-bit hash of a join key to the
    first sorted-index position of that key's run [R1, R3]
-   (:class:`~repro.relational.hashtable.OpenAddressingHashTable`).
+   (:class:`~repro.relational.hashtable.OpenAddressingHashTable`).  Only an
+   index on fewer than all columns has one, because only joins probe it (below).
 
 Incremental maintenance: the index tier is a stack of sorted runs
 -----------------------------------------------------------------
@@ -31,9 +32,9 @@ index as a few geometrically sized sorted batches:
 * the sorted index, the cached packed sort keys of the sorted tuples and (for
   an index on fewer than all columns) the cached packed join keys live in
   **capacity-backed arrays holding a stack of sorted runs end to end**,
-  oldest and largest first; the hash table is a slab holding one table per
-  large run the same way — per run of at least :data:`TABLE_MIN_ROWS`
-  tuples, and a prefix index's constructor run (below);
+  oldest and largest first; on an index on fewer columns, the hash table is
+  a slab holding one table per large run the same way — per run of at least
+  :data:`TABLE_MIN_ROWS` tuples, and the constructor's run (below);
 * :meth:`HISA.merge` **pushes** the delta — already sorted, its keys already
   packed — as the newest run: O(|Δ|), nothing older moves, so the absolute
   positions in the older runs' tables stay valid;
@@ -48,35 +49,33 @@ index as a few geometrically sized sorted batches:
   most ⌈log₂(|full|/|Δ|)⌉ + 1 runs, amortised O(|Δ| log(|full|/|Δ|)) work per
   merge, and a delta comparable to ``full`` absorbs everything — one run,
   exactly the dense merge;
-* a run a merge writes keeps a table only from :data:`TABLE_MIN_ROWS`
-  tuples, on every index.  The table is what finds a key's range in a
-  *large* sorted array; a small run answers by a search of the sorted keys
-  it already caches — join keys, which on an all-column index are the tuple
-  keys — and the search is exact.  One run keeps its table at any size: the
-  constructor's run of an index on fewer columns, which indexes a whole
-  relation (its facts, a stratum's load, a retract's re-initialization) and
-  is probed by every iteration and epoch until a merge absorbs it; an empty
-  one keeps none.  Runs shrink more than twofold toward the top of the
-  stack and the constructor's run is the oldest, so the runs with tables
-  are a prefix of it and table ``r`` stays run ``r``;
+* on an index on fewer columns, a run a merge writes keeps a table only
+  from :data:`TABLE_MIN_ROWS` tuples.  The table is what finds a key's range
+  in a *large* sorted array; a small run answers by a search of the join keys
+  it already caches, and the search is exact.  The constructor's run keeps
+  its table at any size: it indexes a whole relation (its facts, a stratum's
+  load, a retract's re-initialization) and is probed by every iteration and
+  epoch until a merge absorbs it; an empty one keeps none.  Runs shrink more
+  than twofold toward the top of the stack and the constructor's run is the
+  oldest, so the runs with tables are a prefix of it and table ``r`` stays
+  run ``r``;
 * readers see one logical index: :meth:`HISA.lookup_columns` hashes the probe
   keys once, walks every (key, run) pair of the runs with tables in one
   batched probe and searches the others' join keys,
   :meth:`HISA.expand_matches` emits the matches probe-major (what one GPU
   thread per probe key walking its runs produces); nothing reads the runs
   as one sorted array, so nothing ever folds them back into one;
-* an index on *all* columns is the one every ``new - full`` difference,
-  retract and WCOJ member check asks.  :meth:`HISA.contains_columns` packs
-  the batch once and searches each small run — a merge path when the batch
-  is sorted, as ``new - full``'s deduplicated batch always is, a binary
-  search otherwise — and hashes only for the runs with tables.  Each of
-  those tables carries a **membership filter**, a blocked Bloom filter of
-  :data:`~repro.relational.hashtable.FILTER_BITS_PER_SLOT` bits per table
-  slot, set as the table is built: a run's table is probed only for the
-  tuples its filter cannot rule out, so a tuple that is new walks no miss
-  chain in the runs that cannot hold it; a filter has no false negatives, so
-  the answer is the probe's.  Lookups on fewer columns mostly hit and probe
-  their tables without one;
+* an index on *all* columns keeps **no table at any size**.  It is the one
+  every ``new - full`` difference, retract and WCOJ member check asks, and
+  each of those is a set difference or intersection of sorted tuple keys
+  (the dynamic set difference of *Scaling-Up In-Memory Datalog Processing*,
+  PAPERS.md): :meth:`HISA.contains_columns` packs the batch once and
+  searches every run's cached tuple keys, charged per run as whichever of a
+  merge path (a sorted batch, as ``new - full``'s deduplicated one always
+  is) and a binary search the device prices cheaper.  A table there would
+  cost a build per large run and answer only what the search answers
+  exactly; the paper's HISA keeps its table for the join range queries it
+  was built for, and so does this one;
 * the data array grows by an **in-place append** of the delta whenever the
   backing device buffer has headroom (the eager buffer manager's
   over-allocation), falling back to an amortised copy into a larger buffer
@@ -122,16 +121,16 @@ from .hashtable import DEFAULT_LOAD_FACTOR, OpenAddressingHashTable, grown
 #: pins).  2 rewrites the least on the flat part of the curve.
 ABSORB_RATIO = 2
 
-#: The fewest tuples a sorted run a merge writes keeps a hash table (and, on
-#: an all-column index, membership filter) for; smaller runs are searched
-#: (module docstring).
+#: The fewest tuples a sorted run a merge writes on an index on fewer than all
+#: columns keeps a hash table for; smaller runs are searched (module docstring).
 #: Swept on a 2-vCPU VM (``reach-road`` host time of one ``bench/run.py`` unit,
 #: median of 3, and the ``slow`` paper tables' GPUlog cells): 4 Ki 1.63 s with
 #: Table 2 fe_ocean 5.05 and fe_body 0.383; 16 Ki 1.42 s with com-dblp 3.46,
 #: above the 3.38 of a table for every run; **64 Ki** 1.23 s with fe_ocean
 #: 4.67, fe_body 0.339 and com-dblp 3.25; 116 Ki (H100's resident threads)
 #: 1.11 s, but vsp_finan 2.62 -> 2.73, fe_body 0.339 -> 0.343 and SF.cedge
-#: 0.201 -> 0.211.  At 64 Ki ``reach-road`` builds 7 tables per run, not 298.
+#: 0.201 -> 0.211.  At 64 Ki ``reach-road`` built 7 tables per run, not 298,
+#: when the all-column index still kept tables; it keeps none now.
 TABLE_MIN_ROWS = 1 << 16
 
 
@@ -276,28 +275,23 @@ class HISA:
             arity + (self.n_join if self.n_join < arity else 0)
         )
         self._bounds = [0, n]
-        # The key-run scan is charged for every index; the host finds the
-        # runs only for the table they key (below).
-        if n:
-            self.device.kernels.transform(
-                n,
-                bytes_per_item=2.0 * self.n_join * TUPLE_ITEMSIZE,
-                ops_per_item=self.n_join,
-                label=f"{label}.find_runs",
-            )
 
         # --- Tier 3: open-addressing hash tables, one per large sorted run ------
-        # (on an all-column index with a membership filter)
         self.table: OpenAddressingHashTable | None = None
         if build_hash_index:
-            self.table = OpenAddressingHashTable(
-                device, load_factor=self.load_factor, label=f"{label}.table", filtered=self.n_join == arity
-            )
-            # A prefix index's first run indexes a whole relation (its facts,
-            # a stratum's load, a retract's re-initialization), which every
-            # iteration and epoch probes: it keeps a table whenever it holds
-            # tuples.  Every other run follows :meth:`_keeps_table`.
-            if n and (self.n_join < arity or self._keeps_table(n)):
+            self.table = OpenAddressingHashTable(device, load_factor=self.load_factor, label=f"{label}.table")
+            # The first run of an index on fewer columns indexes a whole
+            # relation (its facts, a stratum's load, a retract's
+            # re-initialization), which every iteration and epoch probes: it
+            # keeps a table whenever it holds tuples, and only the table reads
+            # its key runs.  An all-column index keeps none (:meth:`_keeps_table`).
+            if n and self.n_join < arity:
+                self.device.kernels.transform(
+                    n,
+                    bytes_per_item=2.0 * self.n_join * TUPLE_ITEMSIZE,
+                    ops_per_item=self.n_join,
+                    label=f"{label}.find_runs",
+                )
                 run_starts, run_lengths = _runs_from_keys(backend, self._stores[-1])
                 self.table.insert_batch(
                     self._hash_keys([column[run_starts] for column in sorted_columns[: self.n_join]]),
@@ -520,13 +514,9 @@ class HISA:
         """Exact membership test for whole tuples; ``columns`` are in schema order.
 
         Requires the HISA to be indexed on *all* columns (as the ``full``
-        version used for deduplication is).  Every tuple checks the membership
-        filter of every run with a table, and the (tuple, run) pairs a filter
-        admits probe that run's table, all in one batch — one GPU thread per
-        pair; the small runs without a table are searched
-        (:meth:`_search_runs`).  The runs are disjoint, so at most one run
-        holds a tuple; neither a filter nor a search has false negatives, so
-        no tuple that is present is missed.
+        version used for deduplication is), which keeps no hash table: every
+        sorted run is searched (:meth:`_search_runs`).  The runs are
+        disjoint, so at most one run holds a tuple.
         """
         self._check_live()
         backend = self.backend
@@ -535,15 +525,8 @@ class HISA:
         self._check_table()
         if not columns or columns[0].shape[0] == 0:
             return backend.empty(0, dtype=backend.bool_)
-        key_columns = [columns[column] for column in self.column_order]
-        present = backend.zeros(int(key_columns[0].shape[0]), dtype=backend.bool_)
-        if self.table.n_tables:
-            hashes = self._hash_keys(key_columns, charge=charge)
-            tuples, runs = self.table.may_contain(hashes, charge=charge, label=f"{self.label}.filter_check")
-            if tuples.size:
-                starts, _ = self._probe_run(runs, hashes[tuples], key_columns, keys=tuples, charge=charge)
-                backend.scatter(present, tuples[starts >= 0], True)
-        for _, _, matches in self._search_runs(key_columns, charge=charge):
+        present = backend.zeros(int(columns[0].shape[0]), dtype=backend.bool_)
+        for _, _, matches in self._search_runs([columns[column] for column in self.column_order], charge=charge):
             present |= matches
         return present
 
@@ -559,12 +542,8 @@ class HISA:
         where there is one.  The keys are packed once in the join-key store's
         format — the tuple-key store on an all-column index; a batch that
         does not fit narrow keys widens the store, as a merge's delta does —
-        and binary-searched in each run's cached join keys.  A sorted batch —
-        ``new - full``'s deduplicated one — is charged as a merge path, batch
-        and run keys each streamed once; any other as a binary search per
-        key, for the first match (the key run's length is the scan the join
-        charges, as after a hash probe).  The charges fold into the caller's
-        fused launch (outside one, they are one launch).
+        and binary-searched in each run's cached join keys, charged per run
+        by :meth:`_charge_search`.
         """
         backend = self.backend
         bounds = self._bounds
@@ -593,20 +572,32 @@ class HISA:
         return found
 
     def _charge_search(self, run_sizes: list[int], keys: Array) -> None:
-        """Charge :meth:`_search_runs`: a merge path per run for a sorted batch, else a binary search per key."""
+        """Charge :meth:`_search_runs` per run, as a GPU kernel would choose.
+
+        A binary search per key finds its first match (the key run's length
+        is the scan the join charges, as after a hash probe): O(m log |run|).
+        A sorted batch — ``new - full``'s deduplicated one — may instead
+        merge-path against a run, batch and run keys each streamed once:
+        O(m + |run|).  Each run is charged whichever the device's cost model
+        prices cheaper, so a small delta searched in a large run pays for the
+        delta, not the run.  The charges fold into the caller's fused launch
+        (outside one, they are one launch).
+        """
         m = int(keys.shape[0])
         key_bytes = self.n_join * TUPLE_ITEMSIZE
-        if self.backend.is_monotone(keys):
-            streamed = float(m * len(run_sizes) + sum(run_sizes))
-            self.device.charge(
-                KernelCost(kernel=f"{self.label}.merge_search", sequential_bytes=streamed * key_bytes, ops=streamed)
-            )
-            return
+        merge_path = self.backend.is_monotone(keys)
+        seconds = self.device.cost_model.seconds
+        kernels = self.device.kernels
         with self.device.fused(f"{self.label}.search_keys"):
             for size in run_sizes:
-                self.device.kernels.binary_search_keys(
-                    m, haystack_size=size, key_bytes=key_bytes, label=f"{self.label}.search_keys"
-                )
+                cost = kernels.binary_search_cost(m, size, key_bytes, label=f"{self.label}.search_keys")
+                if merge_path:
+                    streamed = float(m + size)
+                    merged = KernelCost(
+                        kernel=f"{self.label}.merge_search", sequential_bytes=streamed * key_bytes, ops=streamed
+                    )
+                    cost = min(merged, cost, key=seconds)
+                self.device.charge(cost)
 
     # ------------------------------------------------------------------
     # Merge (full <- full U delta), Section 4.2 / 5.1
@@ -731,8 +722,8 @@ class HISA:
         ``parts`` is a sorted run outside the stack, one array per store.  It
         is path-merged with the stack's runs newest to oldest down to
         ``first`` (none for a plain push), written where run ``first`` began,
-        scanned for key runs once and given one hash table — unless it is a
-        small run (:data:`TABLE_MIN_ROWS`), which lookups search instead.
+        scanned for key runs once and given one hash table — unless it
+        keeps none (:meth:`_keeps_table`) and lookups search it instead.
         """
         backend = self.backend
         bounds = self._bounds
@@ -773,15 +764,9 @@ class HISA:
         # Runs shrink more than twofold toward the top of the stack, so the
         # runs with tables are a prefix of it: table ``r`` is run ``r``.
         assert self.table.n_tables == first, (self.table.n_tables, first)
-        index = self._stores[0][start:end]
-        if self.n_join == self.natural_arity:
-            # Every key run is a single tuple (an all-column index over
-            # duplicate-free tuples): the key runs are positional.
-            run_starts, run_lengths, first_rows = backend.arange(size, dtype=backend.int64), None, index
-        else:
-            run_starts, run_lengths = _runs_from_keys(backend, self._stores[-1][start:end])
-            first_rows = index[run_starts]
-        if charge and run_lengths is not None:
+        run_starts, run_lengths = _runs_from_keys(backend, self._stores[-1][start:end])
+        first_rows = self._stores[0][start:end][run_starts]
+        if charge:
             # The key-run scan reads every cached join key of the run once.
             self.device.charge(
                 KernelCost(
@@ -819,11 +804,10 @@ class HISA:
             out[from_large] = large_part
             merged.append(out)
         if charge:
-            self.device.kernels.binary_search_keys(
-                n_small,
-                haystack_size=n_large,
-                key_bytes=self.natural_arity * TUPLE_ITEMSIZE,
-                label=f"{self.label}.merge_path",
+            self.device.charge(
+                self.device.kernels.binary_search_cost(
+                    n_small, n_large, self.natural_arity * TUPLE_ITEMSIZE, label=f"{self.label}.merge_path"
+                )
             )
             self.device.charge(
                 KernelCost(
@@ -836,8 +820,10 @@ class HISA:
 
     def _keeps_table(self, size: int) -> bool:
         """Whether a sorted run of ``size`` tuples that a merge writes gets a
-        hash table (a prefix index's non-empty constructor run always does)."""
-        return size >= TABLE_MIN_ROWS
+        hash table: never on an all-column index, which only membership tests
+        read; from :data:`TABLE_MIN_ROWS` on any other (whose non-empty
+        constructor run always keeps one)."""
+        return self.n_join < self.natural_arity and size >= TABLE_MIN_ROWS
 
     def _wide_store(self, position: int) -> Array:
         """Key store ``position`` (1: tuple keys, 2: join keys) re-packed wide

@@ -260,60 +260,27 @@ class Relation:
         self._new_buffers.append(buffer)
 
     def end_iteration(self) -> IterationStats:
-        """Run the populate-delta / merge / clear-new steps of Figure 3."""
+        """Run the populate-delta / merge / clear-new steps of Figure 3.
+
+        A tail iteration, whose raw *new* rows one launch can hold resident
+        (``device.spec.resident_threads``), runs gather, dedup, ``new -
+        full`` and the delta index builds as one cooperative launch
+        (``{name}.tail_fused``) under the deduplication phase, every stage's
+        bytes and ops still charged: the long tail's per-iteration overhead
+        (*Scaling-Up In-Memory Datalog Processing*, PAPERS.md).  The merge
+        keeps its own launches.
+        """
         self._iteration += 1
         profiler = self.device.profiler
         raw_count = self.new_count
-
-        with profiler.phase(PHASE_DEDUPLICATION):
-            if self._new_parts:
-                new_rows = self._deduplicate_new(self._gather_new())
-            else:
-                new_rows = ColumnBatch.empty(self.device, self.arity)
-        new_count = len(new_rows)
-
-        with profiler.phase(PHASE_POPULATE_DELTA):
-            if new_count and self.full_count:
-                delta = difference(self.device, new_rows, self.canonical_index, label=f"{self.name}.populate_delta")
-            else:
-                delta = new_rows
-        delta_count = len(delta)
-
-        # Retire the previous delta buffer and the accumulated new buffers.
-        self._release_new_buffers()
-        if self._delta_buffer is not None:
-            self.device.free(self._delta_buffer, charge_cost=False)
-            self._delta_buffer = None
-        self._delta = delta
-        if delta_count:
-            self._delta_buffer = self.device.allocate(delta.nbytes, label=f"{self.name}.delta", charge_cost=False)
+        tail = 0 < raw_count <= self.device.spec.resident_threads
+        fused = self.device.fused(f"{self.name}.tail_fused") if tail else nullcontext()
+        with profiler.phase(PHASE_DEDUPLICATION), fused:
+            new_count, delta_indexes = self._populate_delta()
+        delta_count = len(self._delta)
 
         in_place_merges = 0
         if delta_count:
-            delta_indexes: dict[tuple[int, ...], HISA] = {}
-            with profiler.phase(PHASE_INDEX_DELTA):
-                # ``delta`` is a subset of the deduplicated (sorted) new rows
-                # with order preserved, so the per-iteration delta sort is
-                # performed once and shared by every identity-order index.
-                # No hash table: the merge consumes only the delta's sorted
-                # data and cached keys, and nothing ever probes a delta index.
-                for columns in sorted(self._index_column_sets):
-                    # A prefix index adopts the dedup sort directly, so its
-                    # build is column reorder + index adoption + run finding —
-                    # elementwise stages over one pass, fused into one launch.
-                    # Non-prefix indexes re-sort (a real multi-pass kernel)
-                    # and keep their per-stage launches.
-                    adopts_sort = columns == tuple(range(len(columns)))
-                    with self.device.fused(f"{self.name}.delta.build_fused") if adopts_sort else nullcontext():
-                        delta_indexes[columns] = HISA(
-                            self.device,
-                            delta,
-                            columns,
-                            load_factor=self.load_factor,
-                            label=f"{self.name}.delta[{','.join(map(str, columns))}]",
-                            assume_sorted=True,
-                            build_hash_index=False,
-                        )
             with profiler.phase(PHASE_MERGE):
                 for columns in sorted(self._index_column_sets):
                     manager = self._buffer_managers[columns]
@@ -332,6 +299,56 @@ class Relation:
         )
         self.history.append(stats)
         return stats
+
+    def _populate_delta(self) -> tuple[int, dict[tuple[int, ...], HISA]]:
+        """Deduplicate *new* (in the caller's deduplication phase), make
+        ``new - full`` the delta and index it; returns ``(new_count, delta_indexes)``."""
+        profiler = self.device.profiler
+        if self._new_parts:
+            new_rows = self._deduplicate_new(self._gather_new())
+        else:
+            new_rows = ColumnBatch.empty(self.device, self.arity)
+
+        with profiler.phase(PHASE_POPULATE_DELTA):
+            if len(new_rows) and self.full_count:
+                delta = difference(self.device, new_rows, self.canonical_index, label=f"{self.name}.populate_delta")
+            else:
+                delta = new_rows
+
+        # Retire the previous delta buffer and the accumulated new buffers.
+        self._release_new_buffers()
+        if self._delta_buffer is not None:
+            self.device.free(self._delta_buffer, charge_cost=False)
+            self._delta_buffer = None
+        self._delta = delta
+        delta_indexes: dict[tuple[int, ...], HISA] = {}
+        if not len(delta):
+            return len(new_rows), delta_indexes
+        self._delta_buffer = self.device.allocate(delta.nbytes, label=f"{self.name}.delta", charge_cost=False)
+        with profiler.phase(PHASE_INDEX_DELTA):
+            # ``delta`` is a subset of the deduplicated (sorted) new rows
+            # with order preserved, so the per-iteration delta sort is
+            # performed once and shared by every identity-order index.
+            # No hash table: the merge consumes only the delta's sorted
+            # data and cached keys, and nothing ever probes a delta index.
+            for columns in sorted(self._index_column_sets):
+                # A prefix index adopts the dedup sort directly, so its
+                # build is column reorder + index adoption — elementwise
+                # stages over one pass, fused into one launch.  Non-prefix
+                # indexes re-sort (a real multi-pass kernel) and keep their
+                # per-stage launches.
+                adopts_sort = columns == tuple(range(len(columns)))
+                with self.device.fused(f"{self.name}.delta.build_fused") if adopts_sort else nullcontext():
+                    delta_indexes[columns] = HISA(
+                        self.device,
+                        delta,
+                        columns,
+                        load_factor=self.load_factor,
+                        label=f"{self.name}.delta[{','.join(map(str, columns))}]",
+                        assume_sorted=True,
+                        build_hash_index=False,
+                    )
+        return len(new_rows), delta_indexes
 
     def _gather_new(self) -> "ColumnBatch | PackedColumns":
         """Concatenate the accumulated *new* parts for deduplication.

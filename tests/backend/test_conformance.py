@@ -456,29 +456,6 @@ def test_add_at_accumulates_duplicates(backend):
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    writes=st.lists(
-        st.tuples(st.integers(0, 3), st.integers(0, 63), st.integers(0, 63)), min_size=0, max_size=40
-    )
-)
-def test_or_at_keeps_every_duplicate_write(writes):
-    """Duplicate-heavy: four words, so most indices repeat, and each write
-    sets two bits — a scatter of OR-ed values would keep one write per word."""
-    expected = [0] * 4
-    for word, low, high in writes:
-        expected[word] |= (1 << low) | (1 << high)
-    for spec in ("numpy", "guard"):
-        backend = get_backend(spec)
-        target = backend.zeros(4, dtype=backend.uint64)
-        backend.or_at(
-            target,
-            backend.from_host([word for word, _, _ in writes], dtype=backend.index_dtype),
-            backend.from_host([(1 << low) | (1 << high) for _, low, high in writes], dtype=backend.uint64),
-        )
-        assert to_host_list(backend, target) == expected
-
-
-@settings(max_examples=40, deadline=None)
 @given(segments=st.lists(st.lists(dup_values, min_size=1, max_size=5), min_size=1, max_size=10))
 def test_reduceat_sum_matches_segment_sums(segments):
     for spec in ("numpy", "guard"):

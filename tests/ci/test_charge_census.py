@@ -57,17 +57,16 @@ def test_every_uncharged_call_is_listed_with_a_reason():
     assert all(reason for reason in UNCHARGED.values())
 
 
-def test_an_uncharged_membership_test_charges_no_filter_work(monkeypatch):
-    """The run filters are charged like the probes they stand in front of:
-    with ``charge=True`` a check rides in every membership test, with
-    ``charge=False`` nothing at all is recorded."""
+def test_an_uncharged_membership_test_charges_nothing():
+    """A membership test searches every run of the all-column index: with
+    ``charge=True`` the search is charged, with ``charge=False`` nothing at
+    all is recorded, and the answers agree."""
     import numpy as np
 
     from repro.device import Device
-    from repro.relational import EagerBufferManager, hisa
+    from repro.relational import EagerBufferManager
     from tests.helpers import hisa_of, key_columns
 
-    monkeypatch.setattr(hisa, "TABLE_MIN_ROWS", 0)  # every run keeps a table and filter
     device = Device("h100", oom_enabled=False)
     rows = np.arange(600, dtype=np.int64).reshape(300, 2)
     full = hisa_of(device, rows[:250], (0, 1), label="f")
@@ -80,62 +79,65 @@ def test_an_uncharged_membership_test_charges_no_filter_work(monkeypatch):
     assert len(device.profiler.events) == before and device.elapsed_seconds == seconds
 
     charged = full.contains_columns(probes)
-    kernels = [event.cost.kernel for event in device.profiler.events[before:]]
-    assert kernels.count("f.filter_check") == 1
+    assert [event.cost.kernel for event in device.profiler.events[before:]] == ["f.search_keys"]
     np.testing.assert_array_equal(charged, uncharged)
 
 
 def test_small_runs_are_searched_inside_the_callers_launch(monkeypatch):
-    """The runs a merge writes below ``TABLE_MIN_ROWS`` keep no table.  A
-    sorted batch (``new - full``'s) is merged against each: batch and run
-    keys streamed once, no random access.  Any other batch (a retract probe,
-    a WCOJ member check) is binary-searched.  Neither adds a launch to the
-    caller's fused one, and a run at or above the threshold still charges its
-    filter check, probe and key verification.  On a prefix index the
-    constructor's run keeps its table and is probed, and a join lookup
-    searches the merged run at the join key's width, in the same one launch."""
+    """An all-column index keeps no table at any run size, so a membership
+    test searches every run.  Each run is charged the cheaper of a merge
+    path (batch and run keys streamed once; only for a sorted batch, as
+    ``new - full``'s is) and a binary search per key (random reads), by the
+    device's cost model; neither adds a launch to the caller's fused one.
+    On a prefix index the constructor's run keeps its table and is probed,
+    and a join lookup searches the merged run at the join key's width, in
+    the same one launch."""
     import numpy as np
 
     from repro.device import Device
+    from repro.device.kernels import DeviceKernels
     from repro.relational import EagerBufferManager, hisa
     from tests.helpers import hisa_of, key_columns
 
+    def recording(cost, phase=None):
+        stages.append(cost)
+        return charge(cost, phase)
+
     rows = np.arange(600, dtype=np.int64).reshape(300, 2)
+    stored = set(map(tuple, rows.tolist()))
     probes = np.concatenate([rows, rows + 1])
-    for threshold in (hisa.TABLE_MIN_ROWS, 100):
+    for threshold in (hisa.TABLE_MIN_ROWS, 0):
         monkeypatch.setattr(hisa, "TABLE_MIN_ROWS", threshold)
         device = Device("h100", oom_enabled=False)
         full = hisa_of(device, rows[:250], (0, 1), label="f")
         full.merge(hisa_of(device, rows[250:], (0, 1), label="f.d", build_hash_index=False), EagerBufferManager(device))
-        assert full.run_sizes == [250, 50] and full.table.n_tables == (threshold == 100)
+        assert full.run_sizes == [250, 50] and full.table.n_tables == 0
         stages = []
         charge = device.charge
-
-        def recording(cost, phase=None):
-            stages.append(cost)
-            return charge(cost, phase)
-
         device.charge = recording
-        for batch, ordered in ((np.unique(probes, axis=0), True), (probes, False)):
+        # A large sorted batch merges through both runs; two sorted keys
+        # binary-search the large run and merge through the small one; a
+        # batch in any order can only binary-search.
+        merge, search = "f.merge_search", "f.search_keys"
+        for batch, kernels in (
+            (np.unique(probes, axis=0), [merge, merge]),
+            (probes[:2], [search, merge]),
+            (probes, [search, search]),
+        ):
             del stages[:]
             before = len(device.profiler.events)
             with device.fused("diff"):
                 present = full.contains_columns(key_columns(batch))
-            assert present.tolist() == [tuple(row) in set(map(tuple, rows.tolist())) for row in batch.tolist()]
+            assert present.tolist() == [tuple(row) in stored for row in batch.tolist()]
             fused = device.profiler.events[before:]
             assert len(fused) == 1 and fused[0].cost.launches == 1
-            kernels = [cost.kernel for cost in stages[:-1]]  # the last is the fused launch
-            table_stages = ["f.hash_keys", "f.filter_check", "f.probe", "f.verify_key"] if threshold == 100 else []
-            searched = [50] if threshold == 100 else [250, 50]  # sizes of the runs without a table
-            searches = stages[len(table_stages) : -1]
-            if ordered:
-                # one merge path per run, batch and run keys streamed once each
-                assert kernels == table_stages + ["f.merge_search"]
-                assert searches[0].sequential_bytes == sum(16.0 * (len(batch) + n) for n in searched)
-                assert searches[0].random_bytes == 0
-            else:
-                assert kernels == table_stages + ["f.search_keys"] * len(searched)
-                assert all(cost.random_bytes > 0 for cost in searches)
+            searches = stages[:-1]  # the last is the fused launch
+            assert [cost.kernel for cost in searches] == kernels
+            for cost, run in zip(searches, (250, 50)):
+                if cost.kernel == merge:
+                    assert cost.sequential_bytes == 16.0 * (len(batch) + run) and cost.random_bytes == 0
+                else:
+                    assert cost == DeviceKernels.binary_search_cost(len(batch), run, 16.0, label=search)
 
     monkeypatch.undo()  # the default threshold
     device = Device("h100", oom_enabled=False)

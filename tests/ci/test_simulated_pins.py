@@ -133,6 +133,29 @@ and ``sg`` merge only into all-column indexes and ``triangle`` merges
 nothing, so they are bit-identical, as are the ``recover`` rows (a restore
 loads each index whole), iterations, counts, exchange bytes and raw rows.
 
+**Searching an all-column index instead of probing it, charging key runs only
+where a table is pushed, and fusing tail iterations re-pinned the seconds and
+launches of every row, downward, and nothing else.**  Each row's comment
+gives the three moves in that order:
+
+* every relation here is below ``TABLE_MIN_ROWS``, so no all-column index
+  kept a table already; what moves is the search charge, which now takes per
+  run the cheaper of a merge path and a binary search (sub-nanosecond, and
+  zero on most rows);
+* a constructor charged ``{label}.find_runs`` for every index it built,
+  though only a table reads the key runs: the all-column index at every load
+  and each non-prefix delta index (one launch each outside a fused scope,
+  -10 to -106 us);
+* an iteration whose raw *new* rows fit ``resident_threads`` runs gather,
+  dedup, ``new - full`` and the delta index builds as one launch
+  (``{name}.tail_fused``) where they took four or more: every iteration of
+  these rows is one, so -40 to -785 us, 5 us a launch.  ``triangle`` runs no
+  iteration and moves by the ``find_runs`` launches alone, as do the
+  ``recover`` rows (a restore loads each index whole).
+
+Iterations, counts, exchange bytes, raw rows and the per-epoch serving
+numbers are unchanged.
+
 Each serving row carries a ``recover`` row: the same session with a WAL and
 a checkpoint per epoch, crashed after the retract epoch, and what
 ``ServingEngine.recover`` then charges on fresh devices.  It was recorded
@@ -219,7 +242,10 @@ PINS = {
         # small prefix runs keep no table: -968.5 us, launches -2: no slab growth (a 120 us allocation) for
         # a small merged run's table, no table build for memalias's two empty prefix indexes
         # (was 0.003872321401628928 s / 305)
-        "elapsed_seconds": 0.0029037927402028505, "kernel_launches": 303, "total_iterations": 5,
+        # all-column runs keep no table, searches priced per run: -5.3 ns (was 0.0029037927402028505 s)
+        # find_runs only where a table is pushed: -50.0 us, launches -10
+        # tail iterations fused: -395.0 us, launches -79 (was 0.0028537585082039647 s / 293)
+        "elapsed_seconds": 0.0024587585082039643, "kernel_launches": 214, "total_iterations": 5,
         "relation_counts": {"assign": 57, "dereference": 40, "memalias": 400, "valuealias": 529, "valueflow": 507},
         "exchange_bytes": 0.0,
     },
@@ -233,7 +259,10 @@ PINS = {
         # table launch for a small load (was 0.005548977353647868 s / 1362)
         # small prefix runs keep no table: -799.2 us, launches -4: as ("cspa", 1), per shard
         # (was 0.004308595498317922 s / 1346)
-        "elapsed_seconds": 0.003509421417769584, "kernel_launches": 1342, "total_iterations": 5,
+        # all-column runs keep no table, searches priced per run: -2.1 ns (was 0.003509421417769584 s)
+        # find_runs only where a table is pushed: -30.0 us, launches -19
+        # tail iterations fused: -215.0 us, launches -171 (was 0.003479406980226946 s / 1323)
+        "elapsed_seconds": 0.0032644069802269457, "kernel_launches": 1152, "total_iterations": 5,
         "relation_counts": {"assign": 57, "dereference": 40, "memalias": 400, "valuealias": 529, "valueflow": 507},
         "exchange_bytes": 2790080.0,
     },
@@ -247,7 +276,10 @@ PINS = {
         # table launch for a small load (was 0.00556017520001296 s / 2755)
         # small prefix runs keep no table: -776.6 us, launches -8: as ("cspa", 1), per shard
         # (was 0.004319879042051115 s / 2723)
-        "elapsed_seconds": 0.003543262227114113, "kernel_launches": 2715, "total_iterations": 5,
+        # all-column runs keep no table, searches priced per run: -1.0 ns (was 0.003543262227114113 s)
+        # find_runs only where a table is pushed: -30.0 us, launches -37
+        # tail iterations fused: -215.0 us, launches -337 (was 0.003513252674364661 s / 2678)
+        "elapsed_seconds": 0.003298252674364662, "kernel_launches": 2341, "total_iterations": 5,
         "relation_counts": {"assign": 57, "dereference": 40, "memalias": 400, "valuealias": 529, "valueflow": 507},
         "exchange_bytes": 4080080.0,
     },
@@ -256,7 +288,10 @@ PINS = {
         # run filters: +7.0 ns, filter build + check bytes added, probe bytes saved (was 0.0008808256835138212 s)
         # small all-column runs keep no table: -380.1 us, launches -4: no table, filter or slab allocation for a small run, no key hash or
         # table launch for a small load (was 0.0008808326925302773 s / 56)
-        "elapsed_seconds": 0.0005007111240561645, "kernel_launches": 52, "total_iterations": 3,
+        # all-column runs keep no table, searches priced per run: -0.9 ns (was 0.0005007111240561645 s)
+        # find_runs only where a table is pushed: -10.0 us, launches -2
+        # tail iterations fused: -70.0 us, launches -14 (was 0.0004907030317012811 s / 50)
+        "elapsed_seconds": 0.0004207030317012812, "kernel_launches": 36, "total_iterations": 3,
         "relation_counts": {"edge": 85, "sg": 502},
         "exchange_bytes": 0.0,
     },
@@ -265,7 +300,10 @@ PINS = {
         # run filters: +0.6 ns, filter build + check bytes added, probe bytes saved (was 0.0011255032967448177 s)
         # small all-column runs keep no table: -380.1 us, launches -8: no table, filter or slab allocation for a small run, no key hash or
         # table launch for a small load (was 0.0011255039270526193 s / 191)
-        "elapsed_seconds": 0.0007454335153485032, "kernel_launches": 183, "total_iterations": 3,
+        # all-column runs keep no table, searches priced per run: -0.2 ns (was 0.0007454335153485032 s)
+        # find_runs only where a table is pushed: -10.0 us, launches -4
+        # tail iterations fused: -60.1 us, launches -25 (was 0.0007354292004636887 s / 179)
+        "elapsed_seconds": 0.0006753786626713318, "kernel_launches": 154, "total_iterations": 3,
         "relation_counts": {"edge": 85, "sg": 502},
         "exchange_bytes": 6992.0,
     },
@@ -274,7 +312,10 @@ PINS = {
         # run filters: -0.4 ns, filter build + check bytes added, probe bytes saved (was 0.0011352726952537254 s)
         # small all-column runs keep no table: -380.0 us, launches -16: no table, filter or slab allocation for a small run, no key hash or
         # table launch for a small load (was 0.0011352722598745773 s / 371)
-        "elapsed_seconds": 0.0007552353930963807, "kernel_launches": 355, "total_iterations": 3,
+        # all-column runs keep no table, searches priced per run: +0.0 ns (was 0.0007552353930963807 s)
+        # find_runs only where a table is pushed: -10.0 us, launches -8
+        # tail iterations fused: -65.0 us, launches -46 (was 0.0007452333111981794 s / 347)
+        "elapsed_seconds": 0.0006802031641956355, "kernel_launches": 301, "total_iterations": 3,
         "relation_counts": {"edge": 85, "sg": 502},
         "exchange_bytes": 13104.0,
     },
@@ -283,7 +324,10 @@ PINS = {
         # run filters: -0.7 ns, filter build + check bytes added, probe bytes saved (was 0.000835029762081081 s)
         # small all-column runs keep no table: -380.0 us, launches -4: no table, filter or slab allocation for a small run, no key hash or
         # table launch for a small load (was 0.0008350290951213741 s / 47)
-        "elapsed_seconds": 0.00045502385843010503, "kernel_launches": 43, "total_iterations": 3,
+        # all-column runs keep no table, searches priced per run: +0.0 ns (was 0.00045502385843010503 s)
+        # find_runs only where a table is pushed: -10.0 us, launches -2
+        # tail iterations fused: -50.0 us, launches -10 (was 0.0004450234787898448 s / 41)
+        "elapsed_seconds": 0.00039502347878984473, "kernel_launches": 31, "total_iterations": 3,
         "relation_counts": {"edge": 10, "reach": 21},
         "exchange_bytes": 0.0,
     },
@@ -292,7 +336,10 @@ PINS = {
         # run filters: +0.2 ns, filter build + check bytes added, probe bytes saved (was 0.0010700175274951252 s)
         # small all-column runs keep no table: -380.0 us, launches -8: no table, filter or slab allocation for a small run, no key hash or
         # table launch for a small load (was 0.0010700177584458657 s / 139)
-        "elapsed_seconds": 0.000690015565227343, "kernel_launches": 131, "total_iterations": 3,
+        # all-column runs keep no table, searches priced per run: +0.0 ns (was 0.000690015565227343 s)
+        # find_runs only where a table is pushed: -10.0 us, launches -4
+        # tail iterations fused: -50.0 us, launches -15 (was 0.0006800153692839828 s / 127)
+        "elapsed_seconds": 0.0006300153692839828, "kernel_launches": 112, "total_iterations": 3,
         "relation_counts": {"edge": 10, "reach": 21},
         "exchange_bytes": 464.0,
     },
@@ -301,7 +348,10 @@ PINS = {
         # run filters: +0.2 ns, filter build + check bytes added, probe bytes saved (was 0.0010550141752068921 s)
         # small all-column runs keep no table: -380.0 us, launches -16: no table, filter or slab allocation for a small run, no key hash or
         # table launch for a small load (was 0.0010550143744043118 s / 262)
-        "elapsed_seconds": 0.0006750125559274653, "kernel_launches": 246, "total_iterations": 3,
+        # all-column runs keep no table, searches priced per run: +0.0 ns (was 0.0006750125559274653 s)
+        # find_runs only where a table is pushed: -10.0 us, launches -8
+        # tail iterations fused: -40.0 us, launches -20 (was 0.000665012408969945 s / 238)
+        "elapsed_seconds": 0.0006250089534421193, "kernel_launches": 218, "total_iterations": 3,
         "relation_counts": {"edge": 10, "reach": 21},
         "exchange_bytes": 816.0,
     },
@@ -310,7 +360,10 @@ PINS = {
         # run filters: +12.7 ns, filter build + check bytes added, probe bytes saved (was 0.0006418534958154282 s)
         # small all-column runs keep no table: -258.7 us, launches -4: no table, filter or slab allocation for a small run, no key hash or
         # table launch for a small load (was 0.0006418661893761959 s / 31)
-        "elapsed_seconds": 0.00038312858705117725, "kernel_launches": 27, "total_iterations": 0,
+        # all-column runs keep no table, searches priced per run: +0.0 ns (was 0.00038312858705117725 s)
+        # find_runs only where a table is pushed: -10.1 us, launches -2
+        # tail iterations fused: +0.0 us, launches +0 (was 0.00037303305853988756 s / 25)
+        "elapsed_seconds": 0.00037303305853988756, "kernel_launches": 25, "total_iterations": 0,
         "relation_counts": {"edge": 2396, "triangle": 3603},
         "exchange_bytes": 0.0,
     },
@@ -319,7 +372,10 @@ PINS = {
         # run filters: +119.7 ns, filter build + check bytes added, probe bytes saved (was 0.001009302272585789 s)
         # small all-column runs keep no table: -341.6 us, launches -12: no table, filter or slab allocation for a small run, no key hash or
         # table launch for a small load (was 0.0010094219791955971 s / 100)
-        "elapsed_seconds": 0.0006678624177355138, "kernel_launches": 88, "total_iterations": 0,
+        # all-column runs keep no table, searches priced per run: +0.0 ns (was 0.0006678624177355138 s)
+        # find_runs only where a table is pushed: -15.1 us, launches -6
+        # tail iterations fused: +0.0 us, launches +0 (was 0.0006527704958066964 s / 82)
+        "elapsed_seconds": 0.0006527704958066964, "kernel_launches": 82, "total_iterations": 0,
         "relation_counts": {"edge": 2396, "triangle": 3603},
         "exchange_bytes": 38336.0,
     },
@@ -328,7 +384,10 @@ PINS = {
         # run filters: +101.7 ns, filter build + check bytes added, probe bytes saved (was 0.0010006264053621997 s)
         # small all-column runs keep no table: -366.4 us, launches -24: no table, filter or slab allocation for a small run, no key hash or
         # table launch for a small load (was 0.0010007281503515387 s / 208)
-        "elapsed_seconds": 0.000634348274563542, "kernel_launches": 184, "total_iterations": 0,
+        # all-column runs keep no table, searches priced per run: +0.0 ns (was 0.000634348274563542 s)
+        # find_runs only where a table is pushed: -15.0 us, launches -12
+        # tail iterations fused: +0.0 us, launches +0 (was 0.0006193023380920532 s / 172)
+        "elapsed_seconds": 0.0006193023380920532, "kernel_launches": 172, "total_iterations": 0,
         "relation_counts": {"edge": 2396, "triangle": 3603},
         "exchange_bytes": 115008.0,
     },
@@ -354,8 +413,11 @@ def test_simulated_clock_and_counters_are_pinned(workload, num_shards):
 #: small prefix runs keep no table: -659.9 us, launches -2: memalias's empty tables and two slab growths
 #: gone (-730.9 us), the searches of valueflow's merged runs in the joins' launches (+71.0 us)
 #: (was 0.009563648896619195 s / 789)
+#: all-column runs keep no table, searches priced per run: +0.0 ns (was 0.008903790794552382 s)
+#: find_runs only where a table is pushed: -106.0 us, launches -21
+#: tail iterations fused: -785.0 us, launches -157 (was 0.008797785237721158 s / 766)
 HTTPD_PIN = {
-    "elapsed_seconds": 0.008903790794552382, "kernel_launches": 787,
+    "elapsed_seconds": 0.008012785237721157, "kernel_launches": 609,
     "raw_rows": 12154723, "distinct_outer_fired": 7, "total_iterations": 11,
     "relation_counts": {"assign": 365, "dereference": 109, "memalias": 2828, "valuealias": 29148, "valueflow": 23752},
 }
@@ -421,11 +483,15 @@ SERVING_PINS = {
         # small all-column runs keep no table: -1200.2 us, launches -24 (was 0.0050377424727837666 s / 335)
         # small prefix runs keep no table: -600.0 us: five slab growths (a 120 us allocation each) of edge[0],
         # sg[0] and sg[1] for the epochs' tiny runs gone; launches unchanged (was 0.003837591267719449 s)
-        "simulated_seconds": 0.0032375461033965873, "kernel_launches": 311, "epoch_iterations": [2, 1, 1, 1],
+        # all-column runs keep no table, searches priced per run: -9.2 ns (was 0.0032375461033965873 s)
+        # find_runs only where a table is pushed: -50.0 us, launches -10
+        # tail iterations fused: -350.0 us, launches -70 (was 0.0031875173940320483 s / 301)
+        "simulated_seconds": 0.0028375173940320473, "kernel_launches": 231, "epoch_iterations": [2, 1, 1, 1],
         "retracted": {"edge": 2, "sg": 94}, "rederived": {"sg": 66}, "sg": 474,
         # recover, run filters: +10.9 ns, filter build bytes added (was 0.0007803557590815154 s)
         # recover, small all-column runs keep no table: -260.1 us, launches -4 (was 0.0007803666356700014 s / 36)
-        "recover": {"simulated_seconds": 0.0005203047645946094, "kernel_launches": 32, "epoch": 4, "sg": 474},
+        # recover, find_runs only where a table is pushed: -10.0 us, launches -2 (was 0.0005203047645946094 s / 32)
+        "recover": {"simulated_seconds": 0.0005102979433163851, "kernel_launches": 30, "epoch": 4, "sg": 474},
     },
     2: {  # launches -56: as above per shard, 14 replica dedups 5->3, replicate.pack +14
         # filter bank deleted: launches -153, semi-join filter build/refresh/merge launches gone (was 0.007271701171912806 s /
@@ -439,11 +505,15 @@ SERVING_PINS = {
         # small all-column runs keep no table: -1200.1 us, launches -40 (was 0.006846756686623851 s / 999)
         # small prefix runs keep no table: -600.0 us (slowest device), as row 1; launches unchanged
         # (was 0.005646655270924328 s)
-        "simulated_seconds": 0.005046635092922029, "kernel_launches": 959, "epoch_iterations": [2, 1, 1, 1],
+        # all-column runs keep no table, searches priced per run: -4.3 ns (was 0.005046635092922029 s)
+        # find_runs only where a table is pushed: -50.0 us, launches -18
+        # tail iterations fused: -335.0 us, launches -119 (was 0.004996619238667563 s / 941)
+        "simulated_seconds": 0.004661619238667568, "kernel_launches": 822, "epoch_iterations": [2, 1, 1, 1],
         "retracted": {"edge": 2, "sg": 94}, "rederived": {"sg": 66}, "sg": 474,
         # recover, run filters: +6.2 ns, filter build bytes added (was 0.0007802114399475149 s)
         # recover, small all-column runs keep no table: -260.0 us, launches -8 (was 0.0007802176373035918 s / 72)
-        "recover": {"simulated_seconds": 0.0005201797177847029, "kernel_launches": 64, "epoch": 4, "sg": 474},
+        # recover, find_runs only where a table is pushed: -10.0 us, launches -4 (was 0.0005201797177847029 s / 64)
+        "recover": {"simulated_seconds": 0.0005101757621781204, "kernel_launches": 60, "epoch": 4, "sg": 474},
     },
 }
 

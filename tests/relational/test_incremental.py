@@ -9,24 +9,25 @@ answers; and the runs themselves, read on the host, are each sorted by their
 cached keys, pairwise disjoint, and together the scratch build's sorted rows
 and key runs.  ``lookup_columns`` walks
 every (key, run) pair in one batch; it is also held to a loop probing each
-run on its own (``tests.helpers.lookup_per_run``), answer and charge.  A run
-a merge writes keeps a table only from ``TABLE_MIN_ROWS`` tuples, on every
-index, and a prefix index's non-empty constructor run keeps one at any size;
-the property test draws that threshold, so every mix of runs with and
-without tables is covered.
+run on its own (``tests.helpers.lookup_per_run``), answer and charge.  On
+an index on fewer than all columns a run a merge writes keeps a table only
+from ``TABLE_MIN_ROWS`` tuples, and the non-empty constructor run keeps one
+at any size; the property test draws that threshold, so every mix of runs
+with and without tables is covered.  An all-column index keeps no table at
+any size: its membership tests search every run.
 """
 
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro import GPULogEngine
 from repro.backend import NumpyBackend, is_wide_keys
 from repro.device import Device
 from repro.errors import HisaStateError
-from repro.queries import SG_SOURCE
+from repro.queries import REACH_SOURCE
 from repro.relational import (
     EagerBufferManager,
     OpenAddressingHashTable,
@@ -107,16 +108,18 @@ def _assert_matches_scratch(full, rows: np.ndarray, join_columns, *, base: int):
     found = _rows_per_key(full, keys)
     assert found == _rows_per_key(scratch, keys)
     assert all(found[: len(present)]) and not any(found[len(present) :])
-    # A table exactly for the runs of at least TABLE_MIN_ROWS tuples and, on
-    # a prefix index, for the constructor's run while it holds tuples and no
-    # merge has absorbed it (a merged run 0 holds more than ``base``); the
-    # runs with tables are the oldest.
+    # On an index on fewer columns, a table exactly for the runs of at least
+    # TABLE_MIN_ROWS tuples and for the constructor's run while it holds
+    # tuples and no merge has absorbed it (a merged run 0 holds more than
+    # ``base``); the runs with tables are the oldest.  An all-column index
+    # keeps none.
     whole = len(join_columns) == rows.shape[1]
-    tabled = [size > 0 and size >= hisa_module.TABLE_MIN_ROWS for size in full.run_sizes]
+    tabled = [not whole and size > 0 and size >= hisa_module.TABLE_MIN_ROWS for size in full.run_sizes]
     tabled[0] |= not whole and 0 < base == full.run_sizes[0]
-    assert full.table.n_tables == sum(tabled) and full.table.filtered == whole
+    assert full.table.n_tables == sum(tabled)
     assert tabled == sorted(tabled, reverse=True)
     if whole:
+        assert full.memory_breakdown().table_bytes == 0
         # Membership: the same answers as a set of the rows, for a batch in
         # any order and a sorted one.
         stored = {tuple(r) for r in rows.tolist()}
@@ -322,41 +325,73 @@ def test_colliding_keys_both_keep_their_entries():
     assert whole.contains_columns(key_columns(probes), charge=False).tolist() == [True, True, False, False]
 
 
-def test_resumed_walks_are_the_only_extra_charge(monkeypatch):
+def test_resumed_walks_are_the_only_extra_charge():
     """A collision-free probe charges what it always did; a rejected hash hit
     adds the resumed walk and its key comparison, nothing else."""
-    monkeypatch.setattr(hisa_module, "TABLE_MIN_ROWS", 0)  # a table for every run
     rows = np.array([[1, 7], [5, 7]], dtype=np.int64)
     charged = {}
     for name, backend in (("plain", NumpyBackend()), ("colliding", CollidingBackend())):
         device = _fresh_device(backend=backend)
-        index = HISA(device, rows, (0, 1), label="w")
+        index = HISA(device, rows, (0,), label="w")  # the constructor's run keeps a table
         before = len(device.profiler.events)
-        assert index.contains_columns(key_columns(rows)).tolist() == [True, True]
+        runs, lengths = index.lookup_columns(key_columns(rows[:, :1]))
+        assert runs.starts.tolist() == [[0, 1]] and lengths.tolist() == [1, 1]
         charged[name] = [event.cost.kernel for event in device.profiler.events[before:]]
-    assert charged["plain"] == ["w.hash_keys", "w.filter_check", "w.probe", "w.verify_key"]
+    assert charged["plain"] == ["w.hash_keys", "w.probe", "w.verify_key"]
     # One of the two keys sits behind the other: one more walk, one more comparison.
-    assert charged["colliding"] == [
-        "w.hash_keys", "w.filter_check", "w.probe", "w.verify_key", "w.probe", "w.verify_key"
-    ]
+    assert charged["colliding"] == ["w.hash_keys", "w.probe", "w.verify_key", "w.probe", "w.verify_key"]
 
 
-def test_run_filters_keep_absent_tuples_out_of_the_tables(monkeypatch):
-    """Tuples no run holds are ruled out by the filters: only the false
-    positives (well under 5 % at 16 bits per slot) walk a table."""
-    monkeypatch.setattr(hisa_module, "TABLE_MIN_ROWS", 0)  # a table for every run
-    pool = _row_pool(2)
-    device = _fresh_device()
-    full = HISA(device, pool[:3000], (0, 1, 2), label="f")
-    full.merge(HISA(device, pool[3000:4000], (0, 1, 2), label="f.d", build_hash_index=False), EagerBufferManager(device))
-    assert len(full.run_sizes) == 2
-    before = len(device.profiler.events)
-    absent = pool[:4000] + 1000
-    assert not full.contains_columns(key_columns(absent)).any()
-    probed = sum(
-        event.cost.random_bytes / 16 for event in device.profiler.events[before:] if event.cost.kernel == "f.probe"
-    )
-    assert probed <= 0.05 * 2 * len(absent)
+def _assert_membership_is_exact(full, stored_rows, absent_rows, rng):
+    """``contains_columns`` equals a host set of ``stored_rows`` on a sorted
+    batch and on one in any order (with repeats), and the index has no table."""
+    stored = {tuple(row) for row in stored_rows.tolist()}
+    probes = np.concatenate([stored_rows[rng.permutation(len(stored_rows))[:500]], absent_rows, stored_rows[:7]])
+    for batch in (np.unique(probes, axis=0), probes[rng.permutation(len(probes))]):
+        expected = [tuple(row) in stored for row in batch.tolist()]
+        assert full.contains_columns(key_columns(batch)).tolist() == expected
+    assert full.table.n_tables == 0 and full.memory_breakdown().table_bytes == 0
+
+
+@given(
+    backend=st.sampled_from(sorted(LOOKUP_BACKENDS)),
+    table_min_rows=st.sampled_from([16, 64]),
+    seed=st.integers(0, 10_000),
+    base=st.integers(1, 4),
+    deltas=st.lists(st.integers(1, 40), min_size=1, max_size=8),
+)
+@settings(max_examples=60, deadline=None)
+def test_all_column_membership_is_exact_without_tables(backend, table_min_rows, seed, base, deltas):
+    """An all-column index keeps no hash table for any run, the constructor's
+    included: a run stack that straddles ``TABLE_MIN_ROWS`` answers every
+    membership test by searching its runs, exactly as a set of its tuples
+    does, under a good hash, a colliding one and wide-only keys."""
+    with mock.patch.object(hisa_module, "TABLE_MIN_ROWS", table_min_rows):
+        pool = _row_pool(seed)
+        device = _fresh_device(backend=LOOKUP_BACKENDS[backend]())
+        manager = EagerBufferManager(device)
+        used = base * table_min_rows
+        full = HISA(device, pool[:used], (0, 1, 2), label="m")
+        for size in deltas:
+            full.merge(HISA(device, pool[used : used + size], (0, 1, 2), label="m.d", build_hash_index=False), manager)
+            used += size
+        assume(min(full.run_sizes) < table_min_rows <= max(full.run_sizes))
+        _assert_membership_is_exact(full, pool[:used], pool[used : used + 60], np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("backend", sorted(LOOKUP_BACKENDS))
+def test_all_column_membership_is_exact_at_the_default_threshold(backend):
+    """The same at the real ``TABLE_MIN_ROWS``: a constructor run above it and
+    two merged runs below it keep no table."""
+    size = hisa_module.TABLE_MIN_ROWS + 1000
+    pool = _row_pool(12, size=size + 400)
+    device = _fresh_device(backend=LOOKUP_BACKENDS[backend]())
+    manager = EagerBufferManager(device)
+    full = HISA(device, pool[:size], (0, 1, 2), label="m")
+    for start, end in ((size, size + 300), (size + 300, size + 350)):
+        full.merge(HISA(device, pool[start:end], (0, 1, 2), label="m.d", build_hash_index=False), manager)
+    assert full.run_sizes == [size, 300, 50]
+    _assert_membership_is_exact(full, pool[: size + 350], pool[size + 350 :], np.random.default_rng(0))
 
 
 def test_a_wide_membership_batch_widens_the_searched_runs():
@@ -470,7 +505,7 @@ def test_contains_after_incremental_merges():
 
 def test_memory_accounting_follows_capacity():
     """Every tier accounts what it has reserved, and ``free`` gives all of it
-    back — the filters of an all-column index included."""
+    back; an all-column index reserves no table slab."""
     for join_columns in ((1,), (0, 1, 2)):
         _check_memory_accounting(join_columns)
 
@@ -484,8 +519,7 @@ def _check_memory_accounting(join_columns):
     whole = len(join_columns) == 3
 
     def reserved():
-        # an all-column index's slab also holds a filter word per 4 slots
-        slab = full.table.capacity * (26 if whole else 24)
+        slab = full.table.capacity * 24
         # per reserved index row: the position, the tuple key and (on fewer
         # columns) the join key, 8 bytes per key column whatever the host
         # packing of the keys
@@ -502,13 +536,8 @@ def _check_memory_accounting(join_columns):
         assert device.pool.in_use_bytes - before == reserved() + manager.spare_bytes
     # 50 deltas allocated 50 x (data, index); the full index grew geometrically.
     growths = device.pool.stats.allocation_count - allocations - 100
-    if whole:
-        # The table has a slot per tuple, so its slab grows with the data as
-        # the stores do (the (1,) index's table holds a few distinct keys):
-        # each of the three tiers grows at most ceil(log2(21)) + 1 times.
-        assert growths <= 3 * (np.ceil(np.log2(2100 / 100)) + 1)
-    else:
-        assert growths <= 3 * np.log2(2100 / 100) + 3
+    assert growths <= 3 * np.log2(2100 / 100) + 3
+    assert (full.table.capacity == 0) == whole
     assert len(full.run_sizes) > 1
     assert full.memory_breakdown().total_bytes == reserved()
     full.free()
@@ -596,10 +625,12 @@ def test_a_push_charges_the_same_whether_or_not_its_table_is_read(monkeypatch):
     first read.  Building each table right after its push, as if something
     read it at once, records the same kernels over a whole fixpoint —
     labels, bytes, launches, fused grouping — and the same answer, though
-    some tables are then built that nothing reads."""
-    monkeypatch.setattr(hisa_module, "TABLE_MIN_ROWS", 0)  # every run keeps a table
+    some tables are then built that nothing reads: ``reach[0]`` is merged
+    every iteration and probed only by the stratum after."""
+    monkeypatch.setattr(hisa_module, "TABLE_MIN_ROWS", 0)  # every run on fewer columns keeps a table
     push, build = OpenAddressingHashTable.insert_batch, OpenAddressingHashTable._build
-    edges = [(node // 2, node) for node in range(1, 300)]
+    edges = np.array([(node // 2, node) for node in range(1, 300)], dtype=np.int64)
+    program = REACH_SOURCE + "hop(x, z) :- edge(x, y), reach(y, z).\n"
 
     def push_and_read(self, *args, **kwargs):
         grew = push(self, *args, **kwargs)
@@ -612,9 +643,9 @@ def test_a_push_charges_the_same_whether_or_not_its_table_is_read(monkeypatch):
             monkeypatch.setattr(OpenAddressingHashTable, "insert_batch", push_and_read)
         with mock.patch.object(OpenAddressingHashTable, "_build", autospec=True, side_effect=build) as builds:
             engine = GPULogEngine(device="h100")
-            engine.add_facts("edge", edges)
-            result = engine.run(SG_SOURCE)
-        recorded.append((engine.device.profiler.events, result.relation_set("sg"), builds.call_count))
+            engine.add_fact_array("edge", edges)
+            result = engine.run(program)
+        recorded.append((engine.device.profiler.events, result.relation_set("hop"), builds.call_count))
         engine.close()
     (deferred, answer, built), (eager_events, eager_answer, pushed) = recorded
     assert deferred == eager_events and answer == eager_answer
