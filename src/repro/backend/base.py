@@ -20,8 +20,9 @@ The contract has three parts:
    its native library (NumPy, CuPy, ...).
 2. **Derived helpers** — implemented once here in terms of the primitives and
    the array protocol (``as_rows``, ``compare``, ``hash_columns``,
-   ``run_lengths_from_starts``, ``pack_sort_keys``/``unpack_sort_keys``), so
-   every backend hashes, coerces, compares and packs sort keys identically.
+   ``run_lengths_from_starts``, ``pack_sort_keys``/``pack_gathered_keys``/
+   ``unpack_sort_keys``), so every backend hashes, coerces, compares and
+   packs sort keys identically.
 3. **The array protocol** — backend arrays must support the NumPy-style
    operator surface the datapath uses in place: ``shape``/``size``/``nbytes``/
    ``dtype``, basic and fancy indexing (read and scatter-write), boolean
@@ -341,6 +342,63 @@ class ArrayBackend(ABC):
             part -= _u64(combined)
         return keys, layout
 
+    def pack_gathered_keys(
+        self, sources: Sequence[tuple[Array, "Array | None"]]
+    ) -> "tuple[Array, SortKeyLayout] | None":
+        """:meth:`pack_sort_keys` of the columns ``base[selection]``, packed
+        from their bases (``selection`` ``None``: the column is ``base``).
+
+        The late-materialised form of gather-then-pack: a base no longer than
+        the selection is offset and shifted into its field once, and one
+        gather per column ORs the field into the key, so the gathered
+        columns are never written and never scanned for their range.  A
+        base longer than its selection is gathered first and transformed
+        after.  A field's range is its base's when the base is transformed,
+        so the layout may be wider than :meth:`pack_sort_keys` would choose
+        (the same tuple order, equal keys still mean equal tuples); ``None``
+        when the widths sum to more than 64 bits.
+        """
+        if not sources:
+            return None
+        n = int(next((s if s is not None else b).shape[0] for b, s in sources))
+        fields: list[tuple[Array, "Array | None", bool]] = []
+        layout: list[tuple[int, int]] = []
+        for base, selection in sources:
+            base = self.asarray(base, dtype=TUPLE_DTYPE)
+            gather_first = selection is not None and int(base.shape[0]) > n
+            values = self.take(base, selection) if gather_first else base
+            if int(values.shape[0]) == 0:
+                return self.empty(0, dtype=self.uint64), ((0, 0),) * len(sources)
+            # Python ints: an int64 column holding both extremes has a 64-bit range.
+            low, high = int(values.min()), int(values.max())
+            layout.append((low, (high - low).bit_length()))
+            fields.append((values, None if gather_first else selection, gather_first))
+        if sum(width for _, width in layout) > 64:
+            return None
+        keys = None
+        shift = sum(width for _, width in layout)
+        for (values, selection, gathered), (low, width) in zip(fields, layout):
+            shift -= width
+            if not width:
+                continue  # a 0-bit field holds only its minimum
+            # uint64 arithmetic wraps, so ``value - low`` is exact.  A gathered
+            # column is this call's own array and is transformed in place.
+            field = values.view(self.uint64)
+            if gathered:
+                field -= _u64(low)
+            else:
+                field = field - _u64(low)
+            field <<= np.uint64(shift)
+            if selection is not None:
+                field = self.take(field, selection)
+            if keys is None:
+                keys = field
+            else:
+                keys |= field
+        if keys is None:
+            keys = self.zeros(n, dtype=self.uint64)
+        return keys, tuple(layout)
+
     def unpack_sort_keys(self, keys: Array, layout: SortKeyLayout) -> list[Array]:
         """Invert :meth:`pack_sort_keys`: the per-column ``int64`` arrays of ``keys``."""
         columns: list[Array] = []
@@ -446,6 +504,7 @@ ARRAY_BACKEND_CONTRACT = frozenset(
         "hash_columns",
         "hash_rows",
         "pack_sort_keys",
+        "pack_gathered_keys",
         "unpack_sort_keys",
     }
 )

@@ -820,6 +820,7 @@ class GPULogEngine:
                         "observed_rows": float(entry["rows"]) if entry else 0.0,
                         "executions": int(entry["executions"]) if entry else 0,
                         "distinct_outer": Counter(entry["distinct_outer"]) if entry else Counter(),
+                        "arrival_dedup": Counter(entry["arrival_dedup"]) if entry else Counter(),
                     }
                 )
         return tuple(report)
@@ -837,7 +838,11 @@ class GPULogEngine:
         how many of them made the outer distinct on its live columns before
         expanding it (fired, see ``hash_join``) and what that did to the outer
         row count; ``observed_rows`` counts the outputs *after* that distinct
-        — rows the joins really produced.
+        — rows the joins really produced.  ``arrival_dedup=<fired>/<executions>
+        rows=<n>→<d>`` (on every version that ran) counts the output parts its
+        head relation deduplicated as they arrived in *new* (see
+        ``Relation.add_new``; one part per shard an execution delivers to)
+        and the rows they held before and after.
         """
         result = self.last_result
         if result is None:
@@ -863,6 +868,12 @@ class GPULogEngine:
                 lines[-1] += (
                     f" distinct_outer={distinct['fired']}/{distinct['eligible']}"
                     f" rows={distinct['rows_in']}→{distinct['rows_out']}"
+                )
+            arrival = entry["arrival_dedup"]
+            if entry["executions"]:
+                lines[-1] += (
+                    f" arrival_dedup={arrival['fired']}/{entry['executions']}"
+                    f" rows={arrival['rows_in']}→{arrival['rows_out']}"
                 )
         return "\n".join(lines)
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -543,9 +544,14 @@ class SemiNaiveEvaluator:
                             continue
 
                         # add_new materializes the batch's head columns: the
-                        # join's output write.
+                        # join's output write (and may deduplicate it on
+                        # arrival, which the version's observation counts).
                         works.append(self._execute_with_recovery(
-                            version, self.relations[version.head_relation].add_new_shard
+                            version,
+                            partial(
+                                self.relations[version.head_relation].add_new_shard,
+                                report=self._observation(version)["arrival_dedup"],
+                            ),
                         ))
                     total_delta = 0
                     for name in idb_in_stratum:
@@ -611,6 +617,9 @@ class SemiNaiveEvaluator:
                 # what the version's joins report about distinct-before-expand
                 # (``LiveOuter.report``)
                 "distinct_outer": Counter(),
+                # the output parts its head relation deduplicated on arrival
+                # (``Relation.add_new``)
+                "arrival_dedup": Counter(),
             },
         )
 

@@ -440,6 +440,27 @@ class DeviceKernels:
             )
         return packed
 
+    def gather_packed(
+        self, sources: "list[tuple[Array, Array | None, bool | None]]", label: str = "gather_column"
+    ) -> "PackedColumns | None":
+        """Gather a batch's columns straight into one packed sort-key column.
+
+        ``sources`` holds per column ``(base, selection, coalesced)``; a
+        ``None`` selection means the base is the column, already paid for.
+        The host packs from the bases (:meth:`ArrayBackend.pack_gathered_keys`),
+        the device is charged :meth:`gather_column` for every selected column
+        with its coalescing flag, as if the columns were gathered and then
+        packed.  ``None`` (nothing charged) when the ranges do not fit one
+        64-bit key.
+        """
+        packed = self._backend.pack_gathered_keys([(base, selection) for base, selection, _ in sources])
+        if packed is None:
+            return None
+        for base, selection, coalesced in sources:
+            if selection is not None:
+                self._charge_gather_column(int(selection.shape[0]), base.dtype.itemsize, coalesced, label)
+        return PackedColumns(self._backend, *packed)
+
     def _pack(self, *batches: list[Array]) -> "PackedColumns | None":
         packed = self._backend.pack_sort_keys(*batches)
         return None if packed is None else PackedColumns(self._backend, *packed)

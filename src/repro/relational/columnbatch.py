@@ -47,11 +47,14 @@ charged ``to_host`` download).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..backend import INDEX_DTYPE, TUPLE_DTYPE, TUPLE_ITEMSIZE, Array
 from ..device.device import Device
 from ..errors import SchemaError
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from ..device.kernels import PackedColumns
 
 __all__ = ["ColumnBatch"]
 
@@ -331,24 +334,51 @@ class ColumnBatch:
         cached = self._cache.get(position)
         if cached is not None:
             return cached
-        base = self._bases[position]
-        source = self._sources[position]
-        selection = self._resolve_selection(source, charge=charge, label=label)
+        base, selection, coalesced = self._lazy_column(position, charge=charge, label=label)
         if selection is None:
             out = base
         elif charge:
-            coalesced = self._monotone.get(source)
-            if coalesced is None:
-                coalesced = self.device.backend.is_monotone(selection)
-                self._monotone[source] = coalesced
             out = self.device.kernels.gather_column(base, selection, label=label, coalesced=coalesced)
         else:
             out = base[selection]
         self._cache[position] = out
         return out
 
+    def _lazy_column(
+        self, position: int, *, charge: bool, label: str
+    ) -> tuple[Array, "Array | None", bool | None]:
+        """``(base, resolved selection, coalescing flag)`` of one unread
+        column; the selection is ``None`` when the base is the column."""
+        base = self._bases[position]
+        source = self._sources[position]
+        selection = self._resolve_selection(source, charge=charge, label=label)
+        coalesced = None
+        if selection is not None and charge:
+            coalesced = self._monotone.get(source)
+            if coalesced is None:
+                coalesced = self.device.backend.is_monotone(selection)
+                self._monotone[source] = coalesced
+        return base, selection, coalesced
+
     def columns(self, *, charge: bool = True, label: str = "gather_column") -> list[Array]:
         return [self.column(position, charge=charge, label=label) for position in range(self.arity)]
+
+    def packed(self, *, label: str = "gather_column") -> "PackedColumns | None":
+        """Every column as one packed sort-key column, built from the lazy
+        sources (:meth:`DeviceKernels.gather_packed`): the gathered columns
+        are never written.  Charged as :meth:`columns` — the selection
+        compositions, then one gather per lazy column with the same
+        coalescing flag.  ``None`` when the ranges do not fit one key: the
+        compositions are charged then, and :meth:`columns` charges the rest.
+        """
+        sources = []
+        for position in range(self.arity):
+            cached = self._cache.get(position)
+            if cached is not None:
+                sources.append((cached, None, None))
+            else:
+                sources.append(self._lazy_column(position, charge=True, label=label))
+        return self.device.kernels.gather_packed(sources, label=label)
 
     def to_host(self, *, charge: bool = True, label: str = "d2h_transfer"):
         """The one way out: the batch as a host ``(n, arity)`` row array.

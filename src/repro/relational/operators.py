@@ -474,9 +474,12 @@ def deduplicate(
     sort key when their observed ranges allow and sorts column by column
     otherwise; a batch that already is one packed key column
     (:class:`PackedColumns`, the gathered *new* version) is consumed as it
-    is.  On the host a packed batch with a dense key space marks an
-    occupancy table instead of sorting.  Every route leaves the result in
-    natural lexicographic order and charges the device the same sort.
+    is.  A batch's lazy columns are packed straight from their sources
+    (:meth:`ColumnBatch.packed`), so the raw columns are never written; the
+    device is charged their gathers either way.  On the host a packed batch
+    with a dense key space marks an occupancy table instead of sorting.
+    Every route leaves the result in natural lexicographic order and charges
+    the device the same sort.
     """
     if isinstance(rows, PackedColumns):
         if len(rows) <= 1:
@@ -493,7 +496,9 @@ def deduplicate(
     # fuse around the multi-pass sort core: two radix passes plus one
     # fused gather/mask/compact kernel.
     with device.fused(f"{label}.dedup_fused", launches=3):
-        columns = rows.columns(label=f"{label}.gather")
+        columns = rows.packed(label=f"{label}.gather")
+        if columns is None:
+            columns = rows.columns(label=f"{label}.gather")
         deduped = device.kernels.unique_columns(columns, label=label)
     return ColumnBatch.from_columns(device, deduped, names=rows.names)
 

@@ -32,6 +32,7 @@ argument says which side of PCIe it is on:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
@@ -57,7 +58,7 @@ from .checkpoint import PartitionState
 from .columnbatch import ColumnBatch
 from .hashtable import DEFAULT_LOAD_FACTOR
 from .hisa import HISA
-from .operators import deduplicate, difference
+from .operators import DISTINCT_FANOUT, deduplicate, difference
 
 #: Smallest row count OOM degradation will split a dedup down to; below this
 #: the scratch is a few KiB and a failure means the device is genuinely full.
@@ -125,6 +126,9 @@ class Relation:
         self._delta = ColumnBatch.empty(device, self.arity)
         self._new_parts: list[ColumnBatch] = []
         self._new_buffers: list[Buffer] = []
+        #: rows the rule versions appended to *new* since it was last
+        #: cleared, before any dedup on arrival (``IterationStats.raw_count``)
+        self._raw_new_rows = 0
         self._delta_buffer: Buffer | None = None
         self._iteration = 0
         self.history: list[IterationStats] = []
@@ -210,18 +214,27 @@ class Relation:
         if not isinstance(rows, ColumnBatch):
             rows = self._upload(rows, "h2d_facts")
         self._check_arity(rows)
+        self._load(rows, deduplicate_rows=True)
+
+    def _load(self, rows: ColumnBatch, *, deduplicate_rows: bool) -> None:
+        """Replace every version by ``rows``: full = delta = ``rows``,
+        deduplicated first unless they already are a distinct full version
+        (a checkpoint's, loaded in its saved order)."""
         # A load replaces whatever the relation held: a retraction's or a
         # restore's previous version, the empty indexes of a rolled-back stratum.
         self.free()
         self.generation = next(_GENERATIONS)
-        with self.device.profiler.phase(PHASE_DEDUPLICATION):
-            rows = deduplicate(self.device, rows, label=f"{self.name}.init_dedup")
+        if deduplicate_rows:
+            with self.device.profiler.phase(PHASE_DEDUPLICATION):
+                rows = deduplicate(self.device, rows, label=f"{self.name}.init_dedup")
         self._delta = rows
         with self.device.profiler.phase(PHASE_INDEX_FULL):
-            # ``deduplicate`` left ``rows`` in natural lexicographic order, so
-            # every index whose column order is the identity permutation (the
-            # canonical all-column index and all prefix indexes) adopts that
-            # one shared sort instead of re-sorting.
+            # ``deduplicate`` leaves ``rows`` in natural lexicographic order,
+            # so every index whose column order is the identity permutation
+            # (the canonical all-column index and all prefix indexes) adopts
+            # that one shared sort instead of re-sorting.  Rows loaded as
+            # they are keep their order in the data tier, and each index
+            # sorts its own index tier.
             for columns in sorted(self._index_column_sets):
                 self.full_indexes[columns] = HISA(
                     self.device,
@@ -229,7 +242,7 @@ class Relation:
                     columns,
                     load_factor=self.load_factor,
                     label=f"{self.name}[{','.join(map(str, columns))}]",
-                    assume_sorted=True,
+                    assume_sorted=deduplicate_rows,
                 )
                 self._buffer_managers[columns] = make_buffer_manager(
                     self.device,
@@ -237,7 +250,7 @@ class Relation:
                     label=f"{self.name}.merge_buffer",
                 )
 
-    def add_new(self, rows: "Array | ColumnBatch") -> None:
+    def add_new(self, rows: "Array | ColumnBatch", *, report: "Counter | None" = None) -> None:
         """Append freshly derived tuples (a batch, or host rows to upload) to *new*.
 
         The batch is materialized column-wise here — the delta-merge boundary
@@ -245,35 +258,63 @@ class Relation:
         rule's head projection is about to be read by deduplication anyway,
         and pinning values now decouples the batch from producer storage that
         later merges will grow.
+
+        **Dedup on arrival.**  A part that no single launch holds resident
+        (more than ``device.spec.resident_threads`` rows), arriving at a
+        relation whose previous iteration produced at least
+        :data:`~repro.relational.operators.DISTINCT_FANOUT` raw rows per
+        distinct one, is deduplicated before it is appended, so *new* holds
+        its distinct rows only and the raw ones are never gathered:
+        :func:`~repro.relational.operators.deduplicate` packs the lazy head
+        columns into its sort key straight from their sources, in its own
+        launches under the deduplication phase, with the scratch and OOM
+        degradation of :meth:`_deduplicate_new`.
+        ``report`` (the rule version's observation) then counts the part:
+        ``fired``, ``rows_in`` and ``rows_out``.
         """
         if not isinstance(rows, ColumnBatch):
             rows = self._upload(rows, "h2d_new")
         self._check_arity(rows)
         if len(rows) == 0:
             return
-        # Resolving every lazy column of the incoming batch is one
-        # multi-column gather kernel, not one launch per column.
-        with self.device.fused(f"{self.name}.new_gather"):
-            rows.columns(charge=True, label=f"{self.name}.new_gather")
+        self._raw_new_rows += len(rows)
+        if self._fans_out(len(rows)):
+            with self.device.profiler.phase(PHASE_DEDUPLICATION):
+                distinct = self._deduplicate_new(rows, stage="arrival_")
+            if report is not None:
+                report.update(fired=1, rows_in=len(rows), rows_out=len(distinct))
+            rows = distinct
+        else:
+            # Resolving every lazy column of the incoming batch is one
+            # multi-column gather kernel, not one launch per column.
+            with self.device.fused(f"{self.name}.new_gather"):
+                rows.columns(charge=True, label=f"{self.name}.new_gather")
         buffer = self.device.allocate(rows.nbytes, label=f"{self.name}.new", charge_cost=False)
         self._new_parts.append(rows)
         self._new_buffers.append(buffer)
 
+    def _fans_out(self, rows: int) -> bool:
+        """The dedup-on-arrival rule (:meth:`add_new`) for a part of ``rows`` rows."""
+        if rows <= self.device.spec.resident_threads or not self.history:
+            return False
+        last = self.history[-1]
+        return last.new_count > 0 and last.raw_count >= DISTINCT_FANOUT * last.new_count
+
     def end_iteration(self) -> IterationStats:
         """Run the populate-delta / merge / clear-new steps of Figure 3.
 
-        A tail iteration, whose raw *new* rows one launch can hold resident
-        (``device.spec.resident_threads``), runs gather, dedup, ``new -
-        full`` and the delta index builds as one cooperative launch
-        (``{name}.tail_fused``) under the deduplication phase, every stage's
-        bytes and ops still charged: the long tail's per-iteration overhead
-        (*Scaling-Up In-Memory Datalog Processing*, PAPERS.md).  The merge
-        keeps its own launches.
+        A tail iteration, whose *new* rows (the parts as :meth:`add_new` kept
+        them) one launch can hold resident (``device.spec.resident_threads``),
+        runs gather, dedup, ``new - full`` and the delta index builds as one
+        cooperative launch (``{name}.tail_fused``) under the deduplication
+        phase, every stage's bytes and ops still charged: the long tail's
+        per-iteration overhead (*Scaling-Up In-Memory Datalog Processing*,
+        PAPERS.md).  The merge keeps its own launches.
         """
         self._iteration += 1
         profiler = self.device.profiler
-        raw_count = self.new_count
-        tail = 0 < raw_count <= self.device.spec.resident_threads
+        raw_count = self._raw_new_rows
+        tail = 0 < self.new_count <= self.device.spec.resident_threads
         fused = self.device.fused(f"{self.name}.tail_fused") if tail else nullcontext()
         with profiler.phase(PHASE_DEDUPLICATION), fused:
             new_count, delta_indexes = self._populate_delta()
@@ -367,8 +408,10 @@ class Relation:
             return packed
         return ColumnBatch.concatenate(self.device, self._new_parts, arity=self.arity, label=label)
 
-    def _deduplicate_new(self, rows: "ColumnBatch | PackedColumns") -> ColumnBatch:
-        """Deduplicate the gathered new rows with an accounted sort scratch.
+    def _deduplicate_new(self, rows: "ColumnBatch | PackedColumns", *, stage: str = "") -> ColumnBatch:
+        """Deduplicate *new* rows with an accounted sort scratch: the gathered
+        parts in :meth:`end_iteration`, or one part on arrival (``stage``
+        ``"arrival_"``, which prefixes the labels).
 
         The radix sort inside deduplication needs O(n) transient device
         scratch; this models it as a real pool allocation so memory pressure
@@ -381,7 +424,7 @@ class Relation:
         """
         try:
             scratch = self.device.allocate(
-                int(rows.nbytes), label=f"{self.name}.dedup_scratch", charge_cost=False
+                int(rows.nbytes), label=f"{self.name}.{stage}dedup_scratch", charge_cost=False
             )
         except DeviceOutOfMemoryError:
             n = len(rows)
@@ -391,18 +434,18 @@ class Relation:
             columns = rows.unpack() if isinstance(rows, PackedColumns) else rows.columns()
             halves = [
                 self._deduplicate_new(
-                    ColumnBatch.from_columns(self.device, [column[span] for column in columns])
+                    ColumnBatch.from_columns(self.device, [column[span] for column in columns]), stage=stage
                 )
                 for span in (slice(None, n // 2), slice(n // 2, None))
             ]
-            label = f"{self.name}.dedup_degrade_merge"
+            label = f"{self.name}.{stage}dedup_degrade_merge"
             return deduplicate(
                 self.device,
                 ColumnBatch.concatenate(self.device, halves, arity=self.arity, label=label),
                 label=label,
             )
         try:
-            return deduplicate(self.device, rows, label=f"{self.name}.dedup_new")
+            return deduplicate(self.device, rows, label=f"{self.name}.{stage}dedup_new")
         finally:
             self.device.free(scratch, charge_cost=False)
 
@@ -439,13 +482,14 @@ class Relation:
         """Rebuild every version and index from a host checkpoint partition.
 
         The inverse of :meth:`checkpoint_state`: re-uploads the snapshot's
-        full rows through the ordinary :meth:`initialize` path (which frees
-        whatever the relation held and rebuilds all HISA indexes from the
-        sorted data), then overrides the delta version with the snapshot's
-        delta.  All uploads are charged under the recovery phase.
+        full rows and loads them as they are — they already are the distinct
+        full version, in the order it was derived, which the data tier keeps
+        while each index sorts its own index tier — then overrides the delta
+        version with the snapshot's delta.  Everything is charged under the
+        recovery phase.
         """
         with self.device.profiler.phase(PHASE_RECOVERY):
-            self.initialize(partition.full)
+            self._load(self._upload(partition.full, "h2d_facts"), deduplicate_rows=False)
             delta = self._upload(partition.delta, "h2d_restore_delta")
             self._delta = delta
             if len(delta):
@@ -574,6 +618,7 @@ class Relation:
 
     @property
     def new_count(self) -> int:
+        """Rows *new* holds: each part as :meth:`add_new` kept it."""
         return sum(len(part) for part in self._new_parts)
 
     def full_rows_host(self, *, charge: bool = True) -> np.ndarray:
@@ -618,6 +663,7 @@ class Relation:
             self.device.free(buffer, charge_cost=False)
         self._new_buffers.clear()
         self._new_parts.clear()
+        self._raw_new_rows = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Relation({self.name!r}, arity={self.arity}, full={self.full_count}, delta={self.delta_count})"

@@ -201,9 +201,10 @@ class ShardedRelation:
         """Load one shard's partition directly (stratum-init edge)."""
         self.shards[shard].initialize(rows)
 
-    def add_new_shard(self, shard: int, rows) -> None:
-        """Append tuples already routed to ``shard`` to its *new* version."""
-        self.shards[shard].add_new(rows)
+    def add_new_shard(self, shard: int, rows, *, report=None) -> None:
+        """Append tuples already routed to ``shard`` to its *new* version
+        (``report``: see :meth:`Relation.add_new`)."""
+        self.shards[shard].add_new(rows, report=report)
 
     def add_new(self, rows) -> None:
         """Partition *host* rows by owner shard and append each part to *new*.

@@ -386,7 +386,7 @@ class ServingEngine:
 
         # Recovery: no facts and no bootstrap fixpoint — each relation is
         # loaded from the checkpoint's (full, delta) partitions (``restore``
-        # initializes it), and deltas are empty at an epoch boundary, so the
+        # loads them as saved), and deltas are empty at an epoch boundary, so the
         # between-epoch invariant holds by construction.  The caller
         # (ServingEngine.recover) replays the WAL before starting the worker,
         # so replay epochs cannot interleave with fresh submissions.

@@ -317,6 +317,62 @@ def test_pack_sort_keys_matches_the_horner_packer(batch, split):
             assert to_host_list(backend, packed[0]) == to_host_list(backend, expected[0])
 
 
+@st.composite
+def gathered_sources(draw):
+    """Per column ``(base, selection)``: a base the column is (``None``
+    selection), or one of any length the selection gathers from."""
+    arity = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 30))
+    sources = []
+    for _ in range(arity):
+        domain = draw(sort_key_domains)
+        if draw(st.booleans()):
+            sources.append((draw(st.lists(domain, min_size=n, max_size=n)), None))
+        else:
+            base = draw(st.lists(domain, min_size=1, max_size=40))
+            sources.append((base, draw(st.lists(st.integers(0, len(base) - 1), min_size=n, max_size=n))))
+    return sources
+
+
+@settings(max_examples=150, deadline=None)
+@given(sources=gathered_sources())
+def test_pack_gathered_keys_packs_the_gathered_columns(sources):
+    """Keys packed from the bases unpack to the gathered columns, order them
+    like tuples and are equal only for equal tuples; ``None`` only when the
+    bases' ranges (what the layout is built from) need more than 64 bits."""
+    gathered = [base if selection is None else [base[i] for i in selection] for base, selection in sources]
+    rows = list(zip(*gathered))
+    for spec in ("numpy", "guard"):
+        backend = get_backend(spec)
+        packed = backend.pack_gathered_keys(
+            [
+                (
+                    backend.from_host(base, dtype=backend.int64),
+                    None if selection is None else backend.from_host(selection, dtype=backend.int64),
+                )
+                for base, selection in sources
+            ]
+        )
+        # A base longer than its selection is ranged over the gathered values.
+        n = len(gathered[0])
+        spans = [
+            max(values) - min(values) if values else 0
+            for values in (
+                base if selection is None or len(base) <= n else gathered[j]
+                for j, (base, selection) in enumerate(sources)
+            )
+        ]
+        if sum(span.bit_length() for span in spans) > 64:
+            assert packed is None
+            continue
+        keys, layout = packed
+        assert keys.dtype == backend.uint64 and keys.shape[0] == n
+        assert [to_host_list(backend, c) for c in backend.unpack_sort_keys(keys, layout)] == gathered
+        keys = to_host_list(backend, keys)
+        assert sorted(range(n), key=lambda i: (keys[i], i)) == sorted(range(n), key=lambda i: (rows[i], i))
+        assert len(set(keys)) == len(set(rows))
+
+
 @pytest.mark.parametrize(
     "columns",
     [

@@ -1,4 +1,4 @@
-"""The claim rule of ``tools/bench_pairs.py`` on fixed numbers."""
+"""The claim rule and the traced-pair diff of ``tools/bench_pairs.py`` on fixed numbers."""
 
 import importlib.util
 import sys
@@ -49,3 +49,28 @@ def test_unpaired_or_single_runs_are_refused():
         bench_pairs.claim_verdict([1.0, 2.0], [1.0])
     with pytest.raises(ValueError):
         bench_pairs.claim_verdict([1.0], [0.5])
+
+
+def metrics(**values):
+    return {name.replace("__", "."): {"value": value, "unit": "u"} for name, value in values.items()}
+
+
+def test_the_traced_pair_lists_every_simulated_metric_that_moved():
+    parent = metrics(
+        sim_s=0.008, sim__join_s=0.0023, sim__deduplication_s=0.0018, peak_device_bytes=102045696,
+        count__kernel_launches=609, count__iterations=11, run_wall_s=1.5, backend__take__self_s=0.09,
+    )
+    change = metrics(
+        sim_s=0.0079, sim__join_s=0.0018, sim__deduplication_s=0.0018, peak_device_bytes=28234848,
+        count__kernel_launches=624, count__iterations=11, run_wall_s=1.2, backend__take__self_s=0.07,
+        count__exchange_bytes=0.0,
+    )
+    assert bench_pairs.layer_diff(parent, change) == [
+        ("count.exchange_bytes", None, 0.0),
+        ("count.kernel_launches", 609, 624),
+        ("peak_device_bytes", 102045696, 28234848),
+        ("sim.join_s", 0.0023, 0.0018),
+        ("sim_s", 0.008, 0.0079),
+    ]
+    # Host timings and span counters never appear; identical sides list nothing.
+    assert bench_pairs.layer_diff(parent, parent) == []

@@ -156,6 +156,17 @@ gives the three moves in that order:
 Iterations, counts, exchange bytes, raw rows and the per-epoch serving
 numbers are unchanged.
 
+**Deduplicating fan-out parts where they arrive in *new*, and restoring a
+checkpoint's rows in their saved order, re-pinned ``HTTPD_PIN`` and the two
+``recover`` rows, and nothing else.**  Only the benchmark's CSPA instance has
+parts of more than ``resident_threads`` rows after an iteration that fanned
+out ``DISTINCT_FANOUT`` x: its seconds fall 13.7 us and its launches rise by
+15 (the comment on ``HTTPD_PIN`` itemises them), while its raw rows, counts,
+iterations and distinct-before-expand joins stay.  A restore no longer
+deduplicates a checkpoint's full rows (they are the distinct full version)
+but lets each index sort its own index tier: -10.02 us and 2 launches a shard.
+No other row restores, and no other row's parts reach the threshold.
+
 Each serving row carries a ``recover`` row: the same session with a WAL and
 a checkpoint per epoch, crashed after the retract epoch, and what
 ``ServingEngine.recover`` then charges on fresh devices.  It was recorded
@@ -416,8 +427,15 @@ def test_simulated_clock_and_counters_are_pinned(workload, num_shards):
 #: all-column runs keep no table, searches priced per run: +0.0 ns (was 0.008903790794552382 s)
 #: find_runs only where a table is pushed: -106.0 us, launches -21
 #: tail iterations fused: -785.0 us, launches -157 (was 0.008797785237721158 s / 766)
+#: dedup on arrival: -13.7 us, launches +15 (was 0.008012785237721157 s / 609).  26 parts of more than
+#: resident_threads rows (22 valuealias, 4 valueflow), arriving after an iteration that fanned out at
+#: least DISTINCT_FANOUT x, are deduplicated as they arrive: +1,896.4 us / +78 launches for those
+#: dedups, whose gathers ride in them (their new_gather launches: -530.0 us / -26); the end of each
+#: iteration then gathers and deduplicates the distinct parts (-1,351.1 us / -24), builds and diffs
+#: smaller deltas (-98.7 us / -19), and six iterations hold few enough rows to fuse their tail
+#: (+69.7 us / +6).  Raw rows, counts, iterations and the distinct-before-expand joins do not move.
 HTTPD_PIN = {
-    "elapsed_seconds": 0.008012785237721157, "kernel_launches": 609,
+    "elapsed_seconds": 0.007999080683459498, "kernel_launches": 624,
     "raw_rows": 12154723, "distinct_outer_fired": 7, "total_iterations": 11,
     "relation_counts": {"assign": 365, "dereference": 109, "memalias": 2828, "valuealias": 29148, "valueflow": 23752},
 }
@@ -491,7 +509,10 @@ SERVING_PINS = {
         # recover, run filters: +10.9 ns, filter build bytes added (was 0.0007803557590815154 s)
         # recover, small all-column runs keep no table: -260.1 us, launches -4 (was 0.0007803666356700014 s / 36)
         # recover, find_runs only where a table is pushed: -10.0 us, launches -2 (was 0.0005203047645946094 s / 32)
-        "recover": {"simulated_seconds": 0.0005102979433163851, "kernel_launches": 30, "epoch": 4, "sg": 474},
+        # recover, a restore loads the checkpoint's rows in their saved order: -10.02 us, launches -2 — edge
+        # and sg each drop the init dedup (3 launches) and sort their two identity-order indexes themselves
+        # (2 launches each instead of 1 to adopt the dedup's sort) (was 0.0005102979433163851 s / 30)
+        "recover": {"simulated_seconds": 0.0005002740169044885, "kernel_launches": 28, "epoch": 4, "sg": 474},
     },
     2: {  # launches -56: as above per shard, 14 replica dedups 5->3, replicate.pack +14
         # filter bank deleted: launches -153, semi-join filter build/refresh/merge launches gone (was 0.007271701171912806 s /
@@ -513,7 +534,9 @@ SERVING_PINS = {
         # recover, run filters: +6.2 ns, filter build bytes added (was 0.0007802114399475149 s)
         # recover, small all-column runs keep no table: -260.0 us, launches -8 (was 0.0007802176373035918 s / 72)
         # recover, find_runs only where a table is pushed: -10.0 us, launches -4 (was 0.0005201797177847029 s / 64)
-        "recover": {"simulated_seconds": 0.0005101757621781204, "kernel_launches": 60, "epoch": 4, "sg": 474},
+        # recover, a restore loads the checkpoint's rows in their saved order: -10.01 us (slowest device),
+        # launches -4, as row 1 per shard (was 0.0005101757621781204 s / 60)
+        "recover": {"simulated_seconds": 0.0005001617158165218, "kernel_launches": 56, "epoch": 4, "sg": 474},
     },
 }
 

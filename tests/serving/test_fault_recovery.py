@@ -308,6 +308,42 @@ def test_recover_from_memory_artifacts(num_shards, history_name):
 
 
 @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+def test_recovery_keeps_every_row_in_its_order(num_shards):
+    """A recovered engine holds each shard's full version in the order the
+    crashed one derived it (a restore loads the checkpoint's rows as they
+    are, not re-sorted), and its reads return the pre-crash rows in order."""
+    store, wal = InMemoryCheckpointStore(keep=2), InMemoryWal()
+    engine = make_engine(num_shards, wal=wal, checkpoint_store=store)
+
+    def data_tiers(serving):
+        return {
+            name: [shard.full_rows_host(charge=False) for shard in relation.shards]
+            for name, relation in serving.relations.items()
+        }
+
+    try:
+        run_history(engine, HISTORIES["inserts"])
+        expected_reads = {name: engine.query(name).rows for name in ("edge", "reach")}
+        expected_tiers = data_tiers(engine)
+    finally:
+        engine.crash()
+    recovered = ServingEngine.recover(store, wal, background=False, fault_plan="none")
+    try:
+        # The derivation order is not the sorted order, so a re-sort shows.
+        assert any(
+            tier.tobytes() != np.unique(tier, axis=0).tobytes()
+            for tiers in expected_tiers.values()
+            for tier in tiers
+        )
+        for name, tiers in data_tiers(recovered).items():
+            assert [tier.tobytes() for tier in tiers] == [tier.tobytes() for tier in expected_tiers[name]], name
+        for name, rows in expected_reads.items():
+            np.testing.assert_array_equal(recovered.query(name).rows, rows)
+    finally:
+        recovered.close()
+
+
+@pytest.mark.parametrize("num_shards", SHARD_COUNTS)
 def test_recover_replays_unflushed_batches(num_shards, tmp_path, monkeypatch):
     """A crash after an epoch's commit marker is durable and before its
     checkpoint is: recovery replays the committed WAL group past the

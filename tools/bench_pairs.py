@@ -14,6 +14,12 @@ interquartile range.
     python tools/bench_pairs.py --parent ../parent --change . \\
         --workload cspa-httpd --pairs 10 --first-seed 1000
 
+After the pairs, one ``--trace 1`` run per side at the first seed shows
+*where* a saving sits: every per-layer metric of the simulated side (``sim_s``,
+the ``sim.*_s`` phases, ``peak_device_bytes`` and the ``count.*`` counters,
+which repeat exactly from run to run) that differs between the two sides is
+printed with both values.
+
 Exit status is non-zero when any run is not ``correct`` or has ``failed > 0``
 (the verdicts are printed either way; a claim that does not hold is not an
 error of the tool).
@@ -67,11 +73,29 @@ def claim_verdict(parent: list[float], change: list[float], better: str = "lower
     return Verdict(parent_median, change_median, q1, q3, wins, len(parent), holds)
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced ``bench/run.py`` run in ``checkout``: its result line."""
+def layer_diff(parent: dict, change: dict) -> list[tuple[str, "float | None", "float | None"]]:
+    """``(name, parent value, change value)`` of every simulated per-layer
+    metric of two traced result lines' ``metrics`` that differs (a metric
+    one side lacks reads ``None`` there), by name."""
+    def simulated(name: str) -> bool:
+        return name in ("sim_s", "peak_device_bytes") or name.startswith(("sim.", "count."))
+
+    def value(metrics: dict, name: str) -> "float | None":
+        return metrics[name]["value"] if name in metrics else None
+
+    names = sorted(name for name in set(parent) | set(change) if simulated(name))
+    return [
+        (name, value(parent, name), value(change, name))
+        for name in names
+        if value(parent, name) != value(change, name)
+    ]
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One ``bench/run.py`` run in ``checkout`` (untraced unless ``trace``): its result line."""
     command = [
         sys.executable, "bench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
     ]
     completed = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     lines = completed.stdout.strip().splitlines()
@@ -134,6 +158,16 @@ def main(argv: list[str] | None = None) -> int:
             f"{verdict.parent_q1:10.4g} {verdict.parent_q3:10.4g} {verdict.wins:>3d}/{verdict.pairs:<2d}  "
             f"{'holds' if verdict.holds else 'does not hold'}"
         )
+
+    traced = {}
+    for side in sides:
+        result = run_once(sides[side], args.workload, args.first_seed, args.seconds, trace=1)
+        bad_runs += not (bool(result.get("correct")) and int(result.get("failed", 1)) == 0)
+        traced[side] = result["metrics"]
+    differing = layer_diff(traced["parent"], traced["change"])
+    print(f"\ntraced pair, seed {args.first_seed}: {len(differing)} simulated per-layer metric(s) differ")
+    for name, parent_value, change_value in differing:
+        print(f"{name:32s} {parent_value!s:>24s} {change_value!s:>24s}")
     if bad_runs:
         print(f"{bad_runs} run(s) not correct or with failed > 0", file=sys.stderr)
         return 1
