@@ -48,7 +48,7 @@ from ..relational.hashtable import DEFAULT_LOAD_FACTOR
 from ..relational.relation import IterationStats
 from ..relational.sharded import ShardedRelation
 from ..relational.stats import StatsCatalog
-from .analysis import analyze_program
+from .analysis import analyze_program, swap_closed, symmetric_relations
 from .ast import Atom, Comparison, Constant, Program, Rule
 from .planner import (
     BINARY,
@@ -375,6 +375,8 @@ class EvaluationResult:
     #: one entry per rule version: chosen join order, algorithm, estimated
     #: vs. observed cardinalities (feeds ``GPULogEngine.explain()``)
     plan_report: tuple = field(default_factory=tuple)
+    #: binary relations proved symmetric, which the rule versions paired under
+    symmetric: tuple[str, ...] = ()
 
     def relation(self, name: str) -> DecodedRelation | list:
         """The decoded tuples of ``name`` as a memoised, read-only
@@ -588,19 +590,28 @@ class GPULogEngine:
         # planner plans stat-free, keeping its kernel sequence byte-identical
         # to the legacy path.
         catalog: StatsCatalog | None = None
-        staged_rows: dict[str, np.ndarray] = {}
+        staged_rows: dict[str, np.ndarray] = {
+            relation_name: self._fact_rows(relation_name, arities[relation_name], program)
+            for relation_name in sorted(analysis.idb_relations)
+        }
         if self.planner != GREEDY:
             catalog = StatsCatalog()
             for relation_name, arity in arities.items():
-                rows = self._fact_rows(relation_name, arity, program)
-                staged_rows[relation_name] = rows
+                rows = staged_rows.get(relation_name)
+                if rows is None:
+                    rows = staged_rows[relation_name] = self._fact_rows(relation_name, arity, program)
                 if rows.shape[0]:
                     catalog.seed_facts(
                         relation_name, [rows[:, column] for column in range(arity)]
                     )
                 else:
                     catalog.ensure(relation_name, arity)
-        plan = plan_program(analysis, planner=self.planner, stats=catalog)
+        # Rule versions that mirror each other pair up under the relations
+        # proved symmetric from the program and the staged IDB facts.
+        symmetric = symmetric_relations(
+            analysis, [name for name in analysis.idb_relations if not swap_closed(staged_rows[name])]
+        )
+        plan = plan_program(analysis, planner=self.planner, stats=catalog, symmetric=symmetric)
 
         return self._run(program, analysis, plan, arities, staged_rows)
 
@@ -709,7 +720,9 @@ class GPULogEngine:
         analysis = analyze_program(program)
         # Resume has no staged facts to measure (relations restore from the
         # snapshot), so statistics-driven planners fall back to uniform
-        # estimates here; the replayed plan is still deterministic.
+        # estimates here; the replayed plan is still deterministic.  Nor are
+        # the facts that would prove a relation symmetric, so only the
+        # versions that mirror each other with no symmetric atom pair up.
         plan = plan_program(analysis, planner=self.planner)
         arities = self._resolve_arities(program)
         for relation_name, state in checkpoint.relations.items():
@@ -805,12 +818,17 @@ class GPULogEngine:
         report = []
         for rule, rule_plan in plan.rule_plans.items():
             for version in rule_plan.versions:
-                entry = evaluator.version_observations.get((id(rule), version.delta_atom_index))
+                # A mirrored version did not execute: it reports its
+                # partner's joins, whose output it appended with the columns
+                # swapped.
+                executed = version.delta_atom_index if version.mirror_of is None else version.mirror_of
+                entry = evaluator.version_observations.get((id(rule), executed))
                 report.append(
                     {
                         "rule": str(rule),
                         "head": version.head_relation,
                         "delta_atom": version.delta_atom_index,
+                        "mirror_of": version.mirror_of,
                         "planner": version.planner,
                         "algorithm": WCOJ if evaluator.runs_generic_join(version) else BINARY,
                         "planned_algorithm": version.algorithm,
@@ -820,7 +838,10 @@ class GPULogEngine:
                         "observed_rows": float(entry["rows"]) if entry else 0.0,
                         "executions": int(entry["executions"]) if entry else 0,
                         "distinct_outer": Counter(entry["distinct_outer"]) if entry else Counter(),
-                        "arrival_dedup": Counter(entry["arrival_dedup"]) if entry else Counter(),
+                        # the swapped parts were appended as they are
+                        "arrival_dedup": (
+                            Counter(entry["arrival_dedup"]) if entry and version.mirror_of is None else Counter()
+                        ),
                     }
                 )
         return tuple(report)
@@ -842,21 +863,30 @@ class GPULogEngine:
         rows=<n>→<d>`` (on every version that ran) counts the output parts its
         head relation deduplicated as they arrived in *new* (see
         ``Relation.add_new``; one part per shard an execution delivers to)
-        and the rows they held before and after.
+        and the rows they held before and after.  A version that mirrors a
+        partner (``mirror_of=<the partner's delta atom>``) did not execute:
+        its rows, executions and ``distinct_outer`` are the partner's, whose
+        output it appended with the two columns swapped (it has no
+        ``arrival_dedup``: the swapped parts arrive as the partner kept
+        them).  ``symmetric:`` lists the relations proved symmetric, each
+        with the column pair it swaps.
         """
         result = self.last_result
         if result is None:
             return "no run to explain (call run() first)"
         lines = [f"planner={result.planner}"]
+        if result.symmetric:
+            lines.append("symmetric: " + " ".join(f"{name}(0,1)" for name in result.symmetric))
         for entry in result.plan_report:
             estimated = entry["estimated_rows"]
             estimated_text = f"{estimated:.1f}" if estimated is not None else "n/a"
             algorithm = entry["algorithm"]
             if entry["planned_algorithm"] != algorithm:
                 algorithm += f" planned={entry['planned_algorithm']} (generic join is single-device)"
+            mirror = f" mirror_of={entry['mirror_of']}" if entry["mirror_of"] is not None else ""
             lines.append(
                 f"  {entry['rule']}"
-                f"\n    version[delta_atom={entry['delta_atom']}]"
+                f"\n    version[delta_atom={entry['delta_atom']}]{mirror}"
                 f" algorithm={algorithm}"
                 f" order={entry['atom_order']}"
                 f" est_rows={estimated_text}"
@@ -870,7 +900,7 @@ class GPULogEngine:
                     f" rows={distinct['rows_in']}→{distinct['rows_out']}"
                 )
             arrival = entry["arrival_dedup"]
-            if entry["executions"]:
+            if entry["executions"] and entry["mirror_of"] is None:
                 lines[-1] += (
                     f" arrival_dedup={arrival['fired']}/{entry['executions']}"
                     f" rows={arrival['rows_in']}→{arrival['rows_out']}"
@@ -959,6 +989,7 @@ class GPULogEngine:
             broadcast_joins=exchange.broadcast_joins,
             planner=self.planner,
             plan_report=self._plan_report(plan, evaluator),
+            symmetric=tuple(sorted(plan.symmetric)),
         )
         self.last_result = result
         return result

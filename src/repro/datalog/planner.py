@@ -50,13 +50,14 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from ..errors import PlanningError
 from ..relational.operators import ColumnComparison, JoinOutput
 from ..relational.stats import UniformStats
-from .analysis import ProgramAnalysis
+from .analysis import FLIPPED_OPS, ProgramAnalysis, mirror_renamings
 from .ast import Atom, Comparison, Constant, Rule, Variable
 
 DELTA = "delta"
@@ -171,6 +172,10 @@ class RuleVersion:
     estimated_rows: float | None = None
     #: Estimated total intermediate tuples (C_out for binary, AGM bound for WCOJ).
     estimated_cost: float | None = None
+    #: Delta atom of the partner version this one mirrors (see
+    #: :func:`pair_mirrors`): the fixpoint driver does not execute it and
+    #: appends the partner's output with its two columns swapped instead.
+    mirror_of: int | None = None
 
     @property
     def is_recursive(self) -> bool:
@@ -256,6 +261,23 @@ class ProgramPlan:
     analysis: ProgramAnalysis
     rule_plans: dict[Rule, RulePlan]
     planner: str = GREEDY
+    #: binary relations proved symmetric (``analysis.symmetric_relations``)
+    #: that :meth:`with_mirrors` paired the versions under
+    symmetric: frozenset[str] = frozenset()
+
+    def with_mirrors(self, symmetric: frozenset[str]) -> "ProgramPlan":
+        """This plan with its rule versions paired under ``symmetric``
+        (:func:`pair_mirrors`); each rule requires only the indexes of the
+        versions that execute."""
+        rule_plans = {}
+        for rule, rule_plan in self.rule_plans.items():
+            versions = pair_mirrors(rule_plan.versions, self.analysis, symmetric)
+            required: set[tuple[str, tuple[int, ...]]] = set()
+            for version in versions:
+                if version.mirror_of is None:
+                    required.update(version_required_indexes(version))
+            rule_plans[rule] = RulePlan(rule=rule, versions=versions, required_indexes=tuple(sorted(required)))
+        return replace(self, rule_plans=rule_plans, symmetric=frozenset(symmetric))
 
     def required_indexes(self) -> set[tuple[str, tuple[int, ...]]]:
         indexes: set[tuple[str, tuple[int, ...]]] = set()
@@ -275,6 +297,65 @@ class ProgramPlan:
                 else:
                     non_recursive.append(version)
         return non_recursive, recursive
+
+
+def pair_mirrors(
+    versions: Sequence[RuleVersion], analysis: ProgramAnalysis, symmetric: frozenset[str]
+) -> tuple[RuleVersion, ...]:
+    """``versions`` with ``mirror_of`` set on each version a partner mirrors.
+
+    Two binary-join versions A and B of one rule, each with a recursive delta
+    atom and a head of two distinct variables, pair when a mirror renaming σ
+    of the rule (:func:`~repro.datalog.analysis.mirror_renamings` under
+    ``symmetric``) sends A's delta atom to B's and A's atom order to B's.
+    B's join step k is then σ of A's step k: B's output is A's with the two
+    columns swapped, and its scan, probes and matches are A's.  The version
+    with the lower delta atom executes; the other carries ``mirror_of``.
+    Marks from an earlier pairing are dropped first, so a smaller
+    ``symmetric`` turns off the pairs that relied on what it lost.
+    """
+    out = [version if version.mirror_of is None else replace(version, mirror_of=None) for version in versions]
+    order = sorted(
+        (position for position, version in enumerate(out) if _mirrorable(version, analysis)),
+        key=lambda position: out[position].delta_atom_index,
+    )
+    paired: set[int] = set()
+    for position in order:
+        first = out[position]
+        if position in paired:
+            continue
+        images = list(mirror_renamings(first.rule, symmetric))
+        for other in order:
+            second = out[other]
+            if (
+                other in paired
+                or second.rule != first.rule
+                or second.delta_atom_index <= first.delta_atom_index
+            ):
+                continue
+            if any(
+                image[first.delta_atom_index] == second.delta_atom_index
+                and tuple(image[index] for index in first.atom_order) == second.atom_order
+                for image in images
+            ):
+                out[other] = replace(second, mirror_of=first.delta_atom_index)
+                paired.update((position, other))
+                break
+    return tuple(out)
+
+
+def _mirrorable(version: RuleVersion, analysis: ProgramAnalysis) -> bool:
+    """A version :func:`pair_mirrors` may pair: binary joins from a recursive
+    delta atom into a head of two distinct variables.  (A serving epoch's
+    EDB-delta versions run once per epoch and are left alone.)"""
+    head = version.rule.head.terms
+    return (
+        version.algorithm == BINARY
+        and version.delta_atom_index in analysis.recursive_atoms(version.rule)
+        and len(head) == 2
+        and all(isinstance(term, Variable) for term in head)
+        and head[0] != head[1]
+    )
 
 
 def version_required_indexes(version: RuleVersion) -> set[tuple[str, tuple[int, ...]]]:
@@ -317,12 +398,13 @@ class Planner:
         self.planner = planner
         self.stats = stats if stats is not None else UniformStats()
 
-    def plan_program(self) -> ProgramPlan:
+    def plan_program(self, symmetric: frozenset[str] = frozenset()) -> ProgramPlan:
         rule_plans: dict[Rule, RulePlan] = {}
         for stratum in self.analysis.strata:
             for rule in stratum.rules:
                 rule_plans[rule] = self.plan_rule(rule)
-        return ProgramPlan(analysis=self.analysis, rule_plans=rule_plans, planner=self.planner)
+        plan = ProgramPlan(analysis=self.analysis, rule_plans=rule_plans, planner=self.planner)
+        return plan.with_mirrors(symmetric)
 
     def plan_rule(self, rule: Rule) -> RulePlan:
         if not rule.body:
@@ -957,8 +1039,9 @@ class Planner:
             raise PlanningError(f"comparison {comparison} has no variables")
         if isinstance(left, Constant):
             # Normalise to variable-on-the-left by flipping the operator.
-            flipped = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "==": "==", "!=": "!="}[comparison.op]
-            return ColumnComparison(flipped, positions[right.name], constant=_constant_value(left))
+            return ColumnComparison(
+                FLIPPED_OPS[comparison.op], positions[right.name], constant=_constant_value(left)
+            )
         if isinstance(right, Constant):
             return ColumnComparison(comparison.op, positions[left.name], constant=_constant_value(right))
         return ColumnComparison(comparison.op, positions[left.name], right_column=positions[right.name])
@@ -973,10 +1056,11 @@ class Planner:
 
 
 def plan_program(
-    analysis: ProgramAnalysis, *, planner: str = GREEDY, stats=None
+    analysis: ProgramAnalysis, *, planner: str = GREEDY, stats=None, symmetric: frozenset[str] = frozenset()
 ) -> ProgramPlan:
-    """Convenience wrapper: plan every rule of an analysed program."""
-    return Planner(analysis, planner=planner, stats=stats).plan_program()
+    """Convenience wrapper: plan every rule of an analysed program, its
+    versions paired under the ``symmetric`` relations."""
+    return Planner(analysis, planner=planner, stats=stats).plan_program(symmetric)
 
 
 def head_shard_variable(version: RuleVersion, shard_column: int) -> str | None:

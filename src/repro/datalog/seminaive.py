@@ -95,8 +95,12 @@ class IterationTrace:
     baseline prices the plain join; a version run as one generic join or one
     fused n-way kernel has no steps to count.  ``new`` is the rows the
     versions appended to *new*; ``delta``/``full`` are the iteration's
-    stratum relations after it.  Every ``*_bytes`` field is its tuples times
-    their arity times ``TUPLE_ITEMSIZE`` (int64 columns).
+    stratum relations after it.  A version that mirrors an executed partner
+    (``RuleVersion.mirror_of``) counts the partner's scan, probes, matches
+    and rows — the work it would have done, step for step — so a baseline
+    prices every version whether or not GPUlog ran it.  Every ``*_bytes``
+    field is its tuples times their arity times ``TUPLE_ITEMSIZE`` (int64
+    columns).
     """
 
     iteration: int
@@ -174,6 +178,12 @@ class _VersionWork:
         self.probes = [0] * len(version.joins)
         self.matches = [0] * len(version.joins)
         self.rows = 0
+
+    def mirrored(self, version: RuleVersion) -> "_VersionWork":
+        """This work as ``version``, a mirror of this one, counts it."""
+        work = _VersionWork(version)
+        work.add(self)
+        return work
 
     def add(self, other: "_VersionWork") -> None:
         self.outer_tuples += other.outer_tuples
@@ -508,6 +518,7 @@ class SemiNaiveEvaluator:
         rebuild_merges = 0
         restores = 0
         offset = trace.iterations[-1].iteration if trace is not None else 0
+        mirrors = self._mirrors(recursive)
         if self.checkpoint_every and iteration == 0:
             # Baseline snapshot right after stratum init, so even an
             # iteration-1 fault has a boundary to roll back to.
@@ -539,20 +550,27 @@ class SemiNaiveEvaluator:
                     for version in recursive:
                         # Skip on the *global* delta: a shard with an empty
                         # local delta still receives foreign-keyed rows via
-                        # exchange.
-                        if self.relations[version.initial.relation].delta_count == 0:
+                        # exchange.  A mirrored version runs with its partner.
+                        if self.relations[version.initial.relation].delta_count == 0 or (
+                            (id(version.rule), version.mirror_of) in mirrors
+                        ):
                             continue
 
                         # add_new materializes the batch's head columns: the
                         # join's output write (and may deduplicate it on
                         # arrival, which the version's observation counts).
-                        works.append(self._execute_with_recovery(
+                        mirror = mirrors.get(self._version_key(version))
+                        work = self._execute_with_recovery(
                             version,
                             partial(
                                 self.relations[version.head_relation].add_new_shard,
                                 report=self._observation(version)["arrival_dedup"],
                             ),
-                        ))
+                            mirror=mirror,
+                        )
+                        works.append(work)
+                        if mirror is not None:
+                            works.append(work.mirrored(mirror))
                     total_delta = 0
                     for name in idb_in_stratum:
                         result = self.relations[name].end_iteration()
@@ -593,6 +611,30 @@ class SemiNaiveEvaluator:
             if total_delta == 0:
                 break
         return iteration, in_place_merges, rebuild_merges
+
+    def _mirrors(self, versions: list[RuleVersion]) -> dict[tuple[int, int | None], RuleVersion]:
+        """The mirrored versions whose partner is among ``versions``, keyed
+        by the partner's :meth:`_version_key`."""
+        keys = {self._version_key(version) for version in versions}
+        return {
+            (id(version.rule), version.mirror_of): version
+            for version in versions
+            if version.mirror_of is not None and (id(version.rule), version.mirror_of) in keys
+        }
+
+    def _append_swap(self, mirror: RuleVersion, parts: list[ColumnBatch]) -> None:
+        """Append ``mirror``'s output: the parts its executed partner's head
+        relation kept (``parts``, one per shard), with the two columns
+        swapped — a column reorder, no copy — and routed to the owner shards
+        of the swapped rows."""
+        name = mirror.head_relation
+        relation = self.relations[name]
+        swapped = [part.project((1, 0)) for part in parts]
+        routed = self.exchange.route_rows(name, swapped, label=f"{name}.route_swap")
+        for shard, batch in enumerate(routed):
+            if len(batch):
+                with self.devices[shard].profiler.phase(PHASE_JOIN):
+                    relation.add_swap_shard(shard, batch, resident=self.num_shards == 1)
 
     def _restart_overlap(self) -> None:
         """Fill (or, after a rollback, refill) the exchange pipeline: the next
@@ -733,11 +775,15 @@ class SemiNaiveEvaluator:
         version: RuleVersion,
         consume,
         *,
+        mirror: RuleVersion | None = None,
         part: tuple[int, int] = (0, 1),
         depth: int = 0,
         work: _VersionWork | None = None,
     ) -> _VersionWork:
-        """Execute one rule version; ``consume(shard, batch)`` takes its output.
+        """Execute one rule version; ``consume(shard, batch)`` takes its output
+        and returns the part it kept.  With ``mirror`` (a version mirroring
+        this one), each attempt that stands also appends the swap of what
+        ``consume`` kept as the mirror's output (:meth:`_append_swap`).
 
         Transient kernel faults retry the whole (idempotent) version with
         exponential backoff; re-executed appends at worst duplicate tuples
@@ -760,12 +806,16 @@ class SemiNaiveEvaluator:
                     batches = self._execute_version(version, part=part, work=attempt)
                     attempt.rows = sum(len(batch) for batch in batches)
                     self._observe_version(version, attempt.rows)
+                    kept = []
                     for shard, batch in enumerate(batches):
                         if len(batch):
                             # Consuming writes the join's output, so it is
                             # attributed to the join phase.
                             with self.devices[shard].profiler.phase(PHASE_JOIN):
-                                consume(shard, batch)
+                                batch = consume(shard, batch)
+                        kept.append(batch)
+                    if mirror is not None:
+                        self._append_swap(mirror, kept)
                     work.add(attempt)
                     return work
                 except TransientDeviceError:
@@ -786,7 +836,7 @@ class SemiNaiveEvaluator:
             )
             for chunk in (2 * index, 2 * index + 1):
                 self._execute_with_recovery(
-                    version, consume, part=(chunk, 2 * parts), depth=depth + 1, work=work
+                    version, consume, mirror=mirror, part=(chunk, 2 * parts), depth=depth + 1, work=work
                 )
             return work
 

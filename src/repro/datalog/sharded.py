@@ -205,12 +205,19 @@ class ShardExchange:
             # owner (the pre-route hash *is* the ownership hash): no tail
             # exchange at all.
             return head_parts
+        return self.route_rows(version.head_relation, head_parts, label=f"{version.head_relation}.route_new")
+
+    def route_rows(self, name: str, parts: list[ColumnBatch], *, label: str) -> list[ColumnBatch]:
+        """Send full-width batches of relation ``name`` to their owner shards."""
+        if self.num_shards == 1:
+            return parts
+        relation = self.relations[name]
         return self._exchange(
-            head_parts,
-            key_position=self.relations[version.head_relation].shard_column,
-            width=len(version.head),
-            live=set(range(len(version.head))),
-            label=f"{version.head_relation}.route_new",
+            parts,
+            key_position=relation.shard_column,
+            width=relation.arity,
+            live=set(range(relation.arity)),
+            label=label,
         )[0]
 
     def invalidate(self) -> None:

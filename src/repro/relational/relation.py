@@ -250,8 +250,9 @@ class Relation:
                     label=f"{self.name}.merge_buffer",
                 )
 
-    def add_new(self, rows: "Array | ColumnBatch", *, report: "Counter | None" = None) -> None:
-        """Append freshly derived tuples (a batch, or host rows to upload) to *new*.
+    def add_new(self, rows: "Array | ColumnBatch", *, report: "Counter | None" = None) -> ColumnBatch:
+        """Append freshly derived tuples (a batch, or host rows to upload) to
+        *new*; returns the part as *new* holds it.
 
         The batch is materialized column-wise here — the delta-merge boundary
         of the late-materialization contract: every column that survived the
@@ -276,7 +277,7 @@ class Relation:
             rows = self._upload(rows, "h2d_new")
         self._check_arity(rows)
         if len(rows) == 0:
-            return
+            return rows
         self._raw_new_rows += len(rows)
         if self._fans_out(len(rows)):
             with self.device.profiler.phase(PHASE_DEDUPLICATION):
@@ -292,6 +293,31 @@ class Relation:
         buffer = self.device.allocate(rows.nbytes, label=f"{self.name}.new", charge_cost=False)
         self._new_parts.append(rows)
         self._new_buffers.append(buffer)
+        return rows
+
+    def add_swap(self, rows: ColumnBatch, *, resident: bool) -> None:
+        """Append a mirrored rule version's output to *new*: rows an executed
+        partner produced, with the two columns swapped.
+
+        They are not a join's output, so ``raw_count`` does not count them,
+        and they are never deduplicated on arrival: the swap of a part
+        :meth:`add_new` deduplicated is distinct already, and a raw part's
+        swap is deduplicated with the union in :meth:`end_iteration`.  A
+        ``resident`` swap is a column reorder of a part this relation holds
+        (one shard: it never moved), so it is appended as it is — its columns
+        are resolved and it takes no buffer of its own.  Rows that crossed
+        shards are gathered into a buffer like any arriving part.
+        """
+        self._check_arity(rows)
+        if len(rows) == 0:
+            return
+        if not resident:
+            with self.device.fused(f"{self.name}.new_gather"):
+                rows.columns(charge=True, label=f"{self.name}.new_gather")
+            self._new_buffers.append(
+                self.device.allocate(rows.nbytes, label=f"{self.name}.new", charge_cost=False)
+            )
+        self._new_parts.append(rows)
 
     def _fans_out(self, rows: int) -> bool:
         """The dedup-on-arrival rule (:meth:`add_new`) for a part of ``rows`` rows."""
@@ -643,7 +669,8 @@ class Relation:
         """Simulated device bytes currently attributable to this relation."""
         total = sum(hisa.nbytes for hisa in self.full_indexes.values())
         total += int(self._delta.nbytes)
-        total += sum(int(part.nbytes) for part in self._new_parts)
+        # a resident swap (``add_swap``) is a view of a part and holds no buffer
+        total += sum(buffer.nbytes for buffer in self._new_buffers)
         return total
 
     # ------------------------------------------------------------------

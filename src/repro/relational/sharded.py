@@ -201,10 +201,15 @@ class ShardedRelation:
         """Load one shard's partition directly (stratum-init edge)."""
         self.shards[shard].initialize(rows)
 
-    def add_new_shard(self, shard: int, rows, *, report=None) -> None:
-        """Append tuples already routed to ``shard`` to its *new* version
-        (``report``: see :meth:`Relation.add_new`)."""
-        self.shards[shard].add_new(rows, report=report)
+    def add_new_shard(self, shard: int, rows, *, report=None):
+        """Append tuples already routed to ``shard`` to its *new* version and
+        return the part as it holds it (``report``: see :meth:`Relation.add_new`)."""
+        return self.shards[shard].add_new(rows, report=report)
+
+    def add_swap_shard(self, shard: int, rows, *, resident: bool) -> None:
+        """Append a mirrored version's swapped rows, already routed to
+        ``shard`` (see :meth:`Relation.add_swap`)."""
+        self.shards[shard].add_swap(rows, resident=resident)
 
     def add_new(self, rows) -> None:
         """Partition *host* rows by owner shard and append each part to *new*.

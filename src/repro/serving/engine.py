@@ -73,9 +73,10 @@ from typing import Iterable, Mapping, Sequence, Union
 import numpy as np
 
 from ..backend import host_rows_to_tuples
+from ..datalog.analysis import swap_closed, symmetric_relations
 from ..datalog.ast import Program
 from ..datalog.engine import DecodedRelation, FactValue, GPULogEngine, intern_program
-from ..datalog.planner import RuleVersion
+from ..datalog.planner import RuleVersion, pair_mirrors
 from ..device.spec import DeviceSpec
 from ..errors import (
     AdmissionRejected,
@@ -350,16 +351,34 @@ class ServingEngine:
             for state in restore.relations.values():
                 self._arities.setdefault(state.name, state.arity)
 
+        # Rule versions pair under the relations proved symmetric from the
+        # IDB facts (from the checkpoint's record after a crash); an epoch
+        # whose IDB rows are not swap-closed narrows the set (``_narrow_symmetry``).
+        analysis = self.compiled.analysis
+        idb_facts: dict[str, np.ndarray] = {}
+        if restore is None:
+            idb_facts = {
+                name: engine._fact_rows(name, self._arities[name], self.program)
+                for name in sorted(analysis.idb_relations)
+            }
+            asymmetric = {name for name, rows in idb_facts.items() if not swap_closed(rows)}
+        else:
+            asymmetric = set(analysis.idb_relations) - set(serving_meta.get("symmetric", ()))
+        self._pair_versions(symmetric_relations(analysis, asymmetric))
+
         # Resident relations carry *every* index any plan — bootstrap, epoch
         # delta versions, DRed full versions — will probe.  The plan is the
         # cached, data-independent one: no statistics.
         self._evaluator = engine._build(
-            self.program, self.compiled.plan, self._arities, self.compiled.required_indexes
+            self.program,
+            self.compiled.plan.with_mirrors(self._symmetric),
+            self._arities,
+            self.compiled.required_indexes,
         )
         if restore is None:
             # Load the facts (the program's own and the constructor's), run
             # the bootstrap fixpoint, publish snapshot v1.
-            idb_facts = engine._load_facts(self.program, self.compiled.analysis, {})
+            idb_facts = engine._load_facts(self.program, analysis, idb_facts)
             engine.clear_facts()
             self._evaluator.evaluate(idb_facts)
             # Invariant: between epochs every delta is empty.  ``initialize``
@@ -974,6 +993,7 @@ class ServingEngine:
                     "covered_seq": self._committed_seq,
                     "planner": self.planner,
                     "num_shards": self.num_shards,
+                    "symmetric": sorted(self._symmetric),
                 }
             },
             parent=chain[durable - 1].checkpoint.checkpoint_id if durable else "",
@@ -1035,10 +1055,9 @@ class ServingEngine:
                 for relation_name, relation in self.relations.items()
             }
             iterations = 0
+            self._narrow_symmetry(seeds, net_retracts)
             if seeds:
-                iterations, _, _ = self._evaluator.delta_fixpoint(
-                    list(self.compiled.epoch_versions), seeds
-                )
+                iterations, _, _ = self._evaluator.delta_fixpoint(list(self._epoch_versions), seeds)
 
             # --- Commit: bump and publish snapshots of changed relations
             changed = set(retracted_counts)
@@ -1085,6 +1104,30 @@ class ServingEngine:
             )
             self.last_epoch = result
             return result
+
+    def _pair_versions(self, symmetric: frozenset[str]) -> None:
+        """Pair the epoch versions under ``symmetric`` (see ``pair_mirrors``)."""
+        self._symmetric = symmetric
+        self._epoch_versions = pair_mirrors(self.compiled.epoch_versions, self.compiled.analysis, symmetric)
+
+    def _narrow_symmetry(
+        self, seeds: dict[str, np.ndarray], retracts: dict[str, list[tuple[int, ...]]]
+    ) -> None:
+        """Drop every relation whose rows this epoch inserts or retracts are
+        not swap-closed from the symmetric set, and with it every relation
+        and version pair its symmetry proved.  The set only narrows: a later
+        epoch that restores the symmetry does not pair the versions again."""
+        lost = {
+            name
+            for name in self._symmetric
+            if not swap_closed(seeds.get(name, ()))
+            or not swap_closed(self._rows_array(retracts.get(name, ()), name))
+        }
+        if lost:
+            analysis = self.compiled.analysis
+            self._pair_versions(
+                symmetric_relations(analysis, set(analysis.idb_relations) - (self._symmetric - lost))
+            )
 
     def _coalesce(
         self, batch: list[_Mutation]

@@ -167,6 +167,18 @@ deduplicates a checkpoint's full rows (they are the distinct full version)
 but lets each index sort its own index tier: -10.02 us and 2 launches a shard.
 No other row restores, and no other row's parts reach the threshold.
 
+**Mirrored rule versions re-pinned the three ``cspa`` rows and ``HTTPD_PIN``,
+and nothing else.**  CSPA is the only program here with two rule versions
+that mirror each other (``RuleVersion.mirror_of``): the driver skips the
+mirrored one and appends its partner's kept parts with the columns swapped,
+and the index only the mirrored versions probed (``memalias[1]``) is no
+longer built or merged.  Seconds and launches fall (the comment on each row
+itemises them), the sharded rows ship fewer exchange bytes (a swap ships the
+partner's kept part, not a second raw head), and ``HTTPD_PIN``'s raw rows
+fall by the mirrored versions' 3,458,610.  Counts, iterations and the
+distinct-before-expand joins do not move; SG is proved symmetric but has no
+pair, so its rows, the serving rows and every other row do not move.
+
 Each serving row carries a ``recover`` row: the same session with a WAL and
 a checkpoint per epoch, crashed after the retract epoch, and what
 ``ServingEngine.recover`` then charges on fresh devices.  It was recorded
@@ -243,6 +255,7 @@ def measure(workload: str, num_shards: int) -> dict:
 #: recorded at the parent commit of PR 17, tc / sg / cspa re-pinned by PR 18, seconds and launches of
 #: every row re-pinned (lower) by PR 22 (see the module docstring)
 #: the two sharded cspa rows re-pinned (lower) again when the semi-join filter bank was deleted
+#: the three cspa rows re-pinned (lower) for mirrored rule versions (see the module docstring)
 PINS = {
     ("cspa", 1): {
         # PR 22: launches -8: 3 load dedups 5->3, materialize_init -3, gather_init +1
@@ -256,7 +269,11 @@ PINS = {
         # all-column runs keep no table, searches priced per run: -5.3 ns (was 0.0029037927402028505 s)
         # find_runs only where a table is pushed: -50.0 us, launches -10
         # tail iterations fused: -395.0 us, launches -79 (was 0.0028537585082039647 s / 293)
-        "elapsed_seconds": 0.0024587585082039643, "kernel_launches": 214, "total_iterations": 5,
+        # mirrored versions: -111.9 us, launches -21: valuealias's two mirrored versions append their
+        # partner's kept parts with the columns swapped instead of joining; -165.1 us, launches -9: the
+        # memalias[1] index only a mirrored version probed is no longer built or merged
+        # (was 0.0024587585082039643 s / 214)
+        "elapsed_seconds": 0.0021818146695987578, "kernel_launches": 184, "total_iterations": 5,
         "relation_counts": {"assign": 57, "dereference": 40, "memalias": 400, "valuealias": 529, "valueflow": 507},
         "exchange_bytes": 0.0,
     },
@@ -273,9 +290,12 @@ PINS = {
         # all-column runs keep no table, searches priced per run: -2.1 ns (was 0.003509421417769584 s)
         # find_runs only where a table is pushed: -30.0 us, launches -19
         # tail iterations fused: -215.0 us, launches -171 (was 0.003479406980226946 s / 1323)
-        "elapsed_seconds": 0.0032644069802269457, "kernel_launches": 1152, "total_iterations": 5,
+        # mirrored versions: -195.8 us, launches -129, -30,480 B: the swaps route the kept (distinct when
+        # deduplicated on arrival) parts, not a second version's raw head; memalias[1] index gone:
+        # -145.0 us, launches -18 (was 0.0032644069802269457 s / 1152 / 2,790,080 B)
+        "elapsed_seconds": 0.0029236091781565314, "kernel_launches": 1005, "total_iterations": 5,
         "relation_counts": {"assign": 57, "dereference": 40, "memalias": 400, "valuealias": 529, "valueflow": 507},
-        "exchange_bytes": 2790080.0,
+        "exchange_bytes": 2759600.0,
     },
     ("cspa", 4): {
         # PR 22: launches -48: 12 load + 8 replica dedups 5->3, materialize_init -20, gather_init +4, replicate.pack +8
@@ -290,9 +310,11 @@ PINS = {
         # all-column runs keep no table, searches priced per run: -1.0 ns (was 0.003543262227114113 s)
         # find_runs only where a table is pushed: -30.0 us, launches -37
         # tail iterations fused: -215.0 us, launches -337 (was 0.003513252674364661 s / 2678)
-        "elapsed_seconds": 0.003298252674364662, "kernel_launches": 2341, "total_iterations": 5,
+        # mirrored versions: -225.6 us, launches -291, -37,120 B, as ("cspa", 2); memalias[1] index gone:
+        # -145.0 us, launches -36 (was 0.003298252674364662 s / 2341 / 4,080,080 B)
+        "elapsed_seconds": 0.0029276388052013225, "kernel_launches": 2014, "total_iterations": 5,
         "relation_counts": {"assign": 57, "dereference": 40, "memalias": 400, "valuealias": 529, "valueflow": 507},
-        "exchange_bytes": 4080080.0,
+        "exchange_bytes": 4042960.0,
     },
     ("sg", 1): {
         # PR 22: launches -7: 2 load dedups 5->3, materialize_init -3
@@ -434,9 +456,15 @@ def test_simulated_clock_and_counters_are_pinned(workload, num_shards):
 #: iteration then gathers and deduplicates the distinct parts (-1,351.1 us / -24), builds and diffs
 #: smaller deltas (-98.7 us / -19), and six iterations hold few enough rows to fuse their tail
 #: (+69.7 us / +6).  Raw rows, counts, iterations and the distinct-before-expand joins do not move.
+#: mirrored versions: -973.9 us, launches -78, raw rows -3,458,610 (was 0.007999080683459498 s / 624 /
+#: 12,154,723): valuealias's delta-1 version of its first rule and delta-2 version of its second compute
+#: their partners' output with the columns swapped, so they no longer join, and their swaps are
+#: appended as their partners kept them (no gather, no arrival dedup; Σ raw_count counts joins only);
+#: -406.8 us, launches -33: memalias[1], an index only the second of them probed, is no longer built or
+#: merged.  Counts, iterations and the seven distinct-before-expand joins do not move.
 HTTPD_PIN = {
-    "elapsed_seconds": 0.007999080683459498, "kernel_launches": 624,
-    "raw_rows": 12154723, "distinct_outer_fired": 7, "total_iterations": 11,
+    "elapsed_seconds": 0.006618342332652925, "kernel_launches": 513,
+    "raw_rows": 8696113, "distinct_outer_fired": 7, "total_iterations": 11,
     "relation_counts": {"assign": 365, "dereference": 109, "memalias": 2828, "valuealias": 29148, "valueflow": 23752},
 }
 

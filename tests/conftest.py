@@ -7,13 +7,21 @@ absolute import; they are re-exported here for backwards compatibility.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.device import Device
 
 from tests import helpers
 from tests.helpers import same_generation, transitive_closure  # noqa: F401
+
+#: ``HYPOTHESIS_PROFILE=nightly`` (the nightly workflow) draws ten times the
+#: default examples wherever a test does not fix its own count.
+settings.register_profile("nightly", max_examples=10 * settings.get_profile("default").max_examples)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

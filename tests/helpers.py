@@ -261,41 +261,71 @@ def horner_pack_sort_keys(backend, *batches):
 def naive_datalog(source: str, facts: dict) -> dict[str, set[tuple[int, ...]]]:
     """Reference Datalog evaluation: naive fixpoint over Python sets.
 
-    Reads rules of the shape ``head(..) :- atom(..), .., x != y.`` (variables
-    only, ``//`` comments), and re-derives every rule from the whole database
-    until nothing new appears — no deltas, no join order, no duplicates to
-    handle, and only a throwaway dict per round to look rows up by their
-    bound terms, so it shares nothing with the engine but the rule text.
+    Reads rules of the shape ``head(..) :- atom(..), .., x != y.`` whose
+    terms are variables or integer constants, with the six comparisons
+    (``=``/``==``, ``!=``, ``<``, ``<=``, ``>``, ``>=``) between terms, ground
+    facts ``r(1, 2).`` and ``//`` comments; re-derives every rule from the
+    whole database until nothing new appears — no deltas, no join order, no
+    duplicates to handle, and only a throwaway dict per round to look rows up
+    by their bound terms, so it shares nothing with the engine but the rule
+    text.
     """
+    import operator
     import re
 
+    compare = {
+        "=": operator.eq, "==": operator.eq, "!=": operator.ne,
+        "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    }
+
+    def term(text):
+        text = text.strip()
+        return int(text) if re.fullmatch(r"-?\d+", text) else text
+
+    def value(term, env):
+        return term if isinstance(term, int) else env[term]
+
+    database = {name: {tuple(map(int, row)) for row in rows} for name, rows in facts.items()}
     rules = []
     for clause in re.sub(r"//[^\n]*", "", source).split("."):
         if not clause.strip():
             continue
-        head_text, body_text = clause.split(":-")
+        head_text, _, body_text = clause.partition(":-")
         atoms = [
-            (name, tuple(term.strip() for term in terms.split(",")))
+            (name, tuple(term(text) for text in terms.split(",")))
             for name, terms in re.findall(r"(\w+)\(([^)]*)\)", head_text + "," + body_text)
         ]
-        rules.append((atoms[0], atoms[1:], re.findall(r"(\w+)\s*!=\s*(\w+)", body_text)))
-
-    database = {name: {tuple(map(int, row)) for row in rows} for name, rows in facts.items()}
+        if not body_text.strip():
+            database.setdefault(atoms[0][0], set()).add(atoms[0][1])
+            continue
+        guards = [
+            (term(left), compare[op], term(right))
+            for left, op, right in re.findall(
+                r"(-?\w+)\s*(==|!=|<=|>=|=|<|>)\s*(-?\w+)", re.sub(r"\w+\([^)]*\)", "", body_text)
+            )
+        ]
+        rules.append((atoms[0], atoms[1:], guards))
 
     def bindings(body, env, lookup):
         if not body:
             yield env
             return
         (name, terms), rest = body[0], body[1:]
-        bound = tuple(position for position, term in enumerate(terms) if term in env)
+        bound = tuple(
+            position for position, term in enumerate(terms) if isinstance(term, int) or term in env
+        )
         by_bound = lookup.get((name, bound))
         if by_bound is None:
             by_bound = lookup[name, bound] = {}
             for row in database.get(name, ()):
                 by_bound.setdefault(tuple(row[position] for position in bound), []).append(row)
-        for row in by_bound.get(tuple(env[terms[position]] for position in bound), ()):
+        for row in by_bound.get(tuple(value(terms[position], env) for position in bound), ()):
             extended = dict(env)
-            if all(extended.setdefault(term, value) == value for term, value in zip(terms, row)):
+            if all(
+                extended.setdefault(term, value) == value
+                for term, value in zip(terms, row)
+                if not isinstance(term, int)
+            ):
                 yield from bindings(rest, extended, lookup)
 
     changed = True
@@ -303,9 +333,9 @@ def naive_datalog(source: str, facts: dict) -> dict[str, set[tuple[int, ...]]]:
         changed = False
         for (head, head_terms), body, guards in rules:
             derived = {
-                tuple(env[term] for term in head_terms)
+                tuple(value(term, env) for term in head_terms)
                 for env in bindings(body, {}, {})
-                if all(env[left] != env[right] for left, right in guards)
+                if all(check(value(left, env), value(right, env)) for left, check, right in guards)
             }
             known = database.setdefault(head, set())
             if not derived <= known:
