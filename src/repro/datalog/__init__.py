@@ -2,7 +2,7 @@
 
 The compilation pipeline runs parser → AST → static analysis (dependency
 graph, SCC stratification, required-index discovery) → planner (rule
-versions: the semi-naïve delta rewrite, cost-based join ordering, WCOJ
+versions: the semi-naïve delta rewrite in body order, WCOJ
 selection for cyclic rules) → the fixpoint driver in :mod:`.seminaive`, one
 for every shard count, which owns the exchange layer in :mod:`.sharded` (the
 charged cross-shard movement; a no-op on one shard).

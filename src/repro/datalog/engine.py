@@ -73,7 +73,8 @@ SHARDS_ENV_VAR = "REPRO_SHARDS"
 OVERLAP_ENV_VAR = "REPRO_EXCHANGE_OVERLAP"
 
 #: Planner ablation axis (the experiments CLI's ``--planner`` flag exports it):
-#: "greedy" (legacy body-literal order), "cost", or "cost+wcoj".
+#: "greedy" (the body order) or "cost+wcoj" (the same order, plus the generic
+#: join for cyclic, skewed bodies).
 PLANNER_ENV_VAR = "REPRO_PLANNER"
 
 _TRUE_FLAGS = frozenset({"1", "true", "yes", "on"})
@@ -370,7 +371,7 @@ class EvaluationResult:
     aligned_joins: int = 0
     #: join steps that actually replicated outer rows to other shards
     broadcast_joins: int = 0
-    #: planner mode the run used ("greedy", "cost", or "cost+wcoj")
+    #: planner mode the run used ("greedy" or "cost+wcoj")
     planner: str = "greedy"
     #: one entry per rule version: chosen join order, algorithm, estimated
     #: vs. observed cardinalities (feeds ``GPULogEngine.explain()``)
@@ -513,9 +514,9 @@ class GPULogEngine:
         #: replicate a static EDB inner to every shard when its payload fits
         #: under this many bytes (0 disables replication and head pre-routing)
         self.replicate_max_bytes = int(replicate_max_bytes)
-        #: join planner: "greedy" (legacy literal order, the byte-stable
-        #: ablation baseline), "cost", or "cost+wcoj" (``None`` reads
-        #: REPRO_PLANNER)
+        #: join planner: "greedy" (the body order, stat-free) or "cost+wcoj"
+        #: (the same order; cyclic, skewed bodies run the generic join);
+        #: ``None`` reads REPRO_PLANNER
         resolved_planner = _default_planner() if planner is None else str(planner)
         if resolved_planner not in PLANNERS:
             raise SchemaError(
@@ -583,12 +584,11 @@ class GPULogEngine:
         analysis = analyze_program(program)
         arities = self._resolve_arities(program)
 
-        # Statistics-driven planners measure the staged host facts before
-        # planning (exact per-column distincts and max value frequencies —
-        # host-side introspection, nothing is charged); the plan is a pure
-        # function of that catalog and holds for the whole run.  The greedy
-        # planner plans stat-free, keeping its kernel sequence byte-identical
-        # to the legacy path.
+        # The cost+wcoj planner measures the staged host facts before
+        # planning (exact per-column distincts and hottest-value counts —
+        # host-side introspection, nothing is charged); its WCOJ choice is a
+        # pure function of that catalog and holds for the whole run.  The
+        # greedy planner plans stat-free.
         catalog: StatsCatalog | None = None
         staged_rows: dict[str, np.ndarray] = {
             relation_name: self._fact_rows(relation_name, arities[relation_name], program)
@@ -633,7 +633,10 @@ class GPULogEngine:
         ``overlap``).  One shard is the same path with nothing to exchange.
         """
         evaluator = self._build(program, plan, arities)
-        idb_facts = self._load_facts(program, analysis, staged_rows) if resume_from is None else {}
+        if resume_from is None:
+            idb_facts = self._load_facts(program, analysis, staged_rows)
+        else:
+            idb_facts = {name: rows for name, rows in staged_rows.items() if rows.shape[0]}
         try:
             stats = evaluator.evaluate(idb_facts, resume_from=resume_from)
         finally:
@@ -700,9 +703,11 @@ class GPULogEngine:
         """Continue an interrupted run from an iteration-boundary checkpoint.
 
         ``program`` defaults to the source text the checkpoint recorded at
-        save time.  No facts are loaded: every relation (EDB included) is
+        save time.  No EDB facts are loaded: every relation (EDB included) is
         restored from the snapshot when evaluation reaches the checkpointed
-        stratum; earlier strata are skipped outright.  The checkpoint must
+        stratum; earlier strata are skipped outright.  Ground facts of IDB
+        relations in later strata are staged from the engine and the program,
+        as :meth:`run` stages them.  The checkpoint must
         come from a run with the same shard count as this engine.
         """
         if checkpoint.num_shards != self.num_shards:
@@ -718,13 +723,22 @@ class GPULogEngine:
             program = Program.parse(program, name=name or checkpoint.program_name or "program")
         program = self._intern_program(program)
         analysis = analyze_program(program)
-        # Resume has no staged facts to measure (relations restore from the
-        # snapshot), so statistics-driven planners fall back to uniform
-        # estimates here; the replayed plan is still deterministic.  Nor are
-        # the facts that would prove a relation symmetric, so only the
-        # versions that mirror each other with no symmetric atom pair up.
+        # Resume measures no staged facts (relations restore from the
+        # snapshot), so cost+wcoj plans on an empty catalog's estimates
+        # here; the replayed plan is still deterministic.  Nor are the facts
+        # that would prove a relation symmetric, so only the versions that
+        # mirror each other with no symmetric atom pair up.
         plan = plan_program(analysis, planner=self.planner)
         arities = self._resolve_arities(program)
+        # Ground facts of IDB relations in strata the checkpoint has not
+        # reached are staged as run() stages them; earlier strata's rows are
+        # in the snapshot, and a pre-init snapshot carries its own stratum's.
+        staged_rows = {
+            relation_name: self._fact_rows(relation_name, arities[relation_name], program)
+            for stratum in analysis.strata
+            if stratum.index > checkpoint.stratum_index
+            for relation_name in stratum.relations & set(analysis.idb_relations)
+        }
         for relation_name, state in checkpoint.relations.items():
             known = arities.get(relation_name)
             if known is not None and known != state.arity:
@@ -733,7 +747,7 @@ class GPULogEngine:
                     f"the program expects {known}"
                 )
 
-        return self._run(program, analysis, plan, arities, staged_rows={}, resume_from=checkpoint)
+        return self._run(program, analysis, plan, arities, staged_rows, resume_from=checkpoint)
 
     def close(self) -> None:
         """Release all simulated device memory held by the engine's relations.
@@ -834,7 +848,6 @@ class GPULogEngine:
                         "planned_algorithm": version.algorithm,
                         "atom_order": list(version.atom_order),
                         "estimated_rows": version.estimated_rows,
-                        "estimated_cost": version.estimated_cost,
                         "observed_rows": float(entry["rows"]) if entry else 0.0,
                         "executions": int(entry["executions"]) if entry else 0,
                         "distinct_outer": Counter(entry["distinct_outer"]) if entry else Counter(),

@@ -13,29 +13,24 @@ step, so every kernel launch has a balanced per-thread workload.  The planner
 also records which (relation, join columns) indexes the engine must maintain —
 Datalog engines index for every query (Section 3, [R1]).
 
-Three planning modes choose the pipeline:
+Two planning modes choose the pipeline.  Both order every binary version
+the same way, the paper's: starting from the outer (delta) atom, repeatedly
+append the *lowest body position* atom that shares a variable with the atoms
+already joined.  The tie-break is part of the contract: given the same rule,
+the binary plan is always the same pipeline, so ablations against it are
+stable.
 
-* ``"greedy"`` — the legacy body-literal order: starting from the outer
-  (delta) atom, repeatedly append the *lowest body position* atom that shares
-  a variable with the atoms already joined.  The tie-break is part of the
-  contract: given the same rule, the greedy plan is always the same pipeline,
-  so ablations against it are stable.
-* ``"cost"`` — cost-based ordering over a statistics view (row counts +
-  per-column distinct estimates, see :mod:`repro.relational.stats`).
-  Intermediate cardinalities use the standard distinct-value formula
-  ``|O ⋈ A| = |O|·|A| / Π_v max(d_O(v), d_A(v))`` over the shared variables;
-  the planner minimizes C_out (the sum of intermediate sizes), exhaustively
-  for bodies of at most :data:`EXHAUSTIVE_MAX_ATOMS` atoms and greedily by
-  cheapest next join beyond.  The statistics are measured once, from the
-  loaded facts, so a delta-scan version costs its outer scan at the
-  relation's row count too.
+* ``"greedy"`` — that order and nothing else; no statistics are read.
 * ``"cost+wcoj"`` — additionally considers the worst-case-optimal generic
   join (:mod:`repro.relational.wcoj`) for *cyclic* rule bodies (GYO
   reduction does not empty the hypergraph).  A WCOJ version binds one new
   variable per level by intersecting every atom that constrains it; its
   AGM-style output bound ``Π_a |R_a|^{w_a}`` (heuristic fractional edge
-  cover ``w_a = 1 / max_{v∈a} cover(v)``) is compared against the best
-  binary plan's C_out and the cheaper algorithm wins.
+  cover ``w_a = 1 / max_{v∈a} cover(v)``) is compared against the binary
+  order's worst-case C_out (the sum of its intermediate sizes when every
+  probe matches the hottest key, see :mod:`repro.relational.stats`) and the
+  cheaper algorithm wins.  The statistics are measured once, from the
+  loaded facts.
 
 A WCOJ version is *decomposed* into ordinary :class:`JoinStep`s — one
 expanding join per level plus full-arity membership-check joins for the other
@@ -48,7 +43,6 @@ operator, which computes the same set with worst-case-optimal work.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -56,7 +50,7 @@ from functools import cached_property
 
 from ..errors import PlanningError
 from ..relational.operators import ColumnComparison, JoinOutput
-from ..relational.stats import UniformStats
+from ..relational.stats import StatsCatalog
 from .analysis import FLIPPED_OPS, ProgramAnalysis, mirror_renamings
 from .ast import Atom, Comparison, Constant, Rule, Variable
 
@@ -64,18 +58,12 @@ DELTA = "delta"
 FULL = "full"
 
 GREEDY = "greedy"
-COST = "cost"
 COST_WCOJ = "cost+wcoj"
 #: The planner ablation axis surfaced as ``GPULogEngine(planner=...)``.
-PLANNERS = (GREEDY, COST, COST_WCOJ)
+PLANNERS = (GREEDY, COST_WCOJ)
 
 BINARY = "binary"
 WCOJ = "wcoj"
-
-#: Bodies up to this many atoms are ordered by exhaustive permutation search;
-#: larger bodies fall back to greedy-by-cheapest-next-join.  6 atoms = at
-#: most 120 candidate orders per version, negligible against execution.
-EXHAUSTIVE_MAX_ATOMS = 6
 
 
 def _constant_value(term: Constant) -> int | str:
@@ -168,10 +156,9 @@ class RuleVersion:
     wcoj_levels: tuple[WCOJLevel, ...] = ()
     #: Estimated rows flowing out of the initial scan and each join step.
     estimated_step_rows: tuple[float, ...] = ()
-    #: Estimated output cardinality (last step) under the stats view used.
+    #: Estimated output cardinality (last step; the AGM bound for WCOJ)
+    #: under the stats view used.
     estimated_rows: float | None = None
-    #: Estimated total intermediate tuples (C_out for binary, AGM bound for WCOJ).
-    estimated_cost: float | None = None
     #: Delta atom of the partner version this one mirrors (see
     #: :func:`pair_mirrors`): the fixpoint driver does not execute it and
     #: appends the partner's output with its two columns swapped instead.
@@ -396,7 +383,7 @@ class Planner:
             )
         self.analysis = analysis
         self.planner = planner
-        self.stats = stats if stats is not None else UniformStats()
+        self.stats = stats if stats is not None else StatsCatalog()
 
     def plan_program(self, symmetric: frozenset[str] = frozenset()) -> ProgramPlan:
         rule_plans: dict[Rule, RulePlan] = {}
@@ -429,25 +416,14 @@ class Planner:
         outer_index = delta_atom_index if delta_atom_index is not None else 0
         version_tag = DELTA if delta_atom_index is not None else FULL
 
-        if self.planner == GREEDY:
-            order = self._order_atoms(body, outer_index, rule)
-            estimate = self._estimate_order(body, order)
-            step_rows, cost, worst_cost = estimate if estimate is not None else ((), None, None)
-        else:
-            order, step_rows, cost, worst_cost = self._order_atoms_by_cost(body, outer_index, rule)
-
+        order = self._order_atoms(body, outer_index, rule)
+        step_rows, worst_cost = self._estimate_order(body, order)
         if self.planner == COST_WCOJ:
             wcoj = self._try_plan_wcoj(rule, delta_atom_index, version_tag, binary_cost=worst_cost)
             if wcoj is not None:
                 return wcoj
 
-        return self._build_binary_version(
-            rule,
-            delta_atom_index,
-            order,
-            step_rows=tuple(step_rows or ()),
-            cost=cost,
-        )
+        return self._build_binary_version(rule, delta_atom_index, order, step_rows=tuple(step_rows))
 
     def _build_binary_version(
         self,
@@ -456,7 +432,6 @@ class Planner:
         order: list[int],
         *,
         step_rows: tuple[float, ...],
-        cost: float | None,
     ) -> RuleVersion:
         body = list(rule.body)
         pending_comparisons = list(rule.comparisons)
@@ -490,8 +465,7 @@ class Planner:
             planner=self.planner,
             atom_order=tuple(order),
             estimated_step_rows=step_rows,
-            estimated_rows=step_rows[-1] if step_rows else None,
-            estimated_cost=cost,
+            estimated_rows=step_rows[-1],
         )
 
     def _order_atoms(self, body: list[Atom], outer_index: int, rule: Rule) -> list[int]:
@@ -500,10 +474,9 @@ class Planner:
         Each subsequent atom must share at least one variable with the
         variables bound so far (no cross products).  The tie-break is
         explicit and documented: among connectable atoms, the one at the
-        *lowest body position* is appended next, so the greedy plan for a
-        rule is a pure function of its text — the stable ablation baseline
-        every other planner is compared against.  Returns body indices in
-        execution order.
+        *lowest body position* is appended next, so the binary plan for a
+        rule is a pure function of its text, under either planner mode.
+        Returns body indices in execution order.
         """
         ordered = [outer_index]
         remaining = [index for index in range(len(body)) if index != outer_index]
@@ -546,21 +519,21 @@ class Planner:
         }
         return rows, distincts, seen
 
-    def _estimate_order(self, body: list[Atom], order: list[int]) -> tuple[list[float], float, float] | None:
-        """Estimate one join order: per-step rows, C_out, and worst-case C_out.
+    def _estimate_order(self, body: list[Atom], order: list[int]) -> tuple[list[float], float]:
+        """Estimate a connected join order: per-step rows and worst-case C_out.
 
-        Returns ``None`` if the order needs a cross product (an atom joins on
-        no shared variable).  The expected C_out uses the distinct-value
-        formula (uniformity assumption); the worst-case C_out chains the
-        measured maximum key multiplicity per probe — on skewed data (a hub
-        vertex) the two diverge by orders of magnitude, and it is the worst
-        case that decides binary-vs-WCOJ, bound against bound.
+        Per-step rows use the distinct-value formula ``|O ⋈ A| = |O|·|A| /
+        Π_v max(d_O(v), d_A(v))`` over the shared variables (uniformity
+        assumption); they feed ``explain()``'s ``est_rows``.  The worst-case
+        C_out chains the measured maximum key multiplicity per probe — on
+        skewed data (a hub vertex) it exceeds the uniform estimate by orders
+        of magnitude, and it is what decides binary-vs-WCOJ, bound against
+        bound.
         """
         rows, distincts, _ = self._scan_estimate(
             body[order[0]], self.stats.rows(body[order[0]].relation)
         )
         step_rows = [rows]
-        cost = 0.0
         worst = rows
         worst_cost = 0.0
         for index in order[1:]:
@@ -569,8 +542,6 @@ class Planner:
                 atom, self.stats.rows(atom.relation)
             )
             shared = [name for name in inner_d if name in distincts]
-            if not shared:
-                return None
             out = rows * inner_rows
             for name in shared:
                 out /= max(distincts[name], inner_d[name], 1.0)
@@ -584,69 +555,10 @@ class Planner:
                 merged[name] = max(1.0, min(d, out))
             rows, distincts = out, merged
             step_rows.append(rows)
-            cost += rows
             join_columns = tuple(sorted(inner_columns[name] for name in shared))
             worst *= self.stats.max_multiplicity(atom.relation, join_columns)
             worst_cost += worst
-        return step_rows, cost, worst_cost
-
-    def _order_atoms_by_cost(
-        self, body: list[Atom], outer_index: int, rule: Rule
-    ) -> tuple[list[int], list[float], float, float]:
-        """Pick the cheapest connected join order by estimated C_out.
-
-        Exhaustive over every connected permutation for small bodies, greedy
-        by cheapest-next-intermediate beyond.  Ties break on the
-        lexicographically smallest body-index sequence, so equal-cost plans
-        (the common case under uniform fallback stats) are deterministic.
-        """
-        others = [index for index in range(len(body)) if index != outer_index]
-        if not others:
-            order = [outer_index]
-            estimate = self._estimate_order(body, order)
-            step_rows, cost, worst_cost = estimate if estimate is not None else ([], 0.0, 0.0)
-            return order, step_rows, cost, worst_cost
-
-        if len(body) <= EXHAUSTIVE_MAX_ATOMS:
-            best: tuple[float, tuple[int, ...], list[float], float] | None = None
-            for permutation in itertools.permutations(others):
-                order = [outer_index, *permutation]
-                estimate = self._estimate_order(body, order)
-                if estimate is None:
-                    continue
-                step_rows, cost, worst_cost = estimate
-                if best is None or (cost, permutation) < (best[0], best[1]):
-                    best = (cost, permutation, step_rows, worst_cost)
-            if best is None:
-                raise PlanningError(
-                    f"rule {rule} requires a cross product (atom shares no variable with the "
-                    "atoms already joined); cross products are not supported"
-                )
-            cost, permutation, step_rows, worst_cost = best
-            return [outer_index, *permutation], step_rows, cost, worst_cost
-
-        # Greedy-by-cost: append whichever connectable atom yields the
-        # smallest next intermediate; tie-break on lowest body position.
-        order = [outer_index]
-        remaining = list(others)
-        while remaining:
-            scored: list[tuple[float, int]] = []
-            for index in remaining:
-                estimate = self._estimate_order(body, [*order, index])
-                if estimate is not None:
-                    scored.append((estimate[0][-1], index))
-            if not scored:
-                raise PlanningError(
-                    f"rule {rule} requires a cross product (atom shares no variable with the "
-                    "atoms already joined); cross products are not supported"
-                )
-            _, chosen = min(scored)
-            order.append(chosen)
-            remaining.remove(chosen)
-        estimate = self._estimate_order(body, order)
-        assert estimate is not None
-        step_rows, cost, worst_cost = estimate
-        return order, step_rows, cost, worst_cost
+        return step_rows, worst_cost
 
     # ------------------------------------------------------------------
     # Worst-case-optimal generic join
@@ -657,10 +569,10 @@ class Planner:
         delta_atom_index: int | None,
         version_tag: str,
         *,
-        binary_cost: float | None,
+        binary_cost: float,
     ) -> RuleVersion | None:
         """Build a generic-join version if the body is cyclic, WCOJ-shaped,
-        and the AGM-style bound undercuts the best binary plan's C_out."""
+        and the AGM-style bound undercuts the binary order's worst-case C_out."""
         body = list(rule.body)
         outer_index = delta_atom_index if delta_atom_index is not None else 0
         if len(body) < 3 or not self._is_cyclic(body):
@@ -684,7 +596,7 @@ class Planner:
         bound_value = self._agm_bound(body)
         if bound_value is None:
             return None
-        if binary_cost is not None and bound_value >= binary_cost:
+        if bound_value >= binary_cost:
             return None
 
         schema = tuple(outer_vars)
@@ -799,7 +711,6 @@ class Planner:
             wcoj_levels=tuple(levels),
             estimated_step_rows=(),
             estimated_rows=bound_value,
-            estimated_cost=bound_value,
         )
 
     @staticmethod

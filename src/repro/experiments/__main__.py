@@ -52,9 +52,9 @@ def main(argv: list[str] | None = None) -> int:
         "--planner",
         default=None,
         choices=sorted(PLANNERS),
-        help="join planner for every GPUlog run (greedy = seed syntactic "
-        "order, cost = cost-based binary ordering, cost+wcoj = cost-based "
-        "plus worst-case-optimal generic join for cyclic rules); defaults "
+        help="join planner for every GPUlog run (greedy = the rule body's "
+        "order, cost+wcoj = the same order plus the worst-case-optimal "
+        "generic join for cyclic, skewed rules); defaults "
         f"to ${PLANNER_ENV_VAR} and then greedy",
     )
     parser.add_argument(

@@ -14,9 +14,9 @@ interned text (string constants already replaced by the engine's symbol ids)
 is deliberate: symbol ids depend on interning order, so two engines whose
 tables disagree produce different interned text and therefore different keys
 — a shared cache can never hand an engine a plan whose constants were
-interned by someone else's table.  Statistics-driven planners are keyed the
-same way but compile stat-free here (serving plans are data-independent by
-design; a batch run plans from the statistics of its loaded facts).
+interned by someone else's table.  ``cost+wcoj`` is keyed the same way but
+compiles stat-free here (serving plans are data-independent by design; a
+batch run plans from the statistics of its loaded facts).
 """
 
 from __future__ import annotations

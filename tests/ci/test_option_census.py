@@ -19,6 +19,8 @@ from collections import defaultdict
 import pytest
 
 from repro import GPULogEngine
+from repro.datalog.engine import PLANNER_ENV_VAR
+from repro.datalog.planner import COST_WCOJ, GREEDY, PLANNERS
 from repro.engines.gpulog import GPULogAdapter
 from repro.serving import ServingEngine
 
@@ -160,3 +162,20 @@ def test_the_parser_sees_the_setters_it_is_meant_to():
     assert {"max_pending", "admission_policy"} <= found  # through tests/serving's make_engine(**kwargs)
     assert {"device", "backend"} <= found  # **workloads.ENGINE in bench/drivers.py
     assert "transactional" not in found and "program" not in found
+
+
+def test_each_planner_mode_has_a_user_outside_the_tests(monkeypatch):
+    """The planner's values are pinned too: a third mode is a deliberate edit
+    of this file, and each mode needs a user."""
+    assert PLANNERS == (GREEDY, COST_WCOJ) == ("greedy", "cost+wcoj")
+    # greedy is what an engine plans with when nothing sets the planner
+    monkeypatch.delenv(PLANNER_ENV_VAR, raising=False)
+    assert keywords(GPULogEngine)["planner"] is None
+    engine = GPULogEngine(device="h100")
+    assert engine.planner == GREEDY
+    engine.close()
+    # cost+wcoj is set by the benchmark's triangle workload and by the
+    # planner experiments
+    for path in ("bench/workloads.py", "src/repro/experiments/planner_bench.py"):
+        tree = scanned_trees()[os.path.join(ROOT, path)]
+        assert any(isinstance(node, ast.Constant) and node.value == COST_WCOJ for node in ast.walk(tree)), path

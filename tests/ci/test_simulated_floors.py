@@ -2,7 +2,7 @@
 
 The cost model is deterministic, so a ratio of two simulated times is a fact
 about the code, not about the machine: each lever the engine ships (generic
-join, cost planner, checkpoints, EDB replication in the exchange, incremental
+join, ``cost+wcoj``, checkpoints, EDB replication in the exchange, incremental
 serving epochs, the run-stack index merge) must keep paying — or keep costing
 no more — than the thresholds below.  Fault injection is pinned off; host wall-clock is
 ``bench/run.py``'s job (see ``docs/benchmarks.md``).
@@ -30,7 +30,7 @@ MIN_WCOJ_SPEEDUP = 1.5
 #: The binary plan's wedge intermediate must dwarf the output by this much,
 #: or the triangle instance is not binary-hostile enough to mean anything.
 MIN_INTERMEDIATE_BLOWUP = 10.0
-#: Ceiling for the cost planner over the greedy order on the paper's workloads.
+#: Ceiling for ``cost+wcoj`` over ``greedy`` on the paper's (acyclic) workloads.
 MAX_COST_REGRESSION = 1.05
 #: Ceiling for ``checkpoint_every=50`` over the checkpoint-free fixpoint.
 MAX_CHECKPOINT_OVERHEAD = 1.10
@@ -86,7 +86,7 @@ def test_generic_join_beats_binary_plan_on_hub_triangle():
 def test_cost_planner_never_loses_to_greedy(source, make_facts, head):
     facts = make_facts()
     greedy = run(source, facts, planner="greedy")
-    cost = run(source, facts, planner="cost")
+    cost = run(source, facts, planner="cost+wcoj")
     assert cost.count(head) == greedy.count(head) > 0
     assert cost.elapsed_seconds <= MAX_COST_REGRESSION * greedy.elapsed_seconds
 

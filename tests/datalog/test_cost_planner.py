@@ -1,8 +1,8 @@
-"""Cost-based join ordering, WCOJ plan selection, and plan introspection.
+"""Join ordering, WCOJ plan selection, and plan introspection.
 
-Covers the planner ablation ladder: the greedy baseline's documented
-deterministic tie-break, the cost planner's statistics-driven reordering,
-the ``cost+wcoj`` mode's worst-case-vs-worst-case trigger for cyclic rules,
+Covers the two planner modes: the body order's documented deterministic
+tie-break (shared by both), the estimates ``cost+wcoj`` records per step,
+its worst-case-vs-worst-case trigger for cyclic rules,
 and the liveness analysis over every version shape the exchange layer can
 see (zero-join versions, constant-only heads, filter-only rules, decomposed
 WCOJ steps).
@@ -14,7 +14,6 @@ import pytest
 from repro.datalog import analyze_program, parse_program, plan_program
 from repro.datalog.planner import (
     BINARY,
-    COST,
     COST_WCOJ,
     GREEDY,
     WCOJ,
@@ -92,38 +91,42 @@ def test_greedy_ignores_stats():
 
 
 # ----------------------------------------------------------------------
-# Cost-based binary ordering
+# cost+wcoj: the body order, with estimates from the catalog
 # ----------------------------------------------------------------------
 
-def test_cost_planner_reorders_by_selectivity():
-    # small(x) has 2 rows, big(y) has 1000: after the delta scan of link,
-    # joining small first shrinks the frontier before big is touched.
+def test_cost_wcoj_keeps_the_body_order_on_binary_versions():
+    # small(x) has 2 rows and big(y) 1000, yet the version joins in the
+    # body order: the catalog only decides binary vs generic join.
     source = "out(x, y) :- link(x, y), big(y, q), small(x)."
     catalog = StatsCatalog()
     catalog.seed_facts("link", [np.arange(100), np.arange(100)])
     catalog.seed_facts("big", [np.arange(1000) % 37, np.arange(1000)])
     catalog.seed_facts("small", [np.arange(2)])
-    plan = plan_program(analyzed(source), planner=COST, stats=catalog)
-    version = only_version(plan)
-    assert version.atom_order == (0, 2, 1)
-    assert version.estimated_cost is not None
+    version = only_version(plan_program(analyzed(source), planner=COST_WCOJ, stats=catalog))
+    greedy = only_version(plan_program(analyzed(source), planner=GREEDY))
+    assert version.algorithm == BINARY
+    assert version.atom_order == greedy.atom_order == (0, 1, 2)
     assert version.estimated_rows is not None
 
 
-def test_cost_planner_records_estimates_per_step():
-    plan = plan_program(analyzed(TRIANGLE), planner=COST, stats=hub_catalog())
+def test_cost_wcoj_records_estimates_per_step():
+    src = np.arange(1000, dtype=np.int64)
+    catalog = StatsCatalog()
+    catalog.seed_facts("edge", [src, (src * 7 + 3) % 1000])
+    plan = plan_program(analyzed(TRIANGLE), planner=COST_WCOJ, stats=catalog)
     for rule_plan in plan.rule_plans.values():
         for version in rule_plan.versions:
+            assert version.algorithm == BINARY
             assert len(version.estimated_step_rows) == len(version.atom_order)
             assert version.estimated_rows == version.estimated_step_rows[-1]
 
 
-def test_cost_planner_without_catalog_uses_uniform_stats():
-    # No stats supplied: the planner still works (UniformStats) and never
-    # produces a cross product.
-    plan = plan_program(analyzed(CLIQUE4), planner=COST)
-    version = only_version(plan)
-    assert sorted(version.atom_order) == [0, 1, 2, 3, 4, 5]
+def test_cost_wcoj_without_catalog_plans_the_body_order():
+    # No stats supplied: the planner reads an empty catalog, where no key is
+    # hot, so the 4-clique stays a binary plan in the body order.
+    version = only_version(plan_program(analyzed(CLIQUE4), planner=COST_WCOJ))
+    assert version.algorithm == BINARY
+    assert version.atom_order == (0, 1, 2, 3, 4, 5)
 
 
 def test_unknown_planner_rejected():

@@ -85,7 +85,7 @@ ABLATED = {
     "eager_buffers": lambda: GPULogAdapter(eager_buffers=False),
     "load_factor": lambda: GPULogAdapter(load_factor=0.5),
     "materialize_nway": lambda: GPULogAdapter(materialize_nway=False),
-    "planner": lambda: GPULogAdapter(planner="cost"),
+    "planner": lambda: GPULogAdapter(planner="cost+wcoj"),
     "backend": lambda: GPULogAdapter(backend="guard"),
 }
 
@@ -101,7 +101,7 @@ def test_gpulog_adapter_options_reach_the_engine(monkeypatch, paper_edges, optio
     result = adapter.run(SG_SOURCE, facts, collect_relations=True)
     assert result.status == STATUS_OK
     assert result.relations["sg"] == default.relations["sg"] == same_generation(paper_edges)
-    assert adapter.last_result.planner == ("cost" if option == "planner" else "greedy")
+    assert adapter.last_result.planner == ("cost+wcoj" if option == "planner" else "greedy")
     if option not in ("backend", "planner"):
         assert (result.seconds, result.peak_memory_bytes) != (default.seconds, default.peak_memory_bytes)
 

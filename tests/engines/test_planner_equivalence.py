@@ -105,7 +105,7 @@ def test_greedy_plan_report_reflects_greedy():
 
 def test_plan_report_joins_observed_rows():
     result, _, _ = run_engine(
-        TRIANGLE_SOURCE, {"edge": hub_edges()}, ["triangle"], planner="cost"
+        TRIANGLE_SOURCE, {"edge": hub_edges()}, ["triangle"], planner="cost+wcoj"
     )
     (entry,) = [e for e in result.plan_report if e["head"] == "triangle"]
     assert entry["observed_rows"] == result.count("triangle")
@@ -158,15 +158,22 @@ def test_planner_env_var_sets_default(monkeypatch):
 
 
 def test_explicit_planner_overrides_env(monkeypatch):
-    monkeypatch.setenv(PLANNER_ENV_VAR, "cost")
+    monkeypatch.setenv(PLANNER_ENV_VAR, "cost+wcoj")
     engine = GPULogEngine(device="h100", oom_enabled=False, planner="greedy")
     assert engine.planner == "greedy"
     engine.close()
 
 
-def test_invalid_planner_rejected():
-    with pytest.raises(SchemaError):
-        GPULogEngine(device="h100", oom_enabled=False, planner="magic")
+@pytest.mark.parametrize("planner", ["magic", "cost"])
+def test_invalid_planner_rejected(monkeypatch, planner):
+    # "cost" was a mode once: set directly or through the environment it
+    # fails like any unknown name, and the error names the two modes.
+    modes = r"unknown planner '\w+'; expected one of greedy, cost\+wcoj$"
+    with pytest.raises(SchemaError, match=modes):
+        GPULogEngine(device="h100", oom_enabled=False, planner=planner)
+    monkeypatch.setenv(PLANNER_ENV_VAR, planner)
+    with pytest.raises(SchemaError, match=modes):
+        GPULogEngine(device="h100", oom_enabled=False)
 
 
 def test_explain_before_any_run():

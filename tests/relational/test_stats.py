@@ -1,64 +1,16 @@
 """Unit tests for the planner's statistics layer (repro.relational.stats).
 
-The cost planner is only as good as these numbers, all measured once from
-the loaded facts: exact seeding below the limit, the KMV sketch above it, the
-fallbacks for relations nothing was loaded into, and the full-key
-multiplicity rule (deduplicated storage ⇒ unique full keys).
+The ``cost+wcoj`` planner's WCOJ trigger is only as good as these numbers,
+all measured exactly once from the loaded facts: the fallbacks for
+relations nothing was loaded into, and the full-key multiplicity rule
+(deduplicated storage ⇒ unique full keys).
 """
 
 import numpy as np
-import pytest
 
-from repro.relational.stats import (
-    DEFAULT_ROW_ESTIMATE,
-    KMVSketch,
-    StatsCatalog,
-    UniformStats,
-    distinct_count,
-)
-
-
-# ----------------------------------------------------------------------
-# KMV sketch
-# ----------------------------------------------------------------------
-
-def test_kmv_exact_below_k():
-    sketch = KMVSketch(k=64)
-    sketch.update(np.arange(40, dtype=np.int64))
-    assert sketch.estimate() == 40.0
-    # Duplicate updates are idempotent.
-    sketch.update(np.arange(40, dtype=np.int64))
-    assert sketch.estimate() == 40.0
-
-
-def test_kmv_estimate_accuracy_at_scale():
-    rng = np.random.default_rng(3)
-    values = rng.integers(0, 50_000, size=200_000, dtype=np.int64)
-    truth = float(np.unique(values).size)
-    estimate = KMVSketch(k=256).update(values).estimate()
-    assert abs(estimate - truth) / truth < 0.20  # (k-1)/h_k is ~6% at k=256
-
-
-def test_kmv_merge_equals_union_update():
-    a_vals = np.arange(0, 500, dtype=np.int64)
-    b_vals = np.arange(300, 900, dtype=np.int64)
-    merged = KMVSketch(k=128).update(a_vals).merge(KMVSketch(k=128).update(b_vals))
-    direct = KMVSketch(k=128).update(np.concatenate([a_vals, b_vals]))
-    assert merged.estimate() == direct.estimate()
-
-
-def test_kmv_rejects_degenerate_k():
-    with pytest.raises(ValueError):
-        KMVSketch(k=1)
-
-
-def test_distinct_count_exact_and_sketched():
-    column = np.array([5, 5, 7, 9, 9, 9], dtype=np.int64)
-    estimate, exact = distinct_count(column)
-    assert (estimate, exact) == (3.0, True)
-    estimate, exact = distinct_count(column, exact_limit=3)
-    assert not exact
-    assert estimate == 3.0  # below k the sketch is exact too
+from repro.datalog import analyze_program, parse_program, plan_program
+from repro.datalog.planner import COST_WCOJ, WCOJ
+from repro.relational.stats import DEFAULT_ROW_ESTIMATE, StatsCatalog
 
 
 # ----------------------------------------------------------------------
@@ -107,17 +59,31 @@ def test_unseeded_relation_falls_back_to_largest_seeded():
     assert catalog.rows("reach") == 500.0
 
 
-def test_distinct_is_clamped_to_rows():
-    # Past the exact limit a column is sketched, and the sketch can estimate
-    # more distinct values than the column has rows (2,058 for these 1,952).
+def test_empty_catalog_answers_for_any_relation():
+    # The catalog a planner gets when nothing was measured: every relation
+    # looks alike, and no key is assumed to be hot.
     catalog = StatsCatalog()
-    stats = catalog.seed_facts("edge", [np.zeros(1952, dtype=np.int64), np.arange(1952)], exact_limit=1000)
-    assert stats.column_distinct[1] > stats.rows
-    assert catalog.distinct("edge", 1) == catalog.rows("edge") == 1952.0
+    assert catalog.rows("anything") == DEFAULT_ROW_ESTIMATE
+    assert catalog.distinct("anything", 3) == DEFAULT_ROW_ESTIMATE
+    assert catalog.max_multiplicity("anything", (0,)) == 1.0
+    assert catalog.max_multiplicity("anything", (0, 1)) == 1.0
 
 
-def test_uniform_stats_protocol():
-    uniform = UniformStats(rows=200.0)
-    assert uniform.rows("anything") == 200.0
-    assert uniform.distinct("anything", 3) == 200.0
-    assert uniform.max_multiplicity("anything", (0, 1)) == 1.0
+def test_a_hub_column_of_millions_of_rows_records_the_hub_degree():
+    # Just over two million rows, both ways between vertex 0 and every other
+    # vertex: column 0's hottest value matches half of them.  Its count is
+    # what bounds a binary join's worst case, and it makes the triangle a
+    # generic join; the column's mean multiplicity (about 2) would not.
+    degree = 1_000_001
+    others = np.arange(1, degree + 1, dtype=np.int64)
+    hub = np.zeros(degree, dtype=np.int64)
+    catalog = StatsCatalog()
+    catalog.seed_facts("edge", [np.concatenate([hub, others]), np.concatenate([others, hub])])
+    assert catalog.rows("edge") == 2 * degree
+    assert catalog.max_multiplicity("edge", (0,)) == degree
+    assert catalog.max_multiplicity("edge", (1,)) == degree
+
+    triangle = "triangle(x, y, z) :- edge(x, y), edge(y, z), edge(z, x)."
+    plan = plan_program(analyze_program(parse_program(triangle)), planner=COST_WCOJ, stats=catalog)
+    (rule_plan,) = plan.rule_plans.values()
+    assert [version.algorithm for version in rule_plan.versions] == [WCOJ]

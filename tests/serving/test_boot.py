@@ -6,6 +6,7 @@ and the keywords that went away with the second construction path are gone,
 not swallowed.
 """
 
+import dataclasses
 import threading
 
 import pytest
@@ -127,7 +128,7 @@ def test_recovery_takes_shards_and_planner_from_the_checkpoint():
     store = InMemoryCheckpointStore()
     engine = ServingEngine(
         REACH_SOURCE, {"edge": CHAIN}, background=False, fault_plan="none", num_shards=2,
-        planner="cost", checkpoint_store=store,
+        planner="cost+wcoj", checkpoint_store=store,
     )
     engine.crash()
     for override in ({"num_shards": 1}, {"planner": "greedy"}):
@@ -137,8 +138,25 @@ def test_recovery_takes_shards_and_planner_from_the_checkpoint():
         recover_engine(store, None, transactional=False)
     recovered = recover_engine(store, None, background=False, fault_plan="none")
     try:
-        assert (recovered.num_shards, recovered.planner) == (2, "cost")
+        assert (recovered.num_shards, recovered.planner) == (2, "cost+wcoj")
         assert recovered.epoch_retries == ServingEngine.epoch_retries == 2
         assert recovered.query("reach").count == 21
     finally:
         recovered.close()
+
+
+def test_recovery_rejects_a_checkpoint_of_a_retired_planner():
+    """``cost`` is no longer a planner mode: a checkpoint whose metadata
+    names it recovers into the engine's unknown-planner error."""
+    store = InMemoryCheckpointStore()
+    engine = ServingEngine(
+        REACH_SOURCE, {"edge": CHAIN}, background=False, fault_plan="none", num_shards=1,
+        planner="cost+wcoj", checkpoint_store=store,
+    )
+    engine.crash()
+    checkpoint = store.latest()
+    serving = {**checkpoint.metadata["serving"], "planner": "cost"}
+    retired = InMemoryCheckpointStore()
+    retired.save(dataclasses.replace(checkpoint, metadata={**checkpoint.metadata, "serving": serving}))
+    with pytest.raises(SchemaError, match=r"unknown planner 'cost'; expected one of greedy, cost\+wcoj$"):
+        recover_engine(retired, None, background=False, fault_plan="none")

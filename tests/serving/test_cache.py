@@ -19,7 +19,7 @@ def test_rule_set_hash_is_stable_and_discriminates():
     assert rule_set_hash(TC, "greedy") == rule_set_hash(TC, "greedy")
     assert rule_set_hash(TC, "greedy") != rule_set_hash(SG, "greedy")
     # The planner is part of plan identity, so it is part of the key.
-    assert rule_set_hash(TC, "greedy") != rule_set_hash(TC, "cost")
+    assert rule_set_hash(TC, "greedy") != rule_set_hash(TC, "cost+wcoj")
 
 
 def test_rule_set_hash_depends_on_interned_constants():
@@ -56,7 +56,7 @@ def test_cache_hits_and_misses():
     again = cache.get(TC, planner="greedy")
     assert first is again
     assert (cache.hits, cache.misses) == (1, 1)
-    cache.get(TC, planner="cost")
+    cache.get(TC, planner="cost+wcoj")
     assert (cache.hits, cache.misses) == (1, 2)
     assert len(cache) == 2
 
