@@ -21,6 +21,7 @@ from repro.datalog.planner import (
     version_required_indexes,
 )
 from repro.errors import PlanningError
+from repro.queries import CSPA_SOURCE, REACH_SOURCE, SG_SOURCE
 from repro.relational.stats import StatsCatalog
 
 TRIANGLE = "triangle(x, y, z) :- edge(x, y), edge(y, z), edge(z, x)."
@@ -40,12 +41,17 @@ def only_version(plan):
     return rule_plan.versions[0]
 
 
-def hub_catalog(n=1000):
-    """Stats of a hub graph: one vertex on the end of ~every edge."""
+def hub_catalog_columns(n=1000):
+    """Edge columns of a hub graph: one vertex on the end of ~every edge."""
     src = np.concatenate([np.zeros(n, dtype=np.int64), np.arange(1, n + 1)])
     dst = np.concatenate([np.arange(1, n + 1), np.zeros(n, dtype=np.int64)])
+    return [src, dst]
+
+
+def hub_catalog(n=1000):
+    """Stats of a hub graph: one vertex on the end of ~every edge."""
     catalog = StatsCatalog()
-    catalog.seed_facts("edge", [src, dst])
+    catalog.seed_facts("edge", hub_catalog_columns(n))
     return catalog
 
 
@@ -127,6 +133,42 @@ def test_cost_wcoj_without_catalog_plans_the_body_order():
     version = only_version(plan_program(analyzed(CLIQUE4), planner=COST_WCOJ))
     assert version.algorithm == BINARY
     assert version.atom_order == (0, 1, 2, 3, 4, 5)
+
+
+BODY_ORDER_PROGRAMS = [
+    pytest.param(SG_SOURCE, id="sg"),
+    pytest.param(REACH_SOURCE, id="tc"),
+    pytest.param(CSPA_SOURCE, id="cspa"),
+    pytest.param(TRIANGLE, id="triangle"),
+    pytest.param(CLIQUE4, id="clique4"),
+]
+
+
+@pytest.mark.parametrize("source", BODY_ORDER_PROGRAMS)
+def test_cost_wcoj_binary_versions_join_in_the_greedy_order(source):
+    # On a hub catalog and on a uniform one, every version cost+wcoj plans
+    # as binary joins in the order greedy gives the same version.
+    analysis = analyzed(source)
+    greedy = plan_program(analysis, planner=GREEDY)
+    src = np.arange(1000, dtype=np.int64)
+    uniform = [src, (src * 7 + 3) % 1000]
+    binary_versions = 0
+    for columns in (hub_catalog_columns(), uniform):
+        catalog = StatsCatalog()
+        for name in sorted(analysis.edb_relations):
+            catalog.seed_facts(name, columns)
+        plan = plan_program(analysis, planner=COST_WCOJ, stats=catalog)
+        assert plan.rule_plans.keys() == greedy.rule_plans.keys()
+        for rule, rule_plan in plan.rule_plans.items():
+            expected = greedy.rule_plans[rule].versions
+            assert len(rule_plan.versions) == len(expected)
+            for version, greedy_version in zip(rule_plan.versions, expected):
+                if version.algorithm != BINARY:
+                    continue
+                binary_versions += 1
+                assert version.atom_order == greedy_version.atom_order
+                assert len(version.estimated_step_rows) == len(version.atom_order)
+    assert binary_versions  # non-vacuous: the uniform catalog keeps joins binary
 
 
 def test_unknown_planner_rejected():

@@ -164,16 +164,20 @@ def test_explicit_planner_overrides_env(monkeypatch):
     engine.close()
 
 
-@pytest.mark.parametrize("planner", ["magic", "cost"])
-def test_invalid_planner_rejected(monkeypatch, planner):
+def test_invalid_planner_rejected():
+    with pytest.raises(SchemaError, match=r"unknown planner 'magic'; expected one of greedy, cost\+wcoj$"):
+        GPULogEngine(device="h100", oom_enabled=False, planner="magic")
+
+
+@pytest.mark.parametrize("setter", ["keyword", "env"])
+def test_retired_cost_planner_rejected(monkeypatch, setter):
     # "cost" was a mode once: set directly or through the environment it
     # fails like any unknown name, and the error names the two modes.
-    modes = r"unknown planner '\w+'; expected one of greedy, cost\+wcoj$"
-    with pytest.raises(SchemaError, match=modes):
-        GPULogEngine(device="h100", oom_enabled=False, planner=planner)
-    monkeypatch.setenv(PLANNER_ENV_VAR, planner)
-    with pytest.raises(SchemaError, match=modes):
-        GPULogEngine(device="h100", oom_enabled=False)
+    kwargs = {"planner": "cost"} if setter == "keyword" else {}
+    if setter == "env":
+        monkeypatch.setenv(PLANNER_ENV_VAR, "cost")
+    with pytest.raises(SchemaError, match=r"unknown planner 'cost'; expected one of greedy, cost\+wcoj$"):
+        GPULogEngine(device="h100", oom_enabled=False, **kwargs)
 
 
 def test_explain_before_any_run():

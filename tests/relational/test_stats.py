@@ -7,6 +7,7 @@ relations nothing was loaded into, and the full-key multiplicity rule
 """
 
 import numpy as np
+import pytest
 
 from repro.datalog import analyze_program, parse_program, plan_program
 from repro.datalog.planner import COST_WCOJ, WCOJ
@@ -48,6 +49,47 @@ def test_full_arity_key_multiplicity_is_one():
     catalog = StatsCatalog()
     catalog.seed_facts("edge", hub_columns(100))
     assert catalog.max_multiplicity("edge", (0, 1)) == 1.0
+
+
+def skewed_column(name):
+    rng = np.random.default_rng(7)
+    return {
+        "hub": np.concatenate([np.zeros(300, dtype=np.int64), np.arange(1, 301)]),
+        "zipf": rng.zipf(1.5, size=2000).astype(np.int64),
+        "uniform": rng.integers(0, 50, size=2000, dtype=np.int64),
+        "constant": np.full(64, 9, dtype=np.int64),
+        "empty": np.zeros(0, dtype=np.int64),
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["hub", "zipf", "uniform", "constant", "empty"])
+def test_seed_facts_counts_every_column_exactly(name):
+    # Distinct and hottest counts are the column's own, whatever its shape:
+    # nothing is sampled or sketched, so a skewed column reports its true
+    # hottest value rather than its mean multiplicity.
+    column = skewed_column(name)
+    _, counts = np.unique(column, return_counts=True)
+    catalog = StatsCatalog()
+    stats = catalog.seed_facts("r", [column, np.arange(column.size)])
+    assert stats.rows == column.size
+    assert stats.column_distinct[0] == counts.size
+    assert stats.hottest[0] == (counts.max() if counts.size else 0)
+    assert catalog.max_multiplicity("r", (0,)) == max(1, stats.hottest[0])
+    assert catalog.distinct("r", 0) == max(1, counts.size)
+
+
+def test_max_multiplicity_of_a_partial_key_is_its_tightest_column():
+    # A key of two of three columns can match at most what the less hot of
+    # its columns matches; the full key matches one row.
+    catalog = StatsCatalog()
+    hot = np.zeros(40, dtype=np.int64)
+    warm = np.arange(40, dtype=np.int64) % 4
+    catalog.seed_facts("r", [hot, warm, np.arange(40)])
+    assert catalog.max_multiplicity("r", (0,)) == 40.0
+    assert catalog.max_multiplicity("r", (1,)) == 10.0
+    assert catalog.max_multiplicity("r", (0, 1)) == 10.0
+    assert catalog.max_multiplicity("r", (0, 2)) == 1.0
+    assert catalog.max_multiplicity("r", (0, 1, 2)) == 1.0
 
 
 def test_unseeded_relation_falls_back_to_largest_seeded():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.datalog.engine import GPULogEngine
+from repro.datalog.planner import PLANNERS
 from repro.device import FAULT_PLAN_ENV_VAR, Device, FaultPlan
 from repro.errors import (
     BufferError_,
@@ -326,15 +327,18 @@ def test_buffer_error_rename_keeps_alias():
         device.free(buffer)
 
 
-def test_resume_stages_later_strata_idb_facts():
+@pytest.mark.parametrize("planner", PLANNERS)
+@pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+def test_resume_stages_later_strata_idb_facts(num_shards, planner):
     """A ground fact of an IDB relation in a stratum the checkpoint has not
-    reached is loaded when that stratum starts, as in an uninterrupted run."""
+    reached is loaded when that stratum starts, as in an uninterrupted run,
+    on any shard count and under either planner."""
     source = REACH_SOURCE + "\ntop(x, y) :- reach(x, y), reach(y, x).\ntop(100, 200).\n"
     edges = np.array([[1, 2], [2, 3], [3, 1], [3, 4]], dtype=np.int64)
     store = InMemoryCheckpointStore()
     engine = GPULogEngine(
-        device="h100", oom_enabled=False, num_shards=1, fault_plan="none",
-        checkpoint_every=1, checkpoint_store=store,
+        device="h100", oom_enabled=False, num_shards=num_shards, planner=planner,
+        fault_plan="none", checkpoint_every=1, checkpoint_store=store,
     )
     engine.add_fact_array("edge", edges)
     expected = engine.run(source)
@@ -345,7 +349,10 @@ def test_resume_stages_later_strata_idb_facts():
     stratum_zero = [checkpoint_id for checkpoint_id in store.list_ids() if "-s0-" in checkpoint_id]
     assert stratum_zero
     for checkpoint_id in stratum_zero:
-        resumed = GPULogEngine(device="h100", oom_enabled=False, num_shards=1, fault_plan="none")
+        resumed = GPULogEngine(
+            device="h100", oom_enabled=False, num_shards=num_shards, planner=planner,
+            fault_plan="none",
+        )
         result = resumed.resume(store.load(checkpoint_id))
         relations = {name: result.relation_set(name) for name in ("reach", "top")}
         resumed.close()
