@@ -28,7 +28,7 @@ from collections.abc import Mapping, Sequence
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -583,37 +583,44 @@ class GPULogEngine:
 
         analysis = analyze_program(program)
         arities = self._resolve_arities(program)
-
-        # The cost+wcoj planner measures the staged host facts before
-        # planning (exact per-column distincts and hottest-value counts —
-        # host-side introspection, nothing is charged); its WCOJ choice is a
-        # pure function of that catalog and holds for the whole run.  The
-        # greedy planner plans stat-free.
-        catalog: StatsCatalog | None = None
         staged_rows: dict[str, np.ndarray] = {
             relation_name: self._fact_rows(relation_name, arities[relation_name], program)
             for relation_name in sorted(analysis.idb_relations)
         }
-        if self.planner != GREEDY:
-            catalog = StatsCatalog()
-            for relation_name, arity in arities.items():
-                rows = staged_rows.get(relation_name)
-                if rows is None:
-                    rows = staged_rows[relation_name] = self._fact_rows(relation_name, arity, program)
-                if rows.shape[0]:
-                    catalog.seed_facts(
-                        relation_name, [rows[:, column] for column in range(arity)]
-                    )
-                else:
-                    catalog.ensure(relation_name, arity)
+
+        def rows_of(relation_name: str, arity: int) -> np.ndarray:
+            # EDB rows measured for the catalog stay staged for the load.
+            if relation_name not in staged_rows:
+                staged_rows[relation_name] = self._fact_rows(relation_name, arity, program)
+            return staged_rows[relation_name]
+
         # Rule versions that mirror each other pair up under the relations
         # proved symmetric from the program and the staged IDB facts.
         symmetric = symmetric_relations(
             analysis, [name for name in analysis.idb_relations if not swap_closed(staged_rows[name])]
         )
-        plan = plan_program(analysis, planner=self.planner, stats=catalog, symmetric=symmetric)
-
+        plan = self._plan(analysis, arities, rows_of, symmetric)
         return self._run(program, analysis, plan, arities, staged_rows)
+
+    def _plan(self, analysis, arities, rows_of: Callable[[str, int], np.ndarray], symmetric=frozenset()) -> ProgramPlan:
+        """Plan the program, for :meth:`run` and :meth:`resume` alike.
+
+        The cost+wcoj planner measures every relation's host rows,
+        ``rows_of(name, arity)``, before planning (exact per-column distincts
+        and hottest-value counts — host-side introspection, nothing is
+        charged); its WCOJ choice is a pure function of that catalog and
+        holds for the whole run.  The greedy planner plans stat-free.
+        """
+        catalog: StatsCatalog | None = None
+        if self.planner != GREEDY:
+            catalog = StatsCatalog()
+            for relation_name, arity in arities.items():
+                rows = rows_of(relation_name, arity)
+                if rows.shape[0]:
+                    catalog.seed_facts(relation_name, [rows[:, column] for column in range(arity)])
+                else:
+                    catalog.ensure(relation_name, arity)
+        return plan_program(analysis, planner=self.planner, stats=catalog, symmetric=symmetric)
 
     def _run(
         self,
@@ -723,13 +730,21 @@ class GPULogEngine:
             program = Program.parse(program, name=name or checkpoint.program_name or "program")
         program = self._intern_program(program)
         analysis = analyze_program(program)
-        # Resume measures no staged facts (relations restore from the
-        # snapshot), so cost+wcoj plans on an empty catalog's estimates
-        # here; the replayed plan is still deterministic.  Nor are the facts
-        # that would prove a relation symmetric, so only the versions that
-        # mirror each other with no symmetric atom pair up.
-        plan = plan_program(analysis, planner=self.planner)
         arities = self._resolve_arities(program)
+        # The catalog is seeded as run() seeds it: the snapshot's rows for
+        # EDB relations (no facts are loaded), the ground facts for IDB
+        # relations.  The facts that would prove a relation symmetric are
+        # not measured, so only the versions that mirror each other with no
+        # symmetric atom pair up.
+        plan = self._plan(
+            analysis,
+            arities,
+            lambda relation_name, arity: (
+                self._fact_rows(relation_name, arity, program)
+                if relation_name in analysis.idb_relations
+                else checkpoint.relation_rows(relation_name)
+            ),
+        )
         # Ground facts of IDB relations in strata the checkpoint has not
         # reached are staged as run() stages them; earlier strata's rows are
         # in the snapshot, and a pre-init snapshot carries its own stratum's.

@@ -1,8 +1,11 @@
-"""Merge-buffer management policies (Section 5.3, Table 1).
+"""The data tier and the merge-buffer policies that grow it (Section 5.3, Table 1).
 
-Merging ``delta`` into ``full`` is an out-of-place path merge: it needs a
-*destination* buffer as large as both relations combined, every iteration.
-The paper identifies the allocation and first-touch of that buffer as a major
+A :class:`ColumnStore` holds a relation's tuples once — columns in schema
+order, rows in derivation order, one device reservation — and every HISA
+index of the relation reads it (:mod:`repro.relational.hisa`).  Each fixpoint
+iteration appends its delta to it once: in place when the reservation has
+headroom, otherwise into a *destination* buffer as large as both versions
+combined.  The paper identifies the allocation and first-touch of that buffer as a major
 cost (the merge phase is up to 45 % of runtime) and proposes *Eager Buffer
 Management* (EBM):
 
@@ -28,8 +31,12 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
+from ..backend import TUPLE_ITEMSIZE, Array
+from ..device.cost import KernelCost
 from ..device.device import Device
 from ..device.memory import Buffer
+from .columnbatch import ColumnBatch
+from .hashtable import grown
 
 
 @dataclass
@@ -42,9 +49,6 @@ class BufferManagerStats:
     retirements: int = 0
     bytes_requested: int = 0
     bytes_allocated: int = 0
-    #: merges absorbed by reserved headroom: no buffer was acquired at all.
-    in_place_appends: int = 0
-    bytes_appended_in_place: int = 0
 
 
 class MergeBufferManager(ABC):
@@ -58,17 +62,6 @@ class MergeBufferManager(ABC):
     @abstractmethod
     def acquire(self, required_bytes: int, delta_bytes: int) -> Buffer:
         """Return a destination buffer with capacity >= ``required_bytes``."""
-
-    def note_in_place(self, delta_bytes: int) -> None:
-        """Record a merge that fit the delta into the full buffer's headroom.
-
-        With eager over-allocation most tail iterations never reach
-        :meth:`acquire` at all — the delta is appended in place.  Tracking the
-        event here keeps the EBM statistics (Table 1) honest about how much
-        allocator traffic the policy eliminated.
-        """
-        self.stats.in_place_appends += 1
-        self.stats.bytes_appended_in_place += max(0, int(delta_bytes))
 
     @abstractmethod
     def retire(self, buffer: Buffer) -> None:
@@ -170,3 +163,78 @@ def make_buffer_manager(
     if eager:
         return EagerBufferManager(device, label=label)
     return SimpleBufferManager(device, label=label)
+
+
+class ColumnStore:
+    """A relation's tuples, once: capacity-backed columns in schema order.
+
+    Built from ``rows`` (its lazy columns are gathered here, as
+    ``{label}.ingest``).  A store with a ``manager`` reserves its capacity as
+    ``{label}.data`` and grows through the manager; one without is a *view*
+    of rows another owner reserved (a delta, which its indexes sort but never
+    append to), and reserves nothing.
+    """
+
+    def __init__(
+        self, device: Device, rows: ColumnBatch, *, label: str, manager: MergeBufferManager | None = None
+    ) -> None:
+        self.device = device
+        self.label = label
+        self.arity = rows.arity
+        self.columns: list[Array] = [
+            device.backend.ascontiguousarray(column) for column in rows.columns(label=f"{label}.ingest")
+        ]
+        self._live = len(rows)
+        self.manager = manager
+        self._buffer: Buffer | None = (
+            device.allocate(rows.nbytes, label=f"{label}.data", charge_cost=False) if manager is not None else None
+        )
+
+    def __len__(self) -> int:
+        return self._live
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the store's device reservation (0 for a view)."""
+        return self._buffer.nbytes if self._buffer is not None else 0
+
+    def live_columns(self) -> list[Array]:
+        """The stored columns' live rows — zero-copy views."""
+        return [column[: self._live] for column in self.columns]
+
+    def append(self, columns: list[Array], *, charge: bool = True) -> bool:
+        """Append rows (one array per schema column) after the live ones;
+        returns whether they fit the reservation's headroom.
+
+        In place, only the region past the live rows is written, so lazy
+        batches holding views of the columns stay valid.  Otherwise a
+        destination buffer comes from the manager and the whole store is
+        copied into it (amortised by the manager's growth policy); the old
+        buffer is retired to the manager.
+        """
+        n, d = self._live, int(columns[0].shape[0])
+        row_bytes = self.arity * TUPLE_ITEMSIZE
+        required = (n + d) * row_bytes
+        in_place = self._buffer.nbytes >= required and int(self.columns[0].shape[0]) >= n + d
+        if in_place:
+            cost = KernelCost(kernel=f"{self.label}.merge_append", sequential_bytes=2.0 * d * row_bytes, ops=float(d))
+        else:
+            retired, self._buffer = self._buffer, self.manager.acquire(required, d * row_bytes)
+            self.manager.retire(retired)
+            capacity = max(n + d, self._buffer.nbytes // row_bytes)
+            self.columns = [grown(self.device.backend, column, n, capacity) for column in self.columns]
+            cost = KernelCost(kernel=f"{self.label}.merge_copy", sequential_bytes=2.0 * float(required), ops=float(n + d))
+        for column, part in zip(self.columns, columns):
+            column[n : n + d] = part
+        if charge:
+            self.device.charge(cost)
+        self._live = n + d
+        return in_place
+
+    def free(self) -> None:
+        """Release the reservation and every buffer the manager holds."""
+        if self._buffer is not None:
+            self.device.free(self._buffer, charge_cost=False)
+            self._buffer = None
+        if self.manager is not None:
+            self.manager.release()

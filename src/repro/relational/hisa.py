@@ -1,13 +1,17 @@
 """The Hash-Indexed Sorted Array (HISA) — Section 4 of the paper.
 
-A HISA stores one relation (or one index of a relation) in three tiers:
+The paper's HISA has three tiers.  Here a HISA is one index of a relation:
+a column order — the join columns first (Algorithm 1 lines 1-5) — plus its
+own index and table tiers over the relation's single data tier:
 
-1. **data array** — the dense ``n x k`` tuple buffer, stored with the join
-   columns permuted to the front (Algorithm 1 lines 1-5).  Dense storage is
-   what gives parallel iteration [R2] and coalesced access.  The buffer is
-   *capacity-backed*: it can carry reserved headroom (Eager Buffer
-   Management, Section 5.3) so that a fixpoint iteration appends its delta
-   in place instead of copying the whole relation.
+1. **data array** — the relation's :class:`~repro.relational.buffers.ColumnStore`:
+   dense, capacity-backed columns in schema order, shared by every index of
+   the relation (the paper keeps one per index; ``docs/benchmarks.md``
+   records the departure).  Dense storage is what gives parallel iteration
+   [R2] and coalesced access, and the store's reserved headroom (Eager
+   Buffer Management, Section 5.3) lets a fixpoint iteration append its
+   delta in place, once for all indexes.  The join-columns-first order is a
+   reordering of the store's column list, never a copy.
 2. **sorted index array** — the positions of the tuples, ordered
    lexicographically (join columns first).  Sorting groups equal join keys
    into contiguous *key runs*, enabling range queries [R1] and
@@ -76,14 +80,15 @@ index as a few geometrically sized sorted batches:
   cost a build per large run and answer only what the search answers
   exactly; the paper's HISA keeps its table for the join range queries it
   was built for, and so does this one;
-* the data array grows by an **in-place append** of the delta whenever the
-  backing device buffer has headroom (the eager buffer manager's
-  over-allocation), falling back to an amortised copy into a larger buffer
-  otherwise.
+* a delta index carries no data of its own: it is the sorted positions and
+  keys of the delta rows, which a merge finds appended to the store (a
+  relation appends each delta once for all of its indexes; a HISA whose
+  store is its own appends it there itself).
 
 ``merge(delta)`` mutates ``self`` (the full index) and returns it; ``delta``
-is consumed.  A from-scratch ``HISA(device, all_tuples, join_columns)`` is the
-oracle ``tests/relational/test_incremental.py`` holds every merge schedule to.
+is consumed.  A from-scratch ``HISA(device, all_tuples, join_columns)`` builds
+over a store of its own; it is the oracle ``tests/relational/test_incremental.py``
+holds every merge schedule to.
 
 All algorithms run for real on the device's
 :class:`~repro.backend.base.ArrayBackend` arrays (host NumPy by default, CuPy
@@ -107,7 +112,7 @@ from ..device.cost import KernelCost
 from ..device.device import Device
 from ..device.memory import Buffer
 from ..errors import HisaStateError, SchemaError
-from .buffers import MergeBufferManager, SimpleBufferManager
+from .buffers import ColumnStore, EagerBufferManager
 from .columnbatch import ColumnBatch
 from .hashtable import DEFAULT_LOAD_FACTOR, OpenAddressingHashTable, grown
 
@@ -150,15 +155,15 @@ def first_absorbed(sizes: Sequence[int], newer: int) -> int:
 
 @dataclass(frozen=True)
 class HisaMemoryBreakdown:
-    """Bytes reserved by each HISA tier (for the memory columns of Tables 1-3)."""
+    """Bytes reserved by an index's own tiers; the data tier is the store's
+    (:attr:`ColumnStore.nbytes`), counted once per relation."""
 
-    data_bytes: int
     index_bytes: int
     table_bytes: int
 
     @property
     def total_bytes(self) -> int:
-        return self.data_bytes + self.index_bytes + self.table_bytes
+        return self.index_bytes + self.table_bytes
 
 
 @dataclass(frozen=True)
@@ -178,12 +183,16 @@ class MatchedRuns:
 
 
 class HISA:
-    """Hash-indexed sorted array over a single relation's tuples."""
+    """Hash-indexed sorted array: one index over a column store's tuples.
+
+    ``rows`` is the store to index (its live rows), or a batch, for which the
+    HISA builds a store of its own and frees it with itself.
+    """
 
     def __init__(
         self,
         device: Device,
-        rows: ColumnBatch,
+        rows: "ColumnStore | ColumnBatch",
         join_columns: Sequence[int],
         *,
         load_factor: float = DEFAULT_LOAD_FACTOR,
@@ -192,49 +201,31 @@ class HISA:
         assume_sorted: bool = False,
     ) -> None:
         backend = device.backend
-        # The batch hands over its (possibly lazy) columns directly — values
-        # are gathered per column, never packed into row tuples.
-        n = len(rows)
         arity = rows.arity
-        natural_columns = rows.columns(label=f"{label}.ingest")
+        join_columns = tuple(int(c) for c in join_columns)
+        if any(c < 0 or c >= arity for c in join_columns):
+            raise SchemaError(f"join columns {join_columns} out of range for arity {arity}")
+        if len(set(join_columns)) != len(join_columns):
+            raise SchemaError(f"join columns must be distinct, got {join_columns}")
+        if not join_columns:
+            raise SchemaError("at least one join column is required")
+        self._owns_store = not isinstance(rows, ColumnStore)
+        if self._owns_store:
+            rows = ColumnStore(device, rows, label=label, manager=EagerBufferManager(device, label=f"{label}.merge_buffer"))
+        self.store = rows
+        n = len(rows)
+        natural_columns = rows.live_columns()
         self.device = device
         self.backend: ArrayBackend = backend
         self.label = label
         self.load_factor = float(load_factor)
         self.natural_arity = arity
         self._freed = False
-        self.last_merge_in_place = False
-
-        join_columns = tuple(int(c) for c in join_columns)
-        if any(c < 0 or c >= arity for c in join_columns):
-            raise SchemaError(
-                f"join columns {join_columns} out of range for arity {arity}"
-            )
-        if len(set(join_columns)) != len(join_columns):
-            raise SchemaError(f"join columns must be distinct, got {join_columns}")
-        if not join_columns:
-            raise SchemaError("at least one join column is required")
         self.join_columns = join_columns
         self.n_join = len(join_columns)
 
         rest = tuple(c for c in range(arity) if c not in join_columns)
         self.column_order = join_columns + rest
-        self._inverse_order = _invert_permutation(self.column_order)
-
-        # --- Tier 1: SoA data columns (join columns permuted to the front) ---
-        # Each stored column is its own dense, capacity-backed 1-D buffer, so
-        # joins and merges gather single columns instead of whole tuples.
-        self._column_storage: list[Array] = [
-            backend.ascontiguousarray(natural_columns[column]) for column in self.column_order
-        ]
-        self._live = n
-        if n:
-            self.device.kernels.transform(
-                n,
-                bytes_per_item=2.0 * arity * TUPLE_ITEMSIZE,
-                ops_per_item=arity,
-                label=f"{label}.reorder_columns",
-            )
 
         # --- Tier 2: sorted index array --------------------------------------
         # ``assume_sorted`` signals that ``rows`` are already in natural
@@ -255,7 +246,7 @@ class HISA:
                 )
         else:
             order = self.device.kernels.lexsort_columns(
-                self.stored_columns(), label=f"{label}.sort_index", n_rows=n
+                [natural_columns[column] for column in self.column_order], label=f"{label}.sort_index", n_rows=n
             )
 
         # --- Cached packed sort keys ------------------------------------------
@@ -264,7 +255,7 @@ class HISA:
         # keys double as join keys: the last store is always the join keys),
         # the packed join keys.  Each is a capacity-backed array holding the
         # sorted runs ``[_bounds[r], _bounds[r + 1])`` end to end.
-        sorted_columns = [column[order] for column in self.stored_columns()]
+        sorted_columns = [natural_columns[column][order] for column in self.column_order]
         self._stores: list[Array] = [order, backend.pack_lex_keys(sorted_columns)]
         if self.n_join < arity:
             self._stores.append(backend.pack_lex_keys(sorted_columns[: self.n_join]))
@@ -301,12 +292,9 @@ class HISA:
                 )
 
         # --- Device memory accounting ------------------------------------------
-        # Every tier accounts the capacity it has reserved.  The index tier
-        # covers the sorted index array and the cached packed sort keys (which
-        # are as large as the data array).
-        self._data_buffer: Buffer | None = device.allocate(
-            self._storage_nbytes(), label=f"{label}.data", charge_cost=False
-        )
+        # The index and table tiers account the capacity they have reserved;
+        # the index tier covers the sorted index array and the cached packed
+        # sort keys.  The data tier is the store's.
         self._buffers: dict[str, Buffer] = {}
         self._account_index_tiers()
 
@@ -315,7 +303,7 @@ class HISA:
     # ------------------------------------------------------------------
     @property
     def tuple_count(self) -> int:
-        return self._live
+        return self._bounds[-1]
 
     def __len__(self) -> int:
         return self.tuple_count
@@ -329,17 +317,8 @@ class HISA:
         """Tuples in each sorted run of the index tier, oldest first."""
         return [end - start for start, end in zip(self._bounds, self._bounds[1:])]
 
-    @property
-    def capacity_rows(self) -> int:
-        """Rows the backing storage can hold without reallocating."""
-        return int(self._column_storage[0].shape[0])
-
-    def _storage_nbytes(self) -> int:
-        return sum(int(column.nbytes) for column in self._column_storage)
-
     def memory_breakdown(self) -> HisaMemoryBreakdown:
         return HisaMemoryBreakdown(
-            data_bytes=self._data_buffer.nbytes if self._data_buffer is not None else self._storage_nbytes(),
             index_bytes=int(self._stores[0].shape[0]) * self._index_row_bytes,
             table_bytes=self.table.nbytes if self.table is not None else 0,
         )
@@ -351,23 +330,18 @@ class HISA:
     # ------------------------------------------------------------------
     # Column access
     # ------------------------------------------------------------------
-    def stored_column(self, position: int) -> Array:
-        """One stored column (index column order) as a dense 1-D view."""
-        self._check_live()
-        return self._column_storage[position][: self._live]
-
-    def stored_columns(self) -> list[Array]:
-        """All stored columns (join columns first), insertion order."""
-        self._check_live()
-        return [column[: self._live] for column in self._column_storage]
-
     def natural_column(self, column: int) -> Array:
-        """One column in the relation's natural (schema) order."""
-        return self.stored_column(self._inverse_order[column])
+        """One column of the indexed rows, in schema order, as a dense 1-D view."""
+        self._check_live()
+        return self.store.columns[column][: self.tuple_count]
 
     def natural_columns(self) -> list[Array]:
         """All columns in schema order — zero-copy views for ColumnBatch wrapping."""
         return [self.natural_column(column) for column in range(self.natural_arity)]
+
+    def _key_column(self, position: int) -> Array:
+        """The store's whole column at ``position`` of the index column order."""
+        return self.store.columns[self.column_order[position]]
 
     # ------------------------------------------------------------------
     # Range queries (Algorithm 3 support)
@@ -462,7 +436,7 @@ class HISA:
             key_rows = hits if keys is None else keys[hits]
             same = backend.ones(hits.size, dtype=backend.bool_)
             for position, key_column in enumerate(key_columns):
-                same &= self._column_storage[position][first_rows] == key_column[key_rows]
+                same &= self._key_column(position)[first_rows] == key_column[key_rows]
             if charge:
                 self.device.kernels.random_access(
                     int(hits.size),
@@ -491,7 +465,7 @@ class HISA:
         """Expand :meth:`lookup_columns` results into flat (probe index, data position) pairs.
 
         Returns ``(probe_indices, data_positions)`` where ``data_positions``
-        index directly into the data array (already translated through the
+        index directly into the store's columns (already translated through the
         sorted index array).  Pairs come probe-major — all of key 0's matches,
         oldest sorted run first, then key 1's — so ``probe_indices`` is
         monotone and gathers routed through it stay coalesced.
@@ -602,22 +576,18 @@ class HISA:
     # ------------------------------------------------------------------
     # Merge (full <- full U delta), Section 4.2 / 5.1
     # ------------------------------------------------------------------
-    def merge(
-        self,
-        delta: "HISA",
-        buffer_manager: MergeBufferManager | None = None,
-        *,
-        charge: bool = True,
-    ) -> "HISA":
+    def merge(self, delta: "HISA", *, charge: bool = True) -> "HISA":
         """Absorb ``delta``'s tuples into this HISA and return ``self``.
 
         ``delta`` must already be disjoint from ``self`` (the populate-delta
         phase guarantees it), so no deduplication is performed, and one sorted
         run, as the constructor builds it (:class:`HisaStateError` otherwise).
         ``delta`` is consumed: its device buffers are freed and it must not be
-        used afterwards.  The delta's rows are appended to the data array and its
-        sorted index pushed as the newest sorted run, which then absorbs the
-        older runs it is at least half as large as (module docstring):
+        used afterwards.  The store holds the delta's rows right after this
+        index's — a relation appends each delta once for all of its indexes —
+        or, holding none past them, gets them appended here.  The delta's
+        sorted index is pushed as the newest sorted run, which then absorbs
+        the older runs it is at least half as large as (module docstring):
         amortised O(|Δ| log(|full|/|Δ|)), and nothing about the runs that stay
         — keys, key runs, hash entries — is touched.
         """
@@ -631,13 +601,15 @@ class HISA:
             raise HisaStateError("cannot merge into a HISA built without a hash index")
         if len(delta._bounds) > 2:
             raise HisaStateError("a merge takes a delta of one sorted run, as its constructor builds")
-        manager = buffer_manager if buffer_manager is not None else SimpleBufferManager(self.device, label=f"{self.label}.merge")
 
-        n, d = self._live, delta.tuple_count
+        n, d = self.tuple_count, delta.tuple_count
         if d == 0:
             delta.free()
-            self.last_merge_in_place = True
             return self
+        if len(self.store) == n:
+            self.store.append(delta.natural_columns(), charge=charge)
+        elif len(self.store) != n + d:
+            raise HisaStateError("the store holds rows this merge's delta does not account for")
 
         parts = [store[:d] for store in delta._stores]
         parts[0] = parts[0] + n
@@ -648,7 +620,6 @@ class HISA:
                 self._stores[position] = self._wide_store(position)
             elif is_wide_keys(self._stores[position]) and not is_wide_keys(parts[position]):
                 parts[position] = delta._wide_store(position)[:d]
-        self._append_data(delta, manager, charge=charge)
         first = first_absorbed(self.run_sizes, d)
         # Push, path merges, key-run scan, key hashing and table build stream
         # the touched runs once each: one fused epilogue, plus a search and a
@@ -657,63 +628,6 @@ class HISA:
             self._seal(first, parts, charge=charge)
         delta.free()
         return self
-
-    # -- data-tier helper ------------------------------------------------
-    def _append_data(self, delta: "HISA", manager: MergeBufferManager, *, charge: bool) -> None:
-        """Append ``delta``'s rows to the data array, in place when possible.
-
-        In place requires the backing device buffer (and host storage) to have
-        enough reserved headroom — exactly what the eager buffer manager's
-        over-allocation provides.  Otherwise a destination buffer is acquired
-        from the manager and the whole relation is copied (amortised by the
-        manager's growth policy).
-        """
-        backend = self.backend
-        n, d = self.tuple_count, delta.tuple_count
-        row_bytes = self.natural_arity * TUPLE_ITEMSIZE
-        required = (n + d) * row_bytes
-
-        in_place = (
-            self._data_buffer is not None
-            and self._data_buffer.nbytes >= required
-            and self.capacity_rows >= n + d
-        )
-        if in_place:
-            # Per-column streaming appends into the reserved headroom.  Only
-            # the region past ``n`` is written, so live lazy batches holding
-            # (base, selection) references into these columns stay valid.
-            for position, column in enumerate(self._column_storage):
-                column[n : n + d] = delta.stored_column(position)
-            if charge:
-                self.device.charge(
-                    KernelCost(
-                        kernel=f"{self.label}.merge_append",
-                        sequential_bytes=2.0 * d * row_bytes,
-                        ops=float(d),
-                    )
-                )
-            manager.note_in_place(d * row_bytes)
-        else:
-            dest = manager.acquire(required, d * row_bytes)
-            capacity = max(n + d, dest.nbytes // row_bytes)
-            storage = [grown(backend, column, n, capacity) for column in self._column_storage]
-            for position, column in enumerate(storage):
-                column[n : n + d] = delta.stored_column(position)
-            if charge:
-                self.device.charge(
-                    KernelCost(
-                        kernel=f"{self.label}.merge_copy",
-                        sequential_bytes=2.0 * float(required),
-                        ops=float(n + d),
-                    )
-                )
-            self._column_storage = storage
-            old_buffer = self._data_buffer
-            self._data_buffer = dest
-            if old_buffer is not None:
-                manager.retire(old_buffer)
-        self._live = n + d
-        self.last_merge_in_place = in_place
 
     # -- index-tier helpers ------------------------------------------------
     def _seal(self, first: int, parts: list[Array], *, charge: bool) -> None:
@@ -776,7 +690,7 @@ class HISA:
                 )
             )
         hashes = self._hash_keys(
-            [self._column_storage[position][first_rows] for position in range(self.n_join)], charge=charge
+            [self._key_column(position)[first_rows] for position in range(self.n_join)], charge=charge
         )
         self.table.insert_batch(
             hashes, run_starts + start, run_lengths, charge=charge, label=f"{self.label}.table_insert"
@@ -827,12 +741,12 @@ class HISA:
 
     def _wide_store(self, position: int) -> Array:
         """Key store ``position`` (1: tuple keys, 2: join keys) re-packed wide
-        from the stored columns, same capacity: a host re-pack the simulated
+        from the store's columns, same capacity: a host re-pack the simulated
         device does not see, since it charges keys at their logical width."""
         end = self._bounds[-1]
         index = self._stores[0][:end]
         width = self.natural_arity if position == 1 else self.n_join
-        keys = self.backend.pack_lex_keys([self._column_storage[c][index] for c in range(width)], wide=True)
+        keys = self.backend.pack_lex_keys([self._key_column(c)[index] for c in range(width)], wide=True)
         return grown(self.backend, keys, end, int(self._stores[0].shape[0]))
 
     def _account_index_tiers(self) -> None:
@@ -857,14 +771,16 @@ class HISA:
     # Lifecycle
     # ------------------------------------------------------------------
     def free(self) -> None:
-        """Release all simulated device memory held by this HISA."""
+        """Release the index and table tiers' device memory, and the store if
+        it is this HISA's own."""
         if self._freed:
             return
         self._freed = True
-        buffers = [*self._buffers.values(), self._data_buffer]
-        self._buffers, self._data_buffer = {}, None
-        for buffer in buffers:
+        for buffer in self._buffers.values():
             self.device.free(buffer, charge_cost=False)
+        self._buffers = {}
+        if self._owns_store:
+            self.store.free()
 
     @property
     def is_freed(self) -> bool:
@@ -882,13 +798,6 @@ class HISA:
 # ----------------------------------------------------------------------
 # Module-level helpers
 # ----------------------------------------------------------------------
-
-def _invert_permutation(order: tuple[int, ...]) -> tuple[int, ...]:
-    inverse = [0] * len(order)
-    for position, column in enumerate(order):
-        inverse[column] = position
-    return tuple(inverse)
-
 
 def _runs_from_keys(backend: ArrayBackend, sorted_join_keys: Array) -> tuple[Array, Array]:
     """Key-run starts/lengths from packed join keys in sorted order."""

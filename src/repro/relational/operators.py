@@ -247,7 +247,7 @@ def hash_join(
         #    column is read.
         routed_outer = outer.take(probe_idx, label=f"{label}.route_outer", monotone=True)
         inner_specs = [
-            (inner.stored_column(inner.column_order.index(spec.column)), data_positions)
+            (inner.natural_column(spec.column), data_positions)
             for spec in output
             if spec.source == INNER
         ]

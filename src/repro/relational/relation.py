@@ -4,9 +4,14 @@ Figure 3 of the paper shows the per-iteration lifecycle of every IDB relation:
 relational-algebra kernels append tuples to *new*; *delta* is populated by
 removing from new everything already in *full*; delta is indexed and merged
 into full; new is cleared.  :class:`Relation` implements exactly that
-lifecycle, maintaining one HISA index of the full version per join-column set
-requested by the query plan (Datalog engines index for every query), plus one
-canonical all-column index used for deduplication.
+lifecycle.  The full version's tuples live once, in one
+:class:`~repro.relational.buffers.ColumnStore` per relation (per shard), in
+the order they were derived; over it sits one HISA index per join-column set
+the query plan requests (Datalog engines index for every query), plus one
+canonical all-column index used for deduplication.  Each index is a column
+order with its own sorted runs and hash table; an iteration appends its delta
+to the store once, then merges the delta's sorted positions and keys into
+every index.
 
 The transfer boundary
 ---------------------
@@ -53,7 +58,7 @@ from ..device.profiler import (
     PHASE_RETRACTION,
 )
 from ..errors import DeviceOutOfMemoryError, SchemaError
-from .buffers import MergeBufferManager, make_buffer_manager
+from .buffers import ColumnStore, make_buffer_manager
 from .checkpoint import PartitionState
 from .columnbatch import ColumnBatch
 from .hashtable import DEFAULT_LOAD_FACTOR
@@ -79,7 +84,8 @@ class IterationStats:
     new_count: int
     delta_count: int
     full_count: int
-    #: per-index merges absorbed in place (delta fit the data buffer headroom)
+    #: data-tier appends absorbed in place (the delta fit the store's
+    #: reserved headroom): at most one per relation per iteration
     in_place_merges: int = 0
     #: always 0: there is one merge path and it never rebuilds.  Read by
     #: ``bench/drivers.py`` (``count.rebuild_merges``); goes with that metric
@@ -121,8 +127,9 @@ class Relation:
         self._index_column_sets: set[tuple[int, ...]] = (
             {self._all_columns} if identity_index else set()
         )
+        #: the full version's data tier (``None`` until loaded), read by every index
+        self._store: ColumnStore | None = None
         self.full_indexes: dict[tuple[int, ...], HISA] = {}
-        self._buffer_managers: dict[tuple[int, ...], MergeBufferManager] = {}
         self._delta = ColumnBatch.empty(device, self.arity)
         self._new_parts: list[ColumnBatch] = []
         self._new_buffers: list[Buffer] = []
@@ -160,27 +167,15 @@ class Relation:
         ``initialize``; this also backfills the index on an
         already-initialized relation — the path a probe-only replica takes
         when a second rule probes it on a column set the first build didn't
-        cover.  Every HISA stores complete tuples, so any existing index can
-        seed the new one.
+        cover.  The new index builds its index and table tiers over the
+        relation's store.
         """
         join_columns = tuple(int(c) for c in join_columns)
         self.require_index(join_columns)
-        if join_columns in self.full_indexes or not self.full_indexes:
+        if join_columns in self.full_indexes or self._store is None:
             return
-        seed = next(iter(self.full_indexes.values()))
         with self.device.profiler.phase(PHASE_INDEX_FULL):
-            self.full_indexes[join_columns] = HISA(
-                self.device,
-                ColumnBatch.from_columns(self.device, seed.natural_columns(), length=seed.tuple_count),
-                join_columns,
-                load_factor=self.load_factor,
-                label=f"{self.name}[{','.join(map(str, join_columns))}]",
-            )
-            self._buffer_managers[join_columns] = make_buffer_manager(
-                self.device,
-                eager=self.eager_buffers,
-                label=f"{self.name}.merge_buffer",
-            )
+            self.full_indexes[join_columns] = self._index(self._store, join_columns)
 
     @property
     def index_column_sets(self) -> set[tuple[int, ...]]:
@@ -229,26 +224,20 @@ class Relation:
                 rows = deduplicate(self.device, rows, label=f"{self.name}.init_dedup")
         self._delta = rows
         with self.device.profiler.phase(PHASE_INDEX_FULL):
+            self._store = ColumnStore(
+                self.device,
+                rows,
+                label=self.name,
+                manager=make_buffer_manager(self.device, eager=self.eager_buffers, label=f"{self.name}.merge_buffer"),
+            )
             # ``deduplicate`` leaves ``rows`` in natural lexicographic order,
             # so every index whose column order is the identity permutation
             # (the canonical all-column index and all prefix indexes) adopts
             # that one shared sort instead of re-sorting.  Rows loaded as
-            # they are keep their order in the data tier, and each index
-            # sorts its own index tier.
+            # they are keep their order in the store, and each index sorts
+            # its own index tier.
             for columns in sorted(self._index_column_sets):
-                self.full_indexes[columns] = HISA(
-                    self.device,
-                    rows,
-                    columns,
-                    load_factor=self.load_factor,
-                    label=f"{self.name}[{','.join(map(str, columns))}]",
-                    assume_sorted=deduplicate_rows,
-                )
-                self._buffer_managers[columns] = make_buffer_manager(
-                    self.device,
-                    eager=self.eager_buffers,
-                    label=f"{self.name}.merge_buffer",
-                )
+                self.full_indexes[columns] = self._index(self._store, columns, assume_sorted=deduplicate_rows)
 
     def add_new(self, rows: "Array | ColumnBatch", *, report: "Counter | None" = None) -> ColumnBatch:
         """Append freshly derived tuples (a batch, or host rows to upload) to
@@ -349,12 +338,9 @@ class Relation:
         in_place_merges = 0
         if delta_count:
             with profiler.phase(PHASE_MERGE):
+                in_place_merges = int(self._store.append(self._delta.columns()))
                 for columns in sorted(self._index_column_sets):
-                    manager = self._buffer_managers[columns]
-                    merged = self.full_indexes[columns].merge(delta_indexes[columns], manager)
-                    self.full_indexes[columns] = merged
-                    if merged.last_merge_in_place:
-                        in_place_merges += 1
+                    self.full_indexes[columns].merge(delta_indexes[columns])
 
         stats = IterationStats(
             iteration=self._iteration,
@@ -396,24 +382,19 @@ class Relation:
             # ``delta`` is a subset of the deduplicated (sorted) new rows
             # with order preserved, so the per-iteration delta sort is
             # performed once and shared by every identity-order index.
-            # No hash table: the merge consumes only the delta's sorted
-            # data and cached keys, and nothing ever probes a delta index.
+            # No hash table and no data: the merge consumes only the delta's
+            # sorted positions and cached keys, its rows reach the store by
+            # one append, and nothing ever probes a delta index.
+            rows = ColumnStore(self.device, delta, label=f"{self.name}.delta")
             for columns in sorted(self._index_column_sets):
                 # A prefix index adopts the dedup sort directly, so its
-                # build is column reorder + index adoption — elementwise
-                # stages over one pass, fused into one launch.  Non-prefix
-                # indexes re-sort (a real multi-pass kernel) and keep their
-                # per-stage launches.
+                # build is index adoption — an elementwise stage over one
+                # pass, one launch.  Non-prefix indexes re-sort (a real
+                # multi-pass kernel) and keep their per-stage launches.
                 adopts_sort = columns == tuple(range(len(columns)))
                 with self.device.fused(f"{self.name}.delta.build_fused") if adopts_sort else nullcontext():
-                    delta_indexes[columns] = HISA(
-                        self.device,
-                        delta,
-                        columns,
-                        load_factor=self.load_factor,
-                        label=f"{self.name}.delta[{','.join(map(str, columns))}]",
-                        assume_sorted=True,
-                        build_hash_index=False,
+                    delta_indexes[columns] = self._index(
+                        rows, columns, label=f"{self.name}.delta", assume_sorted=True, build_hash_index=False
                     )
         return len(new_rows), delta_indexes
 
@@ -486,17 +467,13 @@ class Relation:
         The D2H downloads are charged under the checkpoint phase so snapshot
         overhead is visible in profiles (and in the robustness benchmark).
         """
-        label = f"{self.name}.d2h_checkpoint"
-        with self.device.profiler.phase(PHASE_CHECKPOINT):
-            full = self.full_batch().to_host(label=label)
-            delta = self._delta.to_host(label=label)
-        return PartitionState(full=full, delta=delta, iteration=self._iteration)
+        return self.appended_state(0)
 
     def appended_state(self, start: int) -> PartitionState:
         """:meth:`checkpoint_state` of the full rows from data position
         ``start`` on: while :attr:`generation` is unchanged, the rows merged
         in since ``full_count`` was ``start``.  Only a non-empty part pays
-        its charged D2H."""
+        its charged D2H: an empty one is no transfer and launches nothing."""
         label = f"{self.name}.d2h_checkpoint"
         empty = np.empty((0, self.arity), dtype=np.int64)
         with self.device.profiler.phase(PHASE_CHECKPOINT):
@@ -618,9 +595,9 @@ class Relation:
         for hisa in self.full_indexes.values():
             hisa.free()
         self.full_indexes.clear()
-        for manager in self._buffer_managers.values():
-            manager.release()
-        self._buffer_managers.clear()
+        if self._store is not None:
+            self._store.free()
+            self._store = None
         self._release_new_buffers()
         self.clear_delta()
 
@@ -629,9 +606,7 @@ class Relation:
     # ------------------------------------------------------------------
     @property
     def full_count(self) -> int:
-        if self._all_columns in self.full_indexes:
-            return self.full_indexes[self._all_columns].tuple_count
-        return 0
+        return len(self._store) if self._store is not None else 0
 
     @property
     def delta_count(self) -> int:
@@ -653,21 +628,22 @@ class Relation:
 
     def full_batch(self, start: int = 0) -> ColumnBatch:
         """The full version (from data position ``start`` on) as a columnar
-        batch — zero-copy views of the canonical index's stored columns (the
-        columnar scan fast path)."""
-        if self._all_columns in self.full_indexes:
-            hisa = self.full_indexes[self._all_columns]
-            columns = [column[start:] for column in hisa.natural_columns()]
-            return ColumnBatch.from_columns(self.device, columns, length=hisa.tuple_count - start)
-        return ColumnBatch.empty(self.device, self.arity)
+        batch — zero-copy views of the store's columns (the columnar scan
+        fast path)."""
+        if self._store is None:
+            return ColumnBatch.empty(self.device, self.arity)
+        columns = [column[start:] for column in self._store.live_columns()]
+        return ColumnBatch.from_columns(self.device, columns, length=self.full_count - start)
 
     def as_set(self) -> set[tuple[int, ...]]:
         """The full version as a Python set of tuples (for tests; uncharged)."""
         return set(host_rows_to_tuples(self.full_rows_host(charge=False)))
 
     def memory_bytes(self) -> int:
-        """Simulated device bytes currently attributable to this relation."""
-        total = sum(hisa.nbytes for hisa in self.full_indexes.values())
+        """Simulated device bytes currently attributable to this relation:
+        the store, each index's index and table tiers, delta and *new*."""
+        total = self._store.nbytes if self._store is not None else 0
+        total += sum(hisa.nbytes for hisa in self.full_indexes.values())
         total += int(self._delta.nbytes)
         # a resident swap (``add_swap``) is a view of a part and holds no buffer
         total += sum(buffer.nbytes for buffer in self._new_buffers)
@@ -676,6 +652,17 @@ class Relation:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
+    def _index(self, store: ColumnStore, columns: tuple[int, ...], *, label: str | None = None, **options) -> HISA:
+        """A HISA over ``store`` on ``columns``, labelled ``{label}[columns]``."""
+        return HISA(
+            self.device,
+            store,
+            columns,
+            load_factor=self.load_factor,
+            label=f"{label or self.name}[{','.join(map(str, columns))}]",
+            **options,
+        )
+
     def _upload(self, rows: Array, edge: str) -> ColumnBatch:
         return ColumnBatch.from_host(self.device, rows, self.arity, label=f"{self.name}.{edge}")
 

@@ -158,7 +158,7 @@ def _extend_level(
                 continue
             probe_idx, data_positions = index.expand_matches(runs_sel, lengths_sel)
             expanded = part.take(probe_idx, label=f"{label}.route_expand")
-            value_base = index.stored_column(index.column_order.index(candidate.value_column))
+            value_base = index.natural_column(candidate.value_column)
             expanded = expanded.append_lazy([(value_base, data_positions)])
 
             for other_position, (other, _other_index, _s, _l) in enumerate(probes):

@@ -64,13 +64,12 @@ def test_an_uncharged_membership_test_charges_nothing():
     import numpy as np
 
     from repro.device import Device
-    from repro.relational import EagerBufferManager
     from tests.helpers import hisa_of, key_columns
 
     device = Device("h100", oom_enabled=False)
     rows = np.arange(600, dtype=np.int64).reshape(300, 2)
     full = hisa_of(device, rows[:250], (0, 1), label="f")
-    full.merge(hisa_of(device, rows[250:], (0, 1), label="f.d", build_hash_index=False), EagerBufferManager(device))
+    full.merge(hisa_of(device, rows[250:], (0, 1), label="f.d", build_hash_index=False))
     assert len(full.run_sizes) == 2
     probes = key_columns(np.concatenate([rows, rows + 1]))
 
@@ -96,7 +95,7 @@ def test_small_runs_are_searched_inside_the_callers_launch(monkeypatch):
 
     from repro.device import Device
     from repro.device.kernels import DeviceKernels
-    from repro.relational import EagerBufferManager, hisa
+    from repro.relational import hisa
     from tests.helpers import hisa_of, key_columns
 
     def recording(cost, phase=None):
@@ -110,7 +109,7 @@ def test_small_runs_are_searched_inside_the_callers_launch(monkeypatch):
         monkeypatch.setattr(hisa, "TABLE_MIN_ROWS", threshold)
         device = Device("h100", oom_enabled=False)
         full = hisa_of(device, rows[:250], (0, 1), label="f")
-        full.merge(hisa_of(device, rows[250:], (0, 1), label="f.d", build_hash_index=False), EagerBufferManager(device))
+        full.merge(hisa_of(device, rows[250:], (0, 1), label="f.d", build_hash_index=False))
         assert full.run_sizes == [250, 50] and full.table.n_tables == 0
         stages = []
         charge = device.charge
@@ -142,7 +141,7 @@ def test_small_runs_are_searched_inside_the_callers_launch(monkeypatch):
     monkeypatch.undo()  # the default threshold
     device = Device("h100", oom_enabled=False)
     prefix = hisa_of(device, rows[:250], (0,), label="p")
-    prefix.merge(hisa_of(device, rows[250:], (0,), label="p.d", build_hash_index=False), EagerBufferManager(device))
+    prefix.merge(hisa_of(device, rows[250:], (0,), label="p.d", build_hash_index=False))
     assert prefix.run_sizes == [250, 50] and prefix.table.n_tables == 1
     stages = []
     charge = device.charge

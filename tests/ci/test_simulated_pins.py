@@ -179,6 +179,30 @@ fall by the mirrored versions' 3,458,610.  Counts, iterations and the
 distinct-before-expand joins do not move; SG is proved symmetric but has no
 pair, so its rows, the serving rows and every other row do not move.
 
+**One column store per relation re-pinned the seconds and launches of every
+row, downward, and nothing else.**  A relation's tuples live once, in its
+column store, and each index over it keeps only its index and table tiers.
+Each row's comment splits the move into its parts:
+
+* every index build charged ``{label}.reorder_columns``, a copy of the rows
+  with the join columns first; the store is in schema order and an index
+  reorders a list of columns, so the copy is gone — one launch per full
+  index built outside a fused scope (loads, replica builds, restores), and
+  bytes only inside the fused delta builds;
+* an iteration appended its delta to every index's data array
+  (``merge_append``, or ``merge_copy`` into a larger buffer); the store
+  appends it once, so a relation with k indexes saves k - 1 launches an
+  iteration (CSPA's and the serving sessions' relations have two or three);
+* each index grew its data array through its own merge buffer manager, a
+  charged allocation per growth; the store grows once, so the rows with
+  multi-index IDB relations lose those allocations (120 us each).  The data
+  reservations themselves are uncharged and move only the peak device bytes.
+
+On two and four shards the rows read the slowest device, and on the sharded
+``cspa`` rows the exchange overlap credit shrinks with the compute it hides
+behind.  Iterations, counts, exchange bytes, raw rows, the
+distinct-before-expand joins and the per-epoch serving numbers are unchanged.
+
 Each serving row carries a ``recover`` row: the same session with a WAL and
 a checkpoint per epoch, crashed after the retract epoch, and what
 ``ServingEngine.recover`` then charges on fresh devices.  It was recorded
@@ -273,7 +297,10 @@ PINS = {
         # partner's kept parts with the columns swapped instead of joining; -165.1 us, launches -9: the
         # memalias[1] index only a mirrored version probed is no longer built or merged
         # (was 0.0024587585082039643 s / 214)
-        "elapsed_seconds": 0.0021818146695987578, "kernel_launches": 184, "total_iterations": 5,
+        # one column store per relation: -450.1 us, launches -18: reorder_columns -35.0 us / -7 launches; one
+        # merge_append/merge_copy a relation an iteration -55.0 us / -11 launches; 3 merge-buffer allocations
+        # fewer -360.0 us (was 0.0021818146695987578 s / 184)
+        "elapsed_seconds": 0.0017317198790591504, "kernel_launches": 166, "total_iterations": 5,
         "relation_counts": {"assign": 57, "dereference": 40, "memalias": 400, "valuealias": 529, "valueflow": 507},
         "exchange_bytes": 0.0,
     },
@@ -293,7 +320,11 @@ PINS = {
         # mirrored versions: -195.8 us, launches -129, -30,480 B: the swaps route the kept (distinct when
         # deduplicated on arrival) parts, not a second version's raw head; memalias[1] index gone:
         # -145.0 us, launches -18 (was 0.0032644069802269457 s / 1152 / 2,790,080 B)
-        "elapsed_seconds": 0.0029236091781565314, "kernel_launches": 1005, "total_iterations": 5,
+        # one column store per relation: -335.8 us, launches -38: reorder_columns -90.0 us / -18 launches; one
+        # merge_append/merge_copy a relation an iteration -100.0 us / -20 launches; 6 merge-buffer allocations
+        # fewer -720.0 us; exchange overlap credit +238.4 us (summed over shards; the row reads the slowest
+        # device) (was 0.0029236091781565314 s / 1005)
+        "elapsed_seconds": 0.0025877597357492786, "kernel_launches": 967, "total_iterations": 5,
         "relation_counts": {"assign": 57, "dereference": 40, "memalias": 400, "valuealias": 529, "valueflow": 507},
         "exchange_bytes": 2759600.0,
     },
@@ -312,7 +343,11 @@ PINS = {
         # tail iterations fused: -215.0 us, launches -337 (was 0.003513252674364661 s / 2678)
         # mirrored versions: -225.6 us, launches -291, -37,120 B, as ("cspa", 2); memalias[1] index gone:
         # -145.0 us, launches -36 (was 0.003298252674364662 s / 2341 / 4,080,080 B)
-        "elapsed_seconds": 0.0029276388052013225, "kernel_launches": 2014, "total_iterations": 5,
+        # one column store per relation: -316.6 us, launches -74: reorder_columns -180.0 us / -36 launches; one
+        # merge_append/merge_copy a relation an iteration -190.0 us / -38 launches; 12 merge-buffer allocations
+        # fewer -1440.0 us; exchange overlap credit +535.3 us (summed over shards; the row reads the slowest
+        # device) (was 0.0029276388052013225 s / 2014)
+        "elapsed_seconds": 0.0026110472615302827, "kernel_launches": 1940, "total_iterations": 5,
         "relation_counts": {"assign": 57, "dereference": 40, "memalias": 400, "valuealias": 529, "valueflow": 507},
         "exchange_bytes": 4042960.0,
     },
@@ -324,7 +359,9 @@ PINS = {
         # all-column runs keep no table, searches priced per run: -0.9 ns (was 0.0005007111240561645 s)
         # find_runs only where a table is pushed: -10.0 us, launches -2
         # tail iterations fused: -70.0 us, launches -14 (was 0.0004907030317012811 s / 50)
-        "elapsed_seconds": 0.0004207030317012812, "kernel_launches": 36, "total_iterations": 3,
+        # one column store per relation: -15.0 us, launches -3: reorder_columns -15.0 us / -3 launches (was
+        # 0.0004207030317012812 s / 36)
+        "elapsed_seconds": 0.00040569480208015605, "kernel_launches": 33, "total_iterations": 3,
         "relation_counts": {"edge": 85, "sg": 502},
         "exchange_bytes": 0.0,
     },
@@ -336,7 +373,9 @@ PINS = {
         # all-column runs keep no table, searches priced per run: -0.2 ns (was 0.0007454335153485032 s)
         # find_runs only where a table is pushed: -10.0 us, launches -4
         # tail iterations fused: -60.1 us, launches -25 (was 0.0007354292004636887 s / 179)
-        "elapsed_seconds": 0.0006753786626713318, "kernel_launches": 154, "total_iterations": 3,
+        # one column store per relation: -20.0 us, launches -8: reorder_columns -40.0 us / -8 launches (summed
+        # over shards; the row reads the slowest device) (was 0.0006753786626713318 s / 154)
+        "elapsed_seconds": 0.0006553733722006084, "kernel_launches": 146, "total_iterations": 3,
         "relation_counts": {"edge": 85, "sg": 502},
         "exchange_bytes": 6992.0,
     },
@@ -348,7 +387,9 @@ PINS = {
         # all-column runs keep no table, searches priced per run: +0.0 ns (was 0.0007552353930963807 s)
         # find_runs only where a table is pushed: -10.0 us, launches -8
         # tail iterations fused: -65.0 us, launches -46 (was 0.0007452333111981794 s / 347)
-        "elapsed_seconds": 0.0006802031641956355, "kernel_launches": 301, "total_iterations": 3,
+        # one column store per relation: -20.0 us, launches -16: reorder_columns -80.0 us / -16 launches (summed
+        # over shards; the row reads the slowest device) (was 0.0006802031641956355 s / 301)
+        "elapsed_seconds": 0.0006601998821443535, "kernel_launches": 285, "total_iterations": 3,
         "relation_counts": {"edge": 85, "sg": 502},
         "exchange_bytes": 13104.0,
     },
@@ -360,7 +401,9 @@ PINS = {
         # all-column runs keep no table, searches priced per run: +0.0 ns (was 0.00045502385843010503 s)
         # find_runs only where a table is pushed: -10.0 us, launches -2
         # tail iterations fused: -50.0 us, launches -10 (was 0.0004450234787898448 s / 41)
-        "elapsed_seconds": 0.00039502347878984473, "kernel_launches": 31, "total_iterations": 3,
+        # one column store per relation: -15.0 us, launches -3: reorder_columns -15.0 us / -3 launches (was
+        # 0.00039502347878984473 s / 31)
+        "elapsed_seconds": 0.0003800229766849844, "kernel_launches": 28, "total_iterations": 3,
         "relation_counts": {"edge": 10, "reach": 21},
         "exchange_bytes": 0.0,
     },
@@ -372,7 +415,9 @@ PINS = {
         # all-column runs keep no table, searches priced per run: +0.0 ns (was 0.000690015565227343 s)
         # find_runs only where a table is pushed: -10.0 us, launches -4
         # tail iterations fused: -50.0 us, launches -15 (was 0.0006800153692839828 s / 127)
-        "elapsed_seconds": 0.0006300153692839828, "kernel_launches": 112, "total_iterations": 3,
+        # one column store per relation: -20.0 us, launches -8: reorder_columns -40.0 us / -8 launches (summed
+        # over shards; the row reads the slowest device) (was 0.0006300153692839828 s / 112)
+        "elapsed_seconds": 0.0006100149773972627, "kernel_launches": 104, "total_iterations": 3,
         "relation_counts": {"edge": 10, "reach": 21},
         "exchange_bytes": 464.0,
     },
@@ -384,7 +429,9 @@ PINS = {
         # all-column runs keep no table, searches priced per run: +0.0 ns (was 0.0006750125559274653 s)
         # find_runs only where a table is pushed: -10.0 us, launches -8
         # tail iterations fused: -40.0 us, launches -20 (was 0.000665012408969945 s / 238)
-        "elapsed_seconds": 0.0006250089534421193, "kernel_launches": 218, "total_iterations": 3,
+        # one column store per relation: -20.0 us, launches -16: reorder_columns -80.0 us / -16 launches (summed
+        # over shards; the row reads the slowest device) (was 0.0006250089534421193 s / 218)
+        "elapsed_seconds": 0.0006050087085129192, "kernel_launches": 202, "total_iterations": 3,
         "relation_counts": {"edge": 10, "reach": 21},
         "exchange_bytes": 816.0,
     },
@@ -396,7 +443,9 @@ PINS = {
         # all-column runs keep no table, searches priced per run: +0.0 ns (was 0.00038312858705117725 s)
         # find_runs only where a table is pushed: -10.1 us, launches -2
         # tail iterations fused: +0.0 us, launches +0 (was 0.00037303305853988756 s / 25)
-        "elapsed_seconds": 0.00037303305853988756, "kernel_launches": 25, "total_iterations": 0,
+        # one column store per relation: -20.2 us, launches -4: reorder_columns -20.2 us / -4 launches (was
+        # 0.00037303305853988756 s / 25)
+        "elapsed_seconds": 0.00035287884499224126, "kernel_launches": 21, "total_iterations": 0,
         "relation_counts": {"edge": 2396, "triangle": 3603},
         "exchange_bytes": 0.0,
     },
@@ -408,7 +457,9 @@ PINS = {
         # all-column runs keep no table, searches priced per run: +0.0 ns (was 0.0006678624177355138 s)
         # find_runs only where a table is pushed: -15.1 us, launches -6
         # tail iterations fused: +0.0 us, launches +0 (was 0.0006527704958066964 s / 82)
-        "elapsed_seconds": 0.0006527704958066964, "kernel_launches": 82, "total_iterations": 0,
+        # one column store per relation: -30.2 us, launches -12: reorder_columns -60.3 us / -12 launches (summed
+        # over shards; the row reads the slowest device) (was 0.0006527704958066964 s / 82)
+        "elapsed_seconds": 0.0006226126144442777, "kernel_launches": 70, "total_iterations": 0,
         "relation_counts": {"edge": 2396, "triangle": 3603},
         "exchange_bytes": 38336.0,
     },
@@ -420,7 +471,9 @@ PINS = {
         # all-column runs keep no table, searches priced per run: +0.0 ns (was 0.000634348274563542 s)
         # find_runs only where a table is pushed: -15.0 us, launches -12
         # tail iterations fused: +0.0 us, launches +0 (was 0.0006193023380920532 s / 172)
-        "elapsed_seconds": 0.0006193023380920532, "kernel_launches": 172, "total_iterations": 0,
+        # one column store per relation: -30.1 us, launches -24: reorder_columns -120.4 us / -24 launches
+        # (summed over shards; the row reads the slowest device) (was 0.0006193023380920532 s / 172)
+        "elapsed_seconds": 0.0005892160617812994, "kernel_launches": 148, "total_iterations": 0,
         "relation_counts": {"edge": 2396, "triangle": 3603},
         "exchange_bytes": 115008.0,
     },
@@ -462,8 +515,11 @@ def test_simulated_clock_and_counters_are_pinned(workload, num_shards):
 #: appended as their partners kept them (no gather, no arrival dedup; Σ raw_count counts joins only);
 #: -406.8 us, launches -33: memalias[1], an index only the second of them probed, is no longer built or
 #: merged.  Counts, iterations and the seven distinct-before-expand joins do not move.
+#: one column store per relation: -1139.2 us, launches -35: reorder_columns -41.3 us / -8 launches; one
+#: merge_append/merge_copy a relation an iteration -136.1 us / -27 launches; 8 merge-buffer allocations fewer
+#: -961.7 us (was 0.006618342332652925 s / 513)
 HTTPD_PIN = {
-    "elapsed_seconds": 0.006618342332652925, "kernel_launches": 513,
+    "elapsed_seconds": 0.005479155719069497, "kernel_launches": 478,
     "raw_rows": 8696113, "distinct_outer_fired": 7, "total_iterations": 11,
     "relation_counts": {"assign": 365, "dereference": 109, "memalias": 2828, "valuealias": 29148, "valueflow": 23752},
 }
@@ -532,7 +588,10 @@ SERVING_PINS = {
         # all-column runs keep no table, searches priced per run: -9.2 ns (was 0.0032375461033965873 s)
         # find_runs only where a table is pushed: -50.0 us, launches -10
         # tail iterations fused: -350.0 us, launches -70 (was 0.0031875173940320483 s / 301)
-        "simulated_seconds": 0.0028375173940320473, "kernel_launches": 231, "epoch_iterations": [2, 1, 1, 1],
+        # one column store per relation: -715.1 us, launches -23: reorder_columns -60.0 us / -12 launches; one
+        # merge_append/merge_copy a relation an iteration -55.0 us / -11 launches; 5 merge-buffer allocations
+        # fewer -600.1 us (was 0.0028375173940320473 s / 231)
+        "simulated_seconds": 0.0021223952565685555, "kernel_launches": 208, "epoch_iterations": [2, 1, 1, 1],
         "retracted": {"edge": 2, "sg": 94}, "rederived": {"sg": 66}, "sg": 474,
         # recover, run filters: +10.9 ns, filter build bytes added (was 0.0007803557590815154 s)
         # recover, small all-column runs keep no table: -260.1 us, launches -4 (was 0.0007803666356700014 s / 36)
@@ -540,7 +599,9 @@ SERVING_PINS = {
         # recover, a restore loads the checkpoint's rows in their saved order: -10.02 us, launches -2 — edge
         # and sg each drop the init dedup (3 launches) and sort their two identity-order indexes themselves
         # (2 launches each instead of 1 to adopt the dedup's sort) (was 0.0005102979433163851 s / 30)
-        "recover": {"simulated_seconds": 0.0005002740169044885, "kernel_launches": 28, "epoch": 4, "sg": 474},
+        # recover, one column store per relation: -25.0 us, launches -5: reorder_columns -25.0 us / -5 launches
+        # (was 0.0005002740169044885 s / 28)
+        "recover": {"simulated_seconds": 0.0004752545695259964, "kernel_launches": 23, "epoch": 4, "sg": 474},
     },
     2: {  # launches -56: as above per shard, 14 replica dedups 5->3, replicate.pack +14
         # filter bank deleted: launches -153, semi-join filter build/refresh/merge launches gone (was 0.007271701171912806 s /
@@ -557,14 +618,20 @@ SERVING_PINS = {
         # all-column runs keep no table, searches priced per run: -4.3 ns (was 0.005046635092922029 s)
         # find_runs only where a table is pushed: -50.0 us, launches -18
         # tail iterations fused: -335.0 us, launches -119 (was 0.004996619238667563 s / 941)
-        "simulated_seconds": 0.004661619238667568, "kernel_launches": 822, "epoch_iterations": [2, 1, 1, 1],
+        # one column store per relation: -750.1 us, launches -55: reorder_columns -175.1 us / -35 launches; one
+        # merge_append/merge_copy a relation an iteration -100.0 us / -20 launches; 10 merge-buffer allocations
+        # fewer -1200.1 us (summed over shards; the row reads the slowest device) (was 0.004661619238667568 s /
+        # 822)
+        "simulated_seconds": 0.003911539263806451, "kernel_launches": 767, "epoch_iterations": [2, 1, 1, 1],
         "retracted": {"edge": 2, "sg": 94}, "rederived": {"sg": 66}, "sg": 474,
         # recover, run filters: +6.2 ns, filter build bytes added (was 0.0007802114399475149 s)
         # recover, small all-column runs keep no table: -260.0 us, launches -8 (was 0.0007802176373035918 s / 72)
         # recover, find_runs only where a table is pushed: -10.0 us, launches -4 (was 0.0005201797177847029 s / 64)
         # recover, a restore loads the checkpoint's rows in their saved order: -10.01 us (slowest device),
         # launches -4, as row 1 per shard (was 0.0005101757621781204 s / 60)
-        "recover": {"simulated_seconds": 0.0005001617158165218, "kernel_launches": 56, "epoch": 4, "sg": 474},
+        # recover, one column store per relation: -25.0 us, launches -10: reorder_columns -50.0 us / -10
+        # launches (summed over shards; the row reads the slowest device) (was 0.0005001617158165218 s / 56)
+        "recover": {"simulated_seconds": 0.00047515036334809464, "kernel_launches": 46, "epoch": 4, "sg": 474},
     },
 }
 

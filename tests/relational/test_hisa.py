@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.device import Device
 from repro.errors import HisaStateError, SchemaError
-from repro.relational import EagerBufferManager, OpenAddressingHashTable, SimpleBufferManager
+from repro.relational import OpenAddressingHashTable
 from repro.relational import hisa as hisa_module
 
 from tests.helpers import LOOKUP_BACKENDS, hisa_of as HISA, hisa_rows, hisa_runs, key_columns, lookup_per_run
@@ -98,7 +98,7 @@ def test_merge_combines_disjoint_relations(device):
     delta_rows = np.array([[0, 2], [2, 3]], dtype=np.int64)
     full = HISA(device, full_rows, join_columns=(0,), label="r")
     delta = HISA(device, delta_rows, join_columns=(0,), label="r.delta")
-    merged = full.merge(delta, SimpleBufferManager(device))
+    merged = full.merge(delta)
     assert merged is full  # merge mutates the full index in place
     assert merged.tuple_count == 4
     assert {tuple(r) for r in hisa_rows(merged).tolist()} == {(0, 1), (1, 2), (0, 2), (2, 3)}
@@ -156,7 +156,7 @@ def test_a_lookup_probes_every_run_in_one_call(monkeypatch, backend):
     order = np.random.default_rng(3).permutation(len(rows))
     full = HISA(device, rows[order[:80]], (0,), label="k")
     for delta in (order[80:110], order[110:120]):  # each less than half the run below: pushed
-        full.merge(HISA(device, rows[delta], (0,), label="k.d", build_hash_index=False), EagerBufferManager(device))
+        full.merge(HISA(device, rows[delta], (0,), label="k.d", build_hash_index=False))
     assert len(full.run_sizes) == 3
     keys = key_columns(np.arange(-2, 44).reshape(-1, 1))
 

@@ -35,11 +35,13 @@ from repro.relational import (
     SimpleBufferManager,
     hash_rows,
 )
+from repro.relational.buffers import ColumnStore
 from repro.relational import hisa as hisa_module
 
 from tests.helpers import (
     LOOKUP_BACKENDS,
     CollidingBackend,
+    batch_of,
     hisa_of as HISA,
     hisa_rows,
     hisa_runs,
@@ -180,11 +182,11 @@ def test_incremental_merge_matches_scratch_build(manager_cls, join_columns):
     batches = _split_batches(rows, 6, rng)
 
     device = _fresh_device()
-    manager = manager_cls(device)
-    full = HISA(device, batches[0], join_columns, label="inc")
+    store = ColumnStore(device, batch_of(device, batches[0]), label="inc", manager=manager_cls(device))
+    full = hisa_module.HISA(device, store, join_columns, label="inc")
     merged = batches[0]
     for batch in batches[1:]:
-        full = full.merge(HISA(device, batch, join_columns, label="inc.delta"), manager)
+        full = full.merge(HISA(device, batch, join_columns, label="inc.delta"))
         merged = np.concatenate([merged, batch])
         _assert_runs_geometric(full)
         _assert_matches_scratch(full, merged, join_columns, base=len(batches[0]))
@@ -237,7 +239,6 @@ def test_incremental_merge_equivalence_property(
 def _check_merge_schedule(backend, seed, base, first_delta, join_columns, schedule, wide_at, reads):
     pool = _row_pool(seed)
     device = _fresh_device(backend=LOOKUP_BACKENDS[backend]())
-    manager = EagerBufferManager(device)
     full = HISA(device, pool[:base], join_columns, label="p")
     used, last = base, first_delta
     for step, action in enumerate(schedule):
@@ -251,7 +252,7 @@ def _check_merge_schedule(backend, seed, base, first_delta, join_columns, schedu
             pool[used : used + last, 2] += 1 << 40  # still distinct: no other row reaches 2**40
         delta = HISA(device, pool[used : used + last], join_columns, label="p.d", build_hash_index=False)
         used += last
-        assert full.merge(delta, manager) is full
+        assert full.merge(delta) is full
         assert is_wide_keys(full._stores[1]) == (backend == "wide" or bool((pool[:used, 2] >= 1 << 40).any()))
         _assert_runs_geometric(full)
         if reads[step]:
@@ -268,10 +269,10 @@ def test_a_merge_takes_a_delta_of_one_run():
     device = _fresh_device()
     full = HISA(device, pool[:100], (0,), label="f")
     stacked = HISA(device, pool[100:200], (0,), label="s")
-    stacked.merge(HISA(device, pool[200:210], (0,), label="s.d", build_hash_index=False), EagerBufferManager(device))
+    stacked.merge(HISA(device, pool[200:210], (0,), label="s.d", build_hash_index=False))
     assert len(stacked.run_sizes) == 2
     with pytest.raises(HisaStateError):
-        full.merge(stacked, EagerBufferManager(device))
+        full.merge(stacked)
     assert full.run_sizes == [100] and not stacked.is_freed
     _assert_matches_scratch(full, pool[:100], (0,), base=100)
 
@@ -285,7 +286,7 @@ def test_equal_deltas_keep_the_stack_logarithmic(monkeypatch):
     full = HISA(device, pool[:20], (1,), label="chain")
     for step in range(1, 200):
         delta = HISA(device, pool[20 * step : 20 * step + 20], (1,), label="chain.d", build_hash_index=False)
-        full.merge(delta, EagerBufferManager(device))
+        full.merge(delta)
         _assert_runs_geometric(full)
         assert len(full.run_sizes) <= np.ceil(np.log2(step + 1)) + 1
     _assert_matches_scratch(full, pool[:4000], (1,), base=20)
@@ -296,7 +297,7 @@ def test_hash_collision_falls_through_to_a_miss(monkeypatch):
     device = _fresh_device(backend=CollidingBackend())
     rows = np.array([[1, 10], [1, 11], [2, 20], [3, 30]], dtype=np.int64)
     full = HISA(device, rows, (0,), label="c")
-    full.merge(HISA(device, np.array([[1, 12]], dtype=np.int64), (0,), label="c.d"), EagerBufferManager(device))
+    full.merge(HISA(device, np.array([[1, 12]], dtype=np.int64), (0,), label="c.d"))
     assert len(full.run_sizes) == 2  # key 1 sits in both sorted runs
     keys = np.array([[1], [5]], dtype=np.int64)
     assert _rows_per_key(full, keys) == [{(1, 10), (1, 11), (1, 12)}, set()]
@@ -307,7 +308,7 @@ def test_hash_collision_falls_through_to_a_miss(monkeypatch):
         assert starts[1] == starts[0] >= 0 and lengths[1] == lengths[0] > 0
 
     whole = HISA(device, rows[1:], (0, 1), label="w")
-    whole.merge(HISA(device, np.array([[4, 40]], dtype=np.int64), (0, 1), label="w.d"), EagerBufferManager(device))
+    whole.merge(HISA(device, np.array([[4, 40]], dtype=np.int64), (0, 1), label="w.d"))
     probes = np.array([[4, 40], [8, 40], [1, 11], [5, 11]], dtype=np.int64)
     assert whole.contains_columns(key_columns(probes), charge=False).tolist() == [True, False, True, False]
 
@@ -369,11 +370,10 @@ def test_all_column_membership_is_exact_without_tables(backend, table_min_rows, 
     with mock.patch.object(hisa_module, "TABLE_MIN_ROWS", table_min_rows):
         pool = _row_pool(seed)
         device = _fresh_device(backend=LOOKUP_BACKENDS[backend]())
-        manager = EagerBufferManager(device)
         used = base * table_min_rows
         full = HISA(device, pool[:used], (0, 1, 2), label="m")
         for size in deltas:
-            full.merge(HISA(device, pool[used : used + size], (0, 1, 2), label="m.d", build_hash_index=False), manager)
+            full.merge(HISA(device, pool[used : used + size], (0, 1, 2), label="m.d", build_hash_index=False))
             used += size
         assume(min(full.run_sizes) < table_min_rows <= max(full.run_sizes))
         _assert_membership_is_exact(full, pool[:used], pool[used : used + 60], np.random.default_rng(seed))
@@ -386,10 +386,9 @@ def test_all_column_membership_is_exact_at_the_default_threshold(backend):
     size = hisa_module.TABLE_MIN_ROWS + 1000
     pool = _row_pool(12, size=size + 400)
     device = _fresh_device(backend=LOOKUP_BACKENDS[backend]())
-    manager = EagerBufferManager(device)
     full = HISA(device, pool[:size], (0, 1, 2), label="m")
     for start, end in ((size, size + 300), (size + 300, size + 350)):
-        full.merge(HISA(device, pool[start:end], (0, 1, 2), label="m.d", build_hash_index=False), manager)
+        full.merge(HISA(device, pool[start:end], (0, 1, 2), label="m.d", build_hash_index=False))
     assert full.run_sizes == [size, 300, 50]
     _assert_membership_is_exact(full, pool[: size + 350], pool[size + 350 :], np.random.default_rng(0))
 
@@ -401,7 +400,7 @@ def test_a_wide_membership_batch_widens_the_searched_runs():
     pool = _row_pool(3)
     device = _fresh_device()
     full = HISA(device, pool[:200], (0, 1, 2), label="w")
-    full.merge(HISA(device, pool[200:260], (0, 1, 2), label="w.d", build_hash_index=False), EagerBufferManager(device))
+    full.merge(HISA(device, pool[200:260], (0, 1, 2), label="w.d", build_hash_index=False))
     assert full.run_sizes == [200, 60] and full.table.n_tables == 0
     assert not is_wide_keys(full._stores[1])
     far = pool[:5] + np.array([0, 0, 1 << 40])
@@ -409,7 +408,7 @@ def test_a_wide_membership_batch_widens_the_searched_runs():
     assert full.contains_columns(key_columns(probes), charge=False).tolist() == [True] * 260 + [False] * 5
     assert is_wide_keys(full._stores[1])
     assert full.contains_columns(key_columns(pool[255:265]), charge=False).tolist() == [True] * 5 + [False] * 5
-    full.merge(HISA(device, pool[260:300], (0, 1, 2), label="w.d", build_hash_index=False), EagerBufferManager(device))
+    full.merge(HISA(device, pool[260:300], (0, 1, 2), label="w.d", build_hash_index=False))
     _assert_matches_scratch(full, pool[:300], (0, 1, 2), base=200)
 
 
@@ -432,7 +431,7 @@ def test_searched_runs_answer_like_the_table_walk(backend, join_columns):
             full = HISA(device, pool[:1000], join_columns, label="s")
             for start, size in [(1000, 300), (1300, 100), (1400, 30)]:  # each is pushed
                 delta = HISA(device, pool[start : start + size], join_columns, label="s.d", build_hash_index=False)
-                full.merge(delta, EagerBufferManager(device))
+                full.merge(delta)
             assert full.run_sizes == [1000, 300, 100, 30]
             assert full.table.n_tables == (4 if threshold == 0 else 1)
             runs, lengths = full.lookup_columns(key_columns(keys), charge=False)
@@ -456,7 +455,7 @@ def test_a_wide_lookup_batch_widens_only_the_join_keys():
     pool = _row_pool(3)
     device = _fresh_device()
     full = HISA(device, pool[:200], (0, 1), label="w")
-    full.merge(HISA(device, pool[200:260], (0, 1), label="w.d", build_hash_index=False), EagerBufferManager(device))
+    full.merge(HISA(device, pool[200:260], (0, 1), label="w.d", build_hash_index=False))
     assert full.run_sizes == [200, 60] and full.table.n_tables == 1
     assert not is_wide_keys(full._stores[1]) and not is_wide_keys(full._stores[2])
     keys = np.concatenate([pool[:260, :2], pool[:5, :2] + np.array([1 << 40, 0])])
@@ -464,7 +463,7 @@ def test_a_wide_lookup_batch_widens_only_the_join_keys():
     assert _rows_per_key(full, keys) == expected
     assert is_wide_keys(full._stores[2]) and not is_wide_keys(full._stores[1])
     assert _rows_per_key(full, keys[250:]) == expected[250:]
-    full.merge(HISA(device, pool[260:300], (0, 1), label="w.d", build_hash_index=False), EagerBufferManager(device))
+    full.merge(HISA(device, pool[260:300], (0, 1), label="w.d", build_hash_index=False))
     _assert_matches_scratch(full, pool[:300], (0, 1), base=200)
 
 
@@ -497,7 +496,7 @@ def test_contains_after_incremental_merges():
     device = _fresh_device()
     full = HISA(device, batches[0], (0, 1), label="full")
     for batch in batches[1:]:
-        full = full.merge(HISA(device, batch, (0, 1), label="d"), EagerBufferManager(device))
+        full = full.merge(HISA(device, batch, (0, 1), label="d"))
     assert full.contains_columns(key_columns(rows), charge=False).all()
     absent = np.array([[999, 999], [-5, 3]], dtype=np.int64)
     assert not full.contains_columns(key_columns(absent), charge=False).any()
@@ -515,7 +514,6 @@ def _check_memory_accounting(join_columns):
     device = _fresh_device()
     before = device.pool.in_use_bytes
     full = HISA(device, pool[:100], join_columns, label="m")
-    manager = EagerBufferManager(device)
     whole = len(join_columns) == 3
 
     def reserved():
@@ -524,16 +522,16 @@ def _check_memory_accounting(join_columns):
         # columns) the join key, 8 bytes per key column whatever the host
         # packing of the keys
         stores = full._stores[0].shape[0] * 8 * (1 + 3 + (0 if whole else len(join_columns)))
-        return full.memory_breakdown().data_bytes + stores + slab
+        return stores + slab
 
     allocations = device.pool.stats.allocation_count
     for step in range(50):
         delta = HISA(
             device, pool[100 + 40 * step : 140 + 40 * step], join_columns, label="m.d", build_hash_index=False
         )
-        full.merge(delta, manager)
+        full.merge(delta)
         assert full.memory_breakdown().total_bytes == reserved()
-        assert device.pool.in_use_bytes - before == reserved() + manager.spare_bytes
+        assert device.pool.in_use_bytes - before == full.store.nbytes + reserved() + full.store.manager.spare_bytes
     # 50 deltas allocated 50 x (data, index); the full index grew geometrically.
     growths = device.pool.stats.allocation_count - allocations - 100
     assert growths <= 3 * np.log2(2100 / 100) + 3
@@ -541,7 +539,6 @@ def _check_memory_accounting(join_columns):
     assert len(full.run_sizes) > 1
     assert full.memory_breakdown().total_bytes == reserved()
     full.free()
-    manager.release()
     assert device.pool.in_use_bytes == before
 
 
@@ -554,11 +551,10 @@ def test_charges_ignore_the_host_key_format(join_columns):
     recorded = {}
     for name in ("numpy", "wide"):
         device = _fresh_device(backend=LOOKUP_BACKENDS[name]())
-        manager = EagerBufferManager(device)
         full = HISA(device, pool[:300], join_columns, label="c")
         breakdowns = [full.memory_breakdown()]
         for start, size in [(300, 40), (340, 10), (350, 200), (550, 5), (555, 3), (558, 900)]:
-            full.merge(HISA(device, pool[start : start + size], join_columns, label="c.d"), manager)
+            full.merge(HISA(device, pool[start : start + size], join_columns, label="c.d"))
             breakdowns.append(full.memory_breakdown())
         _, lengths = full.lookup_columns(key_columns(pool[:50, list(join_columns)]))
         assert is_wide_keys(full._stores[1]) == (name == "wide")
@@ -685,7 +681,7 @@ def test_empty_delta_merge_is_noop():
     rows = np.array([[1, 2], [3, 4]], dtype=np.int64)
     full = HISA(device, rows, (0,), label="r")
     empty = HISA(device, np.empty((0, 2), dtype=np.int64), (0,), label="r.d")
-    merged = full.merge(empty, SimpleBufferManager(device))
+    merged = full.merge(empty)
     assert merged is full
     assert merged.tuple_count == 2
     assert empty.is_freed
@@ -695,7 +691,7 @@ def test_merge_into_empty_full():
     device = _fresh_device()
     full = HISA(device, np.empty((0, 2), dtype=np.int64), (0,), label="r")
     delta = HISA(device, np.array([[5, 6], [1, 2]], dtype=np.int64), (0,), label="r.d")
-    merged = full.merge(delta, EagerBufferManager(device))
+    merged = full.merge(delta)
     assert merged.tuple_count == 2
     assert merged.run_sizes == [2]
     _, lengths = merged.lookup_columns(key_columns([[5]]), charge=False)

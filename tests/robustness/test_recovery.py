@@ -357,3 +357,36 @@ def test_resume_stages_later_strata_idb_facts(num_shards, planner):
         relations = {name: result.relation_set(name) for name in ("reach", "top")}
         resumed.close()
         assert relations == expected_relations, checkpoint_id
+
+
+@pytest.mark.parametrize("num_shards", [1, 2])
+def test_resume_plans_as_run_plans(num_shards):
+    """``resume`` measures the snapshot's EDB rows and the IDB ground facts
+    into the catalog, as ``run`` measures the staged facts, so a recursive
+    cyclic version that ``run`` planned as a generic join resumes as one from
+    every checkpoint, with the same answer."""
+    from repro.experiments.planner_bench import hub_graph
+
+    source = "t(x, y) :- edge(x, y).\nt(x, y) :- t(x, z), edge(z, y), edge(y, x).\n"
+    store = InMemoryCheckpointStore()
+    engine = GPULogEngine(
+        device="h100", oom_enabled=False, num_shards=num_shards, planner="cost+wcoj",
+        fault_plan="none", checkpoint_every=1, checkpoint_store=store,
+    )
+    engine.add_fact_array("edge", hub_graph(300))
+    expected = engine.run(source)
+    engine.close()
+
+    def plans(result):
+        return [(entry["delta_atom"], entry["planned_algorithm"]) for entry in result.plan_report]
+
+    assert (0, "wcoj") in plans(expected)
+    assert store.list_ids()
+    for checkpoint_id in store.list_ids():
+        resumed = GPULogEngine(
+            device="h100", oom_enabled=False, num_shards=num_shards, planner="cost+wcoj", fault_plan="none",
+        )
+        result = resumed.resume(store.load(checkpoint_id))
+        resumed.close()
+        assert plans(result) == plans(expected), checkpoint_id
+        assert result.relation_set("t") == expected.relation_set("t"), checkpoint_id
