@@ -45,7 +45,7 @@ def relational_layer_demo() -> None:
         label="employee_salary",
     )
     print("department/salary pairs:")
-    print(joined.as_rows())  # the join result is a lazy batch; rows gather here
+    print(joined.to_host())  # the join result is a lazy batch; rows gather and download here
     print(f"simulated join time on {spec.name}: {device.elapsed_seconds * 1e6:.2f} us")
     print("kernels executed:", sorted(device.profiler.kernel_seconds()))
     print()

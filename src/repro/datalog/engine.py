@@ -807,8 +807,10 @@ class GPULogEngine:
 
     def _load_facts(self, program: Program, analysis, staged_rows) -> dict[str, np.ndarray]:
         """Upload EDB facts (the load phase); IDB facts stay staged for their
-        stratum and are returned.  A resumed run skips this: the checkpoint
-        restores every relation."""
+        stratum and are returned.  A loaded EDB relation's delta is cleared at
+        once: no rule version reads an EDB delta, and a checkpoint would
+        otherwise download its rows twice.  A resumed run skips this: the
+        checkpoint restores every relation."""
         idb_facts: dict[str, np.ndarray] = {}
         with ExitStack() as stack:
             for device in self.devices:
@@ -822,6 +824,7 @@ class GPULogEngine:
                         idb_facts[relation_name] = rows
                 else:
                     relation.initialize(rows)
+                    relation.clear_delta()
         return idb_facts
 
     def _fact_rows(self, relation_name: str, arity: int, program: Program) -> np.ndarray:

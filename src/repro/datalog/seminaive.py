@@ -436,14 +436,15 @@ class SemiNaiveEvaluator:
                 attempts += 1
                 self._roll_back(error, attempts, f"stratum {stratum_index} initialization")
 
-    def _stage_ground_facts(self, name: str, rows, buckets: list[list]) -> None:
-        """Partition host ground facts by owner and upload each part (charged H2D)."""
+    def _stage_ground_facts(self, name: str, rows, buckets: list[list], *, edge: str = "h2d_facts") -> None:
+        """Partition host rows (ground facts, a serving epoch's retracts) by
+        owner and upload each part (charged H2D) into its shard's bucket."""
         relation = self.relations[name]
         parts = partition_rows_host(rows, relation.shard_column, self.num_shards)
         for shard, part in enumerate(parts):
             if part.shape[0]:
                 buckets[shard].append(
-                    ColumnBatch.from_host(self.devices[shard], part, relation.arity, label=f"{name}.h2d_facts")
+                    ColumnBatch.from_host(self.devices[shard], part, relation.arity, label=f"{name}.{edge}")
                 )
 
     # ------------------------------------------------------------------
@@ -451,23 +452,24 @@ class SemiNaiveEvaluator:
         self,
         versions: list[RuleVersion],
         seeds: dict[str, "np.ndarray"],
-        *,
-        relation_names: list[str] | None = None,
+        parts: dict[str, list[ColumnBatch]] | None = None,
     ) -> tuple[int, int, int]:
         """Run one delta-seeded semi-naïve fixpoint (a serving epoch).
 
         ``seeds`` maps relation names to *host* row arrays to inject; each is
-        routed to its owner shards through the charged ``add_new`` H2D edge
-        and distilled into a delta by ``end_iteration`` (rows already present
-        are filtered by populate-delta, so re-inserting a known fact is a
-        no-op).  The loop then runs exactly the recursive machinery of
-        :meth:`_run_fixpoint` over ``versions`` — the caller supplies delta
-        versions for *every* body atom of every rule (EDB atoms included),
-        which is the complete incremental-maintenance version set for
-        positive programs: any new derivation must use at least one delta
-        tuple in some body position, and joint (delta × delta) derivations
-        are covered because every delta is merged into its full version at
-        the previous iteration boundary.
+        routed to its owner shards through the charged ``add_new`` H2D edge.
+        ``parts`` maps relation names to device batches, one per shard and
+        already on its owner (DRed's re-derived rows), appended as they are.
+        Each relation's rows are distilled into a delta by ``end_iteration``
+        (rows already present are filtered by populate-delta, so re-inserting
+        a known fact is a no-op).  The loop then runs exactly the recursive
+        machinery of :meth:`_run_fixpoint` over ``versions`` — the caller
+        supplies delta versions for *every* body atom of every rule (EDB
+        atoms included), which is the complete incremental-maintenance
+        version set for positive programs: any new derivation must use at
+        least one delta tuple in some body position, and joint (delta ×
+        delta) derivations are covered because every delta is merged into
+        its full version at the previous iteration boundary.
 
         Preconditions (the serving engine maintains them as invariants):
         every relation's delta is empty on entry, and every index any of
@@ -481,22 +483,24 @@ class SemiNaiveEvaluator:
         they would serve deleted tuples.  They are rebuilt,
         charged, on first use inside the epoch.
         """
-        names = sorted(relation_names if relation_names is not None else self.relations)
         self.exchange.invalidate()
         try:
             total_delta = 0
-            for name in sorted(seeds):
-                rows = seeds[name]
+            parts = parts or {}
+            for name in sorted(set(seeds) | set(parts)):
                 relation = self.relations[name]
-                if len(rows):
-                    relation.add_new(rows)
+                if name in seeds:
+                    relation.add_new(seeds[name])
+                for shard, batch in enumerate(parts.get(name, ())):
+                    if len(batch):
+                        relation.add_new_shard(shard, batch)
                 total_delta += relation.end_iteration().delta_count
             if total_delta == 0:
                 return 0, 0, 0
             # Stratum -1: the epoch fixpoint is joint across strata (sound for
             # the positive programs this engine evaluates — monotonicity makes
             # stratum order a scheduling choice, not a semantic one).
-            return self._run_fixpoint(-1, names, versions)
+            return self._run_fixpoint(-1, sorted(self.relations), versions)
         finally:
             self.exchange.invalidate()
 

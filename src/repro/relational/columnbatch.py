@@ -26,7 +26,7 @@ The late-materialization contract
    index vectors to the per-source selection chains and rewire column
    metadata; nothing is charged to the device.
 2. Column values are gathered exactly once, at first access
-   (:meth:`column` / :meth:`as_rows`).  Resolving a source's selection chain
+   (:meth:`column` / :meth:`columns`).  Resolving a source's selection chain
    composes its index vectors right-to-left, so every composition runs at
    the *final* (smallest, post-filter) batch length, and the simulated
    device is charged per column and per composition actually performed.
@@ -392,21 +392,6 @@ class ColumnBatch:
         if charge:
             return self.device.kernels.to_host(block, label=label)
         return self.device.backend.to_host(block)
-
-    def as_rows(self, *, charge: bool = True, label: str = "materialize_rows") -> Array:
-        """Materialise the batch as a device-resident ``(n, arity)`` row block."""
-        backend = self.device.backend
-        out = backend.empty((self._length, self.arity), dtype=TUPLE_DTYPE)
-        for position in range(self.arity):
-            out[:, position] = self.column(position, charge=charge, label=label)
-        if charge and self.arity:
-            self.device.kernels.transform(
-                self._length,
-                bytes_per_item=float(self.arity) * TUPLE_ITEMSIZE,
-                ops_per_item=float(self.arity),
-                label=label,
-            )
-        return out
 
     # ------------------------------------------------------------------
     # Lazy routing operators (metadata only — nothing is copied or charged)

@@ -26,12 +26,14 @@ argument says which side of PCIe it is on:
   becomes device data: the charged ``from_host`` kernel, then column views of
   the uploaded block.  :meth:`Relation.initialize` and
   :meth:`Relation.add_new` take either form (a host array is uploaded
-  first); :meth:`Relation.present_rows`, :meth:`Relation.retract`,
-  :meth:`Relation.shadow_delta` and :meth:`Relation.restore` take host arrays.
+  first); :meth:`Relation.restore` takes host arrays.  The serving engine's
+  DRed never crosses: :meth:`Relation.present_rows` and
+  :meth:`Relation.shadow_delta` take device batches, and
+  :meth:`Relation.retract` a device index.
 * **out** — :meth:`ColumnBatch.to_host` is the only place device data becomes
   a host array again: the columns stacked into a row block and handed to the
   charged ``to_host`` kernel (:meth:`Relation.full_rows_host`,
-  :meth:`Relation.checkpoint_state`, :meth:`Relation.present_rows`).
+  :meth:`Relation.checkpoint_state`).
 """
 
 from __future__ import annotations
@@ -505,79 +507,60 @@ class Relation:
     # ------------------------------------------------------------------
     # Serving-epoch support (membership probes, retraction, shadow deltas)
     # ------------------------------------------------------------------
-    def present_rows(self, rows: Array) -> Array:
-        """Host rows of ``rows`` that currently exist in the full version.
+    def present_rows(self, batch: ColumnBatch) -> ColumnBatch:
+        """The rows of ``batch`` that exist in the full version, on the device.
 
-        The membership semi-join the serving engine's DRed over-delete phase
-        starts from: requested retractions (and candidate over-deletions) are
-        intersected with the resident full version before they enter the
-        deletion frontier.  The host rows pay the charged H2D upload, the
-        probe is the canonical index's exact membership lookup, and the
-        surviving rows come back through the charged D2H edge.
+        The membership semi-join of the serving engine's DRed (retracts and
+        over-deletions against a resident full, re-derived rows against a
+        cone): the canonical index's membership test and a compaction,
+        charged under the retraction phase; nothing crosses PCIe.
         """
-        batch = self._upload(rows, "h2d_present_probe")
         if len(batch) == 0 or self.full_count == 0:
-            return np.empty((0, self.arity), dtype=np.int64)
+            return ColumnBatch.empty(self.device, self.arity)
         with self.device.profiler.phase(PHASE_RETRACTION):
-            columns = batch.columns()
+            columns = batch.columns(label=f"{self.name}.present_gather")
             kept = self.device.kernels.compact_columns(
                 columns, self.canonical_index.contains_columns(columns), label=f"{self.name}.present_compact"
             )
-            return ColumnBatch.from_columns(self.device, kept).to_host(label=f"{self.name}.d2h_present")
+            return ColumnBatch.from_columns(self.device, kept)
 
-    def retract(self, rows: Array) -> int:
-        """Remove host ``rows`` from the full version; returns how many were removed.
+    def retract(self, doomed: HISA) -> int:
+        """Remove every row the all-column index ``doomed`` (a DRed cone's,
+        on this device) holds from the full version; returns how many.
 
-        The apply step of a DRed deletion epoch.  HISA's merge path is
-        insert-only, so retraction rebuilds: a temporary all-column index over
-        the retract set masks the full version, survivors are stream-compacted,
-        and every registered index is rebuilt from the compacted batch through
-        the ordinary :meth:`initialize` path (all of it charged under the
-        retraction phase).  The delta is cleared afterwards — between serving
-        epochs every delta is empty by invariant.
+        HISA's merge path is insert-only, so retraction rebuilds: ``doomed``
+        masks the full version, survivors are stream-compacted, and every
+        index is rebuilt through :meth:`initialize` (all charged under the
+        retraction phase).  The delta is cleared afterwards — between
+        serving epochs every delta is empty by invariant.
         """
-        batch = self._upload(rows, "h2d_retract")
-        if len(batch) == 0 or self.full_count == 0:
+        if self.full_count == 0:
             self.clear_delta()
             return 0
         with self.device.profiler.phase(PHASE_RETRACTION):
-            probe = HISA(
-                self.device,
-                batch,
-                self._all_columns,
-                load_factor=self.load_factor,
-                label=f"{self.name}.retract_probe",
-            )
-            try:
-                full = self.full_batch().columns()
-                doomed = probe.contains_columns(full)
-            finally:
-                probe.free()
-            keep = self.backend.compare("==", doomed, False)
+            full = self.full_batch().columns()
+            keep = self.backend.compare("==", doomed.contains_columns(full), False)
             remaining = ColumnBatch.from_columns(
                 self.device,
                 self.device.kernels.compact_columns(full, keep, label=f"{self.name}.retract_compact"),
             )
             removed = self.full_count - len(remaining)
-            if removed == 0:
-                self.clear_delta()
-                return 0
-            self.initialize(remaining)
+            if removed:
+                self.initialize(remaining)
         self.clear_delta()
         return removed
 
     @contextmanager
-    def shadow_delta(self, rows: Array):
-        """Temporarily present host ``rows`` as this relation's delta version.
+    def shadow_delta(self, batch: ColumnBatch):
+        """Temporarily present the device ``batch`` as this relation's delta.
 
-        The DRed over-delete phase executes delta rule versions with the
-        deletion frontier standing in for the delta while the full version
-        (still pre-deletion) serves the probes.  The real delta (empty
-        between epochs by invariant) is restored on exit; the shadow rows
-        are never merged and never allocate a delta buffer.
+        DRed's over-delete runs delta rule versions with its frontier (a
+        cone's delta) standing in for the delta while the pre-deletion full
+        serves the probes.  The real delta (empty between epochs) is restored
+        on exit; the shadow rows are never merged and hold no buffer here.
         """
         saved = self._delta
-        self._delta = self._upload(rows, "h2d_shadow_delta")
+        self._delta = batch
         try:
             yield self
         finally:
@@ -644,7 +627,9 @@ class Relation:
         the store, each index's index and table tiers, delta and *new*."""
         total = self._store.nbytes if self._store is not None else 0
         total += sum(hisa.nbytes for hisa in self.full_indexes.values())
-        total += int(self._delta.nbytes)
+        if self._delta_buffer is not None:
+            # a loaded or shadowed delta is a view of rows held elsewhere
+            total += self._delta_buffer.nbytes
         # a resident swap (``add_swap``) is a view of a part and holds no buffer
         total += sum(buffer.nbytes for buffer in self._new_buffers)
         return total

@@ -29,8 +29,6 @@ from __future__ import annotations
 
 from contextlib import ExitStack, contextmanager
 
-import numpy as np
-
 from ..backend import Array, host_rows_to_tuples
 from ..device.cost import KernelCost
 from ..device.device import Device
@@ -224,45 +222,21 @@ class ShardedRelation:
             if part.shape[0]:
                 shard.add_new(part)
 
-    def present_rows(self, rows) -> np.ndarray:
-        """Host rows of ``rows`` that exist in the (global) full version.
-
-        Routes each row to its owner shard and concatenates the per-shard
-        membership probes — valid because every tuple has exactly one owner.
-        """
-        parts = partition_rows_host(rows, self.shard_column, self.num_shards)
-        found = [
-            shard.present_rows(part)
-            for shard, part in zip(self.shards, parts)
-            if part.shape[0]
-        ]
-        found = [part for part in found if part.shape[0]]
-        if not found:
-            return np.empty((0, self.arity), dtype=np.int64)
-        return np.concatenate(found, axis=0)
-
-    def retract(self, rows) -> int:
-        """Remove host ``rows`` from the full version; returns removed count.
-
-        Each owner shard rebuilds its own partition (see
-        :meth:`Relation.retract`); counts sum because ownership is disjoint.
-        """
-        parts = partition_rows_host(rows, self.shard_column, self.num_shards)
+    def retract(self, cone: "ShardedRelation") -> int:
+        """Remove every row of ``cone`` (a DRed cone partitioned like this
+        relation) from the full version; returns the removed count.  Each
+        shard rebuilds against the cone's shard on its device
+        (:meth:`Relation.retract`); counts sum as ownership is disjoint."""
         return sum(
-            shard.retract(part)
-            for shard, part in zip(self.shards, parts)
-            if part.shape[0]
+            shard.retract(doomed.canonical_index)
+            for shard, doomed in zip(self.shards, cone.shards)
+            if doomed.full_count
         )
 
     @contextmanager
-    def shadow_delta(self, rows):
-        """Temporarily present host ``rows`` as the delta on their owner shards.
-
-        The sharded DRed over-delete probe: the frontier is partitioned by
-        the canonical shard column so each shard's shadow delta holds exactly
-        the rows it owns — the same placement a real merged delta would have.
-        """
-        parts = partition_rows_host(rows, self.shard_column, self.num_shards)
+    def shadow_delta(self, parts: list):
+        """Temporarily present device ``parts``, one per shard and already on
+        their owners (a DRed cone's delta), as this relation's delta."""
         with ExitStack() as stack:
             for shard, part in zip(self.shards, parts):
                 stack.enter_context(shard.shadow_delta(part))

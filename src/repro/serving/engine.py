@@ -15,11 +15,10 @@ keeps the machinery *resident*:
   mutations pending when an epoch starts are **coalesced** into one epoch
   (last-writer-wins per tuple), which runs semi-naïve **from the injected
   delta only** via the evaluator's ``delta_fixpoint`` entry point;
-* retractions run **DRed** (delete-and-re-derive): over-delete the deletion
-  cone with delta versions shadow-seeded from the retract set, apply the
-  deletions with retraction-aware index rebuilds, re-derive survivors with
-  the full versions, then propagate re-insertions through the same delta
-  fixpoint as ordinary inserts;
+* retractions run **DRed** (delete-and-re-derive, :mod:`repro.serving.dred`)
+  on the device: the deletion cone and the re-derived rows are scratch
+  relations driven through the same semi-naïve lifecycle, and the survivors
+  propagate through the same delta fixpoint as ordinary inserts;
 * :meth:`query` reads per-relation **versioned snapshots**
   (:mod:`repro.serving.snapshot`): immutable canonical copies, materialized
   lazily — a commit only bumps the changed relations' versions, and the
@@ -28,7 +27,7 @@ keeps the machinery *resident*:
   of an unchanged relation never block on in-flight epochs.
 
 Charged-cost boundaries are unchanged from the batch engine: seed rows and
-retract probes pay H2D, the commit step and a full snapshot build pay D2H
+retractions pay H2D, the commit step and a full snapshot build pay D2H
 (outside the epoch's latency, which prices the maintenance), and every
 kernel an epoch launches (joins, merges, retraction rebuilds, shard
 exchanges) goes through the same cost model — epoch latencies in simulated
@@ -72,11 +71,10 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from ..backend import host_rows_to_tuples
 from ..datalog.analysis import swap_closed, symmetric_relations
 from ..datalog.ast import Program
 from ..datalog.engine import DecodedRelation, FactValue, GPULogEngine, intern_program
-from ..datalog.planner import RuleVersion, pair_mirrors
+from ..datalog.planner import pair_mirrors
 from ..device.spec import DeviceSpec
 from ..errors import (
     AdmissionRejected,
@@ -91,7 +89,8 @@ from ..errors import (
 from ..relational.checkpoint import CheckpointStore, EvaluationCheckpoint, fold_chain
 from ..relational.hisa import first_absorbed
 from .cache import DEFAULT_PROGRAM_CACHE, CompiledProgram, ProgramCache
-from .snapshot import RelationSnapshot, SnapshotTable, canonical_rows, keys_alongside, merge_rows, row_keys
+from .dred import Retraction
+from .snapshot import RelationSnapshot, SnapshotTable, canonical_rows, merge_rows, row_keys
 from .wal import WalBatch, WriteAheadLog
 
 __all__ = ["ADMISSION_POLICIES", "EpochResult", "EpochTicket", "ServingEngine"]
@@ -170,8 +169,9 @@ class EpochTicket:
 
 @dataclass
 class _Mutation:
-    inserts: dict[str, list[tuple[int, ...]]]
-    retracts: dict[str, list[tuple[int, ...]]]
+    #: per relation, encoded ``(n, arity)`` int64 rows
+    inserts: dict[str, np.ndarray]
+    retracts: dict[str, np.ndarray]
     future: "Future[EpochResult]"
     #: write-ahead-log sequence number (0 = engine runs without a WAL)
     seq: int = 0
@@ -362,8 +362,18 @@ class ServingEngine:
                 for name in sorted(analysis.idb_relations)
             }
             asymmetric = {name for name, rows in idb_facts.items() if not swap_closed(rows)}
+            ground = idb_facts
         else:
             asymmetric = set(analysis.idb_relations) - set(serving_meta.get("symmetric", ()))
+            stored = serving_meta.get("ground", {})
+            ground = {
+                name: np.asarray(stored.get(name, ()), dtype=np.int64).reshape(-1, self._arities[name])
+                for name in sorted(analysis.idb_relations)
+            }
+        #: per IDB relation, its ground facts — the program's, the
+        #: constructor's and the client's inserts, less its retracts: DRed's
+        #: re-derive support of their own
+        self._ground: dict[str, np.ndarray] = ground
         self._pair_versions(symmetric_relations(analysis, asymmetric))
 
         # Resident relations carry *every* index any plan — bootstrap, epoch
@@ -378,15 +388,11 @@ class ServingEngine:
         if restore is None:
             # Load the facts (the program's own and the constructor's), run
             # the bootstrap fixpoint, publish snapshot v1.
+            # Between epochs every delta is empty: the load clears EDB deltas
+            # and the fixpoint leaves every IDB delta empty.
             idb_facts = engine._load_facts(self.program, analysis, idb_facts)
             engine.clear_facts()
             self._evaluator.evaluate(idb_facts)
-            # Invariant: between epochs every delta is empty.  ``initialize``
-            # leaves EDB deltas holding *all* rows (they are never end_iterated
-            # by the bootstrap), which would make the first epoch re-join the
-            # entire EDB as if it were new.
-            for relation in self.relations.values():
-                relation.clear_delta()
             self.epoch = 0
             # Snapshots are *lazy*: a commit only bumps the per-relation
             # version; the charged D2H download happens on the first query of
@@ -464,11 +470,11 @@ class ServingEngine:
             symbol_mark = len(self.symbols)
             try:
                 encoded_inserts = {
-                    relation_name: list(host_rows_to_tuples(self._encode_rows(relation_name, rows)))
+                    relation_name: self._encode_rows(relation_name, rows)
                     for relation_name, rows in (inserts or {}).items()
                 }
                 encoded_retracts = {
-                    relation_name: list(host_rows_to_tuples(self._encode_rows(relation_name, rows)))
+                    relation_name: self._encode_rows(relation_name, rows)
                     for relation_name, rows in (retracts or {}).items()
                 }
             except BaseException:
@@ -697,8 +703,8 @@ class ServingEngine:
         """
         mutations = [
             _Mutation(
-                {name: list(rows) for name, rows in batch.inserts.items()},
-                {name: list(rows) for name, rows in batch.retracts.items()},
+                {name: rows.reshape(-1, self._arities[name]) for name, rows in batch.inserts.items()},
+                {name: rows.reshape(-1, self._arities[name]) for name, rows in batch.retracts.items()},
                 Future(),
                 seq=batch.seq,
             )
@@ -994,6 +1000,7 @@ class ServingEngine:
                     "planner": self.planner,
                     "num_shards": self.num_shards,
                     "symmetric": sorted(self._symmetric),
+                    "ground": {name: rows.tolist() for name, rows in self._ground.items()},
                 }
             },
             parent=chain[durable - 1].checkpoint.checkpoint_id if durable else "",
@@ -1011,53 +1018,33 @@ class ServingEngine:
             host_start = time.perf_counter()
             sim_start = [device.elapsed_seconds for device in self.devices]
 
-            net_inserts, net_retracts = self._coalesce(batch)
+            net_inserts, net_retracts, ground = self._coalesce(batch)
 
-            # --- DRed: over-delete, apply, re-derive --------------------
-            retracted_counts: dict[str, int] = {}
-            rederived_counts: dict[str, int] = {}
-            survivors: dict[str, set[tuple[int, ...]]] = {}
-            if net_retracts:
-                deleted = self._over_delete(net_retracts)
-                for relation_name in sorted(deleted):
-                    rows = self._rows_array(deleted[relation_name], relation_name)
-                    removed = self.relations[relation_name].retract(rows)
-                    if removed:
-                        retracted_counts[relation_name] = removed
-                # The over-delete probes replicated inners the exchange built
-                # lazily from the *pre-deletion* fulls; the re-derive must see
-                # post-deletion state only.
-                self._evaluator.exchange.invalidate()
-                survivors = self._rederive(deleted)
-                rederived_counts = {
-                    relation_name: len(rows) for relation_name, rows in survivors.items() if rows
+            # --- DRed, then the insert epoch: a delta fixpoint from the
+            # client's inserts and the rows DRed re-derived --------------
+            retraction = Retraction(self._evaluator, self.compiled)
+            try:
+                retracted_counts: dict[str, int] = {}
+                rederived_counts: dict[str, int] = {}
+                if net_retracts:
+                    retracted_counts, rederived_counts = retraction.run(net_retracts, ground)
+                survivors = retraction.survivors()
+                inserted_counts = {relation_name: len(rows) for relation_name, rows in net_inserts.items()}
+                for relation_name, parts in survivors.items():
+                    inserted_counts[relation_name] = inserted_counts.get(relation_name, 0) + sum(map(len, parts))
+
+                history_marks = {
+                    relation_name: len(relation.history)
+                    for relation_name, relation in self.relations.items()
                 }
-
-            # --- Insert epoch: delta fixpoint from the injected seeds ---
-            seeds: dict[str, np.ndarray] = {}
-            inserted_counts: dict[str, int] = {}
-            for relation_name, rows in net_inserts.items():
-                if rows:
-                    seeds[relation_name] = self._rows_array(rows, relation_name)
-            for relation_name, rows in survivors.items():
-                if not rows:
-                    continue
-                fresh = self._rows_array(rows, relation_name)
-                if relation_name in seeds:
-                    seeds[relation_name] = np.concatenate([seeds[relation_name], fresh], axis=0)
-                else:
-                    seeds[relation_name] = fresh
-            for relation_name, rows in seeds.items():
-                inserted_counts[relation_name] = int(rows.shape[0])
-
-            history_marks = {
-                relation_name: len(relation.history)
-                for relation_name, relation in self.relations.items()
-            }
-            iterations = 0
-            self._narrow_symmetry(seeds, net_retracts)
-            if seeds:
-                iterations, _, _ = self._evaluator.delta_fixpoint(list(self._epoch_versions), seeds)
+                iterations = 0
+                self._narrow_symmetry(net_inserts, net_retracts, retraction)
+                if inserted_counts:
+                    iterations, _, _ = self._evaluator.delta_fixpoint(
+                        list(self._epoch_versions), net_inserts, survivors
+                    )
+            finally:
+                retraction.free()
 
             # --- Commit: bump and publish snapshots of changed relations
             changed = set(retracted_counts)
@@ -1074,6 +1061,7 @@ class ServingEngine:
             sim_end = [device.elapsed_seconds for device in self.devices]
             self._record_commit(self.epoch + 1)
             self.epoch += 1
+            self._ground = ground
             published: dict[str, int] = {}
             for relation_name in sorted(changed):
                 self._versions[relation_name] += 1
@@ -1111,17 +1099,19 @@ class ServingEngine:
         self._epoch_versions = pair_mirrors(self.compiled.epoch_versions, self.compiled.analysis, symmetric)
 
     def _narrow_symmetry(
-        self, seeds: dict[str, np.ndarray], retracts: dict[str, list[tuple[int, ...]]]
+        self, inserts: dict[str, np.ndarray], retracts: dict[str, np.ndarray], retraction: Retraction
     ) -> None:
-        """Drop every relation whose rows this epoch inserts or retracts are
-        not swap-closed from the symmetric set, and with it every relation
-        and version pair its symmetry proved.  The set only narrows: a later
-        epoch that restores the symmetry does not pair the versions again."""
+        """Drop every relation whose rows this epoch inserts, retracts or
+        re-derives are not swap-closed from the symmetric set, and with it
+        every relation and version pair its symmetry proved.  The set only
+        narrows: a later epoch that restores the symmetry does not pair the
+        versions again."""
         lost = {
             name
             for name in self._symmetric
-            if not swap_closed(seeds.get(name, ()))
-            or not swap_closed(self._rows_array(retracts.get(name, ()), name))
+            if not swap_closed(inserts.get(name, ()))
+            or not swap_closed(retracts.get(name, ()))
+            or not retraction.swap_closed(name)
         }
         if lost:
             analysis = self.compiled.analysis
@@ -1131,122 +1121,29 @@ class ServingEngine:
 
     def _coalesce(
         self, batch: list[_Mutation]
-    ) -> tuple[dict[str, list[tuple[int, ...]]], dict[str, list[tuple[int, ...]]]]:
-        """Fold a batch into net per-tuple operations (last writer wins)."""
-        final_op: dict[str, dict[tuple[int, ...], str]] = defaultdict(dict)
+    ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], dict[str, np.ndarray]]:
+        """Fold a batch into net per-row operations (last writer wins; within
+        one submission its retracts come before its inserts), and the IDB
+        relations' ground facts once they apply (:attr:`_ground` at commit)."""
+        operations: dict[str, list[tuple[np.ndarray, bool]]] = defaultdict(list)
         for mutation in batch:
             for relation_name, rows in mutation.retracts.items():
-                for row in rows:
-                    final_op[relation_name][row] = "retract"
+                operations[relation_name].append((rows, False))
             for relation_name, rows in mutation.inserts.items():
-                for row in rows:
-                    final_op[relation_name][row] = "insert"
-        net_inserts: dict[str, list[tuple[int, ...]]] = {}
-        net_retracts: dict[str, list[tuple[int, ...]]] = {}
-        for relation_name, ops in final_op.items():
-            inserts = sorted(row for row, op in ops.items() if op == "insert")
-            retracts = sorted(row for row, op in ops.items() if op == "retract")
-            if inserts:
-                net_inserts[relation_name] = inserts
-            if retracts:
-                net_retracts[relation_name] = retracts
-        return net_inserts, net_retracts
-
-    def _over_delete(
-        self, net_retracts: dict[str, list[tuple[int, ...]]]
-    ) -> dict[str, set[tuple[int, ...]]]:
-        """DRed phase 1: the deletion cone, computed against pre-deletion fulls.
-
-        Seeds the frontier with the requested retractions that actually
-        exist, then repeatedly shadow-presents each relation's frontier as
-        its delta and executes the epoch's delta versions: any currently-
-        present head tuple one join step away from a deleted tuple joins the
-        cone.  Probing pre-deletion fulls is what makes this the textbook
-        over-approximation — every derivation that *uses* a deleted tuple is
-        found, including ones whose other support is also doomed.
-        """
-        deleted: dict[str, set[tuple[int, ...]]] = {}
-        frontier: dict[str, set[tuple[int, ...]]] = {}
-        for relation_name, rows in net_retracts.items():
-            present = self.relations[relation_name].present_rows(
-                self._rows_array(rows, relation_name)
-            )
-            tuples = {tuple(int(value) for value in row) for row in present}
-            if tuples:
-                deleted[relation_name] = set(tuples)
-                frontier[relation_name] = tuples
-        while frontier:
-            next_frontier: dict[str, set[tuple[int, ...]]] = defaultdict(set)
-            for version in self.compiled.epoch_versions:
-                source = version.initial.relation
-                if source not in frontier:
-                    continue
-                shadow = self._rows_array(frontier[source], source)
-                with self.relations[source].shadow_delta(shadow):
-                    derived = self._collect_version_rows(version)
-                if not derived.shape[0]:
-                    continue
-                head = version.head_relation
-                candidates = {
-                    tuple(int(value) for value in row) for row in derived
-                } - deleted.get(head, set())
-                if not candidates:
-                    continue
-                present = self.relations[head].present_rows(
-                    self._rows_array(candidates, head)
-                )
-                fresh = {
-                    tuple(int(value) for value in row) for row in present
-                } - deleted.get(head, set())
-                if fresh:
-                    next_frontier[head] |= fresh
-            frontier = {}
-            for head, fresh in next_frontier.items():
-                deleted.setdefault(head, set()).update(fresh)
-                frontier[head] = fresh
-        return deleted
-
-    def _rederive(
-        self, deleted: dict[str, set[tuple[int, ...]]]
-    ) -> dict[str, set[tuple[int, ...]]]:
-        """DRed phase 3: over-deleted tuples still derivable from what remains.
-
-        Runs each affected rule's *full* version against the post-deletion
-        database and intersects the output with that rule's share of the
-        deletion cone.  Survivors are seeded back through the insert-epoch
-        delta fixpoint, which transitively resurrects anything derivable
-        from them — the standard DRed completeness argument.
-        """
-        idb = self.compiled.idb_relations
-        targets = {name for name, rows in deleted.items() if rows and name in idb}
-        survivors: dict[str, set[tuple[int, ...]]] = {}
-        if not targets:
-            return survivors
-        for version in self.compiled.full_versions:
-            head = version.head_relation
-            if head not in targets:
-                continue
-            derived = self._collect_version_rows(version)
-            if not derived.shape[0]:
-                continue
-            # Membership on packed keys of one format: ``derived`` is the
-            # rule's whole output, the cone is small.
-            derived_keys, cone = keys_alongside(derived, row_keys(derived), self._rows_array(deleted[head], head))
-            regained = derived[np.isin(derived_keys, cone)]
-            if regained.shape[0]:
-                survivors.setdefault(head, set()).update(host_rows_to_tuples(regained))
-        return survivors
-
-    def _collect_version_rows(self, version: RuleVersion) -> np.ndarray:
-        """Execute one rule version and download its head rows (charged D2H)."""
-        parts = []
-        for device, batch in zip(self.devices, self._evaluator._execute_version(version)):
-            if len(batch):
-                rows = batch.as_rows(label=f"{version.head_relation}.dred_materialize")
-                parts.append(device.kernels.to_host(rows, label=f"{version.head_relation}.d2h_dred"))
-        if not parts:
-            return np.empty((0, len(version.head)), dtype=np.int64)
-        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
+                operations[relation_name].append((rows, True))
+        net_inserts: dict[str, np.ndarray] = {}
+        net_retracts: dict[str, np.ndarray] = {}
+        ground = dict(self._ground)
+        for relation_name, parts in operations.items():
+            rows, inserting = _last_writes(parts)
+            if inserting.any():
+                net_inserts[relation_name] = rows[inserting]
+            if not inserting.all():
+                net_retracts[relation_name] = rows[~inserting]
+            if relation_name in ground:
+                rows, inserting = _last_writes([(ground[relation_name], True), *parts])
+                ground[relation_name] = rows[inserting]
+        return net_inserts, net_retracts, ground
 
     # ------------------------------------------------------------------
     # Snapshots / encoding helpers
@@ -1321,34 +1218,30 @@ class ServingEngine:
         if known_arity is None:
             raise SchemaError(f"unknown relation {relation_name!r}")
         if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu":
-            encoded = np.asarray(rows, dtype=np.int64)
+            encoded = np.array(rows, dtype=np.int64)  # a copy: the queued batch outlives the call
             if encoded.ndim != 2:
                 raise SchemaError(f"fact array for {relation_name!r} must be 2-D")
         else:
-            materialized = [
-                tuple(self.symbols.encode(value) for value in row) for row in rows
-            ]
-            if not materialized:
-                encoded = np.empty((0, known_arity), dtype=np.int64)
-            else:
-                widths = {len(row) for row in materialized}
-                if len(widths) != 1:
-                    raise SchemaError(
-                        f"facts for {relation_name!r} have inconsistent arities {sorted(widths)}"
-                    )
-                encoded = np.asarray(materialized, dtype=np.int64)
+            materialized = [tuple(self.symbols.encode(value) for value in row) for row in rows]
+            widths = {len(row) for row in materialized}
+            if len(widths) > 1:
+                raise SchemaError(f"facts for {relation_name!r} have inconsistent arities {sorted(widths)}")
+            encoded = np.asarray(materialized or np.empty((0, known_arity)), dtype=np.int64)
         if encoded.shape[0] and encoded.shape[1] != known_arity:
-            raise SchemaError(
-                f"relation {relation_name!r} has arity {known_arity}, "
-                f"got rows of width {encoded.shape[1]}"
-            )
+            raise SchemaError(f"relation {relation_name!r} has arity {known_arity}, got rows of width {encoded.shape[1]}")
         return encoded.reshape(-1, known_arity)
 
-    def _rows_array(
-        self, rows: "Iterable[tuple[int, ...]]", relation_name: str
-    ) -> np.ndarray:
-        arity = self.relations[relation_name].arity
-        rows = sorted(rows) if isinstance(rows, set) else list(rows)
-        if not rows:
-            return np.empty((0, arity), dtype=np.int64)
-        return np.asarray(rows, dtype=np.int64).reshape(-1, arity)
+
+def _last_writes(parts: list[tuple[np.ndarray, bool]]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``parts`` — ``(rows, inserting)`` pairs, oldest
+    first — in lexicographic order, each with whether its last operation
+    inserts it: one stable sort of packed row keys, keeping the last of each
+    run of equal keys."""
+    rows = np.concatenate([rows for rows, _ in parts])
+    inserting = np.concatenate([np.full(rows.shape[0], flag) for rows, flag in parts])
+    keys = row_keys(rows)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    last = np.ones(order.shape[0], dtype=bool)
+    last[:-1] = keys[1:] != keys[:-1]
+    return rows[order[last]], inserting[order[last]]

@@ -34,6 +34,8 @@ import os
 import threading
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..errors import WalError
 
 __all__ = [
@@ -53,15 +55,16 @@ RECORD_CHECKPOINT = "checkpoint"
 class WalBatch:
     """One logged ``submit()`` batch, value-encoded for replay.
 
-    ``inserts``/``retracts`` hold interned int64 rows (exactly what the
-    engine's encoder produced); ``symbols`` carries the symbol-table entries
+    ``inserts``/``retracts`` hold interned int64 row arrays (exactly what
+    the engine's encoder produced; a relation's empty batch reads back as a
+    0-length 1-D array); ``symbols`` carries the symbol-table entries
     interned since the record before (a refused batch's strings included),
     so a recovering engine re-interns identically before replaying.
     """
 
     seq: int
-    inserts: dict[str, list[tuple[int, ...]]] = field(default_factory=dict)
-    retracts: dict[str, list[tuple[int, ...]]] = field(default_factory=dict)
+    inserts: dict[str, np.ndarray] = field(default_factory=dict)
+    retracts: dict[str, np.ndarray] = field(default_factory=dict)
     symbols: tuple[tuple[str, int], ...] = ()
 
     @property
@@ -71,17 +74,11 @@ class WalBatch:
 
 
 def _encode_rows_map(rows_map: dict) -> dict:
-    return {
-        name: [[int(value) for value in row] for row in rows]
-        for name, rows in (rows_map or {}).items()
-    }
+    return {name: np.asarray(rows, dtype=np.int64).tolist() for name, rows in (rows_map or {}).items()}
 
 
-def _decode_rows_map(payload: dict) -> dict[str, list[tuple[int, ...]]]:
-    return {
-        name: [tuple(int(value) for value in row) for row in rows]
-        for name, rows in (payload or {}).items()
-    }
+def _decode_rows_map(payload: dict) -> dict[str, np.ndarray]:
+    return {name: np.asarray(rows, dtype=np.int64) for name, rows in (payload or {}).items()}
 
 
 def _batch_from_record(record: dict) -> WalBatch:

@@ -591,7 +591,12 @@ SERVING_PINS = {
         # one column store per relation: -715.1 us, launches -23: reorder_columns -60.0 us / -12 launches; one
         # merge_append/merge_copy a relation an iteration -55.0 us / -11 launches; 5 merge-buffer allocations
         # fewer -600.1 us (was 0.0028375173940320473 s / 231)
-        "simulated_seconds": 0.0021223952565685555, "kernel_launches": 208, "epoch_iterations": [2, 1, 1, 1],
+        # DRed's sets became scratch relations on the device: +74.87 us, launches -9 (was 0.0021223952565685555 s
+        # / 208): the host round trips gone -180.5 us (present probes' H2D/D2H, shadow-delta uploads,
+        # dred_materialize + d2h_dred, the survivors' h2d_new); the retract probe's own index gone -30.1 us;
+        # the cone and regained relations' dedups, merges, membership searches, gathers and concatenations
+        # +165.5 us, and the sg cone's store growth, one 120 us allocation
+        "simulated_seconds": 0.0021972679966718776, "kernel_launches": 199, "epoch_iterations": [2, 1, 1, 1],
         "retracted": {"edge": 2, "sg": 94}, "rederived": {"sg": 66}, "sg": 474,
         # recover, run filters: +10.9 ns, filter build bytes added (was 0.0007803557590815154 s)
         # recover, small all-column runs keep no table: -260.1 us, launches -4 (was 0.0007803666356700014 s / 36)
@@ -622,7 +627,11 @@ SERVING_PINS = {
         # merge_append/merge_copy a relation an iteration -100.0 us / -20 launches; 10 merge-buffer allocations
         # fewer -1200.1 us (summed over shards; the row reads the slowest device) (was 0.004661619238667568 s /
         # 822)
-        "simulated_seconds": 0.003911539263806451, "kernel_launches": 767, "epoch_iterations": [2, 1, 1, 1],
+        # DRed's sets became scratch relations on the device: +104.92 us (slowest device), launches -8 (was
+        # 0.003911539263806451 s / 767); summed over shards: round trips gone -330.5 us, retract probe index
+        # gone -45.1 us, scratch relations +280.5 us, two cone store allocations +240.0 us, and the routed
+        # swap-closure check of the regained sg rows +55.0 us (on one shard it needs no route)
+        "simulated_seconds": 0.004016458689904166, "kernel_launches": 759, "epoch_iterations": [2, 1, 1, 1],
         "retracted": {"edge": 2, "sg": 94}, "rederived": {"sg": 66}, "sg": 474,
         # recover, run filters: +6.2 ns, filter build bytes added (was 0.0007802114399475149 s)
         # recover, small all-column runs keep no table: -260.0 us, launches -8 (was 0.0007802176373035918 s / 72)

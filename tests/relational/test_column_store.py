@@ -92,6 +92,18 @@ def test_memory_bytes_counts_the_store_once(device):
     assert device.pool.in_use_bytes == 0
 
 
+def test_memory_bytes_counts_a_delta_only_with_its_buffer(device):
+    # A loaded delta is a view of the store's rows: the relation reports
+    # what the pool holds, not the rows twice.
+    relation = Relation(device, "edge", 2)
+    relation.require_index((0,))
+    relation.initialize(np.stack([np.arange(1000), np.arange(1000)[::-1]], axis=1).astype(np.int64))
+    assert relation.delta_count == 1000
+    assert len(relation.full_indexes) == 2
+    assert relation.memory_bytes() == device.pool.in_use_bytes == 121_152
+    relation.free()
+
+
 def test_an_iteration_appends_once_per_relation():
     """``in_place_merges`` counts data-tier appends absorbed in place: at most
     one per relation per iteration, however many indexes the relation has."""

@@ -17,7 +17,7 @@ def test_from_rows_round_trip(batch):
     cb, rows = batch
     assert len(cb) == 4
     assert cb.arity == 3
-    assert cb.as_rows().tolist() == rows.tolist()
+    assert cb.to_host(charge=False).tolist() == rows.tolist()
     assert cb.column(1).tolist() == [10, 11, 12, 13]
 
 
@@ -32,7 +32,7 @@ def test_project_is_metadata_only(batch):
     cb, rows = batch
     projected = cb.project([2, 0, 2])
     assert projected.arity == 3
-    assert projected.as_rows().tolist() == rows[:, [2, 0, 2]].tolist()
+    assert projected.to_host(charge=False).tolist() == rows[:, [2, 0, 2]].tolist()
     with pytest.raises(SchemaError):
         cb.project([5])
 
@@ -42,16 +42,16 @@ def test_take_and_filter_route_lazily(batch):
     taken = cb.take(np.array([3, 1], dtype=np.int64))
     # Nothing materialized yet: routing manipulates selections only.
     assert taken.materialized_column_count == 0
-    assert taken.as_rows().tolist() == rows[[3, 1]].tolist()
+    assert taken.to_host(charge=False).tolist() == rows[[3, 1]].tolist()
     filtered = cb.filter(rows[:, 0] % 2 == 0)
-    assert filtered.as_rows().tolist() == rows[[0, 2]].tolist()
+    assert filtered.to_host(charge=False).tolist() == rows[[0, 2]].tolist()
 
 
 def test_chained_take_composes_correctly(batch):
     cb, rows = batch
     step1 = cb.take(np.array([3, 2, 1, 0], dtype=np.int64))
     step2 = step1.take(np.array([0, 3], dtype=np.int64))
-    assert step2.as_rows().tolist() == rows[[3, 0]].tolist()
+    assert step2.to_host(charge=False).tolist() == rows[[3, 0]].tolist()
 
 
 def test_take_rebases_cached_columns(batch):
@@ -103,13 +103,13 @@ def test_concatenate_values(device):
     a = ColumnBatch.from_rows(device, np.array([[1, 2], [3, 4]], dtype=np.int64))
     b = ColumnBatch.from_rows(device, np.array([[5, 6]], dtype=np.int64))
     out = ColumnBatch.concatenate(device, [a, b], arity=2)
-    assert out.as_rows().tolist() == [[1, 2], [3, 4], [5, 6]]
+    assert out.to_host(charge=False).tolist() == [[1, 2], [3, 4], [5, 6]]
 
 
 def test_assemble_routes_columns_and_writes_constants(batch):
     cb, rows = batch
     out = cb.assemble([("column", 2), ("constant", 42), ("column", 0)])
-    assert out.as_rows().tolist() == [[100, 42, 0], [101, 42, 1], [102, 42, 2], [103, 42, 3]]
+    assert out.to_host(charge=False).tolist() == [[100, 42, 0], [101, 42, 1], [102, 42, 2], [103, 42, 3]]
     with pytest.raises(SchemaError):
         cb.assemble([("column", 9)])
 
@@ -133,7 +133,7 @@ def test_from_host_and_to_host_are_the_charged_pcie_edges(device):
     assert cb.to_host(charge=False).tolist() == rows.tolist()
     assert len(device.profiler.events) == 2
     # One 1-D tuple is one row; an empty payload of any shape keeps the arity.
-    assert ColumnBatch.from_host(device, [7, 8], 2).as_rows().tolist() == [[7, 8]]
+    assert ColumnBatch.from_host(device, [7, 8], 2).to_host(charge=False).tolist() == [[7, 8]]
     assert ColumnBatch.from_host(device, [], 3).arity == 3
     with pytest.raises(SchemaError):
         ColumnBatch.from_host(device, rows, 3)

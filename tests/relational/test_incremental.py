@@ -662,7 +662,7 @@ def test_fixpoint_memory_accounting_leak_free():
     while True:
         new = [
             (a, c)
-            for a, b in relation.delta_batch.as_rows().tolist()
+            for a, b in relation.delta_batch.to_host(charge=False).tolist()
             for c in edge_map.get(b, ())
         ]
         if new:

@@ -24,7 +24,7 @@ from tests.helpers import batch_of, hisa_of as HISA
 
 
 def as_sorted_tuples(data):
-    rows = data.as_rows(charge=False) if isinstance(data, ColumnBatch) else data
+    rows = data.to_host(charge=False) if isinstance(data, ColumnBatch) else data
     return sorted(map(tuple, np.asarray(rows).tolist()))
 
 
@@ -94,16 +94,16 @@ def test_column_comparison_validation():
 def test_select_and_project(device):
     rows = batch_of(device, [[1, 2, 3], [4, 4, 6], [7, 8, 7]])
     selected = select(device, rows, [ColumnComparison("==", 0, right_column=1)])
-    assert selected.as_rows().tolist() == [[4, 4, 6]]
+    assert selected.to_host(charge=False).tolist() == [[4, 4, 6]]
     lt = select(device, rows, [ColumnComparison("<", 0, constant=5)])
     assert len(lt) == 2
     projected = rows.project([2, 0])
-    assert projected.as_rows().tolist() == [[3, 1], [6, 4], [7, 7]]
+    assert projected.to_host(charge=False).tolist() == [[3, 1], [6, 4], [7, 7]]
 
 
 def test_deduplicate_and_union(device):
     rows = batch_of(device, [[1, 1], [2, 2], [1, 1]])
-    assert deduplicate(device, rows).as_rows().tolist() == [[1, 1], [2, 2]]
+    assert deduplicate(device, rows).to_host(charge=False).tolist() == [[1, 1], [2, 2]]
     combined = ColumnBatch.concatenate(device, [rows, batch_of(device, [[3, 3]])], arity=2)
     assert len(combined) == 4
     with pytest.raises(SchemaError):
@@ -230,11 +230,11 @@ def test_columnar_dedup_difference_project_equal_row_reference(arity, data):
 
     # Deduplication leaves its result in natural lexicographic order, like np.unique.
     deduped = deduplicate(device, batch_of(device, rows))
-    assert deduped.as_rows(charge=False).tolist() == np.unique(rows, axis=0).tolist()
+    assert deduped.to_host(charge=False).tolist() == np.unique(rows, axis=0).tolist()
 
     full = HISA(device, existing, join_columns=tuple(range(arity)))
     fresh = difference(device, batch_of(device, rows), full)
-    assert list(map(tuple, fresh.as_rows(charge=False).tolist())) == row_set_difference(rows, existing)
+    assert list(map(tuple, fresh.to_host(charge=False).tolist())) == row_set_difference(rows, existing)
 
     projection = [arity - 1, 0]
     assert as_sorted_tuples(batch_of(device, rows).project(projection)) == as_sorted_tuples(rows[:, projection])
@@ -248,10 +248,10 @@ def test_columnar_select_union_equal_row_reference(arity, data):
     device = Device("h100", oom_enabled=False)
     comparisons = [ColumnComparison("<=", 0, constant=2)]
     selected = select(device, batch_of(device, first), comparisons)
-    assert selected.as_rows(charge=False).tolist() == first[first[:, 0] <= 2].tolist()
+    assert selected.to_host(charge=False).tolist() == first[first[:, 0] <= 2].tolist()
 
     combined = ColumnBatch.concatenate(device, [batch_of(device, first), batch_of(device, second)], arity=arity)
-    assert combined.as_rows(charge=False).tolist() == np.concatenate([first, second]).tolist()
+    assert combined.to_host(charge=False).tolist() == np.concatenate([first, second]).tolist()
 
 
 def test_columnar_join_empty_inputs(device, paper_edges):
@@ -311,7 +311,7 @@ def run_distinct_join(spec, fan_out, live, *, output=DISTINCT_OUTPUT, comparison
     result = hash_join(
         device, batch_of(device, outer), [2], hisa, output, comparisons=comparisons, live_outer=live_outer
     )
-    rows = result.as_rows(charge=False)
+    rows = result.to_host(charge=False)
     return rows, device.profiler.events, live_outer
 
 

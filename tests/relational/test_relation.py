@@ -38,7 +38,7 @@ def test_end_iteration_populates_delta_and_merges(device, paper_edges):
     assert stats.new_count == 2  # after in-batch dedup
     assert stats.delta_count == 1
     assert relation.full_count == paper_edges.shape[0] + 1
-    assert relation.delta_batch.as_rows().tolist() == [[0, 9]]
+    assert relation.delta_batch.to_host(charge=False).tolist() == [[0, 9]]
 
     # Second iteration with nothing new reaches the empty-delta fixpoint.
     stats = relation.end_iteration()
@@ -120,7 +120,7 @@ def test_oom_halved_dedup_equals_one_shot_on_packed_new(monkeypatch):
             relation.add_new(ColumnBatch.from_rows(device, part))
         assert isinstance(relation._gather_new(), PackedColumns)  # this input takes the packed route
         stats = relation.end_iteration()
-        deltas[fault_plan] = (stats.new_count, relation.delta_batch.as_rows().tolist(), relation.as_set())
+        deltas[fault_plan] = (stats.new_count, relation.delta_batch.to_host(charge=False).tolist(), relation.as_set())
         assert relation.oom_degradations == (0 if fault_plan == "none" else 1)
     one_shot, degraded = deltas.values()
     assert one_shot == degraded
@@ -170,7 +170,7 @@ def test_host_ingest_matches_numpy_oracle(backend, num_shards, palette, arity, d
     relation.initialize(initial)
 
     def delta_tuples():
-        return set().union(*(_tuples(shard.delta_batch.as_rows(charge=False)) for shard in relation.shards))
+        return set().union(*(_tuples(shard.delta_batch.to_host(charge=False)) for shard in relation.shards))
 
     full = _tuples(np.unique(initial, axis=0))
     assert (relation.full_count, relation.delta_count) == (len(full), len(full))

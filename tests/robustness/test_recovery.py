@@ -19,6 +19,7 @@ from repro.errors import (
     DeviceOutOfMemoryError,
     FixpointInterrupted,
 )
+from repro.experiments.serving_workload import sg_tree_edges
 from repro.queries import CSPA_SOURCE, REACH_SOURCE, SG_SOURCE
 from repro.relational import DiskCheckpointStore, InMemoryCheckpointStore
 
@@ -163,6 +164,22 @@ def test_checkpoints_are_charged_and_counted(request):
     result, _ = run_engine(source, facts, outputs, 2, checkpoint_every=2)
     assert result.checkpoints_taken >= 1
     assert result.phase_seconds.get("checkpoint", 0.0) > 0.0
+
+
+def test_each_checkpoint_downloads_an_edb_relation_once():
+    # A loaded EDB relation's delta is cleared at once, so a checkpoint
+    # downloads its full rows and no delta copy of them.
+    engine = GPULogEngine(device="h100", num_shards=1, checkpoint_every=50, fault_plan="none")
+    try:
+        engine.add_facts("edge", sg_tree_edges(5, 3))
+        result = engine.run(SG_SOURCE)
+        downloads = [
+            event for event in engine.devices[0].profiler.events if event.kernel == "edge.d2h_checkpoint"
+        ]
+    finally:
+        engine.close()
+    assert result.checkpoints_taken == 2
+    assert len(downloads) == result.checkpoints_taken
 
 
 # ----------------------------------------------------------------------

@@ -79,6 +79,36 @@ def test_dred_rederives_alternative_support():
         eng.close()
 
 
+#: ``p`` holds the ground fact ``p(1, 2)`` and derives ``(1, 2)`` again from ``e``
+GROUNDED = "p(x, y) :- e(x, y).\nq(x, y) :- p(x, y)."
+
+
+@pytest.mark.parametrize("num_shards", [1, 2])
+@pytest.mark.parametrize("fact_source", ["program", "constructor"])
+def test_retract_cascade_keeps_idb_ground_facts(num_shards, fact_source):
+    # Retracting e(1, 2) over-deletes p(1, 2) and q(1, 2); the ground fact
+    # still supports p(1, 2), so DRed must re-derive both.
+    facts = {"e": [(1, 2), (3, 4)]}
+    source = GROUNDED
+    if fact_source == "program":
+        source = "p(1, 2).\n" + GROUNDED
+    else:
+        facts["p"] = [(1, 2)]
+    eng = ServingEngine(source, facts, background=False, num_shards=num_shards, fault_plan="none")
+    try:
+        result = eng.submit(retracts={"e": [(1, 2)]}).result()
+        assert result.retracted == {"e": 1, "p": 1, "q": 1}
+        assert result.rederived == {"p": 1}
+        for name in ("p", "q"):
+            assert eng.query(name).as_set() == {(1, 2), (3, 4)}, name
+        # Once the client retracts the ground fact too, nothing supports it.
+        eng.submit(retracts={"p": [(1, 2)]}).result()
+        for name in ("p", "q"):
+            assert eng.query(name).as_set() == {(3, 4)}, name
+    finally:
+        eng.close()
+
+
 def test_mixed_epoch_applies_retracts_before_inserts(engine):
     result = engine.submit(
         inserts={"edge": [(6, 7)]}, retracts={"edge": [(0, 1)]}

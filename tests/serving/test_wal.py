@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,7 +34,7 @@ def test_pending_excludes_committed_and_aborted():
     s1, s2, s3 = make_batch_log(wal)
     pending = wal.pending_batches()
     assert [batch.seq for batch in pending] == [s3]
-    assert pending[0].retracts == {"edge": [(5, 6)]}
+    assert {name: rows.tolist() for name, rows in pending[0].retracts.items()} == {"edge": [[5, 6]]}
     assert wal.aborted_seqs() == {s2}
     assert wal.resolved_seqs() == {s1, s2}
 
@@ -63,8 +64,9 @@ def test_batch_round_trips_symbols_and_rows():
     )
     batch = wal.pending_batches()[0]
     assert isinstance(batch, WalBatch)
-    assert batch.inserts == {"edge": [(1, 2), (3, 4)]}
-    assert batch.retracts == {"edge": [(5, 6)]}
+    assert batch.inserts["edge"].dtype == np.int64
+    assert {name: rows.tolist() for name, rows in batch.inserts.items()} == {"edge": [[1, 2], [3, 4]]}
+    assert {name: rows.tolist() for name, rows in batch.retracts.items()} == {"edge": [[5, 6]]}
     assert batch.symbols == (("alice", (1 << 40) + 1),)
     assert batch.mutation_count == 3
 
@@ -222,8 +224,8 @@ def test_wal_replay_round_trip(tmp_path_factory, batches, commit_mask):
     for epoch, group in reopened.committed_groups():
         for batch in group:
             ins, rets = batches[batch.seq - 1]
-            assert batch.inserts.get("edge", []) == [tuple(r) for r in ins]
-            assert batch.retracts.get("edge", []) == [tuple(r) for r in rets]
+            assert batch.inserts["edge"].tolist() == [list(r) for r in ins]
+            assert batch.retracts["edge"].tolist() == [list(r) for r in rets]
     reopened.close()
 
 
